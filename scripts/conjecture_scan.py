@@ -22,6 +22,7 @@ import numpy as np
 
 from gammacert import Direction, HParams, Verdict, certify_lcm, default_grid
 from gammacert.certify import in_conjecture_zone
+from gammacert.hfamily import reciprocal_threshold
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,8 @@ class ScanConfig:
 
 def zone_alphas(y: float, count: int) -> np.ndarray:
     """alpha samples strictly inside the zone (lower bound exclusive)."""
-    lo = min(1.0, 0.5 / (y + 1.0))
-    # open at lo, closed at 1: shift the first sample off the boundary
-    return np.linspace(lo, 1.0, count + 1)[1:]
+    # open at the threshold, closed at 1: shift the first sample off the boundary
+    return np.linspace(reciprocal_threshold(y), 1.0, count + 1)[1:]
 
 
 def run(config: ScanConfig) -> int:

@@ -12,7 +12,7 @@ import math
 
 from .errors import DomainError
 from .gammakit import lngamma
-from .ineq import CheckResult, _one_sided, _two_sided
+from .ineq import CheckResult, one_sided, two_sided
 
 __all__ = ["ball_ratio_checks", "log_omega", "omega", "recurrence_check"]
 
@@ -62,20 +62,20 @@ def ball_ratio_checks(n: int) -> list[CheckResult]:
     log_adj = math.log((n + 2.0) / (n + 3.0))
     sandwich_mid = (n / (n + 1.0)) * lo_n1
     results = [
-        _two_sided("ball_ratio_skip2_window", inputs + (("log_scale", 1.0),),
-                   0.5 * log_skip, ratio_skip, 0.25 * log_skip),
-        _two_sided("ball_ratio_adjacent_window", inputs + (("log_scale", 1.0),),
-                   0.5 * log_adj, ratio_adj, 0.25 * log_adj),
-        _two_sided("ball_sandwich_consecutive", inputs + (("log_scale", 1.0),),
-                   _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
-                   0.5 + sandwich_mid, strict_lower=False),
+        two_sided("ball_ratio_skip2_window", inputs + (("log_scale", 1.0),),
+                  0.5 * log_skip, ratio_skip, 0.25 * log_skip),
+        two_sided("ball_ratio_adjacent_window", inputs + (("log_scale", 1.0),),
+                  0.5 * log_adj, ratio_adj, 0.25 * log_adj),
+        two_sided("ball_sandwich_consecutive", inputs + (("log_scale", 1.0),),
+                  _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
+                  0.5 + sandwich_mid, strict_lower=False),
     ]
     if n > 2:
         # refinement slacks: refined lower bound above (c)'s lower bound,
         # refined upper bound below (c)'s upper bound
         slack_lo = (n / 4.0) * (-log_adj) - (_LOG_2 - _HALF_LOG_PI)
         slack_up = 0.5 - (n / 2.0) * (-log_adj)
-        results.append(_one_sided(
+        results.append(one_sided(
             "ball_adjacent_refines_sandwich",
             inputs + (("slack_lower", slack_lo), ("slack_upper", slack_up),
                       ("log_scale", 1.0)),
@@ -90,6 +90,6 @@ def recurrence_check(n: int) -> CheckResult:
     """
     n = _check_dim(n, 2)
     residual = log_omega(n) - (log_omega(n - 2) + math.log(2.0 * math.pi / n))
-    return _two_sided("ball_volume_recurrence",
-                      (("n", n), ("log_scale", 1.0)),
-                      -1e-12, residual, 1e-12, strict=False)
+    return two_sided("ball_volume_recurrence",
+                     (("n", n), ("log_scale", 1.0)),
+                     -1e-12, residual, 1e-12, strict=False)

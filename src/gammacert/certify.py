@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .gammakit import MAX_DERIV_ORDER, digamma, lngamma
+from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
     X_EPSILON,
@@ -32,7 +32,8 @@ from .hfamily import (
     log_h,
     logh_deriv,
     logh_derivs_with_scale,
-    q_surface,
+    q_surface_with_scale,
+    reciprocal_threshold,
 )
 
 __all__ = [
@@ -232,7 +233,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
     if not (math.isfinite(y) and -1.0 < y < -0.5):
         raise ParameterError(f"y must lie in (-1, -1/2), got {y!r}")
     if grid is None:
-        grid = GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=1e3, points=200)
+        grid = default_grid(y)
     x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
     if not grid.x_max > x_left:
         raise ParameterError(
@@ -241,19 +242,12 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
         xs = np.geomspace(x_left, grid.x_max, grid.points)
     else:
         xs = np.linspace(x_left, grid.x_max, grid.points)
-    c = y + 1.0
     undecided = 0
     witness: DerivSample | None = None
     values = np.empty(xs.size)
     scales = np.empty(xs.size)
-    lgy = lngamma(c)
-    for i in range(xs.size):
-        x = float(xs[i])
-        u = x + c
-        values[i] = q_surface(x, y)
-        # local magnitude scale: sum of absolute values of q's four terms
-        scales[i] = (abs(x * digamma(u)) + abs(lngamma(u)) + abs(lgy)
-                     + abs(x * x / (2.0 * c * u)))
+    for i, x in enumerate(xs.tolist()):
+        values[i], scales[i] = q_surface_with_scale(x, y)
     for i in range(xs.size):
         if values[i] < 0.0:
             continue
@@ -273,7 +267,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
             witness = DerivSample(k=1, x=float(xs[i + 1]), value=float(diff))
             break
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
-    return Certificate(params=HParams(alpha=0.5 / c, y=y), direction=None,
+    return Certificate(params=HParams(alpha=0.5 / (y + 1.0), y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
                        undecided_points=undecided, check="surface-negativity")
 
@@ -281,7 +275,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
 def in_conjecture_zone(alpha: float, y: float) -> bool:
     """Parameter region where reciprocal complete monotonicity is conjectured
     to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1."""
-    return y > -0.5 and min(1.0, 0.5 / (y + 1.0)) < alpha <= 1.0
+    return y > -0.5 and reciprocal_threshold(y) < alpha <= 1.0
 
 
 @dataclass(frozen=True)

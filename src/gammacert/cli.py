@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from .ballvol import ball_ratio_checks, recurrence_check
 from .certify import (
     Certificate,
     Direction,
-    GridSpec,
     ScanCell,
     Verdict,
     certify_lcm,
@@ -37,16 +37,16 @@ from .certify import (
     verify_thm3,
 )
 from .errors import DomainError, ParameterError
-from .hfamily import HParams
+from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
+    CHAIN_SUP,
     AuxFn,
     CheckResult,
-    _one_sided,
-    _two_sided,
     aux_eval,
     batir_ineq,
     gamma_ratio_ineq,
     log_upper_bound_ineq,
+    one_sided,
     polygamma_bounds,
     psi_integral_mean_ineq,
     psi_log_bounds,
@@ -54,6 +54,7 @@ from .ineq import (
     qcub_root,
     suffice_chain,
     thm2_ineq,
+    two_sided,
 )
 from .report import Report, build_report, dumps
 
@@ -63,7 +64,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-PUBLIC_SUITES = ("lemmas", "thm1", "thm2", "thm3", "ball", "aux", "all")
 #: Accepted but undocumented: a suite with one deliberately false check,
 #: used to exercise the exit-code contract end to end.
 FAULT_SUITE = "selftest-fault"
@@ -75,14 +75,14 @@ _SUFFICIENCY_DELTAS = (0.0, 0.5, 2.0)
 _NECESSITY_YS = (-0.5, 0.0, 1.0)
 _LIMIT_YS = (-0.5, 0.0, 1.0, 5.0)
 _THM3_YS = (-0.9, -0.75, -0.6, -0.51)
-_CHAIN_SUP = 8.0 / 7.0
 
 
 # ---------------------------------------------------------------------------
-# suite builders
+# suite builders: each takes (k_max, points, x_max) and ignores what it
+# does not use
 # ---------------------------------------------------------------------------
 
-def _suite_lemmas(points: int, x_max: float) -> list[CheckResult]:
+def _suite_lemmas(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     out: list[CheckResult] = []
     for x in np.geomspace(1e-2, x_max, points):
         x = float(x)
@@ -108,16 +108,6 @@ def _expected_failure_check(cert: Certificate) -> CheckResult:
                        holds=cert.verdict is Verdict.FAIL, strict=True)
 
 
-def _limit_check(name: str, y: float, estimate: float, target: float,
-                 tol: float) -> CheckResult:
-    err = abs(estimate - target)
-    return CheckResult(name=name,
-                       inputs=(("y", y), ("estimate", estimate),
-                               ("target", target), ("tolerance", tol)),
-                       lhs=err, rhs=tol, margin=tol - err,
-                       holds=err <= tol, strict=False)
-
-
 def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> list[CheckResult]:
     """Seeded random admissible (x, y, t) samples of the gamma-ratio window."""
     rng = np.random.default_rng(seed)
@@ -137,43 +127,39 @@ def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
     out: list = []
     for y in _SUFFICIENCY_YS:
         grid = default_grid(y, points=points, x_max=x_max)
-        amax = max(1.0, 1.0 / (y + 1.0))
-        amin = min(1.0, 0.5 / (y + 1.0))
         for delta in _SUFFICIENCY_DELTAS:
-            out.append(certify_lcm(HParams(amax + delta, y), Direction.LCM,
-                                   k_max=k_max, grid=grid))
-            out.append(certify_lcm(HParams(amin - delta, y),
+            out.append(certify_lcm(HParams(lcm_threshold(y) + delta, y),
+                                   Direction.LCM, k_max=k_max, grid=grid))
+            out.append(certify_lcm(HParams(reciprocal_threshold(y) - delta, y),
                                    Direction.RECIPROCAL,
                                    k_max=k_max, grid=grid))
     for y in _NECESSITY_YS:
-        alpha = max(1.0, 1.0 / (y + 1.0)) - 0.1
+        alpha = lcm_threshold(y) - 0.1
         cert = certify_lcm(HParams(alpha, y), Direction.LCM, k_max=k_max,
                            grid=default_grid(y, points=points, x_max=x_max))
         out.append(_expected_failure_check(cert))
     for y in _LIMIT_YS:
         inner, tail = necessity_limits(y)
-        out.append(_limit_check("alpha_threshold_left_endpoint_limit",
-                                y, inner, 1.0 / (y + 1.0), 1e-2))
-        out.append(_limit_check("alpha_threshold_tail_limit",
-                                y, tail, 1.0, 1e-3))
+        for name, estimate, target, tol in (
+                ("alpha_threshold_left_endpoint_limit", inner, 1.0 / (y + 1.0), 1e-2),
+                ("alpha_threshold_tail_limit", tail, 1.0, 1e-3)):
+            out.append(one_sided(name, (("y", y), ("estimate", estimate),
+                                        ("target", target), ("tolerance", tol)),
+                                 abs(estimate - target), tol, strict=False))
     out.extend(ratio_samples(200))
     return out
 
 
-def _suite_thm2() -> list[CheckResult]:
+def _suite_thm2(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     return [thm2_ineq(float(t)) for t in np.geomspace(1e-4, 1e3, 300)]
 
 
-def _suite_thm3(points: int, x_max: float) -> list[Certificate]:
-    out = []
-    for y in _THM3_YS:
-        grid = GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=x_max,
-                        points=points)
-        out.append(verify_thm3(y, grid=grid))
-    return out
+def _suite_thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:
+    return [verify_thm3(y, grid=default_grid(y, points=points, x_max=x_max))
+            for y in _THM3_YS]
 
 
-def _suite_ball() -> list[CheckResult]:
+def _suite_ball(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     out: list[CheckResult] = []
     for n in range(1, 61):
         out.extend(ball_ratio_checks(n))
@@ -182,63 +168,56 @@ def _suite_ball() -> list[CheckResult]:
     return out
 
 
-def _spot_check(name: str, fn: AuxFn, t: float, expected: float,
-                tol: float) -> CheckResult:
-    value = aux_eval(fn, t)
-    err = abs(value - expected)
-    return CheckResult(name=name,
-                       inputs=(("t", t), ("expected", expected),
-                               ("value", value), ("tolerance", tol)),
-                       lhs=err, rhs=tol, margin=tol - err,
-                       holds=err <= tol, strict=False)
-
-
-def _suite_aux() -> list[CheckResult]:
+def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     out: list[CheckResult] = []
     third = 1.0 / 3.0
 
     # exact spot values of the auxiliary polynomials (abs tol for the cubic,
     # rel tol for the sextic whose values are O(1)..O(10))
-    out.append(_spot_check("aux_cubic_spot_value", AuxFn.QCUB, 0.0, -3.0, 1e-12))
-    out.append(_spot_check("aux_cubic_spot_value", AuxFn.QCUB, 1.0, 14.0, 1e-12))
-    out.append(_spot_check("aux_cubic_spot_value", AuxFn.QCUB, third,
-                           -2.0 / 3.0, 1e-12))
-    out.append(_spot_check("aux_polynomial_spot_value", AuxFn.HPOLY, third,
-                           -700.0 / 81.0, 1e-12 * (700.0 / 81.0)))
-    out.append(_spot_check("aux_polynomial_spot_value", AuxFn.HPOLY, _CHAIN_SUP,
-                           -404759.0 / 117649.0, 1e-12 * (404759.0 / 117649.0)))
+    for name, fn, t, expected, tol in (
+            ("aux_cubic_spot_value", AuxFn.QCUB, 0.0, -3.0, 1e-12),
+            ("aux_cubic_spot_value", AuxFn.QCUB, 1.0, 14.0, 1e-12),
+            ("aux_cubic_spot_value", AuxFn.QCUB, third, -2.0 / 3.0, 1e-12),
+            ("aux_polynomial_spot_value", AuxFn.HPOLY, third,
+             -700.0 / 81.0, 1e-12 * (700.0 / 81.0)),
+            ("aux_polynomial_spot_value", AuxFn.HPOLY, CHAIN_SUP,
+             -404759.0 / 117649.0, 1e-12 * (404759.0 / 117649.0))):
+        value = aux_eval(fn, t)
+        out.append(one_sided(name, (("t", t), ("expected", expected),
+                                    ("value", value), ("tolerance", tol)),
+                             abs(value - expected), tol, strict=False))
 
     # the logarithmic helper is barely positive at t = 8/7 ...
-    out.append(_two_sided("aux_qlog_band", (("t", _CHAIN_SUP),),
-                          0.002, aux_eval(AuxFn.QLOG, _CHAIN_SUP), 0.003))
+    out.append(two_sided("aux_qlog_band", (("t", CHAIN_SUP),),
+                         0.002, aux_eval(AuxFn.QLOG, CHAIN_SUP), 0.003))
     # ... positive from there on, and increasing beyond t = 1/4
-    for t in np.geomspace(_CHAIN_SUP, 1e3, 100):
+    for t in np.geomspace(CHAIN_SUP, 1e3, 100):
         t = float(t)
-        out.append(_one_sided("aux_qlog_positive_from_chain_sup",
-                              (("t", t),), 0.0, aux_eval(AuxFn.QLOG, t)))
+        out.append(one_sided("aux_qlog_positive_from_chain_sup",
+                             (("t", t),), 0.0, aux_eval(AuxFn.QLOG, t)))
     qs = [float(t) for t in np.geomspace(0.26, 1e3, 100)]
     for lo, hi in zip(qs, qs[1:]):
-        out.append(_one_sided("aux_qlog_increasing_beyond_quarter",
-                              (("t_lo", lo), ("t_hi", hi)),
-                              aux_eval(AuxFn.QLOG, lo),
-                              aux_eval(AuxFn.QLOG, hi)))
+        out.append(one_sided("aux_qlog_increasing_beyond_quarter",
+                             (("t_lo", lo), ("t_hi", hi)),
+                             aux_eval(AuxFn.QLOG, lo),
+                             aux_eval(AuxFn.QLOG, hi)))
 
     # cubic root bracket and residual
     root = qcub_root(1e-10)
-    out.append(_two_sided("aux_cubic_root_bracket",
-                          (("root", root),), third, root, 1.0))
-    out.append(_one_sided("aux_cubic_root_residual",
-                          (("root", root),),
-                          abs(aux_eval(AuxFn.QCUB, root)), 1e-8, strict=False))
+    out.append(two_sided("aux_cubic_root_bracket",
+                         (("root", root),), third, root, 1.0))
+    out.append(one_sided("aux_cubic_root_residual",
+                         (("root", root),),
+                         abs(aux_eval(AuxFn.QCUB, root)), 1e-8, strict=False))
 
     # the sextic stays negative across the open chain interval
-    for t in np.linspace(third, _CHAIN_SUP, 102)[1:-1]:
+    for t in np.linspace(third, CHAIN_SUP, 102)[1:-1]:
         t = float(t)
-        out.append(_one_sided("aux_polynomial_negative_interior",
-                              (("t", t),), aux_eval(AuxFn.HPOLY, t), 0.0))
+        out.append(one_sided("aux_polynomial_negative_interior",
+                             (("t", t),), aux_eval(AuxFn.HPOLY, t), 0.0))
 
     # chained sufficiency inequalities across (0, 8/7)
-    for t in np.geomspace(1e-3, _CHAIN_SUP * (1.0 - 1e-9), 100):
+    for t in np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100):
         out.extend(suffice_chain(float(t)))
 
     # digamma-at-log-mean bound, printed product form, on its worked pairs
@@ -274,49 +253,38 @@ def _suite_aux() -> list[CheckResult]:
     )
     for k, alpha, y, x, step in fd_cases:
         residual = finite_diff_crosscheck(k, HParams(alpha, y), x, step=step)
-        out.append(CheckResult(
-            name="logh_derivative_matches_finite_difference",
-            inputs=(("k", float(k)), ("alpha", alpha), ("y", y), ("x", x),
-                    ("step", step), ("residual", residual)),
-            lhs=residual, rhs=1e-6, margin=1e-6 - residual,
-            holds=residual <= 1e-6, strict=False))
+        out.append(one_sided(
+            "logh_derivative_matches_finite_difference",
+            (("k", k), ("alpha", alpha), ("y", y), ("x", x),
+             ("step", step), ("residual", residual)),
+            residual, 1e-6, strict=False))
     return out
 
 
-def _suite_selftest_fault() -> list[CheckResult]:
-    return [
-        thm2_ineq(1.0),
-        CheckResult(name="injected_fault_unit_interval_flip",
-                    inputs=(("t", 1.0),),
-                    lhs=1.0, rhs=0.0, margin=-1.0, holds=False, strict=True),
-    ]
+SUITES = {
+    "lemmas": _suite_lemmas,
+    "thm1": _suite_thm1,
+    "thm2": _suite_thm2,
+    "thm3": _suite_thm3,
+    "ball": _suite_ball,
+    "aux": _suite_aux,
+}
+PUBLIC_SUITES = (*SUITES, "all")
 
 
 def build_suite(suite: str, k_max: int = 8, points: int = 200,
                 x_max: float = 1e3) -> list:
     """Assemble the result list for one named suite."""
-    if suite == "lemmas":
-        return _suite_lemmas(points, x_max)
-    if suite == "thm1":
-        return _suite_thm1(k_max, points, x_max)
-    if suite == "thm2":
-        return _suite_thm2()
-    if suite == "thm3":
-        return _suite_thm3(points, x_max)
-    if suite == "ball":
-        return _suite_ball()
-    if suite == "aux":
-        return _suite_aux()
     if suite == "all":
-        out: list = []
-        for name in ("lemmas", "thm1", "thm2", "thm3", "ball", "aux"):
-            out.extend(build_suite(name, k_max=k_max, points=points,
-                                   x_max=x_max))
-        return out
+        # one build_suite call per suite, so callers that wrap it see each
+        return [r for name in SUITES for r in build_suite(name, k_max, points, x_max)]
     if suite == FAULT_SUITE:
-        return _suite_selftest_fault()
-    raise ParameterError(
-        f"unknown suite {suite!r} (choose from {', '.join(PUBLIC_SUITES)})")
+        return [thm2_ineq(1.0),
+                one_sided("injected_fault_unit_interval_flip", (("t", 1.0),), 1.0, 0.0)]
+    if suite not in SUITES:
+        raise ParameterError(
+            f"unknown suite {suite!r} (choose from {', '.join(PUBLIC_SUITES)})")
+    return SUITES[suite](k_max, points, x_max)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="upper end of certificate grids (default 1e3)")
     p_scan.add_argument("--out", metavar="PATH",
                         help="write the CSV here (JSON then goes to stdout)")
+    # argparse would read "-0.5:0:0.5" as a flag: it is no plain negative number.
+    # Newer CPython argparse compiles this same pattern itself; drop the
+    # override once the minimum supported Python does.
+    p_scan._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -432,10 +404,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = build_suite(args.suite, k_max=args.kmax,
                           points=args.grid_points, x_max=args.x_max)
     report = build_report(args.suite, results, __version__)
-    if args.format == "csv":
-        _emit(verify_csv(report), args.out)
-    else:
-        _emit(dumps(report) + "\n", args.out)
+    _emit(verify_csv(report) if args.format == "csv" else dumps(report) + "\n",
+          args.out)
     return EXIT_OK if report.summary["failed"] == 0 else EXIT_FAIL
 
 
@@ -445,13 +415,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     cells = scan_values(alphas, ys, k_max=args.kmax,
                         points=args.grid_points, x_max=args.x_max)
     report = build_report("scan", cells, __version__)
-    text = scan_csv(cells)
-    if args.out is None:
-        sys.stdout.write(text)
-        print(dumps(report), file=sys.stderr)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(dumps(report))
+    _emit(scan_csv(cells), args.out)
+    # the JSON report goes wherever the CSV does not
+    print(dumps(report), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK if report.summary["failed"] == 0 else EXIT_FAIL
 
 

@@ -7,6 +7,8 @@ input is legal but the implementation does not cover it".
 
 from __future__ import annotations
 
+import math
+
 
 class DomainError(ValueError):
     """The argument lies outside the mathematical domain of the function."""
@@ -22,3 +24,11 @@ class PrecisionError(ArithmeticError):
 
 class ParameterError(ValueError):
     """A configuration or tuning parameter is inconsistent or out of range."""
+
+
+def require_positive(value: float, name: str) -> float:
+    """value as a float; DomainError unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+    return value

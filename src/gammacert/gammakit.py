@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
+from .errors import (CapabilityError, DomainError, ParameterError, PrecisionError,
+                     require_positive)
 
 __all__ = [
     "BERNOULLI_EVEN",
@@ -113,13 +114,6 @@ class EvalOptions:
 DEFAULT_OPTIONS = EvalOptions()
 
 
-def _require_positive(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be a finite positive real, got {x!r}")
-    return x
-
-
 def _guard(last_term: float, total: float, options: EvalOptions, what: str) -> None:
     """Raise PrecisionError when the truncated tail is not negligible."""
     if abs(last_term) > options.rel_tol * max(abs(total), 1e-300):
@@ -132,7 +126,7 @@ def _guard(last_term: float, total: float, options: EvalOptions, what: str) -> N
 def lngamma(x: float, options: EvalOptions | None = None) -> float:
     """Natural log of the gamma function for x > 0."""
     opts = options or DEFAULT_OPTIONS
-    z = _require_positive(x)
+    z = require_positive(x, "x")
     shift = 0.0
     while z < opts.shift_threshold:
         shift += math.log(z)
@@ -154,7 +148,7 @@ def lngamma(x: float, options: EvalOptions | None = None) -> float:
 def digamma(x: float, options: EvalOptions | None = None) -> float:
     """Logarithmic derivative of the gamma function for x > 0."""
     opts = options or DEFAULT_OPTIONS
-    z = _require_positive(x)
+    z = require_positive(x, "x")
     shift = 0.0
     while z < opts.shift_threshold:
         shift += 1.0 / z
@@ -196,7 +190,7 @@ def polygamma(k: int, x: float, options: EvalOptions | None = None) -> float:
     if k > MAX_DERIV_ORDER:
         raise CapabilityError(
             f"derivative order k={k} exceeds implemented maximum {MAX_DERIV_ORDER}")
-    z = _require_positive(x)
+    z = require_positive(x, "x")
     kfac = float(math.factorial(k))
     shift = 0.0  # accumulates k! sum z_i^{-(k+1)} in magnitude form
     while z < opts.shift_threshold:

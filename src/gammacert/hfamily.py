@@ -19,11 +19,10 @@ hence the evaluation exclusion zone |x| < X_EPSILON.
 
 ``alpha_necessary_bound`` is the threshold surface
 
-    B(x, y) = (u/x^2) * (x psi(u) - lnGamma(u) + lnGamma(y+1)):
+    B(x, y) = (u/x^2) * (x psi(u) - lnGamma(u) + lnGamma(y+1)),
 
-(ln h)'(x) = (x^2/u) * (B(x, y) - alpha) / x^2 * ... i.e. sign((ln h)')
- = sign(B - alpha) for x > 0 and flips meaning across the family; B has
-limits 1/(y+1) as x -> -(y+1)+ and 1 as x -> +inf.
+for which (ln h)'(x) = (B(x, y) - alpha)/u; B has limits 1/(y+1) as
+x -> -(y+1)+ and 1 as x -> +inf.
 """
 
 from __future__ import annotations
@@ -42,10 +41,13 @@ __all__ = [
     "alpha_necessary_bound",
     "bigH_eval",
     "h_eval",
+    "lcm_threshold",
     "log_h",
     "logh_deriv",
     "logh_derivs_with_scale",
     "q_surface",
+    "q_surface_with_scale",
+    "reciprocal_threshold",
 ]
 
 #: Half-width of the x = 0 exclusion zone for closed-form log-derivatives.
@@ -164,12 +166,28 @@ def logh_deriv(k: int, params: HParams, x: float,
     return logh_derivs_with_scale(k, params, x, options)[k - 1][0]
 
 
+def lcm_threshold(y: float) -> float:
+    """Smallest alpha for which h is LCM (Theorem 1): max{1, 1/(y+1)}."""
+    return max(1.0, 1.0 / (y + 1.0))
+
+
+def reciprocal_threshold(y: float) -> float:
+    """Largest alpha for which 1/h is LCM (Theorem 1): min{1, 1/(2(y+1))}."""
+    return min(1.0, 0.5 / (y + 1.0))
+
+
+def _slope_terms(x: float, u: float, y: float,
+                 options: EvalOptions | None) -> tuple[float, float, float]:
+    """x psi(u), lnGamma(u), lnGamma(y+1): the terms that both B and q are built from."""
+    return x * digamma(u, options), lngamma(u, options), lngamma(y + 1.0, options)
+
+
 def alpha_necessary_bound(x: float, y: float,
                           options: EvalOptions | None = None) -> float:
     """Threshold surface B(x, y) = (u/x^2)(x psi(u) - lnGamma(u) + lnGamma(y+1)).
 
-    sign((ln h)'(x)) = sign(B(x, y) - alpha) * sign(u)/u ... concretely
-    (ln h)'(x) = (B - alpha)/u * (x^2/x^2); alpha above B forces decrease.
+    (ln h)'(x) = (B(x, y) - alpha)/u with u = x+y+1 > 0, so h decreases at x
+    exactly when alpha > B(x, y).
     Limits: B -> 1/(y+1) as x -> -(y+1)+ and B -> 1 as x -> +inf.
     Relative accuracy degrades near the removable singularity at x = 0.
     """
@@ -178,8 +196,18 @@ def alpha_necessary_bound(x: float, y: float,
         raise DomainError("alpha_necessary_bound is undefined at x = 0 "
                           "(removable singularity); evaluate nearby instead")
     u = _shifted_argument(x, y)
-    s = x * digamma(u, options) - lngamma(u, options) + lngamma(y + 1.0, options)
-    return u * s / (x * x)
+    xpsi, lg_u, lg_y = _slope_terms(x, u, y, options)
+    return u * (xpsi - lg_u + lg_y) / (x * x)
+
+
+def q_surface_with_scale(x: float, y: float,
+                         options: EvalOptions | None = None) -> tuple[float, float]:
+    """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
+    x = float(x)
+    u = _shifted_argument(x, y)
+    xpsi, lg_u, lg_y = _slope_terms(x, u, y, options)
+    quad = x * x / (2.0 * (y + 1.0) * u)
+    return xpsi - lg_u + lg_y - quad, abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad)
 
 
 def q_surface(x: float, y: float, options: EvalOptions | None = None) -> float:
@@ -188,7 +216,4 @@ def q_surface(x: float, y: float, options: EvalOptions | None = None) -> float:
     With alpha* = 1/(2(y+1)): (ln h_{alpha*})'(x) = q(x, y)/x^2, so negativity
     of q on an interval certifies strict decrease of ln h_{alpha*} there.
     """
-    x = float(x)
-    u = _shifted_argument(x, y)
-    s = x * digamma(u, options) - lngamma(u, options) + lngamma(y + 1.0, options)
-    return s - x * x / (2.0 * (y + 1.0) * u)
+    return q_surface_with_scale(x, y, options)[0]

@@ -23,18 +23,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ParameterError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError, require_positive
 from .gammakit import CONSTANTS, digamma, lngamma, polygamma
+from .hfamily import lcm_threshold, reciprocal_threshold
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
 __all__ = [
     "AuxFn",
+    "CHAIN_SUP",
     "CheckResult",
     "NOISE_REL",
     "aux_eval",
     "batir_ineq",
     "gamma_ratio_ineq",
     "log_upper_bound_ineq",
+    "one_sided",
     "polygamma_bounds",
     "psi_integral_mean_ineq",
     "psi_log_bounds",
@@ -42,6 +45,7 @@ __all__ = [
     "qcub_root",
     "suffice_chain",
     "thm2_ineq",
+    "two_sided",
 ]
 
 #: Relative width of the floating-noise band around zero margin.
@@ -75,7 +79,8 @@ def _coerce_inputs(inputs) -> tuple[tuple[str, float], ...]:
     return tuple((str(n), float(v)) for n, v in inputs)
 
 
-def _one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
+def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
+    """Check lhs < rhs (lhs <= rhs if not strict) against the noise band."""
     lhs, rhs = float(lhs), float(rhs)
     margin = rhs - lhs
     noise = NOISE_REL * max(abs(lhs), abs(rhs))
@@ -87,8 +92,9 @@ def _one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
                        margin=margin, holds=holds, strict=strict)
 
 
-def _two_sided(name, inputs, lower, mid, upper, strict=True,
-               strict_lower=None) -> CheckResult:
+def two_sided(name, inputs, lower, mid, upper, strict=True,
+              strict_lower=None) -> CheckResult:
+    """Check lower < mid < upper; strict_lower (default: strict) sets the lower side."""
     lower, mid, upper = float(lower), float(mid), float(upper)
     if strict_lower is None:
         strict_lower = strict
@@ -106,13 +112,6 @@ def _two_sided(name, inputs, lower, mid, upper, strict=True,
                        strict=strict and strict_lower)
 
 
-def _pos(v: float, name: str) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be a finite positive real, got {v!r}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # digamma / polygamma windows
 # ---------------------------------------------------------------------------
@@ -125,31 +124,31 @@ def psi_log_bounds(x: float) -> list[CheckResult]:
     3. ln(x+1/2) - 1/x       < psi(x) < ln(x+e^{-gamma}) - 1/x   (sharp shifts)
     4. ln x - 1/(2x) - 1/(12x^2) < psi(x) < ln x - 1/(2x)
     """
-    x = _pos(x, "x")
+    x = require_positive(x, "x")
     psi = digamma(x)
     lx = math.log(x)
     inv = 1.0 / x
     sharp = CONSTANTS.exp_neg_euler_gamma
     inputs = (("x", x),)
     return [
-        _two_sided("psi_between_log_offsets", inputs,
-                   lx - inv, psi, lx - 0.5 * inv),
-        _two_sided("psi_between_shifted_logs", inputs,
-                   math.log(x + 0.5) - inv, psi, math.log(x + 1.0) - inv),
-        _two_sided("psi_between_shifted_logs_sharp", inputs,
-                   math.log(x + 0.5) - inv, psi, math.log(x + sharp) - inv),
-        _two_sided("psi_second_order_window", inputs,
-                   lx - 0.5 * inv - 1.0 / (12.0 * x * x), psi, lx - 0.5 * inv),
+        two_sided("psi_between_log_offsets", inputs,
+                  lx - inv, psi, lx - 0.5 * inv),
+        two_sided("psi_between_shifted_logs", inputs,
+                  math.log(x + 0.5) - inv, psi, math.log(x + 1.0) - inv),
+        two_sided("psi_between_shifted_logs_sharp", inputs,
+                  math.log(x + 0.5) - inv, psi, math.log(x + sharp) - inv),
+        two_sided("psi_second_order_window", inputs,
+                  lx - 0.5 * inv - 1.0 / (12.0 * x * x), psi, lx - 0.5 * inv),
     ]
 
 
 def psi_upper_refinement(x: float) -> CheckResult:
     """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1)."""
-    x = _pos(x, "x")
+    x = require_positive(x, "x")
     inv = 1.0 / x
-    return _one_sided("psi_sharp_upper_refines_shifted_log", (("x", x),),
-                      math.log(x + CONSTANTS.exp_neg_euler_gamma) - inv,
-                      math.log(x + 1.0) - inv)
+    return one_sided("psi_sharp_upper_refines_shifted_log", (("x", x),),
+                     math.log(x + CONSTANTS.exp_neg_euler_gamma) - inv,
+                     math.log(x + 1.0) - inv)
 
 
 def polygamma_bounds(k: int, x: float) -> list[CheckResult]:
@@ -158,18 +157,18 @@ def polygamma_bounds(k: int, x: float) -> list[CheckResult]:
     1. (k-1)!/x^k + k!/(2x^{k+1})     < v < (k-1)!/x^k + k!/x^{k+1}
     2. (k-1)!/(x+1)^k + k!/x^{k+1}    < v < (k-1)!/(x+1/2)^k + k!/x^{k+1}
     """
-    x = _pos(x, "x")
+    x = require_positive(x, "x")
     v = (-1.0) ** (k + 1) * polygamma(k, x)
     km1f = float(math.factorial(k - 1))
     kf = float(math.factorial(k))
     tail = kf / x ** (k + 1)
     inputs = (("k", k), ("x", x))
     return [
-        _two_sided("polygamma_power_window", inputs,
-                   km1f / x ** k + 0.5 * tail, v, km1f / x ** k + tail),
-        _two_sided("polygamma_shifted_power_window", inputs,
-                   km1f / (x + 1.0) ** k + tail, v,
-                   km1f / (x + 0.5) ** k + tail),
+        two_sided("polygamma_power_window", inputs,
+                  km1f / x ** k + 0.5 * tail, v, km1f / x ** k + tail),
+        two_sided("polygamma_shifted_power_window", inputs,
+                  km1f / (x + 1.0) ** k + tail, v,
+                  km1f / (x + 0.5) ** k + tail),
     ]
 
 
@@ -198,14 +197,14 @@ def gamma_ratio_ineq(x: float, y: float, t: float,
     if x == 0.0 or x + t == 0.0:
         raise DomainError("x and x+t must be nonzero (1/x and 1/(x+t) exponents)")
     if a is None:
-        a = max(1.0, 1.0 / (y + 1.0))
+        a = lcm_threshold(y)
     if b is None:
-        b = min(1.0, 0.5 / (y + 1.0))
+        b = reciprocal_threshold(y)
     u2 = u1 + t
     lgy = lngamma(y + 1.0)
     mid = (lngamma(u1) - lgy) / x - (lngamma(u2) - lgy) / (x + t)
     log_ratio = math.log(u1) - math.log(u2)  # < 0 since t > 0
-    return _two_sided(
+    return two_sided(
         "gamma_ratio_power_window",
         (("x", x), ("y", y), ("t", t), ("a", a), ("b", b),
          ("log_ratio", log_ratio), ("log_scale", 1.0)),
@@ -218,12 +217,12 @@ def gamma_ratio_ineq(x: float, y: float, t: float,
 
 def thm2_ineq(t: float) -> CheckResult:
     """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0."""
-    t = _pos(t, "t")
+    t = require_positive(t, "t")
     w = 1.0 + 2.0 * t
     lhs = w / (2.0 * t * t) * (lngamma(t / w) - lngamma(t))
     rhs = 1.0 - digamma(t)
-    return _one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),
-                      lhs, rhs)
+    return one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),
+                     lhs, rhs)
 
 
 def batir_ineq(a: float, b: float) -> CheckResult:
@@ -233,13 +232,13 @@ def batir_ineq(a: float, b: float) -> CheckResult:
     exponent exactly as printed; the quotient reading (lnG(a)-lnG(b))/(a-b)
     is exposed in inputs under "rhs_exponent_quotient_form".
     """
-    a = _pos(a, "a")
-    b = _pos(b, "b")
+    a = require_positive(a, "a")
+    b = require_positive(b, "b")
     if abs(a - b) <= DIAGONAL_REL_TOL * max(a, b):
         raise DomainError(f"a and b must be distinct, got a={a!r}, b={b!r}")
     lm = log_mean(a, b)
     dg = lngamma(a) - lngamma(b)
-    return _one_sided(
+    return one_sided(
         "psi_logmean_vs_gamma_ratio_power",
         (("a", a), ("b", b), ("log_mean", lm), ("lngamma_diff", dg),
          ("rhs_exponent_quotient_form", dg / (a - b)), ("log_scale", 1.0)),
@@ -259,8 +258,8 @@ def psi_integral_mean_ineq(i: int, s: float, t: float,
     if i not in (0, 1):
         raise ParameterError(
             f"i must be 0 or 1 (closed-form antiderivative needed), got {i!r}")
-    s = _pos(s, "s")
-    t = _pos(t, "t")
+    s = require_positive(s, "s")
+    t = require_positive(t, "t")
     if abs(s - t) <= DIAGONAL_REL_TOL * max(s, t):
         raise DomainError(f"s and t must be distinct, got s={s!r}, t={t!r}")
     p, q = float(p), float(q)
@@ -274,9 +273,9 @@ def psi_integral_mean_ineq(i: int, s: float, t: float,
     mean = sign * (anti(t) - anti(s)) / (t - s)
     lower = sign * deriv(gen_log_mean(p, s, t))
     upper = sign * deriv(gen_log_mean(q, s, t))
-    return _two_sided("psi_derivative_mean_value_window",
-                      (("i", i), ("s", s), ("t", t), ("p", p), ("q", q)),
-                      lower, mean, upper, strict=False)
+    return two_sided("psi_derivative_mean_value_window",
+                     (("i", i), ("s", s), ("t", t), ("p", p), ("q", q)),
+                     lower, mean, upper, strict=False)
 
 
 def log_upper_bound_ineq(t: float) -> CheckResult:
@@ -286,9 +285,9 @@ def log_upper_bound_ineq(t: float) -> CheckResult:
     O(t^5) margin sits below binary64 resolution and the check reports the
     in-noise marker instead of a resolved verdict.
     """
-    t = _pos(t, "t")
+    t = require_positive(t, "t")
     rhs = t * ((t + 12.0) * t + 12.0) / (6.0 * (t + 1.0) * (t + 2.0))
-    return _one_sided("log1p_rational_bound", (("t", t),), math.log1p(t), rhs)
+    return one_sided("log1p_rational_bound", (("t", t),), math.log1p(t), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,8 @@ def qcub_root(tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-_CHAIN_SUP = 8.0 / 7.0
+#: Right end of the interval (0, 8/7) on which the sufficiency chain holds.
+CHAIN_SUP = 8.0 / 7.0
 
 
 def suffice_chain(t: float) -> list[CheckResult]:
@@ -350,19 +350,19 @@ def suffice_chain(t: float) -> list[CheckResult]:
 
     where R(t) = (2t+1)ln(2t+1) / (t [(2t+1)ln(2t+1) - 2t]).
     """
-    t = _pos(t, "t")
-    if t >= _CHAIN_SUP:
+    t = require_positive(t, "t")
+    if t >= CHAIN_SUP:
         raise DomainError(f"t must lie in (0, 8/7), got {t!r}")
     w = (2.0 * t + 1.0) * math.log1p(2.0 * t)
     inner = 2.0 * t * t / w
     sqrt_pt = math.sqrt(2.0 * t ** 3 / w)
     rational = w / (t * (w - 2.0 * t))
     return [
-        _one_sided("psi_diff_vs_one", (("t", t), ("inner_point", inner)),
-                   digamma(t) - digamma(inner), 1.0),
-        _one_sided("trigamma_vs_rational", (("t", t), ("sqrt_point", sqrt_pt)),
-                   polygamma(1, sqrt_pt), rational, strict=False),
-        _one_sided("algebraic_rational_window", (("t", t), ("sqrt_point", sqrt_pt)),
-                   w / (2.0 * t ** 3) + 1.0 / (sqrt_pt + 0.5), rational,
-                   strict=False),
+        one_sided("psi_diff_vs_one", (("t", t), ("inner_point", inner)),
+                  digamma(t) - digamma(inner), 1.0),
+        one_sided("trigamma_vs_rational", (("t", t), ("sqrt_point", sqrt_pt)),
+                  polygamma(1, sqrt_pt), rational, strict=False),
+        one_sided("algebraic_rational_window", (("t", t), ("sqrt_point", sqrt_pt)),
+                  w / (2.0 * t ** 3) + 1.0 / (sqrt_pt + 0.5), rational,
+                  strict=False),
     ]

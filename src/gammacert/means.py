@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = ["gen_log_mean", "log_mean"]
 
@@ -24,20 +24,17 @@ DIAGONAL_REL_TOL = 1e-12
 BRANCH_TOL = 1e-9
 
 
-def _require_pair(a: float, b: float) -> tuple[float, float]:
-    a, b = float(a), float(b)
-    for name, v in (("a", a), ("b", b)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be a finite positive real, got {v!r}")
-    return a, b
-
-
 def log_mean(a: float, b: float) -> float:
-    """Logarithmic mean (b - a)/(ln b - ln a), with L(a, a) = a."""
-    a, b = _require_pair(a, b)
-    if abs(a - b) <= DIAGONAL_REL_TOL * max(a, b):
+    """Logarithmic mean (b - a)/(ln b - ln a), with L(a, a) = a.
+
+    ln b - ln a loses digits for nearby a, b; log1p of the ordered pair's
+    relative gap does not, and keeps L(a, b) = L(b, a) exact.
+    """
+    a, b = require_positive(a, "a"), require_positive(b, "b")
+    lo, hi = min(a, b), max(a, b)
+    if hi - lo <= DIAGONAL_REL_TOL * hi:
         return a
-    return (b - a) / (math.log(b) - math.log(a))
+    return (hi - lo) / math.log1p((hi - lo) / lo)
 
 
 def gen_log_mean(p: float, a: float, b: float) -> float:
@@ -45,13 +42,18 @@ def gen_log_mean(p: float, a: float, b: float) -> float:
     p = float(p)
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
-    a, b = _require_pair(a, b)
-    if abs(a - b) <= DIAGONAL_REL_TOL * max(a, b):
+    a, b = require_positive(a, "a"), require_positive(b, "b")
+    lo, hi = min(a, b), max(a, b)
+    if hi - lo <= DIAGONAL_REL_TOL * hi:
         return a
     if abs(p + 1.0) <= BRANCH_TOL:
-        return (b - a) / (math.log(b) - math.log(a))
+        return log_mean(a, b)
     if abs(p) <= BRANCH_TOL:
         # identric mean, computed in log space
         return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-    num = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-    return num ** (1.0 / p)
+    # L_p = base [(1 - r^(p+1)) / ((p+1)(1 - r))]^(1/p), r = other/base, with
+    # base picked so r^(p+1) < 1; expm1/log1p keep digits b^(p+1) - a^(p+1) loses
+    base = hi if p > -1.0 else lo
+    q = abs(p + 1.0)
+    head = -math.expm1(-q * math.log1p((hi - lo) / lo))
+    return base * (head / (q * (hi - lo) / base)) ** (1.0 / p)

@@ -175,6 +175,14 @@ def test_scan_without_out_writes_csv_to_stdout(capsys):
     json.loads(captured.err)  # JSON summary on stderr
 
 
+def test_scan_accepts_ranges_with_a_leading_minus(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--alpha", "0:1:0.5", "--y", "-0.5:0:0.5",
+                 "--grid-points", "40", "--kmax", "4", "--out", str(out)]) == EXIT_OK
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
+        "-0.5"] * 3 + ["0"] * 3
+
+
 def test_scan_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--alpha", "0:1:0.5", "--y", "0:1:0.5",

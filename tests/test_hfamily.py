@@ -20,6 +20,7 @@ from gammacert import (
     logh_deriv,
     logh_derivs_with_scale,
     q_surface,
+    q_surface_with_scale,
 )
 from gammacert.hfamily import ENDPOINT_CLEARANCE, X_EPSILON, DerivSample
 
@@ -217,7 +218,9 @@ def test_alpha_necessary_bound_limits():
 def test_q_surface_matches_oracle():
     for y in (-0.9, -0.75, -0.6):
         for x in (-0.05, 0.5, 3.0, 40.0):
-            got = q_surface(x, y)
+            got, scale = q_surface_with_scale(x, y)
+            assert got == q_surface(x, y)
+            assert math.isfinite(scale) and scale >= abs(got)
             ref = float(oracle.q_surface(x, y))
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
