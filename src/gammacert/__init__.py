@@ -32,12 +32,9 @@ from .certify import (
 )
 from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
 from .gammakit import (
-    CONSTANTS,
-    DEFAULT_OPTIONS,
     EULER_GAMMA,
+    EXP_NEG_EULER_GAMMA,
     MAX_DERIV_ORDER,
-    Constants,
-    EvalOptions,
     digamma,
     lngamma,
     polygamma,
@@ -84,18 +81,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxFn",
-    "CONSTANTS",
     "CapabilityError",
     "Certificate",
     "CheckResult",
     "Classification",
-    "Constants",
-    "DEFAULT_OPTIONS",
     "DerivSample",
     "Direction",
     "DomainError",
     "EULER_GAMMA",
-    "EvalOptions",
+    "EXP_NEG_EULER_GAMMA",
     "GridSpec",
     "HParams",
     "MAX_DERIV_ORDER",

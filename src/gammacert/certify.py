@@ -121,6 +121,11 @@ def default_grid(y: float, points: int = 200, x_max: float = 1e3) -> GridSpec:
     return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=float(x_max), points=points)
 
 
+def _spaced(spacing: Spacing, lo: float, hi: float, points: int) -> np.ndarray:
+    """points abscissae from lo to hi: geometric for LOG, uniform for LINEAR."""
+    return (np.geomspace if spacing is Spacing.LOG else np.linspace)(lo, hi, points)
+
+
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
     """Concrete x abscissae of spec for parameter y, exclusion zone removed."""
     u_lo = max(spec.x_min_offset, ENDPOINT_CLEARANCE)
@@ -129,11 +134,7 @@ def grid_points(spec: GridSpec, y: float) -> np.ndarray:
         raise ParameterError(
             f"empty grid: x_max={spec.x_max!r} gives u range [{u_lo:g}, {u_hi:g}] "
             f"for y={y!r}")
-    if spec.spacing is Spacing.LOG:
-        u = np.geomspace(u_lo, u_hi, spec.points)
-    else:
-        u = np.linspace(u_lo, u_hi, spec.points)
-    x = u - (y + 1.0)
+    x = _spaced(spec.spacing, u_lo, u_hi, spec.points) - (y + 1.0)
     x = x[np.abs(x) >= spec.x_epsilon]
     if x.size == 0:
         raise ParameterError("grid is empty after exclusion-zone filtering")
@@ -238,10 +239,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
     if not grid.x_max > x_left:
         raise ParameterError(
             f"x_max={grid.x_max!r} must exceed the left endpoint {x_left:g}")
-    if grid.spacing is Spacing.LOG:
-        xs = np.geomspace(x_left, grid.x_max, grid.points)
-    else:
-        xs = np.linspace(x_left, grid.x_max, grid.points)
+    xs = _spaced(grid.spacing, x_left, grid.x_max, grid.points)
     undecided = 0
     witness: DerivSample | None = None
     values = np.empty(xs.size)

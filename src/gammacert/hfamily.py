@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
-from .errors import CapabilityError, DomainError, PrecisionError
-from .gammakit import MAX_DERIV_ORDER, EvalOptions, digamma, lngamma, polygamma
+from .errors import DomainError, PrecisionError
+from .gammakit import check_order, digamma, lngamma, polygamma
 
 __all__ = [
     "DerivSample",
@@ -64,9 +65,9 @@ class HParams:
     y: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
+        if not (isinstance(self.alpha, Real) and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be finite, got {self.alpha!r}")
-        if not (math.isfinite(self.y) and self.y > -1.0):
+        if not (isinstance(self.y, Real) and math.isfinite(self.y) and self.y > -1.0):
             raise DomainError(f"y must be a finite real > -1, got {self.y!r}")
 
 
@@ -88,62 +89,49 @@ def _shifted_argument(x: float, y: float) -> float:
     return u
 
 
-def log_h(params: HParams, x: float, options: EvalOptions | None = None) -> float:
+def log_h(params: HParams, x: float) -> float:
     """ln h(x) for the parameter pair; continuous through x = 0."""
     x = float(x)
     if x == 0.0:
         c = params.y + 1.0
-        return digamma(c, options) - params.alpha * math.log(c)
+        return digamma(c) - params.alpha * math.log(c)
     u = _shifted_argument(x, params.y)
-    ratio = (lngamma(u, options) - lngamma(params.y + 1.0, options)) / x
+    ratio = (lngamma(u) - lngamma(params.y + 1.0)) / x
     return ratio - params.alpha * math.log(u)
 
 
-def h_eval(params: HParams, x: float, options: EvalOptions | None = None) -> float:
+def h_eval(params: HParams, x: float) -> float:
     """h(x) itself (always positive on the domain)."""
-    return math.exp(log_h(params, x, options))
+    return math.exp(log_h(params, x))
 
 
-def bigH_eval(alpha: float, y: float, x: float,
-              options: EvalOptions | None = None) -> float:
+def bigH_eval(alpha: float, y: float, x: float) -> float:
     """Companion normalization [Gamma(x+y)/Gamma(y)]^(1/x) (x+y)^(-alpha), y > 0."""
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"bigH_eval requires y > 0, got {y!r}")
-    return h_eval(HParams(alpha=alpha, y=y - 1.0), x, options)
+    return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
 
 
-def _check_order(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"derivative order k must be an integer >= 1, got {k!r}")
-    if k > MAX_DERIV_ORDER:
-        raise CapabilityError(
-            f"derivative order k={k} exceeds implemented maximum {MAX_DERIV_ORDER}")
-
-
-def logh_derivs_with_scale(
-    k_max: int,
-    params: HParams,
-    x: float,
-    options: EvalOptions | None = None,
-) -> list[tuple[float, float]]:
+def logh_derivs_with_scale(k_max: int, params: HParams,
+                           x: float) -> list[tuple[float, float]]:
     """(value, magnitude_scale) of (ln h)^(k)(x) for every k = 1..k_max.
 
     The magnitude scale sums absolute values of all combined terms; it bounds
     the rounding-noise level of the value and feeds certificate noise floors.
     All orders share one table of gamma-family evaluations at u = x+y+1.
     """
-    _check_order(k_max)
+    check_order(k_max)
     x = float(x)
     if abs(x) < X_EPSILON:
         raise PrecisionError(
             f"|x| = {abs(x):.3e} is inside the cancellation exclusion zone "
             f"(< {X_EPSILON:g}) for closed-form log-derivatives")
     u = _shifted_argument(x, params.y)
-    lg_u = lngamma(u, options)
-    lg_y = lngamma(params.y + 1.0, options)
+    lg_u = lngamma(u)
+    lg_y = lngamma(params.y + 1.0)
     # psi_tab[j] = psi^(j)(u) for j = 0..k_max-1 (order k uses up to k-1)
-    psi_tab = [digamma(u, options)]
-    psi_tab += [polygamma(j, u, options) for j in range(1, k_max)]
+    psi_tab = [digamma(u)]
+    psi_tab += [polygamma(j, u) for j in range(1, k_max)]
     rows: list[tuple[float, float]] = []
     for k in range(1, k_max + 1):
         lead = math.factorial(k) / x ** (k + 1)
@@ -160,10 +148,9 @@ def logh_derivs_with_scale(
     return rows
 
 
-def logh_deriv(k: int, params: HParams, x: float,
-               options: EvalOptions | None = None) -> float:
+def logh_deriv(k: int, params: HParams, x: float) -> float:
     """(ln h)^(k)(x) via the closed form; |x| >= X_EPSILON required."""
-    return logh_derivs_with_scale(k, params, x, options)[k - 1][0]
+    return logh_derivs_with_scale(k, params, x)[k - 1][0]
 
 
 def lcm_threshold(y: float) -> float:
@@ -176,14 +163,12 @@ def reciprocal_threshold(y: float) -> float:
     return min(1.0, 0.5 / (y + 1.0))
 
 
-def _slope_terms(x: float, u: float, y: float,
-                 options: EvalOptions | None) -> tuple[float, float, float]:
+def _slope_terms(x: float, u: float, y: float) -> tuple[float, float, float]:
     """x psi(u), lnGamma(u), lnGamma(y+1): the terms that both B and q are built from."""
-    return x * digamma(u, options), lngamma(u, options), lngamma(y + 1.0, options)
+    return x * digamma(u), lngamma(u), lngamma(y + 1.0)
 
 
-def alpha_necessary_bound(x: float, y: float,
-                          options: EvalOptions | None = None) -> float:
+def alpha_necessary_bound(x: float, y: float) -> float:
     """Threshold surface B(x, y) = (u/x^2)(x psi(u) - lnGamma(u) + lnGamma(y+1)).
 
     (ln h)'(x) = (B(x, y) - alpha)/u with u = x+y+1 > 0, so h decreases at x
@@ -196,24 +181,23 @@ def alpha_necessary_bound(x: float, y: float,
         raise DomainError("alpha_necessary_bound is undefined at x = 0 "
                           "(removable singularity); evaluate nearby instead")
     u = _shifted_argument(x, y)
-    xpsi, lg_u, lg_y = _slope_terms(x, u, y, options)
+    xpsi, lg_u, lg_y = _slope_terms(x, u, y)
     return u * (xpsi - lg_u + lg_y) / (x * x)
 
 
-def q_surface_with_scale(x: float, y: float,
-                         options: EvalOptions | None = None) -> tuple[float, float]:
+def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
     """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
     x = float(x)
     u = _shifted_argument(x, y)
-    xpsi, lg_u, lg_y = _slope_terms(x, u, y, options)
+    xpsi, lg_u, lg_y = _slope_terms(x, u, y)
     quad = x * x / (2.0 * (y + 1.0) * u)
     return xpsi - lg_u + lg_y - quad, abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad)
 
 
-def q_surface(x: float, y: float, options: EvalOptions | None = None) -> float:
+def q_surface(x: float, y: float) -> float:
     """Auxiliary surface q(x, y) = x psi(u) - lnGamma(u) + lnGamma(y+1) - x^2/(2(y+1)u).
 
     With alpha* = 1/(2(y+1)): (ln h_{alpha*})'(x) = q(x, y)/x^2, so negativity
     of q on an interval certifies strict decrease of ln h_{alpha*} there.
     """
-    return q_surface_with_scale(x, y, options)[0]
+    return q_surface_with_scale(x, y)[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, ParameterError, PrecisionError, require_positive
-from .gammakit import CONSTANTS, digamma, lngamma, polygamma
+from .gammakit import EXP_NEG_EULER_GAMMA, digamma, lngamma, polygamma
 from .hfamily import lcm_threshold, reciprocal_threshold
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
@@ -128,7 +128,7 @@ def psi_log_bounds(x: float) -> list[CheckResult]:
     psi = digamma(x)
     lx = math.log(x)
     inv = 1.0 / x
-    sharp = CONSTANTS.exp_neg_euler_gamma
+    sharp = EXP_NEG_EULER_GAMMA
     inputs = (("x", x),)
     return [
         two_sided("psi_between_log_offsets", inputs,
@@ -147,7 +147,7 @@ def psi_upper_refinement(x: float) -> CheckResult:
     x = require_positive(x, "x")
     inv = 1.0 / x
     return one_sided("psi_sharp_upper_refines_shifted_log", (("x", x),),
-                     math.log(x + CONSTANTS.exp_neg_euler_gamma) - inv,
+                     math.log(x + EXP_NEG_EULER_GAMMA) - inv,
                      math.log(x + 1.0) - inv)
 
 

@@ -7,22 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import _oracle as oracle
 from gammacert import (
-    CONSTANTS,
     EULER_GAMMA,
+    EXP_NEG_EULER_GAMMA,
     CapabilityError,
     DomainError,
-    EvalOptions,
     ParameterError,
     PrecisionError,
     digamma,
     lngamma,
     polygamma,
 )
-from gammacert.gammakit import BERNOULLI_EVEN_RATIONAL, MAX_DERIV_ORDER
+from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN_RATIONAL, MAX_DERIV_ORDER,
+                                SHIFT_THRESHOLD)
 
 GRID = [float(x) for x in np.geomspace(1e-2, 1e3, 40)]
 
@@ -72,11 +72,8 @@ def test_known_closed_form_values():
 
 
 def test_constants_are_consistent():
-    assert CONSTANTS.euler_gamma == EULER_GAMMA
     assert abs(float(oracle.euler_gamma()) - EULER_GAMMA) <= 1e-15
-    assert rel_err(CONSTANTS.exp_neg_euler_gamma, math.exp(-EULER_GAMMA)) <= 1e-15
-    assert rel_err(CONSTANTS.pi_sq_over_6, math.pi ** 2 / 6.0) <= 1e-15
-    assert rel_err(CONSTANTS.log_two_pi, math.log(2.0 * math.pi)) <= 1e-15
+    assert rel_err(EXP_NEG_EULER_GAMMA, math.exp(-EULER_GAMMA)) <= 1e-15
 
 
 def test_bernoulli_table_spot_values():
@@ -84,6 +81,25 @@ def test_bernoulli_table_spot_values():
     assert BERNOULLI_EVEN_RATIONAL[1] == Fraction(-1, 30)
     assert BERNOULLI_EVEN_RATIONAL[5] == Fraction(-691, 2730)
     assert BERNOULLI_EVEN_RATIONAL[:6] == oracle.bernoulli_even(6)
+
+
+def test_series_truncation_is_negligible_at_the_shift_threshold():
+    # The series only ever sees z >= SHIFT_THRESHOLD.  Its last summed term
+    # goes like z^-(2n+k) while the value goes like z^-k (z ln z and ln z for
+    # lngamma and digamma), so |last term| / |value| is largest at
+    # z = SHIFT_THRESHOLD and this one point bounds the truncation everywhere.
+    n, z = ASYM_TERMS, Fraction(SHIFT_THRESHOLD)
+    bern = BERNOULLI_EVEN_RATIONAL[n - 1]
+    ratios = {
+        "lngamma": bern / ((2 * n) * (2 * n - 1) * z ** (2 * n - 1))
+        / Fraction(lngamma(SHIFT_THRESHOLD)),
+        "digamma": bern / ((2 * n) * z ** (2 * n)) / Fraction(digamma(SHIFT_THRESHOLD)),
+    }
+    for k in range(1, MAX_DERIV_ORDER + 1):
+        coef = bern * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
+        ratios[f"polygamma({k})"] = coef / z ** (2 * n + k) / Fraction(
+            polygamma(k, SHIFT_THRESHOLD))
+    assert {name: float(r) for name, r in ratios.items() if abs(r) > 1e-12} == {}
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +146,7 @@ def test_evaluations_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# options and error paths
+# error paths
 # ---------------------------------------------------------------------------
 
 def test_domain_errors():
@@ -152,35 +168,23 @@ def test_polygamma_order_validation():
         polygamma(13, 1.0)
 
 
-def test_eval_options_validation():
-    with pytest.raises(ParameterError):
-        EvalOptions(shift_threshold=4.0)
-    with pytest.raises(ParameterError):
-        EvalOptions(asym_terms=3)
-    with pytest.raises(ParameterError):
-        EvalOptions(asym_terms=40)
-    with pytest.raises(ParameterError):
-        EvalOptions(rel_tol=1e-6)
-    with pytest.raises(ParameterError):
-        EvalOptions(rel_tol=0.0)
+def _finite_or_package_error(fn, *args) -> None:
+    try:
+        value = fn(*args)
+    except (CapabilityError, DomainError, ParameterError, PrecisionError):
+        return
+    assert isinstance(value, float) and math.isfinite(value), (fn.__name__, args, value)
 
 
-def test_larger_shift_threshold_agrees_with_default():
-    opts = EvalOptions(shift_threshold=32.0, asym_terms=14)
-    for x in (0.2, 1.0, 17.5, 500.0):
-        base = lngamma(x)
-        assert abs(lngamma(x, opts) - base) <= 1e-13 * max(1.0, abs(base))
-        assert abs(digamma(x, opts) - digamma(x)) <= 1e-13 * max(
-            1.0, abs(digamma(x)))
-        assert rel_err(polygamma(3, x, opts), polygamma(3, x)) <= 1e-12
-
-
-def test_truncation_guard_raises_precision_error():
-    # few asymptotic terms + a low shift threshold + an unreachable tolerance
-    opts = EvalOptions(shift_threshold=8.0, asym_terms=4, rel_tol=1e-30)
-    with pytest.raises(PrecisionError):
-        lngamma(50.0, opts)
-    with pytest.raises(PrecisionError):
-        digamma(50.0, opts)
-    with pytest.raises(PrecisionError):
-        polygamma(2, 50.0, opts)
+@given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       st.integers(min_value=1, max_value=MAX_DERIV_ORDER))
+@example(1e308, 1)
+@example(5e-324, 1)
+@example(1e-310, 1)
+@example(1e200, 1)
+@example(1e100, 3)
+@example(1e-300, 12)
+def test_kernel_returns_finite_or_raises_package_error(x, k):
+    _finite_or_package_error(lngamma, x)
+    _finite_or_package_error(digamma, x)
+    _finite_or_package_error(polygamma, k, x)

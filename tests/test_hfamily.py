@@ -84,6 +84,11 @@ def test_hparams_validation():
         HParams(alpha=1.0, y=-1.0)
     with pytest.raises(DomainError):
         HParams(alpha=1.0, y=math.nan)
+    for bad in ("1", None):
+        with pytest.raises(DomainError):
+            HParams(alpha=bad, y=0.0)
+        with pytest.raises(DomainError):
+            HParams(alpha=1.0, y=bad)
     HParams(alpha=-3.0, y=-0.999)  # boundary-adjacent but valid
 
 
