@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gammacert import Direction, HParams, Verdict, certify_lcm, default_grid
+from gammacert import Direction, Verdict, default_grid, lcm_certifier
 from gammacert.certify import in_conjecture_zone
 from gammacert.hfamily import reciprocal_threshold
 
@@ -49,14 +49,13 @@ def run(config: ScanConfig) -> int:
     for y in np.linspace(config.y_min, config.y_max, config.y_count):
         y = float(y)
         grid = default_grid(y, points=config.grid_points, x_max=config.x_max)
+        certify = lcm_certifier(y, config.k_max, grid)
         alphas = zone_alphas(y, config.alpha_count)
         violations = 0
         for pos, alpha in enumerate(alphas, start=1):
             alpha = float(alpha)
             assert in_conjecture_zone(alpha, y), (alpha, y)
-            cert = certify_lcm(HParams(alpha=alpha, y=y),
-                               Direction.RECIPROCAL,
-                               k_max=config.k_max, grid=grid)
+            cert = certify(alpha, Direction.RECIPROCAL)
             violated = cert.verdict is Verdict.FAIL
             violations += violated
             w = cert.witness

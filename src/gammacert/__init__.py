@@ -25,8 +25,8 @@ from .certify import (
     finite_diff_crosscheck,
     grid_points,
     in_conjecture_zone,
+    lcm_certifier,
     necessity_limits,
-    scan_alpha_y,
     scan_values,
     verify_thm3,
 )
@@ -47,6 +47,7 @@ from .hfamily import (
     h_eval,
     log_h,
     logh_deriv,
+    logh_deriv_table,
     logh_derivs_with_scale,
     q_surface,
     q_surface_with_scale,
@@ -118,12 +119,14 @@ __all__ = [
     "grid_points",
     "h_eval",
     "in_conjecture_zone",
+    "lcm_certifier",
     "lngamma",
     "log_h",
     "log_mean",
     "log_omega",
     "log_upper_bound_ineq",
     "logh_deriv",
+    "logh_deriv_table",
     "logh_derivs_with_scale",
     "make_timestamp",
     "necessity_limits",
@@ -138,7 +141,6 @@ __all__ = [
     "qcub_root",
     "recurrence_check",
     "result_status",
-    "scan_alpha_y",
     "scan_values",
     "suffice_chain",
     "thm2_ineq",

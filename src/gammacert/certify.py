@@ -16,6 +16,7 @@ quantity is < 0.  The two directions are pointwise negations of each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ from .hfamily import (
     HParams,
     alpha_necessary_bound,
     log_h,
-    logh_deriv,
+    logh_deriv_table,
     logh_derivs_with_scale,
     q_surface_with_scale,
     reciprocal_threshold,
@@ -51,8 +52,8 @@ __all__ = [
     "finite_diff_crosscheck",
     "grid_points",
     "in_conjecture_zone",
+    "lcm_certifier",
     "necessity_limits",
-    "scan_alpha_y",
     "scan_values",
     "verify_thm3",
 ]
@@ -168,49 +169,57 @@ class Certificate:
                 "certificate invariant violated: FAIL iff witness present")
 
 
-def certify_lcm(params: HParams, direction: Direction | str,
-                k_max: int = 8, grid: GridSpec | None = None) -> Certificate:
-    """Check (-1)^k (ln h)^(k)(x) sign for k = 1..k_max over the grid.
+def _first_violation(margin: np.ndarray, scale: np.ndarray) -> tuple[int | None, int]:
+    """First flat index (C order) where margin > 0 fails conclusively, or None,
+    and the count of failures before it that sit below the noise floor
+    NOISE_FLOOR_REL * scale (a NaN margin or scale is conclusive)."""
+    failing = ~(margin > 0.0)
+    sub_floor = np.abs(margin) < NOISE_FLOOR_REL * scale
+    conclusive = np.flatnonzero(failing & ~sub_floor)
+    first = int(conclusive[0]) if conclusive.size else None
+    return first, int(np.count_nonzero((failing & sub_floor).ravel()[:first]))
 
-    direction LCM requires the signed quantity positive, RECIPROCAL negative.
-    Search order is increasing k, then grid order; the first conclusive
-    violation becomes the witness (deterministic regardless of evaluation
-    strategy).
+
+def lcm_certifier(y: float, k_max: int = 8, grid: GridSpec | None = None
+                  ) -> Callable[[float, Direction | str], Certificate]:
+    """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
+
+    One derivative table at y serves every certificate.  direction LCM
+    requires the signed quantity positive, RECIPROCAL negative.  The witness
+    is the first conclusive violation by increasing k, then grid order.
     """
-    direction = Direction(direction)
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     if not (isinstance(k_max, int) and not isinstance(k_max, bool)
             and 1 <= k_max <= MAX_DERIV_ORDER):
         raise ParameterError(
             f"k_max must be an integer in 1..{MAX_DERIV_ORDER}, got {k_max!r}")
     if grid is None:
-        grid = default_grid(params.y)
-    xs = grid_points(grid, params.y)
-    want_positive = direction is Direction.LCM
-    rows_cache: dict[int, list[tuple[float, float]]] = {}
-    undecided = 0
-    witness: DerivSample | None = None
-    for k in range(1, k_max + 1):
-        for idx in range(xs.size):
-            rows = rows_cache.get(idx)
-            if rows is None:
-                rows = logh_derivs_with_scale(k_max, params, float(xs[idx]))
-                rows_cache[idx] = rows
-            value, scale = rows[k - 1]
-            signed = value if k % 2 == 0 else -value
-            ok = signed > 0.0 if want_positive else signed < 0.0
-            if ok:
-                continue
-            if abs(signed) < NOISE_FLOOR_REL * scale:
-                undecided += 1
-                continue
-            witness = DerivSample(k=k, x=float(xs[idx]), value=float(signed))
-            break
-        if witness is not None:
-            break
-    verdict = Verdict.FAIL if witness is not None else Verdict.PASS
-    return Certificate(params=params, direction=direction, k_max=k_max,
-                       grid=grid, verdict=verdict, witness=witness,
-                       undecided_points=undecided)
+        grid = default_grid(y)
+    xs = grid_points(grid, y)
+    table = logh_deriv_table(k_max, y, xs)
+    odd_sign = (-1.0) ** np.arange(1, k_max + 1)[:, None]  # (-1)^k
+
+    def certify(alpha: float, direction: Direction | str) -> Certificate:
+        direction = Direction(direction)
+        params = HParams(alpha=alpha, y=y)
+        values, scales = table(params.alpha)
+        signed = odd_sign * values
+        first, undecided = _first_violation(
+            signed if direction is Direction.LCM else -signed, scales)
+        witness = None if first is None else DerivSample(
+            k=first // xs.size + 1, x=float(xs[first % xs.size]),
+            value=float(signed.flat[first]))
+        return Certificate(params=params, direction=direction, k_max=k_max, grid=grid,
+                           verdict=Verdict.PASS if witness is None else Verdict.FAIL,
+                           witness=witness, undecided_points=undecided)
+
+    return certify
+
+
+def certify_lcm(params: HParams, direction: Direction | str,
+                k_max: int = 8, grid: GridSpec | None = None) -> Certificate:
+    """One certificate of lcm_certifier(params.y, k_max, grid)."""
+    return lcm_certifier(params.y, k_max, grid)(params.alpha, direction)
 
 
 def necessity_limits(y: float) -> tuple[float, float]:
@@ -240,30 +249,14 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
         raise ParameterError(
             f"x_max={grid.x_max!r} must exceed the left endpoint {x_left:g}")
     xs = _spaced(grid.spacing, x_left, grid.x_max, grid.points)
-    undecided = 0
-    witness: DerivSample | None = None
-    values = np.empty(xs.size)
-    scales = np.empty(xs.size)
-    for i, x in enumerate(xs.tolist()):
-        values[i], scales[i] = q_surface_with_scale(x, y)
-    for i in range(xs.size):
-        if values[i] < 0.0:
-            continue
-        if abs(values[i]) < NOISE_FLOOR_REL * scales[i]:
-            undecided += 1
-            continue
-        witness = DerivSample(k=0, x=float(xs[i]), value=float(values[i]))
-        break
-    if witness is None:
-        for i in range(xs.size - 1):
-            diff = values[i + 1] - values[i]
-            if diff < 0.0:
-                continue
-            if abs(diff) < NOISE_FLOOR_REL * max(scales[i], scales[i + 1]):
-                undecided += 1
-                continue
-            witness = DerivSample(k=1, x=float(xs[i + 1]), value=float(diff))
-            break
+    values, scales = np.array([q_surface_with_scale(x, y) for x in xs.tolist()]).T
+    # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
+    margin = -np.concatenate([values, np.diff(values)])
+    first, undecided = _first_violation(
+        margin, np.concatenate([scales, np.maximum(scales[:-1], scales[1:])]))
+    witness = None if first is None else DerivSample(
+        k=int(first >= xs.size), x=float(np.concatenate([xs, xs[1:]])[first]),
+        value=float(-margin[first]))
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
     return Certificate(params=HParams(alpha=0.5 / (y + 1.0), y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
@@ -308,18 +301,17 @@ def classify(lcm_cert: Certificate, recip_cert: Certificate,
 
 def scan_values(alphas, ys, k_max: int = 8, points: int = 200,
                 x_max: float = 1e3, grid: GridSpec | None = None) -> list[ScanCell]:
-    """Classify every (alpha, y) combination; y-major, then alpha order."""
+    """Classify every (alpha, y) combination; y-major, then alpha order.
+
+    Each y builds one derivative table, shared by all its cells.
+    """
     cells: list[ScanCell] = []
-    for y in ys:
-        y = float(y)
-        cell_grid = grid if grid is not None else default_grid(y, points=points,
-                                                               x_max=x_max)
-        for alpha in alphas:
-            alpha = float(alpha)
-            p = HParams(alpha=alpha, y=y)
-            lcm_cert = certify_lcm(p, Direction.LCM, k_max=k_max, grid=cell_grid)
-            rec_cert = certify_lcm(p, Direction.RECIPROCAL, k_max=k_max,
-                                   grid=cell_grid)
+    for y in map(float, ys):
+        certify = lcm_certifier(y, k_max, grid if grid is not None else
+                                default_grid(y, points=points, x_max=x_max))
+        for alpha in map(float, alphas):
+            lcm_cert = certify(alpha, Direction.LCM)
+            rec_cert = certify(alpha, Direction.RECIPROCAL)
             zone = in_conjecture_zone(alpha, y)
             cells.append(ScanCell(
                 alpha=alpha, y=y,
@@ -328,24 +320,6 @@ def scan_values(alphas, ys, k_max: int = 8, points: int = 200,
                 reciprocal_violation=(rec_cert.verdict is Verdict.FAIL)
                 if zone else None))
     return cells
-
-
-def scan_alpha_y(alpha_range: tuple[float, float], y_range: tuple[float, float],
-                 resolution: int, k_max: int = 8, points: int = 200,
-                 x_max: float = 1e3, grid: GridSpec | None = None) -> list[ScanCell]:
-    """Uniform resolution x resolution scan over the two parameter ranges."""
-    if not (isinstance(resolution, int) and not isinstance(resolution, bool)
-            and resolution >= 2):
-        raise ParameterError(f"resolution must be an integer >= 2, got {resolution!r}")
-    a_lo, a_hi = (float(v) for v in alpha_range)
-    y_lo, y_hi = (float(v) for v in y_range)
-    for name, lo, hi in (("alpha", a_lo, a_hi), ("y", y_lo, y_hi)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise ParameterError(f"{name} range must be finite with end > start")
-    alphas = np.linspace(a_lo, a_hi, resolution)
-    ys = np.linspace(y_lo, y_hi, resolution)
-    return scan_values(alphas, ys, k_max=k_max, points=points, x_max=x_max,
-                       grid=grid)
 
 
 def finite_diff_crosscheck(k: int, params: HParams, x: float,
@@ -358,10 +332,10 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be a positive real, got {step!r}")
     x = float(x)
-    value = logh_deriv(k, params, x)
+    value = logh_derivs_with_scale(k, params, x)[k - 1][0]
     if k == 1:
         base = lambda z: log_h(params, z)
     else:
-        base = lambda z: logh_deriv(k - 1, params, z)
+        base = lambda z: logh_derivs_with_scale(k - 1, params, z)[k - 2][0]
     fd = (base(x + step) - base(x - step)) / (2.0 * step)
     return abs(value - fd) / max(1.0, abs(value))

@@ -7,9 +7,9 @@ Two subcommands:
 - ``gammacert scan --alpha A0:A1:STEP --y Y0:Y1:STEP`` classifies a grid of
   (alpha, y) cells and emits a CSV table plus a JSON report.
 
-Exit codes: 0 when no result failed, 1 on any failure, 2 on usage or
-configuration errors.  CSV bodies contain no timestamps, so identical
-invocations produce byte-identical CSV output.
+Exit codes: 0 when no result failed, 1 on any failure, 2 on usage errors and
+on every package error (``gammacert.errors``).  CSV bodies contain no
+timestamps, so identical invocations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .certify import (
     certify_lcm,
     default_grid,
     finite_diff_crosscheck,
+    lcm_certifier,
     necessity_limits,
     scan_values,
     verify_thm3,
 )
-from .errors import DomainError, ParameterError
+from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
 from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
     CHAIN_SUP,
@@ -126,13 +127,10 @@ def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> list[CheckResult
 def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
     out: list = []
     for y in _SUFFICIENCY_YS:
-        grid = default_grid(y, points=points, x_max=x_max)
+        certify = lcm_certifier(y, k_max, default_grid(y, points=points, x_max=x_max))
         for delta in _SUFFICIENCY_DELTAS:
-            out.append(certify_lcm(HParams(lcm_threshold(y) + delta, y),
-                                   Direction.LCM, k_max=k_max, grid=grid))
-            out.append(certify_lcm(HParams(reciprocal_threshold(y) - delta, y),
-                                   Direction.RECIPROCAL,
-                                   k_max=k_max, grid=grid))
+            out.append(certify(lcm_threshold(y) + delta, Direction.LCM))
+            out.append(certify(reciprocal_threshold(y) - delta, Direction.RECIPROCAL))
     for y in _NECESSITY_YS:
         alpha = lcm_threshold(y) - 0.1
         cert = certify_lcm(HParams(alpha, y), Direction.LCM, k_max=k_max,
@@ -431,10 +429,12 @@ def main(argv: list[str] | None = None) -> int:
             return code
         return EXIT_USAGE if code else EXIT_OK
     try:
+        if args.grid_points < 2:
+            raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_scan(args)
-    except (ParameterError, DomainError) as exc:
+    except (ParameterError, DomainError, CapabilityError, PrecisionError) as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,8 +27,20 @@ class ParameterError(ValueError):
 
 
 def require_positive(value: float, name: str) -> float:
-    """value as a float; DomainError unless it is finite and > 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
+    """value as a float; DomainError unless it is a finite real > 0."""
+    try:
+        value = float(value)
+        ok = math.isfinite(value) and value > 0.0
+    except (TypeError, ValueError, OverflowError):  # not a real number
+        ok = False
+    if not ok:
         raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+    return value
+
+
+def require_finite(value: float, fn: str, *args: float) -> float:
+    """value itself; CapabilityError naming the call fn(*args) when it is not finite."""
+    if not math.isfinite(value):
+        raise CapabilityError(f"{fn}({', '.join(map(repr, args))}) = {value!r} "
+                              "is outside the double-precision range")
     return value

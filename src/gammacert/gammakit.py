@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapabilityError, DomainError, require_positive
+from .errors import CapabilityError, DomainError, require_finite, require_positive
 
 __all__ = [
     "ASYM_TERMS",
@@ -83,15 +83,6 @@ def check_order(k: int) -> None:
             f"derivative order k={k} exceeds implemented maximum {MAX_DERIV_ORDER}")
 
 
-def _finite(value: float, fn: str, *args: float) -> float:
-    """value itself; CapabilityError naming the call fn(*args) when it is not finite."""
-    if not math.isfinite(value):
-        shown = ", ".join(map(repr, args))
-        raise CapabilityError(
-            f"{fn}({shown}) = {value!r} is outside the double-precision range")
-    return value
-
-
 def lngamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     z = require_positive(x, "x")
@@ -107,7 +98,7 @@ def lngamma(x: float) -> float:
         series += BERNOULLI_EVEN[n - 1] / ((2 * n) * (2 * n - 1) * zpow)
         zpow *= zsq
     main = (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI
-    return _finite(main + series - shift, "lngamma", x)
+    return require_finite(main + series - shift, "lngamma", x)
 
 
 def digamma(x: float) -> float:
@@ -125,7 +116,7 @@ def digamma(x: float) -> float:
         series += BERNOULLI_EVEN[n - 1] / ((2 * n) * zpow)
         zpow *= zsq
     main = math.log(z) - 0.5 / z
-    return _finite(main - series - shift, "digamma", x)
+    return require_finite(main - series - shift, "digamma", x)
 
 
 @lru_cache(maxsize=None)
@@ -166,5 +157,5 @@ def polygamma(k: int, x: float) -> float:
         raise CapabilityError(
             f"polygamma({k}, {x!r}) needs a power of x outside the double-precision range"
         ) from None
-    magnitude = _finite(magnitude + kfac * shift, "polygamma", k, x)
+    magnitude = require_finite(magnitude + kfac * shift, "polygamma", k, x)
     return magnitude if k % 2 == 1 else -magnitude

@@ -28,10 +28,13 @@ x -> -(y+1)+ and 1 as x -> +inf.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from numbers import Real
 
-from .errors import DomainError, PrecisionError
+import numpy as np
+
+from .errors import DomainError, PrecisionError, require_finite
 from .gammakit import check_order, digamma, lngamma, polygamma
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "lcm_threshold",
     "log_h",
     "logh_deriv",
+    "logh_deriv_table",
     "logh_derivs_with_scale",
     "q_surface",
     "q_surface_with_scale",
@@ -107,45 +111,56 @@ def h_eval(params: HParams, x: float) -> float:
 
 def bigH_eval(alpha: float, y: float, x: float) -> float:
     """Companion normalization [Gamma(x+y)/Gamma(y)]^(1/x) (x+y)^(-alpha), y > 0."""
-    if not (math.isfinite(y) and y > 0.0):
+    if not (isinstance(y, Real) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"bigH_eval requires y > 0, got {y!r}")
     return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
 
 
-def logh_derivs_with_scale(k_max: int, params: HParams,
-                           x: float) -> list[tuple[float, float]]:
-    """(value, magnitude_scale) of (ln h)^(k)(x) for every k = 1..k_max.
+def logh_deriv_table(k_max: int, y: float,
+                     xs) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """(ln h)^(k) for k = 1..k_max at every x in xs, as a function of alpha.
 
-    The magnitude scale sums absolute values of all combined terms; it bounds
-    the rounding-noise level of the value and feeds certificate noise floors.
-    All orders share one table of gamma-family evaluations at u = x+y+1.
+    alpha enters the closed form only through its last term, so the rest is
+    evaluated once; at(alpha) adds that term and returns (values, scales) of
+    shape (k_max, len(xs)).  A scale sums the absolute values of the combined
+    terms: it bounds the rounding noise and feeds certificate noise floors.
     """
     check_order(k_max)
-    x = float(x)
-    if abs(x) < X_EPSILON:
-        raise PrecisionError(
-            f"|x| = {abs(x):.3e} is inside the cancellation exclusion zone "
-            f"(< {X_EPSILON:g}) for closed-form log-derivatives")
-    u = _shifted_argument(x, params.y)
-    lg_u = lngamma(u)
-    lg_y = lngamma(params.y + 1.0)
-    # psi_tab[j] = psi^(j)(u) for j = 0..k_max-1 (order k uses up to k-1)
-    psi_tab = [digamma(u)]
-    psi_tab += [polygamma(j, u) for j in range(1, k_max)]
-    rows: list[tuple[float, float]] = []
-    for k in range(1, k_max + 1):
-        lead = math.factorial(k) / x ** (k + 1)
-        bracket = (-1.0) ** k * (lg_u - lg_y)
+    ks = range(1, k_max + 1)
+    rows = []  # per x, then k: (lead * bracket, |lead| * sum of |terms|, u^k)
+    for x in map(float, xs):
+        if abs(x) < X_EPSILON:
+            raise PrecisionError(
+                f"|x| = {abs(x):.3e} is inside the cancellation exclusion zone "
+                f"(< {X_EPSILON:g}) for closed-form log-derivatives")
+        u = _shifted_argument(x, y)
+        lg_u, lg_y = lngamma(u), lngamma(y + 1.0)
+        # psi^(j)(u) for j = 0..k_max-1 (order k uses up to k-1)
+        psi_tab = [digamma(u)] + [polygamma(j, u) for j in range(1, k_max)]
+        terms = [x ** i * psi_tab[i - 1] / math.factorial(i) for i in ks]
         abs_sum = abs(lg_u) + abs(lg_y)
-        for i in range(1, k + 1):
-            t = x ** i * psi_tab[i - 1] / math.factorial(i)
-            bracket += (-1.0) ** (k - i) * t
-            abs_sum += abs(t)
-        alpha_term = (-1.0) ** k * math.factorial(k - 1) * params.alpha / u ** k
-        value = lead * bracket + alpha_term
-        scale = abs(lead) * abs_sum + abs(alpha_term)
-        rows.append((value, scale))
-    return rows
+        for k in ks:
+            lead = math.factorial(k) / x ** (k + 1)
+            bracket = (-1.0) ** k * (lg_u - lg_y)
+            for i in range(1, k + 1):
+                bracket += (-1.0) ** (k - i) * terms[i - 1]
+            abs_sum += abs(terms[k - 1])
+            rows.append((lead * bracket, abs(lead) * abs_sum, u ** k))
+    core, core_scale, u_pow = np.array(rows).reshape(-1, k_max, 3).T.copy()
+    alpha_coef = np.array([[(-1.0) ** k * math.factorial(k - 1)] for k in ks])
+
+    def at(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        alpha_term = alpha_coef * float(alpha) / u_pow
+        return core + alpha_term, core_scale + np.abs(alpha_term)
+
+    return at
+
+
+def logh_derivs_with_scale(k_max: int, params: HParams,
+                           x: float) -> list[tuple[float, float]]:
+    """(value, magnitude_scale) of (ln h)^(k)(x), k = 1..k_max: logh_deriv_table at x."""
+    values, scales = logh_deriv_table(k_max, params.y, [x])(params.alpha)
+    return list(zip(values[:, 0].tolist(), scales[:, 0].tolist()))
 
 
 def logh_deriv(k: int, params: HParams, x: float) -> float:
@@ -175,6 +190,7 @@ def alpha_necessary_bound(x: float, y: float) -> float:
     exactly when alpha > B(x, y).
     Limits: B -> 1/(y+1) as x -> -(y+1)+ and B -> 1 as x -> +inf.
     Relative accuracy degrades near the removable singularity at x = 0.
+    A result outside the binary64 range raises CapabilityError.
     """
     x = float(x)
     if x == 0.0:
@@ -182,7 +198,8 @@ def alpha_necessary_bound(x: float, y: float) -> float:
                           "(removable singularity); evaluate nearby instead")
     u = _shifted_argument(x, y)
     xpsi, lg_u, lg_y = _slope_terms(x, u, y)
-    return u * (xpsi - lg_u + lg_y) / (x * x)
+    bound = u * (xpsi - lg_u + lg_y) / (x * x)
+    return require_finite(bound, "alpha_necessary_bound", x, y)
 
 
 def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
@@ -191,7 +208,9 @@ def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
     u = _shifted_argument(x, y)
     xpsi, lg_u, lg_y = _slope_terms(x, u, y)
     quad = x * x / (2.0 * (y + 1.0) * u)
-    return xpsi - lg_u + lg_y - quad, abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad)
+    scale = abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad)
+    # CapabilityError unless the scale, and so q, is finite
+    return xpsi - lg_u + lg_y - quad, require_finite(scale, "q_surface", x, y)
 
 
 def q_surface(x: float, y: float) -> float:

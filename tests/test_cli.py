@@ -57,6 +57,19 @@ def test_malformed_range_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "thm1", "--x-max", "1e40"],    # kernel CapabilityError
+    ["verify", "--suite", "thm3", "--x-max", "1e300"],   # surface CapabilityError
+    ["verify", "--suite", "lemmas", "--grid-points", "-3"],
+    ["verify", "--suite", "lemmas", "--grid-points", "0"],
+    ["scan", "--alpha", "0:1:0.5", "--y", "0:1:1", "--grid-points", "1"],
+])
+def test_package_errors_and_short_grids_exit_two(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "gammacert: error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify output
 # ---------------------------------------------------------------------------

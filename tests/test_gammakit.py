@@ -17,6 +17,7 @@ from gammacert import (
     DomainError,
     ParameterError,
     PrecisionError,
+    bigH_eval,
     digamma,
     lngamma,
     polygamma,
@@ -157,6 +158,20 @@ def test_domain_errors():
             digamma(bad)
         with pytest.raises(DomainError):
             polygamma(1, bad)
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (lngamma, ("abc",), "x must be a finite positive real, got 'abc'"),
+    (lngamma, (None,), "x must be a finite positive real, got None"),
+    (digamma, ([2.0],), "x must be a finite positive real, got [2.0]"),
+    (polygamma, (1, "x"), "x must be a finite positive real, got 'x'"),
+    (lngamma, (10 ** 400,), "x must be a finite positive real"),
+    (bigH_eval, (1.0, "1", 1.0), "bigH_eval requires y > 0, got '1'"),
+])
+def test_non_numeric_input_raises_domain_error(fn, args, message):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert str(info.value).startswith(message)
 
 
 def test_polygamma_order_validation():

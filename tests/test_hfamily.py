@@ -18,6 +18,7 @@ from gammacert import (
     h_eval,
     log_h,
     logh_deriv,
+    logh_deriv_table,
     logh_derivs_with_scale,
     q_surface,
     q_surface_with_scale,
@@ -160,6 +161,21 @@ def test_consistency_between_single_and_batched_derivatives():
         assert logh_deriv(k, params, 1.7) == rows[k - 1][0]
 
 
+def test_table_columns_are_the_one_point_rows():
+    xs = [-0.5, 0.3, 2.0, 40.0]
+    at = logh_deriv_table(7, 1.5, xs)
+    for alpha in (-1.0, 0.0, 0.7, 3.0):
+        values, scales = at(alpha)
+        assert values.shape == scales.shape == (7, len(xs))
+        for n, x in enumerate(xs):
+            rows = logh_derivs_with_scale(7, HParams(alpha, 1.5), x)
+            assert [(v.hex(), s.hex()) for v, s in rows] == [
+                (float(v).hex(), float(s).hex())
+                for v, s in zip(values[:, n], scales[:, n])]
+    with pytest.raises(PrecisionError):
+        logh_deriv_table(3, 0.0, [1.0, 5e-4])
+
+
 def test_exclusion_zone_rejects_small_x():
     params = HParams(alpha=1.0, y=0.0)
     for x in (0.0, 5e-4, -5e-4, 0.99e-3):
@@ -228,6 +244,16 @@ def test_q_surface_matches_oracle():
             assert math.isfinite(scale) and scale >= abs(got)
             ref = float(oracle.q_surface(x, y))
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def test_surfaces_raise_capability_error_outside_binary64():
+    # x^2 overflows in q; B's u/x^2 factor becomes inf/inf
+    with pytest.raises(CapabilityError):
+        q_surface_with_scale(1e200, -0.75)
+    with pytest.raises(CapabilityError):
+        q_surface(1e200, -0.75)
+    with pytest.raises(CapabilityError):
+        alpha_necessary_bound(1e300, 0.0)
 
 
 def test_q_surface_rejects_bad_y():
