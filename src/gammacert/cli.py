@@ -57,7 +57,7 @@ from .ineq import (
     thm2_ineq,
     two_sided,
 )
-from .report import Report, build_report, dumps
+from .report import Report, build_report, dumps, result_status
 
 __all__ = ["EXIT_FAIL", "EXIT_OK", "EXIT_USAGE", "main"]
 
@@ -295,8 +295,6 @@ def _fmt(v: float) -> str:
 
 def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable)."""
-    from .report import result_status
-
     lines = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
     for item in report.results:
         status = result_status(item)

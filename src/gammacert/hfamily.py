@@ -84,6 +84,14 @@ class DerivSample:
     value: float
 
 
+def _real(value, name: str) -> float:
+    """value as a float; DomainError when it is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _shifted_argument(x: float, y: float) -> float:
     u = x + y + 1.0
     if not (math.isfinite(u) and u >= ENDPOINT_CLEARANCE):
@@ -95,7 +103,7 @@ def _shifted_argument(x: float, y: float) -> float:
 
 def log_h(params: HParams, x: float) -> float:
     """ln h(x) for the parameter pair; continuous through x = 0."""
-    x = float(x)
+    x = _real(x, "x")
     if x == 0.0:
         c = params.y + 1.0
         return digamma(c) - params.alpha * math.log(c)
@@ -126,15 +134,17 @@ def logh_deriv_table(k_max: int, y: float,
     terms: it bounds the rounding noise and feeds certificate noise floors.
     """
     check_order(k_max)
+    y = _real(y, "y")
+    lg_y = lngamma(y + 1.0)
     ks = range(1, k_max + 1)
     rows = []  # per x, then k: (lead * bracket, |lead| * sum of |terms|, u^k)
-    for x in map(float, xs):
+    for x in (_real(x, "x") for x in xs):
         if abs(x) < X_EPSILON:
             raise PrecisionError(
                 f"|x| = {abs(x):.3e} is inside the cancellation exclusion zone "
                 f"(< {X_EPSILON:g}) for closed-form log-derivatives")
         u = _shifted_argument(x, y)
-        lg_u, lg_y = lngamma(u), lngamma(y + 1.0)
+        lg_u = lngamma(u)
         # psi^(j)(u) for j = 0..k_max-1 (order k uses up to k-1)
         psi_tab = [digamma(u)] + [polygamma(j, u) for j in range(1, k_max)]
         terms = [x ** i * psi_tab[i - 1] / math.factorial(i) for i in ks]
@@ -192,7 +202,7 @@ def alpha_necessary_bound(x: float, y: float) -> float:
     Relative accuracy degrades near the removable singularity at x = 0.
     A result outside the binary64 range raises CapabilityError.
     """
-    x = float(x)
+    x, y = _real(x, "x"), _real(y, "y")
     if x == 0.0:
         raise DomainError("alpha_necessary_bound is undefined at x = 0 "
                           "(removable singularity); evaluate nearby instead")
@@ -204,7 +214,7 @@ def alpha_necessary_bound(x: float, y: float) -> float:
 
 def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
     """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
-    x = float(x)
+    x, y = _real(x, "x"), _real(y, "y")
     u = _shifted_argument(x, y)
     xpsi, lg_u, lg_y = _slope_terms(x, u, y)
     quad = x * x / (2.0 * (y + 1.0) * u)

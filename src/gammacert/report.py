@@ -3,7 +3,8 @@
 One Report wraps the results of a suite run (CheckResult, Certificate and
 ScanCell instances) together with a status tally.  Serialization rules:
 
-- every float is rendered with 17 significant digits (binary64 round-trip);
+- every float is rendered in Python's shortest round-trip form, so it parses
+  back to the same binary64 value;
 - non-finite numbers are refused (reports must be machine-consumable);
 - parse(serialize(report)) reconstructs an equal Report.
 
@@ -18,7 +19,6 @@ keys off failed == 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -206,45 +206,6 @@ def from_jsonable(data: dict) -> Report:
     )
 
 
-# ---------------------------------------------------------------------------
-# JSON text with 17-significant-digit floats
-# ---------------------------------------------------------------------------
-
-def _ser(value, pieces: list[str]) -> None:
-    if isinstance(value, bool):  # bool is an int subclass: test first
-        pieces.append("true" if value else "false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value in report: {value!r}")
-        pieces.append(format(value, ".17g"))
-    elif value is None:
-        pieces.append("null")
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, dict):
-        pieces.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(str(k)))
-            pieces.append(": ")
-            _ser(v, pieces)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, v in enumerate(value):
-            if i:
-                pieces.append(", ")
-            _ser(v, pieces)
-        pieces.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dumps(report: Report) -> str:
-    """Serialize a Report to JSON text with round-trippable numbers."""
-    pieces: list[str] = []
-    _ser(to_jsonable(report), pieces)
-    return "".join(pieces)
+    """Serialize a Report to JSON text; a non-finite float raises ValueError."""
+    return json.dumps(to_jsonable(report), allow_nan=False)

@@ -100,6 +100,21 @@ def test_verify_csv_format(tmp_path):
     assert lines[1].startswith("check,gamma_diff_quotient_vs_one_minus_psi,passed,")
 
 
+def test_verify_csv_rows_carry_the_json_numbers(tmp_path):
+    json_out, csv_out = tmp_path / "thm2.json", tmp_path / "thm2.csv"
+    assert main(["verify", "--suite", "thm2", "--out", str(json_out)]) == EXIT_OK
+    assert main(["verify", "--suite", "thm2", "--format", "csv",
+                 "--out", str(csv_out)]) == EXIT_OK
+    items = json.loads(json_out.read_text())["results"]
+    rows = csv_out.read_text().splitlines()[1:]
+    assert len(rows) == len(items) == 300
+    for row, item in zip(rows, items):
+        _, name, status, lhs, rhs, margin = row.split(",")[:6]
+        assert (name, status) == (item["name"], item["status"])
+        assert [float(lhs), float(rhs), float(margin)] == [
+            item["lhs"], item["rhs"], item["margin"]]
+
+
 def test_verify_stdout_default(capsys):
     code = main(["verify", "--suite", "thm2"])
     assert code == EXIT_OK

@@ -15,12 +15,19 @@ from gammacert import (
     EXP_NEG_EULER_GAMMA,
     CapabilityError,
     DomainError,
+    HParams,
     ParameterError,
     PrecisionError,
+    alpha_necessary_bound,
     bigH_eval,
     digamma,
     lngamma,
+    log_h,
+    logh_deriv,
+    logh_deriv_table,
     polygamma,
+    q_surface,
+    q_surface_with_scale,
 )
 from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN_RATIONAL, MAX_DERIV_ORDER,
                                 SHIFT_THRESHOLD)
@@ -167,6 +174,14 @@ def test_domain_errors():
     (polygamma, (1, "x"), "x must be a finite positive real, got 'x'"),
     (lngamma, (10 ** 400,), "x must be a finite positive real"),
     (bigH_eval, (1.0, "1", 1.0), "bigH_eval requires y > 0, got '1'"),
+    (log_h, (HParams(1.0, 0.0), "abc"), "x must be a real number, got 'abc'"),
+    (logh_deriv, (1, HParams(1.0, 0.0), "x"), "x must be a real number, got 'x'"),
+    (logh_deriv_table, (3, 0.0, ["a"]), "x must be a real number, got 'a'"),
+    (logh_deriv_table, (3, "abc", [1.0]), "y must be a real number, got 'abc'"),
+    (q_surface, ("abc", -0.75), "x must be a real number, got 'abc'"),
+    (q_surface_with_scale, (0.5, None), "y must be a real number, got None"),
+    (alpha_necessary_bound, (None, 0.0), "x must be a real number, got None"),
+    (alpha_necessary_bound, (0.5, [1.0]), "y must be a real number, got [1.0]"),
 ])
 def test_non_numeric_input_raises_domain_error(fn, args, message):
     with pytest.raises(DomainError) as info:

@@ -23,6 +23,8 @@ from gammacert import (
     q_surface,
     q_surface_with_scale,
 )
+from gammacert import hfamily
+from gammacert.gammakit import lngamma
 from gammacert.hfamily import ENDPOINT_CLEARANCE, X_EPSILON, DerivSample
 
 PARAM_SETS = [
@@ -174,6 +176,19 @@ def test_table_columns_are_the_one_point_rows():
                 for v, s in zip(values[:, n], scales[:, n])]
     with pytest.raises(PrecisionError):
         logh_deriv_table(3, 0.0, [1.0, 5e-4])
+
+
+def test_table_evaluates_lngamma_of_y_once(monkeypatch):
+    calls = []
+
+    def counting_lngamma(x):
+        calls.append(x)
+        return lngamma(x)
+
+    monkeypatch.setattr(hfamily, "lngamma", counting_lngamma)
+    xs = [-0.5, 0.3, 2.0, 40.0, 300.0]
+    logh_deriv_table(4, 1.5, xs)
+    assert len(calls) == len(xs) + 1
 
 
 def test_exclusion_zone_rejects_small_x():

@@ -130,6 +130,10 @@ def test_dumps_refuses_non_finite():
     object.__setattr__(bad, "summary", {"total": math.inf})
     with pytest.raises(ValueError):
         dumps(bad)
+    nan_input = CheckResult(name="nan_input", inputs=(("t", math.nan),),
+                            lhs=0.0, rhs=1.0, margin=1.0, holds=True)
+    with pytest.raises(ValueError):
+        dumps(build_report("s", [nan_input], tool_version="0.1.0", timestamp="t"))
 
 
 def test_status_field_present_for_all_result_kinds():
