@@ -38,6 +38,7 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=0:2:0.05", "--y=3.3:3.3:1", "--kmax", "12"),
     ("scan", "--alpha=-1:3:0.1", "--y=-0.95:0.5:0.15", "--grid-points", "77",
      "--x-max", "300"),
+    ("scan", "--alpha=0:2:0.01", "--y=-0.9:5:0.59"),
 )
 
 _TIMESTAMP = re.compile(rb'("timestamp":\s*")[^"]*(")')

@@ -33,7 +33,7 @@ from .hfamily import (
     log_h,
     logh_deriv_table,
     logh_derivs_with_scale,
-    q_surface_with_scale,
+    q_surface_table,
     reciprocal_threshold,
 )
 
@@ -249,7 +249,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
         raise ParameterError(
             f"x_max={grid.x_max!r} must exceed the left endpoint {x_left:g}")
     xs = _spaced(grid.spacing, x_left, grid.x_max, grid.points)
-    values, scales = np.array([q_surface_with_scale(x, y) for x in xs.tolist()]).T
+    values, scales = q_surface_table(y, xs)
     # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
     margin = -np.concatenate([values, np.diff(values)])
     first, undecided = _first_violation(
@@ -332,10 +332,12 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be a positive real, got {step!r}")
     x = float(x)
-    value = logh_derivs_with_scale(k, params, x)[k - 1][0]
-    if k == 1:
-        base = lambda z: log_h(params, z)
-    else:
-        base = lambda z: logh_derivs_with_scale(k - 1, params, z)[k - 2][0]
-    fd = (base(x + step) - base(x - step)) / (2.0 * step)
+    if k == 1:  # order 0 is ln h itself
+        value = logh_derivs_with_scale(1, params, x)[0][0]
+        lo, hi = log_h(params, x - step), log_h(params, x + step)
+    else:  # one table: order k at x, order k - 1 at x - step and x + step
+        values = logh_deriv_table(k, params.y, [x - step, x, x + step])(params.alpha)[0]
+        value, lo, hi = (float(v) for v in (values[k - 1, 1], values[k - 2, 0],
+                                            values[k - 2, 2]))
+    fd = (hi - lo) / (2.0 * step)
     return abs(value - fd) / max(1.0, abs(value))

@@ -29,7 +29,7 @@ from .certify import (
     Direction,
     ScanCell,
     Verdict,
-    certify_lcm,
+    certify_lcm,  # noqa: F401  (unused; perfbench/test_perfbench.py reads cli.certify_lcm)
     default_grid,
     finite_diff_crosscheck,
     lcm_certifier,
@@ -126,15 +126,15 @@ def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> list[CheckResult
 
 def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
     out: list = []
+    certifiers = {}  # per y; the necessity cells reuse the sufficiency tables
     for y in _SUFFICIENCY_YS:
-        certify = lcm_certifier(y, k_max, default_grid(y, points=points, x_max=x_max))
+        certify = certifiers[y] = lcm_certifier(
+            y, k_max, default_grid(y, points=points, x_max=x_max))
         for delta in _SUFFICIENCY_DELTAS:
             out.append(certify(lcm_threshold(y) + delta, Direction.LCM))
             out.append(certify(reciprocal_threshold(y) - delta, Direction.RECIPROCAL))
     for y in _NECESSITY_YS:
-        alpha = lcm_threshold(y) - 0.1
-        cert = certify_lcm(HParams(alpha, y), Direction.LCM, k_max=k_max,
-                           grid=default_grid(y, points=points, x_max=x_max))
+        cert = certifiers[y](lcm_threshold(y) - 0.1, Direction.LCM)
         out.append(_expected_failure_check(cert))
     for y in _LIMIT_YS:
         inner, tail = necessity_limits(y)

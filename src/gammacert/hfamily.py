@@ -34,8 +34,9 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, require_finite
-from .gammakit import check_order, digamma, lngamma, polygamma
+from .errors import CapabilityError, DomainError, PrecisionError, require_finite
+from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
+    check_order, digamma, gamma_table, lngamma, polygamma)
 
 __all__ = [
     "DerivSample",
@@ -51,6 +52,7 @@ __all__ = [
     "logh_deriv_table",
     "logh_derivs_with_scale",
     "q_surface",
+    "q_surface_table",
     "q_surface_with_scale",
     "reciprocal_threshold",
 ]
@@ -101,6 +103,23 @@ def _shifted_argument(x: float, y: float) -> float:
     return u
 
 
+def _shifted_arguments(xs, y: float, exclusion: float = 0.0
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(x, u = x+y+1) as arrays.  The first x that is not real, lies outside
+    the domain or has |x| < exclusion raises DomainError or PrecisionError."""
+    x = np.array([_real(v, "x") for v in xs], dtype=float)
+    u = x + y + 1.0
+    bad = (np.abs(x) < exclusion) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
+    if bad.any():
+        first = float(x[bad][0])
+        if abs(first) < exclusion:
+            raise PrecisionError(
+                f"|x| = {abs(first):.3e} is inside the cancellation exclusion zone "
+                f"(< {exclusion:g}) for closed-form log-derivatives")
+        _shifted_argument(first, y)  # raises DomainError
+    return x, u
+
+
 def log_h(params: HParams, x: float) -> float:
     """ln h(x) for the parameter pair; continuous through x = 0."""
     x = _real(x, "x")
@@ -136,27 +155,27 @@ def logh_deriv_table(k_max: int, y: float,
     check_order(k_max)
     y = _real(y, "y")
     lg_y = lngamma(y + 1.0)
+    x, u = _shifted_arguments(xs, y, X_EPSILON)
+    lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
     ks = range(1, k_max + 1)
-    rows = []  # per x, then k: (lead * bracket, |lead| * sum of |terms|, u^k)
-    for x in (_real(x, "x") for x in xs):
-        if abs(x) < X_EPSILON:
-            raise PrecisionError(
-                f"|x| = {abs(x):.3e} is inside the cancellation exclusion zone "
-                f"(< {X_EPSILON:g}) for closed-form log-derivatives")
-        u = _shifted_argument(x, y)
-        lg_u = lngamma(u)
-        # psi^(j)(u) for j = 0..k_max-1 (order k uses up to k-1)
-        psi_tab = [digamma(u)] + [polygamma(j, u) for j in range(1, k_max)]
-        terms = [x ** i * psi_tab[i - 1] / math.factorial(i) for i in ks]
-        abs_sum = abs(lg_u) + abs(lg_y)
-        for k in ks:
-            lead = math.factorial(k) / x ** (k + 1)
-            bracket = (-1.0) ** k * (lg_u - lg_y)
-            for i in range(1, k + 1):
-                bracket += (-1.0) ** (k - i) * terms[i - 1]
-            abs_sum += abs(terms[k - 1])
-            rows.append((lead * bracket, abs(lead) * abs_sum, u ** k))
-    core, core_scale, u_pow = np.array(rows).reshape(-1, k_max, 3).T.copy()
+    core, core_scale, u_pow = np.empty((3, k_max, x.size))
+    try:
+        with np.errstate(over="raise"):  # as a float ** would
+            terms = [x ** i * psi[i - 1] / math.factorial(i) for i in ks]
+            abs_sum = abs(lg_u) + abs(lg_y)
+            for k in ks:  # each bracket summed term by term in i, across all points
+                lead = math.factorial(k) / x ** (k + 1)
+                bracket = (-1.0) ** k * (lg_u - lg_y)
+                for i in range(1, k + 1):
+                    bracket = bracket + (-1.0) ** (k - i) * terms[i - 1]
+                abs_sum = abs_sum + abs(terms[k - 1])
+                core[k - 1] = lead * bracket
+                core_scale[k - 1] = abs(lead) * abs_sum
+                u_pow[k - 1] = u ** k
+    except FloatingPointError:
+        raise CapabilityError(
+            f"(ln h)^(k) for k <= {k_max} at y={y!r} needs a value outside the "
+            "double-precision range") from None
     alpha_coef = np.array([[(-1.0) ** k * math.factorial(k - 1)] for k in ks])
 
     def at(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,15 +231,38 @@ def alpha_necessary_bound(x: float, y: float) -> float:
     return require_finite(bound, "alpha_necessary_bound", x, y)
 
 
+def _q_with_scale(x, y: float, u, xpsi, lg_u, lg_y):
+    """q and the sum of its terms' absolute values; x, u and the terms floats or arrays."""
+    quad = x * x / (2.0 * (y + 1.0) * u)
+    return (xpsi - lg_u + lg_y - quad,
+            abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad))
+
+
 def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
     """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
     x, y = _real(x, "x"), _real(y, "y")
     u = _shifted_argument(x, y)
-    xpsi, lg_u, lg_y = _slope_terms(x, u, y)
-    quad = x * x / (2.0 * (y + 1.0) * u)
-    scale = abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad)
+    q, scale = _q_with_scale(x, y, u, *_slope_terms(x, u, y))
     # CapabilityError unless the scale, and so q, is finite
-    return xpsi - lg_u + lg_y - quad, require_finite(scale, "q_surface", x, y)
+    return q, require_finite(scale, "q_surface", x, y)
+
+
+def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(values, scales) of q_surface_with_scale at every x in xs, as arrays.
+
+    One gamma_table pass gives psi(u) and lnGamma(u) for all points, and
+    lnGamma(y+1) is evaluated once.
+    """
+    y = _real(y, "y")
+    lg_y = lngamma(y + 1.0)
+    x, u = _shifted_arguments(xs, y)
+    lg_u, psi = gamma_table(1, u)
+    with np.errstate(all="ignore"):  # the scales are checked below
+        q, scale = _q_with_scale(x, y, u, x * psi[0], lg_u, lg_y)
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        require_finite(float(scale[bad][0]), "q_surface", float(x[bad][0]), y)
+    return q, scale
 
 
 def q_surface(x: float, y: float) -> float:

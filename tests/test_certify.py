@@ -300,8 +300,8 @@ def test_verify_thm3_matches_the_reference_search(y, span):
 def test_verify_thm3_search_on_a_stand_in_surface(monkeypatch, surface, verdict,
                                                   witness_k, undecided):
     import gammacert.certify as certify_module
-    monkeypatch.setattr(certify_module, "q_surface_with_scale",
-                        lambda x, y: (surface(x), 1.0))
+    monkeypatch.setattr(certify_module, "q_surface_table",
+                        lambda y, xs: (np.array([surface(x) for x in xs]), np.ones(len(xs))))
     grid = GridSpec(x_min_offset=1e-4, x_max=10.0, points=20)
     xs = np.geomspace(0.25, 10.0, 20)  # x_left = 0.25 at y = -0.75
     cert = verify_thm3(-0.75, grid=grid)

@@ -21,6 +21,7 @@ from gammacert import (
     alpha_necessary_bound,
     bigH_eval,
     digamma,
+    gamma_table,
     lngamma,
     log_h,
     logh_deriv,
@@ -88,7 +89,7 @@ def test_bernoulli_table_spot_values():
     assert BERNOULLI_EVEN_RATIONAL[0] == Fraction(1, 6)
     assert BERNOULLI_EVEN_RATIONAL[1] == Fraction(-1, 30)
     assert BERNOULLI_EVEN_RATIONAL[5] == Fraction(-691, 2730)
-    assert BERNOULLI_EVEN_RATIONAL[:6] == oracle.bernoulli_even(6)
+    assert BERNOULLI_EVEN_RATIONAL == oracle.bernoulli_even(30)
 
 
 def test_series_truncation_is_negligible_at_the_shift_threshold():
@@ -218,3 +219,61 @@ def test_kernel_returns_finite_or_raises_package_error(x, k):
     _finite_or_package_error(lngamma, x)
     _finite_or_package_error(digamma, x)
     _finite_or_package_error(polygamma, k, x)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel
+# ---------------------------------------------------------------------------
+
+def _scalar_table(n_psi: int, u: float) -> list[float]:
+    return [lngamma(u), digamma(u)] + [polygamma(j, u) for j in range(1, n_psi)]
+
+
+def test_gamma_table_matches_the_scalar_kernel_within_8_ulps():
+    rng = np.random.default_rng(20261018)
+    u = np.concatenate([10.0 ** rng.uniform(-9.0, 6.0, 400),
+                        rng.uniform(1e-9, 20.0, 200)])
+    lg, psi = gamma_table(MAX_DERIV_ORDER, u)
+    assert psi.shape == (MAX_DERIV_ORDER, u.size)
+    got = np.vstack([lg, psi])
+    want = np.array([_scalar_table(MAX_DERIV_ORDER, v) for v in u.tolist()]).T
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+def _scalar_raises(n_psi: int, u: float) -> bool:
+    try:
+        _scalar_table(n_psi, u)
+    except CapabilityError:
+        return True
+    return False
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=MAX_DERIV_ORDER + 1))
+@example([1e100], 4)              # polygamma(3, .): z ** 5 overflows
+@example([2.0, 1e-30], 12)        # polygamma(11, .): a shift term z ** -12 overflows
+@example([5e-324], 1)             # digamma: the shift term 1/z overflows
+@example([1e308], 1)              # lngamma itself overflows
+@example([1e30], 2)               # polygamma(1, .): only the harmless zpow *= zsq overflows
+@example([1e200, 3.0], 1)         # lngamma and digamma: z * z overflows, harmlessly
+def test_gamma_table_raises_exactly_where_a_scalar_call_does(u, n_psi):
+    if any(_scalar_raises(n_psi, v) for v in u):
+        with pytest.raises(CapabilityError):
+            gamma_table(n_psi, u)
+    else:
+        lg, psi = gamma_table(n_psi, u)
+        assert np.isfinite(lg).all() and np.isfinite(psi).all()
+
+
+def test_gamma_table_validation():
+    for bad in ([0.0], [1.0, -1.0], [math.nan], [math.inf], ["abc"], [[1.0]], 2.0):
+        with pytest.raises(DomainError):
+            gamma_table(2, bad)
+    for bad in (0, 1.0, True, "2"):
+        with pytest.raises(DomainError):
+            gamma_table(bad, [1.0])
+    with pytest.raises(CapabilityError):
+        gamma_table(MAX_DERIV_ORDER + 2, [1.0])
+    lg, psi = gamma_table(3, [])
+    assert lg.shape == (0,) and psi.shape == (3, 0)

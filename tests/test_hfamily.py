@@ -21,10 +21,10 @@ from gammacert import (
     logh_deriv_table,
     logh_derivs_with_scale,
     q_surface,
+    q_surface_table,
     q_surface_with_scale,
 )
 from gammacert import hfamily
-from gammacert.gammakit import lngamma
 from gammacert.hfamily import ENDPOINT_CLEARANCE, X_EPSILON, DerivSample
 
 PARAM_SETS = [
@@ -179,16 +179,25 @@ def test_table_columns_are_the_one_point_rows():
 
 
 def test_table_evaluates_lngamma_of_y_once(monkeypatch):
+    # lnGamma(y+1) by one scalar call, every point's lnGamma(u) by one array pass
     calls = []
 
-    def counting_lngamma(x):
-        calls.append(x)
-        return lngamma(x)
+    def counting(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
 
-    monkeypatch.setattr(hfamily, "lngamma", counting_lngamma)
+    monkeypatch.setattr(hfamily, "lngamma", counting(hfamily.lngamma))
+    monkeypatch.setattr(hfamily, "gamma_table", counting(hfamily.gamma_table))
     xs = [-0.5, 0.3, 2.0, 40.0, 300.0]
-    logh_deriv_table(4, 1.5, xs)
-    assert len(calls) == len(xs) + 1
+    for table in (lambda: logh_deriv_table(4, 1.5, xs), lambda: q_surface_table(1.5, xs)):
+        calls.clear()
+        table()
+        assert sorted(calls) == ["gamma_table", "lngamma"]
+
+
+def test_table_raises_capability_error_outside_binary64():
+    # x^2 overflows in the closed form although the kernel values are finite
+    with pytest.raises(CapabilityError):
+        logh_deriv_table(1, -0.9, [2.0, 1e200])
 
 
 def test_exclusion_zone_rejects_small_x():
@@ -252,11 +261,14 @@ def test_alpha_necessary_bound_limits():
 
 
 def test_q_surface_matches_oracle():
+    xs = (-0.05, 0.5, 3.0, 40.0)
     for y in (-0.9, -0.75, -0.6):
-        for x in (-0.05, 0.5, 3.0, 40.0):
+        values, scales = q_surface_table(y, xs)
+        for x, tabled, tabled_scale in zip(xs, values, scales):
             got, scale = q_surface_with_scale(x, y)
             assert got == q_surface(x, y)
             assert math.isfinite(scale) and scale >= abs(got)
+            assert abs(tabled - got) <= 1e-15 * scale and tabled_scale == scale
             ref = float(oracle.q_surface(x, y))
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
@@ -267,6 +279,8 @@ def test_surfaces_raise_capability_error_outside_binary64():
         q_surface_with_scale(1e200, -0.75)
     with pytest.raises(CapabilityError):
         q_surface(1e200, -0.75)
+    with pytest.raises(CapabilityError):
+        q_surface_table(-0.75, [3.0, 1e200])
     with pytest.raises(CapabilityError):
         alpha_necessary_bound(1e300, 0.0)
 
