@@ -16,25 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from gammacert import Direction, Verdict, default_grid, lcm_certifier
-from gammacert.certify import in_conjecture_zone
+from gammacert.certify import (
+    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, in_conjecture_zone)
 from gammacert.hfamily import reciprocal_threshold
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    y_min: float = -0.45
-    y_max: float = 4.0
-    y_count: int = 12
-    alpha_count: int = 24
-    k_max: int = 8
-    grid_points: int = 200
-    x_max: float = 1e3
-    out: str = "conjecture_scan.csv"
 
 
 def zone_alphas(y: float, count: int) -> np.ndarray:
@@ -43,14 +31,14 @@ def zone_alphas(y: float, count: int) -> np.ndarray:
     return np.linspace(reciprocal_threshold(y), 1.0, count + 1)[1:]
 
 
-def run(config: ScanConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     rows: list[str] = ["alpha,y,zone_position,reciprocal_violation,witness_k,witness_x"]
     tally: list[tuple[float, int, int]] = []
-    for y in np.linspace(config.y_min, config.y_max, config.y_count):
+    for y in np.linspace(args.y_min, args.y_max, args.y_count):
         y = float(y)
-        grid = default_grid(y, points=config.grid_points, x_max=config.x_max)
-        certify = lcm_certifier(y, config.k_max, grid)
-        alphas = zone_alphas(y, config.alpha_count)
+        grid = default_grid(y, points=args.grid_points, x_max=args.x_max)
+        certify = lcm_certifier(y, args.kmax, grid)
+        alphas = zone_alphas(y, args.alpha_count)
         violations = 0
         for pos, alpha in enumerate(alphas, start=1):
             alpha = float(alpha)
@@ -60,14 +48,14 @@ def run(config: ScanConfig) -> int:
             violations += violated
             w = cert.witness
             rows.append(
-                f"{alpha:.17g},{y:.17g},{pos}/{config.alpha_count},"
+                f"{alpha:.17g},{y:.17g},{pos}/{args.alpha_count},"
                 f"{str(violated).lower()},"
                 f"{'' if w is None else w.k},"
                 f"{'' if w is None else format(w.x, '.17g')}")
         tally.append((y, violations, len(alphas)))
-    with open(config.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} zone cells to {config.out}")
+    print(f"wrote {len(rows) - 1} zone cells to {args.out}")
     print(f"{'y':>10}  {'violations':>10}  {'cells':>6}")
     for y, hit, total in tally:
         print(f"{y:>10.4f}  {hit:>10d}  {total:>6d}")
@@ -79,30 +67,26 @@ def run(config: ScanConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = ScanConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--y-min", type=float, default=defaults.y_min,
+    parser.add_argument("--y-min", type=float, default=-0.45,
                         help="smallest y (> -1/2) of the sweep")
-    parser.add_argument("--y-max", type=float, default=defaults.y_max)
-    parser.add_argument("--y-count", type=int, default=defaults.y_count)
-    parser.add_argument("--alpha-count", type=int, default=defaults.alpha_count,
+    parser.add_argument("--y-max", type=float, default=4.0)
+    parser.add_argument("--y-count", type=int, default=12)
+    parser.add_argument("--alpha-count", type=int, default=24,
                         help="alpha samples per y inside the zone")
-    parser.add_argument("--kmax", type=int, default=defaults.k_max)
-    parser.add_argument("--grid-points", type=int, default=defaults.grid_points)
-    parser.add_argument("--x-max", type=float, default=defaults.x_max)
-    parser.add_argument("--out", default=defaults.out)
+    parser.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
+    parser.add_argument("--grid-points", type=int, default=DEFAULT_POINTS)
+    parser.add_argument("--x-max", type=float, default=DEFAULT_X_MAX)
+    parser.add_argument("--out", default="conjecture_scan.csv")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if not args.y_min > -0.5:
-        build_parser().error(f"--y-min must exceed -1/2, got {args.y_min}")
-    config = ScanConfig(y_min=args.y_min, y_max=args.y_max,
-                        y_count=args.y_count, alpha_count=args.alpha_count,
-                        k_max=args.kmax, grid_points=args.grid_points,
-                        x_max=args.x_max, out=args.out)
-    return run(config)
+        parser.error(f"--y-min must exceed -1/2, got {args.y_min}")
+    return run(args)
 
 
 if __name__ == "__main__":

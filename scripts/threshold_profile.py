@@ -16,69 +16,55 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from gammacert import alpha_necessary_bound
 from gammacert.hfamily import X_EPSILON
 
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    ys: tuple[float, ...] = (-0.5, 0.0, 1.0, 5.0)
-    points: int = 400
-    x_max: float = 1e6
-    endpoint_rel: float = 1e-6
-    out: str = "threshold_profile.csv"
+DEFAULT_YS = (-0.5, 0.0, 1.0, 5.0)
 
 
-def profile_xs(y: float, config: ProfileConfig) -> np.ndarray:
+def profile_xs(y: float, args: argparse.Namespace) -> np.ndarray:
     """Log-spaced u grid from just above the left endpoint out to x_max."""
     c = y + 1.0
-    u = np.geomspace(config.endpoint_rel * c, config.x_max + c, config.points)
+    u = np.geomspace(args.endpoint_rel * c, args.x_max + c, args.points)
     x = u - c
     return x[np.abs(x) >= X_EPSILON]
 
 
-def run(config: ProfileConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     rows = ["y,x,bound"]
     print(f"{'y':>8}  {'B at left end':>14}  {'limit 1/(y+1)':>14}  "
           f"{'B at x_max':>12}  {'limit':>6}")
-    for y in config.ys:
-        xs = profile_xs(y, config)
+    for y in args.ys or DEFAULT_YS:
+        xs = profile_xs(y, args)
         bounds = [alpha_necessary_bound(float(x), y) for x in xs]
         rows.extend(f"{y:.17g},{x:.17g},{b:.17g}"
                     for x, b in zip(xs, bounds))
         print(f"{y:>8.3f}  {bounds[0]:>14.9f}  {1.0 / (y + 1.0):>14.9f}  "
               f"{bounds[-1]:>12.9f}  {1.0:>6.1f}")
-    with open(config.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} samples to {config.out}")
+    print(f"wrote {len(rows) - 1} samples to {args.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = ProfileConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--y", type=float, action="append", dest="ys",
-                        help="y value to profile (repeatable; y > -1)")
-    parser.add_argument("--points", type=int, default=defaults.points)
-    parser.add_argument("--x-max", type=float, default=defaults.x_max)
-    parser.add_argument("--endpoint-rel", type=float,
-                        default=defaults.endpoint_rel,
+                        help="y value to profile (repeatable; y > -1; "
+                             f"default {' '.join(map(str, DEFAULT_YS))})")
+    parser.add_argument("--points", type=int, default=400)
+    parser.add_argument("--x-max", type=float, default=1e6)
+    parser.add_argument("--endpoint-rel", type=float, default=1e-6,
                         help="left-end clearance as a fraction of (y+1)")
-    parser.add_argument("--out", default=defaults.out)
+    parser.add_argument("--out", default="threshold_profile.csv")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ProfileConfig(
-        ys=tuple(args.ys) if args.ys else ProfileConfig.ys,
-        points=args.points, x_max=args.x_max,
-        endpoint_rel=args.endpoint_rel, out=args.out)
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

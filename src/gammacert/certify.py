@@ -11,6 +11,10 @@ exactly at a monotonicity threshold) therefore certify PASS.
 Sign contract: h is logarithmically completely monotonic (LCM) when
 (-1)^k (ln h)^(k) > 0 for all k >= 1; its reciprocal is LCM when the same
 quantity is < 0.  The two directions are pointwise negations of each other.
+
+Every certificate runs on a GridSpec, log-spaced in u = x + y + 1.  The grid
+defaults (k_max, points, x_max) are the DEFAULT_* constants below, the one
+place the package and the CLI take them from.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -40,11 +44,13 @@ from .hfamily import (
 __all__ = [
     "Certificate",
     "Classification",
+    "DEFAULT_K_MAX",
+    "DEFAULT_POINTS",
+    "DEFAULT_X_MAX",
     "Direction",
     "GridSpec",
     "NOISE_FLOOR_REL",
     "ScanCell",
-    "Spacing",
     "Verdict",
     "certify_lcm",
     "classify",
@@ -62,15 +68,16 @@ __all__ = [
 #: inconclusive (counted, never failed).
 NOISE_FLOOR_REL = 1e-9
 
+#: Defaults of every certificate grid: highest derivative order, grid points
+#: and upper end x_max.
+DEFAULT_K_MAX = 8
+DEFAULT_POINTS = 200
+DEFAULT_X_MAX = 1e3
+
 
 class Direction(str, Enum):
     LCM = "LCM"
     RECIPROCAL = "RECIPROCAL"
-
-
-class Spacing(str, Enum):
-    LOG = "LOG"
-    LINEAR = "LINEAR"
 
 
 class Verdict(str, Enum):
@@ -89,16 +96,14 @@ class Classification(str, Enum):
 class GridSpec:
     """Evaluation grid in x for one parameter pair.
 
-    The grid lives on u = x + y + 1 from x_min_offset (distance above the
-    left endpoint -(y+1)) up to x_max + y + 1, with LOG or LINEAR spacing;
-    abscissae inside the |x| < x_epsilon exclusion zone are dropped.
+    The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
+    above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
+    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.
     """
 
     x_min_offset: float
     x_max: float
-    points: int = 200
-    spacing: Spacing = Spacing.LOG
-    x_epsilon: float = X_EPSILON
+    points: int = DEFAULT_POINTS
 
     def __post_init__(self) -> None:
         if not (isinstance(self.x_min_offset, (int, float))
@@ -110,21 +115,12 @@ class GridSpec:
         if not (isinstance(self.points, int) and not isinstance(self.points, bool)
                 and self.points >= 2):
             raise ParameterError(f"points must be an integer >= 2, got {self.points!r}")
-        if not isinstance(self.spacing, Spacing):
-            raise ParameterError(f"spacing must be a Spacing member, got {self.spacing!r}")
-        if not (isinstance(self.x_epsilon, (int, float)) and self.x_epsilon >= X_EPSILON):
-            raise ParameterError(
-                f"x_epsilon must be >= {X_EPSILON:g}, got {self.x_epsilon!r}")
 
 
-def default_grid(y: float, points: int = 200, x_max: float = 1e3) -> GridSpec:
-    """LOG grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains)."""
+def default_grid(y: float, points: int = DEFAULT_POINTS,
+                 x_max: float = DEFAULT_X_MAX) -> GridSpec:
+    """Grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains)."""
     return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=float(x_max), points=points)
-
-
-def _spaced(spacing: Spacing, lo: float, hi: float, points: int) -> np.ndarray:
-    """points abscissae from lo to hi: geometric for LOG, uniform for LINEAR."""
-    return (np.geomspace if spacing is Spacing.LOG else np.linspace)(lo, hi, points)
 
 
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
@@ -135,8 +131,8 @@ def grid_points(spec: GridSpec, y: float) -> np.ndarray:
         raise ParameterError(
             f"empty grid: x_max={spec.x_max!r} gives u range [{u_lo:g}, {u_hi:g}] "
             f"for y={y!r}")
-    x = _spaced(spec.spacing, u_lo, u_hi, spec.points) - (y + 1.0)
-    x = x[np.abs(x) >= spec.x_epsilon]
+    x = np.geomspace(u_lo, u_hi, spec.points) - (y + 1.0)
+    x = x[np.abs(x) >= X_EPSILON]
     if x.size == 0:
         raise ParameterError("grid is empty after exclusion-zone filtering")
     return x
@@ -180,7 +176,7 @@ def _first_violation(margin: np.ndarray, scale: np.ndarray) -> tuple[int | None,
     return first, int(np.count_nonzero((failing & sub_floor).ravel()[:first]))
 
 
-def lcm_certifier(y: float, k_max: int = 8, grid: GridSpec | None = None
+def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
                   ) -> Callable[[float, Direction | str], Certificate]:
     """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
 
@@ -217,7 +213,7 @@ def lcm_certifier(y: float, k_max: int = 8, grid: GridSpec | None = None
 
 
 def certify_lcm(params: HParams, direction: Direction | str,
-                k_max: int = 8, grid: GridSpec | None = None) -> Certificate:
+                k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None) -> Certificate:
     """One certificate of lcm_certifier(params.y, k_max, grid)."""
     return lcm_certifier(params.y, k_max, grid)(params.alpha, direction)
 
@@ -238,8 +234,9 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
 
     x_left = -2(y+1)^2/(1+2y) > 0 for y in (-1, -1/2); the grid starts
     exactly at x_left (the claim includes the endpoint) and uses the
-    GridSpec's points/x_max/spacing.
+    GridSpec's points and x_max.
     """
+    y = require_real(y, "y")
     if not (math.isfinite(y) and -1.0 < y < -0.5):
         raise ParameterError(f"y must lie in (-1, -1/2), got {y!r}")
     if grid is None:
@@ -248,7 +245,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
     if not grid.x_max > x_left:
         raise ParameterError(
             f"x_max={grid.x_max!r} must exceed the left endpoint {x_left:g}")
-    xs = _spaced(grid.spacing, x_left, grid.x_max, grid.points)
+    xs = np.geomspace(x_left, grid.x_max, grid.points)
     values, scales = q_surface_table(y, xs)
     # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
     margin = -np.concatenate([values, np.diff(values)])
@@ -299,17 +296,18 @@ def classify(lcm_cert: Certificate, recip_cert: Certificate,
     return Classification.UNDECIDED
 
 
-def scan_values(alphas, ys, k_max: int = 8, points: int = 200,
-                x_max: float = 1e3, grid: GridSpec | None = None) -> list[ScanCell]:
+def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
+                x_max: float = DEFAULT_X_MAX) -> list[ScanCell]:
     """Classify every (alpha, y) combination; y-major, then alpha order.
 
-    Each y builds one derivative table, shared by all its cells.
+    Each y builds one derivative table on default_grid(y, points, x_max),
+    shared by all its cells.
     """
+    alphas = [require_real(v, "alpha") for v in alphas]
     cells: list[ScanCell] = []
-    for y in map(float, ys):
-        certify = lcm_certifier(y, k_max, grid if grid is not None else
-                                default_grid(y, points=points, x_max=x_max))
-        for alpha in map(float, alphas):
+    for y in (require_real(v, "y") for v in ys):
+        certify = lcm_certifier(y, k_max, default_grid(y, points=points, x_max=x_max))
+        for alpha in alphas:
             lcm_cert = certify(alpha, Direction.LCM)
             rec_cert = certify(alpha, Direction.RECIPROCAL)
             zone = in_conjecture_zone(alpha, y)
@@ -328,10 +326,10 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
     finite difference of the next-lower order (ln h itself for k = 1)."""
     if not (isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= 4):
         raise ParameterError(f"k must be an integer in 1..4, got {k!r}")
-    step = float(step)
+    step = require_real(step, "step")
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be a positive real, got {step!r}")
-    x = float(x)
+    x = require_real(x, "x")
     if k == 1:  # order 0 is ln h itself
         value = logh_derivs_with_scale(1, params, x)[0][0]
         lo, hi = log_h(params, x - step), log_h(params, x + step)

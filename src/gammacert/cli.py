@@ -25,6 +25,9 @@ import numpy as np
 from . import __version__
 from .ballvol import ball_ratio_checks, recurrence_check
 from .certify import (
+    DEFAULT_K_MAX,
+    DEFAULT_POINTS,
+    DEFAULT_X_MAX,
     Certificate,
     Direction,
     ScanCell,
@@ -270,8 +273,8 @@ SUITES = {
 PUBLIC_SUITES = (*SUITES, "all")
 
 
-def build_suite(suite: str, k_max: int = 8, points: int = 200,
-                x_max: float = 1e3) -> list:
+def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
+                x_max: float = DEFAULT_X_MAX) -> list:
     """Assemble the result list for one named suite."""
     if suite == "all":
         # one build_suite call per suite, so callers that wrap it see each
@@ -359,34 +362,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)  # shared by verify and scan
+    grid.add_argument("--kmax", type=int, default=DEFAULT_K_MAX,
+                      help="highest log-derivative order (default %(default)s)")
+    grid.add_argument("--grid-points", type=int, default=DEFAULT_POINTS,
+                      help="points per certificate grid (default %(default)s)")
+    grid.add_argument("--x-max", type=float, default=DEFAULT_X_MAX,
+                      help="upper end of certificate grids (default %(default)s)")
 
     p_verify = sub.add_parser(
-        "verify", help="run a named verification suite")
+        "verify", parents=[grid], help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, metavar="SUITE",
                           help=f"one of: {', '.join(PUBLIC_SUITES)}")
-    p_verify.add_argument("--kmax", type=int, default=8,
-                          help="highest log-derivative order (default 8)")
-    p_verify.add_argument("--grid-points", type=int, default=200,
-                          help="points per evaluation grid (default 200)")
-    p_verify.add_argument("--x-max", type=float, default=1e3,
-                          help="upper end of evaluation grids (default 1e3)")
     p_verify.add_argument("--out", metavar="PATH",
                           help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json",
                           help="report format (default json)")
 
     p_scan = sub.add_parser(
-        "scan", help="classify a grid of (alpha, y) cells")
+        "scan", parents=[grid], help="classify a grid of (alpha, y) cells")
     p_scan.add_argument("--alpha", required=True, metavar="A0:A1:STEP",
                         help="alpha grid as start:end:step")
     p_scan.add_argument("--y", required=True, metavar="Y0:Y1:STEP",
                         help="y grid as start:end:step (y > -1)")
-    p_scan.add_argument("--kmax", type=int, default=8,
-                        help="highest log-derivative order (default 8)")
-    p_scan.add_argument("--grid-points", type=int, default=200,
-                        help="points per certificate grid (default 200)")
-    p_scan.add_argument("--x-max", type=float, default=1e3,
-                        help="upper end of certificate grids (default 1e3)")
     p_scan.add_argument("--out", metavar="PATH",
                         help="write the CSV here (JSON then goes to stdout)")
     # argparse would read "-0.5:0:0.5" as a flag: it is no plain negative number.

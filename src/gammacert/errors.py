@@ -26,6 +26,14 @@ class ParameterError(ValueError):
     """A configuration or tuning parameter is inconsistent or out of range."""
 
 
+def require_real(value, name: str) -> float:
+    """value as a float; DomainError when it is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 def require_positive(value: float, name: str) -> float:
     """value as a float; DomainError unless it is a finite real > 0."""
     try:

@@ -34,7 +34,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, PrecisionError, require_finite
+from .errors import (
+    CapabilityError, DomainError, PrecisionError, require_finite, require_real)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -86,14 +87,6 @@ class DerivSample:
     value: float
 
 
-def _real(value, name: str) -> float:
-    """value as a float; DomainError when it is not a real number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-
-
 def _shifted_argument(x: float, y: float) -> float:
     u = x + y + 1.0
     if not (math.isfinite(u) and u >= ENDPOINT_CLEARANCE):
@@ -107,7 +100,7 @@ def _shifted_arguments(xs, y: float, exclusion: float = 0.0
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(x, u = x+y+1) as arrays.  The first x that is not real, lies outside
     the domain or has |x| < exclusion raises DomainError or PrecisionError."""
-    x = np.array([_real(v, "x") for v in xs], dtype=float)
+    x = np.array([require_real(v, "x") for v in xs], dtype=float)
     u = x + y + 1.0
     bad = (np.abs(x) < exclusion) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
     if bad.any():
@@ -122,7 +115,7 @@ def _shifted_arguments(xs, y: float, exclusion: float = 0.0
 
 def log_h(params: HParams, x: float) -> float:
     """ln h(x) for the parameter pair; continuous through x = 0."""
-    x = _real(x, "x")
+    x = require_real(x, "x")
     if x == 0.0:
         c = params.y + 1.0
         return digamma(c) - params.alpha * math.log(c)
@@ -132,8 +125,16 @@ def log_h(params: HParams, x: float) -> float:
 
 
 def h_eval(params: HParams, x: float) -> float:
-    """h(x) itself (always positive on the domain)."""
-    return math.exp(log_h(params, x))
+    """h(x) itself (always positive on the domain).
+
+    A result outside the binary64 range raises CapabilityError.
+    """
+    log_value = log_h(params, x)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise CapabilityError(f"h_eval({params!r}, {x!r}) = exp({log_value!r}) is "
+                              "outside the double-precision range") from None
 
 
 def bigH_eval(alpha: float, y: float, x: float) -> float:
@@ -153,7 +154,7 @@ def logh_deriv_table(k_max: int, y: float,
     terms: it bounds the rounding noise and feeds certificate noise floors.
     """
     check_order(k_max)
-    y = _real(y, "y")
+    y = require_real(y, "y")
     lg_y = lngamma(y + 1.0)
     x, u = _shifted_arguments(xs, y, X_EPSILON)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
@@ -199,11 +200,13 @@ def logh_deriv(k: int, params: HParams, x: float) -> float:
 
 def lcm_threshold(y: float) -> float:
     """Smallest alpha for which h is LCM (Theorem 1): max{1, 1/(y+1)}."""
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     return max(1.0, 1.0 / (y + 1.0))
 
 
 def reciprocal_threshold(y: float) -> float:
     """Largest alpha for which 1/h is LCM (Theorem 1): min{1, 1/(2(y+1))}."""
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     return min(1.0, 0.5 / (y + 1.0))
 
 
@@ -221,7 +224,7 @@ def alpha_necessary_bound(x: float, y: float) -> float:
     Relative accuracy degrades near the removable singularity at x = 0.
     A result outside the binary64 range raises CapabilityError.
     """
-    x, y = _real(x, "x"), _real(y, "y")
+    x, y = require_real(x, "x"), require_real(y, "y")
     if x == 0.0:
         raise DomainError("alpha_necessary_bound is undefined at x = 0 "
                           "(removable singularity); evaluate nearby instead")
@@ -240,7 +243,7 @@ def _q_with_scale(x, y: float, u, xpsi, lg_u, lg_y):
 
 def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
     """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
-    x, y = _real(x, "x"), _real(y, "y")
+    x, y = require_real(x, "x"), require_real(y, "y")
     u = _shifted_argument(x, y)
     q, scale = _q_with_scale(x, y, u, *_slope_terms(x, u, y))
     # CapabilityError unless the scale, and so q, is finite
@@ -253,7 +256,7 @@ def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
     One gamma_table pass gives psi(u) and lnGamma(u) for all points, and
     lnGamma(y+1) is evaluated once.
     """
-    y = _real(y, "y")
+    y = require_real(y, "y")
     lg_y = lngamma(y + 1.0)
     x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(1, u)

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ParameterError, PrecisionError, require_positive
+from .errors import (
+    DomainError, ParameterError, PrecisionError, require_positive, require_real)
 from .gammakit import EXP_NEG_EULER_GAMMA, digamma, lngamma, polygamma
 from .hfamily import lcm_threshold, reciprocal_threshold
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
@@ -186,7 +187,7 @@ def gamma_ratio_ineq(x: float, y: float, t: float,
     valid for y > -1, x > -(y+1), t > 0 whenever a >= max{1, 1/(y+1)} and
     b <= min{1, 1/(2(y+1))}; those thresholds are the defaults.
     """
-    x, y, t = float(x), float(y), float(t)
+    x, y, t = require_real(x, "x"), require_real(y, "y"), require_real(t, "t")
     if not (math.isfinite(y) and y > -1.0):
         raise DomainError(f"y must be > -1, got {y!r}")
     if not (math.isfinite(t) and t > 0.0):
@@ -219,6 +220,9 @@ def thm2_ineq(t: float) -> CheckResult:
     """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0."""
     t = require_positive(t, "t")
     w = 1.0 + 2.0 * t
+    if t / w == t:
+        raise PrecisionError(f"t = {t!r} is too small: t/(1+2t) rounds to t, "
+                             "so the lnGamma difference is lost")
     lhs = w / (2.0 * t * t) * (lngamma(t / w) - lngamma(t))
     rhs = 1.0 - digamma(t)
     return one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),
@@ -262,7 +266,7 @@ def psi_integral_mean_ineq(i: int, s: float, t: float,
     t = require_positive(t, "t")
     if abs(s - t) <= DIAGONAL_REL_TOL * max(s, t):
         raise DomainError(f"s and t must be distinct, got s={s!r}, t={t!r}")
-    p, q = float(p), float(q)
+    p, q = require_real(p, "p"), require_real(q, "q")
     if not p <= -i - 1:
         raise ParameterError(f"order p must satisfy p <= -(i+1) = {-i - 1}, got {p!r}")
     if not q >= -i:
@@ -304,7 +308,7 @@ class AuxFn(Enum):
 
 def aux_eval(fn: AuxFn, t: float) -> float:
     """Evaluate one of the auxiliary scalar functions at t."""
-    t = float(t)
+    t = require_real(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if fn is AuxFn.QLOG:
@@ -356,7 +360,11 @@ def suffice_chain(t: float) -> list[CheckResult]:
     w = (2.0 * t + 1.0) * math.log1p(2.0 * t)
     inner = 2.0 * t * t / w
     sqrt_pt = math.sqrt(2.0 * t ** 3 / w)
-    rational = w / (t * (w - 2.0 * t))
+    excess = w - 2.0 * t  # about 2t^2: it cancels to zero for tiny t
+    if not excess > 0.0:
+        raise PrecisionError(f"t = {t!r} is too small: (2t+1)ln(2t+1) - 2t "
+                             "cancels to zero")
+    rational = w / (t * excess)
     return [
         one_sided("psi_diff_vs_one", (("t", t), ("inner_point", inner)),
                   digamma(t) - digamma(inner), 1.0),

@@ -13,8 +13,9 @@ L_{-2} the geometric mean.
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_positive, require_real
 
 __all__ = ["gen_log_mean", "log_mean"]
 
@@ -24,22 +25,31 @@ DIAGONAL_REL_TOL = 1e-12
 BRANCH_TOL = 1e-9
 
 
+def _gap(lo: float, hi: float) -> tuple[float, float]:
+    """Relative gap r = (hi - lo)/lo of 0 < lo < hi and ln(hi/lo).
+
+    ln hi - ln lo loses digits for nearby lo, hi; log1p(r) does not.  Where
+    r overflows binary64, the difference of logs has no cancellation.
+    """
+    r = (hi - lo) / lo
+    return r, math.log1p(r) if r < math.inf else math.log(hi) - math.log(lo)
+
+
 def log_mean(a: float, b: float) -> float:
     """Logarithmic mean (b - a)/(ln b - ln a), with L(a, a) = a.
 
-    ln b - ln a loses digits for nearby a, b; log1p of the ordered pair's
-    relative gap does not, and keeps L(a, b) = L(b, a) exact.
+    The ordered pair keeps L(a, b) = L(b, a) exact.
     """
     a, b = require_positive(a, "a"), require_positive(b, "b")
     lo, hi = min(a, b), max(a, b)
     if hi - lo <= DIAGONAL_REL_TOL * hi:
         return a
-    return (hi - lo) / math.log1p((hi - lo) / lo)
+    return (hi - lo) / _gap(lo, hi)[1]
 
 
 def gen_log_mean(p: float, a: float, b: float) -> float:
     """Generalized logarithmic mean L_p(a, b) for real p and a, b > 0."""
-    p = float(p)
+    p = require_real(p, "p")
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
     a, b = require_positive(a, "a"), require_positive(b, "b")
@@ -48,12 +58,19 @@ def gen_log_mean(p: float, a: float, b: float) -> float:
         return a
     if abs(p + 1.0) <= BRANCH_TOL:
         return log_mean(a, b)
+    r, log_gap = _gap(lo, hi)
     if abs(p) <= BRANCH_TOL:
-        # identric mean, computed in log space
-        return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-    # L_p = base [(1 - r^(p+1)) / ((p+1)(1 - r))]^(1/p), r = other/base, with
-    # base picked so r^(p+1) < 1; expm1/log1p keep digits b^(p+1) - a^(p+1) loses
+        # identric mean hi exp(ln(hi/lo)/r - 1): unlike b ln b - a ln a, nothing
+        # cancels near the diagonal, and the exponent stays in [-1, 0]
+        return hi * math.exp(log_gap / r - 1.0)
+    # L_p = base [(1 - s^(p+1)) / ((p+1)(1 - s))]^(1/p), s = other/base, with
+    # base picked so s^(p+1) < 1; expm1/log1p keep digits b^(p+1) - a^(p+1) loses
     base = hi if p > -1.0 else lo
     q = abs(p + 1.0)
-    head = -math.expm1(-q * math.log1p((hi - lo) / lo))
-    return base * (head / (q * (hi - lo) / base)) ** (1.0 / p)
+    head = -math.expm1(-q * log_gap)
+    ratio = head / (q * (hi - lo) / base)
+    if ratio >= sys.float_info.min:
+        return base * ratio ** (1.0 / p)
+    # ratio underflows for p < -1 and a wide pair: the same formula in logs
+    return math.exp(math.log(base) + (math.log(head) - math.log(q) - math.log(hi - lo)
+                                      + math.log(base)) / p)

@@ -28,7 +28,6 @@ from .certify import (
     Direction,
     GridSpec,
     ScanCell,
-    Spacing,
     Verdict,
 )
 from .hfamily import DerivSample, HParams
@@ -129,8 +128,6 @@ def to_jsonable(obj):
                 "x_min_offset": obj.grid.x_min_offset,
                 "x_max": obj.grid.x_max,
                 "points": obj.grid.points,
-                "spacing": obj.grid.spacing.value,
-                "x_epsilon": obj.grid.x_epsilon,
             },
             "verdict": obj.verdict.value,
             "witness": witness,
@@ -174,9 +171,7 @@ def _item_from_jsonable(data: dict) -> ResultItem:
                        else Direction(data["direction"])),
             k_max=int(data["k_max"]),
             grid=GridSpec(x_min_offset=float(g["x_min_offset"]),
-                          x_max=float(g["x_max"]), points=int(g["points"]),
-                          spacing=Spacing(g["spacing"]),
-                          x_epsilon=float(g["x_epsilon"])),
+                          x_max=float(g["x_max"]), points=int(g["points"])),
             verdict=Verdict(data["verdict"]),
             witness=witness,
             undecided_points=int(data["undecided_points"]),

@@ -14,7 +14,6 @@ from gammacert import (
     GridSpec,
     HParams,
     ParameterError,
-    Spacing,
     Verdict,
     certify_lcm,
     classify,
@@ -51,11 +50,6 @@ def test_grid_spec_validation():
         GridSpec(x_min_offset=1e-4, x_max=10.0, points=1)
     with pytest.raises(ParameterError):
         GridSpec(x_min_offset=1e-4, x_max=10.0, points=True)
-    with pytest.raises(ParameterError):
-        GridSpec(x_min_offset=1e-4, x_max=10.0, spacing="LOG")
-    with pytest.raises(ParameterError):
-        GridSpec(x_min_offset=1e-4, x_max=10.0, x_epsilon=5e-4)
-    GridSpec(x_min_offset=1e-4, x_max=10.0, x_epsilon=1e-3)  # boundary ok
 
 
 def test_grid_points_cover_both_sub_domains():
@@ -65,14 +59,6 @@ def test_grid_points_cover_both_sub_domains():
     assert (xs[:-1] < xs[1:]).all()
     assert (abs(xs) >= 1e-3).all()
     assert (xs < 0).any() and (xs > 0).any()
-
-
-def test_grid_points_linear_spacing():
-    spec = GridSpec(x_min_offset=0.5, x_max=5.0, points=10,
-                    spacing=Spacing.LINEAR)
-    xs = grid_points(spec, 0.0)
-    steps = xs[1:] - xs[:-1]
-    assert steps.max() - steps.min() <= 1e-12
 
 
 def test_grid_points_empty_or_inverted():

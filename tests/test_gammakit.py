@@ -13,22 +13,30 @@ import _oracle as oracle
 from gammacert import (
     EULER_GAMMA,
     EXP_NEG_EULER_GAMMA,
+    AuxFn,
     CapabilityError,
     DomainError,
     HParams,
     ParameterError,
     PrecisionError,
     alpha_necessary_bound,
+    aux_eval,
     bigH_eval,
     digamma,
+    finite_diff_crosscheck,
+    gamma_ratio_ineq,
     gamma_table,
+    gen_log_mean,
     lngamma,
     log_h,
     logh_deriv,
     logh_deriv_table,
     polygamma,
+    psi_integral_mean_ineq,
     q_surface,
     q_surface_with_scale,
+    scan_values,
+    verify_thm3,
 )
 from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN_RATIONAL, MAX_DERIV_ORDER,
                                 SHIFT_THRESHOLD)
@@ -183,6 +191,14 @@ def test_domain_errors():
     (q_surface_with_scale, (0.5, None), "y must be a real number, got None"),
     (alpha_necessary_bound, (None, 0.0), "x must be a real number, got None"),
     (alpha_necessary_bound, (0.5, [1.0]), "y must be a real number, got [1.0]"),
+    (verify_thm3, ("x",), "y must be a real number, got 'x'"),
+    (finite_diff_crosscheck, (1, HParams(1.0, 0.0), "abc"),
+     "x must be a real number, got 'abc'"),
+    (gamma_ratio_ineq, ("a", 0.0, 1.0), "x must be a real number, got 'a'"),
+    (gen_log_mean, ("p", 1.0, 2.0), "p must be a real number, got 'p'"),
+    (psi_integral_mean_ineq, (0, 1.0, 2.0, "p", 0.0), "p must be a real number, got 'p'"),
+    (aux_eval, (AuxFn.QLOG, "t"), "t must be a real number, got 't'"),
+    (scan_values, ([0.5], ["y"]), "y must be a real number, got 'y'"),
 ])
 def test_non_numeric_input_raises_domain_error(fn, args, message):
     with pytest.raises(DomainError) as info:

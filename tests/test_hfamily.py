@@ -25,7 +25,8 @@ from gammacert import (
     q_surface_with_scale,
 )
 from gammacert import hfamily
-from gammacert.hfamily import ENDPOINT_CLEARANCE, X_EPSILON, DerivSample
+from gammacert.hfamily import (
+    ENDPOINT_CLEARANCE, X_EPSILON, DerivSample, lcm_threshold, reciprocal_threshold)
 
 PARAM_SETS = [
     (1.0, 0.0),
@@ -67,6 +68,21 @@ def test_h_eval_closed_form_spot():
     got = h_eval(HParams(alpha=0.5, y=1.0), 2.0)
     assert math.isclose(got, math.sqrt(6.0) / 2.0, rel_tol=1e-14)
     assert got > 0.0
+
+
+def test_h_eval_raises_capability_error_outside_binary64():
+    # ln h = lnGamma(1e6 + 1)/1e6 + 1000 ln(1e6 + 1), about 1.4e4: exp overflows
+    with pytest.raises(CapabilityError):
+        h_eval(HParams(alpha=-1000.0, y=0.0), 1e6)
+
+
+def test_thresholds_reject_y_at_or_below_minus_one():
+    for bad in (-1.0, -3.0, math.nan):
+        with pytest.raises(DomainError):
+            lcm_threshold(bad)
+        with pytest.raises(DomainError):
+            reciprocal_threshold(bad)
+    assert lcm_threshold(-0.5) == 2.0 and reciprocal_threshold(-0.5) == 1.0
 
 
 def test_bigH_is_the_shifted_family():

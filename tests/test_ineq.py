@@ -204,6 +204,13 @@ def test_thm2_rejects_nonpositive_t():
             thm2_ineq(bad)
 
 
+def test_thm2_raises_precision_error_where_t_over_1_plus_2t_rounds_to_t():
+    # the lnGamma difference is then exactly zero (and 2t^2 underflows at 1e-300)
+    for tiny in (1e-17, 1e-300, 5e-324):
+        with pytest.raises(PrecisionError):
+            thm2_ineq(tiny)
+
+
 def test_batir_worked_pairs_hold():
     for a, b in [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0 / 3.0)]:
         r = batir_ineq(a, b)
@@ -335,3 +342,9 @@ def test_suffice_chain_domain():
         suffice_chain(8.0 / 7.0)
     with pytest.raises(DomainError):
         suffice_chain(2.0)
+
+
+def test_suffice_chain_raises_precision_error_where_its_denominator_cancels():
+    for tiny in (1e-300, 5e-324):  # (2t+1)ln(2t+1) - 2t rounds to 0
+        with pytest.raises(PrecisionError):
+            suffice_chain(tiny)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -11,6 +12,20 @@ from gammacert import DomainError, gen_log_mean, log_mean
 from gammacert.means import BRANCH_TOL
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+BINARY64_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+def reference_mean(p: float, a: float, b: float) -> float:
+    """L_p(a, b) in 60-digit mpmath arithmetic from its defining formulas."""
+    with mpmath.workdps(60):
+        p, a, b = mpmath.mpf(p), mpmath.mpf(a), mpmath.mpf(b)
+        if p == -1:
+            value = (b - a) / (mpmath.log(b) - mpmath.log(a))
+        elif p == 0:
+            value = mpmath.exp((b * mpmath.log(b) - a * mpmath.log(a)) / (b - a) - 1)
+        else:
+            value = ((b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))) ** (1 / p)
+        return float(value)
 
 
 def test_log_mean_spot_value():
@@ -49,6 +64,33 @@ def test_geometric_and_arithmetic_endpoints(a, b):
     assert math.isclose(gen_log_mean(-2.0, a, b), math.sqrt(a * b),
                         rel_tol=1e-10)
     assert math.isclose(gen_log_mean(1.0, a, b), 0.5 * (a + b), rel_tol=1e-12)
+
+
+@given(st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0]), POSITIVE, POSITIVE)
+@example(0.0, 2.0, 2.0 * (1.0 + 1e-9))  # identric mean near the diagonal
+@example(0.0, 1e4, 1e4 * (1.0 + 1e-9))
+@example(0.0, 2.0, 7.0)
+@example(-1.0, 1e-150, 1e160)  # (b - a)/a overflows binary64
+@example(-2.0, 1e-150, 1e160)
+@example(0.0, 1e-300, 1e300)
+@example(-3.0, 1e-300, 1e300)
+@example(1.0, 1e-300, 1e300)
+def test_means_match_mpmath(p, a, b):
+    got = log_mean(a, b) if p == -1.0 else gen_log_mean(p, a, b)
+    if a == b:
+        assert got == a
+    else:
+        assert math.isclose(got, reference_mean(p, a, b), rel_tol=1e-13)
+
+
+@given(st.floats(min_value=-50.0, max_value=50.0), BINARY64_POSITIVE, BINARY64_POSITIVE)
+@example(0.0, 5e-324, 1.7976931348623157e308)
+@example(-1.5, 5e-324, 1.7976931348623157e308)
+@example(-1e6, 1.0, 1e300)
+def test_mean_is_finite_and_between_its_arguments(p, a, b):
+    got = gen_log_mean(p, a, b)
+    assert math.isfinite(got)
+    assert min(a, b) * (1.0 - 1e-12) <= got <= max(a, b) * (1.0 + 1e-12)
 
 
 def test_branches_are_continuous_at_exceptional_exponents():
