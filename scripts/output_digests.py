@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""sha256 of every CLI output in the byte-identity gate.
+"""sha256 of every CLI and script output in the byte-identity gate.
 
-Runs each invocation below as ``python -m gammacert.cli ...`` with the
-package imported from SRC_DIR (default: this checkout's ``src``), blanks the
-JSON ``timestamp`` field, and prints one line per invocation:
+Runs each CLI invocation below as ``python -m gammacert.cli ...`` and each
+script invocation as ``python scripts/<name>.py ...`` (the ``scripts``
+directory next to SRC_DIR) with the package imported from SRC_DIR (default:
+this checkout's ``src``), blanks the JSON ``timestamp`` field, and prints one
+line per invocation:
 
     <sha256>  <exit code>  <arguments>
 
 The digest covers stdout and stderr (a scan writes its JSON report to
-stderr).  Two trees produce the same outputs exactly when their printouts
-are equal:
+stderr) and, for a script, the CSV it writes into a temporary directory.
+Two trees produce the same outputs exactly when their printouts are equal:
 
     python3 scripts/output_digests.py old/src > old.txt
     python3 scripts/output_digests.py > new.txt
@@ -24,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SUITES = ("lemmas", "thm1", "thm2", "thm3", "ball", "aux", "all", "selftest-fault")
@@ -41,16 +44,28 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=0:2:0.01", "--y=-0.9:5:0.59"),
 )
 
+#: Script invocations at small settings; each writes its CSV to out.csv.
+SCRIPTS: tuple[tuple[str, ...], ...] = (
+    ("threshold_profile", "--y", "-0.5", "--y", "0", "--y", "3", "--points", "60",
+     "--x-max", "500"),
+    ("conjecture_scan", "--y-count", "4", "--alpha-count", "5", "--kmax", "6",
+     "--grid-points", "60", "--x-max", "200"),
+)
+
 _TIMESTAMP = re.compile(rb'("timestamp":\s*")[^"]*(")')
 
 
-def digest(args: tuple[str, ...], src: Path) -> tuple[str, int]:
-    """(sha256 of the blanked stdout + stderr, exit code) of one invocation."""
+def digest(command: list[str], src: Path) -> tuple[str, int]:
+    """(sha256 of the blanked stdout + stderr and of any out.csv written,
+    exit code) of one command, run in a fresh temporary directory."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "gammacert.cli", *args],
-                          capture_output=True, env=env, check=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(command, capture_output=True, env=env, cwd=tmp,
+                              check=False)
+        csv = Path(tmp, "out.csv")
+        streams = [proc.stdout, proc.stderr] + ([csv.read_bytes()] if csv.is_file() else [])
     h = hashlib.sha256()
-    for stream in (proc.stdout, proc.stderr):
+    for stream in streams:
         h.update(_TIMESTAMP.sub(rb"\1\2", stream))
         h.update(b"\0")
     return h.hexdigest(), proc.returncode
@@ -65,8 +80,12 @@ def main(argv: list[str] | None = None) -> int:
     if not (src / "gammacert" / "cli.py").is_file():
         parser.error(f"no gammacert package under {src}")
     for args in INVOCATIONS:
-        sha, code = digest(args, src)
+        sha, code = digest([sys.executable, "-m", "gammacert.cli", *args], src)
         print(f"{sha}  {code}  {' '.join(args)}", flush=True)
+    for name, *args in SCRIPTS:
+        script = src.parent / "scripts" / f"{name}.py"
+        sha, code = digest([sys.executable, str(script), *args, "--out", "out.csv"], src)
+        print(f"{sha}  {code}  scripts/{name}.py {' '.join(args)}", flush=True)
     return 0
 
 

@@ -7,9 +7,10 @@ and sufficient for decrease everywhere.  Its two proof limits are
 
     B -> 1/(y+1)  as x -> -(y+1)+        B -> 1  as x -> +infinity.
 
-This script samples B across the full x range for several y values, writes a
-CSV (y, x, bound), and prints each profile's observed endpoints against the
-two limits.
+This script samples B on each y's certificate grid (grid_points: log-spaced
+in u from endpoint_rel*(y+1) out to x_max, |x| < 1e-3 dropped) with one
+derivative-table call per y, writes a CSV (y, x, bound), and prints each
+profile's observed endpoints against the two limits.
 """
 
 from __future__ import annotations
@@ -17,20 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from gammacert import alpha_necessary_bound
-from gammacert.hfamily import X_EPSILON
+from gammacert import GridSpec, grid_points, logh_deriv_table
 
 DEFAULT_YS = (-0.5, 0.0, 1.0, 5.0)
-
-
-def profile_xs(y: float, args: argparse.Namespace) -> np.ndarray:
-    """Log-spaced u grid from just above the left endpoint out to x_max."""
-    c = y + 1.0
-    u = np.geomspace(args.endpoint_rel * c, args.x_max + c, args.points)
-    x = u - c
-    return x[np.abs(x) >= X_EPSILON]
 
 
 def run(args: argparse.Namespace) -> int:
@@ -38,10 +28,12 @@ def run(args: argparse.Namespace) -> int:
     print(f"{'y':>8}  {'B at left end':>14}  {'limit 1/(y+1)':>14}  "
           f"{'B at x_max':>12}  {'limit':>6}")
     for y in args.ys or DEFAULT_YS:
-        xs = profile_xs(y, args)
-        bounds = [alpha_necessary_bound(float(x), y) for x in xs]
+        xs = grid_points(GridSpec(args.endpoint_rel * (y + 1.0), args.x_max,
+                                  args.points), y)
+        # B = u (ln h_0)', as alpha_necessary_bound evaluates it point by point
+        bounds = (xs + y + 1.0) * logh_deriv_table(1, y, xs)(0.0)[0][0]
         rows.extend(f"{y:.17g},{x:.17g},{b:.17g}"
-                    for x, b in zip(xs, bounds))
+                    for x, b in zip(xs.tolist(), bounds.tolist()))
         print(f"{y:>8.3f}  {bounds[0]:>14.9f}  {1.0 / (y + 1.0):>14.9f}  "
               f"{bounds[-1]:>12.9f}  {1.0:>6.1f}")
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -51,7 +51,6 @@ from .hfamily import (
     logh_derivs_with_scale,
     q_surface,
     q_surface_table,
-    q_surface_with_scale,
 )
 from .ineq import (
     AuxFn,
@@ -139,7 +138,6 @@ __all__ = [
     "psi_upper_refinement",
     "q_surface",
     "q_surface_table",
-    "q_surface_with_scale",
     "qcub_root",
     "recurrence_check",
     "result_status",

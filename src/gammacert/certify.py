@@ -229,23 +229,23 @@ def necessity_limits(y: float) -> tuple[float, float]:
     return (alpha_necessary_bound(x_inner, y), alpha_necessary_bound(1e6, y))
 
 
-def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
+def verify_thm3(y: float, points: int = DEFAULT_POINTS,
+                x_max: float = DEFAULT_X_MAX) -> Certificate:
     """Negativity and strict decrease of q_surface(x, y) on [x_left, inf).
 
-    x_left = -2(y+1)^2/(1+2y) > 0 for y in (-1, -1/2); the grid starts
-    exactly at x_left (the claim includes the endpoint) and uses the
-    GridSpec's points and x_max.
+    x_left = -2(y+1)^2/(1+2y) > 0 for y in (-1, -1/2).  The grid is
+    GridSpec(x_left + y + 1, x_max, points), so it starts at x_left (the
+    claim includes the endpoint) and follows the grid_points rule of every
+    certificate: for y below about -0.978, x_left < X_EPSILON and the
+    evaluated grid starts at its first point past the exclusion zone.
     """
     y = require_real(y, "y")
     if not (math.isfinite(y) and -1.0 < y < -0.5):
         raise ParameterError(f"y must lie in (-1, -1/2), got {y!r}")
-    if grid is None:
-        grid = default_grid(y)
-    x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
-    if not grid.x_max > x_left:
-        raise ParameterError(
-            f"x_max={grid.x_max!r} must exceed the left endpoint {x_left:g}")
-    xs = np.geomspace(x_left, grid.x_max, grid.points)
+    c = y + 1.0
+    x_left = -2.0 * c * c / (1.0 + 2.0 * y)
+    grid = GridSpec(x_min_offset=x_left + c, x_max=x_max, points=points)
+    xs = grid_points(grid, y)  # ParameterError unless x_max > x_left
     values, scales = q_surface_table(y, xs)
     # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
     margin = -np.concatenate([values, np.diff(values)])
@@ -255,7 +255,7 @@ def verify_thm3(y: float, grid: GridSpec | None = None) -> Certificate:
         k=int(first >= xs.size), x=float(np.concatenate([xs, xs[1:]])[first]),
         value=float(-margin[first]))
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
-    return Certificate(params=HParams(alpha=0.5 / (y + 1.0), y=y), direction=None,
+    return Certificate(params=HParams(alpha=0.5 / c, y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
                        undecided_points=undecided, check="surface-negativity")
 

@@ -15,19 +15,25 @@ Every derivative of ln h has the closed form (u = x+y+1, k >= 1)
 
 with psi^(0) = digamma, so order k needs polygamma orders up to k-1 only.
 The bracket suffers catastrophic cancellation as x -> 0 (it is O(x^(k+1))),
-hence the evaluation exclusion zone |x| < X_EPSILON.
+hence the evaluation exclusion zone |x| < X_EPSILON.  ``logh_deriv_table``
+is the one evaluation of this closed form.
 
-``alpha_necessary_bound`` is the threshold surface
+The threshold surface and the auxiliary surface of Theorem 3 are first-order
+rows at a fixed alpha:
 
-    B(x, y) = (u/x^2) * (x psi(u) - lnGamma(u) + lnGamma(y+1)),
+    B(x, y) = u * (ln h_{alpha=0})'(x)
+            = (u/x^2) * (x psi(u) - lnGamma(u) + lnGamma(y+1)),
+    q(x, y) = x^2 * (ln h_{alpha=1/(2(y+1))})'(x),
 
-for which (ln h)'(x) = (B(x, y) - alpha)/u; B has limits 1/(y+1) as
-x -> -(y+1)+ and 1 as x -> +inf.
+so (ln h)'(x) = (B(x, y) - alpha)/u; B has limits 1/(y+1) as x -> -(y+1)+
+and 1 as x -> +inf.  Both share the table's domain checks, its exclusion
+zone and its overflow handling.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from numbers import Real
@@ -35,7 +41,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, PrecisionError, require_finite, require_real)
+    CapabilityError, DomainError, PrecisionError, require_real)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -54,7 +60,6 @@ __all__ = [
     "logh_derivs_with_scale",
     "q_surface",
     "q_surface_table",
-    "q_surface_with_scale",
     "reciprocal_threshold",
 ]
 
@@ -96,19 +101,18 @@ def _shifted_argument(x: float, y: float) -> float:
     return u
 
 
-def _shifted_arguments(xs, y: float, exclusion: float = 0.0
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_arguments(xs, y: float) -> tuple[np.ndarray, np.ndarray]:
     """(x, u = x+y+1) as arrays.  The first x that is not real, lies outside
-    the domain or has |x| < exclusion raises DomainError or PrecisionError."""
+    the domain or has |x| < X_EPSILON raises DomainError or PrecisionError."""
     x = np.array([require_real(v, "x") for v in xs], dtype=float)
     u = x + y + 1.0
-    bad = (np.abs(x) < exclusion) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
+    bad = (np.abs(x) < X_EPSILON) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
     if bad.any():
         first = float(x[bad][0])
-        if abs(first) < exclusion:
+        if abs(first) < X_EPSILON:
             raise PrecisionError(
                 f"|x| = {abs(first):.3e} is inside the cancellation exclusion zone "
-                f"(< {exclusion:g}) for closed-form log-derivatives")
+                f"(< {X_EPSILON:g}) for closed-form log-derivatives")
         _shifted_argument(first, y)  # raises DomainError
     return x, u
 
@@ -127,14 +131,18 @@ def log_h(params: HParams, x: float) -> float:
 def h_eval(params: HParams, x: float) -> float:
     """h(x) itself (always positive on the domain).
 
-    A result outside the binary64 range raises CapabilityError.
+    A result that overflows binary64 or falls below its smallest normal
+    number raises CapabilityError.
     """
     log_value = log_h(params, x)
     try:
-        return math.exp(log_value)
+        value = math.exp(log_value)
     except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
         raise CapabilityError(f"h_eval({params!r}, {x!r}) = exp({log_value!r}) is "
-                              "outside the double-precision range") from None
+                              "outside the normal double-precision range")
+    return value
 
 
 def bigH_eval(alpha: float, y: float, x: float) -> float:
@@ -156,7 +164,7 @@ def logh_deriv_table(k_max: int, y: float,
     check_order(k_max)
     y = require_real(y, "y")
     lg_y = lngamma(y + 1.0)
-    x, u = _shifted_arguments(xs, y, X_EPSILON)
+    x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
     ks = range(1, k_max + 1)
     core, core_scale, u_pow = np.empty((3, k_max, x.size))
@@ -210,68 +218,37 @@ def reciprocal_threshold(y: float) -> float:
     return min(1.0, 0.5 / (y + 1.0))
 
 
-def _slope_terms(x: float, u: float, y: float) -> tuple[float, float, float]:
-    """x psi(u), lnGamma(u), lnGamma(y+1): the terms that both B and q are built from."""
-    return x * digamma(u), lngamma(u), lngamma(y + 1.0)
-
-
 def alpha_necessary_bound(x: float, y: float) -> float:
-    """Threshold surface B(x, y) = (u/x^2)(x psi(u) - lnGamma(u) + lnGamma(y+1)).
+    """Threshold surface B(x, y) = u (ln h_0)'(x), u = x+y+1, alpha = 0.
 
-    (ln h)'(x) = (B(x, y) - alpha)/u with u = x+y+1 > 0, so h decreases at x
-    exactly when alpha > B(x, y).
-    Limits: B -> 1/(y+1) as x -> -(y+1)+ and B -> 1 as x -> +inf.
-    Relative accuracy degrades near the removable singularity at x = 0.
-    A result outside the binary64 range raises CapabilityError.
+    (ln h)'(x) = (B(x, y) - alpha)/u, so h decreases at x exactly when
+    alpha > B(x, y).  Limits: B -> 1/(y+1) as x -> -(y+1)+ and B -> 1 as
+    x -> +inf.  x = 0 (a removable singularity) raises DomainError; the rest
+    of |x| < X_EPSILON, where the closed form has no correct digits, raises
+    PrecisionError, and a value outside the binary64 range CapabilityError.
     """
     x, y = require_real(x, "x"), require_real(y, "y")
     if x == 0.0:
         raise DomainError("alpha_necessary_bound is undefined at x = 0 "
-                          "(removable singularity); evaluate nearby instead")
-    u = _shifted_argument(x, y)
-    xpsi, lg_u, lg_y = _slope_terms(x, u, y)
-    bound = u * (xpsi - lg_u + lg_y) / (x * x)
-    return require_finite(bound, "alpha_necessary_bound", x, y)
-
-
-def _q_with_scale(x, y: float, u, xpsi, lg_u, lg_y):
-    """q and the sum of its terms' absolute values; x, u and the terms floats or arrays."""
-    quad = x * x / (2.0 * (y + 1.0) * u)
-    return (xpsi - lg_u + lg_y - quad,
-            abs(xpsi) + abs(lg_u) + abs(lg_y) + abs(quad))
-
-
-def q_surface_with_scale(x: float, y: float) -> tuple[float, float]:
-    """(value, magnitude_scale) of q_surface(x, y); the scale sums q's |terms|."""
-    x, y = require_real(x, "x"), require_real(y, "y")
-    u = _shifted_argument(x, y)
-    q, scale = _q_with_scale(x, y, u, *_slope_terms(x, u, y))
-    # CapabilityError unless the scale, and so q, is finite
-    return q, require_finite(scale, "q_surface", x, y)
+                          "(removable singularity)")
+    values, _ = logh_deriv_table(1, y, [x])(0.0)
+    return (x + y + 1.0) * float(values[0, 0])
 
 
 def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
-    """(values, scales) of q_surface_with_scale at every x in xs, as arrays.
-
-    One gamma_table pass gives psi(u) and lnGamma(u) for all points, and
-    lnGamma(y+1) is evaluated once.
-    """
+    """(values, scales) of q_surface at every x in xs: x^2 times the first
+    row of logh_deriv_table at alpha = 1/(2(y+1)), and that row's scale."""
     y = require_real(y, "y")
-    lg_y = lngamma(y + 1.0)
-    x, u = _shifted_arguments(xs, y)
-    lg_u, psi = gamma_table(1, u)
-    with np.errstate(all="ignore"):  # the scales are checked below
-        q, scale = _q_with_scale(x, y, u, x * psi[0], lg_u, lg_y)
-    bad = ~np.isfinite(scale)
-    if bad.any():
-        require_finite(float(scale[bad][0]), "q_surface", float(x[bad][0]), y)
-    return q, scale
+    x = np.array([require_real(v, "x") for v in xs], dtype=float)
+    values, scales = logh_deriv_table(1, y, x)(0.5 / (y + 1.0))
+    x2 = x * x
+    return x2 * values[0], x2 * scales[0]
 
 
 def q_surface(x: float, y: float) -> float:
     """Auxiliary surface q(x, y) = x psi(u) - lnGamma(u) + lnGamma(y+1) - x^2/(2(y+1)u).
 
-    With alpha* = 1/(2(y+1)): (ln h_{alpha*})'(x) = q(x, y)/x^2, so negativity
+    With alpha* = 1/(2(y+1)): q(x, y) = x^2 (ln h_{alpha*})'(x), so negativity
     of q on an interval certifies strict decrease of ln h_{alpha*} there.
     """
-    return q_surface_with_scale(x, y)[0]
+    return float(q_surface_table(y, [x])[0][0])

@@ -34,6 +34,7 @@ __all__ = [
     "CHAIN_SUP",
     "CheckResult",
     "NOISE_REL",
+    "THM2_T_MIN",
     "aux_eval",
     "batir_ineq",
     "gamma_ratio_ineq",
@@ -51,6 +52,12 @@ __all__ = [
 
 #: Relative width of the floating-noise band around zero margin.
 NOISE_REL = 1e-14
+
+#: Smallest t that thm2_ineq evaluates.  The margin is about (2/3)t^2 of
+#: sides about 1/t, and lnG(t/(1+2t)) - lnG(t) carries an absolute error of
+#: about eps*ln(1/t): against mpmath the margin's relative error is 3e-3 at
+#: t = 1e-4 and 0.7 at 1e-5, and below 1e-6 the verdict itself goes wrong.
+THM2_T_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -217,12 +224,15 @@ def gamma_ratio_ineq(x: float, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 def thm2_ineq(t: float) -> CheckResult:
-    """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0."""
+    """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0.
+
+    t below THM2_T_MIN raises PrecisionError.
+    """
     t = require_positive(t, "t")
+    if t < THM2_T_MIN:
+        raise PrecisionError(f"t = {t!r} is below {THM2_T_MIN:g}: the lnGamma "
+                             "difference no longer resolves the margin")
     w = 1.0 + 2.0 * t
-    if t / w == t:
-        raise PrecisionError(f"t = {t!r} is too small: t/(1+2t) rounds to t, "
-                             "so the lnGamma difference is lost")
     lhs = w / (2.0 * t * t) * (lngamma(t / w) - lngamma(t))
     rhs = 1.0 - digamma(t)
     return one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),

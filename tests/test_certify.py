@@ -24,12 +24,13 @@ from gammacert import (
     lcm_certifier,
     logh_derivs_with_scale,
     necessity_limits,
-    q_surface_with_scale,
+    q_surface_table,
     scan_values,
     verify_thm3,
 )
 from gammacert.certify import NOISE_FLOOR_REL, _first_violation
-from gammacert.cli import _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS
+from gammacert.cli import (
+    _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
 from gammacert.hfamily import DerivSample, lcm_threshold, reciprocal_threshold
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)
@@ -251,10 +252,10 @@ def test_higher_order_witnesses_match_the_reference_search(k_max):
 def test_verify_thm3_matches_the_reference_search(y, span):
     x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
     # span: a grid only span * x_left wide, whose steps sink below the floor
-    grid = (default_grid(y, points=150) if span is None else
-            GridSpec(x_min_offset=1e-4, x_max=x_left * (1.0 + span), points=30))
-    xs = np.geomspace(x_left, grid.x_max, grid.points)
-    rows = [q_surface_with_scale(float(x), y) for x in xs]
+    points, x_max = (150, 1e3) if span is None else (30, x_left * (1.0 + span))
+    xs = grid_points(GridSpec(x_left + (y + 1.0), x_max, points), y)
+    values, scales = q_surface_table(y, xs)
+    rows = list(zip(values.tolist(), scales.tolist()))
     undecided, witness = 0, None
     for i, (value, scale) in enumerate(rows):
         if value < 0.0:
@@ -274,7 +275,7 @@ def test_verify_thm3_matches_the_reference_search(y, span):
         witness = (1, float(xs[i + 1]).hex(), step.hex())
         break
     verdict = Verdict.PASS if witness is None else Verdict.FAIL
-    assert _outcome(verify_thm3(y, grid=grid)) == (verdict, witness, undecided)
+    assert _outcome(verify_thm3(y, points, x_max)) == (verdict, witness, undecided)
     assert (undecided > 0) == (span is not None)
 
 
@@ -288,9 +289,8 @@ def test_verify_thm3_search_on_a_stand_in_surface(monkeypatch, surface, verdict,
     import gammacert.certify as certify_module
     monkeypatch.setattr(certify_module, "q_surface_table",
                         lambda y, xs: (np.array([surface(x) for x in xs]), np.ones(len(xs))))
-    grid = GridSpec(x_min_offset=1e-4, x_max=10.0, points=20)
-    xs = np.geomspace(0.25, 10.0, 20)  # x_left = 0.25 at y = -0.75
-    cert = verify_thm3(-0.75, grid=grid)
+    xs = grid_points(GridSpec(0.5, 10.0, 20), -0.75)  # x_left = 0.25 at y = -0.75
+    cert = verify_thm3(-0.75, points=20, x_max=10.0)
     assert (cert.verdict, cert.undecided_points) == (verdict, undecided)
     if witness_k == 0:
         i = int(np.argmax(xs > 5.0))
@@ -329,6 +329,22 @@ def test_necessity_limits_validates_y():
         necessity_limits(-1.0)
 
 
+def test_verify_thm3_evaluates_exactly_the_grid_it_reports(monkeypatch):
+    import gammacert.certify as certify_module
+    seen = []
+    table = certify_module.q_surface_table
+    monkeypatch.setattr(certify_module, "q_surface_table",
+                        lambda y, xs: seen.append(np.array(xs)) or table(y, xs))
+    certs = build_suite("thm3")
+    assert [c.params.y for c in certs] == list(_THM3_YS)
+    for cert, xs in zip(certs, seen, strict=True):
+        y = cert.params.y
+        assert np.array_equal(grid_points(cert.grid, y), xs)
+        # the grid starts at u = x_left + y + 1: one rounding of u away
+        x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
+        assert abs(xs[0] - x_left) <= math.ulp(x_left + (y + 1.0))
+
+
 def test_verify_thm3_passes_inside_its_band():
     cert = verify_thm3(-0.75)
     assert cert.verdict is Verdict.PASS
@@ -346,9 +362,8 @@ def test_verify_thm3_y_validation():
 def test_verify_thm3_requires_x_max_beyond_left_endpoint():
     # x_left = -2(y+1)^2/(1+2y) = 24.01 at y = -0.51
     with pytest.raises(ParameterError):
-        verify_thm3(-0.51, grid=GridSpec(x_min_offset=1e-4, x_max=20.0))
-    assert verify_thm3(-0.51, grid=GridSpec(
-        x_min_offset=1e-4, x_max=100.0, points=80)).verdict is Verdict.PASS
+        verify_thm3(-0.51, x_max=20.0)
+    assert verify_thm3(-0.51, points=80, x_max=100.0).verdict is Verdict.PASS
 
 
 # ---------------------------------------------------------------------------

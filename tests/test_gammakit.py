@@ -34,7 +34,7 @@ from gammacert import (
     polygamma,
     psi_integral_mean_ineq,
     q_surface,
-    q_surface_with_scale,
+    q_surface_table,
     scan_values,
     verify_thm3,
 )
@@ -188,7 +188,7 @@ def test_domain_errors():
     (logh_deriv_table, (3, 0.0, ["a"]), "x must be a real number, got 'a'"),
     (logh_deriv_table, (3, "abc", [1.0]), "y must be a real number, got 'abc'"),
     (q_surface, ("abc", -0.75), "x must be a real number, got 'abc'"),
-    (q_surface_with_scale, (0.5, None), "y must be a real number, got None"),
+    (q_surface_table, (None, [0.5]), "y must be a real number, got None"),
     (alpha_necessary_bound, (None, 0.0), "x must be a real number, got None"),
     (alpha_necessary_bound, (0.5, [1.0]), "y must be a real number, got [1.0]"),
     (verify_thm3, ("x",), "y must be a real number, got 'x'"),

@@ -22,7 +22,6 @@ from gammacert import (
     logh_derivs_with_scale,
     q_surface,
     q_surface_table,
-    q_surface_with_scale,
 )
 from gammacert import hfamily
 from gammacert.hfamily import (
@@ -74,6 +73,11 @@ def test_h_eval_raises_capability_error_outside_binary64():
     # ln h = lnGamma(1e6 + 1)/1e6 + 1000 ln(1e6 + 1), about 1.4e4: exp overflows
     with pytest.raises(CapabilityError):
         h_eval(HParams(alpha=-1000.0, y=0.0), 1e6)
+    # with alpha = +1000, ln h is about -1.38e4: h > 0 underflows to 0.0
+    with pytest.raises(CapabilityError):
+        h_eval(HParams(alpha=1000.0, y=0.0), 1e6)
+    with pytest.raises(CapabilityError):
+        bigH_eval(1000.0, 1.0, 1e6)
 
 
 def test_thresholds_reject_y_at_or_below_minus_one():
@@ -221,6 +225,14 @@ def test_exclusion_zone_rejects_small_x():
     for x in (0.0, 5e-4, -5e-4, 0.99e-3):
         with pytest.raises(PrecisionError):
             logh_deriv(1, params, x)
+    # the two surfaces are rows of the same table
+    for x in (1e-4, -1e-4, 1e-8, -1e-8):
+        with pytest.raises(PrecisionError):
+            alpha_necessary_bound(x, 1.0)
+        with pytest.raises(PrecisionError):
+            q_surface(x, -0.75)
+        with pytest.raises(PrecisionError):
+            q_surface_table(-0.75, [1.0, x])
     # the boundary itself is allowed
     assert math.isfinite(logh_deriv(1, params, X_EPSILON))
     assert math.isfinite(logh_deriv(1, params, -X_EPSILON))
@@ -244,12 +256,17 @@ def test_deriv_sample_is_a_plain_record():
 # threshold and auxiliary surfaces
 # ---------------------------------------------------------------------------
 
+# oracle points (x, y) of B and of q
+B_POINTS = [(x, y) for y in (-0.5, 0.0, 1.0, 5.0)
+            for x in (-0.4 * (y + 1.0), 0.1, 1.0, 10.0, 200.0)]
+Q_POINTS = [(x, y) for y in (-0.9, -0.75, -0.6) for x in (-0.05, 0.5, 3.0, 40.0)]
+
+
 def test_alpha_necessary_bound_matches_oracle():
-    for y in (-0.5, 0.0, 1.0, 5.0):
-        for x in (-0.4 * (y + 1.0), 0.1, 1.0, 10.0, 200.0):
-            got = alpha_necessary_bound(x, y)
-            ref = float(oracle.alpha_necessary_bound(x, y))
-            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+    for x, y in B_POINTS:
+        got = alpha_necessary_bound(x, y)
+        ref = float(oracle.alpha_necessary_bound(x, y))
+        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_alpha_necessary_bound_rejects_zero():
@@ -281,7 +298,7 @@ def test_q_surface_matches_oracle():
     for y in (-0.9, -0.75, -0.6):
         values, scales = q_surface_table(y, xs)
         for x, tabled, tabled_scale in zip(xs, values, scales):
-            got, scale = q_surface_with_scale(x, y)
+            (got,), (scale,) = q_surface_table(y, [x])
             assert got == q_surface(x, y)
             assert math.isfinite(scale) and scale >= abs(got)
             assert abs(tabled - got) <= 1e-15 * scale and tabled_scale == scale
@@ -289,10 +306,22 @@ def test_q_surface_matches_oracle():
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("x,y", B_POINTS)
+def test_alpha_necessary_bound_is_u_times_the_first_row_at_alpha_zero(x, y):
+    row = (x + y + 1.0) * logh_deriv(1, HParams(0.0, y), x)
+    assert abs(alpha_necessary_bound(x, y) - row) <= math.ulp(row)
+
+
+@pytest.mark.parametrize("x,y", Q_POINTS)
+def test_q_surface_is_x_squared_times_the_first_row_at_alpha_star(x, y):
+    row = x * x * logh_deriv(1, HParams(0.5 / (y + 1.0), y), x)
+    assert abs(q_surface(x, y) - row) <= math.ulp(row)
+
+
 def test_surfaces_raise_capability_error_outside_binary64():
-    # x^2 overflows in q; B's u/x^2 factor becomes inf/inf
+    # x^2 overflows in the closed form that both surfaces read
     with pytest.raises(CapabilityError):
-        q_surface_with_scale(1e200, -0.75)
+        q_surface_table(-0.75, [1e200])
     with pytest.raises(CapabilityError):
         q_surface(1e200, -0.75)
     with pytest.raises(CapabilityError):

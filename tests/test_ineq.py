@@ -27,7 +27,7 @@ from gammacert import (
     suffice_chain,
     thm2_ineq,
 )
-from gammacert.ineq import NOISE_REL
+from gammacert.ineq import NOISE_REL, THM2_T_MIN
 
 
 def flag(result: CheckResult, name: str) -> bool:
@@ -204,11 +204,13 @@ def test_thm2_rejects_nonpositive_t():
             thm2_ineq(bad)
 
 
-def test_thm2_raises_precision_error_where_t_over_1_plus_2t_rounds_to_t():
-    # the lnGamma difference is then exactly zero (and 2t^2 underflows at 1e-300)
-    for tiny in (1e-17, 1e-300, 5e-324):
+def test_thm2_raises_precision_error_below_its_accuracy_cutoff():
+    # 1e-6 and 1e-10 gave false FAILs, 1e-16 a false PASS; from 1e-17 on
+    # t/(1+2t) rounds to t (and 2t^2 underflows at 1e-300)
+    for tiny in (9.99e-5, 1e-5, 1e-6, 1e-10, 1e-16, 1e-17, 1e-300, 5e-324):
         with pytest.raises(PrecisionError):
             thm2_ineq(tiny)
+    assert thm2_ineq(THM2_T_MIN).holds
 
 
 def test_batir_worked_pairs_hold():
