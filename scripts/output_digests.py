@@ -35,6 +35,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--suite", s, "--format", f) for s in SUITES for f in ("json", "csv")),
     *(("verify", "--suite", "all", "--grid-points", "173", "--x-max", "1500",
        "--format", f) for f in ("json", "csv")),
+    # the lemma grid at the size and range of the benchmark's catalog ops
+    *(("verify", "--suite", "lemmas", "--grid-points", "1000", "--x-max", "1999.5",
+       "--format", f) for f in ("json", "csv")),
     ("verify", "--suite", "thm1", "--kmax", "12"),
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
     ("scan", "--alpha=0:2:0.05", "--y=-0.9:5:0.7"),

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, require_real
+from .errors import ParameterError, PrecisionError, require_real
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -236,14 +236,20 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
     x_left = -2(y+1)^2/(1+2y) > 0 for y in (-1, -1/2).  The grid is
     GridSpec(x_left + y + 1, x_max, points), so it starts at x_left (the
     claim includes the endpoint) and follows the grid_points rule of every
-    certificate: for y below about -0.978, x_left < X_EPSILON and the
-    evaluated grid starts at its first point past the exclusion zone.
+    certificate.  For y below about -0.978, x_left < X_EPSILON: the grid
+    would skip [x_left, X_EPSILON), where q has no correct digits, so a
+    PASS would not cover the claim, and PrecisionError is raised instead.
     """
     y = require_real(y, "y")
     if not (math.isfinite(y) and -1.0 < y < -0.5):
         raise ParameterError(f"y must lie in (-1, -1/2), got {y!r}")
     c = y + 1.0
     x_left = -2.0 * c * c / (1.0 + 2.0 * y)
+    if x_left < X_EPSILON:
+        raise PrecisionError(
+            f"verify_thm3({y!r}) cannot check [x_left, {X_EPSILON:g}) = "
+            f"[{x_left:.3e}, {X_EPSILON:g}): it lies inside the |x| < {X_EPSILON:g} "
+            "exclusion zone")
     grid = GridSpec(x_min_offset=x_left + c, x_max=x_max, points=points)
     xs = grid_points(grid, y)  # ParameterError unless x_max > x_left
     values, scales = q_surface_table(y, xs)

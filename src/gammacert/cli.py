@@ -87,14 +87,12 @@ _THM3_YS = (-0.9, -0.75, -0.6, -0.51)
 # ---------------------------------------------------------------------------
 
 def _suite_lemmas(k_max: int, points: int, x_max: float) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for x in np.geomspace(1e-2, x_max, points):
-        x = float(x)
-        out.extend(psi_log_bounds(x))
-        out.append(psi_upper_refinement(x))
-        for k in range(1, 7):
-            out.extend(polygamma_bounds(k, x))
-    return out
+    xs = np.geomspace(1e-2, x_max, points)
+    rows = psi_log_bounds(xs) + psi_upper_refinement(xs)
+    for k in range(1, 7):
+        rows += polygamma_bounds(k, xs)
+    # the windows give their rows window by window; list each x's rows in turn
+    return [rows[i] for j in range(points) for i in range(j, len(rows), points)]
 
 
 def _expected_failure_check(cert: Certificate) -> CheckResult:
@@ -291,9 +289,7 @@ def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
 # output rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
+# CSV numbers are "%.17g", the same digits as format(float(v), ".17g").
 
 def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable)."""
@@ -301,14 +297,12 @@ def verify_csv(report: Report) -> str:
     for item in report.results:
         status = result_status(item)
         if isinstance(item, CheckResult):
-            lines.append(",".join([
-                "check", item.name, status,
-                _fmt(item.lhs), _fmt(item.rhs), _fmt(item.margin), "", "", ""]))
+            lines.append("check,%s,%s,%.17g,%.17g,%.17g,,," % (
+                item.name, status, item.lhs, item.rhs, item.margin))
         elif isinstance(item, Certificate):
-            lines.append(",".join([
-                "certificate", item.check, status, "", "", "",
-                _fmt(item.params.alpha), _fmt(item.params.y),
-                item.verdict.value]))
+            lines.append("certificate,%s,%s,,,,%.17g,%.17g,%s" % (
+                item.check, status, item.params.alpha, item.params.y,
+                item.verdict.value))
         else:
             raise TypeError(f"no CSV row form for {type(item).__name__}")
     return "\n".join(lines) + "\n"
@@ -317,8 +311,7 @@ def verify_csv(report: Report) -> str:
 def scan_csv(cells: list[ScanCell]) -> str:
     lines = ["alpha,y,classification"]
     for cell in cells:
-        lines.append(f"{_fmt(cell.alpha)},{_fmt(cell.y)},"
-                     f"{cell.classification.value}")
+        lines.append("%.17g,%.17g,%s" % (cell.alpha, cell.y, cell.classification.value))
     return "\n".join(lines) + "\n"
 
 

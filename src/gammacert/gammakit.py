@@ -16,9 +16,18 @@ tables, the q surface).  Both call the same series bodies, written with
 operators only, and the array version repeats the shift step by step and sums
 it in the same order.  Its values agree with the scalar ones to a few ulps,
 because numpy's ``log`` and ``power`` may round differently from ``math.log``
-and ``**``.  The scalar entry points stay scalar: one numpy call costs more
-than a whole scalar evaluation, and the inequality suites make thousands of
-single-point calls.
+and ``**``.  That is why grids whose outputs rest on the scalar values keep
+calling the scalar functions per point: on the lemma suite's grids
+``gamma_table(7, xs)`` differs from ``digamma`` / ``polygamma`` in 773 of
+22,400 values, and on 100,000 log-spaced points in [1e-2, 2000] ``np.log``
+differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in 5,327.  Single
+points stay scalar for cost: one numpy call costs more than a whole scalar
+evaluation.
+
+Accuracy is absolute, not relative, near the zeros of lnGamma (x = 1, 2)
+and of psi (x0 = 1.4616321449683622), where the result is a difference of
+terms of order one: against mpmath, lngamma(2 + 1e-9) is off by 6.3e-15
+(relative 1.5e-5) and digamma(x0) by 5.4e-16 (relative 5.8).
 
 Bernoulli numbers are generated once from the defining recurrence with
 ``fractions.Fraction`` arithmetic, so every series coefficient is the
@@ -156,7 +165,11 @@ def _polygamma_series(z, k, coefs, k_fac):
 
 
 def lngamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0.
+
+    Near its zeros x = 1 and x = 2 the error is absolute (below 1e-14), not
+    relative.
+    """
     z = require_positive(x, "x")
     shift = 0.0
     while z < SHIFT_THRESHOLD:
@@ -166,7 +179,11 @@ def lngamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function for x > 0."""
+    """Logarithmic derivative of the gamma function for x > 0.
+
+    Near its zero x0 = 1.4616321449683622 the error is absolute (below 1e-14),
+    not relative.
+    """
     z = require_positive(x, "x")
     shift = 0.0
     while z < SHIFT_THRESHOLD:

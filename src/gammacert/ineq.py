@@ -23,9 +23,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     DomainError, ParameterError, PrecisionError, require_positive, require_real)
-from .gammakit import EXP_NEG_EULER_GAMMA, digamma, lngamma, polygamma
+from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, lngamma, polygamma
 from .hfamily import lcm_threshold, reciprocal_threshold
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
@@ -40,6 +42,7 @@ __all__ = [
     "gamma_ratio_ineq",
     "log_upper_bound_ineq",
     "one_sided",
+    "one_sided_rows",
     "polygamma_bounds",
     "psi_integral_mean_ineq",
     "psi_log_bounds",
@@ -48,6 +51,7 @@ __all__ = [
     "suffice_chain",
     "thm2_ineq",
     "two_sided",
+    "two_sided_rows",
 ]
 
 #: Relative width of the floating-noise band around zero margin.
@@ -78,9 +82,12 @@ class CheckResult:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        for label, v in (("lhs", self.lhs), ("rhs", self.rhs), ("margin", self.margin)):
-            if not math.isfinite(v):
-                raise PrecisionError(f"check {self.name!r}: non-finite {label} = {v!r}")
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)
+                and math.isfinite(self.margin)):
+            label, v = next((label, v) for label, v in (
+                ("lhs", self.lhs), ("rhs", self.rhs), ("margin", self.margin))
+                if not math.isfinite(v))
+            raise PrecisionError(f"check {self.name!r}: non-finite {label} = {v!r}")
 
 
 def _coerce_inputs(inputs) -> tuple[tuple[str, float], ...]:
@@ -120,11 +127,94 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
                        strict=strict and strict_lower)
 
 
+# The column forms apply the rule of one_sided / two_sided to whole columns.
+# numpy rounds +, -, *, / and abs as Python floats do, so row i is the scalar
+# check at row i, field for field.  The scalar forms stay: a one-element numpy
+# call costs more than a whole scalar check.
+
+def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> list[CheckResult]:
+    """one_sided over columns: row i checks lhs[i] < rhs[i].
+
+    inputs holds (name, value) pairs.  Each value, lhs and rhs is a scalar
+    or a column with one entry per row; scalars repeat on every row.
+    """
+    lhs, rhs = _float_columns(lhs, rhs)
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        margin = rhs - lhs
+        noise = NOISE_REL * np.maximum(abs(lhs), abs(rhs))
+        holds = margin > noise if strict else margin >= -noise
+        within = abs(margin) <= noise
+    return _rows(name, inputs, lhs, rhs, margin, holds, within, strict)
+
+
+def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
+                   strict_lower=None) -> list[CheckResult]:
+    """two_sided over columns: row i checks lower[i] < mid[i] < upper[i].
+
+    inputs, scalars and columns as in one_sided_rows.
+    """
+    lower, mid, upper = _float_columns(lower, mid, upper)
+    if strict_lower is None:
+        strict_lower = strict
+    with np.errstate(all="ignore"):
+        m_lo = mid - lower
+        m_up = upper - mid
+        margin = np.where(m_up < m_lo, m_up, m_lo)  # min(m_lo, m_up): m_lo on a tie
+        noise = NOISE_REL * np.maximum(np.maximum(abs(lower), abs(mid)), abs(upper))
+        lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
+        up_ok = m_up > noise if strict else m_up >= -noise
+        within = abs(margin) <= noise
+    return _rows(name, (*inputs, ("mid", mid)), lower, upper, margin,
+                 lo_ok & up_ok, within, strict and strict_lower)
+
+
+def _float_columns(*values) -> tuple[np.ndarray, ...]:
+    """values as float arrays of one common 1-D shape."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                 for v in values))
+
+
+def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckResult]:
+    """One CheckResult per row of the evaluated columns."""
+    pairs = []  # per input, its (label, value) pair on every row
+    for label, values in inputs:
+        label = str(label)
+        pairs.append([(label, v) for v in np.broadcast_to(
+            np.asarray(values, dtype=float), lhs.shape).tolist()])
+    marker = (("margin_within_noise", 1.0),)
+    return [CheckResult(name, row + marker if w else row, lo, hi, m, ok, strict)
+            for row, lo, hi, m, ok, w in zip(
+                zip(*pairs) if pairs else [()] * lhs.size, lhs.tolist(),
+                rhs.tolist(), margin.tolist(), holds.tolist(), within.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # digamma / polygamma windows
 # ---------------------------------------------------------------------------
+#
+# Each window evaluates a whole grid of x at once: x is one point or a 1-D
+# grid, and the rows come window by window, one row per point in grid order.
+# The kernel values, logs and integer powers are taken per point with the
+# scalar kernel, math.log and Python's **, and the rest of the arithmetic on
+# columns: the array kernel, np.log and np.power round differently in the
+# last ulp.
 
-def psi_log_bounds(x: float) -> list[CheckResult]:
+def _grid(x) -> np.ndarray:
+    """The points of x, one point or a 1-D grid, each a finite real > 0."""
+    points = [x] if np.ndim(x) == 0 else np.asarray(x).tolist()
+    return np.array([require_positive(v, "x") for v in points], dtype=float)
+
+
+def _per_point(fn, x: np.ndarray) -> np.ndarray:
+    """fn at every point of x, one scalar call each."""
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    return _per_point(lambda v: v ** n, x)
+
+
+def psi_log_bounds(x) -> list[CheckResult]:
     """Four two-sided logarithmic windows around psi(x), x > 0.
 
     1. ln x - 1/x            < psi(x) < ln x - 1/(2x)
@@ -132,52 +222,61 @@ def psi_log_bounds(x: float) -> list[CheckResult]:
     3. ln(x+1/2) - 1/x       < psi(x) < ln(x+e^{-gamma}) - 1/x   (sharp shifts)
     4. ln x - 1/(2x) - 1/(12x^2) < psi(x) < ln x - 1/(2x)
     """
-    x = require_positive(x, "x")
-    psi = digamma(x)
-    lx = math.log(x)
-    inv = 1.0 / x
-    sharp = EXP_NEG_EULER_GAMMA
-    inputs = (("x", x),)
-    return [
-        two_sided("psi_between_log_offsets", inputs,
-                  lx - inv, psi, lx - 0.5 * inv),
-        two_sided("psi_between_shifted_logs", inputs,
-                  math.log(x + 0.5) - inv, psi, math.log(x + 1.0) - inv),
-        two_sided("psi_between_shifted_logs_sharp", inputs,
-                  math.log(x + 0.5) - inv, psi, math.log(x + sharp) - inv),
-        two_sided("psi_second_order_window", inputs,
-                  lx - 0.5 * inv - 1.0 / (12.0 * x * x), psi, lx - 0.5 * inv),
-    ]
+    xs = _grid(x)
+    psi = _per_point(digamma, xs)
+    lx = _per_point(math.log, xs)
+    log_half = _per_point(math.log, xs + 0.5)
+    inputs = (("x", xs),)
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        inv = 1.0 / xs
+        upper = lx - 0.5 * inv
+        return [
+            *two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
+            *two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
+                            _per_point(math.log, xs + 1.0) - inv),
+            *two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
+                            psi, _per_point(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
+            *two_sided_rows("psi_second_order_window", inputs,
+                            upper - 1.0 / (12.0 * xs * xs), psi, upper),
+        ]
 
 
-def psi_upper_refinement(x: float) -> CheckResult:
-    """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1)."""
-    x = require_positive(x, "x")
-    inv = 1.0 / x
-    return one_sided("psi_sharp_upper_refines_shifted_log", (("x", x),),
-                     math.log(x + EXP_NEG_EULER_GAMMA) - inv,
-                     math.log(x + 1.0) - inv)
+def psi_upper_refinement(x) -> CheckResult | list[CheckResult]:
+    """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1).
+
+    One point gives its CheckResult, a grid the list of rows.
+    """
+    xs = _grid(x)
+    with np.errstate(all="ignore"):
+        inv = 1.0 / xs
+        rows = one_sided_rows("psi_sharp_upper_refines_shifted_log", (("x", xs),),
+                              _per_point(math.log, xs + EXP_NEG_EULER_GAMMA) - inv,
+                              _per_point(math.log, xs + 1.0) - inv)
+    return rows[0] if np.ndim(x) == 0 else rows
 
 
-def polygamma_bounds(k: int, x: float) -> list[CheckResult]:
+def polygamma_bounds(k: int, x) -> list[CheckResult]:
     """Two power windows around v = (-1)^{k+1} psi^(k)(x) > 0 for k >= 1, x > 0.
 
     1. (k-1)!/x^k + k!/(2x^{k+1})     < v < (k-1)!/x^k + k!/x^{k+1}
     2. (k-1)!/(x+1)^k + k!/x^{k+1}    < v < (k-1)!/(x+1/2)^k + k!/x^{k+1}
     """
-    x = require_positive(x, "x")
-    v = (-1.0) ** (k + 1) * polygamma(k, x)
+    xs = _grid(x)
+    check_order(k)
+    v = (-1.0) ** (k + 1) * _per_point(lambda p: polygamma(k, p), xs)
     km1f = float(math.factorial(k - 1))
     kf = float(math.factorial(k))
-    tail = kf / x ** (k + 1)
-    inputs = (("k", k), ("x", x))
-    return [
-        two_sided("polygamma_power_window", inputs,
-                  km1f / x ** k + 0.5 * tail, v, km1f / x ** k + tail),
-        two_sided("polygamma_shifted_power_window", inputs,
-                  km1f / (x + 1.0) ** k + tail, v,
-                  km1f / (x + 0.5) ** k + tail),
-    ]
+    x_k = _powers(xs, k)
+    inputs = (("k", k), ("x", xs))
+    with np.errstate(all="ignore"):
+        tail = kf / _powers(xs, k + 1)
+        return [
+            *two_sided_rows("polygamma_power_window", inputs,
+                            km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
+            *two_sided_rows("polygamma_shifted_power_window", inputs,
+                            km1f / _powers(xs + 1.0, k) + tail, v,
+                            km1f / _powers(xs + 0.5, k) + tail),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gammacert import (
     GridSpec,
     HParams,
     ParameterError,
+    PrecisionError,
     Verdict,
     certify_lcm,
     classify,
@@ -31,7 +32,7 @@ from gammacert import (
 from gammacert.certify import NOISE_FLOOR_REL, _first_violation
 from gammacert.cli import (
     _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
-from gammacert.hfamily import DerivSample, lcm_threshold, reciprocal_threshold
+from gammacert.hfamily import X_EPSILON, DerivSample, lcm_threshold, reciprocal_threshold
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)
 
@@ -364,6 +365,19 @@ def test_verify_thm3_requires_x_max_beyond_left_endpoint():
     with pytest.raises(ParameterError):
         verify_thm3(-0.51, x_max=20.0)
     assert verify_thm3(-0.51, points=80, x_max=100.0).verdict is Verdict.PASS
+
+
+def test_verify_thm3_refuses_a_left_end_inside_the_exclusion_zone():
+    # x_left = 2.04e-4 at y = -0.99: the grid would start past X_EPSILON and
+    # leave [x_left, X_EPSILON) unchecked under a PASS
+    with pytest.raises(PrecisionError, match=r"\[2\.041e-04, 0\.001\)"):
+        verify_thm3(-0.99)
+    # x_left = 1.9e-3 at y = -0.97: every grid point is evaluated
+    x_left = -2.0 * 0.03 ** 2 / (1.0 - 2.0 * 0.97)
+    assert x_left > X_EPSILON
+    cert = verify_thm3(-0.97)
+    assert cert.verdict is Verdict.PASS
+    assert grid_points(cert.grid, -0.97).size == cert.grid.points
 
 
 # ---------------------------------------------------------------------------

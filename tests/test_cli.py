@@ -245,6 +245,34 @@ def test_verify_csv_escapes_nothing_unexpected():
     assert "," in text.splitlines()[1]
 
 
+def test_verify_csv_rows_match_the_join_of_format_17g():
+    from gammacert import (
+        Certificate, CheckResult, Direction, HParams, Verdict, build_report,
+        default_grid, result_status)
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    edges = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, -3.0, 1e16, 1e17, 0.1)
+    results = [CheckResult("edge", (("v", v),), v, -v, v, holds=v > 0.0)
+               for v in edges]
+    results += [Certificate(HParams(alpha, y), Direction.LCM, 8, default_grid(0.0),
+                            Verdict.PASS, None)
+                for alpha, y in ((2, 0), (-1, 3), (0.5, -0.0))]
+    expected = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
+    for item in results:
+        status = result_status(item)
+        if isinstance(item, CheckResult):
+            expected.append(",".join(["check", item.name, status, fmt(item.lhs),
+                                      fmt(item.rhs), fmt(item.margin), "", "", ""]))
+        else:
+            expected.append(",".join(["certificate", item.check, status, "", "", "",
+                                      fmt(item.params.alpha), fmt(item.params.y),
+                                      item.verdict.value]))
+    report = build_report("edges", results, tool_version="0.1.0")
+    assert verify_csv(report) == "\n".join(expected) + "\n"
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "gammacert 0.1.0"

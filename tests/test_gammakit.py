@@ -88,6 +88,22 @@ def test_known_closed_form_values():
     assert rel_err(polygamma(1, 0.5), math.pi ** 2 / 2.0) <= 1e-13
 
 
+#: The positive zero of psi, correctly rounded.
+PSI_ZERO = 1.4616321449683622
+
+
+@pytest.mark.parametrize("fn,x", [
+    (lngamma, 1.0 - 1e-9), (lngamma, 1.0 + 1e-9),
+    (lngamma, 2.0 - 1e-9), (lngamma, 2.0 + 1e-9),
+    (digamma, PSI_ZERO),
+])
+def test_accuracy_is_absolute_at_the_zeros(fn, x):
+    # relative accuracy is lost here (lngamma(2+1e-9) is off by 1.5e-5
+    # relative); the absolute error stays near one ulp of the summed terms
+    ref = (oracle.lngamma if fn is lngamma else oracle.digamma)(x)
+    assert abs(fn(x) - float(ref)) <= 1e-14
+
+
 def test_constants_are_consistent():
     assert abs(float(oracle.euler_gamma()) - EULER_GAMMA) <= 1e-15
     assert rel_err(EXP_NEG_EULER_GAMMA, math.exp(-EULER_GAMMA)) <= 1e-15

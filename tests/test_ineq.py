@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import _oracle as oracle
 from gammacert import (
@@ -19,6 +20,7 @@ from gammacert import (
     digamma,
     gamma_ratio_ineq,
     log_upper_bound_ineq,
+    polygamma,
     polygamma_bounds,
     psi_integral_mean_ineq,
     psi_log_bounds,
@@ -27,7 +29,10 @@ from gammacert import (
     suffice_chain,
     thm2_ineq,
 )
-from gammacert.ineq import NOISE_REL, THM2_T_MIN
+from gammacert.cli import build_suite
+from gammacert.gammakit import EXP_NEG_EULER_GAMMA
+from gammacert.ineq import (
+    NOISE_REL, THM2_T_MIN, one_sided, one_sided_rows, two_sided, two_sided_rows)
 
 
 def flag(result: CheckResult, name: str) -> bool:
@@ -128,6 +133,136 @@ def test_window_functions_reject_bad_arguments():
             psi_upper_refinement(bad)
         with pytest.raises(DomainError):
             polygamma_bounds(1, bad)
+    # 12x^2 underflows to zero: a non-finite side, not a ZeroDivisionError
+    with pytest.raises(PrecisionError):
+        psi_log_bounds(1e-200)
+
+
+def test_window_functions_take_one_point_or_a_grid():
+    xs = [0.05, 3.0, 80.0]
+    for x in xs:
+        assert repr(psi_log_bounds(x)) == repr(psi_log_bounds([x]))
+        assert repr(psi_upper_refinement(x)) == repr(psi_upper_refinement([x])[0])
+        assert repr(polygamma_bounds(4, x)) == repr(polygamma_bounds(4, [x]))
+    rows = psi_log_bounds(np.array(xs))  # window by window, grid order in each
+    assert repr(rows[1::3]) == repr(psi_log_bounds(3.0))
+    with pytest.raises(DomainError):
+        polygamma_bounds(2, [1.0, -1.0])
+    with pytest.raises(DomainError):
+        polygamma_bounds(0, [1.0])
+
+
+def _scalar_lemma_rows(points: int, x_max: float) -> list[CheckResult]:
+    """The lemma suite built one x at a time with one_sided / two_sided."""
+    out = []
+    for x in np.geomspace(1e-2, x_max, points).tolist():
+        psi, lx, inv = digamma(x), math.log(x), 1.0 / x
+        inputs = (("x", x),)
+        out += [
+            two_sided("psi_between_log_offsets", inputs, lx - inv, psi, lx - 0.5 * inv),
+            two_sided("psi_between_shifted_logs", inputs,
+                      math.log(x + 0.5) - inv, psi, math.log(x + 1.0) - inv),
+            two_sided("psi_between_shifted_logs_sharp", inputs, math.log(x + 0.5) - inv,
+                      psi, math.log(x + EXP_NEG_EULER_GAMMA) - inv),
+            two_sided("psi_second_order_window", inputs,
+                      lx - 0.5 * inv - 1.0 / (12.0 * x * x), psi, lx - 0.5 * inv),
+            one_sided("psi_sharp_upper_refines_shifted_log", inputs,
+                      math.log(x + EXP_NEG_EULER_GAMMA) - inv, math.log(x + 1.0) - inv),
+        ]
+        for k in range(1, 7):
+            v = (-1.0) ** (k + 1) * polygamma(k, x)
+            km1f, kf = float(math.factorial(k - 1)), float(math.factorial(k))
+            tail = kf / x ** (k + 1)
+            out += [
+                two_sided("polygamma_power_window", (("k", k), ("x", x)),
+                          km1f / x ** k + 0.5 * tail, v, km1f / x ** k + tail),
+                two_sided("polygamma_shifted_power_window", (("k", k), ("x", x)),
+                          km1f / (x + 1.0) ** k + tail, v,
+                          km1f / (x + 0.5) ** k + tail),
+            ]
+    return out
+
+
+@pytest.mark.parametrize("points,x_max", [
+    (200, 1e3), (800, 500.0), (1000, 1999.5), (1200, 2000.0)])
+def test_lemma_suite_rows_match_the_scalar_rule(points, x_max):
+    got = build_suite("lemmas", points=points, x_max=x_max)
+    want = _scalar_lemma_rows(points, x_max)
+    assert len(got) == len(want) == 17 * points
+    for g, w in zip(got, want):
+        assert repr(g) == repr(w)  # repr tells -0.0 from 0.0, numpy from Python floats
+
+
+# ---------------------------------------------------------------------------
+# column forms of the check rule
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sides(draw):
+    """(lower, mid, upper): free, signed zeros, close (within a few noise
+    bands, or equal), or one non-finite side."""
+    kind = draw(st.sampled_from(("free", "zeros", "close", "non-finite")))
+    if kind == "free":
+        return tuple(draw(_FINITE) for _ in range(3))
+    if kind == "zeros":
+        return tuple(draw(st.sampled_from((0.0, -0.0))) for _ in range(3))
+    base = draw(_FINITE.filter(lambda v: abs(v) < 1e300))
+    rel = st.sampled_from((0.0,)) | st.floats(-4 * NOISE_REL, 4 * NOISE_REL)
+    sides = [base + base * draw(rel) for _ in range(3)]
+    if kind == "non-finite":
+        sides[draw(st.integers(0, 2))] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+    return tuple(sides)
+
+
+def _outcome(build) -> str:
+    """repr of what build() returns, or the PrecisionError it raises."""
+    try:
+        return repr(build())
+    except PrecisionError as exc:
+        return f"PrecisionError: {exc}"
+
+
+_ROWS = st.lists(_sides(), min_size=1, max_size=6)
+
+
+@given(rows=_ROWS, strict=st.booleans(), strict_lower=st.sampled_from((None, True, False)))
+@example(rows=[(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)], strict=True, strict_lower=None)
+@example(rows=[(1.0, 1.0 + 2e-16, 1.0 + 4e-16)], strict=True, strict_lower=False)
+@example(rows=[(1.0, 2.0, 3.0), (1.0, math.inf, 3.0)], strict=False, strict_lower=None)
+def test_two_sided_rows_is_two_sided_row_by_row(rows, strict, strict_lower):
+    xs = [0.5 * i for i in range(len(rows))]
+    lower, mid, upper = (list(side) for side in zip(*rows))
+    assert _outcome(lambda: two_sided_rows(
+        "w", (("k", 3), ("x", xs)), lower, mid, upper, strict, strict_lower)) == _outcome(
+        lambda: [two_sided("w", (("k", 3), ("x", x)), lo, m, up, strict, strict_lower)
+                 for x, (lo, m, up) in zip(xs, rows)])
+
+
+@given(rows=_ROWS, strict=st.booleans())
+@example(rows=[(0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)], strict=True)
+@example(rows=[(1.0, 1.0 + 2e-16, 0.0)], strict=False)
+@example(rows=[(1.0, 2.0, 0.0), (math.nan, 3.0, 0.0)], strict=True)
+def test_one_sided_rows_is_one_sided_row_by_row(rows, strict):
+    xs = [0.5 * i for i in range(len(rows))]
+    lhs, rhs, _ = (list(side) for side in zip(*rows))
+    assert _outcome(lambda: one_sided_rows(
+        "w", (("x", xs), ("t", 1.5)), lhs, rhs, strict)) == _outcome(
+        lambda: [one_sided("w", (("x", x), ("t", 1.5)), lo, hi, strict)
+                 for x, (lo, hi, _) in zip(xs, rows)])
+
+
+def test_column_rule_edge_rows():
+    # a tie of signed zeros keeps the first margin, as min() does
+    assert [math.copysign(1.0, r.margin) for r in two_sided_rows(
+        "w", (), [0.0, -0.0], [-0.0, 0.0], [0.0, -0.0])] == [-1.0, 1.0]
+    inside = two_sided_rows("w", (), 1.0, 1.0 + 2e-16, 1.0 + 4e-16)[0]
+    assert inside.inputs[-1] == ("margin_within_noise", 1.0) and not inside.holds
+    with pytest.raises(PrecisionError, match="non-finite lhs"):
+        one_sided_rows("w", (), [0.0, math.nan], 1.0)
+    assert len(one_sided_rows("w", (), [0.0, 1.0], 2.0)) == 2
 
 
 # ---------------------------------------------------------------------------
