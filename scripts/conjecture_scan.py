@@ -4,9 +4,10 @@
 For y > -1/2 and min{1, 1/(2(y+1))} < alpha <= 1, reciprocal complete
 monotonicity is conjectured to fail but unproven, so the scanner never
 classifies those cells.  This script sweeps the zone at a finer resolution
-than the CLI scan, runs the RECIPROCAL certificate in every cell, and
-tabulates where the grid finds a conclusive sign violation (evidence for
-the conjecture) versus where it finds none.
+than the CLI scan, runs the RECIPROCAL search in every cell (one
+first_violations pass per y), and tabulates where the grid finds a
+conclusive sign violation (evidence for the conjecture) versus where it
+finds none.
 
 Writes a CSV (alpha, y, zone_width_position, reciprocal_violation,
 witness_k, witness_x) and prints an aggregate table by y.
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from gammacert import Direction, Verdict, default_grid, lcm_certifier
+from gammacert import default_grid, first_violations
 from gammacert.certify import (
     DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, in_conjecture_zone)
 from gammacert.hfamily import reciprocal_threshold
@@ -37,21 +38,19 @@ def run(args: argparse.Namespace) -> int:
     for y in np.linspace(args.y_min, args.y_max, args.y_count):
         y = float(y)
         grid = default_grid(y, points=args.grid_points, x_max=args.x_max)
-        certify = lcm_certifier(y, args.kmax, grid)
         alphas = zone_alphas(y, args.alpha_count)
+        assert in_conjecture_zone(alphas, y).all(), y
+        xs, first, _ = first_violations(y, alphas, args.kmax, grid)
         violations = 0
-        for pos, alpha in enumerate(alphas, start=1):
-            alpha = float(alpha)
-            assert in_conjecture_zone(alpha, y), (alpha, y)
-            cert = certify(alpha, Direction.RECIPROCAL)
-            violated = cert.verdict is Verdict.FAIL
+        reciprocal = first[1].tolist()  # -1: no conclusive violation
+        for pos, (alpha, hit) in enumerate(zip(alphas.tolist(), reciprocal), start=1):
+            violated = hit >= 0
             violations += violated
-            w = cert.witness
             rows.append(
                 f"{alpha:.17g},{y:.17g},{pos}/{args.alpha_count},"
                 f"{str(violated).lower()},"
-                f"{'' if w is None else w.k},"
-                f"{'' if w is None else format(w.x, '.17g')}")
+                f"{hit // xs.size + 1 if violated else ''},"
+                f"{format(xs[hit % xs.size], '.17g') if violated else ''}")
         tally.append((y, violations, len(alphas)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

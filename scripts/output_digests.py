@@ -45,6 +45,12 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=-1:3:0.1", "--y=-0.95:0.5:0.15", "--grid-points", "77",
      "--x-max", "300"),
     ("scan", "--alpha=0:2:0.01", "--y=-0.9:5:0.59"),
+    # alpha exactly at both thresholds, the conjecture zone and NEITHER cells
+    ("scan", "--alpha=0.5:2:0.5", "--y=-0.5:1:0.5"),
+    # the smallest derivative table
+    ("scan", "--alpha=-1:2:0.25", "--y=0:2:1", "--kmax", "1", "--grid-points", "2"),
+    # a k_max = 12 row that first_violations evaluates in 34 blocks
+    ("scan", "--alpha=0:2:0.01", "--y=0.7:0.7:1", "--kmax", "12"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

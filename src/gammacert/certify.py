@@ -56,6 +56,7 @@ __all__ = [
     "classify",
     "default_grid",
     "finite_diff_crosscheck",
+    "first_violations",
     "grid_points",
     "in_conjecture_zone",
     "lcm_certifier",
@@ -165,25 +166,34 @@ class Certificate:
                 "certificate invariant violated: FAIL iff witness present")
 
 
-def _first_violation(margin: np.ndarray, scale: np.ndarray) -> tuple[int | None, int]:
-    """First flat index (C order) where margin > 0 fails conclusively, or None,
-    and the count of failures before it that sit below the noise floor
+def _first_violation(margin: np.ndarray, scale: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row along the leading axis: the first flat index (C order) in
+    the row where margin > 0 fails conclusively (-1 if none), and the count
+    of failures before it that sit below the noise floor
     NOISE_FLOOR_REL * scale (a NaN margin or scale is conclusive)."""
-    failing = ~(margin > 0.0)
-    sub_floor = np.abs(margin) < NOISE_FLOOR_REL * scale
-    conclusive = np.flatnonzero(failing & ~sub_floor)
-    first = int(conclusive[0]) if conclusive.size else None
-    return first, int(np.count_nonzero((failing & sub_floor).ravel()[:first]))
+    rows = len(margin)
+    failing = ~(margin > 0.0).reshape(rows, -1)
+    sub_floor = (np.abs(margin) < NOISE_FLOOR_REL * scale).reshape(rows, -1)
+    conclusive = failing & ~sub_floor
+    found = conclusive.any(axis=1)
+    first = np.where(found, conclusive.argmax(axis=1), -1)
+    # count each row's sub-floor failures in [row start, first) of the flat
+    # order, or in the whole row when it has no violation
+    size = failing.shape[1]
+    starts = np.arange(rows) * size
+    ends = starts + np.where(found, first, size)
+    sub_floor_failures = np.flatnonzero(failing & sub_floor)
+    return first, (np.searchsorted(sub_floor_failures, ends)
+                   - np.searchsorted(sub_floor_failures, starts))
 
 
-def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
-                  ) -> Callable[[float, Direction | str], Certificate]:
-    """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
-
-    One derivative table at y serves every certificate.  direction LCM
-    requires the signed quantity positive, RECIPROCAL negative.  The witness
-    is the first conclusive violation by increasing k, then grid order.
-    """
+def _signed_table(y: float, k_max: int, grid: GridSpec | None
+                  ) -> tuple[GridSpec, np.ndarray, Callable]:
+    """Setup shared by lcm_certifier and first_violations: validate y and
+    k_max, and return the grid (default_grid(y) for None), its abscissae xs
+    and signed(alpha), the derivative table's (values, scales) at alpha (a
+    float or a 1-D array) with values times (-1)^k, so LCM wants them > 0."""
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     if not (isinstance(k_max, int) and not isinstance(k_max, bool)
             and 1 <= k_max <= MAX_DERIV_ORDER):
@@ -195,21 +205,76 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
     table = logh_deriv_table(k_max, y, xs)
     odd_sign = (-1.0) ** np.arange(1, k_max + 1)[:, None]  # (-1)^k
 
+    def signed(alpha) -> tuple[np.ndarray, np.ndarray]:
+        values, scales = table(alpha)
+        values *= odd_sign
+        return values, scales
+
+    return grid, xs, signed
+
+
+def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
+                  ) -> Callable[[float, Direction | str], Certificate]:
+    """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
+
+    One derivative table at y serves every certificate.  direction LCM
+    requires the signed quantity positive, RECIPROCAL negative.  The witness
+    is the first conclusive violation by increasing k, then grid order.
+    """
+    grid, xs, signed_at = _signed_table(y, k_max, grid)
+
     def certify(alpha: float, direction: Direction | str) -> Certificate:
         direction = Direction(direction)
         params = HParams(alpha=alpha, y=y)
-        values, scales = table(params.alpha)
-        signed = odd_sign * values
-        first, undecided = _first_violation(
-            signed if direction is Direction.LCM else -signed, scales)
-        witness = None if first is None else DerivSample(
-            k=first // xs.size + 1, x=float(xs[first % xs.size]),
+        signed, scales = signed_at(params.alpha)
+        margin = signed if direction is Direction.LCM else -signed
+        (first,), (undecided,) = _first_violation(margin[None], scales[None])
+        witness = None if first < 0 else DerivSample(
+            k=int(first) // xs.size + 1, x=float(xs[first % xs.size]),
             value=float(signed.flat[first]))
         return Certificate(params=params, direction=direction, k_max=k_max, grid=grid,
                            verdict=Verdict.PASS if witness is None else Verdict.FAIL,
-                           witness=witness, undecided_points=undecided)
+                           witness=witness, undecided_points=int(undecided))
 
     return certify
+
+
+#: Most (alpha, k, x) values that first_violations evaluates at once.  It
+#: takes the alphas in consecutive blocks, so peak memory stays flat for long
+#: alpha ranges, and each float temporary stays within 128 KiB: glibc's
+#: malloc maps larger arrays to fresh pages, whose faults cost more than the
+#: extra block calls (on a 2-CPU Xeon VM, 2 ** 16 made a 41-alpha, k_max = 8
+#: row about 1 ms slower).
+ROW_BLOCK_VALUES = 2 ** 14
+
+
+def first_violations(y: float, alphas, k_max: int = DEFAULT_K_MAX,
+                     grid: GridSpec | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both certificate searches for every alpha of a 1-D sequence, in one pass.
+
+    Returns (xs, first, undecided): the grid abscissae, and two integer
+    arrays of shape (2, len(alphas)), row 0 for direction LCM and row 1 for
+    RECIPROCAL.  first is the flat index (k - 1) * len(xs) + i of the first
+    conclusive violation, at order k and x = xs[i], or -1 for a PASS;
+    undecided counts the sub-floor points before it.  Both are what
+    lcm_certifier(y, k_max, grid)'s certify(alpha, direction) reports.
+    """
+    _, xs, signed_at = _signed_table(y, k_max, grid)
+    alphas = np.array([require_real(v, "alpha") for v in alphas], dtype=float)
+    finite = np.isfinite(alphas)
+    if not finite.all():
+        HParams(alpha=float(alphas[~finite][0]), y=y)  # raises DomainError
+    first = np.empty((2, alphas.size), dtype=np.intp)
+    undecided = np.empty_like(first)
+    block = max(1, ROW_BLOCK_VALUES // (k_max * xs.size))
+    for start in range(0, alphas.size, block):
+        rows = slice(start, start + block)
+        signed, scales = signed_at(alphas[rows])
+        first[0, rows], undecided[0, rows] = _first_violation(signed, scales)
+        np.negative(signed, out=signed)  # the RECIPROCAL margin
+        first[1, rows], undecided[1, rows] = _first_violation(signed, scales)
+    return xs, first, undecided
 
 
 def certify_lcm(params: HParams, direction: Direction | str,
@@ -255,21 +320,24 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
     values, scales = q_surface_table(y, xs)
     # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
     margin = -np.concatenate([values, np.diff(values)])
-    first, undecided = _first_violation(
-        margin, np.concatenate([scales, np.maximum(scales[:-1], scales[1:])]))
-    witness = None if first is None else DerivSample(
+    (first,), (undecided,) = _first_violation(
+        margin[None], np.concatenate([scales, np.maximum(scales[:-1], scales[1:])])[None])
+    witness = None if first < 0 else DerivSample(
         k=int(first >= xs.size), x=float(np.concatenate([xs, xs[1:]])[first]),
         value=float(-margin[first]))
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
     return Certificate(params=HParams(alpha=0.5 / c, y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
-                       undecided_points=undecided, check="surface-negativity")
+                       undecided_points=int(undecided), check="surface-negativity")
 
 
-def in_conjecture_zone(alpha: float, y: float) -> bool:
+def in_conjecture_zone(alpha, y: float):
     """Parameter region where reciprocal complete monotonicity is conjectured
-    to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1."""
-    return y > -0.5 and reciprocal_threshold(y) < alpha <= 1.0
+    to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1.  For a numpy
+    array of alphas, one flag per alpha."""
+    if not y > -0.5:
+        return np.zeros_like(alpha, dtype=bool) if isinstance(alpha, np.ndarray) else False
+    return (reciprocal_threshold(y) < alpha) & (alpha <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -288,41 +356,42 @@ class ScanCell:
     reciprocal_violation: bool | None = None
 
 
+#: _CLASSIFICATION[LCM passes][RECIPROCAL passes][in the conjecture zone]
+_CLASSIFICATION = (
+    ((Classification.NEITHER, Classification.NEITHER),
+     (Classification.RECIPROCAL, Classification.UNDECIDED)),
+    ((Classification.LCM, Classification.LCM),
+     (Classification.UNDECIDED, Classification.UNDECIDED)),
+)
+
+
 def classify(lcm_cert: Certificate, recip_cert: Certificate,
              conjecture_zone: bool) -> Classification:
     """Combine the two directional certificates into a cell classification."""
-    lcm_pass = lcm_cert.verdict is Verdict.PASS
-    rec_pass = recip_cert.verdict is Verdict.PASS
-    if lcm_pass and not rec_pass:
-        return Classification.LCM
-    if rec_pass and not lcm_pass:
-        return Classification.UNDECIDED if conjecture_zone else Classification.RECIPROCAL
-    if not lcm_pass and not rec_pass:
-        return Classification.NEITHER
-    return Classification.UNDECIDED
+    return _CLASSIFICATION[lcm_cert.verdict is Verdict.PASS][
+        recip_cert.verdict is Verdict.PASS][bool(conjecture_zone)]
 
 
 def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
                 x_max: float = DEFAULT_X_MAX) -> list[ScanCell]:
     """Classify every (alpha, y) combination; y-major, then alpha order.
 
-    Each y builds one derivative table on default_grid(y, points, x_max),
-    shared by all its cells.
+    Each y builds one derivative table on default_grid(y, points, x_max) and
+    classifies all its cells from one first_violations pass, exactly as
+    classify would from the two certificates of each cell.
     """
     alphas = [require_real(v, "alpha") for v in alphas]
     cells: list[ScanCell] = []
     for y in (require_real(v, "y") for v in ys):
-        certify = lcm_certifier(y, k_max, default_grid(y, points=points, x_max=x_max))
-        for alpha in alphas:
-            lcm_cert = certify(alpha, Direction.LCM)
-            rec_cert = certify(alpha, Direction.RECIPROCAL)
-            zone = in_conjecture_zone(alpha, y)
-            cells.append(ScanCell(
-                alpha=alpha, y=y,
-                classification=classify(lcm_cert, rec_cert, zone),
-                conjecture_zone=zone,
-                reciprocal_violation=(rec_cert.verdict is Verdict.FAIL)
-                if zone else None))
+        _, first, _ = first_violations(
+            y, alphas, k_max, default_grid(y, points=points, x_max=x_max))
+        lcm_pass, rec_pass = (first < 0).tolist()
+        zones = in_conjecture_zone(np.array(alphas), y).tolist()
+        cells += [ScanCell(alpha=alpha, y=y,
+                           classification=_CLASSIFICATION[lcm][rec][zone],
+                           conjecture_zone=zone,
+                           reciprocal_violation=(not rec) if zone else None)
+                  for alpha, lcm, rec, zone in zip(alphas, lcm_pass, rec_pass, zones)]
     return cells
 
 

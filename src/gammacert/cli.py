@@ -15,6 +15,7 @@ timestamps, so identical invocations produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -342,10 +343,14 @@ def parse_range(spec: str, label: str) -> list[float]:
         raise ParameterError(f"{label} step must be > 0, got {step!r}")
     if end < start:
         raise ParameterError(f"{label} end must be >= start, got {spec!r}")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    steps = (end - start) / step
+    if not math.isfinite(steps):
+        raise ParameterError(f"{label} has too many steps to count, got {spec!r}")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammacert",

@@ -158,8 +158,10 @@ def logh_deriv_table(k_max: int, y: float,
 
     alpha enters the closed form only through its last term, so the rest is
     evaluated once; at(alpha) adds that term and returns (values, scales) of
-    shape (k_max, len(xs)).  A scale sums the absolute values of the combined
-    terms: it bounds the rounding noise and feeds certificate noise floors.
+    shape (k_max, len(xs)), or (len(alpha), k_max, len(xs)) for a 1-D array
+    of alphas, each row bit-identical to its one-alpha call.  A scale sums
+    the absolute values of the combined terms: it bounds the rounding noise
+    and feeds certificate noise floors.
     """
     check_order(k_max)
     y = require_real(y, "y")
@@ -187,9 +189,12 @@ def logh_deriv_table(k_max: int, y: float,
             "double-precision range") from None
     alpha_coef = np.array([[(-1.0) ** k * math.factorial(k - 1)] for k in ks])
 
-    def at(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        alpha_term = alpha_coef * float(alpha) / u_pow
-        return core + alpha_term, core_scale + np.abs(alpha_term)
+    def at(alpha) -> tuple[np.ndarray, np.ndarray]:
+        term = np.multiply.outer(np.asarray(alpha, dtype=float), alpha_coef) / u_pow
+        values = core + term
+        scales = np.abs(term, out=term)  # the term's buffer becomes the scales
+        scales += core_scale
+        return values, scales
 
     return at
 

@@ -6,20 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammacert import (
     Certificate,
     Classification,
     Direction,
+    DomainError,
     GridSpec,
     HParams,
     ParameterError,
     PrecisionError,
+    ScanCell,
     Verdict,
     certify_lcm,
     classify,
     default_grid,
     finite_diff_crosscheck,
+    first_violations,
     grid_points,
     in_conjecture_zone,
     lcm_certifier,
@@ -29,10 +33,11 @@ from gammacert import (
     scan_values,
     verify_thm3,
 )
-from gammacert.certify import NOISE_FLOOR_REL, _first_violation
+from gammacert.certify import NOISE_FLOOR_REL, ROW_BLOCK_VALUES, _first_violation
 from gammacert.cli import (
     _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
-from gammacert.hfamily import X_EPSILON, DerivSample, lcm_threshold, reciprocal_threshold
+from gammacert.hfamily import (
+    X_EPSILON, DerivSample, lcm_threshold, logh_deriv_table, reciprocal_threshold)
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)
 
@@ -302,16 +307,26 @@ def test_verify_thm3_search_on_a_stand_in_surface(monkeypatch, surface, verdict,
             1, xs[1], surface(xs[1]) - surface(xs[0]))
 
 
+def _one_row(margin, scale):
+    (first,), (undecided,) = _first_violation(np.asarray(margin)[None],
+                                              np.asarray(scale)[None])
+    return int(first), int(undecided)
+
+
 def test_first_violation_order_floor_and_nan():
     scale = np.ones((2, 3))
     # C order: row k = 1 first; sub-floor entries before the hit are counted
     margin = np.array([[1.0, -1e-12, 0.0], [-1e-12, -1.0, -1e-12]])
-    assert _first_violation(margin, scale) == (4, 3)
-    assert _first_violation(np.abs(margin) + 1.0, scale) == (None, 0)
-    assert _first_violation(np.array([-1e-12, -1e-12]), np.ones(2)) == (None, 2)
-    assert _first_violation(np.array([1.0, math.nan, -1.0]), np.ones(3)) == (1, 0)
-    assert _first_violation(np.array([-1e-12, 1.0]),
-                            np.array([math.nan, 1.0])) == (0, 0)
+    assert _one_row(margin, scale) == (4, 3)
+    assert _one_row(np.abs(margin) + 1.0, scale) == (-1, 0)
+    assert _one_row([-1e-12, -1e-12], np.ones(2)) == (-1, 2)
+    assert _one_row([1.0, math.nan, -1.0], np.ones(3)) == (1, 0)
+    assert _one_row([-1e-12, 1.0], [math.nan, 1.0]) == (0, 0)
+    # row by row along the leading axis: each row is its own search
+    rows = np.array([margin, np.abs(margin) + 1.0, -margin, np.full((2, 3), -1e-12)])
+    first, undecided = _first_violation(rows, np.ones_like(rows))
+    assert list(zip(first.tolist(), undecided.tolist())) == [
+        _one_row(row, scale) for row in rows] == [(4, 3), (-1, 0), (0, 0), (-1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +454,118 @@ def test_classification_is_monotone_along_alpha():
              Classification.NEITHER: 1, Classification.LCM: 2}
     seq = [ranks[c.classification] for c in cells]
     assert seq == sorted(seq)
+
+
+# ---------------------------------------------------------------------------
+# the row pass: every alpha of a y-row from one table evaluation
+# ---------------------------------------------------------------------------
+
+ROW_YS = (-0.95, -0.5, 0.0, 1.0, 5.0)
+
+
+def _row_alphas(y):
+    """Negatives, 0, both Theorem 1 thresholds exactly and +-1e6."""
+    return [-1e6, -3.0, -0.5, 0.0, reciprocal_threshold(y), 0.75, 1.0,
+            lcm_threshold(y), 2.5, 1e6]
+
+
+def _assert_row_pass_matches_certify(y, alphas, k_max, grid):
+    xs, first, undecided = first_violations(y, alphas, k_max, grid)
+    certify = lcm_certifier(y, k_max, grid)
+    table = logh_deriv_table(k_max, y, xs)
+    assert first.shape == undecided.shape == (2, len(alphas))
+    for j, alpha in enumerate(alphas):
+        values = table(alpha)[0]
+        for row, direction in enumerate(Direction):  # row 0 LCM, row 1 RECIPROCAL
+            cert = certify(alpha, direction)
+            f = int(first[row, j])
+            witness = None if f < 0 else (
+                f // xs.size + 1, float(xs[f % xs.size]).hex(),
+                float((-1.0) ** (f // xs.size + 1) * values.flat[f]).hex())
+            verdict = Verdict.PASS if f < 0 else Verdict.FAIL
+            assert _outcome(cert) == (verdict, witness, int(undecided[row, j])), (
+                alpha, y, direction)
+
+
+@pytest.mark.parametrize("y", ROW_YS)
+@pytest.mark.parametrize("k_max", [1, 8, 12])
+def test_row_pass_matches_one_alpha_certificates(y, k_max):
+    for points in (2, 57, 200):
+        _assert_row_pass_matches_certify(y, _row_alphas(y), k_max,
+                                         default_grid(y, points=points))
+
+
+@settings(max_examples=25)
+@given(y=st.sampled_from(ROW_YS), k_max=st.sampled_from([1, 8, 12]),
+       points=st.sampled_from([2, 57, 200]),
+       alphas=st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=12))
+def test_row_pass_matches_certificates_on_drawn_alphas(y, k_max, points, alphas):
+    _assert_row_pass_matches_certify(y, alphas, k_max, default_grid(y, points=points))
+
+
+@pytest.mark.parametrize("count", [60, 61])
+def test_row_pass_across_blocks(count):
+    y = 0.7
+    block = ROW_BLOCK_VALUES // (12 * grid_points(default_grid(y), y).size)
+    assert 1 < block < count  # several blocks; with 61 alphas the last one is short
+    alphas = np.linspace(-0.5, 2.0, count).tolist()
+    _assert_row_pass_matches_certify(y, alphas, 12, default_grid(y))
+
+
+def test_row_pass_of_no_alphas():
+    xs, first, undecided = first_violations(0.0, [], grid=FAST_GRID)
+    assert xs.size > 0 and first.shape == undecided.shape == (2, 0)
+
+
+def _reference_scan(alphas, ys, k_max, points, x_max):
+    cells = []
+    for y in ys:
+        certify = lcm_certifier(y, k_max, default_grid(y, points=points, x_max=x_max))
+        for alpha in alphas:
+            lcm, rec = certify(alpha, Direction.LCM), certify(alpha, Direction.RECIPROCAL)
+            zone = in_conjecture_zone(alpha, y)
+            cells.append(ScanCell(alpha, y, classify(lcm, rec, zone), zone,
+                                  (rec.verdict is Verdict.FAIL) if zone else None))
+    return cells
+
+
+@pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (4, 57, 80.0)])
+def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
+    ys = [*ROW_YS, -0.7, 0.7]
+    alphas = [0.05 * i for i in range(-4, 45)] + [0.5, 2.0 / 3.0, 1.0 / 6.0]
+    cells = scan_values(alphas, ys, k_max, points, x_max)
+    assert cells == _reference_scan(alphas, ys, k_max, points, x_max)
+    assert {c.classification for c in cells} == set(Classification)
+    assert all(type(c.conjecture_zone) is bool for c in cells)
+
+
+@pytest.mark.parametrize("alphas,ys,kwargs,error,message", [
+    ([0.5, math.inf], [0.0], {}, DomainError, "alpha must be finite, got inf"),
+    ([-math.nan], [1.0], {}, DomainError, "alpha must be finite, got nan"),
+    ([0.5], [-1.0], {}, ParameterError,
+     "x_min_offset must be a finite positive real, got 0.0"),
+    ([0.5], [math.nan], {}, ParameterError,
+     "x_min_offset must be a finite positive real, got nan"),
+    ([0.5], ["abc"], {}, DomainError, "y must be a real number, got 'abc'"),
+    # a bad y comes before a bad alpha
+    ([math.inf], [-2.0], {}, ParameterError,
+     "x_min_offset must be a finite positive real, got -0.0001"),
+    ([0.5], [0.0], {"k_max": 0}, ParameterError,
+     "k_max must be an integer in 1..12, got 0"),
+    ([0.5], [0.0], {"k_max": 13}, ParameterError,
+     "k_max must be an integer in 1..12, got 13"),
+    ([], [0.0], {"k_max": True}, ParameterError,
+     "k_max must be an integer in 1..12, got True"),
+])
+def test_scan_values_errors(alphas, ys, kwargs, error, message):
+    with pytest.raises(error) as info:
+        scan_values(alphas, ys, **kwargs)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_scan_values_of_no_cells():
+    assert scan_values([], [0.0, 1.0]) == []
+    assert scan_values([0.5, 1.0], []) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -237,6 +238,16 @@ def test_parse_range_errors():
             parse_range(bad, "alpha")
 
 
+@pytest.mark.parametrize("alpha", ["0:1e300:1e-300", "-1e308:1e308:1e300"])
+def test_range_whose_step_count_overflows_exits_two(alpha, capsys):
+    with pytest.raises(ParameterError, match="too many steps"):
+        parse_range(alpha, "--alpha")
+    assert main(["scan", f"--alpha={alpha}", "--y=0:0:1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gammacert") and "Traceback" not in err
+    assert f"gammacert: error: --alpha has too many steps to count, got '{alpha}'" in err
+
+
 def test_verify_csv_escapes_nothing_unexpected():
     from gammacert import build_report
     report = build_report("thm2", build_suite("thm2"), tool_version="0.1.0")
@@ -271,6 +282,29 @@ def test_verify_csv_rows_match_the_join_of_format_17g():
                                       item.verdict.value]))
     report = build_report("edges", results, tool_version="0.1.0")
     assert verify_csv(report) == "\n".join(expected) + "\n"
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    from gammacert.cli import _build_parser
+
+    calls = (["scan", "--alpha", "0:1:0.5"],  # usage error: --y is missing
+             ["scan", "--alpha=0:2:0.5", "--y=-0.5:1:0.5", "--grid-points", "40"],
+             ["verify", "--suite", "thm2", "--format", "csv"],
+             ["--version"])
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r'"timestamp": "[^"]*"', "", err)
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    _build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
 
 
 def test_version_flag(capsys):
