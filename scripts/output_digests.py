@@ -35,6 +35,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--suite", s, "--format", f) for s in SUITES for f in ("json", "csv")),
     *(("verify", "--suite", "all", "--grid-points", "173", "--x-max", "1500",
        "--format", f) for f in ("json", "csv")),
+    # the largest verify-all op of the benchmark
+    ("verify", "--suite", "all", "--grid-points", "250", "--x-max", "2000",
+     "--format", "json"),
     # the lemma grid at the size and range of the benchmark's catalog ops
     *(("verify", "--suite", "lemmas", "--grid-points", "1000", "--x-max", "1999.5",
        "--format", f) for f in ("json", "csv")),

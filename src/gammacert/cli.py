@@ -69,6 +69,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: most values one start:end:step range may hold (the cell count of a scan
+#: is the product of its two ranges)
+MAX_RANGE_VALUES = 1_000_000
+
 #: Accepted but undocumented: a suite with one deliberately false check,
 #: used to exercise the exit-code contract end to end.
 FAULT_SUITE = "selftest-fault"
@@ -344,8 +348,10 @@ def parse_range(spec: str, label: str) -> list[float]:
     if end < start:
         raise ParameterError(f"{label} end must be >= start, got {spec!r}")
     steps = (end - start) / step
-    if not math.isfinite(steps):
-        raise ParameterError(f"{label} has too many steps to count, got {spec!r}")
+    # also false when the step count overflows to inf
+    if not steps + 1e-9 < MAX_RANGE_VALUES:
+        raise ParameterError(f"{label} has too many steps to count, got {spec!r} "
+                             f"(at most {MAX_RANGE_VALUES} values per range)")
     count = int(math.floor(steps + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 

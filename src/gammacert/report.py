@@ -3,10 +3,16 @@
 One Report wraps the results of a suite run (CheckResult, Certificate and
 ScanCell instances) together with a status tally.  Serialization rules:
 
-- every float is rendered in Python's shortest round-trip form, so it parses
-  back to the same binary64 value;
-- non-finite numbers are refused (reports must be machine-consumable);
-- parse(serialize(report)) reconstructs an equal Report.
+- dumps is the one renderer: it writes the JSON text in one pass over the
+  results, from one template per item kind, with no intermediate dict tree;
+- to_jsonable is that text parsed back (json.loads), so the schema is
+  written down once, in the templates;
+- every float is rendered in Python's shortest round-trip form (repr), so it
+  parses back to the same binary64 value; strings are escaped to ASCII as
+  json.dumps does;
+- non-finite numbers are refused with ValueError, by dumps and to_jsonable
+  alike (reports must be machine-consumable);
+- from_jsonable(to_jsonable(report)) reconstructs an equal Report.
 
 Status mapping: a CheckResult is "passed" when it holds, "undecided" when its
 margin sat inside the floating-noise band (the margin_within_noise marker),
@@ -19,8 +25,10 @@ keys off failed == 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from .certify import (
     Certificate,
@@ -87,64 +95,90 @@ def build_report(suite: str, results, tool_version: str,
 
 
 # ---------------------------------------------------------------------------
-# to/from plain JSON-compatible structures
+# JSON text, and plain structures parsed from it
 # ---------------------------------------------------------------------------
 
+# One template per item kind, keys in schema order.  The separators are
+# json.dumps's defaults (", " and ": ").
+_CHECK = ('{"type": "check", "name": %s, "inputs": [%s], "lhs": %s, "rhs": %s, '
+          '"margin": %s, "holds": %s, "strict": %s, "status": "%s"}')
+_CERTIFICATE = ('{"type": "certificate", "check": %s, "semantics": %s, '
+                '"params": {"alpha": %s, "y": %s}, "direction": %s, "k_max": %d, '
+                '"grid": {"x_min_offset": %s, "x_max": %s, "points": %d}, '
+                '"verdict": %s, "witness": %s, "undecided_points": %d, "status": "%s"}')
+_WITNESS = '{"k": %d, "x": %s, "value": %s}'
+_SCAN_CELL = ('{"type": "scan_cell", "alpha": %s, "y": %s, "classification": %s, '
+              '"conjecture_zone": %s, "reciprocal_violation": %s, "status": "%s"}')
+_REPORT = ('{"tool_version": %s, "timestamp": %s, "suite": %s, "results": [%s], '
+           '"summary": %s}')
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+class _FloatReprs(dict):
+    """float -> its JSON spelling (repr), filled on first use.
+
+    An int in a float slot (HParams and GridSpec accept one) is spelled as
+    the float it equals, like the float it collides with as a dict key.
+    Zeros are never stored: -0.0 == 0.0 and both hash alike, so a stored
+    zero would give the other zero its sign.
+    """
+
+    def __missing__(self, v):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        text = repr(float(v))
+        if v:
+            self[v] = text
+        return text
+
+
+class _StringReprs(dict):
+    """str -> its quoted, ASCII-escaped JSON spelling, filled on first use."""
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
+    """JSON text of one result item; f and s memoise its numbers and strings."""
+    if isinstance(item, CheckResult):
+        return _CHECK % (
+            s[item.name],
+            ", ".join(["[%s, %s]" % (s[name], f[v]) for name, v in item.inputs]),
+            f[item.lhs], f[item.rhs], f[item.margin],
+            _LITERAL[item.holds], _LITERAL[item.strict], result_status(item))
+    if isinstance(item, Certificate):
+        w, grid = item.witness, item.grid
+        return _CERTIFICATE % (
+            s[item.check], s[item.semantics], f[item.params.alpha], f[item.params.y],
+            "null" if item.direction is None else s[item.direction.value],
+            item.k_max, f[grid.x_min_offset], f[grid.x_max], grid.points,
+            s[item.verdict.value],
+            "null" if w is None else _WITNESS % (w.k, f[w.x], f[w.value]),
+            item.undecided_points, result_status(item))
+    if isinstance(item, ScanCell):
+        return _SCAN_CELL % (
+            f[item.alpha], f[item.y], s[item.classification.value],
+            _LITERAL[item.conjecture_zone], _LITERAL[item.reciprocal_violation],
+            result_status(item))
+    raise TypeError(f"cannot serialize {type(item).__name__}")
+
+
+def dumps(report: Report) -> str:
+    """Serialize a Report to JSON text; a non-finite float raises ValueError."""
+    f, s = _FloatReprs(), _StringReprs()
+    return _REPORT % (
+        s[report.tool_version], s[report.timestamp], s[report.suite],
+        ", ".join([_item_text(item, f, s) for item in report.results]),
+        json.dumps(report.summary, allow_nan=False))
+
+
 def to_jsonable(obj):
-    """Convert a Report or result item to plain dict/list/scalar structure."""
+    """A Report or result item as the plain dict that its JSON text parses to."""
     if isinstance(obj, Report):
-        return {
-            "tool_version": obj.tool_version,
-            "timestamp": obj.timestamp,
-            "suite": obj.suite,
-            "results": [to_jsonable(item) for item in obj.results],
-            "summary": dict(obj.summary),
-        }
-    if isinstance(obj, CheckResult):
-        return {
-            "type": "check",
-            "name": obj.name,
-            "inputs": [[name, value] for name, value in obj.inputs],
-            "lhs": obj.lhs,
-            "rhs": obj.rhs,
-            "margin": obj.margin,
-            "holds": obj.holds,
-            "strict": obj.strict,
-            "status": result_status(obj),
-        }
-    if isinstance(obj, Certificate):
-        witness = None
-        if obj.witness is not None:
-            witness = {"k": obj.witness.k, "x": obj.witness.x,
-                       "value": obj.witness.value}
-        return {
-            "type": "certificate",
-            "check": obj.check,
-            "semantics": obj.semantics,
-            "params": {"alpha": obj.params.alpha, "y": obj.params.y},
-            "direction": None if obj.direction is None else obj.direction.value,
-            "k_max": obj.k_max,
-            "grid": {
-                "x_min_offset": obj.grid.x_min_offset,
-                "x_max": obj.grid.x_max,
-                "points": obj.grid.points,
-            },
-            "verdict": obj.verdict.value,
-            "witness": witness,
-            "undecided_points": obj.undecided_points,
-            "status": result_status(obj),
-        }
-    if isinstance(obj, ScanCell):
-        return {
-            "type": "scan_cell",
-            "alpha": obj.alpha,
-            "y": obj.y,
-            "classification": obj.classification.value,
-            "conjecture_zone": obj.conjecture_zone,
-            "reciprocal_violation": obj.reciprocal_violation,
-            "status": result_status(obj),
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return json.loads(dumps(obj))
+    return json.loads(_item_text(obj, _FloatReprs(), _StringReprs()))
 
 
 def _item_from_jsonable(data: dict) -> ResultItem:
@@ -199,8 +233,3 @@ def from_jsonable(data: dict) -> Report:
         results=tuple(_item_from_jsonable(item) for item in data["results"]),
         summary={k: int(v) for k, v in data["summary"].items()},
     )
-
-
-def dumps(report: Report) -> str:
-    """Serialize a Report to JSON text; a non-finite float raises ValueError."""
-    return json.dumps(to_jsonable(report), allow_nan=False)

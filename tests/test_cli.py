@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from gammacert import from_jsonable
+from gammacert import cli, from_jsonable
 from gammacert.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -246,6 +246,27 @@ def test_range_whose_step_count_overflows_exits_two(alpha, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: gammacert") and "Traceback" not in err
     assert f"gammacert: error: --alpha has too many steps to count, got '{alpha}'" in err
+
+
+def test_range_above_the_value_cap_exits_two(capsys):
+    # 1,000,001 values; the y range is invalid too, so that a parser without
+    # the cap stops there instead of scanning a million cells
+    alpha = "0:1000000:1"
+    with pytest.raises(ParameterError, match="at most 1000000 values per range"):
+        parse_range(alpha, "--alpha")
+    assert main(["scan", f"--alpha={alpha}", "--y=0:1:0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gammacert") and "Traceback" not in err
+    assert f"gammacert: error: --alpha has too many steps to count, got '{alpha}'" in err
+
+
+def test_range_value_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 10)
+    assert parse_range("0:9:1", "alpha") == [float(i) for i in range(10)]
+    assert len(parse_range("0:0.9:0.1", "alpha")) == 10
+    for spec in ("0:10:1", "0:1:0.1"):
+        with pytest.raises(ParameterError, match="at most 10 values"):
+            parse_range(spec, "alpha")
 
 
 def test_verify_csv_escapes_nothing_unexpected():

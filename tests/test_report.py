@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -26,8 +27,74 @@ from gammacert import (
     thm2_ineq,
     to_jsonable,
 )
-from gammacert.certify import Classification
+from gammacert.certify import Classification, scan_values
+from gammacert.cli import build_suite
 from gammacert.hfamily import DerivSample
+
+
+def _reference(obj):
+    """The dict tree that dumps(report) must spell exactly: the report schema
+    as plain dicts, the referee of the one-pass renderer."""
+    if isinstance(obj, Report):
+        return {
+            "tool_version": obj.tool_version,
+            "timestamp": obj.timestamp,
+            "suite": obj.suite,
+            "results": [_reference(item) for item in obj.results],
+            "summary": dict(obj.summary),
+        }
+    if isinstance(obj, CheckResult):
+        return {
+            "type": "check",
+            "name": obj.name,
+            "inputs": [[name, value] for name, value in obj.inputs],
+            "lhs": obj.lhs,
+            "rhs": obj.rhs,
+            "margin": obj.margin,
+            "holds": obj.holds,
+            "strict": obj.strict,
+            "status": result_status(obj),
+        }
+    if isinstance(obj, Certificate):
+        witness = None
+        if obj.witness is not None:
+            witness = {"k": obj.witness.k, "x": obj.witness.x,
+                       "value": obj.witness.value}
+        return {
+            "type": "certificate",
+            "check": obj.check,
+            "semantics": obj.semantics,
+            "params": {"alpha": obj.params.alpha, "y": obj.params.y},
+            "direction": None if obj.direction is None else obj.direction.value,
+            "k_max": obj.k_max,
+            "grid": {
+                "x_min_offset": obj.grid.x_min_offset,
+                "x_max": obj.grid.x_max,
+                "points": obj.grid.points,
+            },
+            "verdict": obj.verdict.value,
+            "witness": witness,
+            "undecided_points": obj.undecided_points,
+            "status": result_status(obj),
+        }
+    if isinstance(obj, ScanCell):
+        return {
+            "type": "scan_cell",
+            "alpha": obj.alpha,
+            "y": obj.y,
+            "classification": obj.classification.value,
+            "conjecture_zone": obj.conjecture_zone,
+            "reciprocal_violation": obj.reciprocal_violation,
+            "status": result_status(obj),
+        }
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _assert_matches_reference(report: Report) -> None:
+    assert dumps(report) == json.dumps(_reference(report), allow_nan=False)
+    assert to_jsonable(report) == _reference(report)
+    for item in report.results:
+        assert to_jsonable(item) == _reference(item)
 
 
 def _passing_check() -> CheckResult:
@@ -124,16 +191,41 @@ def test_dumps_types():
     assert '"k_max": 8' in text
 
 
+#: one factory per float slot of a result item: value -> item
+_FLOAT_SLOTS = {
+    "check input": lambda v: CheckResult(
+        name="bad_input", inputs=(("t", v),), lhs=0.0, rhs=1.0, margin=1.0,
+        holds=True),
+    "certificate witness value": lambda v: dataclasses.replace(
+        _fail_cert(), witness=DerivSample(k=1, x=-0.9999, value=v)),
+    "scan-cell alpha": lambda v: ScanCell(
+        alpha=v, y=0.0, classification=Classification.LCM),
+}
+
+
 def test_dumps_refuses_non_finite():
-    bad = Report(tool_version="0.1.0", timestamp="t", suite="s",
-                 results=(), summary={"total": 0})
-    object.__setattr__(bad, "summary", {"total": math.inf})
-    with pytest.raises(ValueError):
-        dumps(bad)
-    nan_input = CheckResult(name="nan_input", inputs=(("t", math.nan),),
-                            lhs=0.0, rhs=1.0, margin=1.0, holds=True)
-    with pytest.raises(ValueError):
-        dumps(build_report("s", [nan_input], tool_version="0.1.0", timestamp="t"))
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in _FLOAT_SLOTS.values():
+            item = make(bad)
+            report = build_report("s", [_passing_check(), item],
+                                  tool_version="0.1.0", timestamp="t")
+            for render in (dumps, to_jsonable):
+                with pytest.raises(ValueError):
+                    render(report)
+            with pytest.raises(ValueError):
+                to_jsonable(item)
+        report = Report(tool_version="0.1.0", timestamp="t", suite="s",
+                        results=(), summary={"total": bad})
+        for render in (dumps, to_jsonable):
+            with pytest.raises(ValueError):
+                render(report)
+
+
+def test_to_jsonable_refuses_non_result_objects():
+    with pytest.raises(TypeError, match="cannot serialize str"):
+        to_jsonable("not a result")
+    with pytest.raises(TypeError, match="cannot serialize int"):
+        dumps(dataclasses.replace(_mixed_report(), results=(1,)))
 
 
 def test_status_field_present_for_all_result_kinds():
@@ -161,3 +253,128 @@ def test_random_check_round_trip(name, lhs, rhs, strict):
     r = build_report("prop", [check], tool_version="0.1.0",
                      timestamp="2026-08-15T00:00:00Z")
     assert from_jsonable(json.loads(dumps(r))) == r
+
+
+# ---------------------------------------------------------------------------
+# the one-pass renderer against the reference dict tree
+# ---------------------------------------------------------------------------
+
+#: floats whose spelling or memoisation is easy to get wrong: both zeros
+#: (equal and hashing alike), the smallest subnormal, the exponent switch
+#: points of repr (1e16, 1e-5) and integral floats
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 1e-4, 1e15,
+               2.0 ** 53, 1.0, -2.0, 3.0, 1.7976931348623157e308)
+#: labels that need escaping: a quote, a backslash, control characters,
+#: non-ASCII text inside and outside the basic multilingual plane
+EDGE_LABELS = ('say "hi"', "back\\slash", "bell\x07", "tab\tnew\nline", "\x00",
+               "gr\u00fc\u00dfe", "\u2028", "\U0001d4b3", "margin_within_noise")
+
+ANY_FLOAT = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**60, 2**60).map(float))
+LABELS = st.one_of(st.sampled_from(EDGE_LABELS + ("x", "k", "mid")),
+                   st.text(max_size=8))
+
+
+def _edge_items() -> list:
+    """Items that carry every edge float and label, zeros in both orders."""
+    zeros = (0.0, -0.0, -0.0, 0.0)
+    check = CheckResult(
+        name=EDGE_LABELS[0],
+        inputs=tuple(zip(EDGE_LABELS, zeros + EDGE_FLOATS)),
+        lhs=-0.0, rhs=0.0, margin=0.0, holds=False, strict=False)
+    cert = Certificate(
+        params=HParams(alpha=-0.0, y=0.0), direction=None, k_max=1,
+        grid=GridSpec(x_min_offset=5e-324, x_max=1e22, points=2),
+        verdict=Verdict.FAIL, witness=DerivSample(k=0, x=0.0, value=-0.0),
+        check=EDGE_LABELS[1], semantics=EDGE_LABELS[5])
+    cells = [ScanCell(alpha=a, y=y, classification=Classification.NEITHER)
+             for a, y in ((0.0, -0.0), (-0.0, 0.0), (1e16, 1e-5))]
+    return [check, cert, *cells]
+
+
+@st.composite
+def certificates(draw) -> Certificate:
+    verdict = draw(st.sampled_from(Verdict))
+    witness = None
+    if verdict is Verdict.FAIL:
+        witness = DerivSample(k=draw(st.integers(0, 12)), x=draw(ANY_FLOAT),
+                              value=draw(ANY_FLOAT))
+    y = draw(st.one_of(st.sampled_from((0.0, -0.0, -0.5, 1e16)),
+                       st.floats(min_value=-1.0, exclude_min=True,
+                                 allow_infinity=False)))
+    offset = draw(st.one_of(st.sampled_from((5e-324, 1e-4, 1e-5)),
+                            st.floats(min_value=5e-324, allow_infinity=False)))
+    return Certificate(
+        params=HParams(alpha=draw(ANY_FLOAT), y=y),
+        direction=draw(st.sampled_from((None, *Direction))),
+        k_max=draw(st.integers(1, 12)),
+        grid=GridSpec(x_min_offset=offset, x_max=draw(ANY_FLOAT),
+                      points=draw(st.integers(2, 10**6))),
+        verdict=verdict, witness=witness,
+        undecided_points=draw(st.integers(0, 10**6)),
+        check=draw(LABELS), semantics=draw(LABELS))
+
+
+CHECKS = st.builds(
+    CheckResult, name=LABELS,
+    inputs=st.lists(st.tuples(LABELS, ANY_FLOAT), max_size=4).map(tuple),
+    lhs=ANY_FLOAT, rhs=ANY_FLOAT, margin=ANY_FLOAT, holds=st.booleans(),
+    strict=st.booleans())
+CELLS = st.builds(
+    ScanCell, alpha=ANY_FLOAT, y=ANY_FLOAT,
+    classification=st.sampled_from(Classification),
+    conjecture_zone=st.booleans(),
+    reciprocal_violation=st.sampled_from((None, True, False)))
+
+
+def test_dumps_matches_the_reference_on_edge_values():
+    report = build_report(EDGE_LABELS[2], _edge_items(), tool_version=EDGE_LABELS[6],
+                          timestamp=EDGE_LABELS[3])
+    _assert_matches_reference(report)
+    text = dumps(report)
+    assert '"lhs": -0.0, "rhs": 0.0, "margin": 0.0' in text
+    assert '"alpha": 0.0, "y": -0.0' in text and '"alpha": -0.0, "y": 0.0' in text
+    assert text.isascii()
+
+
+@given(checks=st.lists(CHECKS, max_size=6),
+       certs=st.lists(certificates(), max_size=3),
+       cells=st.lists(CELLS, max_size=4),
+       header=st.tuples(LABELS, LABELS, LABELS),
+       order=st.randoms(use_true_random=False))
+def test_dumps_is_byte_identical_to_json_dumps_of_the_reference(
+        checks, certs, cells, header, order):
+    items = [*_edge_items(), *checks, *certs, *cells]
+    order.shuffle(items)
+    tool_version, timestamp, suite = header
+    report = build_report(suite, items, tool_version=tool_version,
+                          timestamp=timestamp)
+    _assert_matches_reference(report)
+
+
+@pytest.mark.parametrize("suite, grid", [
+    ("all", {}),
+    ("all", {"points": 250, "x_max": 2000.0}),
+    ("selftest-fault", {}),
+])
+def test_suite_reports_match_the_reference(suite, grid):
+    report = build_report(suite, build_suite(suite, **grid), tool_version="0.1.0")
+    _assert_matches_reference(report)
+
+
+def test_scan_report_matches_the_reference():
+    cells = scan_values([0.5 * i for i in range(-2, 6)], [-0.9, -0.5, 0.0, 1.0])
+    _assert_matches_reference(build_report("scan", cells, tool_version="0.1.0"))
+
+
+def test_an_int_in_a_float_slot_is_spelled_as_the_float_it_equals():
+    # the int comes first, then the equal float, then the int again
+    cells = [ScanCell(alpha=1, y=0, classification=Classification.LCM),
+             ScanCell(alpha=1.0, y=0.0, classification=Classification.LCM),
+             ScanCell(alpha=1, y=0, classification=Classification.LCM)]
+    data = json.loads(dumps(build_report("s", cells, tool_version="0.1.0",
+                                         timestamp="t")))
+    assert [(c["alpha"], c["y"]) for c in data["results"]] == [(1.0, 0.0)] * 3
+    assert all(type(c["alpha"]) is float for c in data["results"])
