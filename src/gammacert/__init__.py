@@ -8,144 +8,23 @@ Stirling-series kernel, exposes the two-parameter function family
 together with closed-form derivatives of ln h, and certifies sign conditions,
 inequality windows, and classification scans over (alpha, y) with explicit
 noise-aware verdicts.  The ``gammacert`` console script drives the suites.
+
+Each module's ``__all__`` is its public API; the package re-exports all of
+them and declares no name of its own but ``__version__``.
 """
 
-from .ballvol import ball_ratio_checks, log_omega, omega, recurrence_check
-from .certify import (
-    Certificate,
-    Classification,
-    Direction,
-    GridSpec,
-    ScanCell,
-    Verdict,
-    certify_lcm,
-    classify,
-    default_grid,
-    finite_diff_crosscheck,
-    first_violations,
-    grid_points,
-    in_conjecture_zone,
-    lcm_certifier,
-    necessity_limits,
-    scan_values,
-    verify_thm3,
-)
-from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
-from .gammakit import (
-    EULER_GAMMA,
-    EXP_NEG_EULER_GAMMA,
-    MAX_DERIV_ORDER,
-    digamma,
-    gamma_table,
-    lngamma,
-    polygamma,
-)
-from .hfamily import (
-    DerivSample,
-    HParams,
-    alpha_necessary_bound,
-    bigH_eval,
-    h_eval,
-    log_h,
-    logh_deriv,
-    logh_deriv_table,
-    logh_derivs_with_scale,
-    q_surface,
-    q_surface_table,
-)
-from .ineq import (
-    AuxFn,
-    CheckResult,
-    aux_eval,
-    batir_ineq,
-    gamma_ratio_ineq,
-    log_upper_bound_ineq,
-    polygamma_bounds,
-    psi_integral_mean_ineq,
-    psi_log_bounds,
-    psi_upper_refinement,
-    qcub_root,
-    suffice_chain,
-    thm2_ineq,
-)
-from .means import gen_log_mean, log_mean
-from .report import (
-    Report,
-    build_report,
-    dumps,
-    from_jsonable,
-    make_timestamp,
-    result_status,
-    to_jsonable,
-)
+from . import ballvol, certify, errors, gammakit, hfamily, ineq, means, report
+from .ballvol import *
+from .certify import *
+from .errors import *
+from .gammakit import *
+from .hfamily import *
+from .ineq import *
+from .means import *
+from .report import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxFn",
-    "CapabilityError",
-    "Certificate",
-    "CheckResult",
-    "Classification",
-    "DerivSample",
-    "Direction",
-    "DomainError",
-    "EULER_GAMMA",
-    "EXP_NEG_EULER_GAMMA",
-    "GridSpec",
-    "HParams",
-    "MAX_DERIV_ORDER",
-    "ParameterError",
-    "PrecisionError",
-    "Report",
-    "ScanCell",
-    "Verdict",
-    "__version__",
-    "alpha_necessary_bound",
-    "aux_eval",
-    "ball_ratio_checks",
-    "batir_ineq",
-    "bigH_eval",
-    "build_report",
-    "certify_lcm",
-    "classify",
-    "default_grid",
-    "digamma",
-    "gamma_table",
-    "dumps",
-    "finite_diff_crosscheck",
-    "first_violations",
-    "from_jsonable",
-    "gamma_ratio_ineq",
-    "gen_log_mean",
-    "grid_points",
-    "h_eval",
-    "in_conjecture_zone",
-    "lcm_certifier",
-    "lngamma",
-    "log_h",
-    "log_mean",
-    "log_omega",
-    "log_upper_bound_ineq",
-    "logh_deriv",
-    "logh_deriv_table",
-    "logh_derivs_with_scale",
-    "make_timestamp",
-    "necessity_limits",
-    "omega",
-    "polygamma",
-    "polygamma_bounds",
-    "psi_integral_mean_ineq",
-    "psi_log_bounds",
-    "psi_upper_refinement",
-    "q_surface",
-    "q_surface_table",
-    "qcub_root",
-    "recurrence_check",
-    "result_status",
-    "scan_values",
-    "suffice_chain",
-    "thm2_ineq",
-    "to_jsonable",
-    "verify_thm3",
-]
+__all__ = ["__version__", *ballvol.__all__, *certify.__all__, *errors.__all__,
+           *gammakit.__all__, *hfamily.__all__, *ineq.__all__, *means.__all__,
+           *report.__all__]

@@ -335,8 +335,6 @@ def in_conjecture_zone(alpha, y: float):
     """Parameter region where reciprocal complete monotonicity is conjectured
     to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1.  For a numpy
     array of alphas, one flag per alpha."""
-    if not y > -0.5:
-        return np.zeros_like(alpha, dtype=bool) if isinstance(alpha, np.ndarray) else False
     return (reciprocal_threshold(y) < alpha) & (alpha <= 1.0)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["CapabilityError", "DomainError", "ParameterError", "PrecisionError"]
+
 
 class DomainError(ValueError):
     """The argument lies outside the mathematical domain of the function."""

@@ -20,9 +20,12 @@ and ``**``.  That is why grids whose outputs rest on the scalar values keep
 calling the scalar functions per point: on the lemma suite's grids
 ``gamma_table(7, xs)`` differs from ``digamma`` / ``polygamma`` in 773 of
 22,400 values, and on 100,000 log-spaced points in [1e-2, 2000] ``np.log``
-differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in 5,327.  Single
-points stay scalar for cost: one numpy call costs more than a whole scalar
-evaluation.
+differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in 5,327.  The
+check catalog evaluates single points with the scalar functions; the
+single-point h-family derivatives (``hfamily.logh_deriv``,
+``alpha_necessary_bound``, ``q_surface`` and their callers) instead build
+one- to three-point tables through ``gamma_table``, which costs about a
+hundred scalar calls each.
 
 Accuracy is absolute, not relative, near the zeros of lnGamma (x = 1, 2)
 and of psi (x0 = 1.4616321449683622), where the result is a difference of
@@ -50,6 +53,7 @@ from .errors import CapabilityError, DomainError, require_finite, require_positi
 __all__ = [
     "ASYM_TERMS",
     "BERNOULLI_EVEN",
+    "EULER_GAMMA",
     "EXP_NEG_EULER_GAMMA",
     "MAX_DERIV_ORDER",
     "SHIFT_THRESHOLD",
@@ -69,6 +73,7 @@ SHIFT_THRESHOLD = 16.0
 #: Number of Bernoulli terms summed in the asymptotic series.
 ASYM_TERMS = 12
 
+
 def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
     """Return (B_2, B_4, ..., B_{2*count}) as exact rationals.
 
@@ -85,8 +90,8 @@ def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
     return tuple(even[1:])
 
 
-BERNOULLI_EVEN_RATIONAL: tuple[Fraction, ...] = _bernoulli_even(30)
-#: float(B_{2n}) for n = 1..30; BERNOULLI_EVEN[0] is B_2 = 1/6.
+BERNOULLI_EVEN_RATIONAL: tuple[Fraction, ...] = _bernoulli_even(ASYM_TERMS)
+#: float(B_{2n}) for n = 1..ASYM_TERMS; BERNOULLI_EVEN[0] is B_2 = 1/6.
 BERNOULLI_EVEN: tuple[float, ...] = tuple(float(b) for b in BERNOULLI_EVEN_RATIONAL)
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)

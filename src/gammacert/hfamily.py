@@ -165,6 +165,7 @@ def logh_deriv_table(k_max: int, y: float,
     """
     check_order(k_max)
     y = require_real(y, "y")
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     lg_y = lngamma(y + 1.0)
     x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)

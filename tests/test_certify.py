@@ -71,6 +71,21 @@ def test_grid_points_cover_both_sub_domains():
 def test_grid_points_empty_or_inverted():
     with pytest.raises(ParameterError):
         grid_points(GridSpec(x_min_offset=50.0, x_max=10.0), 0.0)
+    # every abscissa of x in [-5e-4, 5e-4] lies inside the exclusion zone
+    with pytest.raises(ParameterError, match="empty after exclusion-zone filtering"):
+        grid_points(GridSpec(x_min_offset=1 - 5e-4, x_max=5e-4, points=10), 0.0)
+
+
+@pytest.mark.parametrize("y", [-0.5, 0.0, 1.0])
+def test_certifiers_default_to_default_grid(y):
+    alphas = [0.25, 0.5, 1.0, 1.5]
+    implicit, explicit = lcm_certifier(y), lcm_certifier(y, grid=default_grid(y))
+    for alpha in alphas:
+        for direction in Direction:
+            assert implicit(alpha, direction) == explicit(alpha, direction)
+    for got, want in zip(first_violations(y, alphas),
+                         first_violations(y, alphas, grid=default_grid(y))):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +420,8 @@ def test_in_conjecture_zone_spots():
     assert not in_conjecture_zone(0.5, 0.0)   # at the lower threshold: outside
     assert not in_conjecture_zone(1.01, 0.0)
     assert not in_conjecture_zone(0.75, -0.6)  # y <= -1/2
+    with pytest.raises(DomainError):
+        in_conjecture_zone(0.75, -1.5)
 
 
 def _mk_cert(verdict: Verdict) -> Certificate:

@@ -113,7 +113,7 @@ def test_bernoulli_table_spot_values():
     assert BERNOULLI_EVEN_RATIONAL[0] == Fraction(1, 6)
     assert BERNOULLI_EVEN_RATIONAL[1] == Fraction(-1, 30)
     assert BERNOULLI_EVEN_RATIONAL[5] == Fraction(-691, 2730)
-    assert BERNOULLI_EVEN_RATIONAL == oracle.bernoulli_even(30)
+    assert BERNOULLI_EVEN_RATIONAL == oracle.bernoulli_even(ASYM_TERMS)
 
 
 def test_series_truncation_is_negligible_at_the_shift_threshold():
@@ -220,6 +220,19 @@ def test_non_numeric_input_raises_domain_error(fn, args, message):
     with pytest.raises(DomainError) as info:
         fn(*args)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (logh_deriv_table, (8, -2.0, [5.0]), "y must be a finite real > -1, got -2.0"),
+    (alpha_necessary_bound, (1.0, -1.5), "y must be a finite real > -1, got -1.5"),
+    (q_surface, (1.0, -2.0), "y must be a finite real > -1, got -2.0"),
+    (q_surface_table, (math.nan, [1.0]), "y must be a finite real > -1, got nan"),
+    (logh_deriv_table, (2, math.inf, [1.0]), "y must be a finite real > -1, got inf"),
+])
+def test_y_outside_the_domain_is_named_in_the_error(fn, args, message):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert str(info.value) == message
 
 
 def test_polygamma_order_validation():

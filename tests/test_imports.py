@@ -1,8 +1,10 @@
-"""Design rule: no gammacert module imports a private name from another."""
+"""Design rules: no gammacert module imports a private name from another,
+and each module's ``__all__`` is the one declaration of its public names."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import gammacert
@@ -29,3 +31,25 @@ def test_no_module_imports_a_private_name_from_another():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _private_imports(path)]
     assert found == []
+
+
+#: Modules whose names the package re-exports: all but the console script.
+LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem not in ("__init__", "cli"))
+
+
+def test_each_module_all_is_declared_once_and_is_the_package_api():
+    modules = {path.stem: importlib.import_module(f"gammacert.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    assert [name for name, module in modules.items()
+            if not hasattr(module, "__all__")] == []
+    owners: dict[str, list[str]] = {}
+    for name, module in modules.items():
+        for public in module.__all__:
+            owners.setdefault(public, []).append(name)
+    assert {public: mods for public, mods in owners.items() if len(mods) > 1} == {}
+    union = [public for name in LIBRARY for public in modules[name].__all__]
+    assert sorted(gammacert.__all__) == sorted(["__version__", *union])
+    for name in LIBRARY:
+        for public in modules[name].__all__:
+            assert getattr(gammacert, public) is getattr(modules[name], public), public
