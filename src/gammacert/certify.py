@@ -379,8 +379,10 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     classify would from the two certificates of each cell.
     """
     alphas = [require_real(v, "alpha") for v in alphas]
+    # every y passes the HParams rule before a grid is built on any of them
+    ys = [HParams(alpha=0.0, y=require_real(v, "y")).y for v in ys]
     cells: list[ScanCell] = []
-    for y in (require_real(v, "y") for v in ys):
+    for y in ys:
         _, first, _ = first_violations(
             y, alphas, k_max, default_grid(y, points=points, x_max=x_max))
         lcm_pass, rec_pass = (first < 0).tolist()

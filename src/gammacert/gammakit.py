@@ -96,6 +96,9 @@ BERNOULLI_EVEN: tuple[float, ...] = tuple(float(b) for b in BERNOULLI_EVEN_RATIO
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+#: n! as an exact integer for n = 0..MAX_DERIV_ORDER.
+_FACTORIALS = tuple(math.factorial(n) for n in range(MAX_DERIV_ORDER + 1))
+
 #: Euler-Mascheroni constant, correctly rounded double.
 EULER_GAMMA = 0.5772156649015329
 
@@ -205,13 +208,13 @@ def polygamma(k: int, x: float) -> float:
     """
     check_order(k)
     z = require_positive(x, "x")
-    kfac = float(math.factorial(k))
+    kfac = float(_FACTORIALS[k])
     shift = 0.0  # accumulates k! sum z_i^{-(k+1)} in magnitude form
     try:
         while z < SHIFT_THRESHOLD:
             shift += z ** -(k + 1)
             z += 1.0
-        magnitude = _polygamma_series(z, k, _poly_coefs(k), math.factorial(k - 1))
+        magnitude = _polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1])
     except OverflowError:
         raise CapabilityError(
             f"polygamma({k}, {x!r}) needs a power of x outside the double-precision range"
@@ -256,7 +259,7 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
 
     orders = range(1, n_psi)
     k = np.array(orders)[:, None]  # polygamma orders as a column against the points
-    k_fac = np.array([math.factorial(j - 1) for j in orders], dtype=float)[:, None]
+    k_fac = np.array(_FACTORIALS[:n_psi - 1], dtype=float)[:, None]
     coefs = np.array([_poly_coefs(j) for j in orders]).reshape(-1, ASYM_TERMS).T[..., None]
     with np.errstate(all="ignore"):  # non-finite values are checked below
         log_z = np.log(z)

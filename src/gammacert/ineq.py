@@ -20,8 +20,9 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,15 +65,7 @@ NOISE_REL = 1e-14
 THM2_T_MIN = 1e-4
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One evaluated inequality instance.
-
-    For strict checks, holds means margin > noise band; margins inside the
-    band carry a "margin_within_noise" marker in inputs instead of a verdict.
-    Non-strict checks (strict=False) accept margins down to the band's floor.
-    """
-
+class _CheckFields(NamedTuple):
     name: str
     inputs: tuple[tuple[str, float], ...]
     lhs: float
@@ -81,13 +74,29 @@ class CheckResult:
     holds: bool
     strict: bool = True
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)
-                and math.isfinite(self.margin)):
+
+class CheckResult(_CheckFields):
+    """One evaluated inequality instance, an immutable named 7-tuple.
+
+    For strict checks, holds means margin > noise band; margins inside the
+    band carry a "margin_within_noise" marker in inputs instead of a verdict.
+    Non-strict checks (strict=False) accept margins down to the band's floor.
+    A non-finite lhs, rhs or margin raises PrecisionError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, inputs, lhs, rhs, margin, holds, strict=True):
+        if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
             label, v = next((label, v) for label, v in (
-                ("lhs", self.lhs), ("rhs", self.rhs), ("margin", self.margin))
+                ("lhs", lhs), ("rhs", rhs), ("margin", margin))
                 if not math.isfinite(v))
-            raise PrecisionError(f"check {self.name!r}: non-finite {label} = {v!r}")
+            raise PrecisionError(f"check {name!r}: non-finite {label} = {v!r}")
+        return tuple.__new__(cls, (name, inputs, lhs, rhs, margin, holds, strict))
+
+    @classmethod
+    def _make(cls, iterable) -> CheckResult:  # _replace builds through it
+        return cls(*iterable)
 
 
 def _coerce_inputs(inputs) -> tuple[tuple[str, float], ...]:
@@ -175,17 +184,26 @@ def _float_columns(*values) -> tuple[np.ndarray, ...]:
 
 
 def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckResult]:
-    """One CheckResult per row of the evaluated columns."""
+    """One CheckResult per row of the evaluated columns.
+
+    Finiteness is checked once per column, so the rows are made with
+    tuple.__new__; the first bad row goes through CheckResult, which raises.
+    """
     pairs = []  # per input, its (label, value) pair on every row
     for label, values in inputs:
         label = str(label)
         pairs.append([(label, v) for v in np.broadcast_to(
             np.asarray(values, dtype=float), lhs.shape).tolist()])
     marker = (("margin_within_noise", 1.0),)
-    return [CheckResult(name, row + marker if w else row, lo, hi, m, ok, strict)
-            for row, lo, hi, m, ok, w in zip(
-                zip(*pairs) if pairs else [()] * lhs.size, lhs.tolist(),
-                rhs.tolist(), margin.tolist(), holds.tolist(), within.tolist())]
+    row_inputs = [row + marker if w else row for row, w in zip(
+        zip(*pairs) if pairs else [()] * lhs.size, within.tolist())]
+    lo, hi, m, ok = lhs.tolist(), rhs.tolist(), margin.tolist(), holds.tolist()
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(margin)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first bad row
+        CheckResult(name, row_inputs[i], lo[i], hi[i], m[i], ok[i], strict)  # raises
+    return list(map(tuple.__new__, repeat(CheckResult), zip(
+        repeat(name), row_inputs, lo, hi, m, ok, repeat(strict))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +218,18 @@ def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckRe
 # last ulp.
 
 def _grid(x) -> np.ndarray:
-    """The points of x, one point or a 1-D grid, each a finite real > 0."""
-    points = [x] if np.ndim(x) == 0 else np.asarray(x).tolist()
+    """The points of x, one point or a 1-D grid, each a finite real > 0.
+
+    A numeric grid is checked in one pass.  Anything else, or a grid with a
+    bad point, goes point by point, so require_positive raises its error for
+    the first bad point.
+    """
+    a = np.asarray(x)
+    if a.ndim <= 1 and a.dtype.kind in "biuf":
+        xs = a.astype(float).reshape(-1)
+        if np.all(np.isfinite(xs) & (xs > 0.0)):
+            return xs
+    points = [x] if a.ndim == 0 else a.tolist()
     return np.array([require_positive(v, "x") for v in points], dtype=float)
 
 

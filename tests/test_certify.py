@@ -559,20 +559,20 @@ def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
 @pytest.mark.parametrize("alphas,ys,kwargs,error,message", [
     ([0.5, math.inf], [0.0], {}, DomainError, "alpha must be finite, got inf"),
     ([-math.nan], [1.0], {}, DomainError, "alpha must be finite, got nan"),
-    ([0.5], [-1.0], {}, ParameterError,
-     "x_min_offset must be a finite positive real, got 0.0"),
-    ([0.5], [math.nan], {}, ParameterError,
-     "x_min_offset must be a finite positive real, got nan"),
+    # y is checked by the HParams rule before its grid is built
+    ([0.5], [-1.0], {}, DomainError, "y must be a finite real > -1, got -1.0"),
+    ([0.5], [math.nan], {}, DomainError, "y must be a finite real > -1, got nan"),
     ([0.5], ["abc"], {}, DomainError, "y must be a real number, got 'abc'"),
     # a bad y comes before a bad alpha
-    ([math.inf], [-2.0], {}, ParameterError,
-     "x_min_offset must be a finite positive real, got -0.0001"),
+    ([math.inf], [-2.0], {}, DomainError, "y must be a finite real > -1, got -2.0"),
     ([0.5], [0.0], {"k_max": 0}, ParameterError,
      "k_max must be an integer in 1..12, got 0"),
     ([0.5], [0.0], {"k_max": 13}, ParameterError,
      "k_max must be an integer in 1..12, got 13"),
     ([], [0.0], {"k_max": True}, ParameterError,
      "k_max must be an integer in 1..12, got True"),
+    # a bad y after a good one
+    ([0.5], [0.0, -1.5], {}, DomainError, "y must be a finite real > -1, got -1.5"),
 ])
 def test_scan_values_errors(alphas, ys, kwargs, error, message):
     with pytest.raises(error) as info:

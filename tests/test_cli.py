@@ -71,6 +71,12 @@ def test_package_errors_and_short_grids_exit_two(argv, capsys):
     assert "gammacert: error:" in err and "Traceback" not in err
 
 
+def test_scan_y_below_the_domain_names_y(capsys):
+    assert main(["scan", "--alpha=0.5:0.5:1", "--y=-1.5:-1.5:1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith("gammacert: error: y must be a finite real > -1, got -1.5\n")
+
+
 # ---------------------------------------------------------------------------
 # verify output
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +56,24 @@ def test_check_result_rejects_non_finite_fields():
         with pytest.raises(PrecisionError):
             CheckResult(name="x", inputs=(), lhs=0.0, rhs=0.0,
                         margin=bad, holds=False)
+
+
+def test_check_result_is_an_immutable_named_tuple():
+    r = CheckResult(name="x", inputs=(("t", 1.0),), lhs=0.5, rhs=1.0,
+                    margin=0.5, holds=True)
+    for field in ("lhs", "holds", "new_field"):
+        with pytest.raises(AttributeError):
+            setattr(r, field, 0.0)
+    with pytest.raises(PrecisionError, match="non-finite lhs = inf"):
+        r._replace(lhs=math.inf)
+    assert r._replace(holds=False).holds is False
+    twin = CheckResult("x", (("t", 1.0),), 0.5, 1.0, 0.5, True, True)
+    assert r == twin and hash(r) == hash(twin) and r is not twin
+    assert r != r._replace(margin=0.25)
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert len(r) == 7 and tuple(r) == ("x", (("t", 1.0),), 0.5, 1.0, 0.5, True, True)
+    assert repr(r) == ("CheckResult(name='x', inputs=(('t', 1.0),), lhs=0.5, rhs=1.0, "
+                       "margin=0.5, holds=True, strict=True)")
 
 
 def test_strict_check_does_not_hold_inside_noise_band():
@@ -136,6 +155,22 @@ def test_window_functions_reject_bad_arguments():
     # 12x^2 underflows to zero: a non-finite side, not a ZeroDivisionError
     with pytest.raises(PrecisionError):
         psi_log_bounds(1e-200)
+
+
+@pytest.mark.parametrize("bad,shown", [
+    (0, "0.0"), (0.0, "0.0"), (-1, "-1.0"), (math.nan, "nan"), (-math.inf, "-inf"),
+    ("abc", "'abc'")])
+def test_window_grids_name_the_first_bad_point(bad, shown):
+    message = f"x must be a finite positive real, got {shown}"
+    for grid in (bad, [bad], [2.0, bad, -5.0], np.array([3.0, 1.0, bad], dtype=object)):
+        for window in (psi_log_bounds, psi_upper_refinement,
+                       lambda x: polygamma_bounds(2, x)):
+            with pytest.raises(DomainError) as info:
+                window(grid)
+            assert str(info.value) == message
+    if not isinstance(bad, str):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            psi_log_bounds(np.array([3.0, 1.0, bad]))
 
 
 def test_window_functions_take_one_point_or_a_grid():
@@ -232,6 +267,10 @@ _ROWS = st.lists(_sides(), min_size=1, max_size=6)
 @example(rows=[(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)], strict=True, strict_lower=None)
 @example(rows=[(1.0, 1.0 + 2e-16, 1.0 + 4e-16)], strict=True, strict_lower=False)
 @example(rows=[(1.0, 2.0, 3.0), (1.0, math.inf, 3.0)], strict=False, strict_lower=None)
+# a non-finite lower, upper or margin (mid - lower overflows) after good rows
+@example(rows=[(1.0, 2.0, 3.0)] * 2 + [(math.nan, 2.0, 3.0)], strict=True, strict_lower=None)
+@example(rows=[(1.0, 2.0, 3.0), (1.0, 2.0, -math.inf)], strict=True, strict_lower=None)
+@example(rows=[(1.0, 2.0, 3.0), (1e308, -1e308, 1e308)], strict=True, strict_lower=None)
 def test_two_sided_rows_is_two_sided_row_by_row(rows, strict, strict_lower):
     xs = [0.5 * i for i in range(len(rows))]
     lower, mid, upper = (list(side) for side in zip(*rows))
@@ -245,6 +284,10 @@ def test_two_sided_rows_is_two_sided_row_by_row(rows, strict, strict_lower):
 @example(rows=[(0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)], strict=True)
 @example(rows=[(1.0, 1.0 + 2e-16, 0.0)], strict=False)
 @example(rows=[(1.0, 2.0, 0.0), (math.nan, 3.0, 0.0)], strict=True)
+# a non-finite rhs or margin (rhs - lhs overflows) after good rows
+@example(rows=[(1.0, 2.0, 0.0)] * 3 + [(1.0, math.inf, 0.0)], strict=True)
+@example(rows=[(1.0, 2.0, 0.0), (-1e308, 1e308, 0.0)], strict=True)
+@example(rows=[(1.0, 2.0, 0.0), (1e308, -1e308, 0.0)], strict=False)
 def test_one_sided_rows_is_one_sided_row_by_row(rows, strict):
     xs = [0.5 * i for i in range(len(rows))]
     lhs, rhs, _ = (list(side) for side in zip(*rows))
