@@ -54,6 +54,12 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=-1:2:0.25", "--y=0:2:1", "--kmax", "1", "--grid-points", "2"),
     # a k_max = 12 row that first_violations evaluates in 34 blocks
     ("scan", "--alpha=0:2:0.01", "--y=0.7:0.7:1", "--kmax", "12"),
+    # 23,919 cells: 201 alphas on 119 rows
+    ("scan", "--alpha=0:2:0.01", "--y=-0.9:5:0.05"),
+    # alphas 1e-6 apart across the y = 5 grid cuts, alpha_LCM ~ 0.977174 and
+    # alpha_REC ~ 0.163319
+    ("scan", "--alpha=0.9771:0.9773:0.000001", "--y=5:5:1"),
+    ("scan", "--alpha=0.1632:0.1634:0.000001", "--y=5:5:1"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

@@ -32,6 +32,7 @@ from .hfamily import (
     ENDPOINT_CLEARANCE,
     X_EPSILON,
     DerivSample,
+    DerivTable,
     HParams,
     alpha_necessary_bound,
     log_h,
@@ -57,6 +58,7 @@ __all__ = [
     "default_grid",
     "finite_diff_crosscheck",
     "first_violations",
+    "grid_cuts",
     "grid_points",
     "in_conjecture_zone",
     "lcm_certifier",
@@ -189,11 +191,12 @@ def _first_violation(margin: np.ndarray, scale: np.ndarray
 
 
 def _signed_table(y: float, k_max: int, grid: GridSpec | None
-                  ) -> tuple[GridSpec, np.ndarray, Callable]:
-    """Setup shared by lcm_certifier and first_violations: validate y and
-    k_max, and return the grid (default_grid(y) for None), its abscissae xs
-    and signed(alpha), the derivative table's (values, scales) at alpha (a
-    float or a 1-D array) with values times (-1)^k, so LCM wants them > 0."""
+                  ) -> tuple[GridSpec, np.ndarray, DerivTable, Callable]:
+    """Setup shared by every certificate search: validate y and k_max, and
+    return the grid (default_grid(y) for None), its abscissae xs, the
+    derivative table and signed(alpha), the table's (values, scales) at
+    alpha (a float or a 1-D array) with values times (-1)^k, so LCM wants
+    them > 0."""
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     if not (isinstance(k_max, int) and not isinstance(k_max, bool)
             and 1 <= k_max <= MAX_DERIV_ORDER):
@@ -210,7 +213,7 @@ def _signed_table(y: float, k_max: int, grid: GridSpec | None
         values *= odd_sign
         return values, scales
 
-    return grid, xs, signed
+    return grid, xs, table, signed
 
 
 def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
@@ -221,7 +224,7 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
     requires the signed quantity positive, RECIPROCAL negative.  The witness
     is the first conclusive violation by increasing k, then grid order.
     """
-    grid, xs, signed_at = _signed_table(y, k_max, grid)
+    grid, xs, _, signed_at = _signed_table(y, k_max, grid)
 
     def certify(alpha: float, direction: Direction | str) -> Certificate:
         direction = Direction(direction)
@@ -260,21 +263,90 @@ def first_violations(y: float, alphas, k_max: int = DEFAULT_K_MAX,
     undecided counts the sub-floor points before it.  Both are what
     lcm_certifier(y, k_max, grid)'s certify(alpha, direction) reports.
     """
-    _, xs, signed_at = _signed_table(y, k_max, grid)
+    _, xs, table, signed_at = _signed_table(y, k_max, grid)
     alphas = np.array([require_real(v, "alpha") for v in alphas], dtype=float)
+    _require_finite(alphas, y)
+    return (xs, *_violations(signed_at, alphas, table.core.size))
+
+
+def _require_finite(alphas: np.ndarray, y: float) -> None:
+    """The HParams DomainError for the first non-finite alpha, if any."""
     finite = np.isfinite(alphas)
     if not finite.all():
         HParams(alpha=float(alphas[~finite][0]), y=y)  # raises DomainError
+
+
+def _violations(signed_at: Callable, alphas: np.ndarray, values_per_alpha: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(first, undecided) of first_violations for a float array of alphas."""
     first = np.empty((2, alphas.size), dtype=np.intp)
     undecided = np.empty_like(first)
-    block = max(1, ROW_BLOCK_VALUES // (k_max * xs.size))
+    block = max(1, ROW_BLOCK_VALUES // values_per_alpha)
     for start in range(0, alphas.size, block):
         rows = slice(start, start + block)
         signed, scales = signed_at(alphas[rows])
         first[0, rows], undecided[0, rows] = _first_violation(signed, scales)
         np.negative(signed, out=signed)  # the RECIPROCAL margin
         first[1, rows], undecided[1, rows] = _first_violation(signed, scales)
-    return xs, first, undecided
+    return first, undecided
+
+
+def _alpha_cuts(table: DerivTable) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, bands), each of shape (2, k_max, len(xs)): per grid point, the
+    alpha at which its LCM (row 0) and RECIPROCAL (row 1) test flips, and
+    the half-width of the band around that cut where rounding may decide.
+
+    At a point the signed value is c + alpha*b, with c = (-1)^k core and
+    b = (k-1)!/u^k > 0, and its noise floor is nu*(|alpha|*b + s), with
+    nu = NOISE_FLOOR_REL and s = core_scale.  The LCM test fails
+    conclusively iff F(alpha) = c + alpha*b + nu*(|alpha|*b + s) <= 0, the
+    RECIPROCAL test iff G(alpha) = c + alpha*b - nu*(|alpha|*b + s) >= 0.
+    Both increase with slope at least b*(1 - nu), so each test fails on one
+    side of the root of F or G: the cut.
+
+    Rounding (unit roundoff u = 2^-53).  The search rounds alpha*(k-1)!, its
+    quotient by u^k, the sum with the core, the scale and the floor, so its
+    F or G is off by at most u*(|c| + 3.02*|alpha|*b + 1e-8*s); divided by
+    the slope, that moves its flip by at most
+    u*(|c|/b + 3.02*|alpha| + 1e-8*s/b) + 2^-1074*(1 + 1/b), the last term
+    for underflowing products.  The cut computed here is off from the root
+    by at most u*(1.01*|c|/b + 4.02*|cut|) + 2.01e-9*u*s/b.  With |alpha| near
+    |cut| the two stay below
+    2.01*u*|c|/b + 7.05*u*|cut| + 1.3e-8*u*s/b + 2^-1074*(1 + 1/b); the band,
+    32*u*((|c| + 1e-8*s + 2^-1022)/b + |cut|) + 2^-1070, is at least four
+    times that.  Outside its band every alpha's test agrees with its side of
+    the cut bit for bit.
+    """
+    odd_sign = np.sign(table.alpha_coef)  # (-1)^k
+    c = odd_sign * table.core
+    b = np.abs(table.alpha_coef) / table.u_pow
+    floor = NOISE_FLOOR_REL * table.core_scale
+    cuts = np.stack([-c - floor, floor - c])  # the roots times their slope
+    slope_nu = NOISE_FLOOR_REL * np.array([[[1.0]], [[-1.0]]])  # F: +nu, G: -nu
+    with np.errstate(over="ignore"):  # scan_values searches a row whose cuts overflow
+        cuts /= b * (1.0 + np.where(cuts >= 0.0, slope_nu, -slope_nu))
+        bands = 2.0 ** -48 * (
+            (np.abs(c) + 1e-8 * table.core_scale + 2.0 ** -1022) / b + np.abs(cuts))
+    bands += 2.0 ** -1070
+    return cuts, bands
+
+
+def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
+              ) -> tuple[tuple[float, int, float], tuple[float, int, float]]:
+    """The two alpha cuts of the certificate searches on the grid.
+
+    Returns ((alpha_lcm, k, x), (alpha_rec, k, x)) with the order k and
+    abscissa x that set each cut: certify(alpha, LCM) of
+    lcm_certifier(y, k_max, grid) FAILs iff alpha <= alpha_lcm, and
+    certify(alpha, RECIPROCAL) FAILs iff alpha >= alpha_rec, for every
+    alpha outside a rounding band of relative width about 1e-14 around
+    each cut.
+    """
+    _, xs, table, _ = _signed_table(y, k_max, grid)
+    cuts, _ = _alpha_cuts(table)
+    lcm, rec = int(cuts[0].argmax()), int(cuts[1].argmin())
+    return tuple((float(cut.flat[i]), i // xs.size + 1, float(xs[i % xs.size]))
+                 for cut, i in ((cuts[0], lcm), (cuts[1], rec)))
 
 
 def certify_lcm(params: HParams, direction: Direction | str,
@@ -375,23 +447,42 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     """Classify every (alpha, y) combination; y-major, then alpha order.
 
     Each y builds one derivative table on default_grid(y, points, x_max) and
-    classifies all its cells from one first_violations pass, exactly as
-    classify would from the two certificates of each cell.
+    classifies its cells exactly as classify would from the two
+    certificates of each cell: an alpha is compared with the row's two
+    alpha cuts, and an alpha inside the rounding band of a cut is decided
+    by the first_violations search.
     """
     alphas = [require_real(v, "alpha") for v in alphas]
     # every y passes the HParams rule before a grid is built on any of them
     ys = [HParams(alpha=0.0, y=require_real(v, "y")).y for v in ys]
+    alpha_array = np.array(alphas, dtype=float)
     cells: list[ScanCell] = []
     for y in ys:
-        _, first, _ = first_violations(
-            y, alphas, k_max, default_grid(y, points=points, x_max=x_max))
-        lcm_pass, rec_pass = (first < 0).tolist()
-        zones = in_conjecture_zone(np.array(alphas), y).tolist()
+        _, _, table, signed_at = _signed_table(
+            y, k_max, default_grid(y, points=points, x_max=x_max))
+        _require_finite(alpha_array, y)
+        # LCM fails below lcm_lo and passes above lcm_hi, RECIPROCAL passes
+        # below rec_lo and fails above rec_hi; the search decides between
+        cuts, bands = _alpha_cuts(table)
+        lcm_lo, lcm_hi = (cuts[0] - bands[0]).max(), (cuts[0] + bands[0]).max()
+        rec_lo, rec_hi = (cuts[1] - bands[1]).min(), (cuts[1] + bands[1]).min()
+        if not np.isfinite([lcm_lo, lcm_hi, rec_lo, rec_hi]).all():
+            lcm_lo = rec_lo = -math.inf
+            lcm_hi = rec_hi = math.inf
+        lcm_pass = alpha_array > lcm_hi
+        rec_pass = alpha_array < rec_lo
+        tie = ((~lcm_pass & (alpha_array >= lcm_lo))
+               | (~rec_pass & (alpha_array <= rec_hi)))
+        if tie.any():
+            first, _ = _violations(signed_at, alpha_array[tie], table.core.size)
+            lcm_pass[tie], rec_pass[tie] = first < 0
+        zones = in_conjecture_zone(alpha_array, y).tolist()
         cells += [ScanCell(alpha=alpha, y=y,
                            classification=_CLASSIFICATION[lcm][rec][zone],
                            conjecture_zone=zone,
                            reciprocal_violation=(not rec) if zone else None)
-                  for alpha, lcm, rec, zone in zip(alphas, lcm_pass, rec_pass, zones)]
+                  for alpha, lcm, rec, zone in zip(alphas, lcm_pass.tolist(),
+                                                   rec_pass.tolist(), zones)]
     return cells
 
 

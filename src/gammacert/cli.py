@@ -92,6 +92,10 @@ _THM3_YS = (-0.9, -0.75, -0.6, -0.51)
 # ---------------------------------------------------------------------------
 
 def _suite_lemmas(k_max: int, points: int, x_max: float) -> list[CheckResult]:
+    if not (math.isfinite(x_max) and x_max > 1e-2):
+        raise ParameterError(
+            f"x_max must be a finite real > 1e-2 for the lemma grid [1e-2, x_max], "
+            f"got {x_max!r}")
     xs = np.geomspace(1e-2, x_max, points)
     rows = psi_log_bounds(xs) + psi_upper_refinement(xs)
     for k in range(1, 7):

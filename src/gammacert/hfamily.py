@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from numbers import Real
 
@@ -47,6 +46,7 @@ from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfben
 
 __all__ = [
     "DerivSample",
+    "DerivTable",
     "ENDPOINT_CLEARANCE",
     "HParams",
     "X_EPSILON",
@@ -152,17 +152,55 @@ def bigH_eval(alpha: float, y: float, x: float) -> float:
     return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
 
 
-def logh_deriv_table(k_max: int, y: float,
-                     xs) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """(ln h)^(k) for k = 1..k_max at every x in xs, as a function of alpha.
+class DerivTable:
+    """(ln h)^(k), k = 1..k_max, at fixed y and abscissae, as a function of alpha.
 
     alpha enters the closed form only through its last term, so the rest is
-    evaluated once; at(alpha) adds that term and returns (values, scales) of
-    shape (k_max, len(xs)), or (len(alpha), k_max, len(xs)) for a 1-D array
-    of alphas, each row bit-identical to its one-alpha call.  A scale sums
-    the absolute values of the combined terms: it bounds the rounding noise
-    and feeds certificate noise floors.
+    held once: table(alpha) = core + alpha_coef * alpha / u_pow, with
+    alpha_coef = (-1)^k (k-1)! and u_pow = u^k, row k - 1 for order k.
+    core_scale sums the absolute values of the alpha-free terms.  (A plain
+    class: a dataclass would add about a millisecond to the CLI's import.)
     """
+
+    __slots__ = ("y", "core", "core_scale", "u_pow", "alpha_coef")
+
+    def __init__(self, y: float, core: np.ndarray, core_scale: np.ndarray,
+                 u_pow: np.ndarray, alpha_coef: np.ndarray) -> None:
+        self.y, self.core, self.core_scale = y, core, core_scale
+        self.u_pow, self.alpha_coef = u_pow, alpha_coef
+
+    def __call__(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """(values, scales) of shape (k_max, len(xs)), or (len(alpha), k_max,
+        len(xs)) for a 1-D array of alphas, each row bit-identical to its
+        one-alpha call.  A scale adds |alpha term| to core_scale: it bounds
+        the rounding noise and feeds certificate noise floors.  An alpha
+        whose term, value or scale leaves the binary64 range raises
+        CapabilityError naming it.
+        """
+        alpha = np.asarray(alpha, dtype=float)
+        try:
+            with np.errstate(over="raise"):
+                term = np.multiply.outer(alpha, self.alpha_coef) / self.u_pow
+                values = self.core + term
+                scales = np.abs(term, out=term)  # the term's buffer becomes the scales
+                scales += self.core_scale
+        except FloatingPointError:
+            if alpha.ndim == 0:
+                raise CapabilityError(
+                    f"(ln h)^(k) for k <= {len(self.core)} at alpha={float(alpha)!r}, "
+                    f"y={self.y!r} needs a value outside the double-precision range"
+                ) from None
+            for one in alpha.ravel().tolist():
+                self(one)  # the first alpha out of range raises
+            raise
+        return values, scales
+
+
+def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
+    """(ln h)^(k) for k = 1..k_max at every x in xs: the one evaluation of
+    the closed form.  Its alpha-free parts are computed here; the returned
+    DerivTable adds the alpha term.  A part outside the binary64 range
+    raises CapabilityError naming y."""
     check_order(k_max)
     y = require_real(y, "y")
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
@@ -189,15 +227,7 @@ def logh_deriv_table(k_max: int, y: float,
             f"(ln h)^(k) for k <= {k_max} at y={y!r} needs a value outside the "
             "double-precision range") from None
     alpha_coef = np.array([[(-1.0) ** k * math.factorial(k - 1)] for k in ks])
-
-    def at(alpha) -> tuple[np.ndarray, np.ndarray]:
-        term = np.multiply.outer(np.asarray(alpha, dtype=float), alpha_coef) / u_pow
-        values = core + term
-        scales = np.abs(term, out=term)  # the term's buffer becomes the scales
-        scales += core_scale
-        return values, scales
-
-    return at
+    return DerivTable(y, core, core_scale, u_pow, alpha_coef)
 
 
 def logh_derivs_with_scale(k_max: int, params: HParams,

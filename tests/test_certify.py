@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammacert import (
+    CapabilityError,
     Certificate,
     Classification,
     Direction,
@@ -24,6 +26,7 @@ from gammacert import (
     default_grid,
     finite_diff_crosscheck,
     first_violations,
+    grid_cuts,
     grid_points,
     in_conjecture_zone,
     lcm_certifier,
@@ -33,6 +36,7 @@ from gammacert import (
     scan_values,
     verify_thm3,
 )
+import gammacert.certify as certify_module
 from gammacert.certify import NOISE_FLOOR_REL, ROW_BLOCK_VALUES, _first_violation
 from gammacert.cli import (
     _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
@@ -546,7 +550,8 @@ def _reference_scan(alphas, ys, k_max, points, x_max):
     return cells
 
 
-@pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (4, 57, 80.0)])
+@pytest.mark.parametrize("k_max,points,x_max", [
+    (8, 200, 1e3), (4, 57, 80.0), (1, 2, 1e3), (12, 200, 1e3)])
 def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
     ys = [*ROW_YS, -0.7, 0.7]
     alphas = [0.05 * i for i in range(-4, 45)] + [0.5, 2.0 / 3.0, 1.0 / 6.0]
@@ -554,6 +559,68 @@ def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
     assert cells == _reference_scan(alphas, ys, k_max, points, x_max)
     assert {c.classification for c in cells} == set(Classification)
     assert all(type(c.conjecture_zone) is bool for c in cells)
+
+
+def _searched_alphas(monkeypatch) -> list[float]:
+    """Every alpha that scan_values hands to the first_violations search."""
+    searched: list[float] = []
+
+    def recording(signed_at, alphas, values_per_alpha):
+        searched.extend(alphas.tolist())
+        return violations(signed_at, alphas, values_per_alpha)
+
+    violations = certify_module._violations
+    monkeypatch.setattr(certify_module, "_violations", recording)
+    return searched
+
+
+@pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (1, 2, 1e3), (12, 57, 80.0)])
+@pytest.mark.parametrize("y", [-0.95, -0.7, -0.5, 0.0, 0.7, 5.0])
+def test_scan_values_searches_the_alphas_at_its_cuts(monkeypatch, y, k_max, points, x_max):
+    # within a few ulps of a cut the comparison cannot tell, so the search
+    # decides; 1e-12 away from a cut the comparison does
+    cuts = [cut for cut, _, _ in grid_cuts(y, k_max, default_grid(y, points, x_max))]
+    ties = [cut + n * math.ulp(cut) for cut in cuts for n in (-4, -2, -1, 0, 1, 2, 4)]
+    clear = [cut * (1.0 + e) for cut in cuts for e in (-1e-12, 1e-12)]
+    searched = _searched_alphas(monkeypatch)
+    cells = scan_values(ties + clear, [y], k_max, points, x_max)
+    assert set(ties) <= set(searched) and not set(clear) & set(searched)
+    assert cells == _reference_scan(ties + clear, [y], k_max, points, x_max)
+
+
+def test_scan_values_searches_a_row_whose_cuts_overflow(monkeypatch):
+    searched = _searched_alphas(monkeypatch)
+    monkeypatch.setattr(certify_module, "_alpha_cuts",
+                        lambda table: (np.full((2, 1, 1), np.inf), np.zeros((2, 1, 1))))
+    alphas = [-0.5, 0.1, 0.6, 1.5]
+    assert scan_values(alphas, [0.0], 4, 40, 50.0) == _reference_scan(
+        alphas, [0.0], 4, 40, 50.0)
+    assert searched == alphas
+
+
+def test_scan_values_of_clear_alphas_runs_no_search(monkeypatch):
+    searched = _searched_alphas(monkeypatch)
+    scan_values([0.05 * i for i in range(-4, 45)], [*ROW_YS, -0.7, 0.7])
+    assert searched == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=st.floats(min_value=-0.99, max_value=8.0), k_max=st.sampled_from([1, 3, 8, 12]),
+       points=st.sampled_from([2, 57, 200]),
+       alphas=st.lists(st.floats(min_value=-3.0, max_value=4.0), max_size=8),
+       offsets=st.lists(st.floats(min_value=1e-13, max_value=1e-3).flatmap(
+           lambda e: st.sampled_from([e, -e])), max_size=8))
+def test_grid_cuts_split_the_search_verdicts(y, k_max, points, alphas, offsets):
+    grid = default_grid(y, points=points)
+    (lcm_cut, lcm_k, lcm_x), (rec_cut, rec_k, rec_x) = grid_cuts(y, k_max, grid)
+    xs = grid_points(grid, y)
+    assert lcm_x in xs.tolist() and rec_x in xs.tolist() and 1 <= lcm_k <= k_max
+    near = [cut * (1.0 + e) for cut in (lcm_cut, rec_cut) for e in offsets]
+    alphas = [a for a in alphas + near
+              if min(abs(a - lcm_cut), abs(a - rec_cut)) > 1e-13 * (abs(a) + 1e-300)]
+    _, first, _ = first_violations(y, alphas, k_max, grid)
+    assert (first[0] >= 0).tolist() == [a <= lcm_cut for a in alphas]
+    assert (first[1] >= 0).tolist() == [a >= rec_cut for a in alphas]
 
 
 @pytest.mark.parametrize("alphas,ys,kwargs,error,message", [
@@ -578,6 +645,19 @@ def test_scan_values_errors(alphas, ys, kwargs, error, message):
     with pytest.raises(error) as info:
         scan_values(alphas, ys, **kwargs)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_huge_alphas_leave_certificates_but_not_scans():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        for alpha in (1e308, -1e308):
+            for direction in Direction:
+                with pytest.raises(CapabilityError) as info:
+                    certify_lcm(HParams(alpha, 0.0), direction)
+                assert f" at alpha={alpha!r}, y=0.0 " in str(info.value)
+        cells = scan_values([1e308, -1e308], [0.0, 5.0])
+    assert [c.classification for c in cells] == [
+        Classification.LCM, Classification.RECIPROCAL] * 2
 
 
 def test_scan_values_of_no_cells():

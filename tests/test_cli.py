@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import pytest
 
@@ -64,11 +65,33 @@ def test_malformed_range_exits_two(capsys):
     ["verify", "--suite", "lemmas", "--grid-points", "-3"],
     ["verify", "--suite", "lemmas", "--grid-points", "0"],
     ["scan", "--alpha", "0:1:0.5", "--y", "0:1:1", "--grid-points", "1"],
+    # the lemma grid [1e-2, x_max] needs x_max > 1e-2
+    ["verify", "--suite", "lemmas", "--x-max", "0"],
+    ["verify", "--suite", "all", "--x-max", "0"],
+    ["verify", "--suite", "lemmas", "--x-max", "-1"],
+    ["verify", "--suite", "lemmas", "--x-max", "0.001"],
+    ["verify", "--suite", "lemmas", "--x-max", "inf"],
 ])
 def test_package_errors_and_short_grids_exit_two(argv, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "gammacert: error:" in err and "Traceback" not in err
+
+
+def test_lemma_grid_below_its_left_end_names_x_max(capsys):
+    assert main(["verify", "--suite", "lemmas", "--x-max", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "gammacert: error: x_max must be a finite real > 1e-2 for the lemma grid "
+        "[1e-2, x_max], got -1.0\n")
+
+
+@pytest.mark.parametrize("alpha,row", [("1e308", "1e+308,0,LCM"),
+                                       ("-1e308", "-1e+308,0,RECIPROCAL")])
+def test_scan_of_huge_alphas_classifies_without_warnings(alpha, row, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", f"--alpha={alpha}:{alpha}:1", "--y=0:0:1"]) == EXIT_OK
+    assert capsys.readouterr().out == f"alpha,y,classification\n{row}\n"
 
 
 def test_scan_y_below_the_domain_names_y(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,34 @@ def test_table_columns_are_the_one_point_rows():
                 for v, s in zip(values[:, n], scales[:, n])]
     with pytest.raises(PrecisionError):
         logh_deriv_table(3, 0.0, [1.0, 5e-4])
+
+
+def test_table_parts_rebuild_its_values():
+    xs = [-0.5, 0.3, 2.0, 40.0]
+    table = logh_deriv_table(5, 1.5, xs)
+    assert table.y == 1.5
+    assert table.core.shape == table.core_scale.shape == table.u_pow.shape == (5, 4)
+    assert table.alpha_coef.ravel().tolist() == [-1.0, 1.0, -2.0, 6.0, -24.0]
+    for alpha in (-1.0, 0.0, 0.7, 3.0):
+        values, scales = table(alpha)
+        term = table.alpha_coef * alpha / table.u_pow
+        assert np.array_equal(values, table.core + term)
+        assert np.array_equal(scales, table.core_scale + np.abs(term))
+
+
+@pytest.mark.parametrize("alphas,bad", [
+    (1e308, 1e308), (-1e308, -1e308), ([0.5, 1e300, 1e308], 1e300),
+    (np.array([[2.0], [-1e308]]), -1e308)])
+def test_table_names_an_alpha_whose_term_leaves_binary64(alphas, bad):
+    table = logh_deriv_table(8, 0.0, [-0.9999, 1.0, 50.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+        with pytest.raises(CapabilityError) as info:
+            table(alphas)
+        table([-1e250, 1e250])  # large but in range
+    assert str(info.value) == (
+        f"(ln h)^(k) for k <= 8 at alpha={bad!r}, y=0.0 needs a value outside "
+        "the double-precision range")
 
 
 def test_table_evaluates_lngamma_of_y_once(monkeypatch):
