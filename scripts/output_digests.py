@@ -41,6 +41,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     # the lemma grid at the size and range of the benchmark's catalog ops
     *(("verify", "--suite", "lemmas", "--grid-points", "1000", "--x-max", "1999.5",
        "--format", f) for f in ("json", "csv")),
+    # a lemma grid past polygamma(1, .)'s range: the error of its first bad point
+    ("verify", "--suite", "lemmas", "--x-max", "1e120", "--format", "csv"),
     ("verify", "--suite", "thm1", "--kmax", "12"),
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
     ("scan", "--alpha=0:2:0.05", "--y=-0.9:5:0.7"),

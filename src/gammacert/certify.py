@@ -122,7 +122,19 @@ class GridSpec:
 
 def default_grid(y: float, points: int = DEFAULT_POINTS,
                  x_max: float = DEFAULT_X_MAX) -> GridSpec:
-    """Grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains)."""
+    """Grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains).
+
+    ParameterError unless x_max is a finite real > X_EPSILON, the first x the
+    right sub-domain keeps.
+    """
+    try:
+        ok = math.isfinite(float(x_max)) and float(x_max) > X_EPSILON
+    except (TypeError, ValueError, OverflowError):  # not a real number
+        ok = False
+    if not ok:
+        raise ParameterError(
+            f"x_max must be a finite real > {X_EPSILON:g} for a grid on both sides "
+            f"of x = 0, got {x_max!r}")
     return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=float(x_max), points=points)
 
 

@@ -159,7 +159,7 @@ def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
 
 
 def _suite_thm2(k_max: int, points: int, x_max: float) -> list[CheckResult]:
-    return [thm2_ineq(float(t)) for t in np.geomspace(1e-4, 1e3, 300)]
+    return thm2_ineq(np.geomspace(1e-4, 1e3, 300))
 
 
 def _suite_thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:

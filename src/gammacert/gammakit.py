@@ -9,23 +9,29 @@ an argument below 16, where its ``ASYM_TERMS`` = 12 terms leave a truncation
 error far below double-precision resolution for every supported derivative
 order (tests/test_gammakit.py checks this at z = 16).
 
-Two entry points share those steps.  The scalar functions take one float each;
+Each scalar function also takes a grid: for a 1-D numpy array x it returns
+the array of the per-point results, bit for bit.  The grid form shifts every
+point at once, does + - * / in numpy, which rounds as Python floats do, and
+takes each log and power from libm one element at a time (``math.log``,
+``math.pow``: the C functions behind the scalar path's ``math.log`` and
+``**``).  If a point would make the scalar call raise, the grid is re-run
+point by point, so the first such point raises the scalar call's own error.
+The check catalog's grids (the lemma windows, Theorem 2's t grid) use this
+form; its single points use the float form.
+
 ``gamma_table(n_psi, u)`` returns lnGamma and psi^(j), j < n_psi, at every
-element of an array in one numpy pass, for the grid-shaped callers (derivative
-tables, the q surface).  Both call the same series bodies, written with
-operators only, and the array version repeats the shift step by step and sums
-it in the same order.  Its values agree with the scalar ones to a few ulps,
-because numpy's ``log`` and ``power`` may round differently from ``math.log``
-and ``**``.  That is why grids whose outputs rest on the scalar values keep
-calling the scalar functions per point: on the lemma suite's grids
-``gamma_table(7, xs)`` differs from ``digamma`` / ``polygamma`` in 773 of
-22,400 values, and on 100,000 log-spaced points in [1e-2, 2000] ``np.log``
-differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in 5,327.  The
-check catalog evaluates single points with the scalar functions; the
+element of an array in one numpy pass, for the grid-shaped callers
+(derivative tables, the q surface).  It shares the shift and the series
+bodies but takes ``np.log`` and ``np.power``, whose SIMD loops may round
+differently from libm: on 100,000 log-spaced points in [1e-2, 2000]
+``np.log`` differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in
+5,327, and on the lemma suite's grids ``gamma_table(7, xs)`` differs from
+``digamma`` / ``polygamma`` in 773 of 22,400 values (a few ulps each).  It
+stays apart because certificate and scan bytes rest on its values.  The
 single-point h-family derivatives (``hfamily.logh_deriv``,
-``alpha_necessary_bound``, ``q_surface`` and their callers) instead build
-one- to three-point tables through ``gamma_table``, which costs about a
-hundred scalar calls each.
+``alpha_necessary_bound``, ``q_surface`` and their callers) build one- to
+three-point tables through ``gamma_table``, which costs about a hundred
+scalar calls each.
 
 Accuracy is absolute, not relative, near the zeros of lnGamma (x = 1, 2)
 and of psi (x0 = 1.4616321449683622), where the result is a difference of
@@ -45,6 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -154,30 +161,106 @@ def _poly_coefs(k: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _polygamma_series(z, k, coefs, k_fac):
-    """(-1)^{k+1} psi^(k)(z) for z >= SHIFT_THRESHOLD, given coefs = _poly_coefs(k)
-    and k_fac = (k-1)!; so k! = k * k_fac.
+def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):
+    """(-1)^{k+1} psi^(k)(z) for z >= SHIFT_THRESHOLD.
 
-    (k-1)!/z^k + k!/(2 z^{k+1}) + sum_n B_{2n} (2n+k-1)!/(2n)! z^{-(2n+k)}.
-    z is a float or a row of points; k, each coefficient and k_fac are
-    scalars or columns, one entry per order.  A float z whose powers leave
-    the binary64 range raises OverflowError, where an array holds inf.
+    (k-1)!/z^k + k!/(2 z^{k+1}) + sum_n B_{2n} (2n+k-1)!/(2n)! z^{-(2n+k)},
+    given coefs = _poly_coefs(k), k_fac = (k-1)! (so k! = k * k_fac) and the
+    powers z_k, z_k1, z_k2 = z^k, z^{k+1}, z^{k+2}, which each caller takes
+    with its own pow.  z is a float or a row of points; k, each coefficient
+    and k_fac are scalars or columns, one entry per order.
     """
     series = 0.0
     zsq = z * z
-    zpow = z ** (2 + k)  # z^{2n+k}
+    zpow = z_k2  # z^{2n+k}
     for c in coefs:
         series = series + c / zpow
         zpow = zpow * zsq
-    return k_fac / z ** k + k * k_fac / (2.0 * z ** (k + 1)) + series
+    return k_fac / z_k + k * k_fac / (2.0 * z_k1) + series
 
 
-def lngamma(x: float) -> float:
+def _shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zs, low, z): the recurrence shift of every point of the 1-D array u.
+
+    Row s of zs is u after s steps of z += 1.0 (cumsum adds in order, as the
+    scalar loops do; the smallest point needs the most steps), low marks the
+    steps the scalar loops take (z < SHIFT_THRESHOLD), and z is where each
+    point's loop stops.
+    """
+    steps, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
+    while z < SHIFT_THRESHOLD:
+        steps, z = steps + 1, z + 1.0
+    zs = np.cumsum(np.concatenate([u[None], np.ones((steps, u.size))]), axis=0)
+    low = zs < SHIFT_THRESHOLD
+    return zs, low, zs[low.sum(axis=0), np.arange(u.size)]
+
+
+def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """term summed over each point's low steps, in step order."""
+    return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
+
+
+def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at every element v of the 1-D array a, one libm call each."""
+    return np.fromiter(map(fn, a.tolist(), *map(repeat, args)), float, a.size)
+
+
+def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
+    """zs's shape, fn(z, *args) by libm at the low steps and 0.0 elsewhere."""
+    out = np.zeros_like(zs)
+    out[low] = _libm(fn, zs[low], *args)
+    return out
+
+
+def _lngamma_grid(u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    return _lngamma_series(z, _libm(math.log, z)) - _summed(low, _at_low(math.log, zs, low))
+
+
+def _digamma_grid(u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    return _digamma_series(z, _libm(math.log, z)) - _summed(low, 1.0 / zs)
+
+
+def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    shift = _summed(low, _at_low(math.pow, zs, low, -(k + 1)))
+    magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
+                                   *(_libm(math.pow, z, e) for e in (k, k + 1, k + 2)))
+                 + float(_FACTORIALS[k]) * shift)
+    return magnitude if k % 2 == 1 else -magnitude
+
+
+def _on_grid(x: np.ndarray, scalar, grid, *args) -> np.ndarray:
+    """scalar(*args, v) at every point v of the 1-D array x, bit for bit.
+
+    grid(*args, x) evaluates a float64 x in one pass.  Where it would meet a
+    point that makes the scalar call raise (a point that is not a finite
+    real > 0, a libm OverflowError, a value that is not finite), and for
+    any other dtype, the scalar calls run point by point instead, so the
+    first bad point raises.
+    """
+    if x.dtype == float:
+        try:
+            with np.errstate(all="ignore"):  # inf and nan are caught below
+                if np.all(np.isfinite(x) & (x > 0.0)):
+                    out = grid(*args, x)
+                    if np.all(np.isfinite(out)):
+                        return out
+        except OverflowError:  # from math.pow
+            pass
+    return np.array([scalar(*args, v) for v in x.tolist()], dtype=float)
+
+
+def lngamma(x: float | np.ndarray) -> float | np.ndarray:
     """Natural log of the gamma function for x > 0.
 
     Near its zeros x = 1 and x = 2 the error is absolute (below 1e-14), not
-    relative.
+    relative.  A 1-D array x gives the array of the per-point values.
     """
+    # a float skips the isinstance call, which would cost it about 2%
+    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
+        return _on_grid(x, lngamma, _lngamma_grid)
     z = require_positive(x, "x")
     shift = 0.0
     while z < SHIFT_THRESHOLD:
@@ -186,12 +269,14 @@ def lngamma(x: float) -> float:
     return require_finite(_lngamma_series(z, math.log(z)) - shift, "lngamma", x)
 
 
-def digamma(x: float) -> float:
+def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """Logarithmic derivative of the gamma function for x > 0.
 
     Near its zero x0 = 1.4616321449683622 the error is absolute (below 1e-14),
-    not relative.
+    not relative.  A 1-D array x gives the array of the per-point values.
     """
+    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
+        return _on_grid(x, digamma, _digamma_grid)
     z = require_positive(x, "x")
     shift = 0.0
     while z < SHIFT_THRESHOLD:
@@ -200,13 +285,16 @@ def digamma(x: float) -> float:
     return require_finite(_digamma_series(z, math.log(z)) - shift, "digamma", x)
 
 
-def polygamma(k: int, x: float) -> float:
+def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
     """k-th derivative of digamma, psi^(k)(x), for k = 1..MAX_DERIV_ORDER, x > 0.
 
     The sign of psi^(k) on (0, inf) is (-1)^(k+1); the magnitude is evaluated
-    as a positive series and the sign attached at the end.
+    as a positive series and the sign attached at the end.  A 1-D array x
+    gives the array of the per-point values.
     """
     check_order(k)
+    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
+        return _on_grid(x, polygamma, _polygamma_grid, k)
     z = require_positive(x, "x")
     kfac = float(_FACTORIALS[k])
     shift = 0.0  # accumulates k! sum z_i^{-(k+1)} in magnitude form
@@ -214,7 +302,9 @@ def polygamma(k: int, x: float) -> float:
         while z < SHIFT_THRESHOLD:
             shift += z ** -(k + 1)
             z += 1.0
-        magnitude = _polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1])
+        # a float power outside the binary64 range raises OverflowError
+        magnitude = _polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
+                                      z ** k, z ** (k + 1), z ** (k + 2))
     except OverflowError:
         raise CapabilityError(
             f"polygamma({k}, {x!r}) needs a power of x outside the double-precision range"
@@ -232,6 +322,9 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     summed in that order, then the shared series bodies.  It raises
     CapabilityError exactly where one of the scalar calls lngamma(u_i),
     digamma(u_i), polygamma(j, u_i) would, and returns only finite values.
+    Its logs and powers are numpy's, not libm's, so its values may differ
+    from the scalar ones by a few ulps; the certificate and scan bytes rest
+    on them.
     """
     if not (isinstance(n_psi, int) and not isinstance(n_psi, bool) and n_psi >= 1):
         raise DomainError(f"n_psi must be an integer >= 1, got {n_psi!r}")
@@ -244,34 +337,25 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
         ok = False
     if not ok:
         raise DomainError(f"u must be a 1-D array of finite positive reals, got {u!r}")
-    # row s of zs is z after s steps of z += 1.0: cumsum adds in order, as the
-    # scalar loop does, and the smallest point needs the most steps
-    steps, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
-    while z < SHIFT_THRESHOLD:
-        steps, z = steps + 1, z + 1.0
-    zs = np.cumsum(np.concatenate([u[None], np.ones((steps, u.size))]), axis=0)
-    low = zs < SHIFT_THRESHOLD
-    z = zs[low.sum(axis=0), np.arange(u.size)]
-
-    def shift(term: np.ndarray) -> np.ndarray:
-        """term summed over each point's low steps, in step order."""
-        return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
-
+    zs, low, z = _shift(u)
     orders = range(1, n_psi)
     k = np.array(orders)[:, None]  # polygamma orders as a column against the points
     k_fac = np.array(_FACTORIALS[:n_psi - 1], dtype=float)[:, None]
     coefs = np.array([_poly_coefs(j) for j in orders]).reshape(-1, ASYM_TERMS).T[..., None]
     with np.errstate(all="ignore"):  # non-finite values are checked below
         log_z = np.log(z)
-        lg = _lngamma_series(z, log_z) - shift(np.log(zs))
-        psi_0 = _digamma_series(z, log_z) - shift(1.0 / zs)
-        shifts = np.array([shift(zs ** -(j + 1)) for j in orders]).reshape(len(orders), u.size)
-        magnitude = _polygamma_series(z, k, coefs, k_fac) + k * k_fac * shifts
+        lg = _lngamma_series(z, log_z) - _summed(low, np.log(zs))
+        psi_0 = _digamma_series(z, log_z) - _summed(low, 1.0 / zs)
+        shifts = np.array([_summed(low, zs ** -(j + 1))
+                           for j in orders]).reshape(len(orders), u.size)
+        z_k2 = z ** (k + 2)
+        magnitude = (_polygamma_series(z, k, coefs, k_fac, z ** k, z ** (k + 1), z_k2)
+                     + k * k_fac * shifts)
         psi = np.concatenate([psi_0[None], (-1.0) ** (k + 1) * magnitude])
         # a point fails where a scalar result would not be finite, or where
         # the scalar polygamma's largest power z^{k+2} overflows
         bad = ~(np.isfinite(lg) & np.isfinite(psi).all(axis=0)
-                & np.isfinite(z ** (2 + k)).all(axis=0))
+                & np.isfinite(z_k2).all(axis=0))
     if bad.any():
         raise CapabilityError(
             f"gamma_table({n_psi}, u) at u = {float(u[bad][0])!r} is outside the "

@@ -186,14 +186,19 @@ def _float_columns(*values) -> tuple[np.ndarray, ...]:
 def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckResult]:
     """One CheckResult per row of the evaluated columns.
 
-    Finiteness is checked once per column, so the rows are made with
-    tuple.__new__; the first bad row goes through CheckResult, which raises.
+    Each (label, value) pair is built once: a scalar input's pair is shared
+    by every row.  Finiteness is checked once per column, so the rows are
+    made with tuple.__new__; the first bad row goes through CheckResult,
+    which raises.
     """
     pairs = []  # per input, its (label, value) pair on every row
     for label, values in inputs:
         label = str(label)
-        pairs.append([(label, v) for v in np.broadcast_to(
-            np.asarray(values, dtype=float), lhs.shape).tolist()])
+        if np.ndim(values) == 0:
+            pairs.append([(label, float(values))] * lhs.size)
+        else:
+            pairs.append([(label, v) for v in np.broadcast_to(
+                np.asarray(values, dtype=float), lhs.shape).tolist()])
     marker = (("margin_within_noise", 1.0),)
     row_inputs = [row + marker if w else row for row, w in zip(
         zip(*pairs) if pairs else [()] * lhs.size, within.tolist())]
@@ -212,17 +217,15 @@ def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckRe
 #
 # Each window evaluates a whole grid of x at once: x is one point or a 1-D
 # grid, and the rows come window by window, one row per point in grid order.
-# The kernel values, logs and integer powers are taken per point with the
-# scalar kernel, math.log and Python's **, and the rest of the arithmetic on
-# columns: the array kernel, np.log and np.power round differently in the
-# last ulp.
+# The kernel takes the whole grid, and logs and integer powers are libm's
+# per point: np.log and np.power round differently in the last ulp.
 
-def _grid(x) -> np.ndarray:
+def _grid(x, name: str = "x") -> np.ndarray:
     """The points of x, one point or a 1-D grid, each a finite real > 0.
 
     A numeric grid is checked in one pass.  Anything else, or a grid with a
-    bad point, goes point by point, so require_positive raises its error for
-    the first bad point.
+    bad point, goes point by point, so require_positive raises its error,
+    which calls the argument name, for the first bad point.
     """
     a = np.asarray(x)
     if a.ndim <= 1 and a.dtype.kind in "biuf":
@@ -230,16 +233,17 @@ def _grid(x) -> np.ndarray:
         if np.all(np.isfinite(xs) & (xs > 0.0)):
             return xs
     points = [x] if a.ndim == 0 else a.tolist()
-    return np.array([require_positive(v, "x") for v in points], dtype=float)
+    return np.array([require_positive(v, name) for v in points], dtype=float)
 
 
-def _per_point(fn, x: np.ndarray) -> np.ndarray:
-    """fn at every point of x, one scalar call each."""
-    return np.array([fn(v) for v in x.tolist()], dtype=float)
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log at every point of x."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    return _per_point(lambda v: v ** n, x)
+    """x ** n at every point of x, by math.pow."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(float(n))), float, x.size)
 
 
 def psi_log_bounds(x) -> list[CheckResult]:
@@ -251,9 +255,9 @@ def psi_log_bounds(x) -> list[CheckResult]:
     4. ln x - 1/(2x) - 1/(12x^2) < psi(x) < ln x - 1/(2x)
     """
     xs = _grid(x)
-    psi = _per_point(digamma, xs)
-    lx = _per_point(math.log, xs)
-    log_half = _per_point(math.log, xs + 0.5)
+    psi = digamma(xs)
+    lx = _logs(xs)
+    log_half = _logs(xs + 0.5)
     inputs = (("x", xs),)
     with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
         inv = 1.0 / xs
@@ -261,9 +265,9 @@ def psi_log_bounds(x) -> list[CheckResult]:
         return [
             *two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
             *two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
-                            _per_point(math.log, xs + 1.0) - inv),
+                            _logs(xs + 1.0) - inv),
             *two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
-                            psi, _per_point(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
+                            psi, _logs(xs + EXP_NEG_EULER_GAMMA) - inv),
             *two_sided_rows("psi_second_order_window", inputs,
                             upper - 1.0 / (12.0 * xs * xs), psi, upper),
         ]
@@ -278,8 +282,8 @@ def psi_upper_refinement(x) -> CheckResult | list[CheckResult]:
     with np.errstate(all="ignore"):
         inv = 1.0 / xs
         rows = one_sided_rows("psi_sharp_upper_refines_shifted_log", (("x", xs),),
-                              _per_point(math.log, xs + EXP_NEG_EULER_GAMMA) - inv,
-                              _per_point(math.log, xs + 1.0) - inv)
+                              _logs(xs + EXP_NEG_EULER_GAMMA) - inv,
+                              _logs(xs + 1.0) - inv)
     return rows[0] if np.ndim(x) == 0 else rows
 
 
@@ -291,7 +295,7 @@ def polygamma_bounds(k: int, x) -> list[CheckResult]:
     """
     xs = _grid(x)
     check_order(k)
-    v = (-1.0) ** (k + 1) * _per_point(lambda p: polygamma(k, p), xs)
+    v = (-1.0) ** (k + 1) * polygamma(k, xs)
     km1f = float(math.factorial(k - 1))
     kf = float(math.factorial(k))
     x_k = _powers(xs, k)
@@ -350,20 +354,23 @@ def gamma_ratio_ineq(x: float, y: float, t: float,
 # the gamma-difference quotient bound and its proof chain
 # ---------------------------------------------------------------------------
 
-def thm2_ineq(t: float) -> CheckResult:
+def thm2_ineq(t) -> CheckResult | list[CheckResult]:
     """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0.
 
-    t below THM2_T_MIN raises PrecisionError.
+    One point gives its CheckResult, a 1-D grid the list of rows in grid
+    order.  t below THM2_T_MIN raises PrecisionError.
     """
-    t = require_positive(t, "t")
-    if t < THM2_T_MIN:
-        raise PrecisionError(f"t = {t!r} is below {THM2_T_MIN:g}: the lnGamma "
-                             "difference no longer resolves the margin")
-    w = 1.0 + 2.0 * t
-    lhs = w / (2.0 * t * t) * (lngamma(t / w) - lngamma(t))
-    rhs = 1.0 - digamma(t)
-    return one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),
-                     lhs, rhs)
+    ts = _grid(t, "t")
+    below = ts < THM2_T_MIN
+    if below.any():
+        raise PrecisionError(f"t = {ts[below][0].item()!r} is below {THM2_T_MIN:g}: the "
+                             "lnGamma difference no longer resolves the margin")
+    with np.errstate(all="ignore"):
+        w = 1.0 + 2.0 * ts
+        rows = one_sided_rows("gamma_diff_quotient_vs_one_minus_psi", (("t", ts),),
+                              w / (2.0 * ts * ts) * (lngamma(ts / w) - lngamma(ts)),
+                              1.0 - digamma(ts))
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
 def batir_ineq(a: float, b: float) -> CheckResult:

@@ -63,6 +63,13 @@ def test_grid_spec_validation():
         GridSpec(x_min_offset=1e-4, x_max=10.0, points=True)
 
 
+def test_default_grid_reaches_both_sub_domains_or_names_x_max():
+    for x_max in (0.0, 1e-3, -0.5, math.inf, math.nan, "abc", None):
+        with pytest.raises(ParameterError, match=r"^x_max must be a finite real > 0\.001"):
+            default_grid(0.0, x_max=x_max)
+    assert default_grid(0.0, x_max=2e-3).x_max == 2e-3
+
+
 def test_grid_points_cover_both_sub_domains():
     xs = grid_points(default_grid(0.0, points=100), 0.0)
     assert xs[0] == pytest.approx(-1.0 + 1e-4, rel=1e-12)

@@ -71,6 +71,10 @@ def test_malformed_range_exits_two(capsys):
     ["verify", "--suite", "lemmas", "--x-max", "-1"],
     ["verify", "--suite", "lemmas", "--x-max", "0.001"],
     ["verify", "--suite", "lemmas", "--x-max", "inf"],
+    # the certificate grid needs x_max > 1e-3, so that it reaches x > 0
+    ["verify", "--suite", "thm1", "--x-max", "0"],
+    ["verify", "--suite", "thm1", "--x-max", "1e-3"],
+    ["scan", "--alpha=0:1:0.5", "--y=0:0:1", "--x-max", "-0.5"],
 ])
 def test_package_errors_and_short_grids_exit_two(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -83,6 +87,13 @@ def test_lemma_grid_below_its_left_end_names_x_max(capsys):
     assert capsys.readouterr().err.endswith(
         "gammacert: error: x_max must be a finite real > 1e-2 for the lemma grid "
         "[1e-2, x_max], got -1.0\n")
+
+
+def test_certificate_grid_without_positive_x_names_x_max(capsys):
+    assert main(["scan", "--alpha=0:1:0.5", "--y=0:0:1", "--x-max", "-0.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "gammacert: error: x_max must be a finite real > 0.001 for a grid on both "
+        "sides of x = 0, got -0.5\n")
 
 
 @pytest.mark.parametrize("alpha,row", [("1e308", "1e+308,0,LCM"),

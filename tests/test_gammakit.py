@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -264,6 +266,58 @@ def test_kernel_returns_finite_or_raises_package_error(x, k):
     _finite_or_package_error(lngamma, x)
     _finite_or_package_error(digamma, x)
     _finite_or_package_error(polygamma, k, x)
+
+
+# ---------------------------------------------------------------------------
+# grid calls of the scalar kernel
+# ---------------------------------------------------------------------------
+
+_KERNEL = (lngamma, digamma, *(partial(polygamma, k) for k in range(1, MAX_DERIV_ORDER + 1)))
+_AROUND_16 = [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, math.inf)]
+
+
+def _kernel_outcome(evaluate) -> list[str] | str:
+    """float.hex of every value evaluate() returns, or the error it raises;
+    a warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return [float(v).hex() for v in evaluate()]
+        except (CapabilityError, DomainError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=8),
+       st.sampled_from(_KERNEL))
+@example(_AROUND_16 + [1e-300, 1e300], lngamma)
+@example(_AROUND_16 + [1e-300, 1e300], digamma)
+@example(_AROUND_16 + [1e-300, 1.0], _KERNEL[2])       # polygamma(1, .)
+@example(_AROUND_16 + [1e-300, 1.0], _KERNEL[-1])      # polygamma(12, .)
+@example([3.0, 1e300, 1e200], _KERNEL[2])              # z ** 2 overflows at 1e300 first
+@example([2.0, 1e-30, 1e300], _KERNEL[11])             # polygamma(10, .): z ** -11 overflows
+@example([1.0, 5e-324], digamma)                       # the shift term 1/z is inf
+@example([1.0, 0.0, -1.0], lngamma)                    # not in the domain
+@example([2.0, math.nan], _KERNEL[5])
+@example([], digamma)
+def test_grid_calls_are_the_scalar_calls_bit_for_bit(xs, fn):
+    grid = np.array(xs, dtype=float)
+    assert _kernel_outcome(lambda: fn(grid)) == _kernel_outcome(lambda: [fn(v) for v in xs])
+
+
+def test_grid_calls_match_the_scalar_calls_on_a_dense_grid():
+    # dense enough, below and above the shift threshold, that np.log and
+    # np.power in place of libm would move some values
+    grid = np.concatenate([np.geomspace(1e-2, 16.0, 10000), np.geomspace(16.0, 2000.0, 10000)])
+    for fn in _KERNEL:
+        assert fn(grid).tolist() == [fn(v) for v in grid.tolist()], fn
+
+
+def test_grid_calls_return_float_arrays():
+    grid = np.geomspace(1e-2, 1e3, 7)
+    for fn in _KERNEL:
+        out = fn(grid)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (7,)
+    assert lngamma(np.array([1, 3])).tolist() == [lngamma(1.0), lngamma(3.0)]
 
 
 # ---------------------------------------------------------------------------

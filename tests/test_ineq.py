@@ -20,6 +20,7 @@ from gammacert import (
     batir_ineq,
     digamma,
     gamma_ratio_ineq,
+    lngamma,
     log_upper_bound_ineq,
     polygamma,
     polygamma_bounds,
@@ -271,11 +272,15 @@ _ROWS = st.lists(_sides(), min_size=1, max_size=6)
 @example(rows=[(1.0, 2.0, 3.0)] * 2 + [(math.nan, 2.0, 3.0)], strict=True, strict_lower=None)
 @example(rows=[(1.0, 2.0, 3.0), (1.0, 2.0, -math.inf)], strict=True, strict_lower=None)
 @example(rows=[(1.0, 2.0, 3.0), (1e308, -1e308, 1e308)], strict=True, strict_lower=None)
+@example(rows=[(-0.0, 0.0, 5e-324)], strict=False, strict_lower=True)  # scalar inputs
 def test_two_sided_rows_is_two_sided_row_by_row(rows, strict, strict_lower):
     xs = [0.5 * i for i in range(len(rows))]
-    lower, mid, upper = (list(side) for side in zip(*rows))
+    columns = [xs, *(list(side) for side in zip(*rows))]
+    if len(rows) == 1:  # one row passes scalars
+        columns = [column[0] for column in columns]
+    x, lower, mid, upper = columns
     assert _outcome(lambda: two_sided_rows(
-        "w", (("k", 3), ("x", xs)), lower, mid, upper, strict, strict_lower)) == _outcome(
+        "w", (("k", 3), ("x", x)), lower, mid, upper, strict, strict_lower)) == _outcome(
         lambda: [two_sided("w", (("k", 3), ("x", x)), lo, m, up, strict, strict_lower)
                  for x, (lo, m, up) in zip(xs, rows)])
 
@@ -389,6 +394,25 @@ def test_thm2_raises_precision_error_below_its_accuracy_cutoff():
         with pytest.raises(PrecisionError):
             thm2_ineq(tiny)
     assert thm2_ineq(THM2_T_MIN).holds
+
+
+def test_thm2_grids_name_their_first_bad_point():
+    with pytest.raises(PrecisionError, match=r"^t = 5e-05 is below 0\.0001: "):
+        thm2_ineq(np.array([1.0, 5e-05, 1e-06]))
+    with pytest.raises(DomainError, match=r"^t must be a finite positive real, got 0\.0$"):
+        thm2_ineq(np.array([1.0, 0.0, 1e-06]))
+
+
+def test_thm2_suite_rows_are_the_per_point_rows():
+    ts = np.geomspace(1e-4, 1e3, 300).tolist()
+    scalar = []  # the bound in Python floats, one scalar kernel call per value
+    for t in ts:
+        w = 1.0 + 2.0 * t
+        scalar.append(one_sided("gamma_diff_quotient_vs_one_minus_psi", (("t", t),),
+                                w / (2.0 * t * t) * (lngamma(t / w) - lngamma(t)),
+                                1.0 - digamma(t)))
+    got = build_suite("thm2")
+    assert repr(got) == repr([thm2_ineq(t) for t in ts]) == repr(scalar)
 
 
 def test_batir_worked_pairs_hold():
