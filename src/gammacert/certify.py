@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,29 +95,42 @@ class Classification(str, Enum):
     UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid in x for one parameter pair.
-
-    The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
-    above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
-    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.
-    """
-
+class _GridFields(NamedTuple):
     x_min_offset: float
     x_max: float
     points: int = DEFAULT_POINTS
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.x_min_offset, (int, float))
-                and math.isfinite(self.x_min_offset) and self.x_min_offset > 0.0):
+
+def _is_real(v) -> bool:
+    """v is an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and v.__class__ is not bool
+
+
+class GridSpec(_GridFields):
+    """Evaluation grid in x for one parameter pair, an immutable named 3-tuple.
+
+    The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
+    above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
+    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.  A field
+    of the wrong type or range, a bool included, raises ParameterError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x_min_offset, x_max, points=DEFAULT_POINTS):
+        if not (_is_real(x_min_offset) and math.isfinite(x_min_offset)
+                and x_min_offset > 0.0):
             raise ParameterError(
-                f"x_min_offset must be a finite positive real, got {self.x_min_offset!r}")
-        if not (isinstance(self.x_max, (int, float)) and math.isfinite(self.x_max)):
-            raise ParameterError(f"x_max must be finite, got {self.x_max!r}")
-        if not (isinstance(self.points, int) and not isinstance(self.points, bool)
-                and self.points >= 2):
-            raise ParameterError(f"points must be an integer >= 2, got {self.points!r}")
+                f"x_min_offset must be a finite positive real, got {x_min_offset!r}")
+        if not (_is_real(x_max) and math.isfinite(x_max)):
+            raise ParameterError(f"x_max must be finite, got {x_max!r}")
+        if not (isinstance(points, int) and points.__class__ is not bool and points >= 2):
+            raise ParameterError(f"points must be an integer >= 2, got {points!r}")
+        return tuple.__new__(cls, (x_min_offset, x_max, points))
+
+    @classmethod
+    def _make(cls, iterable) -> GridSpec:  # _replace builds through it
+        return cls(*iterable)
 
 
 def default_grid(y: float, points: int = DEFAULT_POINTS,
@@ -153,17 +166,7 @@ def grid_points(spec: GridSpec, y: float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of a sign-pattern check over a grid.
-
-    check is "lcm-sign" for derivative-sign certificates (direction set,
-    witness.k is the derivative order) or "surface-negativity" for the
-    q-surface check (direction None; witness.k = 0 flags a non-negative
-    surface value, witness.k = 1 a non-decreasing adjacent step).
-    PASS semantics are always grid-verified, never analytic.
-    """
-
+class _CertificateFields(NamedTuple):
     params: HParams
     direction: Direction | None
     k_max: int
@@ -174,10 +177,31 @@ class Certificate:
     check: str = "lcm-sign"
     semantics: str = "grid-verified"
 
-    def __post_init__(self) -> None:
-        if (self.verdict is Verdict.FAIL) != (self.witness is not None):
+
+class Certificate(_CertificateFields):
+    """Outcome of a sign-pattern check over a grid, an immutable named 9-tuple.
+
+    check is "lcm-sign" for derivative-sign certificates (direction set,
+    witness.k is the derivative order) or "surface-negativity" for the
+    q-surface check (direction None; witness.k = 0 flags a non-negative
+    surface value, witness.k = 1 a non-decreasing adjacent step).
+    PASS semantics are always grid-verified, never analytic.  A FAIL
+    without a witness, or a witness without a FAIL, raises ParameterError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, params, direction, k_max, grid, verdict, witness,
+                undecided_points=0, check="lcm-sign", semantics="grid-verified"):
+        if (verdict is Verdict.FAIL) != (witness is not None):
             raise ParameterError(
                 "certificate invariant violated: FAIL iff witness present")
+        return tuple.__new__(cls, (params, direction, k_max, grid, verdict, witness,
+                                   undecided_points, check, semantics))
+
+    @classmethod
+    def _make(cls, iterable) -> Certificate:  # _replace builds through it
+        return cls(*iterable)
 
 
 def _first_violation(margin: np.ndarray, scale: np.ndarray
@@ -422,8 +446,7 @@ def in_conjecture_zone(alpha, y: float):
     return (reciprocal_threshold(y) < alpha) & (alpha <= 1.0)
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     """Classification of one (alpha, y) cell from its two certificates.
 
     For cells inside the conjecture zone, reciprocal_violation records

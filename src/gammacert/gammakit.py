@@ -38,9 +38,10 @@ and of psi (x0 = 1.4616321449683622), where the result is a difference of
 terms of order one: against mpmath, lngamma(2 + 1e-9) is off by 6.3e-15
 (relative 1.5e-5) and digamma(x0) by 5.4e-16 (relative 5.8).
 
-Bernoulli numbers are generated once from the defining recurrence with
-``fractions.Fraction`` arithmetic, so every series coefficient is the
-correctly rounded double of an exact rational.
+Bernoulli numbers are generated once from the defining recurrence as exact
+integer rationals (numerator, denominator), and every series coefficient is
+one int true division of an exact numerator by an exact denominator, which
+CPython rounds correctly (as ``fractions.Fraction.__float__`` does).
 
 A result, or an intermediate, outside the binary64 range raises
 ``CapabilityError``; every returned value is finite.
@@ -49,7 +50,6 @@ A result, or an intermediate, outside the binary64 range raises
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
@@ -81,25 +81,29 @@ SHIFT_THRESHOLD = 16.0
 ASYM_TERMS = 12
 
 
-def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
-    """Return (B_2, B_4, ..., B_{2*count}) as exact rationals.
+def _bernoulli_even(count: int) -> tuple[tuple[int, int], ...]:
+    """Return (B_2, B_4, ..., B_{2*count}) as exact rationals (numerator,
+    denominator) in lowest terms, the denominator positive.
 
     Uses the defining recurrence B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j
     with B_0 = 1, B_1 = -1/2 and B_j = 0 for odd j >= 3, so only the even
     terms are summed.
     """
-    even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+    even = [(1, 1)]  # B_0, B_2, B_4, ...
     for m in range(2, 2 * count + 1, 2):
-        acc = Fraction(1 - m, 2)  # the j = 0 and j = 1 terms
+        num, den = 1 - m, 2  # the j = 0 and j = 1 terms
         for j in range(2, m, 2):
-            acc += math.comb(m + 1, j) * even[j // 2]
-        even.append(-acc / (m + 1))
+            b_num, b_den = even[j // 2]
+            num, den = num * b_den + math.comb(m + 1, j) * b_num * den, den * b_den
+        num, den = -num, den * (m + 1)
+        g = math.gcd(num, den)
+        even.append((num // g, den // g))
     return tuple(even[1:])
 
 
-BERNOULLI_EVEN_RATIONAL: tuple[Fraction, ...] = _bernoulli_even(ASYM_TERMS)
+BERNOULLI_EVEN_RATIONAL: tuple[tuple[int, int], ...] = _bernoulli_even(ASYM_TERMS)
 #: float(B_{2n}) for n = 1..ASYM_TERMS; BERNOULLI_EVEN[0] is B_2 = 1/6.
-BERNOULLI_EVEN: tuple[float, ...] = tuple(float(b) for b in BERNOULLI_EVEN_RATIONAL)
+BERNOULLI_EVEN: tuple[float, ...] = tuple(n / d for n, d in BERNOULLI_EVEN_RATIONAL)
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -152,13 +156,10 @@ def _digamma_series(z, log_z):
 
 @lru_cache(maxsize=None)
 def _poly_coefs(k: int) -> tuple[float, ...]:
-    """Series coefficients B_{2n} (2n+k-1)!/(2n)! for n = 1..ASYM_TERMS, exact-rational."""
-    out = []
-    for n in range(1, ASYM_TERMS + 1):
-        coef = BERNOULLI_EVEN_RATIONAL[n - 1] * Fraction(
-            math.factorial(2 * n + k - 1), math.factorial(2 * n))
-        out.append(float(coef))
-    return tuple(out)
+    """Series coefficients B_{2n} (2n+k-1)!/(2n)! for n = 1..ASYM_TERMS,
+    each the correctly rounded double of the exact rational."""
+    return tuple(num * math.perm(2 * n + k - 1, k - 1) / den
+                 for n, (num, den) in enumerate(BERNOULLI_EVEN_RATIONAL, start=1))
 
 
 def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,22 +69,30 @@ X_EPSILON = 1e-3
 ENDPOINT_CLEARANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class HParams:
-    """Parameter pair (alpha, y) of the family; requires finite alpha, y > -1."""
-
+class _HParamsFields(NamedTuple):
     alpha: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, Real) and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
-        if not (isinstance(self.y, Real) and math.isfinite(self.y) and self.y > -1.0):
-            raise DomainError(f"y must be a finite real > -1, got {self.y!r}")
+
+class HParams(_HParamsFields):
+    """Parameter pair (alpha, y) of the family, an immutable named 2-tuple;
+    requires finite alpha, y > -1 (DomainError otherwise)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, y):
+        if not (isinstance(alpha, Real) and math.isfinite(alpha)):
+            raise DomainError(f"alpha must be finite, got {alpha!r}")
+        if not (isinstance(y, Real) and math.isfinite(y) and y > -1.0):
+            raise DomainError(f"y must be a finite real > -1, got {y!r}")
+        return tuple.__new__(cls, (alpha, y))
+
+    @classmethod
+    def _make(cls, iterable) -> HParams:  # _replace builds through it
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DerivSample:
+class DerivSample(NamedTuple):
     """One evaluated derivative sign sample: order k at abscissa x."""
 
     k: int
@@ -159,7 +167,8 @@ class DerivTable:
     held once: table(alpha) = core + alpha_coef * alpha / u_pow, with
     alpha_coef = (-1)^k (k-1)! and u_pow = u^k, row k - 1 for order k.
     core_scale sums the absolute values of the alpha-free terms.  (A plain
-    class: a dataclass would add about a millisecond to the CLI's import.)
+    class with slots, not a named tuple: its fields are arrays, so tuple
+    equality and hashing would mean nothing for it.)
     """
 
     __slots__ = ("y", "core", "core_scale", "u_pow", "alpha_coef")

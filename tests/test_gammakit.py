@@ -40,8 +40,8 @@ from gammacert import (
     scan_values,
     verify_thm3,
 )
-from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN_RATIONAL, MAX_DERIV_ORDER,
-                                SHIFT_THRESHOLD)
+from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN, BERNOULLI_EVEN_RATIONAL,
+                                MAX_DERIV_ORDER, SHIFT_THRESHOLD, _poly_coefs)
 
 GRID = [float(x) for x in np.geomspace(1e-2, 1e3, 40)]
 
@@ -112,10 +112,22 @@ def test_constants_are_consistent():
 
 
 def test_bernoulli_table_spot_values():
-    assert BERNOULLI_EVEN_RATIONAL[0] == Fraction(1, 6)
-    assert BERNOULLI_EVEN_RATIONAL[1] == Fraction(-1, 30)
-    assert BERNOULLI_EVEN_RATIONAL[5] == Fraction(-691, 2730)
-    assert BERNOULLI_EVEN_RATIONAL == oracle.bernoulli_even(ASYM_TERMS)
+    # (numerator, denominator) pairs in lowest terms, denominator positive
+    assert BERNOULLI_EVEN_RATIONAL[0] == (1, 6)
+    assert BERNOULLI_EVEN_RATIONAL[1] == (-1, 30)
+    assert BERNOULLI_EVEN_RATIONAL[5] == (-691, 2730)
+    assert tuple(Fraction(num, den) for num, den in BERNOULLI_EVEN_RATIONAL) == (
+        oracle.bernoulli_even(ASYM_TERMS))
+
+
+def test_series_coefficients_are_the_fraction_computation_bit_for_bit():
+    # the kernel divides exact integers; Fraction.__float__ is the reference
+    bern = oracle.bernoulli_even(ASYM_TERMS)
+    assert BERNOULLI_EVEN == tuple(float(b) for b in bern)
+    for k in range(1, MAX_DERIV_ORDER + 1):
+        assert _poly_coefs(k) == tuple(
+            float(b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n)))
+            for n, b in enumerate(bern, start=1)), k
 
 
 def test_series_truncation_is_negligible_at_the_shift_threshold():
@@ -124,7 +136,7 @@ def test_series_truncation_is_negligible_at_the_shift_threshold():
     # lngamma and digamma), so |last term| / |value| is largest at
     # z = SHIFT_THRESHOLD and this one point bounds the truncation everywhere.
     n, z = ASYM_TERMS, Fraction(SHIFT_THRESHOLD)
-    bern = BERNOULLI_EVEN_RATIONAL[n - 1]
+    bern = Fraction(*BERNOULLI_EVEN_RATIONAL[n - 1])
     ratios = {
         "lngamma": bern / ((2 * n) * (2 * n - 1) * z ** (2 * n - 1))
         / Fraction(lngamma(SHIFT_THRESHOLD)),

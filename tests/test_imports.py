@@ -1,10 +1,14 @@
 """Design rules: no gammacert module imports a private name from another,
-and each module's ``__all__`` is the one declaration of its public names."""
+each module's ``__all__`` is the one declaration of its public names, and
+importing the CLI loads nothing beyond what it needs anyway."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gammacert
@@ -53,3 +57,27 @@ def test_each_module_all_is_declared_once_and_is_the_package_api():
     for name in LIBRARY:
         for public in modules[name].__all__:
             assert getattr(gammacert, public) is getattr(modules[name], public), public
+
+
+#: The standard modules the package imports by name.  The guard imports them
+#: first, with numpy, argparse and json (the CLI's own dependencies), so that
+#: its verdict does not hang on what one numpy or Python version loads.
+STDLIB = ("__future__", "collections.abc", "datetime", "enum", "functools",
+          "itertools", "json.encoder", "math", "numbers", "os", "pathlib", "re",
+          "sys", "typing")
+
+
+def test_cli_import_adds_only_gammacert_modules():
+    # dataclasses, fractions and decimal cost milliseconds of every CLI
+    # process; on top of its dependencies the package may load only itself
+    code = (f"import sys, numpy, argparse, json, {', '.join(STDLIB)}\n"
+            "before = set(sys.modules)\n"
+            "import gammacert.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "gammacert.cli" in added
+    assert [name for name in added if name.partition(".")[0] != "gammacert"] == []

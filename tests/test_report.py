@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -16,6 +15,7 @@ from gammacert import (
     Direction,
     GridSpec,
     HParams,
+    ParameterError,
     Report,
     ScanCell,
     Verdict,
@@ -167,6 +167,23 @@ def test_make_timestamp_format():
                         make_timestamp())
 
 
+def test_make_timestamp_reads_source_date_epoch(monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    assert make_timestamp() == "2023-11-14T22:13:20Z"
+    assert build_report("s", [], tool_version="0.1.0").timestamp == "2023-11-14T22:13:20Z"
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert make_timestamp() == "1970-01-01T00:00:00Z"
+
+
+@pytest.mark.parametrize("epoch", ["", "abc", "1.5", "-5", " 12", "1e9", "\u0661",
+                                   "99999999999999999999"])
+def test_make_timestamp_refuses_a_malformed_source_date_epoch(epoch, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    pattern = f"^SOURCE_DATE_EPOCH .*, got {re.escape(repr(epoch))}$"
+    with pytest.raises(ParameterError, match=pattern):
+        make_timestamp()
+
+
 def test_jsonable_round_trip_is_exact():
     r = _mixed_report()
     assert from_jsonable(to_jsonable(r)) == r
@@ -196,8 +213,8 @@ _FLOAT_SLOTS = {
     "check input": lambda v: CheckResult(
         name="bad_input", inputs=(("t", v),), lhs=0.0, rhs=1.0, margin=1.0,
         holds=True),
-    "certificate witness value": lambda v: dataclasses.replace(
-        _fail_cert(), witness=DerivSample(k=1, x=-0.9999, value=v)),
+    "certificate witness value": lambda v: _fail_cert()._replace(
+        witness=DerivSample(k=1, x=-0.9999, value=v)),
     "scan-cell alpha": lambda v: ScanCell(
         alpha=v, y=0.0, classification=Classification.LCM),
 }
@@ -225,7 +242,7 @@ def test_to_jsonable_refuses_non_result_objects():
     with pytest.raises(TypeError, match="cannot serialize str"):
         to_jsonable("not a result")
     with pytest.raises(TypeError, match="cannot serialize int"):
-        dumps(dataclasses.replace(_mixed_report(), results=(1,)))
+        dumps(_mixed_report()._replace(results=(1,)))
 
 
 def test_status_field_present_for_all_result_kinds():
