@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, PrecisionError, require_real
+from .errors import ParameterError, PrecisionError, is_finite, require_real
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -98,7 +98,7 @@ class Classification(str, Enum):
 class _GridFields(NamedTuple):
     x_min_offset: float
     x_max: float
-    points: int = DEFAULT_POINTS
+    points: int
 
 
 def _is_real(v) -> bool:
@@ -118,11 +118,11 @@ class GridSpec(_GridFields):
     __slots__ = ()
 
     def __new__(cls, x_min_offset, x_max, points=DEFAULT_POINTS):
-        if not (_is_real(x_min_offset) and math.isfinite(x_min_offset)
+        if not (_is_real(x_min_offset) and is_finite(x_min_offset)
                 and x_min_offset > 0.0):
             raise ParameterError(
                 f"x_min_offset must be a finite positive real, got {x_min_offset!r}")
-        if not (_is_real(x_max) and math.isfinite(x_max)):
+        if not (_is_real(x_max) and is_finite(x_max)):
             raise ParameterError(f"x_max must be finite, got {x_max!r}")
         if not (isinstance(points, int) and points.__class__ is not bool and points >= 2):
             raise ParameterError(f"points must be an integer >= 2, got {points!r}")
@@ -173,9 +173,9 @@ class _CertificateFields(NamedTuple):
     grid: GridSpec
     verdict: Verdict
     witness: DerivSample | None
-    undecided_points: int = 0
-    check: str = "lcm-sign"
-    semantics: str = "grid-verified"
+    undecided_points: int
+    check: str
+    semantics: str
 
 
 class Certificate(_CertificateFields):

@@ -36,6 +36,14 @@ def require_real(value, name: str) -> float:
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
+def is_finite(value) -> bool:
+    """math.isfinite(value), except that an int beyond the float range is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        return False
+
+
 def require_positive(value: float, name: str) -> float:
     """value as a float; DomainError unless it is a finite real > 0."""
     try:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, PrecisionError, require_real)
+    CapabilityError, DomainError, PrecisionError, is_finite, require_real)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -81,9 +81,9 @@ class HParams(_HParamsFields):
     __slots__ = ()
 
     def __new__(cls, alpha, y):
-        if not (isinstance(alpha, Real) and math.isfinite(alpha)):
+        if not (isinstance(alpha, Real) and is_finite(alpha)):
             raise DomainError(f"alpha must be finite, got {alpha!r}")
-        if not (isinstance(y, Real) and math.isfinite(y) and y > -1.0):
+        if not (isinstance(y, Real) and is_finite(y) and y > -1.0):
             raise DomainError(f"y must be a finite real > -1, got {y!r}")
         return tuple.__new__(cls, (alpha, y))
 
@@ -155,7 +155,7 @@ def h_eval(params: HParams, x: float) -> float:
 
 def bigH_eval(alpha: float, y: float, x: float) -> float:
     """Companion normalization [Gamma(x+y)/Gamma(y)]^(1/x) (x+y)^(-alpha), y > 0."""
-    if not (isinstance(y, Real) and math.isfinite(y) and y > 0.0):
+    if not (isinstance(y, Real) and is_finite(y) and y > 0.0):
         raise DomainError(f"bigH_eval requires y > 0, got {y!r}")
     return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
 

@@ -72,7 +72,7 @@ class _CheckFields(NamedTuple):
     rhs: float
     margin: float
     holds: bool
-    strict: bool = True
+    strict: bool
 
 
 class CheckResult(_CheckFields):

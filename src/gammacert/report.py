@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -39,7 +38,6 @@ from .certify import (
     ScanCell,
     Verdict,
 )
-from .errors import ParameterError
 from .hfamily import DerivSample, HParams
 from .ineq import CheckResult
 
@@ -67,26 +65,7 @@ class Report(NamedTuple):
 
 
 def make_timestamp() -> str:
-    """The current UTC time, or SOURCE_DATE_EPOCH's when it is set.
-
-    SOURCE_DATE_EPOCH holds integer seconds since the Unix epoch (the
-    reproducible-builds convention), so that a JSON report is byte-stable
-    across runs; any other value, or one outside datetime's range, raises
-    ParameterError.
-    """
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is None:
-        return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    moment = None
-    if epoch.isascii() and epoch.isdigit():
-        try:
-            moment = datetime.fromtimestamp(int(epoch), timezone.utc)
-        except (ValueError, OverflowError, OSError):  # outside datetime's range
-            pass
-    if moment is None:
-        raise ParameterError("SOURCE_DATE_EPOCH must be a non-negative integer "
-                             f"count of seconds since the epoch, got {epoch!r}")
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def result_status(item: ResultItem) -> str:

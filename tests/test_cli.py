@@ -181,23 +181,6 @@ def test_verify_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_source_date_epoch_makes_json_byte_stable(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["verify", "--suite", "ball", "--out", str(a)])
-    main(["verify", "--suite", "ball", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-    assert json.loads(a.read_text())["timestamp"] == "2023-11-14T22:13:20Z"
-
-
-def test_malformed_source_date_epoch_exits_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
-    out = tmp_path / "ball.json"
-    assert main(["verify", "--suite", "ball", "--out", str(out)]) == EXIT_USAGE
-    assert not out.exists()
-    assert "error: SOURCE_DATE_EPOCH" in capsys.readouterr().err
-
-
 def test_suite_inventory(tmp_path):
     assert PUBLIC_SUITES == ("lemmas", "thm1", "thm2", "thm3", "ball",
                              "aux", "all")

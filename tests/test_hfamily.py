@@ -94,7 +94,7 @@ def test_bigH_is_the_shifted_family():
     assert bigH_eval(1.0, 1.0, 1.0) == h_eval(HParams(alpha=1.0, y=0.0), 1.0)
     # alpha = 1, y = 1, x = 1: [Gamma(2)/Gamma(1)]^1 * 2^(-1) = 1/2
     assert math.isclose(bigH_eval(1.0, 1.0, 1.0), 0.5, rel_tol=1e-15)
-    for bad in (0.0, -0.5, math.nan):
+    for bad in (0.0, -0.5, math.nan, 10**400):
         with pytest.raises(DomainError):
             bigH_eval(1.0, bad, 1.0)
 

@@ -44,6 +44,7 @@ REPORT = build_report("records", [PASS_CERT, FAIL_CERT, CELL], tool_version="0.1
                       timestamp="2026-01-01T00:00:00Z")
 
 _FAIL_IFF_WITNESS = "certificate invariant violated: FAIL iff witness present"
+_HUGE = 10**400  # an int beyond the float range
 
 #: (valid record, field, bad value, error, message)
 INVALID = [
@@ -51,10 +52,15 @@ INVALID = [
     (PARAMS, "alpha", "1", DomainError, "alpha must be finite, got '1'"),
     (PARAMS, "y", -1.0, DomainError, "y must be a finite real > -1, got -1.0"),
     (PARAMS, "y", math.inf, DomainError, "y must be a finite real > -1, got inf"),
+    (PARAMS, "alpha", _HUGE, DomainError, f"alpha must be finite, got {_HUGE!r}"),
+    (PARAMS, "y", _HUGE, DomainError, f"y must be a finite real > -1, got {_HUGE!r}"),
     (GRID, "x_min_offset", 0.0, ParameterError,
      "x_min_offset must be a finite positive real, got 0.0"),
     (GRID, "x_max", math.inf, ParameterError, "x_max must be finite, got inf"),
     (GRID, "x_max", "10", ParameterError, "x_max must be finite, got '10'"),
+    (GRID, "x_min_offset", _HUGE, ParameterError,
+     f"x_min_offset must be a finite positive real, got {_HUGE!r}"),
+    (GRID, "x_max", _HUGE, ParameterError, f"x_max must be finite, got {_HUGE!r}"),
     (GRID, "points", 1, ParameterError, "points must be an integer >= 2, got 1"),
     (GRID, "points", 5.0, ParameterError, "points must be an integer >= 2, got 5.0"),
     (GRID, "x_min_offset", True, ParameterError,
@@ -82,6 +88,13 @@ def test_validating_records_refuse_bad_fields_on_every_path(record, field, bad, 
 def test_grid_spec_accepts_ints_and_defaults_its_points():
     grid = GridSpec(1, 10)
     assert grid == (1, 10, 200) and grid.points == 200
+
+
+def test_defaults_fill_the_trailing_fields_on_every_path():
+    cert = Certificate(*PASS_CERT[:6])
+    assert cert[6:] == (0, "lcm-sign", "grid-verified")
+    assert Certificate._make(PASS_CERT[:6]) == cert
+    assert GridSpec._make((1e-4, 10.0)) == GridSpec(1e-4, 10.0, 200)
 
 
 @pytest.mark.parametrize("record", [PARAMS, GRID, WITNESS, PASS_CERT, FAIL_CERT, CELL,

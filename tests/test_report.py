@@ -15,7 +15,6 @@ from gammacert import (
     Direction,
     GridSpec,
     HParams,
-    ParameterError,
     Report,
     ScanCell,
     Verdict,
@@ -165,23 +164,6 @@ def test_build_report_tallies():
 def test_make_timestamp_format():
     assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z",
                         make_timestamp())
-
-
-def test_make_timestamp_reads_source_date_epoch(monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    assert make_timestamp() == "2023-11-14T22:13:20Z"
-    assert build_report("s", [], tool_version="0.1.0").timestamp == "2023-11-14T22:13:20Z"
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    assert make_timestamp() == "1970-01-01T00:00:00Z"
-
-
-@pytest.mark.parametrize("epoch", ["", "abc", "1.5", "-5", " 12", "1e9", "\u0661",
-                                   "99999999999999999999"])
-def test_make_timestamp_refuses_a_malformed_source_date_epoch(epoch, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
-    pattern = f"^SOURCE_DATE_EPOCH .*, got {re.escape(repr(epoch))}$"
-    with pytest.raises(ParameterError, match=pattern):
-        make_timestamp()
 
 
 def test_jsonable_round_trip_is_exact():
