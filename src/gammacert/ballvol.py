@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .gammakit import lngamma
-from .ineq import CheckResult, one_sided, two_sided
+import numpy as np
+
+from .errors import CapabilityError, DomainError, first_bad_point, is_finite
+from .gammakit import libm, lngamma
+from .ineq import CheckResult, one_sided_rows, two_sided_rows
 
 __all__ = ["ball_ratio_checks", "log_omega", "omega", "recurrence_check"]
 
@@ -20,24 +22,47 @@ _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _LOG_2 = math.log(2.0)
 
 
-def _check_dim(n: int, minimum: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum:
-        raise DomainError(f"dimension n must be an integer >= {minimum}, got {n!r}")
-    return n
+# Each function takes one dimension or a 1-D grid of them and evaluates the
+# grid at once: + - * / in numpy, each log and exp by libm per element, every
+# n + 1, n + 2 and n - 2 an exact int before it becomes a float.  So every
+# value and row is bit for bit that of its one-dimension call.
+
+def _dims(n, minimum: int) -> list[int]:
+    """The dimensions in n; DomainError for the first that is not an integer
+    >= minimum, CapabilityError for one beyond the binary64 range."""
+    dims = [n] if np.ndim(n) == 0 else n.tolist() if isinstance(n, np.ndarray) else list(n)
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
+            raise DomainError(f"dimension n must be an integer >= {minimum}, got {d!r}")
+        if not is_finite(d):
+            raise CapabilityError(
+                f"dimension n = {d} is outside the double-precision range")
+    return dims
 
 
-def log_omega(n: int) -> float:
-    """ln Omega_n = (n/2) ln pi - lnGamma(1 + n/2) for integer n >= 0."""
-    n = _check_dim(n, 0)
-    return n * _HALF_LOG_PI - lngamma(1.0 + 0.5 * n)
+def _log_omegas(dims: list[int]) -> np.ndarray:
+    n = np.array(dims, dtype=float)
+    return n * _HALF_LOG_PI - lngamma(1.0 + 0.5 * n)  # one lngamma grid
 
 
-def omega(n: int) -> float:
+@first_bad_point
+def log_omega(n) -> float | np.ndarray:
+    """ln Omega_n = (n/2) ln pi - lnGamma(1 + n/2) for integer n >= 0.
+
+    One n gives a float, a 1-D grid the array of the per-n values.
+    """
+    values = _log_omegas(_dims(n, 0))
+    return values[0].item() if np.ndim(n) == 0 else values
+
+
+def omega(n) -> float | np.ndarray:
     """Volume of the n-dimensional unit ball (may underflow for huge n)."""
-    return math.exp(log_omega(n))
+    values = log_omega(n)
+    return math.exp(values) if np.ndim(n) == 0 else libm(math.exp, values)
 
 
-def ball_ratio_checks(n: int) -> list[CheckResult]:
+@first_bad_point
+def ball_ratio_checks(n) -> list[CheckResult]:
     """Ratio and sandwich inequalities at dimension n >= 1, in log scale.
 
     (a) sqrt((n+2)/(n+4)) < Omega_{n+2}^{1/(n+2)} / Omega_n^{1/n}
@@ -50,46 +75,58 @@ def ball_ratio_checks(n: int) -> list[CheckResult]:
     (d) for n > 2 only: window (b) places Omega_n strictly inside (c)'s
         sandwich, i.e. (b) refines (c); both refinement slacks must be
         positive.
+
+    n is one dimension or a 1-D grid; the rows come dimension by dimension.
     """
-    n = _check_dim(n, 1)
-    lo_n = log_omega(n)
-    lo_n1 = log_omega(n + 1)
-    lo_n2 = log_omega(n + 2)
-    inputs = (("n", n),)
-    ratio_skip = lo_n2 / (n + 2) - lo_n / n
-    log_skip = math.log((n + 2.0) / (n + 4.0))
-    ratio_adj = lo_n1 / (n + 1) - lo_n / n
-    log_adj = math.log((n + 2.0) / (n + 3.0))
-    sandwich_mid = (n / (n + 1.0)) * lo_n1
-    results = [
-        two_sided("ball_ratio_skip2_window", inputs + (("log_scale", 1.0),),
-                  0.5 * log_skip, ratio_skip, 0.25 * log_skip),
-        two_sided("ball_ratio_adjacent_window", inputs + (("log_scale", 1.0),),
-                  0.5 * log_adj, ratio_adj, 0.25 * log_adj),
-        two_sided("ball_sandwich_consecutive", inputs + (("log_scale", 1.0),),
-                  _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
-                  0.5 + sandwich_mid, strict_lower=False),
-    ]
-    if n > 2:
+    dims = _dims(n, 1)
+    shifted = [d + s for s in (0, 1, 2) for d in dims]
+    n, n1, n2 = np.array(shifted, dtype=float).reshape(3, -1)
+    lo_n, lo_n1, lo_n2 = _log_omegas(shifted).reshape(3, -1)
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        log_skip = libm(math.log, (n + 2.0) / (n + 4.0))
+        log_adj = libm(math.log, (n + 2.0) / (n + 3.0))
+        sandwich_mid = (n / (n + 1.0)) * lo_n1
+        inputs = (("n", n), ("log_scale", 1.0))
+        windows = [
+            two_sided_rows("ball_ratio_skip2_window", inputs, 0.5 * log_skip,
+                           lo_n2 / n2 - lo_n / n, 0.25 * log_skip),
+            two_sided_rows("ball_ratio_adjacent_window", inputs, 0.5 * log_adj,
+                           lo_n1 / n1 - lo_n / n, 0.25 * log_adj),
+            two_sided_rows("ball_sandwich_consecutive", inputs,
+                           _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
+                           0.5 + sandwich_mid, strict_lower=False),
+        ]
         # refinement slacks: refined lower bound above (c)'s lower bound,
         # refined upper bound below (c)'s upper bound
+        above = n > 2.0
+        n, log_adj = n[above], log_adj[above]
         slack_lo = (n / 4.0) * (-log_adj) - (_LOG_2 - _HALF_LOG_PI)
         slack_up = 0.5 - (n / 2.0) * (-log_adj)
-        results.append(one_sided(
+        refines = iter(one_sided_rows(
             "ball_adjacent_refines_sandwich",
-            inputs + (("slack_lower", slack_lo), ("slack_upper", slack_up),
-                      ("log_scale", 1.0)),
-            0.0, min(slack_lo, slack_up)))
-    return results
+            (("n", n), ("slack_lower", slack_lo), ("slack_upper", slack_up),
+             ("log_scale", 1.0)),
+            0.0, np.where(slack_up < slack_lo, slack_up, slack_lo)))
+    out = []
+    for d, *rows in zip(dims, *windows):
+        out += rows
+        if d > 2:
+            out.append(next(refines))
+    return out
 
 
-def recurrence_check(n: int) -> CheckResult:
+@first_bad_point
+def recurrence_check(n) -> CheckResult | list[CheckResult]:
     """Omega_n = Omega_{n-2} * 2 pi / n for n >= 2, as a log-space residual.
 
     Non-strict two-sided check that the residual lies within 1e-12 of zero.
+    One n gives its CheckResult, a 1-D grid one row per n.
     """
-    n = _check_dim(n, 2)
-    residual = log_omega(n) - (log_omega(n - 2) + math.log(2.0 * math.pi / n))
-    return two_sided("ball_volume_recurrence",
-                     (("n", n), ("log_scale", 1.0)),
-                     -1e-12, residual, 1e-12, strict=False)
+    dims = _dims(n, 2)
+    lo_n, lo_n2 = _log_omegas(dims + [d - 2 for d in dims]).reshape(2, -1)
+    ns = np.array(dims, dtype=float)
+    with np.errstate(all="ignore"):
+        residual = lo_n - (lo_n2 + libm(math.log, 2.0 * math.pi / ns))
+        rows = two_sided_rows("ball_volume_recurrence", (("n", ns), ("log_scale", 1.0)),
+                              -1e-12, residual, 1e-12, strict=False)
+    return rows[0] if np.ndim(n) == 0 else rows

@@ -34,7 +34,6 @@ from .hfamily import (
     DerivSample,
     DerivTable,
     HParams,
-    alpha_necessary_bound,
     log_h,
     logh_deriv_table,
     logh_derivs_with_scale,
@@ -395,11 +394,13 @@ def necessity_limits(y: float) -> tuple[float, float]:
     """Probes of the monotonicity threshold surface at its two limits.
 
     Returns alpha_necessary_bound at x = -(y+1) + 1e-6*(y+1) (limit value
-    1/(y+1)) and at x = 1e6 (limit value 1).
+    1/(y+1)) and at x = 1e6 (limit value 1), both from one two-point table.
     """
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    x_inner = -(y + 1.0) + 1e-6 * (y + 1.0)
-    return (alpha_necessary_bound(x_inner, y), alpha_necessary_bound(1e6, y))
+    x = np.array([-(y + 1.0) + 1e-6 * (y + 1.0), 1e6])
+    values, _ = logh_deriv_table(1, y, x)(0.0)  # B = u (ln h_0)', both probes at once
+    inner, tail = ((x + y + 1.0) * values[0]).tolist()
+    return inner, tail
 
 
 def verify_thm3(y: float, points: int = DEFAULT_POINTS,

@@ -42,6 +42,7 @@ from .certify import (
     verify_thm3,
 )
 from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
+from .gammakit import libm
 from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
     CHAIN_SUP,
@@ -52,6 +53,7 @@ from .ineq import (
     gamma_ratio_ineq,
     log_upper_bound_ineq,
     one_sided,
+    one_sided_rows,
     polygamma_bounds,
     psi_integral_mean_ineq,
     psi_log_bounds,
@@ -120,18 +122,29 @@ def _expected_failure_check(cert: Certificate) -> CheckResult:
 
 
 def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> list[CheckResult]:
-    """Seeded random admissible (x, y, t) samples of the gamma-ratio window."""
+    """Seeded random admissible (x, y, t) samples of the gamma-ratio window.
+
+    Candidates are drawn in batches, one uniform draw of shape (m, 3) each:
+    row i is candidate i's (y, log10 t, log10(x + y + 1)), in the order of
+    one scalar draw after another, and the first count admissible candidates
+    are checked in one call.
+    """
     rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
-    while len(out) < count:
-        y = float(rng.uniform(-0.9, 5.0))
-        t = float(10.0 ** rng.uniform(-2.0, 2.0))
-        u1 = float(10.0 ** rng.uniform(-2.0, 3.0))  # x + y + 1
-        x = u1 - (y + 1.0)
-        if abs(x) < 1e-2 or abs(x + t) < 1e-2:
-            continue  # keep the difference quotients well conditioned
-        out.append(gamma_ratio_ineq(x, y, t))
-    return out
+    xs: list[float] = []
+    ys: list[float] = []
+    ts: list[float] = []
+    while len(xs) < count:
+        draws = rng.uniform((-0.9, -2.0, -2.0), (5.0, 2.0, 3.0), (count - len(xs), 3))
+        for y, t_exp, u_exp in draws.tolist():
+            t = 10.0 ** t_exp
+            x = 10.0 ** u_exp - (y + 1.0)  # u1 = x + y + 1
+            if abs(x) < 1e-2 or abs(x + t) < 1e-2:
+                continue  # keep the difference quotients well conditioned
+            xs.append(x)
+            ys.append(y)
+            ts.append(t)
+    return gamma_ratio_ineq(np.array(xs[:count]), np.array(ys[:count]),
+                            np.array(ts[:count]))
 
 
 def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
@@ -167,12 +180,7 @@ def _suite_thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:
 
 
 def _suite_ball(k_max: int, points: int, x_max: float) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for n in range(1, 61):
-        out.extend(ball_ratio_checks(n))
-    for n in range(2, 101):
-        out.append(recurrence_check(n))
-    return out
+    return ball_ratio_checks(range(1, 61)) + recurrence_check(range(2, 101))
 
 
 def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
@@ -181,33 +189,29 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
 
     # exact spot values of the auxiliary polynomials (abs tol for the cubic,
     # rel tol for the sextic whose values are O(1)..O(10))
-    for name, fn, t, expected, tol in (
-            ("aux_cubic_spot_value", AuxFn.QCUB, 0.0, -3.0, 1e-12),
-            ("aux_cubic_spot_value", AuxFn.QCUB, 1.0, 14.0, 1e-12),
-            ("aux_cubic_spot_value", AuxFn.QCUB, third, -2.0 / 3.0, 1e-12),
-            ("aux_polynomial_spot_value", AuxFn.HPOLY, third,
-             -700.0 / 81.0, 1e-12 * (700.0 / 81.0)),
-            ("aux_polynomial_spot_value", AuxFn.HPOLY, CHAIN_SUP,
-             -404759.0 / 117649.0, 1e-12 * (404759.0 / 117649.0))):
-        value = aux_eval(fn, t)
-        out.append(one_sided(name, (("t", t), ("expected", expected),
-                                    ("value", value), ("tolerance", tol)),
-                             abs(value - expected), tol, strict=False))
+    spots = (
+        ("aux_cubic_spot_value", AuxFn.QCUB, (0.0, 1.0, third),
+         (-3.0, 14.0, -2.0 / 3.0), (1e-12,) * 3),
+        ("aux_polynomial_spot_value", AuxFn.HPOLY, (third, CHAIN_SUP),
+         (-700.0 / 81.0, -404759.0 / 117649.0),
+         (1e-12 * (700.0 / 81.0), 1e-12 * (404759.0 / 117649.0))))
+    for name, fn, ts, expected, tol in spots:
+        values = aux_eval(fn, np.array(ts))
+        out += one_sided_rows(name, (("t", ts), ("expected", expected),
+                                     ("value", values), ("tolerance", tol)),
+                              abs(values - expected), tol, strict=False)
 
     # the logarithmic helper is barely positive at t = 8/7 ...
     out.append(two_sided("aux_qlog_band", (("t", CHAIN_SUP),),
                          0.002, aux_eval(AuxFn.QLOG, CHAIN_SUP), 0.003))
     # ... positive from there on, and increasing beyond t = 1/4
-    for t in np.geomspace(CHAIN_SUP, 1e3, 100):
-        t = float(t)
-        out.append(one_sided("aux_qlog_positive_from_chain_sup",
-                             (("t", t),), 0.0, aux_eval(AuxFn.QLOG, t)))
-    qs = [float(t) for t in np.geomspace(0.26, 1e3, 100)]
-    for lo, hi in zip(qs, qs[1:]):
-        out.append(one_sided("aux_qlog_increasing_beyond_quarter",
-                             (("t_lo", lo), ("t_hi", hi)),
-                             aux_eval(AuxFn.QLOG, lo),
-                             aux_eval(AuxFn.QLOG, hi)))
+    ts = np.geomspace(CHAIN_SUP, 1e3, 100)
+    out += one_sided_rows("aux_qlog_positive_from_chain_sup", (("t", ts),),
+                          0.0, aux_eval(AuxFn.QLOG, ts))
+    ts = np.geomspace(0.26, 1e3, 100)
+    values = aux_eval(AuxFn.QLOG, ts)
+    out += one_sided_rows("aux_qlog_increasing_beyond_quarter",
+                          (("t_lo", ts[:-1]), ("t_hi", ts[1:])), values[:-1], values[1:])
 
     # cubic root bracket and residual
     root = qcub_root(1e-10)
@@ -218,14 +222,12 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
                          abs(aux_eval(AuxFn.QCUB, root)), 1e-8, strict=False))
 
     # the sextic stays negative across the open chain interval
-    for t in np.linspace(third, CHAIN_SUP, 102)[1:-1]:
-        t = float(t)
-        out.append(one_sided("aux_polynomial_negative_interior",
-                             (("t", t),), aux_eval(AuxFn.HPOLY, t), 0.0))
+    ts = np.linspace(third, CHAIN_SUP, 102)[1:-1]
+    out += one_sided_rows("aux_polynomial_negative_interior", (("t", ts),),
+                          aux_eval(AuxFn.HPOLY, ts), 0.0)
 
     # chained sufficiency inequalities across (0, 8/7)
-    for t in np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100):
-        out.extend(suffice_chain(float(t)))
+    out += suffice_chain(np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100))
 
     # digamma-at-log-mean bound, printed product form, on its worked pairs
     # (the product form does not hold for arbitrary pairs; see the quotient
@@ -234,20 +236,20 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     out.append(batir_ineq(1.0, 2.0))
     out.append(batir_ineq(1.0, 1.0 / 3.0))
 
-    # mean-value windows for integral means of psi and psi'
-    for i in (0, 1):
-        for s, t in ((0.5, 2.5), (1.0, 3.0), (2.0, 7.0), (0.25, 0.75)):
-            out.append(psi_integral_mean_ineq(i, s, t, p=-i - 1, q=-i))
+    # mean-value windows for integral means of psi and psi' on worked pairs
+    # (p = -i-1, q = -i) ...
+    s = np.array([0.5, 1.0, 2.0, 0.25])
+    t = np.array([2.5, 3.0, 7.0, 0.75])
+    out += psi_integral_mean_ineq(0, s, t, p=-1.0, q=0.0)
     # ... and along the chain's own pairs s = 2t^2/((2t+1)ln(2t+1)) < t,
     # whose p = -2 lower point is exactly the chain's sqrt evaluation point
-    for t in np.geomspace(1e-2, 1e2, 100):
-        t = float(t)
-        w = (2.0 * t + 1.0) * math.log1p(2.0 * t)
-        out.append(psi_integral_mean_ineq(1, 2.0 * t * t / w, t, p=-2.0, q=-1.0))
+    ts = np.geomspace(1e-2, 1e2, 100)
+    w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
+    out += psi_integral_mean_ineq(1, np.concatenate([s, 2.0 * ts * ts / w]),
+                                  np.concatenate([t, ts]), p=-2.0, q=-1.0)
 
     # rational upper bound for ln(1+t)
-    for t in np.geomspace(1e-2, 1e3, 200):
-        out.append(log_upper_bound_ineq(float(t)))
+    out += log_upper_bound_ineq(np.geomspace(1e-2, 1e3, 200))
 
     # closed-form derivatives against central finite differences
     fd_cases = (

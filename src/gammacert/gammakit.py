@@ -14,10 +14,10 @@ the array of the per-point results, bit for bit.  The grid form shifts every
 point at once, does + - * / in numpy, which rounds as Python floats do, and
 takes each log and power from libm one element at a time (``math.log``,
 ``math.pow``: the C functions behind the scalar path's ``math.log`` and
-``**``).  If a point would make the scalar call raise, the grid is re-run
-point by point, so the first such point raises the scalar call's own error.
-The check catalog's grids (the lemma windows, Theorem 2's t grid) use this
-form; its single points use the float form.
+``**``; ``libm`` is that per-element map, shared with the check catalog).
+If a point would make the scalar call raise, the grid is re-run point by
+point, so the first such point raises the scalar call's own error.  The
+check catalog's grid builders call this form once per quantity.
 
 ``gamma_table(n_psi, u)`` returns lnGamma and psi^(j), j < n_psi, at every
 element of an array in one numpy pass, for the grid-shaped callers
@@ -201,33 +201,34 @@ def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
 
 
-def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) at every element v of the 1-D array a, one libm call each."""
+def libm(fn, a: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at every element v of the 1-D array a, one libm call each,
+    so element i is bit for bit the scalar call fn(a[i], *args)."""
     return np.fromiter(map(fn, a.tolist(), *map(repeat, args)), float, a.size)
 
 
 def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
     """zs's shape, fn(z, *args) by libm at the low steps and 0.0 elsewhere."""
     out = np.zeros_like(zs)
-    out[low] = _libm(fn, zs[low], *args)
+    out[low] = libm(fn, zs[low], *args)
     return out
 
 
 def _lngamma_grid(u: np.ndarray) -> np.ndarray:
     zs, low, z = _shift(u)
-    return _lngamma_series(z, _libm(math.log, z)) - _summed(low, _at_low(math.log, zs, low))
+    return _lngamma_series(z, libm(math.log, z)) - _summed(low, _at_low(math.log, zs, low))
 
 
 def _digamma_grid(u: np.ndarray) -> np.ndarray:
     zs, low, z = _shift(u)
-    return _digamma_series(z, _libm(math.log, z)) - _summed(low, 1.0 / zs)
+    return _digamma_series(z, libm(math.log, z)) - _summed(low, 1.0 / zs)
 
 
 def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
     zs, low, z = _shift(u)
     shift = _summed(low, _at_low(math.pow, zs, low, -(k + 1)))
     magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
-                                   *(_libm(math.pow, z, e) for e in (k, k + 1, k + 2)))
+                                   *(libm(math.pow, z, e) for e in (k, k + 1, k + 2)))
                  + float(_FACTORIALS[k]) * shift)
     return magnitude if k % 2 == 1 else -magnitude
 

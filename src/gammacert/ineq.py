@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DomainError, ParameterError, PrecisionError, require_positive, require_real)
-from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, lngamma, polygamma
-from .hfamily import lcm_threshold, reciprocal_threshold
+    CapabilityError, DomainError, ParameterError, PrecisionError, first_bad_point,
+    real_points, require_all, require_positive, require_real)
+from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
 __all__ = [
@@ -215,37 +215,22 @@ def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckRe
 # digamma / polygamma windows
 # ---------------------------------------------------------------------------
 #
-# Each window evaluates a whole grid of x at once: x is one point or a 1-D
-# grid, and the rows come window by window, one row per point in grid order.
-# The kernel takes the whole grid, and logs and integer powers are libm's
-# per point: np.log and np.power round differently in the last ulp.
+# Every check builder below takes one point or a 1-D grid for each of its
+# point arguments and evaluates the whole grid at once.  The kernel takes
+# the whole grid; + - * / and sqrt run in numpy, which rounds as Python
+# floats and math.sqrt do; each log, log1p and power is libm's, one element
+# at a time (np.log and np.power round differently in the last ulp).  So
+# every row is bit for bit the row of its own one-point call.  A grid with a
+# bad point raises the error that point raises alone (first_bad_point).
+# The windows give their rows window by window, one row per point in grid
+# order; the other builders give each point's rows in turn.
 
-def _grid(x, name: str = "x") -> np.ndarray:
-    """The points of x, one point or a 1-D grid, each a finite real > 0.
-
-    A numeric grid is checked in one pass.  Anything else, or a grid with a
-    bad point, goes point by point, so require_positive raises its error,
-    which calls the argument name, for the first bad point.
-    """
-    a = np.asarray(x)
-    if a.ndim <= 1 and a.dtype.kind in "biuf":
-        xs = a.astype(float).reshape(-1)
-        if np.all(np.isfinite(xs) & (xs > 0.0)):
-            return xs
-    points = [x] if a.ndim == 0 else a.tolist()
-    return np.array([require_positive(v, name) for v in points], dtype=float)
+def _row_or_rows(rows: list[CheckResult], *args) -> CheckResult | list[CheckResult]:
+    """The one row of a one-point call, else the rows."""
+    return rows[0] if all(np.ndim(v) == 0 for v in args) else rows
 
 
-def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log at every point of x."""
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x ** n at every point of x, by math.pow."""
-    return np.fromiter(map(math.pow, x.tolist(), repeat(float(n))), float, x.size)
-
-
+@first_bad_point
 def psi_log_bounds(x) -> list[CheckResult]:
     """Four two-sided logarithmic windows around psi(x), x > 0.
 
@@ -254,10 +239,10 @@ def psi_log_bounds(x) -> list[CheckResult]:
     3. ln(x+1/2) - 1/x       < psi(x) < ln(x+e^{-gamma}) - 1/x   (sharp shifts)
     4. ln x - 1/(2x) - 1/(12x^2) < psi(x) < ln x - 1/(2x)
     """
-    xs = _grid(x)
+    xs = real_points(x, "x", require_positive)
     psi = digamma(xs)
-    lx = _logs(xs)
-    log_half = _logs(xs + 0.5)
+    lx = libm(math.log, xs)
+    log_half = libm(math.log, xs + 0.5)
     inputs = (("x", xs),)
     with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
         inv = 1.0 / xs
@@ -265,49 +250,51 @@ def psi_log_bounds(x) -> list[CheckResult]:
         return [
             *two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
             *two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
-                            _logs(xs + 1.0) - inv),
+                            libm(math.log, xs + 1.0) - inv),
             *two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
-                            psi, _logs(xs + EXP_NEG_EULER_GAMMA) - inv),
+                            psi, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
             *two_sided_rows("psi_second_order_window", inputs,
                             upper - 1.0 / (12.0 * xs * xs), psi, upper),
         ]
 
 
+@first_bad_point
 def psi_upper_refinement(x) -> CheckResult | list[CheckResult]:
     """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1).
 
     One point gives its CheckResult, a grid the list of rows.
     """
-    xs = _grid(x)
+    xs = real_points(x, "x", require_positive)
     with np.errstate(all="ignore"):
         inv = 1.0 / xs
         rows = one_sided_rows("psi_sharp_upper_refines_shifted_log", (("x", xs),),
-                              _logs(xs + EXP_NEG_EULER_GAMMA) - inv,
-                              _logs(xs + 1.0) - inv)
-    return rows[0] if np.ndim(x) == 0 else rows
+                              libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv,
+                              libm(math.log, xs + 1.0) - inv)
+    return _row_or_rows(rows, x)
 
 
+@first_bad_point
 def polygamma_bounds(k: int, x) -> list[CheckResult]:
     """Two power windows around v = (-1)^{k+1} psi^(k)(x) > 0 for k >= 1, x > 0.
 
     1. (k-1)!/x^k + k!/(2x^{k+1})     < v < (k-1)!/x^k + k!/x^{k+1}
     2. (k-1)!/(x+1)^k + k!/x^{k+1}    < v < (k-1)!/(x+1/2)^k + k!/x^{k+1}
     """
-    xs = _grid(x)
+    xs = real_points(x, "x", require_positive)
     check_order(k)
     v = (-1.0) ** (k + 1) * polygamma(k, xs)
     km1f = float(math.factorial(k - 1))
     kf = float(math.factorial(k))
-    x_k = _powers(xs, k)
+    x_k = libm(math.pow, xs, float(k))
     inputs = (("k", k), ("x", xs))
     with np.errstate(all="ignore"):
-        tail = kf / _powers(xs, k + 1)
+        tail = kf / libm(math.pow, xs, float(k + 1))
         return [
             *two_sided_rows("polygamma_power_window", inputs,
                             km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
             *two_sided_rows("polygamma_shifted_power_window", inputs,
-                            km1f / _powers(xs + 1.0, k) + tail, v,
-                            km1f / _powers(xs + 0.5, k) + tail),
+                            km1f / libm(math.pow, xs + 1.0, float(k)) + tail, v,
+                            km1f / libm(math.pow, xs + 0.5, float(k)) + tail),
         ]
 
 
@@ -315,62 +302,67 @@ def polygamma_bounds(k: int, x) -> list[CheckResult]:
 # gamma-ratio window derived from the monotonicity thresholds
 # ---------------------------------------------------------------------------
 
-def gamma_ratio_ineq(x: float, y: float, t: float,
-                     a: float | None = None, b: float | None = None) -> CheckResult:
+@first_bad_point
+def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | list[CheckResult]:
     """Two-sided power bound on the shifted gamma-ratio quotient, in log space.
 
     ((x+y+1)/(x+y+t+1))^a < [G(x+y+1)/G(y+1)]^{1/x} / [G(x+y+t+1)/G(y+1)]^{1/(x+t)}
                           < ((x+y+1)/(x+y+t+1))^b
 
     valid for y > -1, x > -(y+1), t > 0 whenever a >= max{1, 1/(y+1)} and
-    b <= min{1, 1/(2(y+1))}; those thresholds are the defaults.
+    b <= min{1, 1/(2(y+1))}; those thresholds (lcm_threshold(y) and
+    reciprocal_threshold(y)) are the defaults.  Each argument is one point
+    or a 1-D grid: all points give one CheckResult, else one row per point.
     """
-    x, y, t = require_real(x, "x"), require_real(y, "y"), require_real(t, "t")
-    if not (math.isfinite(y) and y > -1.0):
-        raise DomainError(f"y must be > -1, got {y!r}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be a positive real, got {t!r}")
-    u1 = x + y + 1.0
-    if not (math.isfinite(u1) and u1 > 0.0):
-        raise DomainError(f"x must exceed -(y+1), got x={x!r}, y={y!r}")
-    if x == 0.0 or x + t == 0.0:
-        raise DomainError("x and x+t must be nonzero (1/x and 1/(x+t) exponents)")
-    if a is None:
-        a = lcm_threshold(y)
-    if b is None:
-        b = reciprocal_threshold(y)
-    u2 = u1 + t
-    lgy = lngamma(y + 1.0)
-    mid = (lngamma(u1) - lgy) / x - (lngamma(u2) - lgy) / (x + t)
-    log_ratio = math.log(u1) - math.log(u2)  # < 0 since t > 0
-    return two_sided(
-        "gamma_ratio_power_window",
-        (("x", x), ("y", y), ("t", t), ("a", a), ("b", b),
-         ("log_ratio", log_ratio), ("log_scale", 1.0)),
-        a * log_ratio, mid, b * log_ratio)
+    xs, ys, ts = real_points(x, "x"), real_points(y, "y"), real_points(t, "t")
+    require_all(np.isfinite(ys) & (ys > -1.0), DomainError, "y must be > -1, got {!r}", ys)
+    require_all(np.isfinite(ts) & (ts > 0.0), DomainError,
+                "t must be a positive real, got {!r}", ts)
+    xs, ys, ts = np.broadcast_arrays(xs, ys, ts)
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        u1 = xs + ys + 1.0
+        require_all(np.isfinite(u1) & (u1 > 0.0), DomainError,
+                    "x must exceed -(y+1), got x={!r}, y={!r}", xs, ys)
+        require_all((xs != 0.0) & (xs + ts != 0.0), DomainError,
+                    "x and x+t must be nonzero (1/x and 1/(x+t) exponents)")
+        a_exp = np.maximum(1.0, 1.0 / (ys + 1.0)) if a is None else real_points(a, "a")
+        b_exp = np.minimum(1.0, 0.5 / (ys + 1.0)) if b is None else real_points(b, "b")
+        u2 = u1 + ts
+        lgy, lg1, lg2 = lngamma(np.concatenate([ys + 1.0, u1, u2])).reshape(3, -1)
+        mid = (lg1 - lgy) / xs - (lg2 - lgy) / (xs + ts)
+        log_ratio = libm(math.log, u1) - libm(math.log, u2)  # < 0 since t > 0
+        rows = two_sided_rows(
+            "gamma_ratio_power_window",
+            (("x", xs), ("y", ys), ("t", ts), ("a", a_exp), ("b", b_exp),
+             ("log_ratio", log_ratio), ("log_scale", 1.0)),
+            a_exp * log_ratio, mid, b_exp * log_ratio)
+    return _row_or_rows(rows, x, y, t, a, b)
 
 
 # ---------------------------------------------------------------------------
 # the gamma-difference quotient bound and its proof chain
 # ---------------------------------------------------------------------------
 
+@first_bad_point
 def thm2_ineq(t) -> CheckResult | list[CheckResult]:
     """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0.
 
     One point gives its CheckResult, a 1-D grid the list of rows in grid
-    order.  t below THM2_T_MIN raises PrecisionError.
+    order.  t below THM2_T_MIN raises PrecisionError, and t whose 2t^2
+    overflows binary64 (above about 9.48e153) CapabilityError.
     """
-    ts = _grid(t, "t")
-    below = ts < THM2_T_MIN
-    if below.any():
-        raise PrecisionError(f"t = {ts[below][0].item()!r} is below {THM2_T_MIN:g}: the "
-                             "lnGamma difference no longer resolves the margin")
+    ts = real_points(t, "t", require_positive)
+    require_all(ts >= THM2_T_MIN, PrecisionError, f"t = {{!r}} is below {THM2_T_MIN:g}: "
+                "the lnGamma difference no longer resolves the margin", ts)
     with np.errstate(all="ignore"):
+        two_t2 = 2.0 * ts * ts
+        require_all(np.isfinite(two_t2), CapabilityError, "t = {!r} is too large: 2t^2 "
+                    "is outside the double-precision range", ts)
         w = 1.0 + 2.0 * ts
         rows = one_sided_rows("gamma_diff_quotient_vs_one_minus_psi", (("t", ts),),
-                              w / (2.0 * ts * ts) * (lngamma(ts / w) - lngamma(ts)),
+                              w / two_t2 * (lngamma(ts / w) - lngamma(ts)),
                               1.0 - digamma(ts))
-    return rows[0] if np.ndim(t) == 0 else rows
+    return _row_or_rows(rows, t)
 
 
 def batir_ineq(a: float, b: float) -> CheckResult:
@@ -393,23 +385,26 @@ def batir_ineq(a: float, b: float) -> CheckResult:
         digamma(lm), (a - b) * dg)
 
 
-def psi_integral_mean_ineq(i: int, s: float, t: float,
-                           p: float, q: float) -> CheckResult:
+@first_bad_point
+def psi_integral_mean_ineq(i: int, s, t, p: float,
+                           q: float) -> CheckResult | list[CheckResult]:
     """Mean-value window for the integral mean of psi^(i), i in {0, 1}.
 
     (-1)^i psi^(i)(L_p(s,t)) <= (-1)^i [Psi_i(t) - Psi_i(s)]/(t-s)
                              <= (-1)^i psi^(i)(L_q(s,t))
 
     with antiderivatives Psi_0 = lnGamma, Psi_1 = psi, valid for p <= -i-1
-    and q >= -i.  Non-strict per the source statement.
+    and q >= -i.  Non-strict per the source statement.  s and t are each one
+    point or a 1-D grid: two points give one CheckResult, else one row per
+    pair.
     """
     if i not in (0, 1):
         raise ParameterError(
             f"i must be 0 or 1 (closed-form antiderivative needed), got {i!r}")
-    s = require_positive(s, "s")
-    t = require_positive(t, "t")
-    if abs(s - t) <= DIAGONAL_REL_TOL * max(s, t):
-        raise DomainError(f"s and t must be distinct, got s={s!r}, t={t!r}")
+    ss, ts = np.broadcast_arrays(real_points(s, "s", require_positive),
+                                 real_points(t, "t", require_positive))
+    require_all(abs(ss - ts) > DIAGONAL_REL_TOL * np.maximum(ss, ts), DomainError,
+                "s and t must be distinct, got s={!r}, t={!r}", ss, ts)
     p, q = require_real(p, "p"), require_real(q, "q")
     if not p <= -i - 1:
         raise ParameterError(f"order p must satisfy p <= -(i+1) = {-i - 1}, got {p!r}")
@@ -418,53 +413,78 @@ def psi_integral_mean_ineq(i: int, s: float, t: float,
     sign = (-1.0) ** i
     anti = lngamma if i == 0 else digamma
     deriv = digamma if i == 0 else (lambda z: polygamma(1, z))
-    mean = sign * (anti(t) - anti(s)) / (t - s)
-    lower = sign * deriv(gen_log_mean(p, s, t))
-    upper = sign * deriv(gen_log_mean(q, s, t))
-    return two_sided("psi_derivative_mean_value_window",
-                     (("i", i), ("s", s), ("t", t), ("p", p), ("q", q)),
-                     lower, mean, upper, strict=False)
+    with np.errstate(all="ignore"):
+        anti_t, anti_s = anti(np.concatenate([ts, ss])).reshape(2, -1)
+        mean = sign * (anti_t - anti_s) / (ts - ss)
+        lower = sign * deriv(gen_log_mean(p, ss, ts))
+        upper = sign * deriv(gen_log_mean(q, ss, ts))
+        rows = two_sided_rows("psi_derivative_mean_value_window",
+                              (("i", i), ("s", ss), ("t", ts), ("p", p), ("q", q)),
+                              lower, mean, upper, strict=False)
+    return _row_or_rows(rows, s, t)
 
 
-def log_upper_bound_ineq(t: float) -> CheckResult:
+@first_bad_point
+def log_upper_bound_ineq(t) -> CheckResult | list[CheckResult]:
     """ln(1+t) < t(t^2 + 12t + 12) / (6(t+1)(t+2)) for t > 0.
 
     The two sides agree through fourth Taylor order, so for tiny t the true
     O(t^5) margin sits below binary64 resolution and the check reports the
-    in-noise marker instead of a resolved verdict.
+    in-noise marker instead of a resolved verdict.  One point gives its
+    CheckResult, a 1-D grid the list of rows.
     """
-    t = require_positive(t, "t")
-    rhs = t * ((t + 12.0) * t + 12.0) / (6.0 * (t + 1.0) * (t + 2.0))
-    return one_sided("log1p_rational_bound", (("t", t),), math.log1p(t), rhs)
+    ts = real_points(t, "t", require_positive)
+    with np.errstate(all="ignore"):
+        rhs = ts * ((ts + 12.0) * ts + 12.0) / (6.0 * (ts + 1.0) * (ts + 2.0))
+        rows = one_sided_rows("log1p_rational_bound", (("t", ts),),
+                              libm(math.log1p, ts), rhs)
+    return _row_or_rows(rows, t)
 
 
 # ---------------------------------------------------------------------------
-# auxiliary scalar functions from the chained sufficiency argument
+# auxiliary functions from the chained sufficiency argument
 # ---------------------------------------------------------------------------
 
 class AuxFn(Enum):
-    """Tags for the scalar helper functions of the chained proof argument."""
+    """Tags for the auxiliary functions of the chained proof argument."""
 
     QLOG = "qlog"    # 4t - 3 ln(2t+1) - 1           on t > -1/2
     QCUB = "qcub"    # 3t^3 + 11t^2 + 3t - 3
     HPOLY = "hpoly"  # 9t^6 + 54t^5 + 55t^4 - 60t^3 - 93t^2 - 18t + 9
 
 
-def aux_eval(fn: AuxFn, t: float) -> float:
-    """Evaluate one of the auxiliary scalar functions at t."""
-    t = require_real(t, "t")
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if fn is AuxFn.QLOG:
-        if t <= -0.5:
-            raise DomainError(f"QLOG requires t > -1/2, got {t!r}")
-        return 4.0 * t - 3.0 * math.log1p(2.0 * t) - 1.0
-    if fn is AuxFn.QCUB:
-        return ((3.0 * t + 11.0) * t + 3.0) * t - 3.0
-    if fn is AuxFn.HPOLY:
-        return ((((((9.0 * t + 54.0) * t + 55.0) * t - 60.0) * t - 93.0) * t
-                 - 18.0) * t + 9.0)
-    raise ParameterError(f"unknown auxiliary function tag {fn!r}")
+# The Horner bodies take a float or an array alike.
+
+def _qcub(t):
+    return ((3.0 * t + 11.0) * t + 3.0) * t - 3.0
+
+
+def _hpoly(t):
+    return ((((((9.0 * t + 54.0) * t + 55.0) * t - 60.0) * t - 93.0) * t
+             - 18.0) * t + 9.0)
+
+
+@first_bad_point
+def aux_eval(fn: AuxFn, t) -> float | np.ndarray:
+    """One of the auxiliary functions at t, one point (a float) or a 1-D grid
+    (the array of the per-point values).  A value outside the binary64 range
+    raises CapabilityError naming the function and t."""
+    ts = real_points(t, "t")
+    require_all(np.isfinite(ts), DomainError, "t must be finite, got {!r}", ts)
+    with np.errstate(all="ignore"):
+        if fn is AuxFn.QLOG:
+            require_all(ts > -0.5, DomainError, "QLOG requires t > -1/2, got {!r}", ts)
+            values = 4.0 * ts - 3.0 * libm(math.log1p, 2.0 * ts) - 1.0
+        elif fn is AuxFn.QCUB:
+            values = _qcub(ts)
+        elif fn is AuxFn.HPOLY:
+            values = _hpoly(ts)
+        else:
+            raise ParameterError(f"unknown auxiliary function tag {fn!r}")
+    require_all(np.isfinite(values), CapabilityError,
+                f"{fn.name}({{!r}}) = {{!r}} is outside the double-precision range",
+                ts, values)
+    return values[0].item() if np.ndim(t) == 0 else values
 
 
 def qcub_root(tol: float = 1e-10) -> float:
@@ -472,12 +492,11 @@ def qcub_root(tol: float = 1e-10) -> float:
     if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
         raise ParameterError(f"tol must be a float in (0, 1e-2], got {tol!r}")
     lo, hi = 1.0 / 3.0, 1.0
-    flo = aux_eval(AuxFn.QCUB, lo)
-    if not (flo < 0.0 < aux_eval(AuxFn.QCUB, hi)):
+    if not (_qcub(lo) < 0.0 < _qcub(hi)):
         raise PrecisionError("QCUB bracket [1/3, 1] lost its sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if aux_eval(AuxFn.QCUB, mid) < 0.0:
+        if _qcub(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -488,7 +507,8 @@ def qcub_root(tol: float = 1e-10) -> float:
 CHAIN_SUP = 8.0 / 7.0
 
 
-def suffice_chain(t: float) -> list[CheckResult]:
+@first_bad_point
+def suffice_chain(t) -> list[CheckResult]:
     """The three chained sufficiency inequalities, valid on 0 < t < 8/7.
 
     1. psi(t) - psi(2t^2 / ((1+2t) ln(1+2t))) < 1                    (strict)
@@ -496,25 +516,29 @@ def suffice_chain(t: float) -> list[CheckResult]:
     3. (2t+1)ln(2t+1)/(2t^3) + 1/(sqrt(2t^3/((2t+1)ln(2t+1))) + 1/2)
                                            <= R(t)                   (non-strict)
 
-    where R(t) = (2t+1)ln(2t+1) / (t [(2t+1)ln(2t+1) - 2t]).
+    where R(t) = (2t+1)ln(2t+1) / (t [(2t+1)ln(2t+1) - 2t]).  t is one point
+    or a 1-D grid; the rows come point by point, three per point.
     """
-    t = require_positive(t, "t")
-    if t >= CHAIN_SUP:
-        raise DomainError(f"t must lie in (0, 8/7), got {t!r}")
-    w = (2.0 * t + 1.0) * math.log1p(2.0 * t)
-    inner = 2.0 * t * t / w
-    sqrt_pt = math.sqrt(2.0 * t ** 3 / w)
-    excess = w - 2.0 * t  # about 2t^2: it cancels to zero for tiny t
-    if not excess > 0.0:
-        raise PrecisionError(f"t = {t!r} is too small: (2t+1)ln(2t+1) - 2t "
-                             "cancels to zero")
-    rational = w / (t * excess)
-    return [
-        one_sided("psi_diff_vs_one", (("t", t), ("inner_point", inner)),
-                  digamma(t) - digamma(inner), 1.0),
-        one_sided("trigamma_vs_rational", (("t", t), ("sqrt_point", sqrt_pt)),
-                  polygamma(1, sqrt_pt), rational, strict=False),
-        one_sided("algebraic_rational_window", (("t", t), ("sqrt_point", sqrt_pt)),
-                  w / (2.0 * t ** 3) + 1.0 / (sqrt_pt + 0.5), rational,
-                  strict=False),
-    ]
+    ts = real_points(t, "t", require_positive)
+    require_all(ts < CHAIN_SUP, DomainError, "t must lie in (0, 8/7), got {!r}", ts)
+    with np.errstate(all="ignore"):
+        w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
+        inner = 2.0 * ts * ts / w
+        t_cubed = libm(math.pow, ts, 3.0)
+        sqrt_pt = np.sqrt(2.0 * t_cubed / w)
+        excess = w - 2.0 * ts  # about 2t^2: it cancels to zero for tiny t
+        require_all(excess > 0.0, PrecisionError, "t = {!r} is too small: "
+                    "(2t+1)ln(2t+1) - 2t cancels to zero", ts)
+        rational = w / (ts * excess)
+        psi_t, psi_inner = digamma(np.concatenate([ts, inner])).reshape(2, -1)
+        windows = (
+            one_sided_rows("psi_diff_vs_one", (("t", ts), ("inner_point", inner)),
+                           psi_t - psi_inner, 1.0),
+            one_sided_rows("trigamma_vs_rational", (("t", ts), ("sqrt_point", sqrt_pt)),
+                           polygamma(1, sqrt_pt), rational, strict=False),
+            one_sided_rows("algebraic_rational_window",
+                           (("t", ts), ("sqrt_point", sqrt_pt)),
+                           w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5), rational,
+                           strict=False),
+        )
+    return [row for rows in zip(*windows) for row in rows]

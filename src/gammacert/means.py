@@ -15,7 +15,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, require_positive, require_real
+import numpy as np
+
+from .errors import (
+    DomainError, first_bad_point, real_points, require_positive, require_real)
+from .gammakit import libm
 
 __all__ = ["gen_log_mean", "log_mean"]
 
@@ -25,52 +29,79 @@ DIAGONAL_REL_TOL = 1e-12
 BRANCH_TOL = 1e-9
 
 
-def _gap(lo: float, hi: float) -> tuple[float, float]:
+# a and b are each one point or a 1-D grid: two points give a float, else
+# the array of the per-pair means.  + - * / run in numpy, which rounds as
+# Python floats do, and each log, log1p, expm1, exp and power is libm's, one
+# element at a time, so every element is bit for bit its one-pair mean.
+
+def _pairs(a, b) -> tuple[np.ndarray, ...]:
+    """(a, lo, hi, off): a, each pair ordered, and the pairs off the
+    diagonal, where the mean is not a."""
+    a, b = np.broadcast_arrays(real_points(a, "a", require_positive),
+                               real_points(b, "b", require_positive))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return a, lo, hi, ~(hi - lo <= DIAGONAL_REL_TOL * hi)
+
+
+def _gap(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relative gap r = (hi - lo)/lo of 0 < lo < hi and ln(hi/lo).
 
     ln hi - ln lo loses digits for nearby lo, hi; log1p(r) does not.  Where
     r overflows binary64, the difference of logs has no cancellation.
     """
     r = (hi - lo) / lo
-    return r, math.log1p(r) if r < math.inf else math.log(hi) - math.log(lo)
+    log_gap = libm(math.log1p, r)
+    wide = np.isinf(r)
+    log_gap[wide] = libm(math.log, hi[wide]) - libm(math.log, lo[wide])
+    return r, log_gap
 
 
-def log_mean(a: float, b: float) -> float:
+@first_bad_point
+def log_mean(a, b) -> float | np.ndarray:
     """Logarithmic mean (b - a)/(ln b - ln a), with L(a, a) = a.
 
     The ordered pair keeps L(a, b) = L(b, a) exact.
     """
-    a, b = require_positive(a, "a"), require_positive(b, "b")
-    lo, hi = min(a, b), max(a, b)
-    if hi - lo <= DIAGONAL_REL_TOL * hi:
-        return a
-    return (hi - lo) / _gap(lo, hi)[1]
+    out, lo, hi, off = _pairs(a, b)
+    out = out.copy()
+    with np.errstate(all="ignore"):  # inf and 0.0, as Python float arithmetic gives
+        lo, hi = lo[off], hi[off]
+        out[off] = (hi - lo) / _gap(lo, hi)[1]
+    return out[0].item() if np.ndim(a) == np.ndim(b) == 0 else out
 
 
-def gen_log_mean(p: float, a: float, b: float) -> float:
+@first_bad_point
+def gen_log_mean(p: float, a, b) -> float | np.ndarray:
     """Generalized logarithmic mean L_p(a, b) for real p and a, b > 0."""
     p = require_real(p, "p")
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
-    a, b = require_positive(a, "a"), require_positive(b, "b")
-    lo, hi = min(a, b), max(a, b)
-    if hi - lo <= DIAGONAL_REL_TOL * hi:
-        return a
     if abs(p + 1.0) <= BRANCH_TOL:
         return log_mean(a, b)
-    r, log_gap = _gap(lo, hi)
-    if abs(p) <= BRANCH_TOL:
-        # identric mean hi exp(ln(hi/lo)/r - 1): unlike b ln b - a ln a, nothing
-        # cancels near the diagonal, and the exponent stays in [-1, 0]
-        return hi * math.exp(log_gap / r - 1.0)
-    # L_p = base [(1 - s^(p+1)) / ((p+1)(1 - s))]^(1/p), s = other/base, with
-    # base picked so s^(p+1) < 1; expm1/log1p keep digits b^(p+1) - a^(p+1) loses
-    base = hi if p > -1.0 else lo
-    q = abs(p + 1.0)
-    head = -math.expm1(-q * log_gap)
-    ratio = head / (q * (hi - lo) / base)
-    if ratio >= sys.float_info.min:
-        return base * ratio ** (1.0 / p)
-    # ratio underflows for p < -1 and a wide pair: the same formula in logs
-    return math.exp(math.log(base) + (math.log(head) - math.log(q) - math.log(hi - lo)
-                                      + math.log(base)) / p)
+    out, lo, hi, off = _pairs(a, b)
+    out = out.copy()
+    with np.errstate(all="ignore"):
+        lo, hi = lo[off], hi[off]
+        r, log_gap = _gap(lo, hi)
+        if abs(p) <= BRANCH_TOL:
+            # identric mean hi exp(ln(hi/lo)/r - 1): unlike b ln b - a ln a,
+            # nothing cancels near the diagonal, and the exponent stays in [-1, 0]
+            out[off] = hi * libm(math.exp, log_gap / r - 1.0)
+        else:
+            # L_p = base [(1 - s^(p+1)) / ((p+1)(1 - s))]^(1/p), s = other/base,
+            # with base picked so s^(p+1) < 1; expm1/log1p keep digits
+            # b^(p+1) - a^(p+1) loses
+            base = hi if p > -1.0 else lo
+            q = abs(p + 1.0)
+            head = -libm(math.expm1, -q * log_gap)
+            ratio = head / (q * (hi - lo) / base)
+            normal = ratio >= sys.float_info.min
+            means = base * libm(math.pow, np.where(normal, ratio, 1.0), 1.0 / p)
+            # ratio underflows for p < -1 and a wide pair: the same formula in logs
+            tiny = ~normal
+            log_base = libm(math.log, base[tiny])
+            means[tiny] = libm(math.exp, log_base + (
+                libm(math.log, head[tiny]) - math.log(q)
+                - libm(math.log, hi[tiny] - lo[tiny]) + log_base) / p)
+            out[off] = means
+    return out[0].item() if np.ndim(a) == np.ndim(b) == 0 else out
