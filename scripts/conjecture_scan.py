@@ -4,8 +4,8 @@
 For y > -1/2 and min{1, 1/(2(y+1))} < alpha <= 1, reciprocal complete
 monotonicity is conjectured to fail but unproven, so the scanner never
 classifies those cells.  This script sweeps the zone at a finer resolution
-than the CLI scan, runs the RECIPROCAL search in every cell (one
-first_violations pass per y), and tabulates where the grid finds a
+than the CLI scan, reads the RECIPROCAL certificate of every cell (one
+lcm_certifier per y), and tabulates where the grid finds a
 conclusive sign violation (evidence for the conjecture) versus where it
 finds none.
 
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from gammacert import default_grid, first_violations
+from gammacert import Direction, default_grid, lcm_certifier
 from gammacert.certify import (
     DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, in_conjecture_zone)
 from gammacert.hfamily import reciprocal_threshold
@@ -40,17 +40,17 @@ def run(args: argparse.Namespace) -> int:
         grid = default_grid(y, points=args.grid_points, x_max=args.x_max)
         alphas = zone_alphas(y, args.alpha_count)
         assert in_conjecture_zone(alphas, y).all(), y
-        xs, first, _ = first_violations(y, alphas, args.kmax, grid)
+        certify = lcm_certifier(y, args.kmax, grid)
         violations = 0
-        reciprocal = first[1].tolist()  # -1: no conclusive violation
-        for pos, (alpha, hit) in enumerate(zip(alphas.tolist(), reciprocal), start=1):
-            violated = hit >= 0
+        for pos, alpha in enumerate(alphas.tolist(), start=1):
+            witness = certify(alpha, Direction.RECIPROCAL).witness
+            violated = witness is not None
             violations += violated
             rows.append(
                 f"{alpha:.17g},{y:.17g},{pos}/{args.alpha_count},"
                 f"{str(violated).lower()},"
-                f"{hit // xs.size + 1 if violated else ''},"
-                f"{format(xs[hit % xs.size], '.17g') if violated else ''}")
+                f"{witness.k if violated else ''},"
+                f"{format(witness.x, '.17g') if violated else ''}")
         tally.append((y, violations, len(alphas)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -45,6 +45,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("verify", "--suite", "lemmas", "--x-max", "1e120", "--format", "csv"),
     ("verify", "--suite", "thm1", "--kmax", "12"),
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
+    # the witnesses and undecided counts of the smallest certificate table
+    ("verify", "--suite", "thm1", "--kmax", "1", "--grid-points", "2"),
     ("scan", "--alpha=0:2:0.05", "--y=-0.9:5:0.7"),
     ("scan", "--alpha=0:2:0.05", "--y=3.3:3.3:1", "--kmax", "12"),
     ("scan", "--alpha=-1:3:0.1", "--y=-0.95:0.5:0.15", "--grid-points", "77",
@@ -54,7 +56,7 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=0.5:2:0.5", "--y=-0.5:1:0.5"),
     # the smallest derivative table
     ("scan", "--alpha=-1:2:0.25", "--y=0:2:1", "--kmax", "1", "--grid-points", "2"),
-    # a k_max = 12 row that first_violations evaluates in 34 blocks
+    # a 201-alpha row against the cuts of a k_max = 12 table
     ("scan", "--alpha=0:2:0.01", "--y=0.7:0.7:1", "--kmax", "12"),
     # 23,919 cells: 201 alphas on 119 rows
     ("scan", "--alpha=0:2:0.01", "--y=-0.9:5:0.05"),

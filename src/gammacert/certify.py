@@ -12,6 +12,21 @@ Sign contract: h is logarithmically completely monotonic (LCM) when
 (-1)^k (ln h)^(k) > 0 for all k >= 1; its reciprocal is LCM when the same
 quantity is < 0.  The two directions are pointwise negations of each other.
 
+alpha enters that quantity at order k and abscissa x only through the term
+alpha*b, b = (k-1)!/u^k > 0, so each grid point decides by comparing alpha
+with three numbers of its own (_alpha_cuts): its LCM cut, at and below which
+the LCM test fails beyond the floor; its RECIPROCAL cut, at and above which
+the RECIPROCAL test does; and its raw root, where the quantity changes sign.
+The LCM certificate FAILs iff alpha <= some point's LCM cut.  Its witness
+is the first such point by increasing k, then grid order, with that point's
+signed value at alpha, and its undecided points are the points before the
+witness (all points on a PASS) with LCM cut < alpha <= raw root.  The
+RECIPROCAL certificate mirrors this: it FAILs iff alpha >= some point's
+RECIPROCAL cut, and counts raw root <= alpha < RECIPROCAL cut as undecided.
+The cuts are the definition of the verdict, so the scanner, which compares
+alpha with the largest LCM cut and the smallest RECIPROCAL cut, gives every
+certificate's verdict at every alpha.
+
 Every certificate runs on a GridSpec, log-spaced in u = x + y + 1.  The grid
 defaults (k_max, points, x_max) are the DEFAULT_* constants below, the one
 place the package and the CLI take them from.
@@ -26,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, PrecisionError, is_finite, require_real
+from .errors import (
+    CapabilityError, ParameterError, PrecisionError, is_finite, require_real)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -56,7 +72,6 @@ __all__ = [
     "classify",
     "default_grid",
     "finite_diff_crosscheck",
-    "first_violations",
     "grid_cuts",
     "grid_points",
     "in_conjecture_zone",
@@ -203,35 +218,41 @@ class Certificate(_CertificateFields):
         return cls(*iterable)
 
 
-def _first_violation(margin: np.ndarray, scale: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Row by row along the leading axis: the first flat index (C order) in
-    the row where margin > 0 fails conclusively (-1 if none), and the count
-    of failures before it that sit below the noise floor
-    NOISE_FLOOR_REL * scale (a NaN margin or scale is conclusive)."""
-    rows = len(margin)
-    failing = ~(margin > 0.0).reshape(rows, -1)
-    sub_floor = (np.abs(margin) < NOISE_FLOOR_REL * scale).reshape(rows, -1)
-    conclusive = failing & ~sub_floor
-    found = conclusive.any(axis=1)
-    first = np.where(found, conclusive.argmax(axis=1), -1)
-    # count each row's sub-floor failures in [row start, first) of the flat
-    # order, or in the whole row when it has no violation
-    size = failing.shape[1]
-    starts = np.arange(rows) * size
-    ends = starts + np.where(found, first, size)
-    sub_floor_failures = np.flatnonzero(failing & sub_floor)
-    return first, (np.searchsorted(sub_floor_failures, ends)
-                   - np.searchsorted(sub_floor_failures, starts))
+def _alpha_cuts(table: DerivTable) -> np.ndarray:
+    """Shape (3, k_max, len(xs)): per grid point, its LCM cut (row 0), its
+    RECIPROCAL cut (row 1) and its raw root (row 2).
+
+    At a point the signed value is c + alpha*b, with c = (-1)^k core and
+    b = (k-1)!/u^k > 0, and its noise floor is nu*(|alpha|*b + s), with
+    nu = NOISE_FLOOR_REL and s = core_scale.  The LCM test fails
+    conclusively iff F(alpha) = c + alpha*b + nu*(|alpha|*b + s) <= 0, the
+    RECIPROCAL test iff G(alpha) = c + alpha*b - nu*(|alpha|*b + s) >= 0.
+    Both increase with slope at least b*(1 - nu), so each test fails on one
+    side of the root of F or G: the cut.  The signed value changes sign at
+    the raw root -c/b, which lies between the two cuts.  A cut or root
+    outside the binary64 range raises CapabilityError naming y.
+    """
+    odd_sign = np.sign(table.alpha_coef)  # (-1)^k
+    c = odd_sign * table.core
+    b = np.abs(table.alpha_coef) / table.u_pow
+    floor = NOISE_FLOOR_REL * table.core_scale
+    cuts = np.stack([-c - floor, floor - c, -c])  # the roots times their slope
+    slope_nu = NOISE_FLOOR_REL * np.array([[[1.0]], [[-1.0]], [[0.0]]])  # F, G, raw
+    try:
+        with np.errstate(over="raise"):
+            cuts /= b * (1.0 + np.where(cuts >= 0.0, slope_nu, -slope_nu))
+    except FloatingPointError:
+        raise CapabilityError(
+            f"the alpha cuts of (ln h)^(k) for k <= {len(table.core)} at y={table.y!r} "
+            "lie outside the double-precision range") from None
+    return cuts
 
 
-def _signed_table(y: float, k_max: int, grid: GridSpec | None
-                  ) -> tuple[GridSpec, np.ndarray, DerivTable, Callable]:
-    """Setup shared by every certificate search: validate y and k_max, and
-    return the grid (default_grid(y) for None), its abscissae xs, the
-    derivative table and signed(alpha), the table's (values, scales) at
-    alpha (a float or a 1-D array) with values times (-1)^k, so LCM wants
-    them > 0."""
+def _cut_table(y: float, k_max: int, grid: GridSpec | None
+               ) -> tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]:
+    """Setup shared by every certificate: validate y and k_max, and return
+    the grid (default_grid(y) for None), its abscissae xs, the derivative
+    table and its _alpha_cuts."""
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     if not (isinstance(k_max, int) and not isinstance(k_max, bool)
             and 1 <= k_max <= MAX_DERIV_ORDER):
@@ -241,67 +262,42 @@ def _signed_table(y: float, k_max: int, grid: GridSpec | None
         grid = default_grid(y)
     xs = grid_points(grid, y)
     table = logh_deriv_table(k_max, y, xs)
-    odd_sign = (-1.0) ** np.arange(1, k_max + 1)[:, None]  # (-1)^k
-
-    def signed(alpha) -> tuple[np.ndarray, np.ndarray]:
-        values, scales = table(alpha)
-        values *= odd_sign
-        return values, scales
-
-    return grid, xs, table, signed
+    return grid, xs, table, _alpha_cuts(table)
 
 
 def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
                   ) -> Callable[[float, Direction | str], Certificate]:
     """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
 
-    One derivative table at y serves every certificate.  direction LCM
-    requires the signed quantity positive, RECIPROCAL negative.  The witness
-    is the first conclusive violation by increasing k, then grid order.
+    One derivative table at y, and its alpha cuts, serve every certificate.
+    direction LCM requires the signed quantity positive, RECIPROCAL
+    negative.  The certificate FAILs iff alpha is at or beyond some point's
+    cut; the witness is the first such point by increasing k, then grid
+    order (see the module docstring).
     """
-    grid, xs, _, signed_at = _signed_table(y, k_max, grid)
+    grid, xs, table, cuts = _cut_table(y, k_max, grid)
+    lcm_cuts, rec_cuts, roots = (row.ravel() for row in cuts)
 
     def certify(alpha: float, direction: Direction | str) -> Certificate:
         direction = Direction(direction)
         params = HParams(alpha=alpha, y=y)
-        signed, scales = signed_at(params.alpha)
-        margin = signed if direction is Direction.LCM else -signed
-        (first,), (undecided,) = _first_violation(margin[None], scales[None])
-        witness = None if first < 0 else DerivSample(
-            k=int(first) // xs.size + 1, x=float(xs[first % xs.size]),
-            value=float(signed.flat[first]))
+        values, _ = table(params.alpha)  # raises for an alpha outside binary64's reach
+        alpha = float(params.alpha)
+        lcm = direction is Direction.LCM
+        fails = lcm_cuts >= alpha if lcm else rec_cuts <= alpha
+        first = int(fails.argmax())
+        end = first if fails[first] else fails.size
+        before = roots[:end]
+        undecided = int(np.count_nonzero(before >= alpha if lcm else before <= alpha))
+        k = first // xs.size + 1
+        witness = None if end == fails.size else DerivSample(
+            k=k, x=float(xs[first % xs.size]),
+            value=(-1.0) ** k * float(values.flat[first]))
         return Certificate(params=params, direction=direction, k_max=k_max, grid=grid,
                            verdict=Verdict.PASS if witness is None else Verdict.FAIL,
-                           witness=witness, undecided_points=int(undecided))
+                           witness=witness, undecided_points=undecided)
 
     return certify
-
-
-#: Most (alpha, k, x) values that first_violations evaluates at once.  It
-#: takes the alphas in consecutive blocks, so peak memory stays flat for long
-#: alpha ranges, and each float temporary stays within 128 KiB: glibc's
-#: malloc maps larger arrays to fresh pages, whose faults cost more than the
-#: extra block calls (on a 2-CPU Xeon VM, 2 ** 16 made a 41-alpha, k_max = 8
-#: row about 1 ms slower).
-ROW_BLOCK_VALUES = 2 ** 14
-
-
-def first_violations(y: float, alphas, k_max: int = DEFAULT_K_MAX,
-                     grid: GridSpec | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both certificate searches for every alpha of a 1-D sequence, in one pass.
-
-    Returns (xs, first, undecided): the grid abscissae, and two integer
-    arrays of shape (2, len(alphas)), row 0 for direction LCM and row 1 for
-    RECIPROCAL.  first is the flat index (k - 1) * len(xs) + i of the first
-    conclusive violation, at order k and x = xs[i], or -1 for a PASS;
-    undecided counts the sub-floor points before it.  Both are what
-    lcm_certifier(y, k_max, grid)'s certify(alpha, direction) reports.
-    """
-    _, xs, table, signed_at = _signed_table(y, k_max, grid)
-    alphas = np.array([require_real(v, "alpha") for v in alphas], dtype=float)
-    _require_finite(alphas, y)
-    return (xs, *_violations(signed_at, alphas, table.core.size))
 
 
 def _require_finite(alphas: np.ndarray, y: float) -> None:
@@ -311,74 +307,16 @@ def _require_finite(alphas: np.ndarray, y: float) -> None:
         HParams(alpha=float(alphas[~finite][0]), y=y)  # raises DomainError
 
 
-def _violations(signed_at: Callable, alphas: np.ndarray, values_per_alpha: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(first, undecided) of first_violations for a float array of alphas."""
-    first = np.empty((2, alphas.size), dtype=np.intp)
-    undecided = np.empty_like(first)
-    block = max(1, ROW_BLOCK_VALUES // values_per_alpha)
-    for start in range(0, alphas.size, block):
-        rows = slice(start, start + block)
-        signed, scales = signed_at(alphas[rows])
-        first[0, rows], undecided[0, rows] = _first_violation(signed, scales)
-        np.negative(signed, out=signed)  # the RECIPROCAL margin
-        first[1, rows], undecided[1, rows] = _first_violation(signed, scales)
-    return first, undecided
-
-
-def _alpha_cuts(table: DerivTable) -> tuple[np.ndarray, np.ndarray]:
-    """(cuts, bands), each of shape (2, k_max, len(xs)): per grid point, the
-    alpha at which its LCM (row 0) and RECIPROCAL (row 1) test flips, and
-    the half-width of the band around that cut where rounding may decide.
-
-    At a point the signed value is c + alpha*b, with c = (-1)^k core and
-    b = (k-1)!/u^k > 0, and its noise floor is nu*(|alpha|*b + s), with
-    nu = NOISE_FLOOR_REL and s = core_scale.  The LCM test fails
-    conclusively iff F(alpha) = c + alpha*b + nu*(|alpha|*b + s) <= 0, the
-    RECIPROCAL test iff G(alpha) = c + alpha*b - nu*(|alpha|*b + s) >= 0.
-    Both increase with slope at least b*(1 - nu), so each test fails on one
-    side of the root of F or G: the cut.
-
-    Rounding (unit roundoff u = 2^-53).  The search rounds alpha*(k-1)!, its
-    quotient by u^k, the sum with the core, the scale and the floor, so its
-    F or G is off by at most u*(|c| + 3.02*|alpha|*b + 1e-8*s); divided by
-    the slope, that moves its flip by at most
-    u*(|c|/b + 3.02*|alpha| + 1e-8*s/b) + 2^-1074*(1 + 1/b), the last term
-    for underflowing products.  The cut computed here is off from the root
-    by at most u*(1.01*|c|/b + 4.02*|cut|) + 2.01e-9*u*s/b.  With |alpha| near
-    |cut| the two stay below
-    2.01*u*|c|/b + 7.05*u*|cut| + 1.3e-8*u*s/b + 2^-1074*(1 + 1/b); the band,
-    32*u*((|c| + 1e-8*s + 2^-1022)/b + |cut|) + 2^-1070, is at least four
-    times that.  Outside its band every alpha's test agrees with its side of
-    the cut bit for bit.
-    """
-    odd_sign = np.sign(table.alpha_coef)  # (-1)^k
-    c = odd_sign * table.core
-    b = np.abs(table.alpha_coef) / table.u_pow
-    floor = NOISE_FLOOR_REL * table.core_scale
-    cuts = np.stack([-c - floor, floor - c])  # the roots times their slope
-    slope_nu = NOISE_FLOOR_REL * np.array([[[1.0]], [[-1.0]]])  # F: +nu, G: -nu
-    with np.errstate(over="ignore"):  # scan_values searches a row whose cuts overflow
-        cuts /= b * (1.0 + np.where(cuts >= 0.0, slope_nu, -slope_nu))
-        bands = 2.0 ** -48 * (
-            (np.abs(c) + 1e-8 * table.core_scale + 2.0 ** -1022) / b + np.abs(cuts))
-    bands += 2.0 ** -1070
-    return cuts, bands
-
-
 def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
               ) -> tuple[tuple[float, int, float], tuple[float, int, float]]:
-    """The two alpha cuts of the certificate searches on the grid.
+    """The two alpha cuts of the certificates on the grid.
 
     Returns ((alpha_lcm, k, x), (alpha_rec, k, x)) with the order k and
     abscissa x that set each cut: certify(alpha, LCM) of
     lcm_certifier(y, k_max, grid) FAILs iff alpha <= alpha_lcm, and
-    certify(alpha, RECIPROCAL) FAILs iff alpha >= alpha_rec, for every
-    alpha outside a rounding band of relative width about 1e-14 around
-    each cut.
+    certify(alpha, RECIPROCAL) FAILs iff alpha >= alpha_rec.
     """
-    _, xs, table, _ = _signed_table(y, k_max, grid)
-    cuts, _ = _alpha_cuts(table)
+    _, xs, _, cuts = _cut_table(y, k_max, grid)
     lcm, rec = int(cuts[0].argmax()), int(cuts[1].argmin())
     return tuple((float(cut.flat[i]), i // xs.size + 1, float(xs[i % xs.size]))
                  for cut, i in ((cuts[0], lcm), (cuts[1], rec)))
@@ -427,17 +365,23 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
     grid = GridSpec(x_min_offset=x_left + c, x_max=x_max, points=points)
     xs = grid_points(grid, y)  # ParameterError unless x_max > x_left
     values, scales = q_surface_table(y, xs)
-    # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair
+    # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair.
+    # The witness is the first conclusive failure in that order (a NaN margin
+    # or scale is conclusive); failures below the floor before it are counted.
     margin = -np.concatenate([values, np.diff(values)])
-    (first,), (undecided,) = _first_violation(
-        margin[None], np.concatenate([scales, np.maximum(scales[:-1], scales[1:])])[None])
-    witness = None if first < 0 else DerivSample(
+    scale = np.concatenate([scales, np.maximum(scales[:-1], scales[1:])])
+    failing = ~(margin > 0.0)
+    conclusive = failing & ~(np.abs(margin) < NOISE_FLOOR_REL * scale)
+    first = int(conclusive.argmax())
+    end = first if conclusive[first] else margin.size
+    witness = None if end == margin.size else DerivSample(
         k=int(first >= xs.size), x=float(np.concatenate([xs, xs[1:]])[first]),
         value=float(-margin[first]))
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
     return Certificate(params=HParams(alpha=0.5 / c, y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
-                       undecided_points=int(undecided), check="surface-negativity")
+                       undecided_points=int(np.count_nonzero(failing[:end])),
+                       check="surface-negativity")
 
 
 def in_conjecture_zone(alpha, y: float):
@@ -450,8 +394,11 @@ def in_conjecture_zone(alpha, y: float):
 class ScanCell(NamedTuple):
     """Classification of one (alpha, y) cell from its two certificates.
 
-    For cells inside the conjecture zone, reciprocal_violation records
-    whether the RECIPROCAL certificate found a conclusive violation
+    The LCM certificate passes iff alpha lies above the row's LCM grid cut,
+    the RECIPROCAL one iff alpha lies below its RECIPROCAL grid cut
+    (grid_cuts).  For cells inside the conjecture zone,
+    reciprocal_violation records whether alpha is at or above that cut, so
+    that the RECIPROCAL certificate FAILs with a conclusive witness
     (evidence only — the zone never classifies RECIPROCAL).
     """
 
@@ -482,11 +429,12 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
                 x_max: float = DEFAULT_X_MAX) -> list[ScanCell]:
     """Classify every (alpha, y) combination; y-major, then alpha order.
 
-    Each y builds one derivative table on default_grid(y, points, x_max) and
-    classifies its cells exactly as classify would from the two
-    certificates of each cell: an alpha is compared with the row's two
-    alpha cuts, and an alpha inside the rounding band of a cut is decided
-    by the first_violations search.
+    Each y is one row pass: it builds one derivative table on
+    default_grid(y, points, x_max) and compares the whole row of alphas
+    with the table's two grid cuts (grid_cuts).  LCM passes above the
+    largest LCM cut and RECIPROCAL below the smallest RECIPROCAL cut, the
+    verdicts of the two certificates of each cell at every alpha, so every
+    cell is classified as classify would classify those certificates.
     """
     alphas = [require_real(v, "alpha") for v in alphas]
     # every y passes the HParams rule before a grid is built on any of them
@@ -494,24 +442,10 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     alpha_array = np.array(alphas, dtype=float)
     cells: list[ScanCell] = []
     for y in ys:
-        _, _, table, signed_at = _signed_table(
-            y, k_max, default_grid(y, points=points, x_max=x_max))
+        _, _, _, cuts = _cut_table(y, k_max, default_grid(y, points=points, x_max=x_max))
         _require_finite(alpha_array, y)
-        # LCM fails below lcm_lo and passes above lcm_hi, RECIPROCAL passes
-        # below rec_lo and fails above rec_hi; the search decides between
-        cuts, bands = _alpha_cuts(table)
-        lcm_lo, lcm_hi = (cuts[0] - bands[0]).max(), (cuts[0] + bands[0]).max()
-        rec_lo, rec_hi = (cuts[1] - bands[1]).min(), (cuts[1] + bands[1]).min()
-        if not np.isfinite([lcm_lo, lcm_hi, rec_lo, rec_hi]).all():
-            lcm_lo = rec_lo = -math.inf
-            lcm_hi = rec_hi = math.inf
-        lcm_pass = alpha_array > lcm_hi
-        rec_pass = alpha_array < rec_lo
-        tie = ((~lcm_pass & (alpha_array >= lcm_lo))
-               | (~rec_pass & (alpha_array <= rec_hi)))
-        if tie.any():
-            first, _ = _violations(signed_at, alpha_array[tie], table.core.size)
-            lcm_pass[tie], rec_pass[tie] = first < 0
+        lcm_pass = alpha_array > cuts[0].max()
+        rec_pass = alpha_array < cuts[1].min()
         zones = in_conjecture_zone(alpha_array, y).tolist()
         cells += [ScanCell(alpha=alpha, y=y,
                            classification=_CLASSIFICATION[lcm][rec][zone],

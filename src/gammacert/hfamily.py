@@ -178,30 +178,24 @@ class DerivTable:
         self.y, self.core, self.core_scale = y, core, core_scale
         self.u_pow, self.alpha_coef = u_pow, alpha_coef
 
-    def __call__(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """(values, scales) of shape (k_max, len(xs)), or (len(alpha), k_max,
-        len(xs)) for a 1-D array of alphas, each row bit-identical to its
-        one-alpha call.  A scale adds |alpha term| to core_scale: it bounds
-        the rounding noise and feeds certificate noise floors.  An alpha
-        whose term, value or scale leaves the binary64 range raises
-        CapabilityError naming it.
+    def __call__(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(values, scales) at alpha, each of shape (k_max, len(xs)).  A
+        scale adds |alpha term| to core_scale: it bounds the rounding noise
+        and feeds certificate noise floors.  An alpha whose term, value or
+        scale leaves the binary64 range raises CapabilityError naming it.
         """
-        alpha = np.asarray(alpha, dtype=float)
+        alpha = float(alpha)
         try:
             with np.errstate(over="raise"):
-                term = np.multiply.outer(alpha, self.alpha_coef) / self.u_pow
+                term = alpha * self.alpha_coef / self.u_pow
                 values = self.core + term
                 scales = np.abs(term, out=term)  # the term's buffer becomes the scales
                 scales += self.core_scale
         except FloatingPointError:
-            if alpha.ndim == 0:
-                raise CapabilityError(
-                    f"(ln h)^(k) for k <= {len(self.core)} at alpha={float(alpha)!r}, "
-                    f"y={self.y!r} needs a value outside the double-precision range"
-                ) from None
-            for one in alpha.ravel().tolist():
-                self(one)  # the first alpha out of range raises
-            raise
+            raise CapabilityError(
+                f"(ln h)^(k) for k <= {len(self.core)} at alpha={alpha!r}, "
+                f"y={self.y!r} needs a value outside the double-precision range"
+            ) from None
         return values, scales
 
 

@@ -1,12 +1,18 @@
-"""Scalar referees: the one-point bodies that the package's grid builders replaced.
+"""Referees: the bodies that the package's grid builders and alpha cuts replaced.
 
-Each function below evaluates one point with Python floats and scalar
+Each check function below evaluates one point with Python floats and scalar
 kernel calls, exactly as the package did before its check builders took
 grids.  The tests hold every grid row, and every point call, to these
 bodies bit for bit, and every bad point to the error that its body raises.
 The one deliberate difference is documented where it is tested: the package
 refuses a non-finite auxiliary value (``aux_eval``) with CapabilityError
 where the old body returned it.
+
+``search_certifier`` is the lcm-sign certificate as the package computed it
+before its verdicts became comparisons with per-point alpha cuts: it
+evaluates the derivative table at alpha and searches it for the first
+conclusive violation.  Away from every point's cut and raw root the two
+agree in verdict, witness bits and undecided count.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from gammacert import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, digamma, lngamma,
-    polygamma)
+    CapabilityError, Certificate, DerivSample, Direction, DomainError, HParams,
+    ParameterError, PrecisionError, Verdict, digamma, grid_points, lngamma,
+    logh_deriv_table, polygamma)
+from gammacert.certify import NOISE_FLOOR_REL
 from gammacert.errors import is_finite, require_positive, require_real
 from gammacert.hfamily import lcm_threshold, reciprocal_threshold
 from gammacert.ineq import CHAIN_SUP, AuxFn, CheckResult, one_sided, two_sided
@@ -234,3 +244,54 @@ def recurrence_check(n: int) -> CheckResult:
     return two_sided("ball_volume_recurrence",
                      (("n", n), ("log_scale", 1.0)),
                      -1e-12, residual, 1e-12, strict=False)
+
+
+# ---------------------------------------------------------------------------
+# certificates
+# ---------------------------------------------------------------------------
+
+
+def first_violation(margin: np.ndarray, scale: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row along the leading axis: the first flat index (C order) in
+    the row where margin > 0 fails conclusively (-1 if none), and the count
+    of failures before it that sit below the noise floor
+    NOISE_FLOOR_REL * scale (a NaN margin or scale is conclusive)."""
+    rows = len(margin)
+    failing = ~(margin > 0.0).reshape(rows, -1)
+    sub_floor = (np.abs(margin) < NOISE_FLOOR_REL * scale).reshape(rows, -1)
+    conclusive = failing & ~sub_floor
+    found = conclusive.any(axis=1)
+    first = np.where(found, conclusive.argmax(axis=1), -1)
+    # count each row's sub-floor failures in [row start, first) of the flat
+    # order, or in the whole row when it has no violation
+    size = failing.shape[1]
+    starts = np.arange(rows) * size
+    ends = starts + np.where(found, first, size)
+    sub_floor_failures = np.flatnonzero(failing & sub_floor)
+    return first, (np.searchsorted(sub_floor_failures, ends)
+                   - np.searchsorted(sub_floor_failures, starts))
+
+
+def search_certifier(y: float, k_max: int, grid):
+    """certify(alpha, direction) of lcm_certifier(y, k_max, grid), found by
+    searching table(alpha) with first_violation."""
+    xs = grid_points(grid, y)
+    table = logh_deriv_table(k_max, y, xs)
+    odd_sign = (-1.0) ** np.arange(1, k_max + 1)[:, None]  # (-1)^k
+
+    def certify(alpha: float, direction) -> Certificate:
+        direction = Direction(direction)
+        params = HParams(alpha=alpha, y=y)
+        signed, scales = table(params.alpha)
+        signed *= odd_sign
+        margin = signed if direction is Direction.LCM else -signed
+        (first,), (undecided,) = first_violation(margin[None], scales[None])
+        witness = None if first < 0 else DerivSample(
+            k=int(first) // xs.size + 1, x=float(xs[first % xs.size]),
+            value=float(signed.flat[first]))
+        return Certificate(params=params, direction=direction, k_max=k_max, grid=grid,
+                           verdict=Verdict.PASS if witness is None else Verdict.FAIL,
+                           witness=witness, undecided_points=int(undecided))
+
+    return certify

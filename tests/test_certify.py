@@ -25,7 +25,6 @@ from gammacert import (
     classify,
     default_grid,
     finite_diff_crosscheck,
-    first_violations,
     grid_cuts,
     grid_points,
     in_conjecture_zone,
@@ -36,12 +35,14 @@ from gammacert import (
     scan_values,
     verify_thm3,
 )
+import _referee as referee
 import gammacert.certify as certify_module
-from gammacert.certify import NOISE_FLOOR_REL, ROW_BLOCK_VALUES, _first_violation
+from gammacert.certify import NOISE_FLOOR_REL
 from gammacert.cli import (
     _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
 from gammacert.hfamily import (
-    X_EPSILON, DerivSample, lcm_threshold, logh_deriv_table, reciprocal_threshold)
+    X_EPSILON, DerivSample, DerivTable, lcm_threshold, logh_deriv_table,
+    reciprocal_threshold)
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)
 
@@ -94,9 +95,7 @@ def test_certifiers_default_to_default_grid(y):
     for alpha in alphas:
         for direction in Direction:
             assert implicit(alpha, direction) == explicit(alpha, direction)
-    for got, want in zip(first_violations(y, alphas),
-                         first_violations(y, alphas, grid=default_grid(y))):
-        assert np.array_equal(got, want)
+    assert grid_cuts(y) == grid_cuts(y, grid=default_grid(y))
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +332,27 @@ def test_verify_thm3_search_on_a_stand_in_surface(monkeypatch, surface, verdict,
             1, xs[1], surface(xs[1]) - surface(xs[0]))
 
 
-def _one_row(margin, scale):
-    (first,), (undecided,) = _first_violation(np.asarray(margin)[None],
-                                              np.asarray(scale)[None])
-    return int(first), int(undecided)
-
-
-def test_first_violation_order_floor_and_nan():
-    scale = np.ones((2, 3))
-    # C order: row k = 1 first; sub-floor entries before the hit are counted
-    margin = np.array([[1.0, -1e-12, 0.0], [-1e-12, -1.0, -1e-12]])
-    assert _one_row(margin, scale) == (4, 3)
-    assert _one_row(np.abs(margin) + 1.0, scale) == (-1, 0)
-    assert _one_row([-1e-12, -1e-12], np.ones(2)) == (-1, 2)
-    assert _one_row([1.0, math.nan, -1.0], np.ones(3)) == (1, 0)
-    assert _one_row([-1e-12, 1.0], [math.nan, 1.0]) == (0, 0)
-    # row by row along the leading axis: each row is its own search
-    rows = np.array([margin, np.abs(margin) + 1.0, -margin, np.full((2, 3), -1e-12)])
-    first, undecided = _first_violation(rows, np.ones_like(rows))
-    assert list(zip(first.tolist(), undecided.tolist())) == [
-        _one_row(row, scale) for row in rows] == [(4, 3), (-1, 0), (0, 0), (-1, 6)]
+def test_first_violation_order_floor_and_nan(monkeypatch):
+    # verify_thm3's margins run k = 0 (q < 0) over the grid, then k = 1 (q
+    # decreases) over its steps; failures below the floor before the first
+    # conclusive one are counted, and a NaN margin or scale is conclusive
+    xs = grid_points(GridSpec(0.5, 10.0, 4), -0.75)  # x_left = 0.25 at y = -0.75
+    nan = math.nan
+    cases = [
+        ([-2.0, -2.0, 1e-12, -1.0], [1.0] * 4, (1, 2, 2.0 + 1e-12), 2),
+        ([-1.0, -2.0, -3.0, -4.0], [1.0] * 4, None, 0),
+        ([-1e-12] * 4, [1.0] * 4, None, 3),
+        ([-1.0, nan, -3.0, -4.0], [1.0] * 4, (0, 1, nan), 0),
+        ([1e-12, -2.0, -3.0, -4.0], [nan, 1.0, 1.0, 1.0], (0, 0, 1e-12), 0),
+    ]
+    for values, scales, witness, undecided in cases:
+        monkeypatch.setattr(certify_module, "q_surface_table",
+                            lambda y, x: (np.array(values), np.array(scales)))
+        cert = verify_thm3(-0.75, points=4, x_max=10.0)
+        want = None if witness is None else (
+            witness[0], float(xs[witness[1]]).hex(), float(witness[2]).hex())
+        assert _outcome(cert) == (
+            Verdict.PASS if witness is None else Verdict.FAIL, want, undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def test_classification_is_monotone_along_alpha():
 
 
 # ---------------------------------------------------------------------------
-# the row pass: every alpha of a y-row from one table evaluation
+# alpha cuts: the scanner's row pass, the certificates and the referee search
 # ---------------------------------------------------------------------------
 
 ROW_YS = (-0.95, -0.5, 0.0, 1.0, 5.0)
@@ -495,54 +495,6 @@ def _row_alphas(y):
     """Negatives, 0, both Theorem 1 thresholds exactly and +-1e6."""
     return [-1e6, -3.0, -0.5, 0.0, reciprocal_threshold(y), 0.75, 1.0,
             lcm_threshold(y), 2.5, 1e6]
-
-
-def _assert_row_pass_matches_certify(y, alphas, k_max, grid):
-    xs, first, undecided = first_violations(y, alphas, k_max, grid)
-    certify = lcm_certifier(y, k_max, grid)
-    table = logh_deriv_table(k_max, y, xs)
-    assert first.shape == undecided.shape == (2, len(alphas))
-    for j, alpha in enumerate(alphas):
-        values = table(alpha)[0]
-        for row, direction in enumerate(Direction):  # row 0 LCM, row 1 RECIPROCAL
-            cert = certify(alpha, direction)
-            f = int(first[row, j])
-            witness = None if f < 0 else (
-                f // xs.size + 1, float(xs[f % xs.size]).hex(),
-                float((-1.0) ** (f // xs.size + 1) * values.flat[f]).hex())
-            verdict = Verdict.PASS if f < 0 else Verdict.FAIL
-            assert _outcome(cert) == (verdict, witness, int(undecided[row, j])), (
-                alpha, y, direction)
-
-
-@pytest.mark.parametrize("y", ROW_YS)
-@pytest.mark.parametrize("k_max", [1, 8, 12])
-def test_row_pass_matches_one_alpha_certificates(y, k_max):
-    for points in (2, 57, 200):
-        _assert_row_pass_matches_certify(y, _row_alphas(y), k_max,
-                                         default_grid(y, points=points))
-
-
-@settings(max_examples=25)
-@given(y=st.sampled_from(ROW_YS), k_max=st.sampled_from([1, 8, 12]),
-       points=st.sampled_from([2, 57, 200]),
-       alphas=st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=12))
-def test_row_pass_matches_certificates_on_drawn_alphas(y, k_max, points, alphas):
-    _assert_row_pass_matches_certify(y, alphas, k_max, default_grid(y, points=points))
-
-
-@pytest.mark.parametrize("count", [60, 61])
-def test_row_pass_across_blocks(count):
-    y = 0.7
-    block = ROW_BLOCK_VALUES // (12 * grid_points(default_grid(y), y).size)
-    assert 1 < block < count  # several blocks; with 61 alphas the last one is short
-    alphas = np.linspace(-0.5, 2.0, count).tolist()
-    _assert_row_pass_matches_certify(y, alphas, 12, default_grid(y))
-
-
-def test_row_pass_of_no_alphas():
-    xs, first, undecided = first_violations(0.0, [], grid=FAST_GRID)
-    assert xs.size > 0 and first.shape == undecided.shape == (2, 0)
 
 
 def _reference_scan(alphas, ys, k_max, points, x_max):
@@ -557,6 +509,33 @@ def _reference_scan(alphas, ys, k_max, points, x_max):
     return cells
 
 
+@pytest.mark.parametrize("y", ROW_YS)
+@pytest.mark.parametrize("k_max", [1, 8, 12])
+def test_row_pass_matches_one_alpha_certificates(y, k_max):
+    # scan_values' row pass classifies as the certificates do, and at these
+    # alphas each certificate is the referee search's, witness bits included
+    alphas = _row_alphas(y)
+    for points in (2, 57, 200):
+        grid = default_grid(y, points=points)
+        assert scan_values(alphas, [y], k_max, points) == _reference_scan(
+            alphas, [y], k_max, points, grid.x_max)
+        certify = lcm_certifier(y, k_max, grid)
+        search = referee.search_certifier(y, k_max, grid)
+        for alpha in alphas:
+            for direction in Direction:
+                assert _outcome(certify(alpha, direction)) == _outcome(
+                    search(alpha, direction)), (alpha, y, direction, points)
+
+
+@settings(max_examples=25)
+@given(y=st.sampled_from(ROW_YS), k_max=st.sampled_from([1, 8, 12]),
+       points=st.sampled_from([2, 57, 200]),
+       alphas=st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=12))
+def test_row_pass_matches_certificates_on_drawn_alphas(y, k_max, points, alphas):
+    assert scan_values(alphas, [y], k_max, points) == _reference_scan(
+        alphas, [y], k_max, points, default_grid(y).x_max)
+
+
 @pytest.mark.parametrize("k_max,points,x_max", [
     (8, 200, 1e3), (4, 57, 80.0), (1, 2, 1e3), (12, 200, 1e3)])
 def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
@@ -568,47 +547,90 @@ def test_scan_values_matches_two_certificates_per_cell(k_max, points, x_max):
     assert all(type(c.conjecture_zone) is bool for c in cells)
 
 
-def _searched_alphas(monkeypatch) -> list[float]:
-    """Every alpha that scan_values hands to the first_violations search."""
-    searched: list[float] = []
-
-    def recording(signed_at, alphas, values_per_alpha):
-        searched.extend(alphas.tolist())
-        return violations(signed_at, alphas, values_per_alpha)
-
-    violations = certify_module._violations
-    monkeypatch.setattr(certify_module, "_violations", recording)
-    return searched
+def _ulps(value: float, steps: int) -> float:
+    """value moved by steps units in the last place (down for steps < 0)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
 
 
 @pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (1, 2, 1e3), (12, 57, 80.0)])
 @pytest.mark.parametrize("y", [-0.95, -0.7, -0.5, 0.0, 0.7, 5.0])
-def test_scan_values_searches_the_alphas_at_its_cuts(monkeypatch, y, k_max, points, x_max):
-    # within a few ulps of a cut the comparison cannot tell, so the search
-    # decides; 1e-12 away from a cut the comparison does
-    cuts = [cut for cut, _, _ in grid_cuts(y, k_max, default_grid(y, points, x_max))]
-    ties = [cut + n * math.ulp(cut) for cut in cuts for n in (-4, -2, -1, 0, 1, 2, 4)]
-    clear = [cut * (1.0 + e) for cut in cuts for e in (-1e-12, 1e-12)]
-    searched = _searched_alphas(monkeypatch)
-    cells = scan_values(ties + clear, [y], k_max, points, x_max)
-    assert set(ties) <= set(searched) and not set(clear) & set(searched)
-    assert cells == _reference_scan(ties + clear, [y], k_max, points, x_max)
+def test_scan_values_agrees_with_certify_at_its_cuts(y, k_max, points, x_max):
+    # the cuts are the verdicts: every ulp offset -8..8 of a cut lands on
+    # the side of the cut that certify and scan_values both report
+    grid = default_grid(y, points, x_max)
+    (lcm_cut, _, _), (rec_cut, _, _) = grid_cuts(y, k_max, grid)
+    alphas = [_ulps(cut, n) for cut in (lcm_cut, rec_cut) for n in range(-8, 9)]
+    certify = lcm_certifier(y, k_max, grid)
+    assert [certify(a, Direction.LCM).verdict is Verdict.FAIL for a in alphas] == [
+        a <= lcm_cut for a in alphas]
+    assert [certify(a, Direction.RECIPROCAL).verdict is Verdict.FAIL for a in alphas] == [
+        a >= rec_cut for a in alphas]
+    assert scan_values(alphas, [y], k_max, points, x_max) == _reference_scan(
+        alphas, [y], k_max, points, x_max)
 
 
-def test_scan_values_searches_a_row_whose_cuts_overflow(monkeypatch):
-    searched = _searched_alphas(monkeypatch)
-    monkeypatch.setattr(certify_module, "_alpha_cuts",
-                        lambda table: (np.full((2, 1, 1), np.inf), np.zeros((2, 1, 1))))
-    alphas = [-0.5, 0.1, 0.6, 1.5]
-    assert scan_values(alphas, [0.0], 4, 40, 50.0) == _reference_scan(
-        alphas, [0.0], 4, 40, 50.0)
-    assert searched == alphas
+def test_a_row_whose_cuts_overflow_raises_naming_y(monkeypatch):
+    # a stand-in table whose cuts leave binary64 (c/b = 10/1e-308 at k = 1);
+    # no table of the package has shown one: the table build raises first
+    def overflowing(k_max, y, xs):
+        table = logh_deriv_table(k_max, y, xs)
+        return DerivTable(y, np.full_like(table.core, 10.0), table.core_scale,
+                          np.full_like(table.u_pow, 1e308), table.alpha_coef)
+
+    monkeypatch.setattr(certify_module, "logh_deriv_table", overflowing)
+    grid = default_grid(0.0, points=40, x_max=50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        for build in (lambda: scan_values([-0.5, 0.1, 0.6, 1.5], [0.0], 4, 40, 50.0),
+                      lambda: lcm_certifier(0.0, 4, grid), lambda: grid_cuts(0.0, 4, grid)):
+            with pytest.raises(CapabilityError) as info:
+                build()
+            assert str(info.value) == (
+                "the alpha cuts of (ln h)^(k) for k <= 4 at y=0.0 lie outside the "
+                "double-precision range")
 
 
-def test_scan_values_of_clear_alphas_runs_no_search(monkeypatch):
-    searched = _searched_alphas(monkeypatch)
-    scan_values([0.05 * i for i in range(-4, 45)], [*ROW_YS, -0.7, 0.7])
-    assert searched == []
+@pytest.mark.parametrize("y", [-0.95, 0.0, 5.0])
+@pytest.mark.parametrize("k_max", [1, 8, 12])
+def test_tables_raise_before_their_cuts_overflow(y, k_max):
+    # up to x_max = 1e300 a table either has finite cuts or names the value
+    # it cannot hold (the table's or the kernel's own CapabilityError)
+    for x_max in (1e3, 1e10, 1e30, 1e100, 1e150, 1e200, 1e300):
+        try:
+            cuts = grid_cuts(y, k_max, default_grid(y, x_max=x_max))
+        except CapabilityError as error:
+            assert "alpha cuts" not in str(error), (x_max, str(error))
+        else:
+            assert all(math.isfinite(cut) for cut, _, _ in cuts), x_max
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=st.floats(min_value=-0.99, max_value=8.0), k_max=st.sampled_from([1, 3, 8, 12]),
+       points=st.sampled_from([2, 57, 200]),
+       alphas=st.lists(st.floats(min_value=-3.0, max_value=4.0), max_size=8),
+       bands=st.lists(st.tuples(st.integers(min_value=0), st.floats(0.0, 1.0)),
+                      max_size=6))
+def test_certificates_match_the_referee_search(y, k_max, points, alphas, bands):
+    # bands: alphas between a drawn point's LCM cut and raw root, or raw root
+    # and RECIPROCAL cut, where that point is undecided
+    grid = default_grid(y, points=points)
+    table = logh_deriv_table(k_max, y, grid_points(grid, y))
+    cuts = certify_module._alpha_cuts(table).reshape(3, -1)
+    for i, t in bands:
+        lcm, rec, root = cuts[:, i % cuts.shape[1]]
+        alphas = alphas + [lcm + t * (root - lcm), root + t * (rec - root)]
+    alphas = alphas + [reciprocal_threshold(y), lcm_threshold(y)]
+    # rounding in the search decides within about 1e-14 (relative to the
+    # point's cuts and raw root) of a cut or raw root: keep clear of those
+    tolerance = 1e-13 * np.abs(cuts).sum(axis=0) + 1e-300
+    certify = lcm_certifier(y, k_max, grid)
+    search = referee.search_certifier(y, k_max, grid)
+    for alpha in [a for a in alphas if (np.abs(cuts - a) > tolerance).all()]:
+        for direction in Direction:
+            assert _outcome(certify(alpha, direction)) == _outcome(
+                search(alpha, direction)), (alpha, y, direction)
 
 
 @settings(max_examples=30, deadline=None)
@@ -625,9 +647,11 @@ def test_grid_cuts_split_the_search_verdicts(y, k_max, points, alphas, offsets):
     near = [cut * (1.0 + e) for cut in (lcm_cut, rec_cut) for e in offsets]
     alphas = [a for a in alphas + near
               if min(abs(a - lcm_cut), abs(a - rec_cut)) > 1e-13 * (abs(a) + 1e-300)]
-    _, first, _ = first_violations(y, alphas, k_max, grid)
-    assert (first[0] >= 0).tolist() == [a <= lcm_cut for a in alphas]
-    assert (first[1] >= 0).tolist() == [a >= rec_cut for a in alphas]
+    search = referee.search_certifier(y, k_max, grid)
+    assert [search(a, Direction.LCM).verdict is Verdict.FAIL for a in alphas] == [
+        a <= lcm_cut for a in alphas]
+    assert [search(a, Direction.RECIPROCAL).verdict is Verdict.FAIL for a in alphas] == [
+        a >= rec_cut for a in alphas]
 
 
 @pytest.mark.parametrize("alphas,ys,kwargs,error,message", [
