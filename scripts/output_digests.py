@@ -43,6 +43,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
        "--format", f) for f in ("json", "csv")),
     # a lemma grid past polygamma(1, .)'s range: the error of its first bad point
     ("verify", "--suite", "lemmas", "--x-max", "1e120", "--format", "csv"),
+    # a lemma grid up to 1e20: CSV numbers with three-digit exponents
+    ("verify", "--suite", "lemmas", "--grid-points", "60", "--x-max", "1e20",
+     "--format", "csv"),
     ("verify", "--suite", "thm1", "--kmax", "12"),
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
     # the witnesses and undecided counts of the smallest certificate table

@@ -19,7 +19,10 @@ import functools
 import math
 import re
 import sys
+from itertools import chain, compress, groupby
+from operator import attrgetter, not_
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +106,8 @@ def _suite_lemmas(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     for k in range(1, 7):
         rows += polygamma_bounds(k, xs)
     # the windows give their rows window by window; list each x's rows in turn
-    return [rows[i] for j in range(points) for i in range(j, len(rows), points)]
+    windows = [rows[i:i + points] for i in range(0, len(rows), points)]
+    return list(chain.from_iterable(zip(*windows)))
 
 
 def _expected_failure_check(cert: Certificate) -> CheckResult:
@@ -300,23 +304,242 @@ def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
 # output rendering
 # ---------------------------------------------------------------------------
 
+#: rows per verify-CSV block: each block's lines are laid out as one word
+#: matrix, so this bounds the memory the writer holds at once
+_CSV_BLOCK_ROWS = 4096
+
 # CSV numbers are "%.17g", the same digits as format(float(v), ".17g").
+# verify_csv writes them a column at a time with an exact numpy formatter;
+# scan_csv keeps "%", whose rows hold too few numbers for numpy to pay off.
+#
+# The formatter scales each |v| to the 17-digit integer D = round(|v| *
+# 10**(16 - e)), e = floor(log10 |v|), with Dekker's error-free product
+# against 10**(16 - e) held as a double-double (hi, lo).  The remainder is
+# then known to about 1e-14, far inside _TIE.  D's digits fill fixed byte
+# slots, _ABSENT where "%g" writes nothing, so that "%g"'s trailing-zero and
+# exponent rules become table lookups.  Zero, values outside [_EXACT_MIN,
+# _EXACT_MAX] and remainders within _TIE of a rounding tie are written by
+# "%.17g" itself.
+
+_EXACT_MIN, _EXACT_MAX = 1e-250, 1e280  # every scaled product stays normal
+_E_MIN, _E_MAX = -260, 290  # the exponents the tables cover, with room for e +- 1
+_TIE = 1e-6
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for binary64
+_ABSENT = b"\xff"  # no UTF-8 text holds this byte, so deleting it leaves the text
+_TEXT = ("utf-8", "surrogatepass")  # any str round-trips through the word matrix
+
+
+@functools.cache  # filled on first use, one exponent at a time
+def _pow10_table() -> np.ndarray:
+    """Rows (hi, lo) of 10**(16 - e) at column _E_MAX - e; NaN until used."""
+    return np.full((2, _E_MAX - _E_MIN + 1), np.nan)
+
+
+def _pow10(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """10**s as double-doubles hi + lo, |10**s - hi - lo| <= 2**-106 * 10**s."""
+    table = _pow10_table()
+    i = s - (16 - _E_MAX)
+    hi = table[0, i]
+    if np.isnan(hi).any():
+        for k in set(s[np.isnan(hi)].tolist()):  # np.unique would import numpy.ma
+            if k >= 0:
+                p = 10 ** k
+                hi_k = float(p)  # int -> float and int / int round correctly
+                lo_k = float(p - int(hi_k))
+            else:
+                q = 10 ** -k
+                hi_k = 1 / q
+                num, den = hi_k.as_integer_ratio()
+                lo_k = (den - num * q) / (den * q)
+            table[:, k - (16 - _E_MAX)] = hi_k, lo_k
+        hi = table[0, i]
+    return hi, table[1, i]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(floor as int64, remainder) of a * 10**(16 - e), the remainder within
+    about 1e-14, for a in [_EXACT_MIN, _EXACT_MAX]."""
+    hi, lo = _pow10(16 - e)
+    p = a * hi
+    a1, a2 = _split(a)
+    h1, h2 = _split(hi)
+    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2  # a * hi == p + err exactly
+    whole = np.floor(p)
+    frac = (p - whole) + (err + a * lo)
+    carry = np.floor(frac)
+    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+
+
+def _exact_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, D, fallback) for a 1-D float array: |v| rounds to D * 10**(e - 16)
+    at 17 digits, 10**16 <= D < 10**17, where fallback is false."""
+    a = np.abs(v)
+    exact = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)  # false on 0, inf and nan
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, e)
+    d = n + (frac > 0.5)
+    # log10 may miss floor(log10 a) by one near powers of ten: redo those
+    # rows one exponent over
+    off = np.flatnonzero((n < 10 ** 16) | (d > 10 ** 17))
+    if off.size:
+        e[off] += np.where(n[off] < 10 ** 16, -1, 1)
+        n[off], frac[off] = _scaled(a[off], e[off])
+        d[off] = n[off] + (frac[off] > 0.5)
+    carry = d == 10 ** 17  # a row that rounds up to the next power of ten
+    e[carry] += 1
+    d[carry] = 10 ** 16
+    fallback = ~exact | (abs(frac - 0.5) < _TIE) | (n < 10 ** 16) | (d > 10 ** 17)
+    e[fallback] = 0
+    d[fallback] = 10 ** 16
+    return e, d, fallback
+
+
+def _words(texts: list[bytes], width: int) -> np.ndarray:
+    """texts padded with _ABSENT to width bytes (a multiple of 8), as uint64 rows."""
+    return np.frombuffer(b"".join(t.ljust(width, _ABSENT) for t in texts),
+                         np.uint64).reshape(len(texts), width // 8)
+
+
+class _SlotTables(NamedTuple):
+    """Word tables of a number's slot, six uint64 words (48 bytes).
+
+    Bytes 0-7 are word 0: the sign, the "0.000" lead of exponents -4 to -1,
+    the first digit and its point slot.  Words 1-4 hold the other 16 digits,
+    four-digit groups each laid out as "d.d.d.d.".  Word 5 is the exponent
+    and the "," after the number.
+    """
+
+    lead: np.ndarray  # by e - _E_MIN: word 0 with only the lead
+    exponent: np.ndarray  # by e - _E_MIN: word 5
+    point: np.ndarray  # by e - _E_MIN: 1 + the digit the point follows, 0 for none
+    first: np.ndarray  # by first digit: word 0 with only it and a point
+    group: np.ndarray  # by four-digit group: its word
+    zeros: np.ndarray  # by four-digit group: its trailing zeros
+    blank: np.ndarray  # by 18 * point + significant digits: words 0-4, _ABSENT
+    #                    on each digit and point slot "%.17g" leaves empty
+    minus: np.uint64  # word 0 with only the sign
+
+
+@functools.cache
+def _slot_tables() -> _SlotTables:
+    lead, exponent, point = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        fixed = -4 <= e < 17
+        lead.append(b"0." + b"0" * (-e - 1) if fixed and e < 0 else b"")
+        exponent.append(b"" if fixed else b"e%+03d" % e)
+        point.append((1 + e if e >= 0 else 0) if fixed else 1)
+    g = np.arange(10 ** 4)
+    group = np.full((g.size, 8), ord("."), np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        group[:, 2 * j] = ord("0") + g // scale % 10
+    p, n, i = np.ogrid[:18, :18, :17]  # point, significant digits, digit
+    blank = np.zeros((18, 18, 48), np.uint8)
+    blank[..., 6:40:2] = np.where(i < np.maximum(n, p), 0, 0xFF)
+    blank[..., 7:40:2] = np.where((i == p - 1) & (p < n), 0, 0xFF)
+    return _SlotTables(
+        lead=_words([_ABSENT + t.ljust(7, _ABSENT) for t in lead], 8)[:, 0],
+        exponent=_words([t.ljust(5, _ABSENT) + b"," for t in exponent], 8)[:, 0],
+        point=np.array(point),
+        first=_words([_ABSENT * 6 + b"%d." % k for k in range(10)], 8)[:, 0],
+        group=group.view(np.uint64)[:, 0],
+        zeros=sum((g % 10 ** k == 0).astype(int) for k in (1, 2, 3, 4)),
+        blank=blank.view(np.uint64).reshape(18 * 18, 6)[:, :5],
+        minus=_words([b"-"], 8)[0, 0])
+
+
+def _number_words(values: np.ndarray) -> np.ndarray:
+    """ "%.17g," % v for each v of a 1-D float array, as rows of six uint64
+    words (48 bytes) with _ABSENT in every empty byte."""
+    t = _slot_tables()
+    e, d, fallback = _exact_digits(values)
+    i = e - _E_MIN
+    groups = []  # D's four-digit groups, low first; D // 10**16 is the first digit
+    q = d
+    for _ in range(4):
+        q, g = np.divmod(q, 10 ** 4)
+        groups.append(g)
+    significant = 17 - t.zeros[groups[0]]
+    whole = np.flatnonzero(groups[0] == 0)  # D ends in four zeros or more
+    significant[whole] = [len(str(k).rstrip("0")) for k in d[whole].tolist()]
+    out = np.empty((d.size, 6), np.uint64)
+    out[:, 0] = np.where(values < 0, t.minus, ~np.uint64(0)) & t.lead[i] & t.first[q]
+    out[:, 1:5] = t.group[np.stack(groups[::-1], axis=1)]
+    out[:, :5] |= np.take(t.blank, 18 * t.point[i] + significant, axis=0)
+    out[:, 5] = t.exponent[i]
+    if fallback.any():
+        out[fallback] = _words([("%.17g," % v).encode("ascii")
+                                for v in values[fallback].tolist()], 48)
+    return out
+
+
+def _text_words(texts: list[str]) -> np.ndarray:
+    data = [t.encode(*_TEXT) for t in texts]
+    return _words(data, -(-max(map(len, data)) // 8) * 8)
+
+
+def _lines(keys: list[tuple], ends: tuple[str, str], columns: list[np.ndarray]) -> str:
+    """One line per row: head % key, the row's number in each column followed
+    by ",", then tail % key, for ends = (head, tail); head takes the first
+    fields of the key, tail the rest."""
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    rows = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    head, tail = ends
+    cut = head.count("%s")
+    heads = _text_words([head % key[:cut] for key in index])
+    tails = _text_words([tail % key[cut:] for key in index])
+    numbers = _number_words(np.concatenate(columns)).reshape(len(columns), len(keys), 6)
+    mat = np.concatenate([heads[rows], *numbers, tails[rows]], axis=1)
+    return mat.tobytes().translate(None, _ABSENT).decode(*_TEXT)
+
+
+def _column(rows: list, field: str) -> np.ndarray:
+    return np.fromiter(map(attrgetter(field), rows), np.float64, len(rows))
+
+
+_PASSED = {True: "passed"}  # a check that holds; result_status names the others
+_CHECK_ENDS = ("check,%s,%s,", ",,\n")
+_CERTIFICATE_ENDS = ("certificate,%s,%s,,,,", "%s\n")
+
+
+def _check_lines(rows: list[CheckResult]) -> str:
+    status = list(map(_PASSED.get, map(attrgetter("holds"), rows)))
+    for i in compress(range(len(rows)), map(not_, status)):
+        status[i] = result_status(rows[i])  # failed, or undecided inside the noise band
+    return _lines(list(zip(map(attrgetter("name"), rows), status)), _CHECK_ENDS,
+                  [_column(rows, "lhs"), _column(rows, "rhs"), _column(rows, "margin")])
+
+
+def _certificate_lines(rows: list[Certificate]) -> str:
+    keys = list(zip(map(attrgetter("check"), rows), map(result_status, rows),
+                    map(attrgetter("verdict.value"), rows)))
+    return _lines(keys, _CERTIFICATE_ENDS,
+                  [_column(rows, "params.alpha"), _column(rows, "params.y")])
+
 
 def verify_csv(report: Report) -> str:
-    """Flat CSV rows for a verify report (no timestamps: byte-stable)."""
-    lines = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
-    for item in report.results:
-        status = result_status(item)
-        if isinstance(item, CheckResult):
-            lines.append("check,%s,%s,%.17g,%.17g,%.17g,,," % (
-                item.name, status, item.lhs, item.rhs, item.margin))
-        elif isinstance(item, Certificate):
-            lines.append("certificate,%s,%s,,,,%.17g,%.17g,%s" % (
-                item.check, status, item.params.alpha, item.params.y,
-                item.verdict.value))
-        else:
-            raise TypeError(f"no CSV row form for {type(item).__name__}")
-    return "\n".join(lines) + "\n"
+    """Flat CSV rows for a verify report (no timestamps: byte-stable).
+
+    The rows are written _CSV_BLOCK_ROWS at a time, each run of one result
+    kind inside a block as one matrix of lines.
+    """
+    parts = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict\n"]
+    results = report.results
+    for start in range(0, len(results), _CSV_BLOCK_ROWS):
+        for kind, run in groupby(results[start:start + _CSV_BLOCK_ROWS], type):
+            if issubclass(kind, CheckResult):
+                parts.append(_check_lines(list(run)))
+            elif issubclass(kind, Certificate):
+                parts.append(_certificate_lines(list(run)))
+            else:
+                raise TypeError(f"no CSV row form for {kind.__name__}")
+    return "".join(parts)
 
 
 def scan_csv(cells: list[ScanCell]) -> str:

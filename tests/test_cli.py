@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gammacert import cli, from_jsonable
 from gammacert.cli import (
@@ -319,11 +322,24 @@ def test_verify_csv_escapes_nothing_unexpected():
 
 def test_verify_csv_rows_match_the_join_of_format_17g():
     from gammacert import (
-        Certificate, CheckResult, Direction, HParams, Verdict, build_report,
+        Certificate, CheckResult, DerivSample, Direction, HParams, Verdict, build_report,
         default_grid, result_status)
 
     def fmt(v):
         return format(float(v), ".17g")
+
+    def expected_csv(results):
+        expected = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
+        for item in results:
+            status = result_status(item)
+            if isinstance(item, CheckResult):
+                expected.append(",".join(["check", item.name, status, fmt(item.lhs),
+                                          fmt(item.rhs), fmt(item.margin), "", "", ""]))
+            else:
+                expected.append(",".join(["certificate", item.check, status, "", "", "",
+                                          fmt(item.params.alpha), fmt(item.params.y),
+                                          item.verdict.value]))
+        return "\n".join(expected) + "\n"
 
     edges = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, -3.0, 1e16, 1e17, 0.1)
     results = [CheckResult("edge", (("v", v),), v, -v, v, holds=v > 0.0)
@@ -331,18 +347,82 @@ def test_verify_csv_rows_match_the_join_of_format_17g():
     results += [Certificate(HParams(alpha, y), Direction.LCM, 8, default_grid(0.0),
                             Verdict.PASS, None)
                 for alpha, y in ((2, 0), (-1, 3), (0.5, -0.0))]
-    expected = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
-    for item in results:
-        status = result_status(item)
-        if isinstance(item, CheckResult):
-            expected.append(",".join(["check", item.name, status, fmt(item.lhs),
-                                      fmt(item.rhs), fmt(item.margin), "", "", ""]))
-        else:
-            expected.append(",".join(["certificate", item.check, status, "", "", "",
-                                      fmt(item.params.alpha), fmt(item.params.y),
-                                      item.verdict.value]))
+    # an undecided and a failed check, a failed certificate, then checks again
+    results += [CheckResult("tight", (("x", 1.0), ("margin_within_noise", 1.0)),
+                            1.0, 1.0 + 1e-17, 1e-17, holds=False),
+                CheckResult("tight", (("x", 2.0),), 2.0, 1.0, -1.0, holds=False),
+                Certificate(HParams(0.25, 1.0), Direction.RECIPROCAL, 4,
+                            default_grid(1.0), Verdict.FAIL, DerivSample(2, 0.5, -1e-3)),
+                CheckResult("edge", (), 1.0, 2.0, 1.0, holds=True),
+                CheckResult("\xffψ\udcff", (), 1.0, 2.0, 1.0, holds=True)]  # any str
+    assert [result_status(r) for r in results[-5:-2]] == ["undecided", "failed", "failed"]
     report = build_report("edges", results, tool_version="0.1.0")
-    assert verify_csv(report) == "\n".join(expected) + "\n"
+    assert verify_csv(report) == expected_csv(results)
+
+    # a block boundary just before, at and after the last row, crossed by
+    # runs of both kinds and by rows of every status
+    rng = np.random.default_rng(19)
+    values = 10.0 ** rng.uniform(-300, 300, (cli._CSV_BLOCK_ROWS + 1, 3))
+    values *= rng.choice((-1.0, 1.0), values.shape)
+    filler = [CheckResult(f"row{i % 7}", (), lhs, rhs, margin, holds=i % 5 != 0)
+              for i, (lhs, rhs, margin) in enumerate(values.tolist())]
+    at = cli._CSV_BLOCK_ROWS - 3 - len(results)  # rows BLOCK - 3 to BLOCK
+    filler[at:at + 4] = results[-7:-3]
+    for count in (cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1):
+        rows = results + filler[:count - len(results)]
+        report = build_report("blocks", rows, tool_version="0.1.0")
+        assert verify_csv(report) == expected_csv(rows)
+
+
+def _formatted(values) -> list[str]:
+    """The verify-CSV column formatter's text of each value."""
+    words = cli._number_words(np.asarray(values, dtype=float))
+    text = words.tobytes().translate(None, cli._ABSENT).decode("ascii")
+    return text.split(",")[:-1]  # each number is written with its separator
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_number_formatter_matches_format_17g(values):
+    assert _formatted(values) == [format(v, ".17g") for v in values]
+
+
+def test_csv_number_formatter_on_a_million_random_bit_patterns():
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 1_000_000:
+        values = rng.integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)].tolist()
+        assert _formatted(values) == [format(v, ".17g") for v in values]
+        checked += len(values)
+
+
+def test_csv_number_formatter_edges():
+    powers = [float(f"1e{k}") for k in range(-320, 309)]
+    edges = powers + [math.nextafter(v, math.inf) for v in powers] + [
+        math.nextafter(v, 0.0) for v in powers]
+    # decimal 17th-digit ties, and binary values that are exact ties:
+    # (n + 1/2) / 10**j = q / 2**(j + 1) for odd q = (2n + 1) / 5**j
+    rng = np.random.default_rng(7)
+    for j in range(-20, 21):
+        edges += [float(f"{n}5e{j}") for n in rng.integers(10 ** 16, 10 ** 17, 5).tolist()]
+    for j in range(1, 24):
+        low, high = -(-2 * 10 ** 16 // 5 ** j), min(2 * 10 ** 17 // 5 ** j, 2 ** 53)
+        for q in (low, high - 1, (low + high) // 2):
+            edges.append((q | 1) / 2 ** (j + 1))
+    for centre in (2 ** 53, 10 ** 16, 10 ** 17):
+        edges += [float(centre + k) for k in range(-40, 41)]
+    tiny = 2.2250738585072014e-308  # the smallest normal
+    edges += [5e-324, tiny, math.nextafter(tiny, 0.0), tiny / 3.0, 1e-250, 1e280,
+              math.nextafter(1e-250, 0.0), math.nextafter(1e280, math.inf),
+              0.0, 1.7976931348623157e308]
+    edges += [-v for v in edges]
+    assert _formatted(edges) == [format(v, ".17g") for v in edges]
+    # near a power of ten only the range ends and a tie fall back to "%.17g":
+    # 1e15 - 1/8 is 99999999999999987.5e-2
+    powers = np.array(powers[70:-28])  # 1e-250 .. 1e280
+    near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
+    assert sorted(near[cli._exact_digits(near)[2]].tolist()) == [
+        math.nextafter(1e-250, 0.0), 1e15 - 0.125, math.nextafter(1e280, math.inf)]
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys):
