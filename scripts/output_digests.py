@@ -67,6 +67,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     # alpha_REC ~ 0.163319
     ("scan", "--alpha=0.9771:0.9773:0.000001", "--y=5:5:1"),
     ("scan", "--alpha=0.1632:0.1634:0.000001", "--y=5:5:1"),
+    # one cell: a one-point alpha grid against a one-point y grid
+    ("scan", "--alpha=1:1:1", "--y=0:0:1"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

@@ -9,7 +9,7 @@ and sufficient for decrease everywhere.  Its two proof limits are
 
 This script samples B on each y's certificate grid (grid_points: log-spaced
 in u from endpoint_rel*(y+1) out to x_max, |x| < 1e-3 dropped) with one
-derivative-table call per y, writes a CSV (y, x, bound), and prints each
+alpha_necessary_bound call per y, writes a CSV (y, x, bound), and prints each
 profile's observed endpoints against the two limits.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from gammacert import GridSpec, grid_points, logh_deriv_table
+from gammacert import GridSpec, alpha_necessary_bound, grid_points
 
 DEFAULT_YS = (-0.5, 0.0, 1.0, 5.0)
 
@@ -30,8 +30,7 @@ def run(args: argparse.Namespace) -> int:
     for y in args.ys or DEFAULT_YS:
         xs = grid_points(GridSpec(args.endpoint_rel * (y + 1.0), args.x_max,
                                   args.points), y)
-        # B = u (ln h_0)', as alpha_necessary_bound evaluates it point by point
-        bounds = (xs + y + 1.0) * logh_deriv_table(1, y, xs)(0.0)[0][0]
+        bounds = alpha_necessary_bound(xs, y)
         rows.extend(f"{y:.17g},{x:.17g},{b:.17g}"
                     for x, b in zip(xs.tolist(), bounds.tolist()))
         print(f"{y:>8.3f}  {bounds[0]:>14.9f}  {1.0 / (y + 1.0):>14.9f}  "

@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, ParameterError, PrecisionError, is_finite, require_real)
+    CapabilityError, DomainError, ParameterError, PrecisionError, is_finite, real_points,
+    require_all, require_real)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -50,6 +51,7 @@ from .hfamily import (
     DerivSample,
     DerivTable,
     HParams,
+    alpha_necessary_bound,
     log_h,
     logh_deriv_table,
     logh_derivs_with_scale,
@@ -151,9 +153,10 @@ def default_grid(y: float, points: int = DEFAULT_POINTS,
                  x_max: float = DEFAULT_X_MAX) -> GridSpec:
     """Grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains).
 
-    ParameterError unless x_max is a finite real > X_EPSILON, the first x the
-    right sub-domain keeps.
+    y gets the HParams rule (DomainError); ParameterError unless x_max is a
+    finite real > X_EPSILON, the first x the right sub-domain keeps.
     """
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     try:
         ok = math.isfinite(float(x_max)) and float(x_max) > X_EPSILON
     except (TypeError, ValueError, OverflowError):  # not a real number
@@ -166,7 +169,8 @@ def default_grid(y: float, points: int = DEFAULT_POINTS,
 
 
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
-    """Concrete x abscissae of spec for parameter y, exclusion zone removed."""
+    """Concrete x abscissae of spec for y (HParams rule), exclusion zone removed."""
+    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     u_lo = max(spec.x_min_offset, ENDPOINT_CLEARANCE)
     u_hi = spec.x_max + y + 1.0
     if not u_hi > u_lo:
@@ -300,13 +304,6 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
     return certify
 
 
-def _require_finite(alphas: np.ndarray, y: float) -> None:
-    """The HParams DomainError for the first non-finite alpha, if any."""
-    finite = np.isfinite(alphas)
-    if not finite.all():
-        HParams(alpha=float(alphas[~finite][0]), y=y)  # raises DomainError
-
-
 def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
               ) -> tuple[tuple[float, int, float], tuple[float, int, float]]:
     """The two alpha cuts of the certificates on the grid.
@@ -335,9 +332,8 @@ def necessity_limits(y: float) -> tuple[float, float]:
     1/(y+1)) and at x = 1e6 (limit value 1), both from one two-point table.
     """
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    x = np.array([-(y + 1.0) + 1e-6 * (y + 1.0), 1e6])
-    values, _ = logh_deriv_table(1, y, x)(0.0)  # B = u (ln h_0)', both probes at once
-    inner, tail = ((x + y + 1.0) * values[0]).tolist()
+    inner, tail = alpha_necessary_bound(np.array([-(y + 1.0) + 1e-6 * (y + 1.0), 1e6]),
+                                        y).tolist()
     return inner, tail
 
 
@@ -428,6 +424,7 @@ def classify(lcm_cert: Certificate, recip_cert: Certificate,
 def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
                 x_max: float = DEFAULT_X_MAX) -> list[ScanCell]:
     """Classify every (alpha, y) combination; y-major, then alpha order.
+    alphas and ys are each one value or a 1-D grid.
 
     Each y is one row pass: it builds one derivative table on
     default_grid(y, points, x_max) and compares the whole row of alphas
@@ -436,22 +433,21 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     verdicts of the two certificates of each cell at every alpha, so every
     cell is classified as classify would classify those certificates.
     """
-    alphas = [require_real(v, "alpha") for v in alphas]
-    # every y passes the HParams rule before a grid is built on any of them
-    ys = [HParams(alpha=0.0, y=require_real(v, "y")).y for v in ys]
-    alpha_array = np.array(alphas, dtype=float)
+    alphas = real_points(alphas, "alpha")
+    # every y passes the HParams rule, in order, before a grid is built on any of them
+    ys = real_points(ys, "y", lambda v, name: HParams(alpha=0.0, y=require_real(v, name)).y)
     cells: list[ScanCell] = []
-    for y in ys:
+    for y in ys.tolist():
         _, _, _, cuts = _cut_table(y, k_max, default_grid(y, points=points, x_max=x_max))
-        _require_finite(alpha_array, y)
-        lcm_pass = alpha_array > cuts[0].max()
-        rec_pass = alpha_array < cuts[1].min()
-        zones = in_conjecture_zone(alpha_array, y).tolist()
+        require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
+        lcm_pass = alphas > cuts[0].max()
+        rec_pass = alphas < cuts[1].min()
+        zones = in_conjecture_zone(alphas, y).tolist()
         cells += [ScanCell(alpha=alpha, y=y,
                            classification=_CLASSIFICATION[lcm][rec][zone],
                            conjecture_zone=zone,
                            reciprocal_violation=(not rec) if zone else None)
-                  for alpha, lcm, rec, zone in zip(alphas, lcm_pass.tolist(),
+                  for alpha, lcm, rec, zone in zip(alphas.tolist(), lcm_pass.tolist(),
                                                    rec_pass.tolist(), zones)]
     return cells
 

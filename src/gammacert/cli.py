@@ -309,8 +309,8 @@ def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
 _CSV_BLOCK_ROWS = 4096
 
 # CSV numbers are "%.17g", the same digits as format(float(v), ".17g").
-# verify_csv writes them a column at a time with an exact numpy formatter;
-# scan_csv keeps "%", whose rows hold too few numbers for numpy to pay off.
+# verify_csv writes check numbers a column at a time with an exact numpy
+# formatter; certificate and scan rows keep "%": too few numbers to pay off.
 #
 # The formatter scales each |v| to the 17-digit integer D = round(|v| *
 # 10**(16 - e)), e = floor(log10 |v|), with Dekker's error-free product
@@ -484,50 +484,39 @@ def _text_words(texts: list[str]) -> np.ndarray:
     return _words(data, -(-max(map(len, data)) // 8) * 8)
 
 
-def _lines(keys: list[tuple], ends: tuple[str, str], columns: list[np.ndarray]) -> str:
-    """One line per row: head % key, the row's number in each column followed
-    by ",", then tail % key, for ends = (head, tail); head takes the first
-    fields of the key, tail the rest."""
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    rows = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-    head, tail = ends
-    cut = head.count("%s")
-    heads = _text_words([head % key[:cut] for key in index])
-    tails = _text_words([tail % key[cut:] for key in index])
-    numbers = _number_words(np.concatenate(columns)).reshape(len(columns), len(keys), 6)
-    mat = np.concatenate([heads[rows], *numbers, tails[rows]], axis=1)
-    return mat.tobytes().translate(None, _ABSENT).decode(*_TEXT)
-
-
-def _column(rows: list, field: str) -> np.ndarray:
-    return np.fromiter(map(attrgetter(field), rows), np.float64, len(rows))
-
-
 _PASSED = {True: "passed"}  # a check that holds; result_status names the others
-_CHECK_ENDS = ("check,%s,%s,", ",,\n")
-_CERTIFICATE_ENDS = ("certificate,%s,%s,,,,", "%s\n")
+_CHECK_TAIL = _words([b",,\n"], 8)[0]  # the empty alpha, y and verdict fields
 
 
 def _check_lines(rows: list[CheckResult]) -> str:
+    """One line per check: "check,name,status," from a small table keyed by
+    (name, status), lhs, rhs and margin each followed by ",", then ",,\n"."""
     status = list(map(_PASSED.get, map(attrgetter("holds"), rows)))
     for i in compress(range(len(rows)), map(not_, status)):
         status[i] = result_status(rows[i])  # failed, or undecided inside the noise band
-    return _lines(list(zip(map(attrgetter("name"), rows), status)), _CHECK_ENDS,
-                  [_column(rows, "lhs"), _column(rows, "rhs"), _column(rows, "margin")])
+    keys = list(zip(map(attrgetter("name"), rows), status))
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    heads = _text_words(["check,%s,%s," % key for key in index])
+    head = heads[np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))]
+    numbers = _number_words(np.concatenate([
+        np.fromiter(map(attrgetter(f), rows), np.float64, len(rows))
+        for f in ("lhs", "rhs", "margin")])).reshape(3, len(rows), 6)
+    tail = np.broadcast_to(_CHECK_TAIL, (len(rows), 1))
+    mat = np.concatenate([head, *numbers, tail], axis=1)
+    return mat.tobytes().translate(None, _ABSENT).decode(*_TEXT)
 
 
 def _certificate_lines(rows: list[Certificate]) -> str:
-    keys = list(zip(map(attrgetter("check"), rows), map(result_status, rows),
-                    map(attrgetter("verdict.value"), rows)))
-    return _lines(keys, _CERTIFICATE_ENDS,
-                  [_column(rows, "params.alpha"), _column(rows, "params.y")])
+    return "".join(["certificate,%s,%s,,,,%.17g,%.17g,%s\n" % (
+        c.check, result_status(c), c.params.alpha, c.params.y, c.verdict.value)
+        for c in rows])
 
 
 def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable).
 
-    The rows are written _CSV_BLOCK_ROWS at a time, each run of one result
-    kind inside a block as one matrix of lines.
+    The rows are written _CSV_BLOCK_ROWS at a time, each run of checks
+    inside a block as one matrix of lines, each certificate by "%".
     """
     parts = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict\n"]
     results = report.results

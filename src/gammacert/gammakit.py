@@ -55,7 +55,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, require_finite, require_positive
+from .errors import (
+    CapabilityError, DomainError, real_points, require_finite, require_positive)
 
 __all__ = [
     "ASYM_TERMS",
@@ -236,21 +237,20 @@ def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
 def _on_grid(x: np.ndarray, scalar, grid, *args) -> np.ndarray:
     """scalar(*args, v) at every point v of the 1-D array x, bit for bit.
 
-    grid(*args, x) evaluates a float64 x in one pass.  Where it would meet a
-    point that makes the scalar call raise (a point that is not a finite
-    real > 0, a libm OverflowError, a value that is not finite), and for
-    any other dtype, the scalar calls run point by point instead, so the
-    first bad point raises.
+    The points go through real_points, so the first one that is not a
+    finite real > 0 raises the scalar call's DomainError, and grid(*args, x)
+    evaluates them in one pass.  Where that meets a libm OverflowError or a
+    value that is not finite, the scalar calls run point by point instead,
+    so the first bad point raises.
     """
-    if x.dtype == float:
-        try:
-            with np.errstate(all="ignore"):  # inf and nan are caught below
-                if np.all(np.isfinite(x) & (x > 0.0)):
-                    out = grid(*args, x)
-                    if np.all(np.isfinite(out)):
-                        return out
-        except OverflowError:  # from math.pow
-            pass
+    x = real_points(x, "x", require_positive)
+    try:
+        with np.errstate(all="ignore"):  # inf and nan are caught below
+            out = grid(*args, x)
+        if np.all(np.isfinite(out)):
+            return out
+    except OverflowError:  # from math.pow
+        pass
     return np.array([scalar(*args, v) for v in x.tolist()], dtype=float)
 
 

@@ -40,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, PrecisionError, is_finite, require_real)
+    CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite, real_points,
+    require_all, require_real)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -112,7 +113,7 @@ def _shifted_argument(x: float, y: float) -> float:
 def _shifted_arguments(xs, y: float) -> tuple[np.ndarray, np.ndarray]:
     """(x, u = x+y+1) as arrays.  The first x that is not real, lies outside
     the domain or has |x| < X_EPSILON raises DomainError or PrecisionError."""
-    x = np.array([require_real(v, "x") for v in xs], dtype=float)
+    x = real_points(xs, "x")
     u = x + y + 1.0
     bad = (np.abs(x) < X_EPSILON) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
     if bad.any():
@@ -199,11 +200,13 @@ class DerivTable:
         return values, scales
 
 
+@first_bad_point
 def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
     """(ln h)^(k) for k = 1..k_max at every x in xs: the one evaluation of
     the closed form.  Its alpha-free parts are computed here; the returned
     DerivTable adds the alpha term.  A part outside the binary64 range
-    raises CapabilityError naming y."""
+    raises CapabilityError naming y.  xs is one point or a 1-D grid; a grid
+    raises what its first bad point raises alone."""
     check_order(k_max)
     y = require_real(y, "y")
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
@@ -257,7 +260,8 @@ def reciprocal_threshold(y: float) -> float:
     return min(1.0, 0.5 / (y + 1.0))
 
 
-def alpha_necessary_bound(x: float, y: float) -> float:
+@first_bad_point
+def alpha_necessary_bound(x, y: float):
     """Threshold surface B(x, y) = u (ln h_0)'(x), u = x+y+1, alpha = 0.
 
     (ln h)'(x) = (B(x, y) - alpha)/u, so h decreases at x exactly when
@@ -265,20 +269,24 @@ def alpha_necessary_bound(x: float, y: float) -> float:
     x -> +inf.  x = 0 (a removable singularity) raises DomainError; the rest
     of |x| < X_EPSILON, where the closed form has no correct digits, raises
     PrecisionError, and a value outside the binary64 range CapabilityError.
+    x is one point (a float is returned) or a 1-D grid (an array, from one
+    table); a grid raises what its first bad point raises alone.
     """
-    x, y = require_real(x, "x"), require_real(y, "y")
-    if x == 0.0:
-        raise DomainError("alpha_necessary_bound is undefined at x = 0 "
-                          "(removable singularity)")
-    values, _ = logh_deriv_table(1, y, [x])(0.0)
-    return (x + y + 1.0) * float(values[0, 0])
+    xs, y = real_points(x, "x"), require_real(y, "y")
+    require_all(xs != 0.0, DomainError,
+                "alpha_necessary_bound is undefined at x = 0 (removable singularity)")
+    values, _ = logh_deriv_table(1, y, xs)(0.0)
+    bounds = (xs + y + 1.0) * values[0]
+    return float(bounds[0]) if np.ndim(x) == 0 else bounds
 
 
+@first_bad_point
 def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
-    """(values, scales) of q_surface at every x in xs: x^2 times the first
-    row of logh_deriv_table at alpha = 1/(2(y+1)), and that row's scale."""
+    """(values, scales) of q_surface at every x in xs, one point or a 1-D
+    grid: x^2 times the first row of logh_deriv_table at alpha =
+    1/(2(y+1)), and that row's scale."""
     y = require_real(y, "y")
-    x = np.array([require_real(v, "x") for v in xs], dtype=float)
+    x = real_points(xs, "x")
     values, scales = logh_deriv_table(1, y, x)(0.5 / (y + 1.0))
     x2 = x * x
     return x2 * values[0], x2 * scales[0]

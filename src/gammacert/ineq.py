@@ -105,7 +105,7 @@ def _coerce_inputs(inputs) -> tuple[tuple[str, float], ...]:
 
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
     """Check lhs < rhs (lhs <= rhs if not strict) against the noise band."""
-    lhs, rhs = float(lhs), float(rhs)
+    lhs, rhs = require_real(lhs, "lhs"), require_real(rhs, "rhs")
     margin = rhs - lhs
     noise = NOISE_REL * max(abs(lhs), abs(rhs))
     holds = margin > noise if strict else margin >= -noise
@@ -119,7 +119,8 @@ def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
 def two_sided(name, inputs, lower, mid, upper, strict=True,
               strict_lower=None) -> CheckResult:
     """Check lower < mid < upper; strict_lower (default: strict) sets the lower side."""
-    lower, mid, upper = float(lower), float(mid), float(upper)
+    lower, mid, upper = (require_real(lower, "lower"), require_real(mid, "mid"),
+                         require_real(upper, "upper"))
     if strict_lower is None:
         strict_lower = strict
     m_lo = mid - lower

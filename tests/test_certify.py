@@ -80,6 +80,19 @@ def test_grid_points_cover_both_sub_domains():
     assert (xs < 0).any() and (xs > 0).any()
 
 
+@pytest.mark.parametrize("build", [
+    lambda y: default_grid(y), lambda y: grid_points(GridSpec(1e-3, 10.0, 5), y)],
+    ids=["default_grid", "grid_points"])
+@pytest.mark.parametrize("y,shown", [(-2.0, "-2.0"), (10 ** 400, "1" + "0" * 400)],
+                         ids=["-2.0", "10**400"])
+def test_grids_give_y_the_hparams_rule(build, y, shown):
+    # -2.0 used to give abscissae (grid_points) or blame x_min_offset
+    # (default_grid); 10**400 a bare OverflowError
+    with pytest.raises(DomainError) as info:
+        build(y)
+    assert str(info.value) == f"y must be a finite real > -1, got {shown}"
+
+
 def test_grid_points_empty_or_inverted():
     with pytest.raises(ParameterError):
         grid_points(GridSpec(x_min_offset=50.0, x_max=10.0), 0.0)
@@ -671,6 +684,8 @@ def test_grid_cuts_split_the_search_verdicts(y, k_max, points, alphas, offsets):
      "k_max must be an integer in 1..12, got True"),
     # a bad y after a good one
     ([0.5], [0.0, -1.5], {}, DomainError, "y must be a finite real > -1, got -1.5"),
+    # the first bad y, whichever rule it breaks
+    ([0.5], [-2.0, "a"], {}, DomainError, "y must be a finite real > -1, got -2.0"),
 ])
 def test_scan_values_errors(alphas, ys, kwargs, error, message):
     with pytest.raises(error) as info:

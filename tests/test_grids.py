@@ -39,9 +39,9 @@ from gammacert import (
     suffice_chain,
     thm2_ineq,
 )
-from gammacert.certify import necessity_limits
+from gammacert.certify import necessity_limits, scan_values
 from gammacert.cli import ratio_samples
-from gammacert.hfamily import alpha_necessary_bound
+from gammacert.hfamily import alpha_necessary_bound, logh_deriv_table, q_surface_table
 
 ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 
@@ -340,6 +340,69 @@ def test_necessity_limits_are_the_one_point_probes(y):
     inner = -(y + 1.0) + 1e-6 * (y + 1.0)
     assert _flat(list(necessity_limits(y))) == _flat(
         [alpha_necessary_bound(inner, y), alpha_necessary_bound(1e6, y)])
+
+
+# ---------------------------------------------------------------------------
+# h-family tables, the threshold surface and the scanner
+# ---------------------------------------------------------------------------
+
+# a grid point may lie outside the domain, inside the exclusion zone, on the
+# removable singularity x = 0 of B, beyond binary64 in the closed form, or
+# not be a real number
+_H_X = (st.floats(-1.5, 1e3)
+        | st.sampled_from((0.0, 1e-4, -5e-4, -3.0, 1e200, math.nan, math.inf, "abc",
+                           None)))
+
+
+@given(st.integers(1, 4), st.floats(-0.9, 5.0), st.floats(-3.0, 3.0),
+       st.lists(_H_X, max_size=6))
+@example(1, 0.0, 0.0, [1.0])
+@example(1, -0.7, 0.0, [1.0])
+@example(2, 0.0, 1.0, [])
+@example(2, 0.0, 1.0, [2.0, 1e-4, 0.0])  # the zone before the singularity
+@example(2, 0.0, 1.0, [2.0, 0.0, 1e-4])
+@example(3, 1.0, 0.5, [0.5, -3.0, "abc"])
+@example(1, -0.9, 0.0, [2.0, 1e200, -3.0])
+def test_h_tables_are_their_one_point_calls(k_max, y, alpha, xs):
+    # the one-point call (a float x) is each builder's referee
+    def table(x):
+        values, scales = logh_deriv_table(k_max, y, x)(alpha)
+        return list(np.concatenate([values, scales]).T)
+
+    def q(x):
+        return list(np.stack(q_surface_table(y, x)).T)
+
+    def bound(x):
+        return alpha_necessary_bound(x, y)
+
+    points = [(x,) for x in xs]
+    for build in (table, q, bound):
+        _check(build, build, points)
+
+
+def test_alpha_necessary_bound_checks_x_zero_before_y():
+    with pytest.raises(DomainError, match="^alpha_necessary_bound is undefined at x = 0"):
+        alpha_necessary_bound([0.0, 1.0], -2.0)
+    with pytest.raises(DomainError, match="^y must be a finite real > -1, got -2.0$"):
+        alpha_necessary_bound([1.0, 0.0], -2.0)
+
+
+def _cells(alphas, ys):
+    """scan_values' cells with every float spelled by float.hex, or the type
+    and message of the package error it raises."""
+    try:
+        return [(c.alpha.hex(), c.y.hex(), c.classification, c.conjecture_zone,
+                 c.reciprocal_violation) for c in scan_values(alphas, ys, 2, 20)]
+    except ERRORS as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("alpha,y", [
+    (1.0, 0.0), (0.3, -0.7), (2, 1), (math.inf, 0.0), (0.5, -2.0), ("a", 0.0),
+    (0.5, "b")])
+def test_scan_values_takes_one_alpha_or_one_y(alpha, y):
+    assert _cells(alpha, [y]) == _cells([alpha], y) == _cells(alpha, y) == _cells(
+        [alpha], [y])
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,20 @@ def test_check_result_is_an_immutable_named_tuple():
                        "margin=0.5, holds=True, strict=True)")
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda v: one_sided("c", (), v, 1.0), "lhs"),
+    (lambda v: one_sided("c", (), 1.0, v), "rhs"),
+    (lambda v: two_sided("c", (), v, 1.0, 2.0), "lower"),
+    (lambda v: two_sided("c", (), 0.0, v, 1.0), "mid"),
+    (lambda v: two_sided("c", (), 0.0, 1.0, v), "upper"),
+], ids=["lhs", "rhs", "lower", "mid", "upper"])
+def test_check_sides_beyond_binary64_are_named(build, name):
+    # float(10**400) used to escape as a bare OverflowError
+    with pytest.raises(DomainError) as info:
+        build(10 ** 400)
+    assert str(info.value) == f"{name} must be a real number, got 1{'0' * 400}"
+
+
 def test_strict_check_does_not_hold_inside_noise_band():
     # margin exactly zero on a strict claim: flagged, not asserted
     r = log_upper_bound_ineq(1e-6)
