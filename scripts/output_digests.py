@@ -46,6 +46,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     # a lemma grid up to 1e20: CSV numbers with three-digit exponents
     ("verify", "--suite", "lemmas", "--grid-points", "60", "--x-max", "1e20",
      "--format", "csv"),
+    # the same grid as JSON: shortest round-trip numbers either side of
+    # repr's switch to exponent form at 1e16
+    ("verify", "--suite", "lemmas", "--grid-points", "60", "--x-max", "1e20",
+     "--format", "json"),
     ("verify", "--suite", "thm1", "--kmax", "12"),
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
     # the witnesses and undecided counts of the smallest certificate table

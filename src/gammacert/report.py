@@ -4,15 +4,24 @@ One Report wraps the results of a suite run (CheckResult, Certificate and
 ScanCell instances) together with a status tally.  Serialization rules:
 
 - dumps is the one renderer: it writes the JSON text in one pass over the
-  results, from one template per item kind, with no intermediate dict tree;
+  results, with no intermediate dict tree.  Certificates and scan cells
+  each fill one template.  Check rows, most of a verify report, are written
+  BLOCK_ROWS (2,048) items at a time and a column at a time: per input
+  count one word matrix, whose text comes from a table with one row per
+  key (name, input names, holds, strict) and whose numbers come from the
+  column formatter of gammacert._numtext;
 - to_jsonable is that text parsed back (json.loads), so the schema is
-  written down once, in the templates;
+  written down once, in the templates (check rows split the check template
+  at its number slots);
 - every float is rendered in Python's shortest round-trip form (repr), so it
-  parses back to the same binary64 value; strings are escaped to ASCII as
+  parses back to the same binary64 value; the column formatter finds repr's
+  digits in numpy and leaves zeros, |v| outside [1e-250, 1e280] and digits
+  within 1e-6 of a tie to repr itself; strings are escaped to ASCII as
   json.dumps does;
-- non-finite numbers are refused with ValueError, by dumps and to_jsonable
-  alike (reports must be machine-consumable);
-- from_jsonable(to_jsonable(report)) reconstructs an equal Report.
+- non-finite numbers and ints beyond binary64 are refused with ValueError,
+  by dumps and to_jsonable alike (reports must be machine-consumable);
+- from_jsonable(to_jsonable(report)) reconstructs an equal Report; a missing
+  key or an unknown result type raises ParameterError naming it.
 
 Status mapping: a CheckResult is "passed" when it holds, "undecided" when its
 margin sat inside the floating-noise band (the margin_within_noise marker),
@@ -27,8 +36,12 @@ from __future__ import annotations
 import json
 import math
 from datetime import datetime, timezone
+from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .certify import (
     Certificate,
@@ -38,6 +51,7 @@ from .certify import (
     ScanCell,
     Verdict,
 )
+from .errors import ParameterError
 from .hfamily import DerivSample, HParams
 from .ineq import CheckResult
 
@@ -125,7 +139,11 @@ class _FloatReprs(dict):
     """
 
     def __missing__(self, v):
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond binary64
+            finite = False
+        if not finite:
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
         text = repr(float(v))
         if v:
@@ -166,12 +184,96 @@ def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
     raise TypeError(f"cannot serialize {type(item).__name__}")
 
 
+def _check_segments(key, s: _StringReprs) -> list[str]:
+    """The text around the numbers of every check row with this key (name,
+    input names, holds, strict): before each input value, before lhs, rhs and
+    margin, and after margin, with the line break that ends a matrix row."""
+    name, names, holds, strict = key
+    if holds:
+        status = "passed"
+    else:
+        status = "undecided" if "margin_within_noise" in names else "failed"
+    return (_CHECK % (s[name], ", ".join(["[%s, \0]" % s[n] for n in names]),
+                      "\0", "\0", "\0", _LITERAL[holds], _LITERAL[strict], status)
+            + "\n").split("\0")  # escaped text holds no NUL and no line break
+
+
+def _check_texts(rows: list[CheckResult], f: _FloatReprs, s: _StringReprs) -> list[str]:
+    """JSON text of each check row, written a column at a time.
+
+    The rows of one input count form one word matrix: text segments from a
+    table with one row per key, numbers from the shortest round-trip
+    formatter.  An input value that is no float or int, or any value that
+    is not finite, sends the rows through the template, which writes the
+    first or raises the error that names the second.
+    """
+    from ._numtext import ABSENT, json_number_words, text_words
+
+    size = len(rows)
+    inputs = list(map(itemgetter(1), rows))
+    args = list(map(itemgetter(1), chain.from_iterable(inputs)))
+    values = None
+    if set(map(type, args)) <= {float, int}:  # numpy would read "1.5" as 1.5
+        try:
+            values = np.fromiter(chain(map(itemgetter(2), rows), map(itemgetter(3), rows),
+                                       map(itemgetter(4), rows), args), np.float64)
+        except OverflowError:  # an int beyond binary64
+            pass
+    if values is None or not np.isfinite(values).all():
+        return [_item_text(r, f, s) for r in rows]
+    numbers = json_number_words(values)
+    lhs, rhs, margin, arg_words = np.split(numbers, [size, 2 * size, 3 * size])
+    counts = np.fromiter(map(len, inputs), np.intp, size)
+    first_arg = np.cumsum(counts) - counts
+    keys = [(r[0], tuple([n for n, _ in r[1]]), r[5], r[6]) for r in rows]
+    firsts: dict = {}  # key -> its first row
+    first = np.fromiter(map(firsts.setdefault, keys, count()), np.intp, size)
+    heads = np.fromiter(firsts.values(), np.intp, len(firsts))
+    table_row = np.empty(size, np.intp)
+    texts: list = [None] * size
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        at = np.flatnonzero(counts == c)
+        own = heads[counts[heads] == c]
+        table_row[own] = np.arange(own.size)
+        tables = zip(*[_check_segments(keys[i], s) for i in own.tolist()])
+        seg = [text_words(column)[table_row[first[at]]] for column in tables]
+        cols = []
+        for j in range(c):
+            cols += [seg[j], arg_words[first_arg[at] + j]]
+        cols += [seg[c], lhs[at], seg[c + 1], rhs[at], seg[c + 2], margin[at], seg[c + 3]]
+        text = np.concatenate(cols, axis=1).tobytes().translate(None, ABSENT)
+        for i, t in zip(at.tolist(), text.decode("ascii").split("\n")):
+            texts[i] = t
+    return texts
+
+
+def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
+    """The results joined by ", ": check rows BLOCK_ROWS (2,048) items at a
+    time by column, other items by their templates."""
+    is_check = [isinstance(item, CheckResult) for item in results]
+    if not any(is_check):
+        return ", ".join([_item_text(item, f, s) for item in results])
+    from ._numtext import BLOCK_ROWS
+
+    texts = []
+    for start in range(0, len(results), BLOCK_ROWS):
+        block = results[start:start + BLOCK_ROWS]
+        flags = is_check[start:start + BLOCK_ROWS]
+        checks = _check_texts(list(compress(block, flags)), f, s)
+        if len(checks) < len(block):
+            row = iter(checks)
+            checks = [next(row) if flag else _item_text(item, f, s)
+                      for item, flag in zip(block, flags)]
+        texts += checks
+    return ", ".join(texts)
+
+
 def dumps(report: Report) -> str:
     """Serialize a Report to JSON text; a non-finite float raises ValueError."""
     f, s = _FloatReprs(), _StringReprs()
     return _REPORT % (
         s[report.tool_version], s[report.timestamp], s[report.suite],
-        ", ".join([_item_text(item, f, s) for item in report.results]),
+        _results_text(report.results, f, s),
         json.dumps(report.summary, allow_nan=False))
 
 
@@ -222,15 +324,21 @@ def _item_from_jsonable(data: dict) -> ResultItem:
             conjecture_zone=bool(data["conjecture_zone"]),
             reciprocal_violation=None if rv is None else bool(rv),
         )
-    raise ValueError(f"unknown result type {kind!r}")
+    raise ParameterError(f"unknown result type {kind!r}")
 
 
 def from_jsonable(data: dict) -> Report:
-    """Inverse of to_jsonable for a full Report."""
-    return Report(
-        tool_version=data["tool_version"],
-        timestamp=data["timestamp"],
-        suite=data["suite"],
-        results=tuple(_item_from_jsonable(item) for item in data["results"]),
-        summary={k: int(v) for k, v in data["summary"].items()},
-    )
+    """Inverse of to_jsonable for a full Report.
+
+    A missing key or an unknown result type raises ParameterError naming it.
+    """
+    try:
+        return Report(
+            tool_version=data["tool_version"],
+            timestamp=data["timestamp"],
+            suite=data["suite"],
+            results=tuple(_item_from_jsonable(item) for item in data["results"]),
+            summary={k: int(v) for k, v in data["summary"].items()},
+        )
+    except KeyError as exc:
+        raise ParameterError(f"report data lacks the key {exc.args[0]!r}") from None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gammacert import cli, from_jsonable
+from gammacert import _numtext, cli, from_jsonable
 from gammacert.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -362,13 +362,13 @@ def test_verify_csv_rows_match_the_join_of_format_17g():
     # a block boundary just before, at and after the last row, crossed by
     # runs of both kinds and by rows of every status
     rng = np.random.default_rng(19)
-    values = 10.0 ** rng.uniform(-300, 300, (cli._CSV_BLOCK_ROWS + 1, 3))
+    values = 10.0 ** rng.uniform(-300, 300, (_numtext.BLOCK_ROWS + 1, 3))
     values *= rng.choice((-1.0, 1.0), values.shape)
     filler = [CheckResult(f"row{i % 7}", (), lhs, rhs, margin, holds=i % 5 != 0)
               for i, (lhs, rhs, margin) in enumerate(values.tolist())]
-    at = cli._CSV_BLOCK_ROWS - 3 - len(results)  # rows BLOCK - 3 to BLOCK
+    at = _numtext.BLOCK_ROWS - 3 - len(results)  # rows BLOCK - 3 to BLOCK
     filler[at:at + 4] = results[-7:-3]
-    for count in (cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1):
+    for count in (_numtext.BLOCK_ROWS - 1, _numtext.BLOCK_ROWS, _numtext.BLOCK_ROWS + 1):
         rows = results + filler[:count - len(results)]
         report = build_report("blocks", rows, tool_version="0.1.0")
         assert verify_csv(report) == expected_csv(rows)
@@ -376,8 +376,8 @@ def test_verify_csv_rows_match_the_join_of_format_17g():
 
 def _formatted(values) -> list[str]:
     """The verify-CSV column formatter's text of each value."""
-    words = cli._number_words(np.asarray(values, dtype=float))
-    text = words.tobytes().translate(None, cli._ABSENT).decode("ascii")
+    words = _numtext.number_words(np.asarray(values, dtype=float))
+    text = words.tobytes().translate(None, _numtext.ABSENT).decode("ascii")
     return text.split(",")[:-1]  # each number is written with its separator
 
 
@@ -421,7 +421,7 @@ def test_csv_number_formatter_edges():
     # 1e15 - 1/8 is 99999999999999987.5e-2
     powers = np.array(powers[70:-28])  # 1e-250 .. 1e280
     near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
-    assert sorted(near[cli._exact_digits(near)[2]].tolist()) == [
+    assert sorted(near[_numtext.exact_digits(near)[2]].tolist()) == [
         math.nextafter(1e-250, 0.0), 1e15 - 0.125, math.nextafter(1e280, math.inf)]
 
 

@@ -81,3 +81,5 @@ def test_cli_import_adds_only_gammacert_modules():
                            text=True, check=True).stdout.split()
     assert "gammacert.cli" in added
     assert [name for name in added if name.partition(".")[0] != "gammacert"] == []
+    # the number-text kernel loads on the first report that needs it
+    assert "gammacert._numtext" not in added

@@ -6,8 +6,9 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gammacert import (
     Certificate,
@@ -26,8 +27,10 @@ from gammacert import (
     thm2_ineq,
     to_jsonable,
 )
+from gammacert import _numtext
 from gammacert.certify import Classification, scan_values
 from gammacert.cli import build_suite
+from gammacert.errors import ParameterError
 from gammacert.hfamily import DerivSample
 
 
@@ -260,9 +263,20 @@ def test_random_check_round_trip(name, lhs, rhs, strict):
 
 #: floats whose spelling or memoisation is easy to get wrong: both zeros
 #: (equal and hashing alike), the smallest subnormal, the exponent switch
-#: points of repr (1e16, 1e-5) and integral floats
+#: points of repr (1e16, 1e-5, with 9999999999999998.0 the largest float
+#: below 1e16), integral floats, powers of two (the ulp below one is half the
+#: ulp above it: the shortest spelling of 2**-45 lies above it), the ends of
+#: the shortest-digit formatter's range and their neighbours, values whose
+#: shortest spelling has exactly 15, 16 and 17 digits, and 17 digits in
+#: exponent form
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 1e-4, 1e15,
-               2.0 ** 53, 1.0, -2.0, 3.0, 1.7976931348623157e308)
+               2.0 ** 53, 1.0, -2.0, 3.0, 1.7976931348623157e308,
+               9999999999999998.0, 2.0 ** -45, 2.0 ** -1074, 2.0 ** -1022, 0.5,
+               4.0, 2.0 ** 1023, -(2.0 ** 60), 1e-250, 1e280,
+               math.nextafter(1e-250, 0.0), math.nextafter(1e-250, 1.0),
+               math.nextafter(1e280, 0.0), math.nextafter(1e280, math.inf),
+               0.123456789012345, 0.1234567890123456, 0.12345678901234568,
+               1.2345678901234568e17)
 #: labels that need escaping: a quote, a backslash, control characters,
 #: non-ASCII text inside and outside the basic multilingual plane
 EDGE_LABELS = ('say "hi"', "back\\slash", "bell\x07", "tab\tnew\nline", "\x00",
@@ -377,3 +391,126 @@ def test_an_int_in_a_float_slot_is_spelled_as_the_float_it_equals():
                                          timestamp="t")))
     assert [(c["alpha"], c["y"]) for c in data["results"]] == [(1.0, 0.0)] * 3
     assert all(type(c["alpha"]) is float for c in data["results"])
+
+
+# ---------------------------------------------------------------------------
+# check rows written a column at a time
+# ---------------------------------------------------------------------------
+
+def _json_numbers(values) -> list[str]:
+    """The JSON number formatter's text of each value."""
+    words = _numtext.json_number_words(np.asarray(values, dtype=float))
+    return [row.tobytes().translate(None, _numtext.ABSENT).decode("ascii")
+            for row in words]
+
+
+def test_json_number_formatter_on_a_million_random_bit_patterns():
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    while checked < 1_000_000:
+        values = rng.integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)].tolist()
+        texts = _json_numbers(values)
+        assert texts == [repr(v) for v in values]
+        assert [float(t) for t in texts] == values
+        checked += len(values)
+
+
+def test_json_number_formatter_edges():
+    powers = [2.0 ** k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    edges = list(EDGE_FLOATS) + powers
+    edges += [math.nextafter(v, math.inf) for v in edges] + [
+        math.nextafter(v, 0.0) for v in edges]
+    # short decimals: repr keeps only their digits
+    rng = np.random.default_rng(21)
+    edges += [float(f"{m}e{k}") for m, k in zip(rng.integers(1, 10 ** 6, 2000).tolist(),
+                                                  rng.integers(-320, 308, 2000).tolist())]
+    edges += [-v for v in edges]
+    texts = _json_numbers(edges)
+    assert texts == [repr(v) for v in edges]
+    assert [len(repr(v).partition("e")[0].replace(".", "").replace("-", "").lstrip("0"))
+            for v in EDGE_FLOATS[-4:-1]] == [15, 16, 17]
+    # the powers of two 1, 2 and 4 are written without repr, and so is 2**-45
+    assert not _numtext.shortest_digits(np.array([1.0, 2.0, 4.0, 2.0 ** -45]))[2].any()
+
+
+def test_check_rows_carry_every_edge_float():
+    checks = [CheckResult(name="edge", inputs=(("v", v), ("w", -v)), lhs=v, rhs=v,
+                          margin=0.0, holds=True) for v in EDGE_FLOATS]
+    _assert_matches_reference(build_report("edges", checks, tool_version="0.1.0",
+                                           timestamp="t"))
+
+
+def test_an_int_beyond_binary64_raises_the_json_value_error():
+    check = CheckResult("a", (("k", 10 ** 400),), 1.0, 2.0, 3.0, True)
+    cell = ScanCell(alpha=10 ** 400, y=0.0, classification=Classification.LCM)
+    for item in (check, cell):
+        report = build_report("s", [_passing_check(), item], tool_version="0.1.0",
+                              timestamp="t")
+        for render in (dumps, to_jsonable):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render(report)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            to_jsonable(item)
+
+
+def test_check_inputs_keep_their_template_errors():
+    # numpy would read "1.5" as a number; the template refuses it
+    for value, error in (("1.5", TypeError), (None, TypeError), (math.nan, ValueError)):
+        check = CheckResult("a", (("k", value),), 1.0, 2.0, 1.0, True)
+        report = build_report("s", [_passing_check(), check], tool_version="0.1.0",
+                              timestamp="t")
+        with pytest.raises(error):
+            dumps(report)
+
+
+def test_from_jsonable_names_a_missing_key():
+    with pytest.raises(ParameterError, match="'tool_version'"):
+        from_jsonable({})
+    data = to_jsonable(_mixed_report())
+    del data["results"][3]["verdict"]
+    with pytest.raises(ParameterError, match="'verdict'"):
+        from_jsonable(data)
+
+
+def test_from_jsonable_names_an_unknown_result_type():
+    data = to_jsonable(_mixed_report())
+    data["results"][1]["type"] = "proof"
+    with pytest.raises(ParameterError, match="unknown result type 'proof'"):
+        from_jsonable(data)
+
+
+def _filler(count: int) -> list[CheckResult]:
+    """count checks with 0 to 8 inputs, of every status, with values of
+    every magnitude and zeros of both signs."""
+    rng = np.random.default_rng(2021)
+    values = 10.0 ** rng.uniform(-300, 300, (count, 11)) * rng.choice((-1.0, 1.0), (count, 11))
+    values[rng.random((count, 11)) < 0.05] = 0.0
+    values[rng.random((count, 11)) < 0.02] = -0.0
+    rows = []
+    for i, row in enumerate(values.tolist()):
+        c = int(rng.integers(0, 9))
+        names = [f"x{j}" for j in range(c)]
+        if c and i % 11 == 0:
+            names[-1] = "margin_within_noise"
+        rows.append(CheckResult(name=f"row{i % 5}", inputs=tuple(zip(names, row[3:])),
+                                lhs=row[0], rhs=row[1], margin=row[2],
+                                holds=i % 3 != 0, strict=i % 4 != 0))
+    return rows
+
+
+_FILLER = _filler(2 * _numtext.BLOCK_ROWS + 4)
+
+
+@settings(max_examples=20)
+@given(checks=st.lists(CHECKS, min_size=1, max_size=6),
+       certs=st.lists(certificates(), max_size=2),
+       at=st.integers(_numtext.BLOCK_ROWS - 6, _numtext.BLOCK_ROWS),
+       order=st.randoms(use_true_random=False))
+def test_dumps_matches_the_reference_across_a_block_boundary(checks, certs, at, order):
+    middle = [*checks, *certs]
+    order.shuffle(middle)
+    items = [*_FILLER[:at], *middle, *_FILLER[at:]]
+    report = build_report("blocks", items, tool_version="0.1.0", timestamp="t")
+    # only dumps writes by block; to_jsonable of one item uses the templates
+    assert dumps(report) == json.dumps(_reference(report), allow_nan=False)
