@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, first_bad_point, is_finite
 from .gammakit import libm, lngamma
-from .ineq import CheckResult, one_sided_rows, two_sided_rows
+from .ineq import CheckResult, CheckTable, one_sided_rows, two_sided_rows
 
 __all__ = ["ball_ratio_checks", "log_omega", "omega", "recurrence_check"]
 
@@ -62,7 +62,7 @@ def omega(n) -> float | np.ndarray:
 
 
 @first_bad_point
-def ball_ratio_checks(n) -> list[CheckResult]:
+def ball_ratio_checks(n) -> CheckTable:
     """Ratio and sandwich inequalities at dimension n >= 1, in log scale.
 
     (a) sqrt((n+2)/(n+4)) < Omega_{n+2}^{1/(n+2)} / Omega_n^{1/n}
@@ -76,7 +76,8 @@ def ball_ratio_checks(n) -> list[CheckResult]:
         sandwich, i.e. (b) refines (c); both refinement slacks must be
         positive.
 
-    n is one dimension or a 1-D grid; the rows come dimension by dimension.
+    n is one dimension or a 1-D grid; the rows of the table come dimension
+    by dimension.
     """
     dims = _dims(n, 1)
     shifted = [d + s for s in (0, 1, 2) for d in dims]
@@ -87,7 +88,7 @@ def ball_ratio_checks(n) -> list[CheckResult]:
         log_adj = libm(math.log, (n + 2.0) / (n + 3.0))
         sandwich_mid = (n / (n + 1.0)) * lo_n1
         inputs = (("n", n), ("log_scale", 1.0))
-        windows = [
+        windows = CheckTable.concat([
             two_sided_rows("ball_ratio_skip2_window", inputs, 0.5 * log_skip,
                            lo_n2 / n2 - lo_n / n, 0.25 * log_skip),
             two_sided_rows("ball_ratio_adjacent_window", inputs, 0.5 * log_adj,
@@ -95,32 +96,31 @@ def ball_ratio_checks(n) -> list[CheckResult]:
             two_sided_rows("ball_sandwich_consecutive", inputs,
                            _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
                            0.5 + sandwich_mid, strict_lower=False),
-        ]
+        ])
         # refinement slacks: refined lower bound above (c)'s lower bound,
         # refined upper bound below (c)'s upper bound
         above = n > 2.0
         n, log_adj = n[above], log_adj[above]
         slack_lo = (n / 4.0) * (-log_adj) - (_LOG_2 - _HALF_LOG_PI)
         slack_up = 0.5 - (n / 2.0) * (-log_adj)
-        refines = iter(one_sided_rows(
+        refines = one_sided_rows(
             "ball_adjacent_refines_sandwich",
             (("n", n), ("slack_lower", slack_lo), ("slack_upper", slack_up),
              ("log_scale", 1.0)),
-            0.0, np.where(slack_up < slack_lo, slack_up, slack_lo)))
-    out = []
-    for d, *rows in zip(dims, *windows):
-        out += rows
-        if d > 2:
-            out.append(next(refines))
-    return out
+            0.0, np.where(slack_up < slack_lo, slack_up, slack_lo))
+    # each dimension's three window rows, then its refinement row if it has one
+    size = above.size
+    order = np.stack([*np.arange(3 * size).reshape(3, size),
+                      np.where(above, 3 * size + np.cumsum(above) - 1, -1)], axis=1).ravel()
+    return CheckTable.concat([windows, refines]).take(order[order >= 0])
 
 
 @first_bad_point
-def recurrence_check(n) -> CheckResult | list[CheckResult]:
+def recurrence_check(n) -> CheckResult | CheckTable:
     """Omega_n = Omega_{n-2} * 2 pi / n for n >= 2, as a log-space residual.
 
     Non-strict two-sided check that the residual lies within 1e-12 of zero.
-    One n gives its CheckResult, a 1-D grid one row per n.
+    One n gives its CheckResult, a 1-D grid a table, one row per n.
     """
     dims = _dims(n, 2)
     lo_n, lo_n2 = _log_omegas(dims + [d - 2 for d in dims]).reshape(2, -1)

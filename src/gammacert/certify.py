@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, is_finite, real_points,
-    require_all, require_real)
+    require_all, require_real, require_type)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -170,6 +170,7 @@ def default_grid(y: float, points: int = DEFAULT_POINTS,
 
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
     """Concrete x abscissae of spec for y (HParams rule), exclusion zone removed."""
+    require_type(spec, GridSpec, "spec")
     HParams(alpha=0.0, y=y)  # reuse the domain validation for y
     u_lo = max(spec.x_min_offset, ENDPOINT_CLEARANCE)
     u_hi = spec.x_max + y + 1.0
@@ -264,7 +265,7 @@ def _cut_table(y: float, k_max: int, grid: GridSpec | None
             f"k_max must be an integer in 1..{MAX_DERIV_ORDER}, got {k_max!r}")
     if grid is None:
         grid = default_grid(y)
-    xs = grid_points(grid, y)
+    xs = grid_points(require_type(grid, GridSpec, "grid"), y)
     table = logh_deriv_table(k_max, y, xs)
     return grid, xs, table, _alpha_cuts(table)
 
@@ -283,7 +284,12 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
     lcm_cuts, rec_cuts, roots = (row.ravel() for row in cuts)
 
     def certify(alpha: float, direction: Direction | str) -> Certificate:
-        direction = Direction(direction)
+        try:
+            direction = Direction(direction)
+        except (TypeError, ValueError):
+            raise ParameterError(f"direction must be one of "
+                                 f"{', '.join(d.value for d in Direction)}, "
+                                 f"got {direction!r}") from None
         params = HParams(alpha=alpha, y=y)
         values, _ = table(params.alpha)  # raises for an alpha outside binary64's reach
         alpha = float(params.alpha)
@@ -322,6 +328,7 @@ def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
 def certify_lcm(params: HParams, direction: Direction | str,
                 k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None) -> Certificate:
     """One certificate of lcm_certifier(params.y, k_max, grid)."""
+    require_type(params, HParams, "params")
     return lcm_certifier(params.y, k_max, grid)(params.alpha, direction)
 
 
@@ -382,8 +389,10 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
 
 def in_conjecture_zone(alpha, y: float):
     """Parameter region where reciprocal complete monotonicity is conjectured
-    to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1.  For a numpy
-    array of alphas, one flag per alpha."""
+    to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1.  For a 1-D
+    grid of alphas, one flag per alpha."""
+    alpha = require_real(alpha, "alpha") if np.ndim(alpha) == 0 else real_points(
+        alpha, "alpha")
     return (reciprocal_threshold(y) < alpha) & (alpha <= 1.0)
 
 
@@ -458,6 +467,7 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
     finite difference of the next-lower order (ln h itself for k = 1)."""
     if not (isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= 4):
         raise ParameterError(f"k must be an integer in 1..4, got {k!r}")
+    require_type(params, HParams, "params")
     step = require_real(step, "step")
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be a positive real, got {step!r}")

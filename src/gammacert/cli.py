@@ -19,8 +19,7 @@ import functools
 import math
 import re
 import sys
-from itertools import chain, compress, groupby
-from operator import attrgetter, not_
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,7 @@ from .ineq import (
     CHAIN_SUP,
     AuxFn,
     CheckResult,
+    CheckTable,
     aux_eval,
     batir_ineq,
     gamma_ratio_ineq,
@@ -65,7 +65,7 @@ from .ineq import (
     thm2_ineq,
     two_sided,
 )
-from .report import Report, build_report, dumps, result_status
+from .report import Report, Results, build_report, dumps, result_status
 
 __all__ = ["EXIT_FAIL", "EXIT_OK", "EXIT_USAGE", "main"]
 
@@ -92,21 +92,19 @@ _THM3_YS = (-0.9, -0.75, -0.6, -0.51)
 
 # ---------------------------------------------------------------------------
 # suite builders: each takes (k_max, points, x_max) and ignores what it
-# does not use
+# does not use, and returns a CheckTable or the parts of Results.of
 # ---------------------------------------------------------------------------
 
-def _suite_lemmas(k_max: int, points: int, x_max: float) -> list[CheckResult]:
+def _suite_lemmas(k_max: int, points: int, x_max: float) -> CheckTable:
     if not (math.isfinite(x_max) and x_max > 1e-2):
         raise ParameterError(
             f"x_max must be a finite real > 1e-2 for the lemma grid [1e-2, x_max], "
             f"got {x_max!r}")
     xs = np.geomspace(1e-2, x_max, points)
-    rows = psi_log_bounds(xs) + psi_upper_refinement(xs)
-    for k in range(1, 7):
-        rows += polygamma_bounds(k, xs)
+    windows = CheckTable.concat([psi_log_bounds(xs), psi_upper_refinement(xs),
+                                 *(polygamma_bounds(k, xs) for k in range(1, 7))])
     # the windows give their rows window by window; list each x's rows in turn
-    windows = [rows[i:i + points] for i in range(0, len(rows), points)]
-    return list(chain.from_iterable(zip(*windows)))
+    return windows.interleave(len(windows) // points)
 
 
 def _expected_failure_check(cert: Certificate) -> CheckResult:
@@ -124,7 +122,7 @@ def _expected_failure_check(cert: Certificate) -> CheckResult:
                        holds=cert.verdict is Verdict.FAIL, strict=True)
 
 
-def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> list[CheckResult]:
+def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> CheckTable:
     """Seeded random admissible (x, y, t) samples of the gamma-ratio window.
 
     Candidates are drawn in batches, one uniform draw of shape (m, 3) each:
@@ -170,11 +168,11 @@ def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
             out.append(one_sided(name, (("y", y), ("estimate", estimate),
                                         ("target", target), ("tolerance", tol)),
                                  abs(estimate - target), tol, strict=False))
-    out.extend(ratio_samples(200))
+    out.append(ratio_samples(200))
     return out
 
 
-def _suite_thm2(k_max: int, points: int, x_max: float) -> list[CheckResult]:
+def _suite_thm2(k_max: int, points: int, x_max: float) -> CheckTable:
     return thm2_ineq(np.geomspace(1e-4, 1e3, 300))
 
 
@@ -182,12 +180,12 @@ def _suite_thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:
     return [verify_thm3(y, points, x_max) for y in _THM3_YS]
 
 
-def _suite_ball(k_max: int, points: int, x_max: float) -> list[CheckResult]:
+def _suite_ball(k_max: int, points: int, x_max: float) -> CheckTable:
     return ball_ratio_checks(range(1, 61)) + recurrence_check(range(2, 101))
 
 
-def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _suite_aux(k_max: int, points: int, x_max: float) -> CheckTable:
+    out: list = []  # tables and single rows, joined at the end
     third = 1.0 / 3.0
 
     # exact spot values of the auxiliary polynomials (abs tol for the cubic,
@@ -200,21 +198,22 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
          (1e-12 * (700.0 / 81.0), 1e-12 * (404759.0 / 117649.0))))
     for name, fn, ts, expected, tol in spots:
         values = aux_eval(fn, np.array(ts))
-        out += one_sided_rows(name, (("t", ts), ("expected", expected),
-                                     ("value", values), ("tolerance", tol)),
-                              abs(values - expected), tol, strict=False)
+        out.append(one_sided_rows(name, (("t", ts), ("expected", expected),
+                                         ("value", values), ("tolerance", tol)),
+                                  abs(values - expected), tol, strict=False))
 
     # the logarithmic helper is barely positive at t = 8/7 ...
     out.append(two_sided("aux_qlog_band", (("t", CHAIN_SUP),),
                          0.002, aux_eval(AuxFn.QLOG, CHAIN_SUP), 0.003))
     # ... positive from there on, and increasing beyond t = 1/4
     ts = np.geomspace(CHAIN_SUP, 1e3, 100)
-    out += one_sided_rows("aux_qlog_positive_from_chain_sup", (("t", ts),),
-                          0.0, aux_eval(AuxFn.QLOG, ts))
+    out.append(one_sided_rows("aux_qlog_positive_from_chain_sup", (("t", ts),),
+                              0.0, aux_eval(AuxFn.QLOG, ts)))
     ts = np.geomspace(0.26, 1e3, 100)
     values = aux_eval(AuxFn.QLOG, ts)
-    out += one_sided_rows("aux_qlog_increasing_beyond_quarter",
-                          (("t_lo", ts[:-1]), ("t_hi", ts[1:])), values[:-1], values[1:])
+    out.append(one_sided_rows("aux_qlog_increasing_beyond_quarter",
+                              (("t_lo", ts[:-1]), ("t_hi", ts[1:])), values[:-1],
+                              values[1:]))
 
     # cubic root bracket and residual
     root = qcub_root(1e-10)
@@ -226,11 +225,11 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
 
     # the sextic stays negative across the open chain interval
     ts = np.linspace(third, CHAIN_SUP, 102)[1:-1]
-    out += one_sided_rows("aux_polynomial_negative_interior", (("t", ts),),
-                          aux_eval(AuxFn.HPOLY, ts), 0.0)
+    out.append(one_sided_rows("aux_polynomial_negative_interior", (("t", ts),),
+                              aux_eval(AuxFn.HPOLY, ts), 0.0))
 
     # chained sufficiency inequalities across (0, 8/7)
-    out += suffice_chain(np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100))
+    out.append(suffice_chain(np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100)))
 
     # digamma-at-log-mean bound, printed product form, on its worked pairs
     # (the product form does not hold for arbitrary pairs; see the quotient
@@ -243,16 +242,16 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
     # (p = -i-1, q = -i) ...
     s = np.array([0.5, 1.0, 2.0, 0.25])
     t = np.array([2.5, 3.0, 7.0, 0.75])
-    out += psi_integral_mean_ineq(0, s, t, p=-1.0, q=0.0)
+    out.append(psi_integral_mean_ineq(0, s, t, p=-1.0, q=0.0))
     # ... and along the chain's own pairs s = 2t^2/((2t+1)ln(2t+1)) < t,
     # whose p = -2 lower point is exactly the chain's sqrt evaluation point
     ts = np.geomspace(1e-2, 1e2, 100)
     w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
-    out += psi_integral_mean_ineq(1, np.concatenate([s, 2.0 * ts * ts / w]),
-                                  np.concatenate([t, ts]), p=-2.0, q=-1.0)
+    out.append(psi_integral_mean_ineq(1, np.concatenate([s, 2.0 * ts * ts / w]),
+                                      np.concatenate([t, ts]), p=-2.0, q=-1.0))
 
     # rational upper bound for ln(1+t)
-    out += log_upper_bound_ineq(np.geomspace(1e-2, 1e3, 200))
+    out.append(log_upper_bound_ineq(np.geomspace(1e-2, 1e3, 200)))
 
     # closed-form derivatives against central finite differences
     fd_cases = (
@@ -270,7 +269,7 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> list[CheckResult]:
             (("k", k), ("alpha", alpha), ("y", y), ("x", x),
              ("step", step), ("residual", residual)),
             residual, 1e-6, strict=False))
-    return out
+    return CheckTable.concat(out)
 
 
 SUITES = {
@@ -285,18 +284,20 @@ PUBLIC_SUITES = (*SUITES, "all")
 
 
 def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
-                x_max: float = DEFAULT_X_MAX) -> list:
-    """Assemble the result list for one named suite."""
+                x_max: float = DEFAULT_X_MAX) -> Results:
+    """The results of one named suite, as runs of check tables and certificates."""
     if suite == "all":
         # one build_suite call per suite, so callers that wrap it see each
-        return [r for name in SUITES for r in build_suite(name, k_max, points, x_max)]
+        return Results(chain.from_iterable(build_suite(name, k_max, points, x_max).runs
+                                           for name in SUITES))
     if suite == FAULT_SUITE:
-        return [thm2_ineq(1.0),
-                one_sided("injected_fault_unit_interval_flip", (("t", 1.0),), 1.0, 0.0)]
+        return Results.of([
+            thm2_ineq(1.0),
+            one_sided("injected_fault_unit_interval_flip", (("t", 1.0),), 1.0, 0.0)])
     if suite not in SUITES:
         raise ParameterError(
             f"unknown suite {suite!r} (choose from {', '.join(PUBLIC_SUITES)})")
-    return SUITES[suite](k_max, points, x_max)
+    return Results.of(SUITES[suite](k_max, points, x_max))
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +309,28 @@ def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
 # formatter of gammacert._numtext, imported on first use; certificate and
 # scan rows keep "%": too few numbers to pay off.
 
-_PASSED = {True: "passed"}  # a check that holds; result_status names the others
+def _check_lines(table: CheckTable) -> list[str]:
+    """The table's lines, one string per block of BLOCK_ROWS (2,048) rows:
+    "check,name,status," from a table with one row per key and status,
+    lhs, rhs and margin each followed by ",", then ",,\n"."""
+    from ._numtext import ABSENT, BLOCK_ROWS, TEXT, number_words, text_words, words
 
-
-def _check_lines(rows: list[CheckResult]) -> str:
-    """One line per check: "check,name,status," from a small table keyed by
-    (name, status), lhs, rhs and margin each followed by ",", then ",,\n"."""
-    from ._numtext import ABSENT, TEXT, number_words, text_words, words
-
-    status = list(map(_PASSED.get, map(attrgetter("holds"), rows)))
-    for i in compress(range(len(rows)), map(not_, status)):
-        status[i] = result_status(rows[i])  # failed, or undecided inside the noise band
-    keys = list(zip(map(attrgetter("name"), rows), status))
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    heads = text_words(["check,%s,%s," % key for key in index])
-    head = heads[np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))]
-    numbers = number_words(np.concatenate([
-        np.fromiter(map(attrgetter(f), rows), np.float64, len(rows))
-        for f in ("lhs", "rhs", "margin")])).reshape(3, len(rows), 6)
-    tail = np.broadcast_to(words([b",,\n"], 8), (len(rows), 1))  # empty alpha, y, verdict
-    mat = np.concatenate([head, *numbers, tail], axis=1)
-    return mat.tobytes().translate(None, ABSENT).decode(*TEXT)
+    if not len(table):
+        return []
+    heads = text_words(["check,%s,%s," % (name, status) for name, _, _ in table.keys
+                        for status in CheckTable.STATUSES])
+    head_row = len(CheckTable.STATUSES) * table.key + table.statuses()
+    tail = words([b",,\n"], 8)  # empty alpha, y, verdict
+    lines = []
+    for start in range(0, len(table), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        size = table.lhs[rows].size
+        numbers = number_words(np.concatenate([
+            table.lhs[rows], table.rhs[rows], table.margin[rows]])).reshape(3, size, 6)
+        mat = np.concatenate([heads[head_row[rows]], *numbers,
+                              np.broadcast_to(tail, (size, 1))], axis=1)
+        lines.append(mat.tobytes().translate(None, ABSENT).decode(*TEXT))
+    return lines
 
 
 def _certificate_lines(rows: list[Certificate]) -> str:
@@ -340,21 +342,18 @@ def _certificate_lines(rows: list[Certificate]) -> str:
 def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable).
 
-    The rows are written BLOCK_ROWS (2,048) at a time, each run of checks
-    inside a block as one matrix of lines, each certificate by "%".
+    Each check table is written straight from its columns, BLOCK_ROWS
+    (2,048) rows at a time as one matrix of lines; each certificate by "%".
     """
-    from ._numtext import BLOCK_ROWS
-
     parts = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict\n"]
-    results = report.results
-    for start in range(0, len(results), BLOCK_ROWS):
-        for kind, run in groupby(results[start:start + BLOCK_ROWS], type):
-            if issubclass(kind, CheckResult):
-                parts.append(_check_lines(list(run)))
-            elif issubclass(kind, Certificate):
-                parts.append(_certificate_lines(list(run)))
-            else:
+    for run in Results.of(report.results).runs:
+        if isinstance(run, CheckTable):
+            parts += _check_lines(run)
+            continue
+        for kind, items in groupby(run, type):
+            if not issubclass(kind, Certificate):
                 raise TypeError(f"no CSV row form for {kind.__name__}")
+            parts.append(_certificate_lines(list(items)))
     return "".join(parts)
 
 

@@ -51,6 +51,14 @@ def is_finite(value) -> bool:
         return False
 
 
+def require_type(value, kind: type, name: str):
+    """value itself; ParameterError naming it unless it is a kind (a record
+    argument such as params or grid)."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def require_positive(value: float, name: str) -> float:
     """value as a float; DomainError unless it is a finite real > 0."""
     try:

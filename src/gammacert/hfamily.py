@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (
     CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite, real_points,
-    require_all, require_real)
+    require_all, require_real, require_type)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -128,6 +128,7 @@ def _shifted_arguments(xs, y: float) -> tuple[np.ndarray, np.ndarray]:
 
 def log_h(params: HParams, x: float) -> float:
     """ln h(x) for the parameter pair; continuous through x = 0."""
+    require_type(params, HParams, "params")
     x = require_real(x, "x")
     if x == 0.0:
         c = params.y + 1.0
@@ -239,6 +240,7 @@ def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
 def logh_derivs_with_scale(k_max: int, params: HParams,
                            x: float) -> list[tuple[float, float]]:
     """(value, magnitude_scale) of (ln h)^(k)(x), k = 1..k_max: logh_deriv_table at x."""
+    require_type(params, HParams, "params")
     values, scales = logh_deriv_table(k_max, params.y, [x])(params.alpha)
     return list(zip(values[:, 0].tolist(), scales[:, 0].tolist()))
 

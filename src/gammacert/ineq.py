@@ -1,8 +1,11 @@
 """Machine-checkable catalog of gamma-family inequalities.
 
 Every operation evaluates one stated inequality at concrete inputs and returns
-a structured CheckResult carrying both sides, the margin, and the verdict.
-Conventions:
+a structured CheckResult carrying both sides, the margin, and the verdict; a
+grid of inputs gives a CheckTable, the same rows held as columns (a key per
+name, input labels and strictness, an input-value matrix, the side and
+margin columns, and the holds and within-noise masks), which builds a
+CheckResult only when it is indexed or iterated.  Conventions:
 
 - For a one-sided claim ``lhs < rhs``, margin = rhs - lhs.
 - For a two-sided claim ``lower < mid < upper``, lhs/rhs store lower/upper,
@@ -20,15 +23,16 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, first_bad_point,
-    real_points, require_all, require_positive, require_real)
+    is_finite, real_points, require_all, require_positive, require_real)
 from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
@@ -36,6 +40,7 @@ __all__ = [
     "AuxFn",
     "CHAIN_SUP",
     "CheckResult",
+    "CheckTable",
     "NOISE_REL",
     "THM2_T_MIN",
     "aux_eval",
@@ -81,7 +86,10 @@ class CheckResult(_CheckFields):
     For strict checks, holds means margin > noise band; margins inside the
     band carry a "margin_within_noise" marker in inputs instead of a verdict.
     Non-strict checks (strict=False) accept margins down to the band's floor.
-    A non-finite lhs, rhs or margin raises PrecisionError.
+    A non-finite lhs, rhs or margin raises PrecisionError.  Each input is a
+    (label, value) pair: a label that is not a str, or a value that is not an
+    int or float, raises ParameterError, and a value that is not finite as a
+    binary64 PrecisionError.
     """
 
     __slots__ = ()
@@ -92,6 +100,8 @@ class CheckResult(_CheckFields):
                 ("lhs", lhs), ("rhs", rhs), ("margin", margin))
                 if not math.isfinite(v))
             raise PrecisionError(f"check {name!r}: non-finite {label} = {v!r}")
+        for pair in inputs:
+            _input_value(name, *_input_pair(name, pair))
         return tuple.__new__(cls, (name, inputs, lhs, rhs, margin, holds, strict))
 
     @classmethod
@@ -99,8 +109,194 @@ class CheckResult(_CheckFields):
         return cls(*iterable)
 
 
-def _coerce_inputs(inputs) -> tuple[tuple[str, float], ...]:
-    return tuple((str(n), float(v)) for n, v in inputs)
+def _input_pair(name, pair) -> tuple[str, object]:
+    """pair as (label, value); ParameterError unless it is a pair with a str label."""
+    try:
+        label, value = pair
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"check {name!r}: an input must be a (label, value) pair, got {pair!r}") from None
+    if not isinstance(label, str):
+        raise ParameterError(f"check {name!r}: input label {label!r} is not a str")
+    return label, value
+
+
+def _input_value(name, label: str, value) -> None:
+    """ParameterError unless value is an int or float (not a bool; numpy's
+    too), PrecisionError unless it is finite as a binary64."""
+    if value.__class__ is bool or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ParameterError(
+            f"check {name!r}: input {label!r} must be an int or float, got {value!r}")
+    if not is_finite(value):
+        raise PrecisionError(f"check {name!r}: non-finite input {label!r} = {value!r}")
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype)  # a copy: the caller's array stays writable
+    a.flags.writeable = False
+    return a
+
+
+class CheckTable(Sequence):
+    """Check rows held as columns: an immutable Sequence[CheckResult].
+
+    Row i has the key keys[key[i]], a (name, input labels, strict) triple,
+    its input values in values[i, :len(labels)] (the matrix is as wide as
+    the widest key), lhs[i], rhs[i], margin[i] and holds[i]; within[i] marks
+    a margin inside the noise band, whose row ends with the MARKER input.
+    len, indexing, slicing, iteration, +, == and repr behave as on the list
+    of rows, and == holds against any sequence of equal rows.  A row object
+    is built only when the table is indexed or iterated; table[i] is
+    CheckResult(name, inputs, lhs, rhs, margin, holds, strict) with Python
+    floats.  A non-finite number in a column raises the PrecisionError of
+    the first row that holds one, through CheckResult.
+    """
+
+    __slots__ = ("keys", "key", "values", "lhs", "rhs", "margin", "holds", "within")
+
+    MARKER = ("margin_within_noise", 1.0)
+    STATUSES = ("passed", "failed", "undecided")  # by the codes of statuses()
+
+    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within):
+        self.keys = tuple(keys)
+        self.key = _frozen(key, np.intp)
+        self.values = _frozen(values, float)
+        self.lhs, self.rhs, self.margin = (_frozen(c, float) for c in (lhs, rhs, margin))
+        self.holds, self.within = _frozen(holds, bool), _frozen(within, bool)
+        finite = (np.isfinite(self.lhs) & np.isfinite(self.rhs) & np.isfinite(self.margin)
+                  & np.isfinite(self.values).all(axis=1))
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first bad row
+            CheckResult(*self._make_rows(i, i + 1)[0])  # raises
+
+    @classmethod
+    def concat(cls, parts) -> CheckTable:
+        """The rows of parts in turn; a part is a CheckTable, a CheckResult
+        or a list of CheckResults.  Equal keys merge."""
+        tables, rows = [], []
+        for part in parts:
+            if isinstance(part, CheckTable):
+                if rows:
+                    tables.append(cls._from_rows(rows))
+                    rows = []
+                tables.append(part)
+            else:
+                rows += [part] if isinstance(part, CheckResult) else part
+        if rows or not tables:
+            tables.append(cls._from_rows(rows))
+        if len(tables) == 1:
+            return tables[0]
+        index: dict = {}  # key -> its row in the merged keys
+        key = np.concatenate([np.array([index.setdefault(k, len(index)) for k in t.keys],
+                                       np.intp)[t.key] for t in tables])
+        width = max(t.values.shape[1] for t in tables)
+        values = np.zeros((key.size, width))
+        end = 0
+        for t in tables:
+            values[end:end + len(t), :t.values.shape[1]] = t.values
+            end += len(t)
+        return cls(index, key, values, *(np.concatenate([getattr(t, c) for t in tables])
+                                         for c in ("lhs", "rhs", "margin", "holds", "within")))
+
+    @classmethod
+    def _from_rows(cls, rows) -> CheckTable:
+        """The table of CheckResult rows; a row ending with MARKER has it as within."""
+        index: dict = {}
+        key, values, within = [], [], []
+        for r in rows:
+            if not isinstance(r, CheckResult):
+                raise TypeError(f"a check table holds CheckResult rows, not {type(r).__name__}")
+            inputs = r.inputs
+            w = bool(inputs) and inputs[-1] == cls.MARKER
+            if w:
+                inputs = inputs[:-1]
+            key.append(index.setdefault((r.name, tuple([n for n, _ in inputs]), r.strict),
+                                        len(index)))
+            values.append([v for _, v in inputs])
+            within.append(w)
+        width = max(map(len, values), default=0)
+        matrix = np.zeros((len(values), width))
+        for i, row in enumerate(values):
+            matrix[i, :len(row)] = row
+        return cls(index, key, matrix, *(
+            [getattr(r, c) for r in rows] for c in ("lhs", "rhs", "margin", "holds")),
+            within)
+
+    def take(self, order) -> CheckTable:
+        """The rows at the indices of order, in its order."""
+        order = np.asarray(order, np.intp)
+        return CheckTable(self.keys, self.key[order], self.values[order], self.lhs[order],
+                          self.rhs[order], self.margin[order], self.holds[order],
+                          self.within[order])
+
+    def interleave(self, ways: int) -> CheckTable:
+        """The table read as ways windows of equal length: row i of each
+        window in turn, for each i."""
+        return self.take(np.arange(len(self)).reshape(ways, -1).T.ravel())
+
+    def statuses(self) -> np.ndarray:
+        """Each row's status as an index into STATUSES: passed if it holds,
+        else undecided if it carries the MARKER label, else failed."""
+        marked = np.array([self.MARKER[0] in labels for _, labels, _ in self.keys], bool)
+        return np.where(self.holds, 0, np.where(self.within | marked[self.key], 2, 1))
+
+    def _make_rows(self, start: int, stop: int) -> list[CheckResult]:
+        """Rows start to stop as CheckResult objects, the table's one row builder."""
+        rows = slice(start, stop)
+        keys, marker = self.keys, (self.MARKER,)
+        out = []
+        for k, values, lhs, rhs, margin, holds, within in zip(
+                self.key[rows].tolist(), self.values[rows].tolist(), self.lhs[rows].tolist(),
+                self.rhs[rows].tolist(), self.margin[rows].tolist(),
+                self.holds[rows].tolist(), self.within[rows].tolist()):
+            name, labels, strict = keys[k]
+            inputs = tuple(zip(labels, values))
+            out.append(tuple.__new__(CheckResult, (
+                name, inputs + marker if within else inputs, lhs, rhs, margin, holds, strict)))
+        return out
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError("check table index out of range")
+        i %= len(self)
+        return self._make_rows(i, i + 1)[0]
+
+    def __iter__(self):
+        return iter(self._make_rows(0, len(self)))
+
+    def __add__(self, other):
+        if isinstance(other, (CheckTable, list)):
+            return CheckTable.concat([self, other])
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return CheckTable.concat([other, self])
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _coerce_inputs(name, inputs) -> tuple[tuple[str, float], ...]:
+    pairs = [_input_pair(name, pair) for pair in inputs]
+    for label, value in pairs:
+        _input_value(name, label, value)
+    return tuple((label, float(value)) for label, value in pairs)
 
 
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
@@ -109,9 +305,9 @@ def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
     margin = rhs - lhs
     noise = NOISE_REL * max(abs(lhs), abs(rhs))
     holds = margin > noise if strict else margin >= -noise
-    inputs = _coerce_inputs(inputs)
+    inputs = _coerce_inputs(name, inputs)
     if abs(margin) <= noise:
-        inputs += (("margin_within_noise", 1.0),)
+        inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lhs, rhs=rhs,
                        margin=margin, holds=holds, strict=strict)
 
@@ -129,20 +325,21 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
     noise = NOISE_REL * max(abs(lower), abs(mid), abs(upper))
     lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
     up_ok = m_up > noise if strict else m_up >= -noise
-    inputs = _coerce_inputs(inputs) + (("mid", mid),)
+    inputs = _coerce_inputs(name, inputs) + (("mid", mid),)
     if abs(margin) <= noise:
-        inputs += (("margin_within_noise", 1.0),)
+        inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lower, rhs=upper,
                        margin=margin, holds=lo_ok and up_ok,
                        strict=strict and strict_lower)
 
 
-# The column forms apply the rule of one_sided / two_sided to whole columns.
-# numpy rounds +, -, *, / and abs as Python floats do, so row i is the scalar
-# check at row i, field for field.  The scalar forms stay: a one-element numpy
-# call costs more than a whole scalar check.
+# The column forms apply the rule of one_sided / two_sided to whole columns
+# and return a one-key CheckTable.  numpy rounds +, -, *, / and abs as Python
+# floats do, so row i is the scalar check at row i, field for field.  The
+# scalar forms stay: a one-element numpy call costs more than a whole scalar
+# check.
 
-def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> list[CheckResult]:
+def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """one_sided over columns: row i checks lhs[i] < rhs[i].
 
     inputs holds (name, value) pairs.  Each value, lhs and rhs is a scalar
@@ -154,11 +351,11 @@ def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> list[CheckResult]:
         noise = NOISE_REL * np.maximum(abs(lhs), abs(rhs))
         holds = margin > noise if strict else margin >= -noise
         within = abs(margin) <= noise
-    return _rows(name, inputs, lhs, rhs, margin, holds, within, strict)
+    return _table(name, inputs, lhs, rhs, margin, holds, within, strict)
 
 
 def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
-                   strict_lower=None) -> list[CheckResult]:
+                   strict_lower=None) -> CheckTable:
     """two_sided over columns: row i checks lower[i] < mid[i] < upper[i].
 
     inputs, scalars and columns as in one_sided_rows.
@@ -174,8 +371,8 @@ def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
         lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
         up_ok = m_up > noise if strict else m_up >= -noise
         within = abs(margin) <= noise
-    return _rows(name, (*inputs, ("mid", mid)), lower, upper, margin,
-                 lo_ok & up_ok, within, strict and strict_lower)
+    return _table(name, (*inputs, ("mid", mid)), lower, upper, margin,
+                  lo_ok & up_ok, within, strict and strict_lower)
 
 
 def _float_columns(*values) -> tuple[np.ndarray, ...]:
@@ -184,32 +381,27 @@ def _float_columns(*values) -> tuple[np.ndarray, ...]:
                                  for v in values))
 
 
-def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckResult]:
-    """One CheckResult per row of the evaluated columns.
+def _table(name, inputs, lhs, rhs, margin, holds, within, strict) -> CheckTable:
+    """The one-key table of the evaluated columns.
 
-    Each (label, value) pair is built once: a scalar input's pair is shared
-    by every row.  Finiteness is checked once per column, so the rows are
-    made with tuple.__new__; the first bad row goes through CheckResult,
-    which raises.
+    Each input passes CheckResult's input rule once: a numeric numpy column
+    as a whole, any other value or sequence value by value (numpy would read
+    "1.5" or True in a list as a number), and a non-finite value raises
+    through CheckTable.
     """
-    pairs = []  # per input, its (label, value) pair on every row
-    for label, values in inputs:
-        label = str(label)
-        if np.ndim(values) == 0:
-            pairs.append([(label, float(values))] * lhs.size)
-        else:
-            pairs.append([(label, v) for v in np.broadcast_to(
-                np.asarray(values, dtype=float), lhs.shape).tolist()])
-    marker = (("margin_within_noise", 1.0),)
-    row_inputs = [row + marker if w else row for row, w in zip(
-        zip(*pairs) if pairs else [()] * lhs.size, within.tolist())]
-    lo, hi, m, ok = lhs.tolist(), rhs.tolist(), margin.tolist(), holds.tolist()
-    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(margin)
-    if not finite.all():
-        i = int(np.argmin(finite))  # the first bad row
-        CheckResult(name, row_inputs[i], lo[i], hi[i], m[i], ok[i], strict)  # raises
-    return list(map(tuple.__new__, repeat(CheckResult), zip(
-        repeat(name), row_inputs, lo, hi, m, ok, repeat(strict))))
+    labels, columns = [], []
+    for pair in inputs:
+        label, values = _input_pair(name, pair)
+        a = np.asarray(values)
+        if not (isinstance(values, np.ndarray) and a.dtype.kind in "iuf"):
+            for v in (a.reshape(-1).tolist() if isinstance(values, np.ndarray)
+                      else [values] if a.ndim == 0 else values):
+                _input_value(name, label, v)
+        labels.append(label)
+        columns.append(np.broadcast_to(a.astype(float), lhs.shape))
+    values = np.stack(columns, axis=1) if columns else np.zeros((lhs.size, 0))
+    return CheckTable([(name, tuple(labels), strict)], np.zeros(lhs.size, np.intp), values,
+                      lhs, rhs, margin, holds, within)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +418,13 @@ def _rows(name, inputs, lhs, rhs, margin, holds, within, strict) -> list[CheckRe
 # The windows give their rows window by window, one row per point in grid
 # order; the other builders give each point's rows in turn.
 
-def _row_or_rows(rows: list[CheckResult], *args) -> CheckResult | list[CheckResult]:
-    """The one row of a one-point call, else the rows."""
+def _row_or_rows(rows: CheckTable, *args) -> CheckResult | CheckTable:
+    """The one row of a one-point call, else the table."""
     return rows[0] if all(np.ndim(v) == 0 for v in args) else rows
 
 
 @first_bad_point
-def psi_log_bounds(x) -> list[CheckResult]:
+def psi_log_bounds(x) -> CheckTable:
     """Four two-sided logarithmic windows around psi(x), x > 0.
 
     1. ln x - 1/x            < psi(x) < ln x - 1/(2x)
@@ -248,22 +440,22 @@ def psi_log_bounds(x) -> list[CheckResult]:
     with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
         inv = 1.0 / xs
         upper = lx - 0.5 * inv
-        return [
-            *two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
-            *two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
-                            libm(math.log, xs + 1.0) - inv),
-            *two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
-                            psi, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
-            *two_sided_rows("psi_second_order_window", inputs,
-                            upper - 1.0 / (12.0 * xs * xs), psi, upper),
-        ]
+        return CheckTable.concat([
+            two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
+            two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
+                           libm(math.log, xs + 1.0) - inv),
+            two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
+                           psi, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
+            two_sided_rows("psi_second_order_window", inputs,
+                           upper - 1.0 / (12.0 * xs * xs), psi, upper),
+        ])
 
 
 @first_bad_point
-def psi_upper_refinement(x) -> CheckResult | list[CheckResult]:
+def psi_upper_refinement(x) -> CheckResult | CheckTable:
     """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1).
 
-    One point gives its CheckResult, a grid the list of rows.
+    One point gives its CheckResult, a grid the table of rows.
     """
     xs = real_points(x, "x", require_positive)
     with np.errstate(all="ignore"):
@@ -275,7 +467,7 @@ def psi_upper_refinement(x) -> CheckResult | list[CheckResult]:
 
 
 @first_bad_point
-def polygamma_bounds(k: int, x) -> list[CheckResult]:
+def polygamma_bounds(k: int, x) -> CheckTable:
     """Two power windows around v = (-1)^{k+1} psi^(k)(x) > 0 for k >= 1, x > 0.
 
     1. (k-1)!/x^k + k!/(2x^{k+1})     < v < (k-1)!/x^k + k!/x^{k+1}
@@ -290,13 +482,13 @@ def polygamma_bounds(k: int, x) -> list[CheckResult]:
     inputs = (("k", k), ("x", xs))
     with np.errstate(all="ignore"):
         tail = kf / libm(math.pow, xs, float(k + 1))
-        return [
-            *two_sided_rows("polygamma_power_window", inputs,
-                            km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
-            *two_sided_rows("polygamma_shifted_power_window", inputs,
-                            km1f / libm(math.pow, xs + 1.0, float(k)) + tail, v,
-                            km1f / libm(math.pow, xs + 0.5, float(k)) + tail),
-        ]
+        return CheckTable.concat([
+            two_sided_rows("polygamma_power_window", inputs,
+                           km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
+            two_sided_rows("polygamma_shifted_power_window", inputs,
+                           km1f / libm(math.pow, xs + 1.0, float(k)) + tail, v,
+                           km1f / libm(math.pow, xs + 0.5, float(k)) + tail),
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +496,7 @@ def polygamma_bounds(k: int, x) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 @first_bad_point
-def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | list[CheckResult]:
+def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | CheckTable:
     """Two-sided power bound on the shifted gamma-ratio quotient, in log space.
 
     ((x+y+1)/(x+y+t+1))^a < [G(x+y+1)/G(y+1)]^{1/x} / [G(x+y+t+1)/G(y+1)]^{1/(x+t)}
@@ -313,7 +505,7 @@ def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | list[CheckResult]
     valid for y > -1, x > -(y+1), t > 0 whenever a >= max{1, 1/(y+1)} and
     b <= min{1, 1/(2(y+1))}; those thresholds (lcm_threshold(y) and
     reciprocal_threshold(y)) are the defaults.  Each argument is one point
-    or a 1-D grid: all points give one CheckResult, else one row per point.
+    or a 1-D grid: all points give one CheckResult, else a table, one row per point.
     """
     xs, ys, ts = real_points(x, "x"), real_points(y, "y"), real_points(t, "t")
     require_all(np.isfinite(ys) & (ys > -1.0), DomainError, "y must be > -1, got {!r}", ys)
@@ -345,10 +537,10 @@ def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | list[CheckResult]
 # ---------------------------------------------------------------------------
 
 @first_bad_point
-def thm2_ineq(t) -> CheckResult | list[CheckResult]:
+def thm2_ineq(t) -> CheckResult | CheckTable:
     """(1+2t)/(2t^2) * [lnG(t/(1+2t)) - lnG(t)] < 1 - psi(t) for t > 0.
 
-    One point gives its CheckResult, a 1-D grid the list of rows in grid
+    One point gives its CheckResult, a 1-D grid the table of rows in grid
     order.  t below THM2_T_MIN raises PrecisionError, and t whose 2t^2
     overflows binary64 (above about 9.48e153) CapabilityError.
     """
@@ -388,7 +580,7 @@ def batir_ineq(a: float, b: float) -> CheckResult:
 
 @first_bad_point
 def psi_integral_mean_ineq(i: int, s, t, p: float,
-                           q: float) -> CheckResult | list[CheckResult]:
+                           q: float) -> CheckResult | CheckTable:
     """Mean-value window for the integral mean of psi^(i), i in {0, 1}.
 
     (-1)^i psi^(i)(L_p(s,t)) <= (-1)^i [Psi_i(t) - Psi_i(s)]/(t-s)
@@ -396,8 +588,8 @@ def psi_integral_mean_ineq(i: int, s, t, p: float,
 
     with antiderivatives Psi_0 = lnGamma, Psi_1 = psi, valid for p <= -i-1
     and q >= -i.  Non-strict per the source statement.  s and t are each one
-    point or a 1-D grid: two points give one CheckResult, else one row per
-    pair.
+    point or a 1-D grid: two points give one CheckResult, else a table, one
+    row per pair.
     """
     if i not in (0, 1):
         raise ParameterError(
@@ -426,13 +618,13 @@ def psi_integral_mean_ineq(i: int, s, t, p: float,
 
 
 @first_bad_point
-def log_upper_bound_ineq(t) -> CheckResult | list[CheckResult]:
+def log_upper_bound_ineq(t) -> CheckResult | CheckTable:
     """ln(1+t) < t(t^2 + 12t + 12) / (6(t+1)(t+2)) for t > 0.
 
     The two sides agree through fourth Taylor order, so for tiny t the true
     O(t^5) margin sits below binary64 resolution and the check reports the
     in-noise marker instead of a resolved verdict.  One point gives its
-    CheckResult, a 1-D grid the list of rows.
+    CheckResult, a 1-D grid the table of rows.
     """
     ts = real_points(t, "t", require_positive)
     with np.errstate(all="ignore"):
@@ -509,7 +701,7 @@ CHAIN_SUP = 8.0 / 7.0
 
 
 @first_bad_point
-def suffice_chain(t) -> list[CheckResult]:
+def suffice_chain(t) -> CheckTable:
     """The three chained sufficiency inequalities, valid on 0 < t < 8/7.
 
     1. psi(t) - psi(2t^2 / ((1+2t) ln(1+2t))) < 1                    (strict)
@@ -532,7 +724,7 @@ def suffice_chain(t) -> list[CheckResult]:
                     "(2t+1)ln(2t+1) - 2t cancels to zero", ts)
         rational = w / (ts * excess)
         psi_t, psi_inner = digamma(np.concatenate([ts, inner])).reshape(2, -1)
-        windows = (
+        windows = CheckTable.concat([
             one_sided_rows("psi_diff_vs_one", (("t", ts), ("inner_point", inner)),
                            psi_t - psi_inner, 1.0),
             one_sided_rows("trigamma_vs_rational", (("t", ts), ("sqrt_point", sqrt_pt)),
@@ -541,5 +733,5 @@ def suffice_chain(t) -> list[CheckResult]:
                            (("t", ts), ("sqrt_point", sqrt_pt)),
                            w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5), rational,
                            strict=False),
-        )
-    return [row for rows in zip(*windows) for row in rows]
+        ])
+    return windows.interleave(3)

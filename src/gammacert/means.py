@@ -81,12 +81,15 @@ def gen_log_mean(p: float, a, b) -> float | np.ndarray:
     out, lo, hi, off = _pairs(a, b)
     out = out.copy()
     with np.errstate(all="ignore"):
-        lo, hi = lo[off], hi[off]
+        # L_p is homogeneous of degree 1: a pair below 2**-968 is scaled by the
+        # exact 2**600, where hi - lo is no subnormal that q * (hi - lo) rounds
+        scale = np.where(hi[off] < 2.0 ** -968, 2.0 ** 600, 1.0)
+        lo, hi = lo[off] * scale, hi[off] * scale
         r, log_gap = _gap(lo, hi)
         if abs(p) <= BRANCH_TOL:
             # identric mean hi exp(ln(hi/lo)/r - 1): unlike b ln b - a ln a,
             # nothing cancels near the diagonal, and the exponent stays in [-1, 0]
-            out[off] = hi * libm(math.exp, log_gap / r - 1.0)
+            out[off] = hi * libm(math.exp, log_gap / r - 1.0) / scale
         else:
             # L_p = base [(1 - s^(p+1)) / ((p+1)(1 - s))]^(1/p), s = other/base,
             # with base picked so s^(p+1) < 1; expm1/log1p keep digits
@@ -103,5 +106,5 @@ def gen_log_mean(p: float, a, b) -> float | np.ndarray:
             means[tiny] = libm(math.exp, log_base + (
                 libm(math.log, head[tiny]) - math.log(q)
                 - libm(math.log, hi[tiny] - lo[tiny]) + log_base) / p)
-            out[off] = means
+            out[off] = means / scale
     return out[0].item() if np.ndim(a) == np.ndim(b) == 0 else out

@@ -1,15 +1,17 @@
 """Report assembly and JSON serialization for verification runs.
 
-One Report wraps the results of a suite run (CheckResult, Certificate and
-ScanCell instances) together with a status tally.  Serialization rules:
+One Report wraps the results of a suite run together with a status tally.
+The results are a Results: runs of check rows, each a CheckTable, and runs
+of other items (Certificate and ScanCell instances), each a tuple.
+build_report tallies a table from its status codes.  Serialization rules:
 
 - dumps is the one renderer: it writes the JSON text in one pass over the
-  results, with no intermediate dict tree.  Certificates and scan cells
-  each fill one template.  Check rows, most of a verify report, are written
-  BLOCK_ROWS (2,048) items at a time and a column at a time: per input
-  count one word matrix, whose text comes from a table with one row per
-  key (name, input names, holds, strict) and whose numbers come from the
-  column formatter of gammacert._numtext;
+  results, with no intermediate dict tree and no row object.  Certificates
+  and scan cells each fill one template.  Check tables, most of a verify
+  report, are written from their columns BLOCK_ROWS (2,048) rows at a time:
+  one word matrix per block, whose text comes from a table with one row per
+  (key, holds, within) and whose numbers come from the column formatter of
+  gammacert._numtext;
 - to_jsonable is that text parsed back (json.loads), so the schema is
   written down once, in the templates (check rows split the check template
   at its number slots);
@@ -21,7 +23,8 @@ ScanCell instances) together with a status tally.  Serialization rules:
 - non-finite numbers and ints beyond binary64 are refused with ValueError,
   by dumps and to_jsonable alike (reports must be machine-consumable);
 - from_jsonable(to_jsonable(report)) reconstructs an equal Report; a missing
-  key or an unknown result type raises ParameterError naming it.
+  key, an unknown result type or a malformed value raises ParameterError
+  naming the key or the result's position.
 
 Status mapping: a CheckResult is "passed" when it holds, "undecided" when its
 margin sat inside the floating-noise band (the margin_within_noise marker),
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from datetime import datetime, timezone
-from itertools import chain, compress, count
+from itertools import accumulate, chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +55,13 @@ from .certify import (
     ScanCell,
     Verdict,
 )
-from .errors import ParameterError
+from .errors import PACKAGE_ERRORS, ParameterError
 from .hfamily import DerivSample, HParams
-from .ineq import CheckResult
+from .ineq import CheckResult, CheckTable
 
 __all__ = [
     "Report",
+    "Results",
     "build_report",
     "dumps",
     "from_jsonable",
@@ -68,13 +73,72 @@ __all__ = [
 ResultItem = CheckResult | Certificate | ScanCell
 
 
+class Results(Sequence):
+    """Result items held as runs: a CheckTable for each run of check rows, a
+    tuple for each run of other items.
+
+    len, indexing, iteration and == behave as on the tuple of the items,
+    and == holds against any sequence of equal items; a slice is that
+    tuple's slice, and repr is that of the list of the items.  Only indexing
+    or iterating builds check row objects.
+    """
+
+    __slots__ = ("runs", "_ends")
+
+    def __init__(self, runs=()):
+        self.runs = tuple(runs)
+        self._ends = tuple(accumulate(map(len, self.runs)))
+
+    @classmethod
+    def of(cls, results) -> Results:
+        """results as runs: a Results as it is, else the items of results in
+        turn, where a CheckTable stands for its rows and adjacent check rows
+        and tables join one CheckTable (whose rows hold float inputs)."""
+        if isinstance(results, Results):
+            return results
+        parts = [results] if isinstance(results, CheckTable) else list(results)
+        checks = [isinstance(part, (CheckTable, CheckResult)) for part in parts]
+        runs = []
+        for is_check, group in groupby(zip(checks, parts), operator.itemgetter(0)):
+            run = [part for _, part in group]
+            runs.append(CheckTable.concat(run) if is_check else tuple(run))
+        return cls(runs)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError("results index out of range")
+        i %= len(self)
+        for run, end in zip(self.runs, self._ends):  # a report holds a few runs
+            if i < end:
+                return run[i - end + len(run)]
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Report(NamedTuple):
     """One suite run: its results and their status tally, an immutable named 5-tuple."""
 
     tool_version: str
     timestamp: str
     suite: str
-    results: tuple[ResultItem, ...]
+    results: Results
     summary: dict[str, int]
 
 
@@ -87,7 +151,7 @@ def result_status(item: ResultItem) -> str:
     if isinstance(item, CheckResult):
         if item.holds:
             return "passed"
-        if any(name == "margin_within_noise" for name, _ in item.inputs):
+        if any(name == CheckTable.MARKER[0] for name, _ in item.inputs):
             return "undecided"
         return "failed"
     if isinstance(item, Certificate):
@@ -100,10 +164,18 @@ def result_status(item: ResultItem) -> str:
 
 def build_report(suite: str, results, tool_version: str,
                  timestamp: str | None = None) -> Report:
-    results = tuple(results)
+    """The Report of results (see Results.of), tallied: check tables by
+    their status codes, other items one at a time."""
+    results = Results.of(results)
     tally = {"total": len(results), "passed": 0, "failed": 0, "undecided": 0}
-    for item in results:
-        tally[result_status(item)] += 1
+    for run in results.runs:
+        if isinstance(run, CheckTable):
+            counts = np.bincount(run.statuses(), minlength=3).tolist()
+            for status, n in zip(CheckTable.STATUSES, counts):
+                tally[status] += n
+        else:
+            for item in run:
+                tally[result_status(item)] += 1
     return Report(tool_version=tool_version,
                   timestamp=timestamp if timestamp is not None else make_timestamp(),
                   suite=suite, results=results, summary=tally)
@@ -160,13 +232,8 @@ class _StringReprs(dict):
 
 
 def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
-    """JSON text of one result item; f and s memoise its numbers and strings."""
-    if isinstance(item, CheckResult):
-        return _CHECK % (
-            s[item.name],
-            ", ".join(["[%s, %s]" % (s[name], f[v]) for name, v in item.inputs]),
-            f[item.lhs], f[item.rhs], f[item.margin],
-            _LITERAL[item.holds], _LITERAL[item.strict], result_status(item))
+    """JSON text of one certificate or scan cell; f and s memoise its
+    numbers and strings.  Check rows are written by _check_texts."""
     if isinstance(item, Certificate):
         w, grid = item.witness, item.grid
         return _CERTIFICATE % (
@@ -184,88 +251,79 @@ def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
     raise TypeError(f"cannot serialize {type(item).__name__}")
 
 
-def _check_segments(key, s: _StringReprs) -> list[str]:
+def _check_segments(key, holds: bool, within: bool, status: str,
+                    s: _StringReprs) -> list[str]:
     """The text around the numbers of every check row with this key (name,
-    input names, holds, strict): before each input value, before lhs, rhs and
-    margin, and after margin, with the line break that ends a matrix row."""
-    name, names, holds, strict = key
-    if holds:
-        status = "passed"
-    else:
-        status = "undecided" if "margin_within_noise" in names else "failed"
-    return (_CHECK % (s[name], ", ".join(["[%s, \0]" % s[n] for n in names]),
-                      "\0", "\0", "\0", _LITERAL[holds], _LITERAL[strict], status)
-            + "\n").split("\0")  # escaped text holds no NUL and no line break
+    input labels, strict), holds and within: before each input value, before
+    lhs, rhs and margin, and after margin with the ", " that follows a row."""
+    name, labels, strict = key
+    pairs = ["[%s, \0]" % s[label] for label in labels]
+    if within:
+        pairs.append("[%s, %r]" % (s[CheckTable.MARKER[0]], CheckTable.MARKER[1]))
+    return (_CHECK % (s[name], ", ".join(pairs), "\0", "\0", "\0", _LITERAL[holds],
+                      _LITERAL[strict], status)
+            + ", ").split("\0")  # escaped text holds no NUL
 
 
-def _check_texts(rows: list[CheckResult], f: _FloatReprs, s: _StringReprs) -> list[str]:
-    """JSON text of each check row, written a column at a time.
+def _check_texts(table: CheckTable, s: _StringReprs) -> list[str]:
+    """JSON text of the table's rows, each followed by ", ", one string per
+    block of BLOCK_ROWS (2,048) rows.
 
-    The rows of one input count form one word matrix: text segments from a
-    table with one row per key, numbers from the shortest round-trip
-    formatter.  An input value that is no float or int, or any value that
-    is not finite, sends the rows through the template, which writes the
-    first or raises the error that names the second.
+    A block is one word matrix, rows in table order, as wide as the table's
+    widest key: text segments from a table with one row per (key, holds,
+    within), numbers from the shortest round-trip formatter, and ABSENT in
+    the input slots that a row's key does not fill.
     """
-    from ._numtext import ABSENT, json_number_words, text_words
+    from ._numtext import ABSENT, BLOCK_ROWS, json_number_words, text_words
 
-    size = len(rows)
-    inputs = list(map(itemgetter(1), rows))
-    args = list(map(itemgetter(1), chain.from_iterable(inputs)))
-    values = None
-    if set(map(type, args)) <= {float, int}:  # numpy would read "1.5" as 1.5
-        try:
-            values = np.fromiter(chain(map(itemgetter(2), rows), map(itemgetter(3), rows),
-                                       map(itemgetter(4), rows), args), np.float64)
-        except OverflowError:  # an int beyond binary64
-            pass
-    if values is None or not np.isfinite(values).all():
-        return [_item_text(r, f, s) for r in rows]
-    numbers = json_number_words(values)
-    lhs, rhs, margin, arg_words = np.split(numbers, [size, 2 * size, 3 * size])
-    counts = np.fromiter(map(len, inputs), np.intp, size)
-    first_arg = np.cumsum(counts) - counts
-    keys = [(r[0], tuple([n for n, _ in r[1]]), r[5], r[6]) for r in rows]
-    firsts: dict = {}  # key -> its first row
-    first = np.fromiter(map(firsts.setdefault, keys, count()), np.intp, size)
-    heads = np.fromiter(firsts.values(), np.intp, len(firsts))
-    table_row = np.empty(size, np.intp)
-    texts: list = [None] * size
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
-        at = np.flatnonzero(counts == c)
-        own = heads[counts[heads] == c]
-        table_row[own] = np.arange(own.size)
-        tables = zip(*[_check_segments(keys[i], s) for i in own.tolist()])
-        seg = [text_words(column)[table_row[first[at]]] for column in tables]
+    if not len(table):
+        return []
+    counts = np.array([len(labels) for _, labels, _ in table.keys], np.intp)
+    width = int(counts.max())
+    combo = 4 * table.key + 2 * table.holds + table.within
+    status = np.zeros(4 * len(table.keys), np.intp)
+    status[combo] = table.statuses()  # one status per combination
+    present = np.flatnonzero(np.bincount(combo))
+    segments = []
+    for c in present.tolist():
+        n = counts[c // 4]
+        words = _check_segments(table.keys[c // 4], bool(c & 2), bool(c & 1),
+                                CheckTable.STATUSES[status[c]], s)
+        segments.append(words[:n] + [""] * (width - n) + words[n:])
+    segment_row = np.zeros_like(status)
+    segment_row[present] = np.arange(present.size)
+    segments = [text_words(column) for column in zip(*segments)]
+    used = np.arange(width) < counts[table.key][:, None]
+    texts = []
+    for start in range(0, len(table), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        size = len(used[rows])
+        seg = [words[segment_row[combo[rows]]] for words in segments]
+        numbers = json_number_words(np.concatenate([
+            table.lhs[rows], table.rhs[rows], table.margin[rows],
+            table.values[rows, :width][used[rows]]]))
+        args = np.full((size, width, 6), np.iinfo(np.uint64).max, np.uint64)  # ABSENT
+        args[used[rows]] = numbers[3 * size:]
         cols = []
-        for j in range(c):
-            cols += [seg[j], arg_words[first_arg[at] + j]]
-        cols += [seg[c], lhs[at], seg[c + 1], rhs[at], seg[c + 2], margin[at], seg[c + 3]]
-        text = np.concatenate(cols, axis=1).tobytes().translate(None, ABSENT)
-        for i, t in zip(at.tolist(), text.decode("ascii").split("\n")):
-            texts[i] = t
+        for j in range(width):
+            cols += [seg[j], args[:, j]]
+        cols += [seg[width], numbers[:size], seg[width + 1], numbers[size:2 * size],
+                 seg[width + 2], numbers[2 * size:3 * size], seg[width + 3]]
+        texts.append(np.concatenate(cols, axis=1).tobytes().translate(None, ABSENT)
+                     .decode("ascii"))
     return texts
 
 
 def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
-    """The results joined by ", ": check rows BLOCK_ROWS (2,048) items at a
-    time by column, other items by their templates."""
-    is_check = [isinstance(item, CheckResult) for item in results]
-    if not any(is_check):
-        return ", ".join([_item_text(item, f, s) for item in results])
-    from ._numtext import BLOCK_ROWS
-
+    """The results joined by ", ": each check table by _check_texts, other
+    items by their templates."""
     texts = []
-    for start in range(0, len(results), BLOCK_ROWS):
-        block = results[start:start + BLOCK_ROWS]
-        flags = is_check[start:start + BLOCK_ROWS]
-        checks = _check_texts(list(compress(block, flags)), f, s)
-        if len(checks) < len(block):
-            row = iter(checks)
-            checks = [next(row) if flag else _item_text(item, f, s)
-                      for item, flag in zip(block, flags)]
-        texts += checks
-    return ", ".join(texts)
+    for run in Results.of(results).runs:
+        if isinstance(run, CheckTable):
+            texts += _check_texts(run, s)
+        else:
+            texts += [_item_text(item, f, s) + ", " for item in run]
+    return "".join(texts)[:-2]
 
 
 def dumps(report: Report) -> str:
@@ -281,18 +339,33 @@ def to_jsonable(obj):
     """A Report or result item as the plain dict that its JSON text parses to."""
     if isinstance(obj, Report):
         return json.loads(dumps(obj))
-    return json.loads(_item_text(obj, _FloatReprs(), _StringReprs()))
+    return json.loads(_results_text([obj], _FloatReprs(), _StringReprs()))
+
+
+def _number(value, key: str) -> float:
+    """value as a float; ParameterError naming key unless it is a JSON number."""
+    if value.__class__ is bool or not isinstance(value, (int, float)):
+        raise ParameterError(f"report data: {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _item_from_jsonable(data: dict) -> ResultItem:
+    if not isinstance(data, dict):
+        raise TypeError(f"a result must be an object, got {data!r}")
     kind = data.get("type")
     if kind == "check":
+        inputs = []
+        for i, pair in enumerate(data["inputs"]):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ParameterError(
+                    f"report data: inputs[{i}] must be a [label, value] pair, got {pair!r}")
+            inputs.append((pair[0], _number(pair[1], f"inputs[{i}]")))
         return CheckResult(
             name=data["name"],
-            inputs=tuple((str(n), float(v)) for n, v in data["inputs"]),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            margin=float(data["margin"]),
+            inputs=tuple(inputs),
+            lhs=_number(data["lhs"], "'lhs'"),
+            rhs=_number(data["rhs"], "'rhs'"),
+            margin=_number(data["margin"], "'margin'"),
             holds=bool(data["holds"]),
             strict=bool(data["strict"]),
         )
@@ -330,15 +403,22 @@ def _item_from_jsonable(data: dict) -> ResultItem:
 def from_jsonable(data: dict) -> Report:
     """Inverse of to_jsonable for a full Report.
 
-    A missing key or an unknown result type raises ParameterError naming it.
+    A missing key, an unknown result type or a malformed value raises
+    ParameterError naming the key or the result's position.
     """
+    where = "report data"
     try:
-        return Report(
-            tool_version=data["tool_version"],
-            timestamp=data["timestamp"],
-            suite=data["suite"],
-            results=tuple(_item_from_jsonable(item) for item in data["results"]),
-            summary={k: int(v) for k, v in data["summary"].items()},
-        )
+        header = data["tool_version"], data["timestamp"], data["suite"]
+        items = []
+        for i, item in enumerate(data["results"]):
+            where = f"report data: results[{i}]"
+            items.append(_item_from_jsonable(item))
+        where = "report data"
+        return Report(*header, results=Results.of(items),
+                      summary={k: int(v) for k, v in data["summary"].items()})
     except KeyError as exc:
-        raise ParameterError(f"report data lacks the key {exc.args[0]!r}") from None
+        raise ParameterError(f"{where} lacks the key {exc.args[0]!r}") from None
+    except PACKAGE_ERRORS:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParameterError(f"{where} is malformed: {exc}") from None

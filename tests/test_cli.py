@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gammacert import _numtext, cli, from_jsonable
+from gammacert import _numtext, cli, default_grid, from_jsonable
 from gammacert.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -320,26 +320,31 @@ def test_verify_csv_escapes_nothing_unexpected():
     assert "," in text.splitlines()[1]
 
 
+def _fmt(v) -> str:
+    return format(float(v), ".17g")
+
+
+def expected_csv(results) -> str:
+    """verify_csv's text for results, one "%.17g" join per row."""
+    from gammacert import CheckResult, result_status
+
+    expected = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
+    for item in results:
+        status = result_status(item)
+        if isinstance(item, CheckResult):
+            expected.append(",".join(["check", item.name, status, _fmt(item.lhs),
+                                      _fmt(item.rhs), _fmt(item.margin), "", "", ""]))
+        else:
+            expected.append(",".join(["certificate", item.check, status, "", "", "",
+                                      _fmt(item.params.alpha), _fmt(item.params.y),
+                                      item.verdict.value]))
+    return "\n".join(expected) + "\n"
+
+
 def test_verify_csv_rows_match_the_join_of_format_17g():
     from gammacert import (
         Certificate, CheckResult, DerivSample, Direction, HParams, Verdict, build_report,
         default_grid, result_status)
-
-    def fmt(v):
-        return format(float(v), ".17g")
-
-    def expected_csv(results):
-        expected = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict"]
-        for item in results:
-            status = result_status(item)
-            if isinstance(item, CheckResult):
-                expected.append(",".join(["check", item.name, status, fmt(item.lhs),
-                                          fmt(item.rhs), fmt(item.margin), "", "", ""]))
-            else:
-                expected.append(",".join(["certificate", item.check, status, "", "", "",
-                                          fmt(item.params.alpha), fmt(item.params.y),
-                                          item.verdict.value]))
-        return "\n".join(expected) + "\n"
 
     edges = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, -3.0, 1e16, 1e17, 0.1)
     results = [CheckResult("edge", (("v", v),), v, -v, v, holds=v > 0.0)
@@ -372,6 +377,51 @@ def test_verify_csv_rows_match_the_join_of_format_17g():
         rows = results + filler[:count - len(results)]
         report = build_report("blocks", rows, tool_version="0.1.0")
         assert verify_csv(report) == expected_csv(rows)
+
+
+def table_backed_results():
+    """More than 2,048 check rows from the builders, in lemma order with
+    failed and undecided rows and certificates mixed in, so that the
+    2,048-row block boundary falls inside one x's run of windows."""
+    from gammacert import (
+        CheckTable, Direction, HParams, certify_lcm, one_sided_rows, two_sided_rows)
+
+    lemmas = build_suite("lemmas", points=150, x_max=1e20)
+    odd = CheckTable.concat([
+        one_sided_rows("odd", (("t", [1.0, 2.0, 3.0]), ("k", 2)), [1.0, 2.0, 1.0],
+                       [2.0, 1.0, 1.0 + 1e-17]),
+        two_sided_rows("odd_two", (), [0.0, -1e300], [1.0, 0.0], [1.0, 1e-300],
+                       strict=False)])
+    cert = certify_lcm(HParams(0.9, 0.0), Direction.LCM, grid=default_grid(0.0, points=20))
+    (table,) = lemmas.runs
+    assert len(table) == 2550 and 2048 % 17
+    return [table[:2040], odd, table[2040:2050], cert, table[2050:], odd]
+
+
+def test_verify_csv_of_a_table_backed_report_is_the_per_row_text():
+    from gammacert import build_report, result_status
+
+    report = build_report("tables", table_backed_results(), tool_version="0.1.0")
+    assert [len(run) for run in report.results.runs] == [2055, 1, 505]
+    statuses = [result_status(item) for item in report.results]
+    assert report.summary == {"total": 2561, **{s: statuses.count(s) for s in (
+        "passed", "failed", "undecided")}}
+    assert statuses.count("failed") == 3 and statuses.count("undecided") >= 2
+    assert verify_csv(report) == expected_csv(list(report.results))
+
+
+def test_the_lemma_csv_and_json_paths_build_no_row_object(tmp_path, monkeypatch):
+    from gammacert import CheckTable
+
+    calls = []
+    make_rows = CheckTable._make_rows
+    monkeypatch.setattr(CheckTable, "_make_rows",
+                        lambda self, *args: calls.append(args) or make_rows(self, *args))
+    for fmt in ("csv", "json"):
+        assert main(["verify", "--suite", "lemmas", "--grid-points", "300", "--format", fmt,
+                     "--out", str(tmp_path / f"lemmas.{fmt}")]) == EXIT_OK
+    assert calls == []
+    assert len(list(build_suite("thm2"))) == 300 and calls == [(0, 300)]
 
 
 def _formatted(values) -> list[str]:

@@ -21,6 +21,7 @@ from gammacert import (
     AuxFn,
     CapabilityError,
     CheckResult,
+    CheckTable,
     DomainError,
     ParameterError,
     PrecisionError,
@@ -58,7 +59,7 @@ def _flat(result):
                 result.holds, result.strict)
     if isinstance(result, np.ndarray):
         return [_hex(v) for v in result.tolist()]
-    if isinstance(result, list):
+    if isinstance(result, (list, CheckTable)):
         return [_flat(r) for r in result]
     return _hex(result)
 
@@ -77,7 +78,7 @@ def _each(scalar, points):
     out = []
     for point in points:
         value = scalar(*point)
-        out += value if isinstance(value, list) else [value]
+        out += value if isinstance(value, (list, CheckTable)) else [value]
     return out
 
 

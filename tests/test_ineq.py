@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import _oracle as oracle
 from gammacert import (
     AuxFn,
     CheckResult,
+    CheckTable,
     DomainError,
     ParameterError,
     PrecisionError,
@@ -28,6 +30,7 @@ from gammacert import (
     psi_log_bounds,
     psi_upper_refinement,
     qcub_root,
+    result_status,
     suffice_chain,
     thm2_ineq,
 )
@@ -325,6 +328,88 @@ def test_column_rule_edge_rows():
     with pytest.raises(PrecisionError, match="non-finite lhs"):
         one_sided_rows("w", (), [0.0, math.nan], 1.0)
     assert len(one_sided_rows("w", (), [0.0, 1.0], 2.0)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the column-backed row sequence
+# ---------------------------------------------------------------------------
+
+_CLOSE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _window(draw, size: int) -> CheckTable:
+    """A table of size rows: a column rule over random sides, near ties and
+    failures included, or hand-made rows with a marker in any position."""
+    kind = draw(st.sampled_from(("one", "two", "rows")))
+    base = draw(st.lists(_CLOSE, min_size=size, max_size=size))
+    jitter = st.sampled_from((0.0, 1e-16, -1e-16, 1.0, -1.0))
+    if kind == "rows":
+        return CheckTable.concat([CheckResult(
+            draw(st.sampled_from(("r", "s"))),
+            tuple(zip(draw(st.sampled_from(((), ("x",), ("margin_within_noise", "x"),
+                                             ("x", "margin_within_noise")))),
+                      (v, 1.0))),
+            v, v + 1.0, 1.0, draw(st.booleans()), draw(st.booleans())) for v in base])
+    lhs = [v + v * draw(jitter) for v in base]
+    inputs = (("x", [0.5 * i for i in range(size)]), ("k", 3))
+    if kind == "one":
+        return one_sided_rows("w1", inputs, lhs, base, draw(st.booleans()))
+    return two_sided_rows("w2", inputs[:draw(st.integers(0, 2))], lhs, base,
+                          [v + abs(v) * draw(jitter) for v in base], draw(st.booleans()))
+
+
+@st.composite
+def _windows(draw) -> list[CheckTable]:
+    size = draw(st.integers(0, 4))
+    return [draw(_window(size)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(windows=_windows(), data=st.data())
+def test_check_table_is_the_list_of_its_rows(windows, data):
+    table = CheckTable.concat(windows)
+    rows = [row for window in windows for row in window]
+    assert table == rows and table == tuple(rows) and rows == list(table)
+    assert repr(table) == repr(rows) and len(table) == len(rows)
+    assert all(type(r) is CheckResult for r in table)
+    assert [result_status(r) for r in rows] == [
+        CheckTable.STATUSES[code] for code in table.statuses().tolist()]
+    for i in range(-len(rows), len(rows)):
+        assert repr(table[i]) == repr(rows[i])
+    for bad in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            table[bad]
+    cut = slice(data.draw(st.integers(-6, 6) | st.none()),
+                data.draw(st.integers(-6, 6) | st.none()),
+                data.draw(st.sampled_from((None, 1, 2, -1, -3))))
+    assert repr(table[cut]) == repr(rows[cut]) and isinstance(table[cut], CheckTable)
+    other = data.draw(_window(data.draw(st.integers(0, 3))))
+    for joined in (table + other, table + list(other), list(table) + other):
+        assert repr(joined) == repr(rows + list(other))
+    # the lemma suite's reorder: row i of each window in turn
+    interleaved = [row for group in zip(*windows) for row in group]
+    assert repr(table.interleave(len(windows))) == repr(interleaved)
+    if rows:
+        assert table != rows[:-1] and table != rows[:-1] + [rows[0]._replace(name="z")]
+        assert table != [*rows[:-1], rows[-1]._replace(margin=rows[-1].margin + 1.0)]
+
+
+def test_check_table_is_an_immutable_sequence():
+    table = one_sided_rows("w", (("x", [1.0, 2.0]),), [0.0, 3.0], 2.0)
+    assert isinstance(table, Sequence) and not isinstance(table, list)
+    with pytest.raises(ValueError):
+        table.lhs[0] = 5.0
+    with pytest.raises(TypeError):
+        hash(table)
+    with pytest.raises(TypeError):
+        table + (table[0],)
+    assert table.count(table[0]) == 1 and table.index(table[1]) == 1 and table[1] in table
+    assert CheckTable.concat([]) == [] and len(one_sided_rows("w", (), [], [])) == 0
+    # a non-finite column raises at its first bad row, inputs included
+    with pytest.raises(PrecisionError, match="^check 'w': non-finite input 'x' = inf$"):
+        one_sided_rows("w", (("x", np.array([1.0, np.inf])),), [0.0, 3.0], [1.0, 4.0])
+    with pytest.raises(PrecisionError, match="^check 'w': non-finite rhs = nan$"):
+        one_sided_rows("w", (("x", np.array([1.0, 2.0, np.inf])),), 0.0, [1.0, np.nan, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,7 @@ def test_means_match_mpmath(p, a, b):
 @example(0.0, 5e-324, 1.7976931348623157e308)
 @example(-1.5, 5e-324, 1.7976931348623157e308)
 @example(-1e6, 1.0, 1e300)
+@example(0.25, 1e-323, 5e-324)  # a subnormal hi - lo: 2e-323 before the pair was scaled
 def test_mean_is_finite_and_between_its_arguments(p, a, b):
     got = gen_log_mean(p, a, b)
     assert math.isfinite(got)

@@ -25,9 +25,18 @@ from gammacert import (
     ScanCell,
     Verdict,
     build_report,
+    certify_lcm,
+    finite_diff_crosscheck,
     from_jsonable,
+    grid_points,
+    h_eval,
+    lcm_certifier,
+    log_h,
+    logh_deriv,
+    logh_derivs_with_scale,
     to_jsonable,
 )
+from gammacert.certify import in_conjecture_zone
 from gammacert.hfamily import DerivSample
 
 PARAMS = HParams(alpha=0.5, y=1.0)
@@ -128,3 +137,33 @@ def test_replace_keeps_the_record_type_and_the_other_fields():
 def test_report_round_trips_through_jsonable():
     assert from_jsonable(to_jsonable(REPORT)) == REPORT
     assert type(from_jsonable(to_jsonable(REPORT))) is Report
+
+
+# ---------------------------------------------------------------------------
+# record arguments are checked where they enter
+# ---------------------------------------------------------------------------
+
+_PAIR, _TRIPLE = (0.5, 1.0), (1e-4, 10.0, 5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: log_h(_PAIR, 1.0), ParameterError, "params must be a HParams"),
+    (lambda: h_eval(_PAIR, 1.0), ParameterError, "params must be a HParams"),
+    (lambda: logh_deriv(1, _PAIR, 1.0), ParameterError, "params must be a HParams"),
+    (lambda: logh_derivs_with_scale(2, _PAIR, 1.0), ParameterError,
+     "params must be a HParams"),
+    (lambda: finite_diff_crosscheck(2, _PAIR, 1.0), ParameterError,
+     "params must be a HParams"),
+    (lambda: certify_lcm(_PAIR, Direction.LCM), ParameterError, "params must be a HParams"),
+    (lambda: grid_points(_TRIPLE, 1.0), ParameterError, "spec must be a GridSpec"),
+    (lambda: lcm_certifier(1.0, grid=_TRIPLE), ParameterError, "grid must be a GridSpec"),
+    (lambda: certify_lcm(PARAMS, "a", grid=GRID), ParameterError,
+     "direction must be one of LCM, RECIPROCAL, got 'a'"),
+    (lambda: in_conjecture_zone("a", 0.0), DomainError,
+     "alpha must be a real number, got 'a'"),
+], ids=["log_h", "h_eval", "logh_deriv", "logh_derivs_with_scale",
+        "finite_diff_crosscheck", "certify_lcm-params", "grid_points", "lcm_certifier",
+        "certify_lcm-direction", "in_conjecture_zone"])
+def test_record_arguments_raise_package_errors_naming_them(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

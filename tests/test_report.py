@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gammacert import (
     Certificate,
     CheckResult,
+    CheckTable,
     Direction,
     GridSpec,
     HParams,
@@ -23,14 +24,18 @@ from gammacert import (
     dumps,
     from_jsonable,
     make_timestamp,
+    one_sided,
+    one_sided_rows,
     result_status,
     thm2_ineq,
     to_jsonable,
+    two_sided,
+    two_sided_rows,
 )
 from gammacert import _numtext
 from gammacert.certify import Classification, scan_values
 from gammacert.cli import build_suite
-from gammacert.errors import ParameterError
+from gammacert.errors import ParameterError, PrecisionError
 from gammacert.hfamily import DerivSample
 
 
@@ -193,11 +198,10 @@ def test_dumps_types():
     assert '"k_max": 8' in text
 
 
-#: one factory per float slot of a result item: value -> item
+#: one factory per float slot of a result item: value -> item (a check
+#: refuses a non-finite input when it is built: see
+#: test_check_inputs_are_refused_when_built)
 _FLOAT_SLOTS = {
-    "check input": lambda v: CheckResult(
-        name="bad_input", inputs=(("t", v),), lhs=0.0, rhs=1.0, margin=1.0,
-        holds=True),
     "certificate witness value": lambda v: _fail_cert()._replace(
         witness=DerivSample(k=1, x=-0.9999, value=v)),
     "scan-cell alpha": lambda v: ScanCell(
@@ -442,9 +446,9 @@ def test_check_rows_carry_every_edge_float():
 
 
 def test_an_int_beyond_binary64_raises_the_json_value_error():
-    check = CheckResult("a", (("k", 10 ** 400),), 1.0, 2.0, 3.0, True)
+    # a check refuses such an input when it is built
     cell = ScanCell(alpha=10 ** 400, y=0.0, classification=Classification.LCM)
-    for item in (check, cell):
+    for item in (cell,):
         report = build_report("s", [_passing_check(), item], tool_version="0.1.0",
                               timestamp="t")
         for render in (dumps, to_jsonable):
@@ -454,14 +458,41 @@ def test_an_int_beyond_binary64_raises_the_json_value_error():
             to_jsonable(item)
 
 
-def test_check_inputs_keep_their_template_errors():
-    # numpy would read "1.5" as a number; the template refuses it
-    for value, error in (("1.5", TypeError), (None, TypeError), (math.nan, ValueError)):
-        check = CheckResult("a", (("k", value),), 1.0, 2.0, 1.0, True)
-        report = build_report("s", [_passing_check(), check], tool_version="0.1.0",
-                              timestamp="t")
-        with pytest.raises(error):
-            dumps(report)
+@pytest.mark.parametrize("value, error, message", [
+    ("1.5", ParameterError, "input 'k' must be an int or float, got '1.5'"),
+    (None, ParameterError, "input 'k' must be an int or float, got None"),
+    (True, ParameterError, "input 'k' must be an int or float, got True"),
+    (1j, ParameterError, "input 'k' must be an int or float, got 1j"),
+    (math.nan, PrecisionError, "non-finite input 'k' = nan"),
+    (-math.inf, PrecisionError, "non-finite input 'k' = -inf"),
+    (10 ** 400, PrecisionError, "non-finite input 'k' = 1000"),
+], ids=["str", "none", "bool", "complex", "nan", "-inf", "int-beyond-binary64"])
+def test_check_inputs_are_refused_when_built(value, error, message):
+    # a report that verify_csv would write must be one that dumps writes too
+    prefix = re.escape("check 'a': " + message)
+    builds = [
+        lambda: CheckResult("a", (("x", 1.0), ("k", value)), 1.0, 2.0, 1.0, True),
+        lambda: _passing_check()._replace(name="a", inputs=(("k", value),)),
+        lambda: one_sided("a", (("k", value),), 1.0, 2.0),
+        lambda: two_sided("a", (("k", value),), 1.0, 1.5, 2.0),
+        lambda: one_sided_rows("a", (("x", [1.0, 2.0]), ("k", value)), [1.0, 1.0], 2.0),
+        lambda: two_sided_rows("a", (("k", [1.0, value]),), 1.0, [1.5, 1.5], 2.0),
+    ]
+    for build in builds:
+        with pytest.raises(error, match="^" + prefix):
+            build()
+
+
+def test_check_input_labels_and_pairs_are_refused_when_built():
+    for inputs, message in (((("k", 1.0), (2, 1.0)), "input label 2 is not a str"),
+                            ((("k",),), "an input must be a (label, value) pair")):
+        for build in (lambda: CheckResult("a", inputs, 1.0, 2.0, 1.0, True),
+                      lambda: one_sided("a", inputs, 1.0, 2.0),
+                      lambda: one_sided_rows("a", inputs, [1.0], 2.0)):
+            with pytest.raises(ParameterError, match="^" + re.escape(f"check 'a': {message}")):
+                build()
+    # ints and floats within binary64 are accepted, and digests keep their bytes
+    assert CheckResult("a", (("k", 3), ("x", -0.0)), 1.0, 2.0, 1.0, True).inputs[0] == ("k", 3)
 
 
 def test_from_jsonable_names_a_missing_key():
@@ -473,11 +504,42 @@ def test_from_jsonable_names_a_missing_key():
         from_jsonable(data)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["results"][1].update(lhs=None),
+     "report data: 'lhs' must be a number, got None"),
+    (lambda data: data["results"][0].update(inputs=[["t"]]),
+     "report data: inputs[0] must be a [label, value] pair, got ['t']"),
+    (lambda data: data["results"].__setitem__(4, 5),
+     "report data: results[4] is malformed: a result must be an object, got 5"),
+    (lambda data: data["results"][3]["grid"].update(points=None),
+     "report data: results[3] is malformed: int() argument must be"),
+    (lambda data: data["results"][0]["inputs"][0].__setitem__(1, "1.5"),
+     "report data: inputs[0] must be a number, got '1.5'"),
+], ids=["null-lhs", "short-input-pair", "non-object-result", "null-grid-points",
+        "string-input"])
+def test_from_jsonable_names_a_malformed_value(edit, message):
+    data = to_jsonable(_mixed_report())
+    edit(data)
+    with pytest.raises(ParameterError, match="^" + re.escape(message)):
+        from_jsonable(data)
+
+
 def test_from_jsonable_names_an_unknown_result_type():
     data = to_jsonable(_mixed_report())
     data["results"][1]["type"] = "proof"
     with pytest.raises(ParameterError, match="unknown result type 'proof'"):
         from_jsonable(data)
+
+
+def test_dumps_of_a_table_backed_report_is_the_per_row_text():
+    from test_cli import table_backed_results
+
+    report = build_report("tables", table_backed_results(), tool_version="0.1.0",
+                          timestamp="t")
+    assert any(isinstance(run, CheckTable) and len(run) > _numtext.BLOCK_ROWS
+               for run in report.results.runs)
+    assert dumps(report) == json.dumps(_reference(report), allow_nan=False)
+    assert from_jsonable(to_jsonable(report)) == report
 
 
 def _filler(count: int) -> list[CheckResult]:
