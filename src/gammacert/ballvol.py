@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, first_bad_point, is_finite
+from .errors import (
+    CapabilityError, DomainError, as_grid, as_integer, first_bad_point, is_finite)
 from .gammakit import libm, lngamma
 from .ineq import CheckResult, CheckTable, one_sided_rows, two_sided_rows
 
@@ -30,9 +31,11 @@ _LOG_2 = math.log(2.0)
 def _dims(n, minimum: int) -> list[int]:
     """The dimensions in n; DomainError for the first that is not an integer
     >= minimum, CapabilityError for one beyond the binary64 range."""
-    dims = [n] if np.ndim(n) == 0 else n.tolist() if isinstance(n, np.ndarray) else list(n)
-    for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
+    dims = as_grid(n)
+    dims = [n] if dims is None else dims
+    for i, d in enumerate(dims):
+        dims[i] = as_integer(d)  # a numpy integer as a Python int
+        if dims[i] is None or d < minimum:
             raise DomainError(f"dimension n must be an integer >= {minimum}, got {d!r}")
         if not is_finite(d):
             raise CapabilityError(

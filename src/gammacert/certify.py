@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, is_finite, real_points,
-    require_all, require_real, require_type)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_integer, is_finite,
+    real_points, require_all, require_real, require_type, require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -117,9 +117,14 @@ class _GridFields(NamedTuple):
     points: int
 
 
-def _is_real(v) -> bool:
-    """v is an int or a float, not a bool."""
-    return isinstance(v, (int, float)) and v.__class__ is not bool
+def _integer_in(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int; ParameterError unless it is an integer in low..high
+    (>= low, and within binary64's range, for no high)."""
+    n = as_integer(value)
+    if n is None or n < low or not (is_finite(n) if high is None else n <= high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
 
 
 class GridSpec(_GridFields):
@@ -127,22 +132,21 @@ class GridSpec(_GridFields):
 
     The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
     above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
-    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.  A field
-    of the wrong type or range, a bool included, raises ParameterError.
+    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.  The
+    fields are held as two floats and an int; a field that breaks the input
+    rule (README, "Inputs") or its range raises ParameterError.
     """
 
     __slots__ = ()
 
     def __new__(cls, x_min_offset, x_max, points=DEFAULT_POINTS):
-        if not (_is_real(x_min_offset) and is_finite(x_min_offset)
-                and x_min_offset > 0.0):
+        if not (is_finite(x_min_offset) and x_min_offset > 0.0):
             raise ParameterError(
                 f"x_min_offset must be a finite positive real, got {x_min_offset!r}")
-        if not (_is_real(x_max) and is_finite(x_max)):
+        if not is_finite(x_max):
             raise ParameterError(f"x_max must be finite, got {x_max!r}")
-        if not (isinstance(points, int) and points.__class__ is not bool and points >= 2):
-            raise ParameterError(f"points must be an integer >= 2, got {points!r}")
-        return tuple.__new__(cls, (x_min_offset, x_max, points))
+        return tuple.__new__(cls, (float(x_min_offset), float(x_max),
+                                   _integer_in(points, "points", 2)))
 
     @classmethod
     def _make(cls, iterable) -> GridSpec:  # _replace builds through it
@@ -156,22 +160,18 @@ def default_grid(y: float, points: int = DEFAULT_POINTS,
     y gets the HParams rule (DomainError); ParameterError unless x_max is a
     finite real > X_EPSILON, the first x the right sub-domain keeps.
     """
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    try:
-        ok = math.isfinite(float(x_max)) and float(x_max) > X_EPSILON
-    except (TypeError, ValueError, OverflowError):  # not a real number
-        ok = False
-    if not ok:
+    y = require_y(y)
+    if not (is_finite(x_max) and x_max > X_EPSILON):
         raise ParameterError(
             f"x_max must be a finite real > {X_EPSILON:g} for a grid on both sides "
             f"of x = 0, got {x_max!r}")
-    return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=float(x_max), points=points)
+    return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=x_max, points=points)
 
 
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
     """Concrete x abscissae of spec for y (HParams rule), exclusion zone removed."""
     require_type(spec, GridSpec, "spec")
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
+    y = require_y(y)
     u_lo = max(spec.x_min_offset, ENDPOINT_CLEARANCE)
     u_hi = spec.x_max + y + 1.0
     if not u_hi > u_lo:
@@ -204,19 +204,28 @@ class Certificate(_CertificateFields):
     witness.k is the derivative order) or "surface-negativity" for the
     q-surface check (direction None; witness.k = 0 flags a non-negative
     surface value, witness.k = 1 a non-decreasing adjacent step).
-    PASS semantics are always grid-verified, never analytic.  A FAIL
-    without a witness, or a witness without a FAIL, raises ParameterError.
+    PASS semantics are always grid-verified, never analytic.  A field of
+    the wrong type or range, a FAIL without a witness, or a witness without
+    a FAIL raises ParameterError.
     """
 
     __slots__ = ()
 
     def __new__(cls, params, direction, k_max, grid, verdict, witness,
                 undecided_points=0, check="lcm-sign", semantics="grid-verified"):
+        for name, value, kind in (("params", params, HParams), ("grid", grid, GridSpec),
+                                  ("verdict", verdict, Verdict), ("check", check, str),
+                                  ("semantics", semantics, str),
+                                  ("direction", direction, (Direction, type(None))),
+                                  ("witness", witness, (DerivSample, type(None)))):
+            require_type(value, kind, name)
+        undecided = _integer_in(undecided_points, "undecided_points", 0)
         if (verdict is Verdict.FAIL) != (witness is not None):
             raise ParameterError(
                 "certificate invariant violated: FAIL iff witness present")
-        return tuple.__new__(cls, (params, direction, k_max, grid, verdict, witness,
-                                   undecided_points, check, semantics))
+        return tuple.__new__(cls, (params, direction,
+                                   _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER), grid,
+                                   verdict, witness, undecided, check, semantics))
 
     @classmethod
     def _make(cls, iterable) -> Certificate:  # _replace builds through it
@@ -258,11 +267,7 @@ def _cut_table(y: float, k_max: int, grid: GridSpec | None
     """Setup shared by every certificate: validate y and k_max, and return
     the grid (default_grid(y) for None), its abscissae xs, the derivative
     table and its _alpha_cuts."""
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    if not (isinstance(k_max, int) and not isinstance(k_max, bool)
-            and 1 <= k_max <= MAX_DERIV_ORDER):
-        raise ParameterError(
-            f"k_max must be an integer in 1..{MAX_DERIV_ORDER}, got {k_max!r}")
+    y, k_max = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
     if grid is None:
         grid = default_grid(y)
     xs = grid_points(require_type(grid, GridSpec, "grid"), y)
@@ -292,7 +297,7 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
                                  f"got {direction!r}") from None
         params = HParams(alpha=alpha, y=y)
         values, _ = table(params.alpha)  # raises for an alpha outside binary64's reach
-        alpha = float(params.alpha)
+        alpha = params.alpha
         lcm = direction is Direction.LCM
         fails = lcm_cuts >= alpha if lcm else rec_cuts <= alpha
         first = int(fails.argmax())
@@ -338,7 +343,7 @@ def necessity_limits(y: float) -> tuple[float, float]:
     Returns alpha_necessary_bound at x = -(y+1) + 1e-6*(y+1) (limit value
     1/(y+1)) and at x = 1e6 (limit value 1), both from one two-point table.
     """
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
+    y = require_y(y)
     inner, tail = alpha_necessary_bound(np.array([-(y + 1.0) + 1e-6 * (y + 1.0), 1e6]),
                                         y).tolist()
     return inner, tail
@@ -391,9 +396,9 @@ def in_conjecture_zone(alpha, y: float):
     """Parameter region where reciprocal complete monotonicity is conjectured
     to fail: y > -1/2 with min{1, 1/(2(y+1))} < alpha <= 1.  For a 1-D
     grid of alphas, one flag per alpha."""
-    alpha = require_real(alpha, "alpha") if np.ndim(alpha) == 0 else real_points(
-        alpha, "alpha")
-    return (reciprocal_threshold(y) < alpha) & (alpha <= 1.0)
+    alphas = real_points(alpha, "alpha")
+    zone = (reciprocal_threshold(y) < alphas) & (alphas <= 1.0)
+    return bool(zone[0]) if np.ndim(alpha) == 0 else zone
 
 
 class ScanCell(NamedTuple):
@@ -426,8 +431,12 @@ _CLASSIFICATION = (
 def classify(lcm_cert: Certificate, recip_cert: Certificate,
              conjecture_zone: bool) -> Classification:
     """Combine the two directional certificates into a cell classification."""
+    for name, value, kind in (("lcm_cert", lcm_cert, Certificate),
+                              ("recip_cert", recip_cert, Certificate),
+                              ("conjecture_zone", conjecture_zone, bool)):
+        require_type(value, kind, name)
     return _CLASSIFICATION[lcm_cert.verdict is Verdict.PASS][
-        recip_cert.verdict is Verdict.PASS][bool(conjecture_zone)]
+        recip_cert.verdict is Verdict.PASS][conjecture_zone]
 
 
 def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
@@ -443,8 +452,7 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     cell is classified as classify would classify those certificates.
     """
     alphas = real_points(alphas, "alpha")
-    # every y passes the HParams rule, in order, before a grid is built on any of them
-    ys = real_points(ys, "y", lambda v, name: HParams(alpha=0.0, y=require_real(v, name)).y)
+    ys = real_points(ys, "y", require_y)  # every y, in order, before a grid is built
     cells: list[ScanCell] = []
     for y in ys.tolist():
         _, _, _, cuts = _cut_table(y, k_max, default_grid(y, points=points, x_max=x_max))
@@ -465,8 +473,7 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
                            step: float = 1e-5) -> float:
     """Relative residual between the closed-form derivative and a central
     finite difference of the next-lower order (ln h itself for k = 1)."""
-    if not (isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= 4):
-        raise ParameterError(f"k must be an integer in 1..4, got {k!r}")
+    k = _integer_in(k, "k", 1, 4)
     require_type(params, HParams, "params")
     step = require_real(step, "step")
     if not (math.isfinite(step) and step > 0.0):

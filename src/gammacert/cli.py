@@ -113,11 +113,11 @@ def _expected_failure_check(cert: Certificate) -> CheckResult:
     size = 0.0
     if cert.witness is not None:
         size = abs(cert.witness.value)
-        inputs += [("witness_k", float(cert.witness.k)),
+        inputs += [("witness_k", cert.witness.k),
                    ("witness_x", cert.witness.x),
                    ("witness_value", cert.witness.value)]
     return CheckResult(name="lcm_certificate_fails_below_threshold",
-                       inputs=tuple((n, float(v)) for n, v in inputs),
+                       inputs=inputs,
                        lhs=0.0, rhs=size, margin=size,
                        holds=cert.verdict is Verdict.FAIL, strict=True)
 

@@ -1,12 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its input rules.
 
 All argument-validation failures raise one of the types below so that callers
 can distinguish "this input is outside the mathematical domain" from "this
 input is legal but the implementation does not cover it".
 
-The helpers after the types validate arguments.  real_points, require_all
-and first_bad_point serve the builders that take one point or a grid: a grid
-raises the error that its first bad point raises in a call of its own.
+The helpers after the types validate arguments; no other module decides
+what a number, a y, an integer or a flag is (README, "Inputs").  real_points,
+require_all and first_bad_point serve the builders that take one point or a
+grid: a grid raises the error that its first bad point raises in a call of
+its own.
 """
 
 from __future__ import annotations
@@ -35,39 +37,61 @@ class ParameterError(ValueError):
     """A configuration or tuning parameter is inconsistent or out of range."""
 
 
-def require_real(value, name: str) -> float:
-    """value as a float; DomainError when it is not a real number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+def is_real(value) -> bool:
+    """value is a real number: an int or a float, numpy's included, not a bool."""
+    return value.__class__ is float or (isinstance(value, (int, float, np.integer, np.floating))
+                                        and value.__class__ is not bool)
 
 
 def is_finite(value) -> bool:
-    """math.isfinite(value), except that an int beyond the float range is not finite."""
+    """value is a real number and finite as a binary64 (an int beyond it is not)."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # int too large to convert to float
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond binary64
         return False
 
 
-def require_type(value, kind: type, name: str):
-    """value itself; ParameterError naming it unless it is a kind (a record
-    argument such as params or grid)."""
-    if not isinstance(value, kind):
-        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
-def require_positive(value: float, name: str) -> float:
-    """value as a float; DomainError unless it is a finite real > 0."""
+def require_real(value, name: str) -> float:
+    """value as a float; DomainError unless it is a real number within
+    binary64's range (nan and inf included)."""
     try:
-        value = float(value)
-        ok = math.isfinite(value) and value > 0.0
-    except (TypeError, ValueError, OverflowError):  # not a real number
-        ok = False
-    if not ok:
-        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+        if is_real(value):
+            return float(value)
+    except OverflowError:  # an int beyond binary64
+        pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def require_positive(value, name: str) -> float:
+    """value as a float; DomainError unless it is a finite real > 0."""
+    if not (is_finite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a finite positive real, "
+                          f"got {float(value) if is_finite(value) else value!r}")
+    return float(value)
+
+
+def require_y(value, name: str = "y") -> float:
+    """value as a float; DomainError unless it is a real number, then unless
+    it is finite and > -1 (the HParams rule)."""
+    if not (is_finite(value) and value > -1.0):
+        raise DomainError(f"{name} must be a real number, got {value!r}" if not is_real(value)
+                          else f"{name} must be a finite real > -1, got {value!r}")
+    return float(value)
+
+
+def as_integer(value) -> int | None:
+    """value as a Python int if it is an int or a numpy integer (not a bool), else None."""
+    ok = isinstance(value, (int, np.integer)) and value.__class__ is not bool
+    return int(value) if ok else None
+
+
+def require_type(value, kind: type | tuple[type, ...], name: str):
+    """value itself; ParameterError naming it unless it is a kind, or one of
+    a tuple of kinds (a record argument such as params or grid)."""
+    if not isinstance(value, kind):
+        kinds = " or ".join("None" if k is type(None) else k.__name__
+                            for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ParameterError(f"{name} must be a {kinds}, got {value!r}")
     return value
 
 
@@ -79,20 +103,47 @@ def require_finite(value: float, fn: str, *args: float) -> float:
     return value
 
 
+#: The open lower bound of each range rule for real_points' one-pass form.
+_LOWER = {require_positive: 0.0, require_y: -1.0}
+
+
+def as_grid(value) -> list | None:
+    """The points of value if it is a grid (a list, tuple, range or 1-D array), else None."""
+    if isinstance(value, np.ndarray):
+        return value.tolist() if value.ndim == 1 else None
+    return list(value) if isinstance(value, (list, tuple, range)) else None
+
+
 def real_points(value, name: str, require=require_real) -> np.ndarray:
     """The points of value, one point or a 1-D grid, as a 1-D float array.
 
-    A numeric grid whose points all pass is converted in one pass; anything
-    else goes point by point through require (require_real, or
-    require_positive), which raises for the first point that fails it.
+    A numeric 1-D numpy array (int or float dtype) is converted in one pass
+    when require sets no range (_LOWER) or all its points are finite and
+    within it.  Anything else goes point by point through require, which
+    returns the point as a float or raises for it (a 0-d array is no real
+    number).  A 2-D value raises DomainError.
     """
-    a = np.asarray(value)
-    if a.ndim <= 1 and a.dtype.kind in "biuf":
-        xs = a.astype(float).reshape(-1)
-        if require is require_real or np.all(np.isfinite(xs) & (xs > 0.0)):
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iuf":
+        xs = value.astype(float)
+        lower = _LOWER.get(require)
+        if lower is None or np.all(np.isfinite(xs) & (xs > lower)):
             return xs
-    return np.array([require(v, name) for v in ([value] if a.ndim == 0 else a.tolist())],
-                    dtype=float)
+    points = as_grid(value)
+    if points is None and not (isinstance(value, np.ndarray) and value.ndim > 1):
+        return np.array([require(value, name)])  # one point
+    if points is None or any(isinstance(v, (list, tuple, np.ndarray)) for v in points):
+        raise DomainError(f"{name} must be one point or a 1-D grid, got {value!r}")
+    return np.array([require(v, name) for v in points], dtype=float)
+
+
+def broadcast_points(names: str, *grids: np.ndarray) -> list[np.ndarray]:
+    """The 1-D grids at one length, a one-point grid repeated; ParameterError
+    naming them (names, comma-separated) when their lengths do not agree."""
+    try:
+        return np.broadcast_arrays(*grids)
+    except ValueError:
+        raise ParameterError(f"{names} must be grids of one length, got lengths "
+                             f"{', '.join(str(grid.size) for grid in grids)}") from None
 
 
 def require_all(ok: np.ndarray, error: type, message: str, *columns: np.ndarray) -> None:
@@ -119,8 +170,7 @@ def first_bad_point(build):
         try:
             return build(*args, **kwargs)
         except PACKAGE_ERRORS:
-            grids = [None if np.ndim(v) != 1 else v.tolist() if isinstance(v, np.ndarray)
-                     else list(v) for v in args]
+            grids = [as_grid(v) for v in args]
             for i in range(min((len(g) for g in grids if g is not None), default=0)):
                 build(*(v if g is None else g[i] for v, g in zip(args, grids)), **kwargs)
             raise

@@ -56,7 +56,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, real_points, require_finite, require_positive)
+    CapabilityError, DomainError, as_integer, real_points, require_finite, require_positive)
 
 __all__ = [
     "ASYM_TERMS",
@@ -118,13 +118,16 @@ EULER_GAMMA = 0.5772156649015329
 EXP_NEG_EULER_GAMMA = 0.5614594835668852
 
 
-def check_order(k: int) -> None:
-    """DomainError unless k is an integer >= 1; CapabilityError above MAX_DERIV_ORDER."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+def check_order(k: int) -> int:
+    """k as a Python int; DomainError unless it is an integer >= 1,
+    CapabilityError above MAX_DERIV_ORDER."""
+    n = as_integer(k)
+    if n is None or n < 1:
         raise DomainError(f"derivative order k must be an integer >= 1, got {k!r}")
-    if k > MAX_DERIV_ORDER:
+    if n > MAX_DERIV_ORDER:
         raise CapabilityError(
-            f"derivative order k={k} exceeds implemented maximum {MAX_DERIV_ORDER}")
+            f"derivative order k={n} exceeds implemented maximum {MAX_DERIV_ORDER}")
+    return n
 
 
 def _lngamma_series(z, log_z):
@@ -294,7 +297,7 @@ def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
     as a positive series and the sign attached at the end.  A 1-D array x
     gives the array of the per-point values.
     """
-    check_order(k)
+    k = check_order(k)
     if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
         return _on_grid(x, polygamma, _polygamma_grid, k)
     z = require_positive(x, "x")
@@ -328,17 +331,15 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     from the scalar ones by a few ulps; the certificate and scan bytes rest
     on them.
     """
-    if not (isinstance(n_psi, int) and not isinstance(n_psi, bool) and n_psi >= 1):
+    n = as_integer(n_psi)
+    if n is None or n < 1:
         raise DomainError(f"n_psi must be an integer >= 1, got {n_psi!r}")
-    if n_psi > 1:
-        check_order(n_psi - 1)
-    try:
-        u = np.asarray(u, dtype=float)
-        ok = u.ndim == 1 and bool(np.all(np.isfinite(u) & (u > 0.0)))
-    except (TypeError, ValueError, OverflowError):  # not an array of reals
-        ok = False
-    if not ok:
+    if n > 1:
+        check_order(n - 1)
+    points = real_points(u, "u", require_positive)
+    if np.ndim(u) != 1:  # one point is not a 1-D array
         raise DomainError(f"u must be a 1-D array of finite positive reals, got {u!r}")
+    n_psi, u = n, points
     zs, low, z = _shift(u)
     orders = range(1, n_psi)
     k = np.array(orders)[:, None]  # polygamma orders as a column against the points

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import math
 import sys
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite, real_points,
-    require_all, require_real, require_type)
+    CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite,
+    real_points, require_all, require_real, require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -76,17 +75,16 @@ class _HParamsFields(NamedTuple):
 
 
 class HParams(_HParamsFields):
-    """Parameter pair (alpha, y) of the family, an immutable named 2-tuple;
-    requires finite alpha, y > -1 (DomainError otherwise)."""
+    """Parameter pair (alpha, y) of the family, an immutable named 2-tuple
+    of floats; requires a finite real alpha and a finite real y > -1
+    (DomainError otherwise)."""
 
     __slots__ = ()
 
     def __new__(cls, alpha, y):
-        if not (isinstance(alpha, Real) and is_finite(alpha)):
+        if not is_finite(alpha):
             raise DomainError(f"alpha must be finite, got {alpha!r}")
-        if not (isinstance(y, Real) and is_finite(y) and y > -1.0):
-            raise DomainError(f"y must be a finite real > -1, got {y!r}")
-        return tuple.__new__(cls, (alpha, y))
+        return tuple.__new__(cls, (float(alpha), require_y(y)))
 
     @classmethod
     def _make(cls, iterable) -> HParams:  # _replace builds through it
@@ -157,7 +155,7 @@ def h_eval(params: HParams, x: float) -> float:
 
 def bigH_eval(alpha: float, y: float, x: float) -> float:
     """Companion normalization [Gamma(x+y)/Gamma(y)]^(1/x) (x+y)^(-alpha), y > 0."""
-    if not (isinstance(y, Real) and is_finite(y) and y > 0.0):
+    if not (is_finite(y) and y > 0.0):
         raise DomainError(f"bigH_eval requires y > 0, got {y!r}")
     return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
 
@@ -186,7 +184,7 @@ class DerivTable:
         and feeds certificate noise floors.  An alpha whose term, value or
         scale leaves the binary64 range raises CapabilityError naming it.
         """
-        alpha = float(alpha)
+        alpha = require_real(alpha, "alpha")
         try:
             with np.errstate(over="raise"):
                 term = alpha * self.alpha_coef / self.u_pow
@@ -208,9 +206,7 @@ def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
     DerivTable adds the alpha term.  A part outside the binary64 range
     raises CapabilityError naming y.  xs is one point or a 1-D grid; a grid
     raises what its first bad point raises alone."""
-    check_order(k_max)
-    y = require_real(y, "y")
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
+    k_max, y = check_order(k_max), require_y(y)
     lg_y = lngamma(y + 1.0)
     x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
@@ -252,14 +248,12 @@ def logh_deriv(k: int, params: HParams, x: float) -> float:
 
 def lcm_threshold(y: float) -> float:
     """Smallest alpha for which h is LCM (Theorem 1): max{1, 1/(y+1)}."""
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    return max(1.0, 1.0 / (y + 1.0))
+    return max(1.0, 1.0 / (require_y(y) + 1.0))
 
 
 def reciprocal_threshold(y: float) -> float:
     """Largest alpha for which 1/h is LCM (Theorem 1): min{1, 1/(2(y+1))}."""
-    HParams(alpha=0.0, y=y)  # reuse the domain validation for y
-    return min(1.0, 0.5 / (y + 1.0))
+    return min(1.0, 0.5 / (require_y(y) + 1.0))
 
 
 @first_bad_point
@@ -287,7 +281,7 @@ def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """(values, scales) of q_surface at every x in xs, one point or a 1-D
     grid: x^2 times the first row of logh_deriv_table at alpha =
     1/(2(y+1)), and that row's scale."""
-    y = require_real(y, "y")
+    y = require_y(y)
     x = real_points(xs, "x")
     values, scales = logh_deriv_table(1, y, x)(0.5 / (y + 1.0))
     x2 = x * x

@@ -26,13 +26,15 @@ import math
 import operator
 from collections.abc import Sequence
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, first_bad_point,
-    is_finite, real_points, require_all, require_positive, require_real)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
+    broadcast_points, first_bad_point, is_finite, is_real, real_points, require_all,
+    require_positive, require_real, require_type)
 from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
@@ -86,50 +88,58 @@ class CheckResult(_CheckFields):
     For strict checks, holds means margin > noise band; margins inside the
     band carry a "margin_within_noise" marker in inputs instead of a verdict.
     Non-strict checks (strict=False) accept margins down to the band's floor.
-    A non-finite lhs, rhs or margin raises PrecisionError.  Each input is a
-    (label, value) pair: a label that is not a str, or a value that is not an
-    int or float, raises ParameterError, and a value that is not finite as a
-    binary64 PrecisionError.
+    lhs, rhs, margin and each input value must be real numbers (else
+    ParameterError), finite as binary64s (else PrecisionError), and are held
+    as floats.  Each input is a (label, value) pair with a str label; a name
+    that is not a str, or holds or strict not a bool, raises ParameterError.
     """
 
     __slots__ = ()
 
     def __new__(cls, name, inputs, lhs, rhs, margin, holds, strict=True):
-        if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
-            label, v = next((label, v) for label, v in (
-                ("lhs", lhs), ("rhs", rhs), ("margin", margin))
-                if not math.isfinite(v))
-            raise PrecisionError(f"check {name!r}: non-finite {label} = {v!r}")
-        for pair in inputs:
-            _input_value(name, *_input_pair(name, pair))
-        return tuple.__new__(cls, (name, inputs, lhs, rhs, margin, holds, strict))
+        lhs, rhs, margin = (_number(name, lhs, "lhs", True), _number(name, rhs, "rhs", True),
+                            _number(name, margin, "margin", True))
+        inputs = tuple([(label, _number(name, value, label))
+                        for label, value in _input_pairs(name, inputs)])
+        return tuple.__new__(cls, (name, inputs, lhs, rhs, margin,
+                                   require_type(holds, bool, "holds"),
+                                   require_type(strict, bool, "strict")))
 
     @classmethod
     def _make(cls, iterable) -> CheckResult:  # _replace builds through it
         return cls(*iterable)
 
 
-def _input_pair(name, pair) -> tuple[str, object]:
-    """pair as (label, value); ParameterError unless it is a pair with a str label."""
+def _input_pairs(name, inputs) -> tuple[tuple[str, object], ...]:
+    """inputs as a tuple of (label, value) pairs; ParameterError unless name
+    is a str and inputs an iterable of pairs with str labels."""
+    require_type(name, str, "name")
     try:
-        label, value = pair
-    except (TypeError, ValueError):
+        inputs = list(inputs)
+    except TypeError:  # inputs is not iterable
         raise ParameterError(
-            f"check {name!r}: an input must be a (label, value) pair, got {pair!r}") from None
-    if not isinstance(label, str):
-        raise ParameterError(f"check {name!r}: input label {label!r} is not a str")
-    return label, value
+            f"check {name!r}: inputs must be (label, value) pairs, got {inputs!r}") from None
+    for i, pair in enumerate(inputs):
+        try:
+            label, _ = inputs[i] = pair if pair.__class__ is tuple else tuple(pair)
+        except (TypeError, ValueError):
+            raise ParameterError(f"check {name!r}: an input must be a (label, value) pair, "
+                                 f"got {pair!r}") from None
+        if not isinstance(label, str):
+            raise ParameterError(f"check {name!r}: input label {label!r} is not a str")
+    return tuple(inputs)
 
 
-def _input_value(name, label: str, value) -> None:
-    """ParameterError unless value is an int or float (not a bool; numpy's
-    too), PrecisionError unless it is finite as a binary64."""
-    if value.__class__ is bool or not isinstance(value, (int, float, np.integer,
-                                                         np.floating)):
-        raise ParameterError(
-            f"check {name!r}: input {label!r} must be an int or float, got {value!r}")
-    if not is_finite(value):
-        raise PrecisionError(f"check {name!r}: non-finite input {label!r} = {value!r}")
+def _number(name, value, label: str, side: bool = False) -> float:
+    """value as a float; ParameterError unless it is a real number,
+    PrecisionError unless it is finite as a binary64.  label names an input,
+    or a side."""
+    if is_finite(value):
+        return float(value)
+    what = label if side else f"input {label!r}"
+    if not is_real(value):
+        raise ParameterError(f"check {name!r}: {what} must be an int or float, got {value!r}")
+    raise PrecisionError(f"check {name!r}: non-finite {what} = {value!r}")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -205,8 +215,7 @@ class CheckTable(Sequence):
         index: dict = {}
         key, values, within = [], [], []
         for r in rows:
-            if not isinstance(r, CheckResult):
-                raise TypeError(f"a check table holds CheckResult rows, not {type(r).__name__}")
+            require_type(r, CheckResult, "a check table row")
             inputs = r.inputs
             w = bool(inputs) and inputs[-1] == cls.MARKER
             if w:
@@ -292,20 +301,14 @@ class CheckTable(Sequence):
         return repr(list(self))
 
 
-def _coerce_inputs(name, inputs) -> tuple[tuple[str, float], ...]:
-    pairs = [_input_pair(name, pair) for pair in inputs]
-    for label, value in pairs:
-        _input_value(name, label, value)
-    return tuple((label, float(value)) for label, value in pairs)
-
-
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
     """Check lhs < rhs (lhs <= rhs if not strict) against the noise band."""
     lhs, rhs = require_real(lhs, "lhs"), require_real(rhs, "rhs")
+    require_type(strict, bool, "strict")
     margin = rhs - lhs
     noise = NOISE_REL * max(abs(lhs), abs(rhs))
     holds = margin > noise if strict else margin >= -noise
-    inputs = _coerce_inputs(name, inputs)
+    inputs = _input_pairs(name, inputs)
     if abs(margin) <= noise:
         inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lhs, rhs=rhs,
@@ -317,15 +320,16 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
     """Check lower < mid < upper; strict_lower (default: strict) sets the lower side."""
     lower, mid, upper = (require_real(lower, "lower"), require_real(mid, "mid"),
                          require_real(upper, "upper"))
-    if strict_lower is None:
-        strict_lower = strict
+    require_type(strict, bool, "strict")
+    strict_lower = strict if strict_lower is None else require_type(strict_lower, bool,
+                                                                    "strict_lower")
     m_lo = mid - lower
     m_up = upper - mid
     margin = min(m_lo, m_up)
     noise = NOISE_REL * max(abs(lower), abs(mid), abs(upper))
     lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
     up_ok = m_up > noise if strict else m_up >= -noise
-    inputs = _coerce_inputs(name, inputs) + (("mid", mid),)
+    inputs = _input_pairs(name, inputs) + (("mid", mid),)
     if abs(margin) <= noise:
         inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lower, rhs=upper,
@@ -342,27 +346,30 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
 def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """one_sided over columns: row i checks lhs[i] < rhs[i].
 
-    inputs holds (name, value) pairs.  Each value, lhs and rhs is a scalar
-    or a column with one entry per row; scalars repeat on every row.
+    inputs holds (name, value) pairs.  Each value, lhs and rhs is one point
+    or a 1-D column; a point repeats on every row.
     """
-    lhs, rhs = _float_columns(lhs, rhs)
+    labels, columns, (lhs, rhs) = _columns(name, inputs, lhs=lhs, rhs=rhs)
+    require_type(strict, bool, "strict")
     with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
         margin = rhs - lhs
         noise = NOISE_REL * np.maximum(abs(lhs), abs(rhs))
         holds = margin > noise if strict else margin >= -noise
         within = abs(margin) <= noise
-    return _table(name, inputs, lhs, rhs, margin, holds, within, strict)
+    return _table(name, labels, columns, lhs, rhs, margin, holds, within, strict)
 
 
 def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
                    strict_lower=None) -> CheckTable:
     """two_sided over columns: row i checks lower[i] < mid[i] < upper[i].
 
-    inputs, scalars and columns as in one_sided_rows.
+    inputs, points and columns as in one_sided_rows.
     """
-    lower, mid, upper = _float_columns(lower, mid, upper)
-    if strict_lower is None:
-        strict_lower = strict
+    labels, columns, (lower, mid, upper) = _columns(name, inputs, lower=lower, mid=mid,
+                                                    upper=upper)
+    require_type(strict, bool, "strict")
+    strict_lower = strict if strict_lower is None else require_type(strict_lower, bool,
+                                                                    "strict_lower")
     with np.errstate(all="ignore"):
         m_lo = mid - lower
         m_up = upper - mid
@@ -371,34 +378,30 @@ def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
         lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
         up_ok = m_up > noise if strict else m_up >= -noise
         within = abs(margin) <= noise
-    return _table(name, (*inputs, ("mid", mid)), lower, upper, margin,
+    return _table(name, [*labels, "mid"], [*columns, mid], lower, upper, margin,
                   lo_ok & up_ok, within, strict and strict_lower)
 
 
-def _float_columns(*values) -> tuple[np.ndarray, ...]:
-    """values as float arrays of one common 1-D shape."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                 for v in values))
+def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
+    """(labels, input columns, side columns), every column of one length.
 
-
-def _table(name, inputs, lhs, rhs, margin, holds, within, strict) -> CheckTable:
-    """The one-key table of the evaluated columns.
-
-    Each input passes CheckResult's input rule once: a numeric numpy column
-    as a whole, any other value or sequence value by value (numpy would read
-    "1.5" or True in a list as a number), and a non-finite value raises
-    through CheckTable.
+    Each input value and side goes through real_points, one point or a 1-D
+    column: an input value by CheckResult's input rule (a numeric numpy
+    column as a whole, so a non-finite one raises through CheckTable, in
+    row order), a side by require_real.  Columns whose lengths do not
+    broadcast raise ParameterError.
     """
-    labels, columns = [], []
-    for pair in inputs:
-        label, values = _input_pair(name, pair)
-        a = np.asarray(values)
-        if not (isinstance(values, np.ndarray) and a.dtype.kind in "iuf"):
-            for v in (a.reshape(-1).tolist() if isinstance(values, np.ndarray)
-                      else [values] if a.ndim == 0 else values):
-                _input_value(name, label, v)
-        labels.append(label)
-        columns.append(np.broadcast_to(a.astype(float), lhs.shape))
+    pairs = _input_pairs(name, inputs)
+    labels = [label for label, _ in pairs]
+    columns = broadcast_points(
+        f"check {name!r}: {', '.join([*labels, *sides])}",
+        *(real_points(v, label, partial(_number, name)) for label, v in pairs),
+        *(real_points(v, side) for side, v in sides.items()))
+    return labels, columns[:len(pairs)], columns[len(pairs):]
+
+
+def _table(name, labels, columns, lhs, rhs, margin, holds, within, strict) -> CheckTable:
+    """The one-key table of the evaluated columns."""
     values = np.stack(columns, axis=1) if columns else np.zeros((lhs.size, 0))
     return CheckTable([(name, tuple(labels), strict)], np.zeros(lhs.size, np.intp), values,
                       lhs, rhs, margin, holds, within)
@@ -511,15 +514,17 @@ def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | CheckTable:
     require_all(np.isfinite(ys) & (ys > -1.0), DomainError, "y must be > -1, got {!r}", ys)
     require_all(np.isfinite(ts) & (ts > 0.0), DomainError,
                 "t must be a positive real, got {!r}", ts)
-    xs, ys, ts = np.broadcast_arrays(xs, ys, ts)
+    xs, ys, ts = broadcast_points("x, y, t", xs, ys, ts)
     with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
         u1 = xs + ys + 1.0
         require_all(np.isfinite(u1) & (u1 > 0.0), DomainError,
                     "x must exceed -(y+1), got x={!r}, y={!r}", xs, ys)
         require_all((xs != 0.0) & (xs + ts != 0.0), DomainError,
                     "x and x+t must be nonzero (1/x and 1/(x+t) exponents)")
-        a_exp = np.maximum(1.0, 1.0 / (ys + 1.0)) if a is None else real_points(a, "a")
-        b_exp = np.minimum(1.0, 0.5 / (ys + 1.0)) if b is None else real_points(b, "b")
+        _, a_exp, b_exp = broadcast_points(
+            "x, a, b", xs,
+            np.maximum(1.0, 1.0 / (ys + 1.0)) if a is None else real_points(a, "a"),
+            np.minimum(1.0, 0.5 / (ys + 1.0)) if b is None else real_points(b, "b"))
         u2 = u1 + ts
         lgy, lg1, lg2 = lngamma(np.concatenate([ys + 1.0, u1, u2])).reshape(3, -1)
         mid = (lg1 - lgy) / xs - (lg2 - lgy) / (xs + ts)
@@ -591,11 +596,12 @@ def psi_integral_mean_ineq(i: int, s, t, p: float,
     point or a 1-D grid: two points give one CheckResult, else a table, one
     row per pair.
     """
-    if i not in (0, 1):
+    if as_integer(i) not in (0, 1):
         raise ParameterError(
             f"i must be 0 or 1 (closed-form antiderivative needed), got {i!r}")
-    ss, ts = np.broadcast_arrays(real_points(s, "s", require_positive),
-                                 real_points(t, "t", require_positive))
+    i = int(i)
+    ss, ts = broadcast_points("s, t", real_points(s, "s", require_positive),
+                              real_points(t, "t", require_positive))
     require_all(abs(ss - ts) > DIAGONAL_REL_TOL * np.maximum(ss, ts), DomainError,
                 "s and t must be distinct, got s={!r}, t={!r}", ss, ts)
     p, q = require_real(p, "p"), require_real(q, "q")
@@ -682,13 +688,15 @@ def aux_eval(fn: AuxFn, t) -> float | np.ndarray:
 
 def qcub_root(tol: float = 1e-10) -> float:
     """Unique zero of QCUB in (1/3, 1), located by bisection to width tol."""
-    if not (isinstance(tol, float) and 0.0 < tol <= 1e-2):
+    if not (is_real(tol) and 0.0 < tol <= 1e-2):
         raise ParameterError(f"tol must be a float in (0, 1e-2], got {tol!r}")
     lo, hi = 1.0 / 3.0, 1.0
     if not (_qcub(lo) < 0.0 < _qcub(hi)):
         raise PrecisionError("QCUB bracket [1/3, 1] lost its sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: no tol below their gap is met
+            break
         if _qcub(mid) < 0.0:
             lo = mid
         else:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import (
-    DomainError, first_bad_point, real_points, require_positive, require_real)
+    DomainError, broadcast_points, first_bad_point, real_points, require_positive, require_real)
 from .gammakit import libm
 
 __all__ = ["gen_log_mean", "log_mean"]
@@ -37,8 +37,8 @@ BRANCH_TOL = 1e-9
 def _pairs(a, b) -> tuple[np.ndarray, ...]:
     """(a, lo, hi, off): a, each pair ordered, and the pairs off the
     diagonal, where the mean is not a."""
-    a, b = np.broadcast_arrays(real_points(a, "a", require_positive),
-                               real_points(b, "b", require_positive))
+    a, b = broadcast_points("a, b", real_points(a, "a", require_positive),
+                            real_points(b, "b", require_positive))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return a, lo, hi, ~(hi - lo <= DIAGONAL_REL_TOL * hi)
 

@@ -37,7 +37,6 @@ keys off failed == 0.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from collections.abc import Sequence
 from datetime import datetime, timezone
@@ -55,7 +54,7 @@ from .certify import (
     ScanCell,
     Verdict,
 )
-from .errors import PACKAGE_ERRORS, ParameterError
+from .errors import PACKAGE_ERRORS, ParameterError, is_finite, is_real, require_type
 from .hfamily import DerivSample, HParams
 from .ineq import CheckResult, CheckTable
 
@@ -71,6 +70,13 @@ __all__ = [
 ]
 
 ResultItem = CheckResult | Certificate | ScanCell
+#: What a results sequence may hold: result items, and check tables for their rows.
+_PARTS = (CheckTable, CheckResult, Certificate, ScanCell)
+
+
+class _NotAResult(ParameterError, TypeError):
+    """An object where a result item belongs: a package error that is also a
+    TypeError, Python's error for an argument of the wrong type."""
 
 
 class Results(Sequence):
@@ -93,10 +99,19 @@ class Results(Sequence):
     def of(cls, results) -> Results:
         """results as runs: a Results as it is, else the items of results in
         turn, where a CheckTable stands for its rows and adjacent check rows
-        and tables join one CheckTable (whose rows hold float inputs)."""
+        and tables join one CheckTable (whose rows hold float inputs).  Any
+        other part raises ParameterError naming its position."""
         if isinstance(results, Results):
             return results
-        parts = [results] if isinstance(results, CheckTable) else list(results)
+        try:
+            parts = [results] if isinstance(results, CheckTable) else list(results)
+        except TypeError:
+            raise ParameterError(f"results must be a sequence of result items, "
+                                 f"got {results!r}") from None
+        for i, part in enumerate(parts):
+            if not isinstance(part, _PARTS):
+                raise _NotAResult(f"results[{i}] must be a CheckResult, CheckTable, "
+                                  f"Certificate or ScanCell, got {part!r}")
         checks = [isinstance(part, (CheckTable, CheckResult)) for part in parts]
         runs = []
         for is_check, group in groupby(zip(checks, parts), operator.itemgetter(0)):
@@ -159,13 +174,18 @@ def result_status(item: ResultItem) -> str:
     if isinstance(item, ScanCell):
         return ("undecided" if item.classification is Classification.UNDECIDED
                 else "passed")
-    raise TypeError(f"unsupported result item type {type(item).__name__}")
+    raise _NotAResult(f"unsupported result item type {type(item).__name__}")
 
 
 def build_report(suite: str, results, tool_version: str,
                  timestamp: str | None = None) -> Report:
     """The Report of results (see Results.of), tallied: check tables by
-    their status codes, other items one at a time."""
+    their status codes, other items one at a time.  suite, tool_version and
+    timestamp must be strs (ParameterError otherwise)."""
+    timestamp = make_timestamp() if timestamp is None else timestamp
+    for name, value in (("suite", suite), ("tool_version", tool_version),
+                        ("timestamp", timestamp)):
+        require_type(value, str, name)
     results = Results.of(results)
     tally = {"total": len(results), "passed": 0, "failed": 0, "undecided": 0}
     for run in results.runs:
@@ -176,9 +196,8 @@ def build_report(suite: str, results, tool_version: str,
         else:
             for item in run:
                 tally[result_status(item)] += 1
-    return Report(tool_version=tool_version,
-                  timestamp=timestamp if timestamp is not None else make_timestamp(),
-                  suite=suite, results=results, summary=tally)
+    return Report(tool_version=tool_version, timestamp=timestamp, suite=suite,
+                  results=results, summary=tally)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +223,14 @@ _LITERAL = {True: "true", False: "false", None: "null"}
 class _FloatReprs(dict):
     """float -> its JSON spelling (repr), filled on first use.
 
-    An int in a float slot (HParams and GridSpec accept one) is spelled as
+    An int in a float slot (a plain ScanCell may hold one) is spelled as
     the float it equals, like the float it collides with as a dict key.
     Zeros are never stored: -0.0 == 0.0 and both hash alike, so a stored
     zero would give the other zero its sign.
     """
 
     def __missing__(self, v):
-        try:
-            finite = math.isfinite(v)
-        except OverflowError:  # an int beyond binary64
-            finite = False
-        if not finite:
+        if not is_finite(v):
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
         text = repr(float(v))
         if v:
@@ -243,12 +258,10 @@ def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
             s[item.verdict.value],
             "null" if w is None else _WITNESS % (w.k, f[w.x], f[w.value]),
             item.undecided_points, result_status(item))
-    if isinstance(item, ScanCell):
-        return _SCAN_CELL % (
-            f[item.alpha], f[item.y], s[item.classification.value],
-            _LITERAL[item.conjecture_zone], _LITERAL[item.reciprocal_violation],
-            result_status(item))
-    raise TypeError(f"cannot serialize {type(item).__name__}")
+    return _SCAN_CELL % (  # a ScanCell
+        f[item.alpha], f[item.y], s[item.classification.value],
+        _LITERAL[item.conjecture_zone], _LITERAL[item.reciprocal_violation],
+        result_status(item))
 
 
 def _check_segments(key, holds: bool, within: bool, status: str,
@@ -316,7 +329,12 @@ def _check_texts(table: CheckTable, s: _StringReprs) -> list[str]:
 
 def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
     """The results joined by ", ": each check table by _check_texts, other
-    items by their templates."""
+    items by their templates.  A part that is no result raises
+    _NotAResult naming its type."""
+    if not isinstance(results, Results):
+        for part in results:
+            if not isinstance(part, _PARTS):
+                raise _NotAResult(f"cannot serialize {type(part).__name__}")
     texts = []
     for run in Results.of(results).runs:
         if isinstance(run, CheckTable):
@@ -328,6 +346,7 @@ def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
 
 def dumps(report: Report) -> str:
     """Serialize a Report to JSON text; a non-finite float raises ValueError."""
+    require_type(report, Report, "report")
     f, s = _FloatReprs(), _StringReprs()
     return _REPORT % (
         s[report.tool_version], s[report.timestamp], s[report.suite],
@@ -344,7 +363,7 @@ def to_jsonable(obj):
 
 def _number(value, key: str) -> float:
     """value as a float; ParameterError naming key unless it is a JSON number."""
-    if value.__class__ is bool or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise ParameterError(f"report data: {key} must be a number, got {value!r}")
     return float(value)
 
@@ -366,8 +385,8 @@ def _item_from_jsonable(data: dict) -> ResultItem:
             lhs=_number(data["lhs"], "'lhs'"),
             rhs=_number(data["rhs"], "'rhs'"),
             margin=_number(data["margin"], "'margin'"),
-            holds=bool(data["holds"]),
-            strict=bool(data["strict"]),
+            holds=data["holds"],
+            strict=data["strict"],
         )
     if kind == "certificate":
         w = data["witness"]
@@ -375,16 +394,14 @@ def _item_from_jsonable(data: dict) -> ResultItem:
             k=int(w["k"]), x=float(w["x"]), value=float(w["value"]))
         g = data["grid"]
         return Certificate(
-            params=HParams(alpha=float(data["params"]["alpha"]),
-                           y=float(data["params"]["y"])),
+            params=HParams(data["params"]["alpha"], data["params"]["y"]),
             direction=(None if data["direction"] is None
                        else Direction(data["direction"])),
-            k_max=int(data["k_max"]),
-            grid=GridSpec(x_min_offset=float(g["x_min_offset"]),
-                          x_max=float(g["x_max"]), points=int(g["points"])),
+            k_max=data["k_max"],
+            grid=GridSpec(g["x_min_offset"], g["x_max"], int(g["points"])),
             verdict=Verdict(data["verdict"]),
             witness=witness,
-            undecided_points=int(data["undecided_points"]),
+            undecided_points=data["undecided_points"],
             check=data["check"],
             semantics=data["semantics"],
         )
@@ -401,24 +418,24 @@ def _item_from_jsonable(data: dict) -> ResultItem:
 
 
 def from_jsonable(data: dict) -> Report:
-    """Inverse of to_jsonable for a full Report.
+    """Inverse of to_jsonable for a full Report, built by build_report, so
+    its summary is the tally of its results.
 
     A missing key, an unknown result type or a malformed value raises
     ParameterError naming the key or the result's position.
     """
     where = "report data"
     try:
-        header = data["tool_version"], data["timestamp"], data["suite"]
+        tool_version, timestamp, suite = data["tool_version"], data["timestamp"], data["suite"]
         items = []
         for i, item in enumerate(data["results"]):
             where = f"report data: results[{i}]"
             items.append(_item_from_jsonable(item))
         where = "report data"
-        return Report(*header, results=Results.of(items),
-                      summary={k: int(v) for k, v in data["summary"].items()})
+        return build_report(suite, items, tool_version, require_type(timestamp, str, "timestamp"))
     except KeyError as exc:
         raise ParameterError(f"{where} lacks the key {exc.args[0]!r}") from None
     except PACKAGE_ERRORS:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ParameterError(f"{where} is malformed: {exc}") from None

@@ -1,6 +1,7 @@
 """Design rules: no gammacert module imports a private name from another,
-each module's ``__all__`` is the one declaration of its public names, and
-importing the CLI loads nothing beyond what it needs anyway."""
+each module's ``__all__`` is the one declaration of its public names, only
+``errors`` decides what an argument's type may be, and importing the CLI
+loads nothing beyond what it needs anyway."""
 
 from __future__ import annotations
 
@@ -37,6 +38,43 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == []
 
 
+def _is_bool(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "bool"
+
+
+def _own_input_rules(path: Path) -> list[str]:
+    """Where path decides an argument's type itself instead of through
+    errors: a bool test (isinstance(..., bool), x.__class__ is bool), an
+    import of numbers, or an HParams(alpha=0.0, ...) built to check a y."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(map(_is_bool, ast.walk(node.args[1])))):
+            found.append(f"{where} tests isinstance(..., bool)")
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+              and any(isinstance(side, ast.Attribute) and side.attr == "__class__"
+                      for side in (node.left, *node.comparators))
+              and any(map(_is_bool, (node.left, *node.comparators)))):
+            found.append(f"{where} tests __class__ against bool")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "numbers" in (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module]):
+            found.append(f"{where} imports numbers")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "HParams"
+              and any(isinstance(arg, ast.Constant) and arg.value == 0.0 for arg in
+                      [*node.args[:1], *(k.value for k in node.keywords if k.arg == "alpha")])):
+            found.append(f"{where} builds HParams(alpha=0.0, ...) to check a y")
+    return found
+
+
+def test_only_errors_decides_what_an_argument_may_be():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+             for hit in _own_input_rules(path)]
+    assert found == []
+
+
 #: Modules whose names the package re-exports: all but the console script.
 LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
                  if path.stem not in ("__init__", "cli"))
@@ -63,7 +101,7 @@ def test_each_module_all_is_declared_once_and_is_the_package_api():
 #: first, with numpy, argparse and json (the CLI's own dependencies), so that
 #: its verdict does not hang on what one numpy or Python version loads.
 STDLIB = ("__future__", "collections.abc", "datetime", "enum", "functools",
-          "itertools", "json.encoder", "math", "numbers", "os", "pathlib", "re",
+          "itertools", "json.encoder", "math", "os", "pathlib", "re",
           "sys", "typing")
 
 

@@ -651,3 +651,28 @@ def test_suffice_chain_raises_precision_error_where_its_denominator_cancels():
     for tiny in (1e-300, 5e-324):  # (2t+1)ln(2t+1) - 2t rounds to 0
         with pytest.raises(PrecisionError):
             suffice_chain(tiny)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: one_sided_rows("n", (), [[1.0, 2.0]], 3.0),
+     "lhs must be one point or a 1-D grid, got [[1.0, 2.0]]"),
+    (lambda: two_sided_rows("n", (), 1.0, [[2.0]], 3.0),
+     "mid must be one point or a 1-D grid, got [[2.0]]"),
+    (lambda: two_sided_rows("n", (), np.ones((1, 1)), 2.0, 3.0),
+     "lower must be one point or a 1-D grid, got array([[1.]])"),
+    (lambda: one_sided_rows("n", (("x", np.zeros((2, 1))),), 0.0, 1.0),
+     "x must be one point or a 1-D grid, got array([[0.],\n       [0.]])"),
+], ids=["lhs", "mid", "lower-array", "input-column"])
+def test_sides_and_input_columns_are_one_point_or_a_1d_grid(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_columns_of_different_lengths_raise_parameter_error():
+    with pytest.raises(ParameterError, match=r"^check 'n': x, lhs, rhs must be grids of "
+                                             r"one length, got lengths 3, 2, 1$"):
+        one_sided_rows("n", (("x", [1.0, 2.0, 3.0]),), [0.0, 1.0], 2.0)
+    # a point repeats on every row, and an input column may set the row count
+    rows = one_sided_rows("n", (("x", [1.0, 2.0, 3.0]),), 0.0, 1.0)
+    assert [r.inputs for r in rows] == [(("x", 1.0),), (("x", 2.0),), (("x", 3.0),)]

@@ -18,6 +18,7 @@ from gammacert import (
     GridSpec,
     HParams,
     Report,
+    Results,
     ScanCell,
     Verdict,
     build_report,
@@ -480,6 +481,59 @@ def test_check_inputs_are_refused_when_built(value, error, message):
     ]
     for build in builds:
         with pytest.raises(error, match="^" + prefix):
+            build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CheckResult("n", (), 1.0, 2.0, 1.0, "no"), "holds must be a bool, got 'no'"),
+    (lambda: CheckResult("n", (), 1.0, 2.0, 1.0, True, 1), "strict must be a bool, got 1"),
+    (lambda: one_sided("n", (), 1.0, 2.0, strict="yes"), "strict must be a bool, got 'yes'"),
+    (lambda: two_sided("n", (), 1.0, 1.5, 2.0, strict_lower="yes"),
+     "strict_lower must be a bool, got 'yes'"),
+    (lambda: one_sided_rows("n", (), [1.0], 2.0, strict="yes"),
+     "strict must be a bool, got 'yes'"),
+    (lambda: two_sided_rows("n", (), 1.0, [1.5], 2.0, strict=None),
+     "strict must be a bool, got None"),
+    (lambda: two_sided_rows("n", (), 1.0, [1.5], 2.0, strict_lower=np.True_),
+     f"strict_lower must be a bool, got {np.True_!r}"),
+], ids=["holds", "strict", "one_sided", "two_sided", "one_sided_rows", "two_sided_rows",
+        "numpy-bool"])
+def test_check_flags_must_be_bools(build, message):
+    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CheckResult(5, (), 1.0, 2.0, 1.0, True), "name must be a str, got 5"),
+    (lambda: one_sided(5, (), 1.0, 2.0), "name must be a str, got 5"),
+    (lambda: two_sided(None, (), 1.0, 1.5, 2.0), "name must be a str, got None"),
+    (lambda: one_sided_rows(5, (), [1.0], 2.0), "name must be a str, got 5"),
+    (lambda: build_report(5, [], "v"), "suite must be a str, got 5"),
+    (lambda: build_report("s", [], 0.1), "tool_version must be a str, got 0.1"),
+    (lambda: build_report("s", [], "v", timestamp=0), "timestamp must be a str, got 0"),
+], ids=["CheckResult", "one_sided", "two_sided", "one_sided_rows", "suite",
+        "tool_version", "timestamp"])
+def test_names_and_report_strings_must_be_strs(build, message):
+    with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+        build()
+
+
+def test_from_jsonable_refuses_a_header_that_is_no_str():
+    data = to_jsonable(_mixed_report())
+    data["suite"] = 5
+    with pytest.raises(ParameterError, match="^suite must be a str, got 5$"):
+        from_jsonable(data)
+
+
+@pytest.mark.parametrize("results, message", [
+    ([5], "results[0] must be a CheckResult, CheckTable, Certificate or ScanCell, got 5"),
+    ([_passing_check(), "s"], "results[1] must be a CheckResult, CheckTable, Certificate "
+                              "or ScanCell, got 's'"),
+    (None, "results must be a sequence of result items, got None"),
+])
+def test_results_hold_only_result_items(results, message):
+    for build in (lambda: Results.of(results), lambda: build_report("s", results, "v")):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
             build()
 
 
