@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, as_integer, is_finite,
-    real_points, require_all, require_real, require_type, require_y)
+    log_grid, real_points, require_all, require_real, require_type, require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -178,7 +178,7 @@ def grid_points(spec: GridSpec, y: float) -> np.ndarray:
         raise ParameterError(
             f"empty grid: x_max={spec.x_max!r} gives u range [{u_lo:g}, {u_hi:g}] "
             f"for y={y!r}")
-    x = np.geomspace(u_lo, u_hi, spec.points) - (y + 1.0)
+    x = log_grid(u_lo, u_hi, spec.points) - (y + 1.0)
     x = x[np.abs(x) >= X_EPSILON]
     if x.size == 0:
         raise ParameterError("grid is empty after exclusion-zone filtering")

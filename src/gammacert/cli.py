@@ -42,7 +42,7 @@ from .certify import (
     scan_values,
     verify_thm3,
 )
-from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
+from .errors import CapabilityError, DomainError, ParameterError, PrecisionError, log_grid
 from .gammakit import libm
 from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
@@ -100,7 +100,7 @@ def _suite_lemmas(k_max: int, points: int, x_max: float) -> CheckTable:
         raise ParameterError(
             f"x_max must be a finite real > 1e-2 for the lemma grid [1e-2, x_max], "
             f"got {x_max!r}")
-    xs = np.geomspace(1e-2, x_max, points)
+    xs = log_grid(1e-2, x_max, points)
     windows = CheckTable.concat([psi_log_bounds(xs), psi_upper_refinement(xs),
                                  *(polygamma_bounds(k, xs) for k in range(1, 7))])
     # the windows give their rows window by window; list each x's rows in turn

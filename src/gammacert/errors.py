@@ -8,7 +8,7 @@ The helpers after the types validate arguments; no other module decides
 what a number, a y, an integer or a flag is (README, "Inputs").  real_points,
 require_all and first_bad_point serve the builders that take one point or a
 grid: a grid raises the error that its first bad point raises in a call of
-its own.
+its own.  log_grid builds the package's log-spaced grids.
 """
 
 from __future__ import annotations
@@ -151,6 +151,16 @@ def require_all(ok: np.ndarray, error: type, message: str, *columns: np.ndarray)
     takes the columns' values at the first point where it does not."""
     if not ok.all():
         raise error(message.format(*(c[~ok][0].item() for c in columns)))
+
+
+def log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """np.geomspace(lo, hi, points); CapabilityError naming points where
+    numpy refuses an array that long before allocating it."""
+    try:
+        return np.geomspace(lo, hi, points)
+    except ValueError:  # "array is too big" / "Maximum allowed size exceeded"
+        raise CapabilityError(
+            f"points = {points!r} is more grid points than one array can hold") from None
 
 
 PACKAGE_ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)

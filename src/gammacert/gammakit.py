@@ -12,12 +12,19 @@ order (tests/test_gammakit.py checks this at z = 16).
 Each scalar function also takes a grid: for a 1-D numpy array x it returns
 the array of the per-point results, bit for bit.  The grid form shifts every
 point at once, does + - * / in numpy, which rounds as Python floats do, and
-takes each log and power from libm one element at a time (``math.log``,
-``math.pow``: the C functions behind the scalar path's ``math.log`` and
-``**``; ``libm`` is that per-element map, shared with the check catalog).
-If a point would make the scalar call raise, the grid is re-run point by
-point, so the first such point raises the scalar call's own error.  The
-check catalog's grid builders call this form once per quantity.
+takes each log and power from libm, the C functions behind the scalar path's
+``math.log`` and ``**``.  Powers come from ``power``, numpy's
+``np.float_power``: its float64 loop calls libm's ``pow`` once per element,
+in C, so each element is ``math.pow``'s bits (tests/test_gammakit.py pins
+this).  ``np.power`` is no substitute: on 200,000 log-spaced points in
+[1e-2, 1e3] it differs from ``math.pow`` in about 10,600 for the exponents
+3, -2 and 6.  Logs stay ``libm``'s per-element map over ``math.log``, as the
+check catalog's ``log1p``, ``exp`` and ``expm1`` do, because numpy has no
+loop for these that gives libm's bits: on the same points ``np.log``
+differs from ``math.log`` in 150 and ``np.log1p`` from ``math.log1p`` in
+9,356.  If a point would make the scalar call raise, the grid is re-run
+point by point, so the first such point raises the scalar call's own error.
+The check catalog's grid builders call this form once per quantity.
 
 ``gamma_table(n_psi, u)`` returns lnGamma and psi^(j), j < n_psi, at every
 element of an array in one numpy pass, for the grid-shaped callers
@@ -50,7 +57,7 @@ A result, or an intermediate, outside the binary64 range raises
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -206,21 +213,42 @@ def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
 
 
 def libm(fn, a: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) at every element v of the 1-D array a, one libm call each,
-    so element i is bit for bit the scalar call fn(a[i], *args)."""
+    """fn(v, *args) at every element v of the 1-D array a, one Python call
+    each, so element i is bit for bit the scalar call fn(a[i], *args).
+
+    For log, log1p, exp and expm1, whose numpy loops round differently from
+    libm; powers go through power.
+    """
     return np.fromiter(map(fn, a.tolist(), *map(repeat, args)), float, a.size)
 
 
+def power(a: np.ndarray, e: float) -> np.ndarray:
+    """math.pow(v, e) at every element v of the 1-D float array a, bit for bit.
+
+    np.float_power's float64 loop calls libm's pow per element in C (np.power
+    may dispatch to SIMD code that rounds differently).  The elements whose
+    result is not finite go through math.pow, so the first finite one among
+    them raises math.pow's own OverflowError or ValueError.
+    """
+    with np.errstate(all="ignore"):
+        out = np.float_power(a, e)
+    for v in a[~np.isfinite(out)].tolist():
+        math.pow(v, e)
+    return out
+
+
 def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
-    """zs's shape, fn(z, *args) by libm at the low steps and 0.0 elsewhere."""
+    """zs's shape, fn(zs[low], *args) at the low steps and 0.0 elsewhere; fn
+    maps a 1-D array, so it sees only the steps the scalar loops take."""
     out = np.zeros_like(zs)
-    out[low] = libm(fn, zs[low], *args)
+    out[low] = fn(zs[low], *args)
     return out
 
 
 def _lngamma_grid(u: np.ndarray) -> np.ndarray:
     zs, low, z = _shift(u)
-    return _lngamma_series(z, libm(math.log, z)) - _summed(low, _at_low(math.log, zs, low))
+    return (_lngamma_series(z, libm(math.log, z))
+            - _summed(low, _at_low(partial(libm, math.log), zs, low)))
 
 
 def _digamma_grid(u: np.ndarray) -> np.ndarray:
@@ -230,9 +258,9 @@ def _digamma_grid(u: np.ndarray) -> np.ndarray:
 
 def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
     zs, low, z = _shift(u)
-    shift = _summed(low, _at_low(math.pow, zs, low, -(k + 1)))
+    shift = _summed(low, _at_low(power, zs, low, -(k + 1)))
     magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
-                                   *(libm(math.pow, z, e) for e in (k, k + 1, k + 2)))
+                                   *(power(z, e) for e in (k, k + 1, k + 2)))
                  + float(_FACTORIALS[k]) * shift)
     return magnitude if k % 2 == 1 else -magnitude
 
@@ -242,8 +270,8 @@ def _on_grid(x: np.ndarray, scalar, grid, *args) -> np.ndarray:
 
     The points go through real_points, so the first one that is not a
     finite real > 0 raises the scalar call's DomainError, and grid(*args, x)
-    evaluates them in one pass.  Where that meets a libm OverflowError or a
-    value that is not finite, the scalar calls run point by point instead,
+    evaluates them in one pass.  Where that meets math.pow's OverflowError or
+    a value that is not finite, the scalar calls run point by point instead,
     so the first bad point raises.
     """
     x = real_points(x, "x", require_positive)

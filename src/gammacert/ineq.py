@@ -35,7 +35,8 @@ from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
     broadcast_points, first_bad_point, is_finite, is_real, real_points, require_all,
     require_positive, require_real, require_type)
-from .gammakit import EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma
+from .gammakit import (
+    EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma, power)
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
 __all__ = [
@@ -414,9 +415,11 @@ def _table(name, labels, columns, lhs, rhs, margin, holds, within, strict) -> Ch
 # Every check builder below takes one point or a 1-D grid for each of its
 # point arguments and evaluates the whole grid at once.  The kernel takes
 # the whole grid; + - * / and sqrt run in numpy, which rounds as Python
-# floats and math.sqrt do; each log, log1p and power is libm's, one element
-# at a time (np.log and np.power round differently in the last ulp).  So
-# every row is bit for bit the row of its own one-point call.  A grid with a
+# floats and math.sqrt do.  Each power is libm's pow through
+# gammakit.power (np.float_power, one C call per element); each log and
+# log1p is libm's through gammakit.libm, one Python call per element, since
+# np.log and np.log1p round differently in the last ulp.  So every row is
+# bit for bit the row of its own one-point call.  A grid with a
 # bad point raises the error that point raises alone (first_bad_point).
 # The windows give their rows window by window, one row per point in grid
 # order; the other builders give each point's rows in turn.
@@ -481,16 +484,16 @@ def polygamma_bounds(k: int, x) -> CheckTable:
     v = (-1.0) ** (k + 1) * polygamma(k, xs)
     km1f = float(math.factorial(k - 1))
     kf = float(math.factorial(k))
-    x_k = libm(math.pow, xs, float(k))
+    x_k = power(xs, float(k))
     inputs = (("k", k), ("x", xs))
     with np.errstate(all="ignore"):
-        tail = kf / libm(math.pow, xs, float(k + 1))
+        tail = kf / power(xs, float(k + 1))
         return CheckTable.concat([
             two_sided_rows("polygamma_power_window", inputs,
                            km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
             two_sided_rows("polygamma_shifted_power_window", inputs,
-                           km1f / libm(math.pow, xs + 1.0, float(k)) + tail, v,
-                           km1f / libm(math.pow, xs + 0.5, float(k)) + tail),
+                           km1f / power(xs + 1.0, float(k)) + tail, v,
+                           km1f / power(xs + 0.5, float(k)) + tail),
         ])
 
 
@@ -725,7 +728,7 @@ def suffice_chain(t) -> CheckTable:
     with np.errstate(all="ignore"):
         w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
         inner = 2.0 * ts * ts / w
-        t_cubed = libm(math.pow, ts, 3.0)
+        t_cubed = power(ts, 3.0)
         sqrt_pt = np.sqrt(2.0 * t_cubed / w)
         excess = w - 2.0 * ts  # about 2t^2: it cancels to zero for tiny t
         require_all(excess > 0.0, PrecisionError, "t = {!r} is too small: "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     DomainError, broadcast_points, first_bad_point, real_points, require_positive, require_real)
-from .gammakit import libm
+from .gammakit import libm, power
 
 __all__ = ["gen_log_mean", "log_mean"]
 
@@ -31,8 +31,9 @@ BRANCH_TOL = 1e-9
 
 # a and b are each one point or a 1-D grid: two points give a float, else
 # the array of the per-pair means.  + - * / run in numpy, which rounds as
-# Python floats do, and each log, log1p, expm1, exp and power is libm's, one
-# element at a time, so every element is bit for bit its one-pair mean.
+# Python floats do; each log, log1p, expm1 and exp is libm's, one element at
+# a time, and each power libm's pow through gammakit.power, so every element
+# is bit for bit its one-pair mean.
 
 def _pairs(a, b) -> tuple[np.ndarray, ...]:
     """(a, lo, hi, off): a, each pair ordered, and the pairs off the
@@ -99,7 +100,7 @@ def gen_log_mean(p: float, a, b) -> float | np.ndarray:
             head = -libm(math.expm1, -q * log_gap)
             ratio = head / (q * (hi - lo) / base)
             normal = ratio >= sys.float_info.min
-            means = base * libm(math.pow, np.where(normal, ratio, 1.0), 1.0 / p)
+            means = base * power(np.where(normal, ratio, 1.0), 1.0 / p)
             # ratio underflows for p < -1 and a wide pair: the same formula in logs
             tiny = ~normal
             log_base = libm(math.log, base[tiny])

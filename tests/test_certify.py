@@ -101,6 +101,14 @@ def test_grid_points_empty_or_inverted():
         grid_points(GridSpec(x_min_offset=1 - 5e-4, x_max=5e-4, points=10), 0.0)
 
 
+def test_grid_points_beyond_an_array_name_points():
+    # numpy refuses 2**62 float64 values before it allocates anything
+    with pytest.raises(CapabilityError) as info:
+        grid_points(GridSpec(1e-3, 10.0, 2 ** 62), 0.0)
+    assert str(info.value) == (
+        f"points = {2 ** 62} is more grid points than one array can hold")
+
+
 @pytest.mark.parametrize("y", [-0.5, 0.0, 1.0])
 def test_certifiers_default_to_default_grid(y):
     alphas = [0.25, 0.5, 1.0, 1.5]

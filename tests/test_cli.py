@@ -78,6 +78,11 @@ def test_malformed_range_exits_two(capsys):
     ["verify", "--suite", "thm1", "--x-max", "0"],
     ["verify", "--suite", "thm1", "--x-max", "1e-3"],
     ["scan", "--alpha=0:1:0.5", "--y=0:0:1", "--x-max", "-0.5"],
+    # more grid points than numpy can hold: refused before anything is allocated
+    ["verify", "--suite", "lemmas", "--grid-points", str(2 ** 62)],
+    ["verify", "--suite", "thm1", "--grid-points", str(2 ** 62)],
+    ["verify", "--suite", "thm3", "--grid-points", str(2 ** 62)],
+    ["scan", "--alpha=0:1:0.5", "--y=0:0:1", "--grid-points", str(2 ** 62)],
 ])
 def test_package_errors_and_short_grids_exit_two(argv, capsys):
     assert main(argv) == EXIT_USAGE

@@ -41,7 +41,7 @@ from gammacert import (
     verify_thm3,
 )
 from gammacert.gammakit import (ASYM_TERMS, BERNOULLI_EVEN, BERNOULLI_EVEN_RATIONAL,
-                                MAX_DERIV_ORDER, SHIFT_THRESHOLD, _poly_coefs)
+                                MAX_DERIV_ORDER, SHIFT_THRESHOLD, _poly_coefs, power)
 
 GRID = [float(x) for x in np.geomspace(1e-2, 1e3, 40)]
 
@@ -330,6 +330,95 @@ def test_grid_calls_return_float_arrays():
         out = fn(grid)
         assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (7,)
     assert lngamma(np.array([1, 3])).tolist() == [lngamma(1.0), lngamma(3.0)]
+
+
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_a_grid_whose_shift_power_overflows_raises_the_scalar_error(k):
+    # 1e-320 ** -(k+1) overflows in the first shift step
+    message = f"polygamma({k}, 1e-320) needs a power of x outside the double-precision range"
+    for x in (1e-320, np.array([1e-320]), np.array([1.0, 1e-320, 2.0])):
+        with pytest.raises(CapabilityError) as info:
+            polygamma(k, x)
+        assert str(info.value) == message
+
+
+def test_a_grid_whose_last_series_power_overflows_raises_the_scalar_error():
+    # polygamma(3, .) takes z ** 5: finite at 1e61, beyond binary64 at 1e62
+    assert np.isfinite(polygamma(3, np.array([1.0, 1e61]))).all()
+    with pytest.raises(CapabilityError) as info:
+        polygamma(3, np.array([1.0, 2.0, 1e62]))
+    assert str(info.value) == (
+        "polygamma(3, 1e+62) needs a power of x outside the double-precision range")
+
+
+# ---------------------------------------------------------------------------
+# power: libm's pow in numpy's C loop
+# ---------------------------------------------------------------------------
+
+#: Every exponent the package passes to power: the kernel's shift terms
+#: -(k+1) and series powers k..k+2, polygamma_bounds' float(k) for k = 1..7,
+#: suffice_chain's 3.0, and gen_log_mean's 1/p for the suites' p = -2 and
+#: the orders tests/test_grids.py draws.
+POWER_EXPONENTS = (
+    *(e for k in range(1, MAX_DERIV_ORDER + 1) for e in (-(k + 1), k, k + 1, k + 2)),
+    *(float(k) for k in range(1, 8)), 3.0,
+    *(1.0 / p for p in (-2.0, -7.0, -3.0, 0.5, 1.0, 2.0, 7.0)))
+
+
+def _random_finite(count: int, seed: int) -> np.ndarray:
+    """count random finite binary64 bit patterns, both signs, subnormals included."""
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, count * 2, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:count]
+
+
+def _assert_power_is_math_pow(a: np.ndarray, e) -> None:
+    """power(a, e) is math.pow at every element by float.hex, and where
+    math.pow raises, power raises its first error, type and message."""
+    want, first_error = [], None
+    for v in a.tolist():
+        try:
+            want.append(math.pow(v, e).hex())
+        except (OverflowError, ValueError) as exc:
+            want.append(None)
+            first_error = first_error or exc
+    ok = np.array([w is not None for w in want])
+    assert [v.hex() for v in power(a[ok], e).tolist()] == [w for w in want if w], e
+    if first_error is not None:
+        with pytest.raises(type(first_error)) as info:
+            power(a, e)
+        assert str(info.value) == str(first_error)
+
+
+@pytest.mark.parametrize("points", ["log_grid", "random_bits"])
+def test_power_is_math_pow_bit_for_bit(points):
+    # np.power, which may dispatch to SIMD code, moves hundreds of these
+    a = (np.geomspace(5e-324, 1e300, 12000) if points == "log_grid"
+         else _random_finite(8000, 20261019))
+    for e in POWER_EXPONENTS:
+        _assert_power_is_math_pow(a, e)
+
+
+@pytest.mark.parametrize("a,e,error", [
+    ([2.0, 1e200, 3.0], 2.0, OverflowError),
+    ([3.0, 1e-30, 1e-300], -12, OverflowError),
+    ([2.0, 1e300], 14, OverflowError),
+    ([1.0, 0.0], -2.0, ValueError),
+    ([4.0, -2.0], 0.5, ValueError),
+])
+def test_power_raises_what_math_pow_raises(a, e, error):
+    with pytest.raises(error):
+        math.pow(a[1], e)
+    _assert_power_is_math_pow(np.array(a), e)
+
+
+def test_power_underflow_is_math_pow():
+    # a subnormal or a zero result is no error, in math.pow or in power, also
+    # beside points whose power overflows
+    a = np.array([1e-160, 1e-200, 5e-324, 2.0 ** -537, 1e-320, 1e300, 2.0 ** 1000])
+    for e in (2.0, 3, 0.5, 1.5, -0.5, -2, -13, 14):
+        _assert_power_is_math_pow(a, e)
+    assert power(np.array([1e-160]), 2.0)[0] == 1e-320 and power(np.array([1e-200]), 2.0)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,7 @@ _CHAIN_T = (st.floats(1e-3, 1.14)
 @example([0.0, 0.5])
 @example([0.5, 1e-300, 0.7])
 @example([0.5, 0.7, 8.0 / 7.0])
+@example([1e-3, 0.3, 1.0, 8.0 / 7.0 * (1.0 - 1e-9)])  # the aux suite's t^3 range
 def test_suffice_chain_grid_is_the_referee_point_by_point(ts):
     _check(suffice_chain, referee.suffice_chain, [(t,) for t in ts])
 
@@ -297,6 +298,46 @@ def test_ball_grids_take_ranges_and_integer_arrays():
                                                 for n in range(4)])
     with pytest.raises(DomainError, match="got 1.0$"):
         log_omega(np.array([1.0, 2.0]))
+
+
+# x^k underflows, x^-(k+1) or z^(k+2) overflows, or x is no point at all
+_POLY_X = (st.floats(1e-3, 1e6)
+           | st.sampled_from((1e-320, 1e-110, 1e-60, 1e40, 1e62, 1e300, 0.0, -1.0, math.nan,
+                              "abc")))
+
+
+@given(st.integers(1, 6), st.lists(_POLY_X, max_size=6))
+@example(1, [])
+@example(1, [2.0, 1e-320])       # the kernel's shift power overflows
+@example(3, [1.0, 2.0, 1e62])    # the kernel's z ** 5 overflows
+@example(6, [1e-60, 0.5, 1e40])  # x ** 6 underflows; x ** 8 overflows
+def test_polygamma_bounds_grid_is_its_one_point_calls(k, xs):
+    # the grid gives its rows window by window; list each x's rows in turn
+    _check(lambda x: polygamma_bounds(k, x).interleave(2),
+           lambda x: polygamma_bounds(k, x), [(x,) for x in xs])
+
+
+def test_polygamma_bounds_where_the_kernel_power_overflows():
+    message = "polygamma(1, 1e-320) needs a power of x outside the double-precision range"
+    for x in (1e-320, [1e-320], [1.0, 1e-320]):
+        with pytest.raises(CapabilityError) as info:
+            polygamma_bounds(1, x)
+        assert str(info.value) == message
+
+
+def test_gen_log_mean_power_stays_finite_at_its_widest_ratio():
+    # ratio^(1/p) overflows nowhere: for p < -1 the ratio lies in
+    # [float_info.min, 1] and |1/p| < 1, so the power is below 1/float_info.min;
+    # for p > -1 the ratio and the exponent leave it at most 1.  The widest
+    # case: p just below the log-mean branch, pairs spanning up to 310
+    # decades, where the ratio nears float_info.min and the power 1.4e307.
+    lo = np.full(400, 1e-300)
+    hi = 10.0 ** np.linspace(-300.0, 10.0, 400)
+    for p in (-1.0 - 2e-9, -2.0, -1.0 + 2e-9, 2e-9, 7.0):
+        means = gen_log_mean(p, lo, hi)
+        assert np.isfinite(means).all()
+        assert _flat(means) == _flat(
+            [gen_log_mean(p, a, b) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def test_window_grids_raise_what_their_first_bad_point_raises():
