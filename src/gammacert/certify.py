@@ -153,6 +153,15 @@ class GridSpec(_GridFields):
         return cls(*iterable)
 
 
+def _two_sided_x_max(x_max):
+    """x_max unchanged; ParameterError unless it is a finite real > X_EPSILON."""
+    if not (is_finite(x_max) and x_max > X_EPSILON):
+        raise ParameterError(
+            f"x_max must be a finite real > {X_EPSILON:g} for a grid on both sides "
+            f"of x = 0, got {x_max!r}")
+    return x_max
+
+
 def default_grid(y: float, points: int = DEFAULT_POINTS,
                  x_max: float = DEFAULT_X_MAX) -> GridSpec:
     """Grid from x = -(y+1) + 1e-4*(y+1) up to x_max (both sub-domains).
@@ -161,11 +170,8 @@ def default_grid(y: float, points: int = DEFAULT_POINTS,
     finite real > X_EPSILON, the first x the right sub-domain keeps.
     """
     y = require_y(y)
-    if not (is_finite(x_max) and x_max > X_EPSILON):
-        raise ParameterError(
-            f"x_max must be a finite real > {X_EPSILON:g} for a grid on both sides "
-            f"of x = 0, got {x_max!r}")
-    return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=x_max, points=points)
+    return GridSpec(x_min_offset=1e-4 * (y + 1.0), x_max=_two_sided_x_max(x_max),
+                    points=points)
 
 
 def grid_points(spec: GridSpec, y: float) -> np.ndarray:
@@ -453,10 +459,15 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     """
     alphas = real_points(alphas, "alpha")
     ys = real_points(ys, "y", require_y)  # every y, in order, before a grid is built
+    # every other argument too, in the order one y's grid and table check them,
+    # so no y is needed to refuse one
+    _two_sided_x_max(x_max)
+    _integer_in(points, "points", 2)
+    _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
+    require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
     cells: list[ScanCell] = []
     for y in ys.tolist():
         _, _, _, cuts = _cut_table(y, k_max, default_grid(y, points=points, x_max=x_max))
-        require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
         lcm_pass = alphas > cuts[0].max()
         rec_pass = alphas < cuts[1].min()
         zones = in_conjecture_zone(alphas, y).tolist()

@@ -10,10 +10,13 @@ error far below double-precision resolution for every supported derivative
 order (tests/test_gammakit.py checks this at z = 16).
 
 Each scalar function also takes a grid: for a 1-D numpy array x it returns
-the array of the per-point results, bit for bit.  The grid form shifts every
-point at once, does + - * / in numpy, which rounds as Python floats do, and
-takes each log and power from libm, the C functions behind the scalar path's
-``math.log`` and ``**``.  Powers come from ``power``, numpy's
+the array of the per-point results, bit for bit.  The grid form shifts only
+the points below ``SHIFT_THRESHOLD``, one row of z += 1.0 per step for all
+of them at once, takes each shift term at those steps and sums it by one
+accumulation along the steps, read at each point's last low step
+(``_shift``).  It does + - * / in numpy, which rounds as Python floats
+do, and takes each log and power from libm, the C functions behind the
+scalar path's ``math.log`` and ``**``.  Powers come from ``power``, numpy's
 ``np.float_power``: its float64 loop calls libm's ``pow`` once per element,
 in C, so each element is ``math.pow``'s bits (tests/test_gammakit.py pins
 this).  ``np.power`` is no substitute: on 200,000 log-spaced points in
@@ -27,9 +30,11 @@ point by point, so the first such point raises the scalar call's own error.
 The check catalog's grid builders call this form once per quantity.
 
 ``gamma_table(n_psi, u)`` returns lnGamma and psi^(j), j < n_psi, at every
-element of an array in one numpy pass, for the grid-shaped callers
-(derivative tables, the q surface).  It shares the shift and the series
-bodies but takes ``np.log`` and ``np.power``, whose SIMD loops may round
+element of an array in order-major numpy passes, for the grid-shaped
+callers (derivative tables, the q surface): one term array of every shift
+quantity, one accumulation of it, and one 12-term loop over the stacked
+lnGamma, psi and psi^(j) series.  It shares the shift and the series terms'
+operation order but takes ``np.log`` and ``np.power``, whose SIMD loops may round
 differently from libm: on 100,000 log-spaced points in [1e-2, 2000]
 ``np.log`` differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in
 5,327, and on the lemma suite's grids ``gamma_table(7, xs)`` differs from
@@ -37,8 +42,10 @@ differently from libm: on 100,000 log-spaced points in [1e-2, 2000]
 stays apart because certificate and scan bytes rest on its values.  The
 single-point h-family derivatives (``hfamily.logh_deriv``,
 ``alpha_necessary_bound``, ``q_surface`` and their callers) build one- to
-three-point tables through ``gamma_table``, which costs about a hundred
-scalar calls each.
+three-point tables through ``gamma_table``, which costs about 48 to 62
+scalar calls each (a one-point order-1 table about 180 us, a one-point
+order-8 table about 210 us, a three-point order-4 table about 230 us,
+against about 3.7 us for one ``lngamma``; one core of a 2-CPU Xeon VM).
 
 Accuracy is absolute, not relative, near the zeros of lnGamma (x = 1, 2)
 and of psi (x0 = 1.4616321449683622), where the result is a difference of
@@ -57,7 +64,8 @@ A result, or an intermediate, outside the binary64 range raises
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from collections.abc import Callable
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -173,14 +181,29 @@ def _poly_coefs(k: int) -> tuple[float, ...]:
                  for n, (num, den) in enumerate(BERNOULLI_EVEN_RATIONAL, start=1))
 
 
+@lru_cache(maxsize=None)
+def _stacked_coefs(n_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, multipliers) of gamma_table's stacked series, read-only,
+    each of shape (ASYM_TERMS, n_psi + 1, 1): for term n a column with one
+    row each for lnGamma, psi and psi^(j), j < n_psi, holding B_2n over
+    2n(2n-1) and B_2n over 2n, then _poly_coefs(j)'s n-th coefficient over 1.0."""
+    poly = [_poly_coefs(j) for j in range(1, n_psi)]
+    nums = np.array([[b, b, *(c[n - 1] for c in poly)]
+                     for n, b in enumerate(BERNOULLI_EVEN, start=1)])
+    muls = np.array([[(2 * n) * (2 * n - 1), 2 * n, *(1 for _ in poly)]
+                     for n in range(1, ASYM_TERMS + 1)], dtype=float)
+    for a in (nums, muls):
+        a.setflags(write=False)
+    return nums[..., None], muls[..., None]
+
+
 def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):
     """(-1)^{k+1} psi^(k)(z) for z >= SHIFT_THRESHOLD.
 
     (k-1)!/z^k + k!/(2 z^{k+1}) + sum_n B_{2n} (2n+k-1)!/(2n)! z^{-(2n+k)},
     given coefs = _poly_coefs(k), k_fac = (k-1)! (so k! = k * k_fac) and the
     powers z_k, z_k1, z_k2 = z^k, z^{k+1}, z^{k+2}, which each caller takes
-    with its own pow.  z is a float or a row of points; k, each coefficient
-    and k_fac are scalars or columns, one entry per order.
+    with its own pow.  z is a float or a 1-D array of points.
     """
     series = 0.0
     zsq = z * z
@@ -191,25 +214,55 @@ def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):
     return k_fac / z_k + k * k_fac / (2.0 * z_k1) + series
 
 
-def _shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(zs, low, z): the recurrence shift of every point of the 1-D array u.
+def _accumulate(a: np.ndarray) -> np.ndarray:
+    """a summed in place along its leading axis: row s becomes the sum of
+    rows 0..s, added in order, as np.cumsum adds.  np.cumsum along that
+    axis runs one short column at a time (about 60 ns each), so a wide a
+    is added row by row instead (about 1 us a row).  Each path alone loses
+    on the other's side (one core, BENCH_25.json ``accumulate_paths``): rows
+    alone make one- to three-point tables (1 to 15 columns) 8-15% slower,
+    np.cumsum alone a 200-point gamma_table(8) or a 1,000-point grid (641
+    to 1,422 columns) 9-13% slower."""
+    if a[0].size <= 200:
+        return np.cumsum(a, axis=0, out=a)
+    for s in range(1, len(a)):
+        a[s] += a[s - 1]
+    return a
 
-    Row s of zs is u after s steps of z += 1.0 (cumsum adds in order, as the
-    scalar loops do; the smallest point needs the most steps), low marks the
-    steps the scalar loops take (z < SHIFT_THRESHOLD), and z is where each
-    point's loop stops.
+
+def _shift(u: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(zs, z, step_sums): the recurrence shift of the 1-D array u.
+
+    zs holds only the points below SHIFT_THRESHOLD, the ones the scalar
+    loops step: its row s is each of them after s steps of z += 1.0, added
+    in order as the scalar loops add (the smallest point needs the most
+    steps), and a point's rows from its first z >= SHIFT_THRESHOLD on are
+    never read.  z is where every point's loop stops.  step_sums(terms)
+    takes terms with zs's steps on its leading axis and its points on its
+    last (at most one axis of quantities between) and returns each point's
+    terms summed over its low steps in step order, 0.0 at the points that do
+    not step, over all of u: one accumulation along the steps (in place),
+    read at each point's last low step.
     """
-    steps, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
+    stepped = np.flatnonzero(u < SHIFT_THRESHOLD)
+    rows, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
     while z < SHIFT_THRESHOLD:
-        steps, z = steps + 1, z + 1.0
-    zs = np.cumsum(np.concatenate([u[None], np.ones((steps, u.size))]), axis=0)
-    low = zs < SHIFT_THRESHOLD
-    return zs, low, zs[low.sum(axis=0), np.arange(u.size)]
+        rows, z = rows + 1, z + 1.0
+    zs = np.ones((rows + 1, stepped.size))
+    zs[0] = u[stepped]
+    zs = _accumulate(zs)
+    steps, points = (zs < SHIFT_THRESHOLD).sum(axis=0), np.arange(stepped.size)
+    z = u.copy()
+    z[stepped] = zs[steps, points]
 
+    def step_sums(terms: np.ndarray) -> np.ndarray:
+        sums = np.zeros((*terms.shape[1:-1], u.size))
+        if stepped.size:  # the read puts the point axis first; .T puts it back last
+            sums[..., stepped] = _accumulate(terms)[steps - 1, ..., points].T
+        return sums
 
-def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """term summed over each point's low steps, in step order."""
-    return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
+    return zs[:-1], z, step_sums
 
 
 def libm(fn, a: np.ndarray, *args) -> np.ndarray:
@@ -237,28 +290,22 @@ def power(a: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
-    """zs's shape, fn(zs[low], *args) at the low steps and 0.0 elsewhere; fn
-    maps a 1-D array, so it sees only the steps the scalar loops take."""
-    out = np.zeros_like(zs)
-    out[low] = fn(zs[low], *args)
-    return out
-
-
 def _lngamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    return (_lngamma_series(z, libm(math.log, z))
-            - _summed(low, _at_low(partial(libm, math.log), zs, low)))
+    zs, z, step_sums = _shift(u)
+    low = zs < SHIFT_THRESHOLD
+    logs = np.zeros_like(zs)
+    logs[low] = libm(math.log, zs[low])  # one Python call per step the scalar loops take
+    return _lngamma_series(z, libm(math.log, z)) - step_sums(logs)
 
 
 def _digamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    return _digamma_series(z, libm(math.log, z)) - _summed(low, 1.0 / zs)
+    zs, z, step_sums = _shift(u)
+    return _digamma_series(z, libm(math.log, z)) - step_sums(1.0 / zs)
 
 
 def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    shift = _summed(low, _at_low(power, zs, low, -(k + 1)))
+    zs, z, step_sums = _shift(u)
+    shift = step_sums(power(zs.ravel(), -(k + 1)).reshape(zs.shape))
     magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
                                    *(power(z, e) for e in (k, k + 1, k + 2)))
                  + float(_FACTORIALS[k]) * shift)
@@ -352,7 +399,12 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     The array version of lngamma, digamma and polygamma: psi has shape
     (n_psi, len(u)), psi[0] is digamma.  Each point goes through the scalar
     functions' steps: z += 1.0 until z >= SHIFT_THRESHOLD, the shift terms
-    summed in that order, then the shared series bodies.  It raises
+    summed in that order, then the series, each term with the scalar
+    bodies' operations in their order.  The work runs order-major: the
+    powers z^-(j+1), one scalar exponent per order, go with ln z and 1/z
+    into one term array whose leading axis is the step, summed by one
+    accumulation; the lnGamma, psi and psi^(j) series are the rows of one
+    stacked 12-term loop.  It raises
     CapabilityError exactly where one of the scalar calls lngamma(u_i),
     digamma(u_i), polygamma(j, u_i) would, and returns only finite values.
     Its logs and powers are numpy's, not libm's, so its values may differ
@@ -368,20 +420,32 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     if np.ndim(u) != 1:  # one point is not a 1-D array
         raise DomainError(f"u must be a 1-D array of finite positive reals, got {u!r}")
     n_psi, u = n, points
-    zs, low, z = _shift(u)
+    zs, z, step_sums = _shift(u)
     orders = range(1, n_psi)
     k = np.array(orders)[:, None]  # polygamma orders as a column against the points
     k_fac = np.array(_FACTORIALS[:n_psi - 1], dtype=float)[:, None]
-    coefs = np.array([_poly_coefs(j) for j in orders]).reshape(-1, ASYM_TERMS).T[..., None]
     with np.errstate(all="ignore"):  # non-finite values are checked below
-        log_z = np.log(z)
-        lg = _lngamma_series(z, log_z) - _summed(low, np.log(zs))
-        psi_0 = _digamma_series(z, log_z) - _summed(low, 1.0 / zs)
-        shifts = np.array([_summed(low, zs ** -(j + 1))
-                           for j in orders]).reshape(len(orders), u.size)
+        # the shift terms ln z, 1/z and z^-(j+1), the steps leading
+        terms = np.empty((len(zs), n_psi + 1, zs.shape[1]))
+        terms[:, 0] = np.log(zs)
+        terms[:, 1] = 1.0 / zs
+        for j in orders:
+            terms[:, j + 1] = zs ** -(j + 1)
+        shifts = step_sums(terms)
+        log_z, zsq = np.log(z), z * z
         z_k2 = z ** (k + 2)
-        magnitude = (_polygamma_series(z, k, coefs, k_fac, z ** k, z ** (k + 1), z_k2)
-                     + k * k_fac * shifts)
+        # the lnGamma, psi and psi^(j) series as the rows of one stack, each
+        # term B / (m z^p) for the first two and c / (1.0 z^p) = c / z^p for
+        # the rest; z^p starts at z, z^2 and z^(j+2)
+        zpow = np.concatenate([z[None], zsq[None], z_k2])
+        series, term = np.zeros_like(zpow), np.empty_like(zpow)
+        for num, mul in zip(*_stacked_coefs(n_psi)):
+            series += np.divide(num, np.multiply(mul, zpow, out=term), out=term)
+            zpow *= zsq
+        lg = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series[0] - shifts[0]
+        psi_0 = log_z - 0.5 / z - series[1] - shifts[1]
+        magnitude = (k_fac / z ** k + k * k_fac / (2.0 * z ** (k + 1)) + series[2:]
+                     + k * k_fac * shifts[2:])
         psi = np.concatenate([psi_0[None], (-1.0) ** (k + 1) * magnitude])
         # a point fails where a scalar result would not be finite, or where
         # the scalar polygamma's largest power z^{k+2} overflows

@@ -42,7 +42,7 @@ from .errors import (
     CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite,
     real_points, require_all, require_real, require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
-    check_order, digamma, gamma_table, lngamma, polygamma)
+    MAX_DERIV_ORDER, check_order, digamma, gamma_table, lngamma, polygamma)
 
 __all__ = [
     "DerivSample",
@@ -67,6 +67,11 @@ __all__ = [
 X_EPSILON = 1e-3
 #: Minimum distance of u = x+y+1 from the left endpoint of the domain.
 ENDPOINT_CLEARANCE = 1e-9
+
+#: k! and (-1)^k for k = 1..MAX_DERIV_ORDER, columns against a table's points.
+_FACTORIAL_COLUMN = np.array([[math.factorial(k)] for k in range(1, MAX_DERIV_ORDER + 1)],
+                             dtype=float)
+_SIGN_COLUMN = np.array([[(-1.0) ** k] for k in range(1, MAX_DERIV_ORDER + 1)])
 
 
 class _HParamsFields(NamedTuple):
@@ -205,26 +210,31 @@ def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
     the closed form.  Its alpha-free parts are computed here; the returned
     DerivTable adds the alpha term.  A part outside the binary64 range
     raises CapabilityError naming y.  xs is one point or a 1-D grid; a grid
-    raises what its first bad point raises alone."""
+    raises what its first bad point raises alone.  All orders are built
+    together: each power of x is taken once, and the brackets and the
+    scales' sums are prefix sums along the orders."""
     k_max, y = check_order(k_max), require_y(y)
     lg_y = lngamma(y + 1.0)
     x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
     ks = range(1, k_max + 1)
-    core, core_scale, u_pow = np.empty((3, k_max, x.size))
+    facts, signs = _FACTORIAL_COLUMN[:k_max], _SIGN_COLUMN[:k_max]
     try:
         with np.errstate(over="raise"):  # as a float ** would
-            terms = [x ** i * psi[i - 1] / math.factorial(i) for i in ks]
-            abs_sum = abs(lg_u) + abs(lg_y)
-            for k in ks:  # each bracket summed term by term in i, across all points
-                lead = math.factorial(k) / x ** (k + 1)
-                bracket = (-1.0) ** k * (lg_u - lg_y)
-                for i in range(1, k + 1):
-                    bracket = bracket + (-1.0) ** (k - i) * terms[i - 1]
-                abs_sum = abs_sum + abs(terms[k - 1])
-                core[k - 1] = lead * bracket
-                core_scale[k - 1] = abs(lead) * abs_sum
-                u_pow[k - 1] = u ** k
+            x_pow = np.array([x ** i for i in range(1, k_max + 2)])  # x^1..x^(k_max+1)
+            terms = x_pow[:k_max] * psi / facts  # x^i psi^(i-1)(u) / i!
+            lead = facts / x_pow[1:]  # k!/x^(k+1)
+            # bracket_k = (-1)^k [D - t_1 + t_2 - ... + (-1)^k t_k], D = lnGamma(u) -
+            # lnGamma(y+1), summed in that order: negation commutes with rounding,
+            # so one prefix sum gives every bracket; + 0.0 turns an exact
+            # cancellation's -0.0 into the +0.0 that the sum in signed terms gives
+            brackets = np.cumsum(np.concatenate([(lg_u - lg_y)[None], signs * terms]),
+                                 axis=0)[1:]
+            core = lead * (signs * brackets + 0.0)
+            abs_sums = np.cumsum(np.concatenate([(abs(lg_u) + abs(lg_y))[None],
+                                                 abs(terms)]), axis=0)[1:]
+            core_scale = abs(lead) * abs_sums
+            u_pow = np.array([u ** k for k in ks])
     except FloatingPointError:
         raise CapabilityError(
             f"(ln h)^(k) for k <= {k_max} at y={y!r} needs a value outside the "

@@ -8,6 +8,14 @@ The one deliberate difference is documented where it is tested: the package
 refuses a non-finite auxiliary value (``aux_eval``) with CapabilityError
 where the old body returned it.
 
+``gamma_table``, ``lngamma_grid``, ``digamma_grid``, ``polygamma_grid`` and
+``logh_deriv_table`` are the derivative-table layer as the package computed
+it before its tables ran in order-major passes: the shift as a steps by
+points matrix over every point, each shift sum masked and summed on its own,
+three Stirling loops, and each bracket of the closed form summed term by
+term.  The package's tables return these arrays bit for bit and raise
+these errors.
+
 ``search_certifier`` is the lcm-sign certificate as the package computed it
 before its verdicts became comparisons with per-point alpha cuts: it
 evaluates the derivative table at alpha and searches it for the first
@@ -19,16 +27,23 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from gammacert import (
     CapabilityError, Certificate, DerivSample, Direction, DomainError, HParams,
-    ParameterError, PrecisionError, Verdict, digamma, grid_points, lngamma,
-    logh_deriv_table, polygamma)
+    ParameterError, PrecisionError, Verdict, digamma, grid_points, hfamily, lngamma,
+    polygamma)
 from gammacert.certify import NOISE_FLOOR_REL
-from gammacert.errors import is_finite, require_positive, require_real
-from gammacert.hfamily import lcm_threshold, reciprocal_threshold
+from gammacert.errors import (
+    as_integer, first_bad_point, is_finite, real_points, require_positive, require_real,
+    require_y)
+from gammacert.gammakit import (
+    _FACTORIALS, SHIFT_THRESHOLD, _digamma_series, _lngamma_series, _poly_coefs,
+    _polygamma_series, check_order, libm, power)
+from gammacert.hfamily import (
+    DerivTable, _shifted_arguments, lcm_threshold, reciprocal_threshold)
 from gammacert.ineq import CHAIN_SUP, AuxFn, CheckResult, one_sided, two_sided
 from gammacert.means import BRANCH_TOL, DIAGONAL_REL_TOL
 
@@ -60,17 +75,130 @@ def gen_log_mean(p: float, a: float, b: float) -> float:
         return a
     if abs(p + 1.0) <= BRANCH_TOL:
         return log_mean(a, b)
+    # L_p is homogeneous of degree 1: a pair below 2**-968 is scaled by the
+    # exact 2**600, where hi - lo is no subnormal that q * (hi - lo) rounds
+    scale = 2.0 ** 600 if hi < 2.0 ** -968 else 1.0
+    lo, hi = lo * scale, hi * scale
     r, log_gap = _gap(lo, hi)
     if abs(p) <= BRANCH_TOL:
-        return hi * math.exp(log_gap / r - 1.0)
+        return hi * math.exp(log_gap / r - 1.0) / scale
     base = hi if p > -1.0 else lo
     q = abs(p + 1.0)
     head = -math.expm1(-q * log_gap)
     ratio = head / (q * (hi - lo) / base)
     if ratio >= sys.float_info.min:
-        return base * ratio ** (1.0 / p)
+        return base * ratio ** (1.0 / p) / scale
     return math.exp(math.log(base) + (math.log(head) - math.log(q) - math.log(hi - lo)
-                                      + math.log(base)) / p)
+                                      + math.log(base)) / p) / scale
+
+
+# ---------------------------------------------------------------------------
+# derivative tables
+# ---------------------------------------------------------------------------
+
+
+def _shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zs, low, z): row s of zs is u after s steps of z += 1.0, low marks
+    the steps the scalar loops take, z is where each point's loop stops."""
+    steps, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
+    while z < SHIFT_THRESHOLD:
+        steps, z = steps + 1, z + 1.0
+    zs = np.cumsum(np.concatenate([u[None], np.ones((steps, u.size))]), axis=0)
+    low = zs < SHIFT_THRESHOLD
+    return zs, low, zs[low.sum(axis=0), np.arange(u.size)]
+
+
+def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
+    return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
+
+
+def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
+    out = np.zeros_like(zs)
+    out[low] = fn(zs[low], *args)
+    return out
+
+
+def lngamma_grid(u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    return (_lngamma_series(z, libm(math.log, z))
+            - _summed(low, _at_low(partial(libm, math.log), zs, low)))
+
+
+def digamma_grid(u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    return _digamma_series(z, libm(math.log, z)) - _summed(low, 1.0 / zs)
+
+
+def polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
+    zs, low, z = _shift(u)
+    shift = _summed(low, _at_low(power, zs, low, -(k + 1)))
+    magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
+                                   *(power(z, e) for e in (k, k + 1, k + 2)))
+                 + float(_FACTORIALS[k]) * shift)
+    return magnitude if k % 2 == 1 else -magnitude
+
+
+def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
+    n = as_integer(n_psi)
+    if n is None or n < 1:
+        raise DomainError(f"n_psi must be an integer >= 1, got {n_psi!r}")
+    if n > 1:
+        check_order(n - 1)
+    points = real_points(u, "u", require_positive)
+    if np.ndim(u) != 1:
+        raise DomainError(f"u must be a 1-D array of finite positive reals, got {u!r}")
+    n_psi, u = n, points
+    zs, low, z = _shift(u)
+    orders = range(1, n_psi)
+    k = np.array(orders)[:, None]
+    k_fac = np.array(_FACTORIALS[:n_psi - 1], dtype=float)[:, None]
+    coefs = np.array([_poly_coefs(j) for j in orders]).reshape(-1, 12).T[..., None]
+    with np.errstate(all="ignore"):
+        log_z = np.log(z)
+        lg = _lngamma_series(z, log_z) - _summed(low, np.log(zs))
+        psi_0 = _digamma_series(z, log_z) - _summed(low, 1.0 / zs)
+        shifts = np.array([_summed(low, zs ** -(j + 1))
+                           for j in orders]).reshape(len(orders), u.size)
+        z_k2 = z ** (k + 2)
+        magnitude = (_polygamma_series(z, k, coefs, k_fac, z ** k, z ** (k + 1), z_k2)
+                     + k * k_fac * shifts)
+        psi = np.concatenate([psi_0[None], (-1.0) ** (k + 1) * magnitude])
+        bad = ~(np.isfinite(lg) & np.isfinite(psi).all(axis=0)
+                & np.isfinite(z_k2).all(axis=0))
+    if bad.any():
+        raise CapabilityError(
+            f"gamma_table({n_psi}, u) at u = {float(u[bad][0])!r} is outside the "
+            "double-precision range")
+    return lg, psi
+
+
+@first_bad_point
+def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
+    k_max, y = check_order(k_max), require_y(y)
+    lg_y = lngamma(y + 1.0)
+    x, u = _shifted_arguments(xs, y)
+    lg_u, psi = gamma_table(k_max, u)
+    ks = range(1, k_max + 1)
+    core, core_scale, u_pow = np.empty((3, k_max, x.size))
+    try:
+        with np.errstate(over="raise"):
+            terms = [x ** i * psi[i - 1] / math.factorial(i) for i in ks]
+            abs_sum = abs(lg_u) + abs(lg_y)
+            for k in ks:
+                lead = math.factorial(k) / x ** (k + 1)
+                bracket = (-1.0) ** k * (lg_u - lg_y)
+                for i in range(1, k + 1):
+                    bracket = bracket + (-1.0) ** (k - i) * terms[i - 1]
+                abs_sum = abs_sum + abs(terms[k - 1])
+                core[k - 1] = lead * bracket
+                core_scale[k - 1] = abs(lead) * abs_sum
+                u_pow[k - 1] = u ** k
+    except FloatingPointError:
+        raise CapabilityError(
+            f"(ln h)^(k) for k <= {k_max} at y={y!r} needs a value outside the "
+            "double-precision range") from None
+    alpha_coef = np.array([[(-1.0) ** k * math.factorial(k - 1)] for k in ks])
+    return DerivTable(y, core, core_scale, u_pow, alpha_coef)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +405,7 @@ def search_certifier(y: float, k_max: int, grid):
     """certify(alpha, direction) of lcm_certifier(y, k_max, grid), found by
     searching table(alpha) with first_violation."""
     xs = grid_points(grid, y)
-    table = logh_deriv_table(k_max, y, xs)
+    table = hfamily.logh_deriv_table(k_max, y, xs)
     odd_sign = (-1.0) ** np.arange(1, k_max + 1)[:, None]  # (-1)^k
 
     def certify(alpha: float, direction) -> Certificate:

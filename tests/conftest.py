@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from hypothesis import settings
 
-settings.register_profile("suite", deadline=None)
+# print_blob: a failing draw prints its @reproduce_failure blob, so a rare
+# draw seen in a CI log can be replayed
+settings.register_profile("suite", deadline=None, print_blob=True)
 settings.load_profile("suite")
 
 _ACCEPTANCE: dict[str, str] = {}

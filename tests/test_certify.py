@@ -694,6 +694,18 @@ def test_grid_cuts_split_the_search_verdicts(y, k_max, points, alphas, offsets):
     ([0.5], [0.0, -1.5], {}, DomainError, "y must be a finite real > -1, got -1.5"),
     # the first bad y, whichever rule it breaks
     ([0.5], [-2.0, "a"], {}, DomainError, "y must be a finite real > -1, got -2.0"),
+    # every argument is checked before the y loop, so no y is needed to refuse one
+    ([math.inf], [], {}, DomainError, "alpha must be finite, got inf"),
+    ([0.5], [], {"k_max": 99}, ParameterError, "k_max must be an integer in 1..12, got 99"),
+    ([0.5], [], {"points": 1}, ParameterError, "points must be an integer >= 2, got 1"),
+    ([0.5], [], {"x_max": -5.0}, ParameterError,
+     "x_max must be a finite real > 0.001 for a grid on both sides of x = 0, got -5.0"),
+    # in the order one y's grid and table check them
+    ([math.inf], [], {"k_max": 0, "points": 1, "x_max": math.nan}, ParameterError,
+     "x_max must be a finite real > 0.001 for a grid on both sides of x = 0, got nan"),
+    ([math.inf], [0.0], {"k_max": 0, "points": 1}, ParameterError,
+     "points must be an integer >= 2, got 1"),
+    ([math.inf], [], {"k_max": 0}, ParameterError, "k_max must be an integer in 1..12, got 0"),
 ])
 def test_scan_values_errors(alphas, ys, kwargs, error, message):
     with pytest.raises(error) as info:

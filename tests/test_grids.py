@@ -255,6 +255,8 @@ def _wide_pair(draw):
 @example(-2.0, [(0.0, 1.0), (1.0, 2.0)])
 @example(0.0, [(1.0, 2.0), (1.0, math.nan), (2.0, 3.0)])
 @example(-7.0, [(1.0, 2.0), (5e-324, 1e300), (2.0, -1.0)])  # the ratio underflows
+# a pair below 2**-968, scaled by 2**600: unscaled, the mean is an ulp low
+@example(-1.0 - 2e-9, [(1e-300, 5.983321728796368e-300)])
 def test_means_grid_is_the_referee_point_by_point(p, pairs):
     _check(lambda a, b: gen_log_mean(p, a, b),
            lambda a, b: referee.gen_log_mean(p, a, b), pairs, 2)
