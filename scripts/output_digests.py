@@ -43,6 +43,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
        "--format", f) for f in ("json", "csv")),
     # a lemma grid past polygamma(1, .)'s range: the error of its first bad point
     ("verify", "--suite", "lemmas", "--x-max", "1e120", "--format", "csv"),
+    # a higher order fails first in x, a lower order first in family order
+    ("verify", "--suite", "lemmas", "--x-max", "1e50", "--format", "csv"),
     # a lemma grid up to 1e20: CSV numbers with three-digit exponents
     ("verify", "--suite", "lemmas", "--grid-points", "60", "--x-max", "1e20",
      "--format", "csv"),

@@ -91,7 +91,7 @@ def ball_ratio_checks(n) -> CheckTable:
         log_adj = libm(math.log, (n + 2.0) / (n + 3.0))
         sandwich_mid = (n / (n + 1.0)) * lo_n1
         inputs = (("n", n), ("log_scale", 1.0))
-        windows = CheckTable.concat([
+        windows = [
             two_sided_rows("ball_ratio_skip2_window", inputs, 0.5 * log_skip,
                            lo_n2 / n2 - lo_n / n, 0.25 * log_skip),
             two_sided_rows("ball_ratio_adjacent_window", inputs, 0.5 * log_adj,
@@ -99,7 +99,7 @@ def ball_ratio_checks(n) -> CheckTable:
             two_sided_rows("ball_sandwich_consecutive", inputs,
                            _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
                            0.5 + sandwich_mid, strict_lower=False),
-        ])
+        ]
         # refinement slacks: refined lower bound above (c)'s lower bound,
         # refined upper bound below (c)'s upper bound
         above = n > 2.0
@@ -115,7 +115,7 @@ def ball_ratio_checks(n) -> CheckTable:
     size = above.size
     order = np.stack([*np.arange(3 * size).reshape(3, size),
                       np.where(above, 3 * size + np.cumsum(above) - 1, -1)], axis=1).ravel()
-    return CheckTable.concat([windows, refines]).take(order[order >= 0])
+    return CheckTable.concat([*windows, refines], order[order >= 0])
 
 
 @first_bad_point

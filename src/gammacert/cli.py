@@ -53,13 +53,11 @@ from .ineq import (
     aux_eval,
     batir_ineq,
     gamma_ratio_ineq,
+    lemma_windows,
     log_upper_bound_ineq,
     one_sided,
     one_sided_rows,
-    polygamma_bounds,
     psi_integral_mean_ineq,
-    psi_log_bounds,
-    psi_upper_refinement,
     qcub_root,
     suffice_chain,
     thm2_ineq,
@@ -96,15 +94,13 @@ _THM3_YS = (-0.9, -0.75, -0.6, -0.51)
 # ---------------------------------------------------------------------------
 
 def _suite_lemmas(k_max: int, points: int, x_max: float) -> CheckTable:
+    """The 17 lemma windows of lemma_windows at each point of the log grid
+    [1e-2, x_max], each x's rows in turn, built in one pass."""
     if not (math.isfinite(x_max) and x_max > 1e-2):
         raise ParameterError(
             f"x_max must be a finite real > 1e-2 for the lemma grid [1e-2, x_max], "
             f"got {x_max!r}")
-    xs = log_grid(1e-2, x_max, points)
-    windows = CheckTable.concat([psi_log_bounds(xs), psi_upper_refinement(xs),
-                                 *(polygamma_bounds(k, xs) for k in range(1, 7))])
-    # the windows give their rows window by window; list each x's rows in turn
-    return windows.interleave(len(windows) // points)
+    return lemma_windows(log_grid(1e-2, x_max, points))
 
 
 def _expected_failure_check(cert: Certificate) -> CheckResult:

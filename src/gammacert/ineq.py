@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
+    PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
     broadcast_points, first_bad_point, is_finite, is_real, real_points, require_all,
     require_positive, require_real, require_type)
 from .gammakit import (
@@ -49,6 +49,7 @@ __all__ = [
     "aux_eval",
     "batir_ineq",
     "gamma_ratio_ineq",
+    "lemma_windows",
     "log_upper_bound_ineq",
     "one_sided",
     "one_sided_rows",
@@ -143,10 +144,12 @@ def _number(name, value, label: str, side: bool = False) -> float:
     raise PrecisionError(f"check {name!r}: non-finite {what} = {value!r}")
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype)  # a copy: the caller's array stays writable
-    a.flags.writeable = False
-    return a
+def _copy(values, dtype, order) -> np.ndarray:
+    """values as a new array (the caller's stays writable), or its rows at
+    the indices of order."""
+    if order is None:
+        return np.array(values, dtype)
+    return np.take(np.asarray(values, dtype), order, axis=0)
 
 
 class CheckTable(Sequence):
@@ -160,8 +163,9 @@ class CheckTable(Sequence):
     of rows, and == holds against any sequence of equal rows.  A row object
     is built only when the table is indexed or iterated; table[i] is
     CheckResult(name, inputs, lhs, rhs, margin, holds, strict) with Python
-    floats.  A non-finite number in a column raises the PrecisionError of
-    the first row that holds one, through CheckResult.
+    floats.  Given order, the table holds the rows at its indices into the
+    columns, gathered once.  A non-finite number in a column raises the
+    PrecisionError of the first row that holds one, through CheckResult.
     """
 
     __slots__ = ("keys", "key", "values", "lhs", "rhs", "margin", "holds", "within")
@@ -169,22 +173,32 @@ class CheckTable(Sequence):
     MARKER = ("margin_within_noise", 1.0)
     STATUSES = ("passed", "failed", "undecided")  # by the codes of statuses()
 
-    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within):
+    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within, order=None):
+        self._own(keys, _copy(key, np.intp, order), _copy(values, float, order),
+                  *(_copy(c, float, order) for c in (lhs, rhs, margin)),
+                  _copy(holds, bool, order), _copy(within, bool, order))
+
+    def _own(self, keys, *columns: np.ndarray) -> None:
+        """Hold the new arrays key, values, lhs, rhs, margin, holds and
+        within, read-only, as the table's columns."""
         self.keys = tuple(keys)
-        self.key = _frozen(key, np.intp)
-        self.values = _frozen(values, float)
-        self.lhs, self.rhs, self.margin = (_frozen(c, float) for c in (lhs, rhs, margin))
-        self.holds, self.within = _frozen(holds, bool), _frozen(within, bool)
-        finite = (np.isfinite(self.lhs) & np.isfinite(self.rhs) & np.isfinite(self.margin)
-                  & np.isfinite(self.values).all(axis=1))
-        if not finite.all():
-            i = int(np.argmin(finite))  # the first bad row
-            CheckResult(*self._make_rows(i, i + 1)[0])  # raises
+        for c in columns:
+            c.flags.writeable = False
+        self.key, self.values, self.lhs, self.rhs, self.margin, self.holds, self.within = columns
+        if not all(np.isfinite(c).all() for c in (self.lhs, self.rhs, self.margin, self.values)):
+            width = np.array([len(labels) for _, labels, _ in self.keys], np.intp)[self.key]
+            padding = np.arange(self.values.shape[1]) >= width[:, None]  # no row's input
+            finite = (np.isfinite(self.lhs) & np.isfinite(self.rhs) & np.isfinite(self.margin)
+                      & (np.isfinite(self.values) | padding).all(axis=1))
+            if not finite.all():
+                i = int(np.argmin(finite))  # the first bad row
+                CheckResult(*self._make_rows(i, i + 1)[0])  # raises
 
     @classmethod
-    def concat(cls, parts) -> CheckTable:
-        """The rows of parts in turn; a part is a CheckTable, a CheckResult
-        or a list of CheckResults.  Equal keys merge."""
+    def concat(cls, parts, order=None) -> CheckTable:
+        """The rows of parts in turn, or given order the rows at its indices
+        into them; a part is a CheckTable, a CheckResult or a list of
+        CheckResults.  Equal keys merge."""
         tables, rows = [], []
         for part in parts:
             if isinstance(part, CheckTable):
@@ -197,7 +211,7 @@ class CheckTable(Sequence):
         if rows or not tables:
             tables.append(cls._from_rows(rows))
         if len(tables) == 1:
-            return tables[0]
+            return tables[0] if order is None else tables[0].take(order)
         index: dict = {}  # key -> its row in the merged keys
         key = np.concatenate([np.array([index.setdefault(k, len(index)) for k in t.keys],
                                        np.intp)[t.key] for t in tables])
@@ -208,7 +222,8 @@ class CheckTable(Sequence):
             values[end:end + len(t), :t.values.shape[1]] = t.values
             end += len(t)
         return cls(index, key, values, *(np.concatenate([getattr(t, c) for t in tables])
-                                         for c in ("lhs", "rhs", "margin", "holds", "within")))
+                                         for c in ("lhs", "rhs", "margin", "holds", "within")),
+                   order=order)
 
     @classmethod
     def _from_rows(cls, rows) -> CheckTable:
@@ -235,15 +250,8 @@ class CheckTable(Sequence):
 
     def take(self, order) -> CheckTable:
         """The rows at the indices of order, in its order."""
-        order = np.asarray(order, np.intp)
-        return CheckTable(self.keys, self.key[order], self.values[order], self.lhs[order],
-                          self.rhs[order], self.margin[order], self.holds[order],
-                          self.within[order])
-
-    def interleave(self, ways: int) -> CheckTable:
-        """The table read as ways windows of equal length: row i of each
-        window in turn, for each i."""
-        return self.take(np.arange(len(self)).reshape(ways, -1).T.ravel())
+        return CheckTable(self.keys, self.key, self.values, self.lhs, self.rhs, self.margin,
+                          self.holds, self.within, np.asarray(order, np.intp))
 
     def statuses(self) -> np.ndarray:
         """Each row's status as an index into STATUSES: passed if it holds,
@@ -342,7 +350,9 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
 # and return a one-key CheckTable.  numpy rounds +, -, *, / and abs as Python
 # floats do, so row i is the scalar check at row i, field for field.  The
 # scalar forms stay: a one-element numpy call costs more than a whole scalar
-# check.
+# check.  They are the one-window case of the stacked forms below, which
+# apply the same rule to a (window, point) stack of sides at once; _table
+# lays any number of stacks out as one table.
 
 def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """one_sided over columns: row i checks lhs[i] < rhs[i].
@@ -352,12 +362,7 @@ def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """
     labels, columns, (lhs, rhs) = _columns(name, inputs, lhs=lhs, rhs=rhs)
     require_type(strict, bool, "strict")
-    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
-        margin = rhs - lhs
-        noise = NOISE_REL * np.maximum(abs(lhs), abs(rhs))
-        holds = margin > noise if strict else margin >= -noise
-        within = abs(margin) <= noise
-    return _table(name, labels, columns, lhs, rhs, margin, holds, within, strict)
+    return _table([(name, tuple(labels), strict)], [_one_sided(0, columns, lhs, rhs, strict)])
 
 
 def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
@@ -371,16 +376,8 @@ def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
     require_type(strict, bool, "strict")
     strict_lower = strict if strict_lower is None else require_type(strict_lower, bool,
                                                                     "strict_lower")
-    with np.errstate(all="ignore"):
-        m_lo = mid - lower
-        m_up = upper - mid
-        margin = np.where(m_up < m_lo, m_up, m_lo)  # min(m_lo, m_up): m_lo on a tie
-        noise = NOISE_REL * np.maximum(np.maximum(abs(lower), abs(mid)), abs(upper))
-        lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
-        up_ok = m_up > noise if strict else m_up >= -noise
-        within = abs(margin) <= noise
-    return _table(name, [*labels, "mid"], [*columns, mid], lower, upper, margin,
-                  lo_ok & up_ok, within, strict and strict_lower)
+    return _table([(name, (*labels, "mid"), strict and strict_lower)],
+                  [_two_sided(0, columns, lower, mid, upper, strict, strict_lower)])
 
 
 def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
@@ -401,11 +398,73 @@ def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[n
     return labels, columns[:len(pairs)], columns[len(pairs):]
 
 
-def _table(name, labels, columns, lhs, rhs, margin, holds, within, strict) -> CheckTable:
-    """The one-key table of the evaluated columns."""
-    values = np.stack(columns, axis=1) if columns else np.zeros((lhs.size, 0))
-    return CheckTable([(name, tuple(labels), strict)], np.zeros(lhs.size, np.intp), values,
-                      lhs, rhs, margin, holds, within)
+def _one_sided(key, columns, lhs, rhs, strict=True) -> tuple:
+    """The stack of windows lhs < rhs (lhs <= rhs if not strict) by
+    one_sided's rule: (key, columns, lhs, rhs, margin, holds, within).
+
+    key is each window's index into the table's keys and columns its input
+    values; each array is a (window, point) stack or broadcasts to the
+    sides' shape.
+    """
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        margin = rhs - lhs
+        noise = NOISE_REL * np.maximum(abs(lhs), abs(rhs))
+        return (key, columns, lhs, rhs, margin, _clears(margin, noise, strict),
+                abs(margin) <= noise)
+
+
+def _two_sided(key, columns, lower, mid, upper, strict=True, strict_lower=True) -> tuple:
+    """The stack of windows lower < mid < upper by two_sided's rule, as in
+    _one_sided; mid joins the input columns last."""
+    with np.errstate(all="ignore"):
+        m_lo = mid - lower
+        m_up = upper - mid
+        margin = np.where(m_up < m_lo, m_up, m_lo)  # min(m_lo, m_up): m_lo on a tie
+        noise = NOISE_REL * np.maximum(np.maximum(abs(lower), abs(mid)), abs(upper))
+        holds = _clears(m_lo, noise, strict_lower) & _clears(m_up, noise, strict)
+        return key, [*columns, mid], lower, upper, margin, holds, abs(margin) <= noise
+
+
+def _clears(margin, noise, strict: bool) -> np.ndarray:
+    return margin > noise if strict else margin >= -noise
+
+
+def _table(keys, stacks, point_major=False) -> CheckTable:
+    """One table of the stacks of _one_sided and _two_sided, a row per
+    window and point.
+
+    keys holds the (name, input labels, strict) key of each window index.
+    The rows come window by window, stack after stack, or with point_major
+    each point's windows in turn; a window with fewer input columns than
+    the widest pads its values with 0.0.  Each column is written once, in
+    place, and the table holds it as it is.
+    """
+    width = max(len(stack[1]) for stack in stacks)
+    shapes = [np.broadcast_shapes((1, 1), np.shape(lhs), np.shape(rhs))
+              for _, _, lhs, rhs, *_ in stacks]
+    windows, points = sum(shape[0] for shape in shapes), shapes[0][1]
+
+    def column(dtype, *inner) -> np.ndarray:  # (window, point, *inner) zeros
+        if point_major:  # laid out point by point in memory
+            return np.zeros((points, windows, *inner), dtype).swapaxes(0, 1)
+        return np.zeros((windows, points, *inner), dtype)
+
+    out = [column(dtype) for dtype in (np.intp, float, float, float, bool, bool)]
+    values = column(float, width)
+    start = 0
+    for (key, columns, *fields), shape in zip(stacks, shapes):
+        rows = slice(start, start + shape[0])
+        for column_out, field in zip(out, (key, *fields)):
+            column_out[rows] = field
+        for j, value in enumerate(columns):
+            values[rows, :, j] = value
+        start += shape[0]
+    # ravel in memory order: a view, the rows in their layout's order
+    key, lhs, rhs, margin, holds, within = (np.ravel(c, "K") for c in out)
+    table = CheckTable.__new__(CheckTable)
+    table._own(keys, key, np.ravel(values, "K").reshape(key.size, width), lhs, rhs, margin,
+               holds, within)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +480,57 @@ def _table(name, labels, columns, lhs, rhs, margin, holds, within, strict) -> Ch
 # np.log and np.log1p round differently in the last ulp.  So every row is
 # bit for bit the row of its own one-point call.  A grid with a
 # bad point raises the error that point raises alone (first_bad_point).
-# The windows give their rows window by window, one row per point in grid
-# order; the other builders give each point's rows in turn.
+# psi_log_bounds and polygamma_bounds give their rows window by window, one
+# row per point in grid order; lemma_windows lays the same windows out
+# point by point, and the other builders give each point's rows in turn.
+
+_PSI_KEYS = tuple((name, ("x", "mid"), True) for name in (
+    "psi_between_log_offsets", "psi_between_shifted_logs", "psi_between_shifted_logs_sharp",
+    "psi_second_order_window"))
+_REFINEMENT_KEY = ("psi_sharp_upper_refines_shifted_log", ("x",), True)
+_POWER_KEYS = tuple((name, ("k", "x", "mid"), True)
+                    for name in ("polygamma_power_window", "polygamma_shifted_power_window"))
+_LEMMA_ORDERS = range(1, 7)  # the orders of polygamma_bounds in lemma_windows
+
 
 def _row_or_rows(rows: CheckTable, *args) -> CheckResult | CheckTable:
     """The one row of a one-point call, else the table."""
     return rows[0] if all(np.ndim(v) == 0 for v in args) else rows
+
+
+def _shifted_uppers(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1/x, ln(x+1) - 1/x, ln(x+e^{-gamma}) - 1/x) at xs."""
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        inv = 1.0 / xs
+        return inv, libm(math.log, xs + 1.0) - inv, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv
+
+
+def _psi_sides(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): the sides of psi_log_bounds' four windows at xs, one
+    row per window."""
+    inv, one, sharp = _shifted_uppers(xs)
+    lx = libm(math.log, xs)
+    log_half = libm(math.log, xs + 0.5)
+    with np.errstate(all="ignore"):
+        upper = lx - 0.5 * inv
+        return (np.array([lx - inv, log_half - inv, log_half - inv,
+                          upper - 1.0 / (12.0 * xs * xs)]), np.array([upper, one, sharp, upper]))
+
+
+def _power_sides(ks, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): the sides of polygamma_bounds' two windows for each
+    order in ks at xs, one row per window, each k's two in turn.  The orders
+    share their powers of x."""
+    x_pow = {e: power(xs, float(e)) for e in sorted({*ks, *(k + 1 for k in ks)})}
+    one, half = xs + 1.0, xs + 0.5
+    lower, upper = [], []
+    with np.errstate(all="ignore"):
+        for k in ks:
+            km1f, kf = float(math.factorial(k - 1)), float(math.factorial(k))
+            head, tail = km1f / x_pow[k], kf / x_pow[k + 1]
+            lower += [head + 0.5 * tail, km1f / power(one, float(k)) + tail]
+            upper += [head + tail, km1f / power(half, float(k)) + tail]
+    return np.array(lower), np.array(upper)
 
 
 @first_bad_point
@@ -440,21 +544,8 @@ def psi_log_bounds(x) -> CheckTable:
     """
     xs = real_points(x, "x", require_positive)
     psi = digamma(xs)
-    lx = libm(math.log, xs)
-    log_half = libm(math.log, xs + 0.5)
-    inputs = (("x", xs),)
-    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
-        inv = 1.0 / xs
-        upper = lx - 0.5 * inv
-        return CheckTable.concat([
-            two_sided_rows("psi_between_log_offsets", inputs, lx - inv, psi, upper),
-            two_sided_rows("psi_between_shifted_logs", inputs, log_half - inv, psi,
-                           libm(math.log, xs + 1.0) - inv),
-            two_sided_rows("psi_between_shifted_logs_sharp", inputs, log_half - inv,
-                           psi, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv),
-            two_sided_rows("psi_second_order_window", inputs,
-                           upper - 1.0 / (12.0 * xs * xs), psi, upper),
-        ])
+    lower, upper = _psi_sides(xs)
+    return _table(_PSI_KEYS, [_two_sided(np.arange(4)[:, None], [xs], lower, psi, upper)])
 
 
 @first_bad_point
@@ -464,12 +555,8 @@ def psi_upper_refinement(x) -> CheckResult | CheckTable:
     One point gives its CheckResult, a grid the table of rows.
     """
     xs = real_points(x, "x", require_positive)
-    with np.errstate(all="ignore"):
-        inv = 1.0 / xs
-        rows = one_sided_rows("psi_sharp_upper_refines_shifted_log", (("x", xs),),
-                              libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv,
-                              libm(math.log, xs + 1.0) - inv)
-    return _row_or_rows(rows, x)
+    _, one, sharp = _shifted_uppers(xs)
+    return _row_or_rows(_table([_REFINEMENT_KEY], [_one_sided(0, [xs], sharp, one)]), x)
 
 
 @first_bad_point
@@ -480,21 +567,42 @@ def polygamma_bounds(k: int, x) -> CheckTable:
     2. (k-1)!/(x+1)^k + k!/x^{k+1}    < v < (k-1)!/(x+1/2)^k + k!/x^{k+1}
     """
     xs = real_points(x, "x", require_positive)
-    check_order(k)
+    k = check_order(k)
     v = (-1.0) ** (k + 1) * polygamma(k, xs)
-    km1f = float(math.factorial(k - 1))
-    kf = float(math.factorial(k))
-    x_k = power(xs, float(k))
-    inputs = (("k", k), ("x", xs))
-    with np.errstate(all="ignore"):
-        tail = kf / power(xs, float(k + 1))
-        return CheckTable.concat([
-            two_sided_rows("polygamma_power_window", inputs,
-                           km1f / x_k + 0.5 * tail, v, km1f / x_k + tail),
-            two_sided_rows("polygamma_shifted_power_window", inputs,
-                           km1f / power(xs + 1.0, float(k)) + tail, v,
-                           km1f / power(xs + 0.5, float(k)) + tail),
-        ])
+    lower, upper = _power_sides([k], xs)
+    return _table(_POWER_KEYS, [_two_sided(np.arange(2)[:, None], [float(k), xs], lower, v,
+                                           upper)])
+
+
+def lemma_windows(x) -> CheckTable:
+    """The lemma suite at x > 0: psi_log_bounds, psi_upper_refinement and
+    polygamma_bounds for k = 1..6, 17 rows per point.
+
+    Each point's rows come in turn, in that order and each builder's windows
+    in its order, and every row is the row of the builder's own call.  A
+    grid with a bad point raises the error of the first of those builders
+    that fails, at its first bad point: the builders run again, in order,
+    when the one pass raises.
+    """
+    try:
+        xs = real_points(x, "x", require_positive)
+        psi = digamma(xs)
+        v = np.array([(-1.0) ** (k + 1) * polygamma(k, xs) for k in _LEMMA_ORDERS])
+        lower, upper = _psi_sides(xs)
+        p_lower, p_upper = _power_sides(_LEMMA_ORDERS, xs)
+        ks = np.repeat([float(k) for k in _LEMMA_ORDERS], 2)[:, None]
+        return _table((*_PSI_KEYS, _REFINEMENT_KEY, *_POWER_KEYS), [
+            _two_sided(np.arange(4)[:, None], [xs], lower, psi, upper),
+            _one_sided(4, [xs], upper[2], upper[1]),
+            _two_sided(np.tile([5, 6], len(_LEMMA_ORDERS))[:, None], [ks, xs], p_lower,
+                       np.repeat(v, 2, axis=0), p_upper),
+        ], point_major=True)
+    except PACKAGE_ERRORS:
+        psi_log_bounds(x)
+        psi_upper_refinement(x)
+        for k in _LEMMA_ORDERS:
+            polygamma_bounds(k, x)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +819,11 @@ def qcub_root(tol: float = 1e-10) -> float:
 CHAIN_SUP = 8.0 / 7.0
 
 
+_CHAIN_KEYS = (("psi_diff_vs_one", ("t", "inner_point"), True),
+               ("trigamma_vs_rational", ("t", "sqrt_point"), False),
+               ("algebraic_rational_window", ("t", "sqrt_point"), False))
+
+
 @first_bad_point
 def suffice_chain(t) -> CheckTable:
     """The three chained sufficiency inequalities, valid on 0 < t < 8/7.
@@ -735,14 +848,9 @@ def suffice_chain(t) -> CheckTable:
                     "(2t+1)ln(2t+1) - 2t cancels to zero", ts)
         rational = w / (ts * excess)
         psi_t, psi_inner = digamma(np.concatenate([ts, inner])).reshape(2, -1)
-        windows = CheckTable.concat([
-            one_sided_rows("psi_diff_vs_one", (("t", ts), ("inner_point", inner)),
-                           psi_t - psi_inner, 1.0),
-            one_sided_rows("trigamma_vs_rational", (("t", ts), ("sqrt_point", sqrt_pt)),
-                           polygamma(1, sqrt_pt), rational, strict=False),
-            one_sided_rows("algebraic_rational_window",
-                           (("t", ts), ("sqrt_point", sqrt_pt)),
-                           w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5), rational,
-                           strict=False),
-        ])
-    return windows.interleave(3)
+        algebraic = w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5)
+        return _table(_CHAIN_KEYS, [
+            _one_sided(0, [ts, inner], psi_t - psi_inner, 1.0),
+            _one_sided(1, [ts, sqrt_pt], polygamma(1, sqrt_pt), rational, strict=False),
+            _one_sided(2, [ts, sqrt_pt], algebraic, rational, strict=False),
+        ], point_major=True)

@@ -16,6 +16,10 @@ three Stirling loops, and each bracket of the closed form summed term by
 term.  The package's tables return these arrays bit for bit and raise
 these errors.
 
+``lemma_suite`` is the lemma suite as the package composed it before its
+windows were built in one pass: the eight window builders' tables joined,
+then each x's rows in turn.
+
 ``search_certifier`` is the lcm-sign certificate as the package computed it
 before its verdicts became comparisons with per-point alpha cuts: it
 evaluates the derivative table at alpha and searches it for the first
@@ -32,9 +36,9 @@ from functools import partial
 import numpy as np
 
 from gammacert import (
-    CapabilityError, Certificate, DerivSample, Direction, DomainError, HParams,
+    CapabilityError, Certificate, CheckTable, DerivSample, Direction, DomainError, HParams,
     ParameterError, PrecisionError, Verdict, digamma, grid_points, hfamily, lngamma,
-    polygamma)
+    polygamma, polygamma_bounds, psi_log_bounds, psi_upper_refinement)
 from gammacert.certify import NOISE_FLOOR_REL
 from gammacert.errors import (
     as_integer, first_bad_point, is_finite, real_points, require_positive, require_real,
@@ -311,6 +315,18 @@ def suffice_chain(t: float) -> list[CheckResult]:
                   w / (2.0 * t ** 3) + 1.0 / (sqrt_pt + 0.5), rational,
                   strict=False),
     ]
+
+
+def point_major(table: CheckTable, ways: int) -> CheckTable:
+    """table read as ways windows of equal length: row i of each in turn."""
+    return table.take(np.arange(len(table)).reshape(ways, -1).T.ravel())
+
+
+def lemma_suite(xs: np.ndarray) -> CheckTable:
+    windows = CheckTable.concat([psi_log_bounds(xs), psi_upper_refinement(xs),
+                                 *(polygamma_bounds(k, xs) for k in range(1, 7))])
+    # the windows give their rows window by window; list each x's rows in turn
+    return point_major(windows, len(windows) // len(xs))
 
 
 # ---------------------------------------------------------------------------

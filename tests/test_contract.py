@@ -169,6 +169,7 @@ TABLE = {
     "batir_ineq": {"a": POSITIVE, "b": POSITIVE},
     "gamma_ratio_ineq": {"x": _points(-0.5, 20.0), "y": Y, "t": POSITIVE,
                          "a": st.none() | ALPHA, "b": st.none() | ALPHA},
+    "lemma_windows": {"x": _points(1e-3, 1e3)},
     "log_upper_bound_ineq": {"t": _points(1e-3, 1e3)},
     "one_sided": {"name": NAME, "inputs": INPUTS, "lhs": _floats(-5.0, 5.0),
                   "rhs": _floats(-5.0, 5.0), "strict": FLAG},

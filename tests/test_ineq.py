@@ -388,7 +388,8 @@ def test_check_table_is_the_list_of_its_rows(windows, data):
         assert repr(joined) == repr(rows + list(other))
     # the lemma suite's reorder: row i of each window in turn
     interleaved = [row for group in zip(*windows) for row in group]
-    assert repr(table.interleave(len(windows))) == repr(interleaved)
+    order = np.arange(len(table)).reshape(len(windows), -1).T.ravel()
+    assert repr(table.take(order)) == repr(interleaved)
     if rows:
         assert table != rows[:-1] and table != rows[:-1] + [rows[0]._replace(name="z")]
         assert table != [*rows[:-1], rows[-1]._replace(margin=rows[-1].margin + 1.0)]
@@ -410,6 +411,21 @@ def test_check_table_is_an_immutable_sequence():
         one_sided_rows("w", (("x", np.array([1.0, np.inf])),), [0.0, 3.0], [1.0, 4.0])
     with pytest.raises(PrecisionError, match="^check 'w': non-finite rhs = nan$"):
         one_sided_rows("w", (("x", np.array([1.0, 2.0, np.inf])),), 0.0, [1.0, np.nan, 2.0])
+
+
+def test_check_table_raises_for_a_late_non_finite_input_value():
+    # the one non-finite number is row 6's second input: the flat check
+    # fails and the row scan names that row's key and label
+    values = np.ones((8, 2))
+    values[6, 1] = np.inf
+    with pytest.raises(PrecisionError, match="^check 'w': non-finite input 'y' = inf$"):
+        CheckTable([("w", ("x", "y"), True), ("v", ("t",), False)], [0, 1] * 4, values,
+                   np.zeros(8), np.ones(8), np.ones(8), np.ones(8, bool), np.zeros(8, bool))
+    # a padding slot no row's key reads does not hide a later bad row
+    values[6, 1], values[1, 1], values[3, 0] = 1.0, np.nan, np.inf
+    with pytest.raises(PrecisionError, match="^check 'v': non-finite input 't' = inf$"):
+        CheckTable([("w", ("x", "y"), True), ("v", ("t",), False)], [0, 1] * 4, values,
+                   np.zeros(8), np.ones(8), np.ones(8), np.ones(8, bool), np.zeros(8, bool))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The derivative-table layer against its referee bodies, bit for bit.
+"""The derivative-table layer and the lemma suite against their referee
+bodies, bit for bit.
 
 ``gamma_table``, the kernel's grid bodies and ``logh_deriv_table`` run in
-order-major passes; ``tests/_referee.py`` keeps the bodies they replaced.
-Every returned array must have the referee's bits (compared as int64
-views, so a signed zero or a NaN payload counts too), and every error its
-type and message.
+order-major passes, and ``lemma_windows`` builds the lemma suite in one
+pass; ``tests/_referee.py`` keeps the bodies they replaced.  Every returned
+array must have the referee's bits (compared as int64 views, so a signed
+zero or a NaN payload counts too), a check table its keys too, and every
+error its type and message.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _referee as referee
-from gammacert import CapabilityError, DomainError, ParameterError, PrecisionError, hfamily
-from gammacert.certify import default_grid, grid_points
+from gammacert import (
+    CapabilityError, CheckTable, DomainError, ParameterError, PrecisionError, hfamily,
+    lemma_windows)
+from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
+from gammacert.errors import log_grid
 from gammacert.gammakit import (
     MAX_DERIV_ORDER, _digamma_grid, _lngamma_grid, _polygamma_grid, gamma_table)
 
@@ -28,6 +33,10 @@ def _bits(value):
     """value's arrays as (shape, int64 view) pairs; a DerivTable by its fields."""
     if isinstance(value, hfamily.DerivTable):
         return value.y, _bits((value.core, value.core_scale, value.u_pow, value.alpha_coef))
+    if isinstance(value, CheckTable):
+        columns = [getattr(value, name) for name in CheckTable.__slots__[1:]]
+        return value.keys, [_bits(c) if c.dtype == np.float64 else (c.dtype, c.tolist())
+                            for c in columns]
     if isinstance(value, tuple):
         return tuple(_bits(v) for v in value)
     assert value.dtype == np.float64
@@ -130,3 +139,24 @@ def test_an_exact_cancellation_leaves_a_positive_zero(monkeypatch):
     assert table.core[0, 0] == 0.0 and math.copysign(1.0, table.core[0, 0]) == 1.0
     _same(lambda: hfamily.logh_deriv_table(3, y, [1.0, 2.0]),
           lambda: referee.logh_deriv_table(3, y, [1.0, 2.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 1200), st.floats(math.log10(0.011), 300.0))
+@example(800, math.log10(500.0))  # the benchmark's smallest and largest lemma grids
+@example(1200, math.log10(2000.0))
+@example(800, math.log10(2000.0))
+@example(1200, math.log10(500.0))
+@example(DEFAULT_POINTS, 50.0)  # polygamma(6, .) fails first in x, (5, .) in order
+@example(DEFAULT_POINTS, 120.0)  # polygamma(1, .) fails
+@example(2, math.log10(0.011))
+def test_lemma_windows_is_the_referee(points, log_x_max):
+    xs = log_grid(1e-2, 10.0 ** log_x_max, points)
+    _same(lambda: lemma_windows(xs), lambda: referee.lemma_suite(xs))
+
+
+@given(st.lists(_POINT, min_size=1, max_size=6))
+@example([2.0, 1e-200])  # psi_log_bounds fails at 1e-200 before polygamma(1, .) does
+@example([1e200, 1e-300])
+def test_lemma_windows_at_any_points_is_the_referee(u):
+    _same(lambda: lemma_windows(np.array(u)), lambda: referee.lemma_suite(np.array(u)))
