@@ -75,6 +75,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=0.1632:0.1634:0.000001", "--y=5:5:1"),
     # one cell: a one-point alpha grid against a one-point y grid
     ("scan", "--alpha=1:1:1", "--y=0:0:1"),
+    # lngamma(y + 1) overflows: the one-point kernel call's error
+    ("scan", "--alpha=1:1:1", "--y=1e307:1e307:1"),
+    # the derivative table overflows first: gamma_table's own error
+    ("scan", "--alpha=1:1:1", "--y=1e300:1e300:1"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

@@ -230,9 +230,7 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> CheckTable:
     # digamma-at-log-mean bound, printed product form, on its worked pairs
     # (the product form does not hold for arbitrary pairs; see the quotient
     # reading exposed in the result inputs)
-    out.append(batir_ineq(2.0, 1.0))
-    out.append(batir_ineq(1.0, 2.0))
-    out.append(batir_ineq(1.0, 1.0 / 3.0))
+    out.append(batir_ineq(np.array([2.0, 1.0, 1.0]), np.array([1.0, 2.0, third])))
 
     # mean-value windows for integral means of psi and psi' on worked pairs
     # (p = -i-1, q = -i) ...

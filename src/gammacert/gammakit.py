@@ -1,51 +1,40 @@
 """Double-precision kernel for the gamma function family on (0, inf).
 
-Evaluation strategy for ``lngamma``, ``digamma`` and ``polygamma``: shift the
-argument upward with the recurrence Gamma(z+1) = z Gamma(z) (and its
-logarithmic derivatives) until it clears ``SHIFT_THRESHOLD``, then apply the
-Stirling-type asymptotic expansion with exact-rational Bernoulli-number
-coefficients (DLMF 5.11.1, 5.11.2, 5.15.1).  The series therefore never sees
-an argument below 16, where its ``ASYM_TERMS`` = 12 terms leave a truncation
-error far below double-precision resolution for every supported derivative
-order (tests/test_gammakit.py checks this at z = 16).
+Evaluation strategy: shift the argument upward with the recurrence
+Gamma(z+1) = z Gamma(z) (and its logarithmic derivatives) until it clears
+``SHIFT_THRESHOLD``, then apply the Stirling-type asymptotic expansion with
+exact-rational Bernoulli-number coefficients (DLMF 5.11.1, 5.11.2, 5.15.1).
+The series therefore never sees an argument below 16, where its
+``ASYM_TERMS`` = 12 terms leave a truncation error far below
+double-precision resolution for every supported derivative order
+(tests/test_gammakit.py checks this at z = 16).
 
-Each scalar function also takes a grid: for a 1-D numpy array x it returns
-the array of the per-point results, bit for bit.  The grid form shifts only
-the points below ``SHIFT_THRESHOLD``, one row of z += 1.0 per step for all
-of them at once, takes each shift term at those steps and sums it by one
-accumulation along the steps, read at each point's last low step
-(``_shift``).  It does + - * / in numpy, which rounds as Python floats
-do, and takes each log and power from libm, the C functions behind the
-scalar path's ``math.log`` and ``**``.  Powers come from ``power``, numpy's
-``np.float_power``: its float64 loop calls libm's ``pow`` once per element,
-in C, so each element is ``math.pow``'s bits (tests/test_gammakit.py pins
-this).  ``np.power`` is no substitute: on 200,000 log-spaced points in
-[1e-2, 1e3] it differs from ``math.pow`` in about 10,600 for the exponents
-3, -2 and 6.  Logs stay ``libm``'s per-element map over ``math.log``, as the
-check catalog's ``log1p``, ``exp`` and ``expm1`` do, because numpy has no
-loop for these that gives libm's bits: on the same points ``np.log``
-differs from ``math.log`` in 150 and ``np.log1p`` from ``math.log1p`` in
-9,356.  If a point would make the scalar call raise, the grid is re-run
-point by point, so the first such point raises the scalar call's own error.
-The check catalog's grid builders call this form once per quantity.
+One body does this for every function (``_evaluate``), order-major over an
+array of points and only for the rows asked for (lnGamma, psi, psi^(j)):
+the points below 16 step together, one row of z += 1.0 per step, the
+shift terms ln z, 1/z and z^-(j+1) of every row go into one term array
+summed by one accumulation along the steps, and the rows' series are one
+stacked 12-term pass.  + - * / run in numpy, which rounds as Python floats
+do.  The logs and powers come in two flavours:
 
-``gamma_table(n_psi, u)`` returns lnGamma and psi^(j), j < n_psi, at every
-element of an array in order-major numpy passes, for the grid-shaped
-callers (derivative tables, the q surface): one term array of every shift
-quantity, one accumulation of it, and one 12-term loop over the stacked
-lnGamma, psi and psi^(j) series.  It shares the shift and the series terms'
-operation order but takes ``np.log`` and ``np.power``, whose SIMD loops may round
-differently from libm: on 100,000 log-spaced points in [1e-2, 2000]
-``np.log`` differs from ``math.log`` in 82 and ``xs**3`` from ``**`` in
-5,327, and on the lemma suite's grids ``gamma_table(7, xs)`` differs from
-``digamma`` / ``polygamma`` in 773 of 22,400 values (a few ulps each).  It
-stays apart because certificate and scan bytes rest on its values.  The
-single-point h-family derivatives (``hfamily.logh_deriv``,
-``alpha_necessary_bound``, ``q_surface`` and their callers) build one- to
-three-point tables through ``gamma_table``, which costs about 48 to 62
-scalar calls each (a one-point order-1 table about 180 us, a one-point
-order-8 table about 210 us, a three-point order-4 table about 230 us,
-against about 3.7 us for one ``lngamma``; one core of a 2-CPU Xeon VM).
+- libm's, for ``lngamma``, ``digamma`` and ``polygamma``: ``math.log`` per
+  element (``libm``) and ``np.float_power``, whose float64 loop calls
+  libm's ``pow`` per element in C, so each value has the bits of the
+  scalar recurrence in Python floats (tests/_referee.py).  The check
+  catalog rests on these bits.  A float is a one-point array: it returns a
+  float and costs about 55 to 85 us, against 4 to 7 us for the scalar loop
+  that it replaced (BENCH_27.json, one core of a 2-CPU Xeon VM); a
+  1-D array returns the array of the per-point values.
+- numpy's, for ``gamma_table``: ``np.log`` and ``np.power``, whose SIMD
+  loops may round differently (on 100,000 log-spaced points in
+  [1e-2, 2000] ``np.log`` differs from ``math.log`` in 82 and ``xs**3``
+  from ``**`` in 5,327), and cost about a third of libm's per table.  The
+  certificate and scan bytes rest on these values.
+
+Errors come from the body's finiteness masks, without a rerun: a grid
+raises what its first bad point raises alone.  A result, or a power,
+outside the binary64 range raises ``CapabilityError``; every returned value
+is finite.
 
 Accuracy is absolute, not relative, near the zeros of lnGamma (x = 1, 2)
 and of psi (x0 = 1.4616321449683622), where the result is a difference of
@@ -56,16 +45,13 @@ Bernoulli numbers are generated once from the defining recurrence as exact
 integer rationals (numerator, denominator), and every series coefficient is
 one int true division of an exact numerator by an exact denominator, which
 CPython rounds correctly (as ``fractions.Fraction.__float__`` does).
-
-A result, or an intermediate, outside the binary64 range raises
-``CapabilityError``; every returned value is finite.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -145,34 +131,6 @@ def check_order(k: int) -> int:
     return n
 
 
-def _lngamma_series(z, log_z):
-    """lnGamma(z) for z >= SHIFT_THRESHOLD, given log_z = ln z; z a float or an array.
-
-    Stirling series: (z - 1/2) ln z - z + ln(2 pi)/2 + sum B_2n / (2n(2n-1) z^{2n-1}).
-    """
-    series = 0.0
-    zsq = z * z
-    zpow = z  # z^{2n-1}
-    for n in range(1, ASYM_TERMS + 1):
-        series = series + BERNOULLI_EVEN[n - 1] / ((2 * n) * (2 * n - 1) * zpow)
-        zpow = zpow * zsq
-    return (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series
-
-
-def _digamma_series(z, log_z):
-    """psi(z) for z >= SHIFT_THRESHOLD, given log_z = ln z; z a float or an array.
-
-    psi(z) ~ ln z - 1/(2z) - sum B_2n / (2n z^{2n}).
-    """
-    series = 0.0
-    zsq = z * z
-    zpow = zsq  # z^{2n}
-    for n in range(1, ASYM_TERMS + 1):
-        series = series + BERNOULLI_EVEN[n - 1] / ((2 * n) * zpow)
-        zpow = zpow * zsq
-    return log_z - 0.5 / z - series
-
-
 @lru_cache(maxsize=None)
 def _poly_coefs(k: int) -> tuple[float, ...]:
     """Series coefficients B_{2n} (2n+k-1)!/(2n)! for n = 1..ASYM_TERMS,
@@ -182,36 +140,25 @@ def _poly_coefs(k: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stacked_coefs(n_psi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(numerators, multipliers) of gamma_table's stacked series, read-only,
-    each of shape (ASYM_TERMS, n_psi + 1, 1): for term n a column with one
-    row each for lnGamma, psi and psi^(j), j < n_psi, holding B_2n over
-    2n(2n-1) and B_2n over 2n, then _poly_coefs(j)'s n-th coefficient over 1.0."""
-    poly = [_poly_coefs(j) for j in range(1, n_psi)]
-    nums = np.array([[b, b, *(c[n - 1] for c in poly)]
-                     for n, b in enumerate(BERNOULLI_EVEN, start=1)])
-    muls = np.array([[(2 * n) * (2 * n - 1), 2 * n, *(1 for _ in poly)]
-                     for n in range(1, ASYM_TERMS + 1)], dtype=float)
-    for a in (nums, muls):
-        a.setflags(write=False)
-    return nums[..., None], muls[..., None]
+def _stack(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(numerators, multipliers, k, k_fac) of the rows psi^(j), j in orders
+    (ascending; -1 is lnGamma, 0 psi), read-only.
 
-
-def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):
-    """(-1)^{k+1} psi^(k)(z) for z >= SHIFT_THRESHOLD.
-
-    (k-1)!/z^k + k!/(2 z^{k+1}) + sum_n B_{2n} (2n+k-1)!/(2n)! z^{-(2n+k)},
-    given coefs = _poly_coefs(k), k_fac = (k-1)! (so k! = k * k_fac) and the
-    powers z_k, z_k1, z_k2 = z^k, z^{k+1}, z^{k+2}, which each caller takes
-    with its own pow.  z is a float or a 1-D array of points.
+    The first two have shape (ASYM_TERMS, rows, 1): term n of a row is B_2n
+    over 2n(2n-1) for lnGamma, B_2n over 2n for psi and _poly_coefs(j)'s
+    n-th coefficient over 1.0 for psi^(j).  k holds the orders j >= 1 as an
+    int column, k_fac their (j-1)! as a float column.
     """
-    series = 0.0
-    zsq = z * z
-    zpow = z_k2  # z^{2n+k}
-    for c in coefs:
-        series = series + c / zpow
-        zpow = zpow * zsq
-    return k_fac / z_k + k * k_fac / (2.0 * z_k1) + series
+    ks = [j for j in orders if j > 0]
+    nums = np.array([[b if j < 1 else _poly_coefs(j)[n - 1] for j in orders]
+                     for n, b in enumerate(BERNOULLI_EVEN, start=1)])
+    muls = np.array([[(2 * n) * (2 * n - 1) if j < 0 else 2 * n if j == 0 else 1
+                      for j in orders] for n in range(1, ASYM_TERMS + 1)], dtype=float)
+    stack = (nums[..., None], muls[..., None], np.array(ks, dtype=int)[:, None],
+             np.array([_FACTORIALS[j - 1] for j in ks], dtype=float)[:, None])
+    for a in stack:
+        a.setflags(write=False)
+    return stack
 
 
 def _accumulate(a: np.ndarray) -> np.ndarray:
@@ -224,7 +171,7 @@ def _accumulate(a: np.ndarray) -> np.ndarray:
     np.cumsum alone a 200-point gamma_table(8) or a 1,000-point grid (641
     to 1,422 columns) 9-13% slower."""
     if a[0].size <= 200:
-        return np.cumsum(a, axis=0, out=a)
+        return np.add.accumulate(a, axis=0, out=a)  # np.cumsum without its Python wrapper
     for s in range(1, len(a)):
         a[s] += a[s - 1]
     return a
@@ -234,35 +181,112 @@ def _shift(u: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """(zs, z, step_sums): the recurrence shift of the 1-D array u.
 
-    zs holds only the points below SHIFT_THRESHOLD, the ones the scalar
-    loops step: its row s is each of them after s steps of z += 1.0, added
-    in order as the scalar loops add (the smallest point needs the most
-    steps), and a point's rows from its first z >= SHIFT_THRESHOLD on are
-    never read.  z is where every point's loop stops.  step_sums(terms)
-    takes terms with zs's steps on its leading axis and its points on its
-    last (at most one axis of quantities between) and returns each point's
-    terms summed over its low steps in step order, 0.0 at the points that do
-    not step, over all of u: one accumulation along the steps (in place),
-    read at each point's last low step.
+    zs holds only the points below SHIFT_THRESHOLD, the ones that step: its
+    row s is each of them after s steps of z += 1.0, added in order, for as
+    many steps as the smallest point takes (16 take any point > 0 there),
+    and a point's rows from its first z >= SHIFT_THRESHOLD on are never
+    read.  z is where every point stops.  step_sums(terms) takes terms with zs's steps on its leading
+    axis, quantities on its middle and points on its last, and returns each
+    point's terms summed over its low steps in step order, quantities
+    leading, 0.0 at the points that do not step, over all of u: one
+    accumulation along the steps (in place), read at each point's last low
+    step.
     """
-    stepped = np.flatnonzero(u < SHIFT_THRESHOLD)
-    rows, z = 0, float(u.min(initial=SHIFT_THRESHOLD))
-    while z < SHIFT_THRESHOLD:
-        rows, z = rows + 1, z + 1.0
-    zs = np.ones((rows + 1, stepped.size))
-    zs[0] = u[stepped]
+    stepped = (u < SHIFT_THRESHOLD).nonzero()[0]
+    zs = np.empty((17, stepped.size))
+    zs[0], zs[1:] = u[stepped], 1.0
     zs = _accumulate(zs)
     steps, points = (zs < SHIFT_THRESHOLD).sum(axis=0), np.arange(stepped.size)
     z = u.copy()
     z[stepped] = zs[steps, points]
 
     def step_sums(terms: np.ndarray) -> np.ndarray:
-        sums = np.zeros((*terms.shape[1:-1], u.size))
+        sums = np.zeros((terms.shape[1], u.size))
         if stepped.size:  # the read puts the point axis first; .T puts it back last
-            sums[..., stepped] = _accumulate(terms)[steps - 1, ..., points].T
+            sums[:, stepped] = _accumulate(terms)[steps - 1, :, points].T
         return sums
 
-    return zs[:-1], z, step_sums
+    return zs[:steps.max(initial=0)], z, step_sums
+
+
+def _series(nums: np.ndarray, muls: np.ndarray, zpow: np.ndarray,
+            zsq: np.ndarray) -> np.ndarray:
+    """Each row's asymptotic sum: the terms num_n / (mul_n z_n), n = 1 to
+    ASYM_TERMS, added in order, where z_1 = zpow and z_{n+1} = z_n zsq
+    (a wide zpow is overwritten).
+
+    A narrow zpow (at most 200 values, as in _accumulate) takes all terms
+    as one stack, in six numpy calls; a wide one goes term by term, so that
+    no stack of twelve copies of it is allocated: at 200 points and ten rows
+    that stack is 192 kB, which malloc may return to the system and fault in
+    again on every call (62 minor page faults per gamma_table(9) call on the
+    default grid, counted with getrusage in a process that interleaved it
+    with other kernel calls, and about 30% slower)."""
+    if zpow.size <= 200:
+        a = np.empty((ASYM_TERMS, *zpow.shape))
+        a[0], a[1:] = zpow, zsq
+        np.multiply.accumulate(a, axis=0, out=a)
+        np.divide(nums, np.multiply(muls, a, out=a), out=a)
+        return np.add.accumulate(a, axis=0, out=a)[-1]
+    series, term = np.zeros_like(zpow), np.empty_like(zpow)
+    for num, mul in zip(nums, muls):
+        series += np.divide(num, np.multiply(mul, zpow, out=term), out=term)
+        zpow *= zsq
+    return series
+
+
+def _evaluate(u: np.ndarray, orders: tuple[int, ...], log, pow
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, powers_ok): psi^(j)(u) for j in orders at the positive points
+    of the 1-D array u, and where every power of a point is finite (True
+    when no row takes powers).
+
+    orders ascend; -1 is lnGamma and 0 psi, and a row j >= 1 holds the
+    magnitude (-1)^(j+1) psi^(j).  The shift terms ln z, 1/z and z^-(j+1)
+    of every row are summed by one accumulation along the steps, and the
+    rows' series by one (_series).  log and pow are the flavour: libm's
+    (libm over math.log, np.float_power) or numpy's (np.log, np.power).
+    A value may be inf or nan (under np.errstate(all="ignore")).  A power
+    overflows where the scalar recurrence's z ** -(j+1) or z ** (j+2) does:
+    the first step's term u^-(j+1) is a point's largest (the later ones are
+    below 1, so a sum of finite terms stays finite), and z^(j+2) its
+    largest series power.
+    """
+    nums, muls, k, k_fac = _stack(orders)
+    lg, psi = int(orders[0] == -1), int(0 in orders)  # ints: a bool index is a mask
+    p = lg + psi  # the first polygamma row
+    zs, z, step_sums = _shift(u)
+    terms = np.empty((len(zs), len(orders), zs.shape[1]))  # the shift terms, steps leading
+    if lg:
+        low = zs < SHIFT_THRESHOLD
+        terms[:, 0] = 0.0
+        terms[:, 0][low] = log(zs[low])
+    if psi:
+        np.divide(1.0, zs, out=terms[:, lg])  # exact in any loop, so written in place
+    for i, j in enumerate(k[:, 0].tolist(), start=p):
+        terms[:, i] = pow(zs, -(j + 1))
+    shifts = step_sums(terms)
+    zsq = z * z
+    zpow = np.empty((len(orders), u.size))  # z^p of each row's first term
+    if lg:
+        zpow[0] = z
+    if psi:
+        zpow[lg] = zsq
+    if p < len(orders):  # z^(j+2) is read before _series overwrites a wide zpow
+        powers_ok = np.isfinite(pow(z, k + 2, out=zpow[p:])).all(axis=0)
+    series = _series(nums, muls, zpow, zsq)
+    rows = np.empty_like(series)
+    if p:
+        log_z = log(z)
+    if lg:
+        rows[0] = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series[0] - shifts[0]
+    if psi:
+        rows[lg] = log_z - 0.5 / z - series[lg] - shifts[lg]
+    if p == len(orders):
+        return rows, True
+    rows[p:] = (k_fac / pow(z, k) + k * k_fac / (2.0 * pow(z, k + 1)) + series[p:]
+                + k * k_fac * shifts[p:])
+    return rows, powers_ok & np.isfinite(shifts[p:]).all(axis=0)
 
 
 def libm(fn, a: np.ndarray, *args) -> np.ndarray:
@@ -290,46 +314,31 @@ def power(a: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _lngamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, z, step_sums = _shift(u)
-    low = zs < SHIFT_THRESHOLD
-    logs = np.zeros_like(zs)
-    logs[low] = libm(math.log, zs[low])  # one Python call per step the scalar loops take
-    return _lngamma_series(z, libm(math.log, z)) - step_sums(logs)
+_libm_log = partial(libm, math.log)
 
 
-def _digamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, z, step_sums = _shift(u)
-    return _digamma_series(z, libm(math.log, z)) - step_sums(1.0 / zs)
+def _kernel(order: int, x, fn: str, *args) -> float | np.ndarray:
+    """psi^(order)(x) in libm's flavour (lnGamma for -1; the magnitude for
+    order >= 1): a float for one point, the array for a 1-D array.
 
-
-def _polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
-    zs, z, step_sums = _shift(u)
-    shift = step_sums(power(zs.ravel(), -(k + 1)).reshape(zs.shape))
-    magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
-                                   *(power(z, e) for e in (k, k + 1, k + 2)))
-                 + float(_FACTORIALS[k]) * shift)
-    return magnitude if k % 2 == 1 else -magnitude
-
-
-def _on_grid(x: np.ndarray, scalar, grid, *args) -> np.ndarray:
-    """scalar(*args, v) at every point v of the 1-D array x, bit for bit.
-
-    The points go through real_points, so the first one that is not a
-    finite real > 0 raises the scalar call's DomainError, and grid(*args, x)
-    evaluates them in one pass.  Where that meets math.pow's OverflowError or
-    a value that is not finite, the scalar calls run point by point instead,
-    so the first bad point raises.
+    A point that is not finite and > 0 raises DomainError (the first one of
+    a grid), and the first point whose power or value is not finite raises
+    CapabilityError naming the call fn(*args, point).
     """
-    x = real_points(x, "x", require_positive)
-    try:
-        with np.errstate(all="ignore"):  # inf and nan are caught below
-            out = grid(*args, x)
-        if np.all(np.isfinite(out)):
-            return out
-    except OverflowError:  # from math.pow
-        pass
-    return np.array([scalar(*args, v) for v in x.tolist()], dtype=float)
+    # a float skips the isinstance call
+    grid = x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1
+    u = real_points(x, "x", require_positive) if grid else np.array([require_positive(x, "x")])
+    with np.errstate(all="ignore"):  # inf and nan are caught below
+        (value,), powers_ok = _evaluate(u, (order,), _libm_log, np.float_power)
+        ok = powers_ok & np.isfinite(value)
+    if not ok.all():
+        i = int(ok.argmin())
+        point = u[i].item() if grid else x
+        if order > 0 and not powers_ok[i]:
+            raise CapabilityError(f"polygamma({order}, {point!r}) needs a power of x "
+                                  "outside the double-precision range")
+        require_finite(value[i].item(), fn, *args, point)
+    return value if grid else value[0].item()
 
 
 def lngamma(x: float | np.ndarray) -> float | np.ndarray:
@@ -338,15 +347,7 @@ def lngamma(x: float | np.ndarray) -> float | np.ndarray:
     Near its zeros x = 1 and x = 2 the error is absolute (below 1e-14), not
     relative.  A 1-D array x gives the array of the per-point values.
     """
-    # a float skips the isinstance call, which would cost it about 2%
-    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
-        return _on_grid(x, lngamma, _lngamma_grid)
-    z = require_positive(x, "x")
-    shift = 0.0
-    while z < SHIFT_THRESHOLD:
-        shift += math.log(z)
-        z += 1.0
-    return require_finite(_lngamma_series(z, math.log(z)) - shift, "lngamma", x)
+    return _kernel(-1, x, "lngamma")
 
 
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
@@ -355,14 +356,7 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
     Near its zero x0 = 1.4616321449683622 the error is absolute (below 1e-14),
     not relative.  A 1-D array x gives the array of the per-point values.
     """
-    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
-        return _on_grid(x, digamma, _digamma_grid)
-    z = require_positive(x, "x")
-    shift = 0.0
-    while z < SHIFT_THRESHOLD:
-        shift += 1.0 / z
-        z += 1.0
-    return require_finite(_digamma_series(z, math.log(z)) - shift, "digamma", x)
+    return _kernel(0, x, "digamma")
 
 
 def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -373,23 +367,7 @@ def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
     gives the array of the per-point values.
     """
     k = check_order(k)
-    if x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1:
-        return _on_grid(x, polygamma, _polygamma_grid, k)
-    z = require_positive(x, "x")
-    kfac = float(_FACTORIALS[k])
-    shift = 0.0  # accumulates k! sum z_i^{-(k+1)} in magnitude form
-    try:
-        while z < SHIFT_THRESHOLD:
-            shift += z ** -(k + 1)
-            z += 1.0
-        # a float power outside the binary64 range raises OverflowError
-        magnitude = _polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
-                                      z ** k, z ** (k + 1), z ** (k + 2))
-    except OverflowError:
-        raise CapabilityError(
-            f"polygamma({k}, {x!r}) needs a power of x outside the double-precision range"
-        ) from None
-    magnitude = require_finite(magnitude + kfac * shift, "polygamma", k, x)
+    magnitude = _kernel(k, x, "polygamma", k)
     return magnitude if k % 2 == 1 else -magnitude
 
 
@@ -397,19 +375,12 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     """(lnGamma(u), psi^(j)(u) for j = 0..n_psi-1) at every point of the 1-D array u.
 
     The array version of lngamma, digamma and polygamma: psi has shape
-    (n_psi, len(u)), psi[0] is digamma.  Each point goes through the scalar
-    functions' steps: z += 1.0 until z >= SHIFT_THRESHOLD, the shift terms
-    summed in that order, then the series, each term with the scalar
-    bodies' operations in their order.  The work runs order-major: the
-    powers z^-(j+1), one scalar exponent per order, go with ln z and 1/z
-    into one term array whose leading axis is the step, summed by one
-    accumulation; the lnGamma, psi and psi^(j) series are the rows of one
-    stacked 12-term loop.  It raises
-    CapabilityError exactly where one of the scalar calls lngamma(u_i),
-    digamma(u_i), polygamma(j, u_i) would, and returns only finite values.
-    Its logs and powers are numpy's, not libm's, so its values may differ
-    from the scalar ones by a few ulps; the certificate and scan bytes rest
-    on them.
+    (n_psi, len(u)), psi[0] is digamma.  It is the same evaluation in
+    numpy's flavour: its logs and powers are np.log and np.power, not
+    libm's, so its values may differ from the scalar ones by a few ulps;
+    the certificate and scan bytes rest on them.  It raises CapabilityError
+    exactly where one of the calls lngamma(u_i), digamma(u_i),
+    polygamma(j, u_i) would, and returns only finite values.
     """
     n = as_integer(n_psi)
     if n is None or n < 1:
@@ -419,40 +390,13 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     points = real_points(u, "u", require_positive)
     if np.ndim(u) != 1:  # one point is not a 1-D array
         raise DomainError(f"u must be a 1-D array of finite positive reals, got {u!r}")
-    n_psi, u = n, points
-    zs, z, step_sums = _shift(u)
-    orders = range(1, n_psi)
-    k = np.array(orders)[:, None]  # polygamma orders as a column against the points
-    k_fac = np.array(_FACTORIALS[:n_psi - 1], dtype=float)[:, None]
+    orders = tuple(range(-1, n))
     with np.errstate(all="ignore"):  # non-finite values are checked below
-        # the shift terms ln z, 1/z and z^-(j+1), the steps leading
-        terms = np.empty((len(zs), n_psi + 1, zs.shape[1]))
-        terms[:, 0] = np.log(zs)
-        terms[:, 1] = 1.0 / zs
-        for j in orders:
-            terms[:, j + 1] = zs ** -(j + 1)
-        shifts = step_sums(terms)
-        log_z, zsq = np.log(z), z * z
-        z_k2 = z ** (k + 2)
-        # the lnGamma, psi and psi^(j) series as the rows of one stack, each
-        # term B / (m z^p) for the first two and c / (1.0 z^p) = c / z^p for
-        # the rest; z^p starts at z, z^2 and z^(j+2)
-        zpow = np.concatenate([z[None], zsq[None], z_k2])
-        series, term = np.zeros_like(zpow), np.empty_like(zpow)
-        for num, mul in zip(*_stacked_coefs(n_psi)):
-            series += np.divide(num, np.multiply(mul, zpow, out=term), out=term)
-            zpow *= zsq
-        lg = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series[0] - shifts[0]
-        psi_0 = log_z - 0.5 / z - series[1] - shifts[1]
-        magnitude = (k_fac / z ** k + k * k_fac / (2.0 * z ** (k + 1)) + series[2:]
-                     + k * k_fac * shifts[2:])
-        psi = np.concatenate([psi_0[None], (-1.0) ** (k + 1) * magnitude])
-        # a point fails where a scalar result would not be finite, or where
-        # the scalar polygamma's largest power z^{k+2} overflows
-        bad = ~(np.isfinite(lg) & np.isfinite(psi).all(axis=0)
-                & np.isfinite(z_k2).all(axis=0))
+        rows, powers_ok = _evaluate(points, orders, np.log, np.power)
+        rows[2:] *= (-1.0) ** (_stack(orders)[2] + 1)  # the signs of psi^(j), j >= 1
+        bad = ~(np.isfinite(rows).all(axis=0) & powers_ok)
     if bad.any():
         raise CapabilityError(
-            f"gamma_table({n_psi}, u) at u = {float(u[bad][0])!r} is outside the "
+            f"gamma_table({n}, u) at u = {float(points[bad][0])!r} is outside the "
             "double-precision range")
-    return lg, psi
+    return rows[0], rows[1:]

@@ -674,24 +674,30 @@ def thm2_ineq(t) -> CheckResult | CheckTable:
     return _row_or_rows(rows, t)
 
 
-def batir_ineq(a: float, b: float) -> CheckResult:
+@first_bad_point
+def batir_ineq(a, b) -> CheckResult | CheckTable:
     """psi(L(a,b)) < (a-b) * (lnG(a) - lnG(b)) for a, b > 0, a != b.
 
     This is the log form of exp(psi(L(a,b))) < [G(a)/G(b)]^(a-b) with the
     exponent exactly as printed; the quotient reading (lnG(a)-lnG(b))/(a-b)
-    is exposed in inputs under "rhs_exponent_quotient_form".
+    is exposed in inputs under "rhs_exponent_quotient_form".  a and b are
+    each one point or a 1-D grid: two points give one CheckResult, else a
+    table, one row per pair.
     """
-    a = require_positive(a, "a")
-    b = require_positive(b, "b")
-    if abs(a - b) <= DIAGONAL_REL_TOL * max(a, b):
-        raise DomainError(f"a and b must be distinct, got a={a!r}, b={b!r}")
-    lm = log_mean(a, b)
-    dg = lngamma(a) - lngamma(b)
-    return one_sided(
-        "psi_logmean_vs_gamma_ratio_power",
-        (("a", a), ("b", b), ("log_mean", lm), ("lngamma_diff", dg),
-         ("rhs_exponent_quotient_form", dg / (a - b)), ("log_scale", 1.0)),
-        digamma(lm), (a - b) * dg)
+    aa, bb = broadcast_points("a, b", real_points(a, "a", require_positive),
+                              real_points(b, "b", require_positive))
+    require_all(abs(aa - bb) > DIAGONAL_REL_TOL * np.maximum(aa, bb), DomainError,
+                "a and b must be distinct, got a={!r}, b={!r}", aa, bb)
+    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
+        lm = log_mean(aa, bb)
+        lg_a, lg_b = lngamma(np.concatenate([aa, bb])).reshape(2, -1)
+        dg = lg_a - lg_b
+        rows = one_sided_rows(
+            "psi_logmean_vs_gamma_ratio_power",
+            (("a", aa), ("b", bb), ("log_mean", lm), ("lngamma_diff", dg),
+             ("rhs_exponent_quotient_form", dg / (aa - bb)), ("log_scale", 1.0)),
+            digamma(lm), (aa - bb) * dg)
+    return _row_or_rows(rows, a, b)
 
 
 @first_bad_point

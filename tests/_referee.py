@@ -8,13 +8,20 @@ The one deliberate difference is documented where it is tested: the package
 refuses a non-finite auxiliary value (``aux_eval``) with CapabilityError
 where the old body returned it.
 
-``gamma_table``, ``lngamma_grid``, ``digamma_grid``, ``polygamma_grid`` and
-``logh_deriv_table`` are the derivative-table layer as the package computed
-it before its tables ran in order-major passes: the shift as a steps by
-points matrix over every point, each shift sum masked and summed on its own,
-three Stirling loops, and each bracket of the closed form summed term by
-term.  The package's tables return these arrays bit for bit and raise
-these errors.
+``lngamma``, ``digamma`` and ``polygamma`` are the kernel as the package
+computed it one point at a time, before its four functions shared one
+order-major body: a loop of ``z += 1.0`` below ``SHIFT_THRESHOLD`` with each
+shift term summed as it is taken, then one Stirling series per quantity
+(``_lngamma_series``, ``_digamma_series``, ``_polygamma_series``), in Python
+floats with ``math.log`` and ``**``.  Every referee body below takes its
+kernel values from these.
+
+``gamma_table`` and ``logh_deriv_table`` are the derivative-table layer as
+the package computed it before its tables ran in order-major passes: the
+shift as a steps by points matrix over every point, each shift sum masked
+and summed on its own, three Stirling loops, and each bracket of the closed
+form summed term by term.  The package's tables return these arrays bit for
+bit and raise these errors.
 
 ``lemma_suite`` is the lemma suite as the package composed it before its
 windows were built in one pass: the eight window builders' tables joined,
@@ -31,21 +38,20 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
 from gammacert import (
     CapabilityError, Certificate, CheckTable, DerivSample, Direction, DomainError, HParams,
-    ParameterError, PrecisionError, Verdict, digamma, grid_points, hfamily, lngamma,
-    polygamma, polygamma_bounds, psi_log_bounds, psi_upper_refinement)
+    ParameterError, PrecisionError, Verdict, grid_points, hfamily, polygamma_bounds,
+    psi_log_bounds, psi_upper_refinement)
 from gammacert.certify import NOISE_FLOOR_REL
 from gammacert.errors import (
-    as_integer, first_bad_point, is_finite, real_points, require_positive, require_real,
-    require_y)
+    as_integer, first_bad_point, is_finite, real_points, require_finite, require_positive,
+    require_real, require_y)
 from gammacert.gammakit import (
-    _FACTORIALS, SHIFT_THRESHOLD, _digamma_series, _lngamma_series, _poly_coefs,
-    _polygamma_series, check_order, libm, power)
+    _FACTORIALS, _HALF_LOG_TWO_PI, ASYM_TERMS, BERNOULLI_EVEN, SHIFT_THRESHOLD,
+    _poly_coefs, check_order)
 from gammacert.hfamily import (
     DerivTable, _shifted_arguments, lcm_threshold, reciprocal_threshold)
 from gammacert.ineq import CHAIN_SUP, AuxFn, CheckResult, one_sided, two_sided
@@ -116,30 +122,82 @@ def _summed(low: np.ndarray, term: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(low, term, 0.0), axis=0)[-1]
 
 
-def _at_low(fn, zs: np.ndarray, low: np.ndarray, *args) -> np.ndarray:
-    out = np.zeros_like(zs)
-    out[low] = fn(zs[low], *args)
-    return out
+def _lngamma_series(z, log_z):
+    """lnGamma(z) for z >= SHIFT_THRESHOLD, given log_z = ln z; z a float or an array."""
+    series = 0.0
+    zsq = z * z
+    zpow = z  # z^{2n-1}
+    for n in range(1, ASYM_TERMS + 1):
+        series = series + BERNOULLI_EVEN[n - 1] / ((2 * n) * (2 * n - 1) * zpow)
+        zpow = zpow * zsq
+    return (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series
 
 
-def lngamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    return (_lngamma_series(z, libm(math.log, z))
-            - _summed(low, _at_low(partial(libm, math.log), zs, low)))
+def _digamma_series(z, log_z):
+    """psi(z) for z >= SHIFT_THRESHOLD, given log_z = ln z; z a float or an array."""
+    series = 0.0
+    zsq = z * z
+    zpow = zsq  # z^{2n}
+    for n in range(1, ASYM_TERMS + 1):
+        series = series + BERNOULLI_EVEN[n - 1] / ((2 * n) * zpow)
+        zpow = zpow * zsq
+    return log_z - 0.5 / z - series
 
 
-def digamma_grid(u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    return _digamma_series(z, libm(math.log, z)) - _summed(low, 1.0 / zs)
+def _polygamma_series(z, k, coefs, k_fac, z_k, z_k1, z_k2):
+    """(-1)^{k+1} psi^(k)(z) for z >= SHIFT_THRESHOLD, given the powers
+    z^k, z^{k+1}, z^{k+2}; z a float or an array."""
+    series = 0.0
+    zsq = z * z
+    zpow = z_k2  # z^{2n+k}
+    for c in coefs:
+        series = series + c / zpow
+        zpow = zpow * zsq
+    return k_fac / z_k + k * k_fac / (2.0 * z_k1) + series
 
 
-def polygamma_grid(k: int, u: np.ndarray) -> np.ndarray:
-    zs, low, z = _shift(u)
-    shift = _summed(low, _at_low(power, zs, low, -(k + 1)))
-    magnitude = (_polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
-                                   *(power(z, e) for e in (k, k + 1, k + 2)))
-                 + float(_FACTORIALS[k]) * shift)
+def lngamma(x: float) -> float:
+    z = require_positive(x, "x")
+    shift = 0.0
+    while z < SHIFT_THRESHOLD:
+        shift += math.log(z)
+        z += 1.0
+    return require_finite(_lngamma_series(z, math.log(z)) - shift, "lngamma", x)
+
+
+def digamma(x: float) -> float:
+    z = require_positive(x, "x")
+    shift = 0.0
+    while z < SHIFT_THRESHOLD:
+        shift += 1.0 / z
+        z += 1.0
+    return require_finite(_digamma_series(z, math.log(z)) - shift, "digamma", x)
+
+
+def polygamma(k: int, x: float) -> float:
+    k = check_order(k)
+    z = require_positive(x, "x")
+    kfac = float(_FACTORIALS[k])
+    shift = 0.0
+    try:
+        while z < SHIFT_THRESHOLD:
+            shift += z ** -(k + 1)
+            z += 1.0
+        magnitude = _polygamma_series(z, k, _poly_coefs(k), _FACTORIALS[k - 1],
+                                      z ** k, z ** (k + 1), z ** (k + 2))
+    except OverflowError:
+        raise CapabilityError(
+            f"polygamma({k}, {x!r}) needs a power of x outside the double-precision range"
+        ) from None
+    magnitude = require_finite(magnitude + kfac * shift, "polygamma", k, x)
     return magnitude if k % 2 == 1 else -magnitude
+
+
+def on_grid(fn, x: np.ndarray) -> np.ndarray:
+    """fn at every point of the 1-D array x, one call each: the first bad
+    point raises."""
+    return np.array([fn(v) for v in real_points(x, "x", require_positive).tolist()],
+                    dtype=float)
 
 
 def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -260,6 +318,20 @@ def psi_integral_mean_ineq(i: int, s: float, t: float,
     return two_sided("psi_derivative_mean_value_window",
                      (("i", i), ("s", s), ("t", t), ("p", p), ("q", q)),
                      lower, mean, upper, strict=False)
+
+
+def batir_ineq(a: float, b: float) -> CheckResult:
+    a = require_positive(a, "a")
+    b = require_positive(b, "b")
+    if abs(a - b) <= DIAGONAL_REL_TOL * max(a, b):
+        raise DomainError(f"a and b must be distinct, got a={a!r}, b={b!r}")
+    lm = log_mean(a, b)
+    dg = lngamma(a) - lngamma(b)
+    return one_sided(
+        "psi_logmean_vs_gamma_ratio_power",
+        (("a", a), ("b", b), ("log_mean", lm), ("lngamma_diff", dg),
+         ("rhs_exponent_quotient_form", dg / (a - b)), ("log_scale", 1.0)),
+        digamma(lm), (a - b) * dg)
 
 
 def log_upper_bound_ineq(t: float) -> CheckResult:

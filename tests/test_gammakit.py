@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import _oracle as oracle
+import _referee as referee
 from gammacert import (
     EULER_GAMMA,
     EXP_NEG_EULER_GAMMA,
@@ -281,10 +282,14 @@ def test_kernel_returns_finite_or_raises_package_error(x, k):
 
 
 # ---------------------------------------------------------------------------
-# grid calls of the scalar kernel
+# grid calls of the kernel
 # ---------------------------------------------------------------------------
 
-_KERNEL = (lngamma, digamma, *(partial(polygamma, k) for k in range(1, MAX_DERIV_ORDER + 1)))
+#: (package function, referee scalar body) pairs; a float call and a grid
+#: call go through one body, so both are held to the referee's loops
+_KERNEL = ((lngamma, referee.lngamma), (digamma, referee.digamma),
+           *((partial(polygamma, k), partial(referee.polygamma, k))
+             for k in range(1, MAX_DERIV_ORDER + 1)))
 _AROUND_16 = [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, math.inf)]
 
 
@@ -301,32 +306,33 @@ def _kernel_outcome(evaluate) -> list[str] | str:
 
 @given(st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=8),
        st.sampled_from(_KERNEL))
-@example(_AROUND_16 + [1e-300, 1e300], lngamma)
-@example(_AROUND_16 + [1e-300, 1e300], digamma)
+@example(_AROUND_16 + [1e-300, 1e300], _KERNEL[0])     # lngamma
+@example(_AROUND_16 + [1e-300, 1e300], _KERNEL[1])     # digamma
 @example(_AROUND_16 + [1e-300, 1.0], _KERNEL[2])       # polygamma(1, .)
 @example(_AROUND_16 + [1e-300, 1.0], _KERNEL[-1])      # polygamma(12, .)
 @example([3.0, 1e300, 1e200], _KERNEL[2])              # z ** 2 overflows at 1e300 first
 @example([2.0, 1e-30, 1e300], _KERNEL[11])             # polygamma(10, .): z ** -11 overflows
-@example([1.0, 5e-324], digamma)                       # the shift term 1/z is inf
-@example([1.0, 0.0, -1.0], lngamma)                    # not in the domain
+@example([1.0, 5e-324], _KERNEL[1])                    # the shift term 1/z is inf
+@example([1.0, 0.0, -1.0], _KERNEL[0])                 # not in the domain
 @example([2.0, math.nan], _KERNEL[5])
-@example([], digamma)
-def test_grid_calls_are_the_scalar_calls_bit_for_bit(xs, fn):
+@example([], _KERNEL[1])
+def test_grid_calls_are_the_scalar_calls_bit_for_bit(xs, pair):
+    fn, refer = pair
     grid = np.array(xs, dtype=float)
-    assert _kernel_outcome(lambda: fn(grid)) == _kernel_outcome(lambda: [fn(v) for v in xs])
+    assert _kernel_outcome(lambda: fn(grid)) == _kernel_outcome(lambda: [refer(v) for v in xs])
 
 
 def test_grid_calls_match_the_scalar_calls_on_a_dense_grid():
     # dense enough, below and above the shift threshold, that np.log and
     # np.power in place of libm would move some values
     grid = np.concatenate([np.geomspace(1e-2, 16.0, 10000), np.geomspace(16.0, 2000.0, 10000)])
-    for fn in _KERNEL:
-        assert fn(grid).tolist() == [fn(v) for v in grid.tolist()], fn
+    for fn, refer in _KERNEL:
+        assert fn(grid).tolist() == [refer(v) for v in grid.tolist()], fn
 
 
 def test_grid_calls_return_float_arrays():
     grid = np.geomspace(1e-2, 1e3, 7)
-    for fn in _KERNEL:
+    for fn, _ in _KERNEL:
         out = fn(grid)
         assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (7,)
     assert lngamma(np.array([1, 3])).tolist() == [lngamma(1.0), lngamma(3.0)]

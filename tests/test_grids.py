@@ -27,6 +27,7 @@ from gammacert import (
     PrecisionError,
     aux_eval,
     ball_ratio_checks,
+    batir_ineq,
     gamma_ratio_ineq,
     gen_log_mean,
     log_mean,
@@ -235,6 +236,28 @@ def test_psi_integral_mean_grid_checks_its_orders_and_i():
         psi_integral_mean_ineq(1, [1.0, 2.0], [3.0, 4.0], p=-1.5, q=-1.0)
     with pytest.raises(ParameterError, match="^i must be 0 or 1"):
         psi_integral_mean_ineq(2, [1.0], [3.0], p=-3.0, q=-2.0)
+
+
+@given(st.lists(_mean_pair(), max_size=6))
+@example([])
+@example([(2.0, 1.0), (1.0, 1.0), (1.0, "abc")])  # a diagonal pair first
+@example([(0.5, 2.0), (1.0, math.inf), (2.0, 2.0)])
+def test_batir_grid_is_the_referee_point_by_point(pairs):
+    _check(batir_ineq, referee.batir_ineq, pairs, 2)
+
+
+def test_batir_grid_is_its_one_point_calls():
+    # the aux suite's worked pairs in one call, field for field
+    a, b = [2.0, 1.0, 1.0], [1.0, 2.0, 1.0 / 3.0]
+    assert _flat(batir_ineq(a, b)) == [_flat(batir_ineq(*pair)) for pair in zip(a, b)]
+    assert _flat(batir_ineq(np.array(a), 1.0 / 3.0)) == [
+        _flat(batir_ineq(v, 1.0 / 3.0)) for v in a]
+    # the first bad pair, a diagonal one, raises its own one-point error
+    with pytest.raises(DomainError) as point:
+        batir_ineq(1.5, 1.5)
+    with pytest.raises(DomainError) as grid:
+        batir_ineq([2.0, 1.5, 1.0], [1.0, 1.5, 0.0])
+    assert str(grid.value) == str(point.value) == "a and b must be distinct, got a=1.5, b=1.5"
 
 
 _EXPONENTS = (-7.0, -3.0, -2.0, -1.0 - 5e-10, -1.0, 0.0, 1e-10, 0.5, 1.0, 2.0, 7.0)

@@ -1,12 +1,13 @@
-"""The derivative-table layer and the lemma suite against their referee
-bodies, bit for bit.
+"""The kernel, the derivative-table layer and the lemma suite against their
+referee bodies, bit for bit.
 
-``gamma_table``, the kernel's grid bodies and ``logh_deriv_table`` run in
-order-major passes, and ``lemma_windows`` builds the lemma suite in one
-pass; ``tests/_referee.py`` keeps the bodies they replaced.  Every returned
-array must have the referee's bits (compared as int64 views, so a signed
-zero or a NaN payload counts too), a check table its keys too, and every
-error its type and message.
+``lngamma``, ``digamma``, ``polygamma`` and ``gamma_table`` share one
+order-major body, ``logh_deriv_table`` runs in order-major passes, and
+``lemma_windows`` builds the lemma suite in one pass; ``tests/_referee.py``
+keeps the bodies they replaced.  Every returned array must have the
+referee's bits (compared as int64 views, so a signed zero or a NaN payload
+counts too), a float its type and bits, a check table its keys too, and
+every error its type and message.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from gammacert import (
     lemma_windows)
 from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
 from gammacert.errors import log_grid
-from gammacert.gammakit import (
-    MAX_DERIV_ORDER, _digamma_grid, _lngamma_grid, _polygamma_grid, gamma_table)
+from gammacert.gammakit import MAX_DERIV_ORDER, digamma, gamma_table, lngamma, polygamma
 
 ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 
@@ -39,6 +39,8 @@ def _bits(value):
                             for c in columns]
     if isinstance(value, tuple):
         return tuple(_bits(v) for v in value)
+    if isinstance(value, float):  # np.float64 too, told apart by its type name
+        return type(value).__name__, value.hex()
     assert value.dtype == np.float64
     return value.shape, value.view(np.int64).tolist()
 
@@ -78,16 +80,26 @@ def test_gamma_table_is_the_referee(n_psi, u):
           lambda: referee.gamma_table(n_psi, np.array(u)))
 
 
+def _kernel(k: int):
+    """(package function, referee scalar body) pairs: lnGamma, psi and psi^(k)."""
+    return ((lngamma, referee.lngamma), (digamma, referee.digamma),
+            (lambda x: polygamma(k, x), lambda x: referee.polygamma(k, x)))
+
+
 @given(st.integers(1, MAX_DERIV_ORDER), _U)
 @example(3, [15.999999999999998, 16.0, 0.5])
 @example(12, [16.0, 1e5])
-@example(7, [1e-300])  # math.pow's OverflowError decides
-def test_grid_bodies_are_the_referee(k, u):
-    u = np.array(u)
-    _same(lambda: _lngamma_grid(u), lambda: referee.lngamma_grid(u))
-    _same(lambda: _digamma_grid(u), lambda: referee.digamma_grid(u))
-    _same(lambda: _polygamma_grid(k, u), lambda: referee.polygamma_grid(k, u),
-          (OverflowError, *ERRORS))
+@example(7, [1e-300])  # a shift power overflows
+@example(3, [1.0, 1e61, 1e62])  # the last series power overflows at 1e62
+@example(1, [2.0, 5e-324])  # psi's shift term 1/z is inf
+@example(1, [1e200, 1.7976931348623157e308])  # lnGamma is inf
+@example(2, [3, np.float64(1e307), np.float64(1e-320)])  # a message shows the argument's repr
+def test_kernel_is_the_referee(k, u):
+    # a float call and a grid call, each against the scalar body
+    for fn, refer in _kernel(k):
+        for v in u:
+            _same(lambda: fn(v), lambda: refer(v))
+        _same(lambda: fn(np.array(u)), lambda: referee.on_grid(refer, np.array(u)))
 
 
 _X = (st.floats(-1.0, 60.0)
@@ -104,16 +116,24 @@ def test_logh_deriv_table_is_the_referee(k_max, y, xs):
           lambda: referee.logh_deriv_table(k_max, y, xs))
 
 
+def _same_on_grid(u):
+    """Every gamma_table and kernel function on u against the referee."""
+    for n_psi in range(1, MAX_DERIV_ORDER + 2):
+        _same(lambda: gamma_table(n_psi, u), lambda: referee.gamma_table(n_psi, u))
+    for fn, refer in (*_kernel(1)[:2], *(_kernel(k)[2] for k in range(1, MAX_DERIV_ORDER + 1))):
+        _same(lambda: fn(u), lambda: referee.on_grid(refer, u))
+
+
 def test_dense_grids_are_the_referee():
     # a rounding that differs in a high order's series shows at a few points
     # in a thousand: hypothesis's short lists seldom meet one
-    u = np.random.default_rng(25).permutation(np.geomspace(1e-4, 2e3, 2001))
-    for n_psi in range(1, MAX_DERIV_ORDER + 2):
-        _same(lambda: gamma_table(n_psi, u), lambda: referee.gamma_table(n_psi, u))
-    _same(lambda: _lngamma_grid(u), lambda: referee.lngamma_grid(u))
-    _same(lambda: _digamma_grid(u), lambda: referee.digamma_grid(u))
-    for k in range(1, MAX_DERIV_ORDER + 1):
-        _same(lambda: _polygamma_grid(k, u), lambda: referee.polygamma_grid(k, u))
+    _same_on_grid(np.random.default_rng(25).permutation(np.geomspace(1e-4, 2e3, 2001)))
+
+
+def test_wide_grids_with_large_points_are_the_referee():
+    # more than 200 values take the series term by term; up to 1e15 the
+    # series power z^(k+2) is finite while its last term's z^(k+2) z^22 is not
+    _same_on_grid(np.random.default_rng(27).permutation(np.geomspace(1e-4, 1e15, 401)))
 
 
 @pytest.mark.parametrize("y", [-0.99, -0.5, 0.0, 1.3, 5.0])
