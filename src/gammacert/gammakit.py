@@ -14,8 +14,9 @@ array of points and only for the rows asked for (lnGamma, psi, psi^(j)):
 the points below 16 step together, one row of z += 1.0 per step, the
 shift terms ln z, 1/z and z^-(j+1) of every row go into one term array
 summed by one accumulation along the steps, and the rows' series are one
-stacked 12-term pass.  + - * / run in numpy, which rounds as Python floats
-do.  The logs and powers come in two flavours:
+12-term pass (one stack up to 400 values, term by term above).  + - * /
+run in numpy, which rounds as Python floats do.  The logs and powers come
+in two flavours:
 
 - libm's, for ``lngamma``, ``digamma`` and ``polygamma``: ``math.log`` per
   element (``libm``) and ``np.float_power``, whose float64 loop calls
@@ -215,14 +216,18 @@ def _series(nums: np.ndarray, muls: np.ndarray, zpow: np.ndarray,
     ASYM_TERMS, added in order, where z_1 = zpow and z_{n+1} = z_n zsq
     (a wide zpow is overwritten).
 
-    A narrow zpow (at most 200 values, as in _accumulate) takes all terms
-    as one stack, in six numpy calls; a wide one goes term by term, so that
-    no stack of twelve copies of it is allocated: at 200 points and ten rows
-    that stack is 192 kB, which malloc may return to the system and fault in
-    again on every call (62 minor page faults per gamma_table(9) call on the
-    default grid, counted with getrusage in a process that interleaved it
-    with other kernel calls, and about 30% slower)."""
-    if zpow.size <= 200:
+    A zpow of at most 400 values takes all terms as one stack, in six numpy
+    calls; a wider one goes term by term, so that no stack of twelve copies
+    of it is allocated: at 200 points and ten rows that stack is 192 kB,
+    which malloc may return to the system and fault in again on every call
+    (62 minor page faults per gamma_table(9) call on the default grid,
+    counted with getrusage in a process that interleaved it with other
+    kernel calls).  Each path alone loses on the other's side (one core,
+    BENCH_27.json ``series_paths``): term by term alone makes a float call
+    about twice as slow and the 200-point lemma calls about 20% slower, the
+    stack alone a 1,000-point grid or a gamma_table(9) on the default grid
+    (1,800 values) about 30% slower; from 400 to 500 values they tie."""
+    if zpow.size <= 400:
         a = np.empty((ASYM_TERMS, *zpow.shape))
         a[0], a[1:] = zpow, zsq
         np.multiply.accumulate(a, axis=0, out=a)

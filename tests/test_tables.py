@@ -131,7 +131,7 @@ def test_dense_grids_are_the_referee():
 
 
 def test_wide_grids_with_large_points_are_the_referee():
-    # more than 200 values take the series term by term; up to 1e15 the
+    # more than 400 values take the series term by term; up to 1e15 the
     # series power z^(k+2) is finite while its last term's z^(k+2) z^22 is not
     _same_on_grid(np.random.default_rng(27).permutation(np.geomspace(1e-4, 1e15, 401)))
 
