@@ -56,6 +56,11 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("verify", "--suite", "thm1", "--kmax", "3", "--grid-points", "57", "--x-max", "80"),
     # the witnesses and undecided counts of the smallest certificate table
     ("verify", "--suite", "thm1", "--kmax", "1", "--grid-points", "2"),
+    # a suite's tables stacked over its ys raise what the first failing y
+    # raises alone: gamma_table(8, u)'s error at thm1's first y ...
+    ("verify", "--suite", "thm1", "--x-max", "1e60"),
+    # ... and the order-1 table's error naming thm3's first y
+    ("verify", "--suite", "thm3", "--x-max", "1e300"),
     ("scan", "--alpha=0:2:0.05", "--y=-0.9:5:0.7"),
     ("scan", "--alpha=0:2:0.05", "--y=3.3:3.3:1", "--kmax", "12"),
     ("scan", "--alpha=-1:3:0.1", "--y=-0.95:0.5:0.15", "--grid-points", "77",

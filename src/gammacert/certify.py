@@ -37,13 +37,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, as_integer, is_finite,
-    log_grid, real_points, require_all, require_real, require_type, require_y)
+    PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_grid,
+    as_integer, first_bad_point, is_finite, log_grid, real_points, require_all,
+    require_real, require_type, require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -54,7 +56,7 @@ from .hfamily import (
     alpha_necessary_bound,
     log_h,
     logh_deriv_table,
-    logh_derivs_with_scale,
+    logh_derivs_with_scale,  # noqa: F401  (unused; perfbench/test_perfbench.py reads it)
     q_surface_table,
     reciprocal_threshold,
 )
@@ -74,10 +76,12 @@ __all__ = [
     "classify",
     "default_grid",
     "finite_diff_crosscheck",
+    "finite_diff_crosschecks",
     "grid_cuts",
     "grid_points",
     "in_conjecture_zone",
     "lcm_certifier",
+    "lcm_certifiers",
     "necessity_limits",
     "scan_values",
     "verify_thm3",
@@ -268,17 +272,54 @@ def _alpha_cuts(table: DerivTable) -> np.ndarray:
     return cuts
 
 
-def _cut_table(y: float, k_max: int, grid: GridSpec | None
-               ) -> tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]:
-    """Setup shared by every certificate: validate y and k_max, and return
-    the grid (default_grid(y) for None), its abscissae xs, the derivative
-    table and its _alpha_cuts."""
-    y, k_max = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
-    if grid is None:
-        grid = default_grid(y)
-    xs = grid_points(require_type(grid, GridSpec, "grid"), y)
-    table = logh_deriv_table(k_max, y, xs)
-    return grid, xs, table, _alpha_cuts(table)
+def _stacked(values, sizes) -> float | np.ndarray:
+    """values[i] at each of sizes[i] points, as a table takes a y or an
+    alpha: the one value itself, or one per point."""
+    return values[0] if len(values) == 1 else np.repeat(values, sizes)
+
+
+def _cut_tables(ys, k_max: int, grids
+                ) -> list[tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]]:
+    """Setup shared by every certificate.  For each y and its grid
+    (default_grid(y) for None), validated in turn with k_max: the grid, its
+    abscissae xs, the derivative table and its _alpha_cuts.  The tables are
+    blocks of one logh_deriv_table stacked over the ys.  A batch that
+    raises is set up again one y at a time, so it raises what its first
+    failing y raises alone."""
+    try:
+        setups = []
+        for y, grid in zip(ys, grids):
+            y, k = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
+            grid = default_grid(y) if grid is None else require_type(grid, GridSpec, "grid")
+            setups.append((y, grid, grid_points(grid, y)))
+        if not setups:
+            return []
+        valid_ys, _, xss = zip(*setups)
+        sizes = [xs.size for xs in xss]
+        table = logh_deriv_table(k, _stacked(valid_ys, sizes), np.concatenate(xss))
+        cuts = _alpha_cuts(table)
+    except PACKAGE_ERRORS:
+        for y, grid in zip(ys, grids) if len(ys) > 1 else ():
+            _cut_tables([y], k_max, [grid])
+        raise
+    stops = accumulate(sizes)
+    return [(grid, xs, block, cuts[..., stop - xs.size:stop])
+            for (_, grid, xs), block, stop in zip(setups, table.blocks(sizes), stops)]
+
+
+def lcm_certifiers(ys, k_max: int = DEFAULT_K_MAX, grids=None
+                   ) -> list[Callable[[float, Direction | str], Certificate]]:
+    """lcm_certifier(y, k_max, grid) for each y of the 1-D grid ys and its
+    grid in the sequence grids (None: default_grid(y) for every y), from
+    one derivative table stacked over the ys.  A batch raises what its
+    first failing y raises alone."""
+    ys = as_grid(ys)
+    if ys is None:
+        raise DomainError("ys must be a 1-D grid of ys")
+    grids = [None] * len(ys) if grids is None else as_grid(grids)
+    if grids is None or len(grids) != len(ys):
+        raise ParameterError(f"grids must be None or one GridSpec or None per y, got {grids!r}")
+    return [_certifier(k_max, *setup) for setup in _cut_tables(ys, k_max, grids)]
 
 
 def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
@@ -289,9 +330,15 @@ def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = 
     direction LCM requires the signed quantity positive, RECIPROCAL
     negative.  The certificate FAILs iff alpha is at or beyond some point's
     cut; the witness is the first such point by increasing k, then grid
-    order (see the module docstring).
+    order (see the module docstring).  It is lcm_certifiers' one-y case.
     """
-    grid, xs, table, cuts = _cut_table(y, k_max, grid)
+    return lcm_certifiers([y], k_max, [grid])[0]
+
+
+def _certifier(k_max: int, grid: GridSpec, xs: np.ndarray, table: DerivTable,
+               cuts: np.ndarray) -> Callable[[float, Direction | str], Certificate]:
+    """lcm_certifier's certify on one y's setup (_cut_tables)."""
+    y = table.y
     lcm_cuts, rec_cuts, roots = (row.ravel() for row in cuts)
 
     def certify(alpha: float, direction: Direction | str) -> Certificate:
@@ -330,7 +377,7 @@ def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
     lcm_certifier(y, k_max, grid) FAILs iff alpha <= alpha_lcm, and
     certify(alpha, RECIPROCAL) FAILs iff alpha >= alpha_rec.
     """
-    _, xs, _, cuts = _cut_table(y, k_max, grid)
+    [(_, xs, _, cuts)] = _cut_tables([y], k_max, [grid])
     lcm, rec = int(cuts[0].argmax()), int(cuts[1].argmin())
     return tuple((float(cut.flat[i]), i // xs.size + 1, float(xs[i % xs.size]))
                  for cut, i in ((cuts[0], lcm), (cuts[1], rec)))
@@ -343,20 +390,24 @@ def certify_lcm(params: HParams, direction: Direction | str,
     return lcm_certifier(params.y, k_max, grid)(params.alpha, direction)
 
 
-def necessity_limits(y: float) -> tuple[float, float]:
+@first_bad_point
+def necessity_limits(y):
     """Probes of the monotonicity threshold surface at its two limits.
 
     Returns alpha_necessary_bound at x = -(y+1) + 1e-6*(y+1) (limit value
-    1/(y+1)) and at x = 1e6 (limit value 1), both from one two-point table.
+    1/(y+1)) and at x = 1e6 (limit value 1).  y is one value (one pair is
+    returned) or a 1-D grid (a list of pairs), and all the probes come from
+    one table.
     """
-    y = require_y(y)
-    inner, tail = alpha_necessary_bound(np.array([-(y + 1.0) + 1e-6 * (y + 1.0), 1e6]),
-                                        y).tolist()
-    return inner, tail
+    ys = real_points(y, "y", require_y)
+    c = ys + 1.0
+    xs = np.stack([-c + 1e-6 * c, np.full_like(c, 1e6)], axis=1).ravel()
+    pairs = list(map(tuple, alpha_necessary_bound(xs, np.repeat(ys, 2)).reshape(-1, 2).tolist()))
+    return pairs[0] if np.ndim(y) == 0 else pairs
 
 
-def verify_thm3(y: float, points: int = DEFAULT_POINTS,
-                x_max: float = DEFAULT_X_MAX) -> Certificate:
+@first_bad_point
+def verify_thm3(y, points: int = DEFAULT_POINTS, x_max: float = DEFAULT_X_MAX):
     """Negativity and strict decrease of q_surface(x, y) on [x_left, inf).
 
     x_left = -2(y+1)^2/(1+2y) > 0 for y in (-1, -1/2).  The grid is
@@ -365,20 +416,36 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
     certificate.  For y below about -0.978, x_left < X_EPSILON: the grid
     would skip [x_left, X_EPSILON), where q has no correct digits, so a
     PASS would not cover the claim, and PrecisionError is raised instead.
+    y is one value (a Certificate is returned) or a 1-D grid (a list of
+    them, from one q_surface_table call).
     """
-    y = require_real(y, "y")
-    if not (math.isfinite(y) and -1.0 < y < -0.5):
-        raise ParameterError(f"y must lie in (-1, -1/2), got {y!r}")
-    c = y + 1.0
-    x_left = -2.0 * c * c / (1.0 + 2.0 * y)
-    if x_left < X_EPSILON:
-        raise PrecisionError(
-            f"verify_thm3({y!r}) cannot check [x_left, {X_EPSILON:g}) = "
-            f"[{x_left:.3e}, {X_EPSILON:g}): it lies inside the |x| < {X_EPSILON:g} "
-            "exclusion zone")
-    grid = GridSpec(x_min_offset=x_left + c, x_max=x_max, points=points)
-    xs = grid_points(grid, y)  # ParameterError unless x_max > x_left
-    values, scales = q_surface_table(y, xs)
+    setups = []
+    for y_i in real_points(y, "y").tolist():
+        if not (math.isfinite(y_i) and -1.0 < y_i < -0.5):
+            raise ParameterError(f"y must lie in (-1, -1/2), got {y_i!r}")
+        c = y_i + 1.0
+        x_left = -2.0 * c * c / (1.0 + 2.0 * y_i)
+        if x_left < X_EPSILON:
+            raise PrecisionError(
+                f"verify_thm3({y_i!r}) cannot check [x_left, {X_EPSILON:g}) = "
+                f"[{x_left:.3e}, {X_EPSILON:g}): it lies inside the |x| < {X_EPSILON:g} "
+                "exclusion zone")
+        grid = GridSpec(x_min_offset=x_left + c, x_max=x_max, points=points)
+        setups.append((y_i, grid, grid_points(grid, y_i)))  # ParameterError unless x_max > x_left
+    certs = []
+    if setups:
+        sizes = [xs.size for _, _, xs in setups]
+        q_values, q_scales = q_surface_table(_stacked([y for y, _, _ in setups], sizes),
+                                             np.concatenate([xs for _, _, xs in setups]))
+        for (y_i, grid, xs), stop in zip(setups, accumulate(sizes)):
+            cut = slice(stop - xs.size, stop)
+            certs.append(_surface_certificate(y_i, grid, xs, q_values[cut], q_scales[cut]))
+    return certs[0] if np.ndim(y) == 0 else certs
+
+
+def _surface_certificate(y: float, grid: GridSpec, xs: np.ndarray, values: np.ndarray,
+                         scales: np.ndarray) -> Certificate:
+    """verify_thm3's certificate at y from q's values and scales on its grid xs."""
     # k = 0: q < 0 at every x; then k = 1: q decreases over every adjacent pair.
     # The witness is the first conclusive failure in that order (a NaN margin
     # or scale is conclusive); failures below the floor before it are counted.
@@ -392,7 +459,7 @@ def verify_thm3(y: float, points: int = DEFAULT_POINTS,
         k=int(first >= xs.size), x=float(np.concatenate([xs, xs[1:]])[first]),
         value=float(-margin[first]))
     verdict = Verdict.FAIL if witness is not None else Verdict.PASS
-    return Certificate(params=HParams(alpha=0.5 / c, y=y), direction=None,
+    return Certificate(params=HParams(alpha=0.5 / (y + 1.0), y=y), direction=None,
                        k_max=1, grid=grid, verdict=verdict, witness=witness,
                        undecided_points=int(np.count_nonzero(failing[:end])),
                        check="surface-negativity")
@@ -467,7 +534,8 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
     cells: list[ScanCell] = []
     for y in ys.tolist():
-        _, _, _, cuts = _cut_table(y, k_max, default_grid(y, points=points, x_max=x_max))
+        [(_, _, _, cuts)] = _cut_tables(
+            [y], k_max, [default_grid(y, points=points, x_max=x_max)])
         lcm_pass = alphas > cuts[0].max()
         rec_pass = alphas < cuts[1].min()
         zones = in_conjecture_zone(alphas, y).tolist()
@@ -484,18 +552,52 @@ def finite_diff_crosscheck(k: int, params: HParams, x: float,
                            step: float = 1e-5) -> float:
     """Relative residual between the closed-form derivative and a central
     finite difference of the next-lower order (ln h itself for k = 1)."""
-    k = _integer_in(k, "k", 1, 4)
-    require_type(params, HParams, "params")
-    step = require_real(step, "step")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ParameterError(f"step must be a positive real, got {step!r}")
-    x = require_real(x, "x")
-    if k == 1:  # order 0 is ln h itself
-        value = logh_derivs_with_scale(1, params, x)[0][0]
-        lo, hi = log_h(params, x - step), log_h(params, x + step)
-    else:  # one table: order k at x, order k - 1 at x - step and x + step
-        values = logh_deriv_table(k, params.y, [x - step, x, x + step])(params.alpha)[0]
-        value, lo, hi = (float(v) for v in (values[k - 1, 1], values[k - 2, 0],
-                                            values[k - 2, 2]))
-    fd = (hi - lo) / (2.0 * step)
-    return abs(value - fd) / max(1.0, abs(value))
+    return finite_diff_crosschecks([(k, params, x, step)])[0]
+
+
+def finite_diff_crosschecks(cells) -> list[float]:
+    """finite_diff_crosscheck(k, params, x, step) for each cell (k, params,
+    x, step) of the sequence cells, from one derivative table stacked over
+    the cells: order k at x, and for k >= 2 order k - 1 at x - step and
+    x + step (for k = 1, ln h itself comes from log_h).  A batch that raises
+    is checked again one cell at a time, so it raises what its first
+    failing cell raises alone."""
+    cells = as_grid(cells)
+    if cells is None:
+        raise ParameterError("cells must be a sequence of (k, params, x, step) cells")
+    try:
+        checked = []
+        for cell in cells:
+            if not (isinstance(cell, (tuple, list)) and len(cell) == 4):
+                raise ParameterError(f"a cell must be (k, params, x, step), got {cell!r}")
+            k, params, x, step = cell
+            k = _integer_in(k, "k", 1, 4)
+            require_type(params, HParams, "params")
+            step = require_real(step, "step")
+            if not (math.isfinite(step) and step > 0.0):
+                raise ParameterError(f"step must be a positive real, got {step!r}")
+            checked.append((k, params, require_real(x, "x"), step))
+        if not checked:
+            return []
+        xss = [[x] if k == 1 else [x - step, x, x + step] for k, _, x, step in checked]
+        sizes = [len(xs) for xs in xss]
+        table = logh_deriv_table(max(k for k, *_ in checked),
+                                 _stacked([p.y for _, p, _, _ in checked], sizes),
+                                 np.concatenate(xss))
+        values, _ = table(_stacked([p.alpha for _, p, _, _ in checked], sizes))
+        residuals = []
+        for (k, params, x, step), stop in zip(checked, accumulate(sizes)):
+            if k == 1:  # order 0 is ln h itself
+                value = float(values[0, stop - 1])
+                lo, hi = log_h(params, x - step), log_h(params, x + step)
+            else:
+                value, lo, hi = (float(v) for v in (values[k - 1, stop - 2],
+                                                    values[k - 2, stop - 3],
+                                                    values[k - 2, stop - 1]))
+            fd = (hi - lo) / (2.0 * step)
+            residuals.append(abs(value - fd) / max(1.0, abs(value)))
+        return residuals
+    except PACKAGE_ERRORS:
+        if len(cells) == 1:
+            raise
+        return [r for cell in cells for r in finite_diff_crosschecks([cell])]

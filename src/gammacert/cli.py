@@ -36,8 +36,8 @@ from .certify import (
     Verdict,
     certify_lcm,  # noqa: F401  (unused; perfbench/test_perfbench.py reads cli.certify_lcm)
     default_grid,
-    finite_diff_crosscheck,
-    lcm_certifier,
+    finite_diff_crosschecks,
+    lcm_certifiers,
     necessity_limits,
     scan_values,
     verify_thm3,
@@ -146,18 +146,18 @@ def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> CheckTable:
 
 def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
     out: list = []
-    certifiers = {}  # per y; the necessity cells reuse the sufficiency tables
-    for y in _SUFFICIENCY_YS:
-        certify = certifiers[y] = lcm_certifier(
-            y, k_max, default_grid(y, points=points, x_max=x_max))
+    # one table for every y; the necessity cells reuse the sufficiency certifiers
+    certifiers = dict(zip(_SUFFICIENCY_YS, lcm_certifiers(
+        _SUFFICIENCY_YS, k_max,
+        [default_grid(y, points=points, x_max=x_max) for y in _SUFFICIENCY_YS])))
+    for y, certify in certifiers.items():
         for delta in _SUFFICIENCY_DELTAS:
             out.append(certify(lcm_threshold(y) + delta, Direction.LCM))
             out.append(certify(reciprocal_threshold(y) - delta, Direction.RECIPROCAL))
     for y in _NECESSITY_YS:
         cert = certifiers[y](lcm_threshold(y) - 0.1, Direction.LCM)
         out.append(_expected_failure_check(cert))
-    for y in _LIMIT_YS:
-        inner, tail = necessity_limits(y)
+    for y, (inner, tail) in zip(_LIMIT_YS, necessity_limits(_LIMIT_YS)):
         for name, estimate, target, tol in (
                 ("alpha_threshold_left_endpoint_limit", inner, 1.0 / (y + 1.0), 1e-2),
                 ("alpha_threshold_tail_limit", tail, 1.0, 1e-3)):
@@ -173,7 +173,7 @@ def _suite_thm2(k_max: int, points: int, x_max: float) -> CheckTable:
 
 
 def _suite_thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:
-    return [verify_thm3(y, points, x_max) for y in _THM3_YS]
+    return verify_thm3(_THM3_YS, points, x_max)
 
 
 def _suite_ball(k_max: int, points: int, x_max: float) -> CheckTable:
@@ -256,8 +256,9 @@ def _suite_aux(k_max: int, points: int, x_max: float) -> CheckTable:
         (1, 0.0, 0.0, 10.0, 1e-5),
         (2, 1.0, 4.0, 0.5, 1e-4),
     )
-    for k, alpha, y, x, step in fd_cases:
-        residual = finite_diff_crosscheck(k, HParams(alpha, y), x, step=step)
+    residuals = finite_diff_crosschecks([(k, HParams(alpha, y), x, step)
+                                         for k, alpha, y, x, step in fd_cases])
+    for (k, alpha, y, x, step), residual in zip(fd_cases, residuals):
         out.append(one_sided(
             "logh_derivative_matches_finite_difference",
             (("k", k), ("alpha", alpha), ("y", y), ("x", x),

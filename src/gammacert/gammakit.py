@@ -18,14 +18,17 @@ summed by one accumulation along the steps, and the rows' series are one
 run in numpy, which rounds as Python floats do.  The logs and powers come
 in two flavours:
 
-- libm's, for ``lngamma``, ``digamma`` and ``polygamma``: ``math.log`` per
-  element (``libm``) and ``np.float_power``, whose float64 loop calls
-  libm's ``pow`` per element in C, so each value has the bits of the
-  scalar recurrence in Python floats (tests/_referee.py).  The check
-  catalog rests on these bits.  A float is a one-point array: it returns a
-  float and costs about 55 to 85 us, against 4 to 7 us for the scalar loop
-  that it replaced (BENCH_27.json, one core of a 2-CPU Xeon VM); a
-  1-D array returns the array of the per-point values.
+- libm's, for ``lngamma``, ``digamma``, ``polygamma`` and ``gamma_rows``
+  (any of their orders at once): ``math.log`` per element (``libm``) and
+  ``np.float_power``, whose float64 loop calls libm's ``pow`` per element
+  in C, so each value has the bits of the scalar recurrence in Python
+  floats (tests/_referee.py).  The check catalog rests on these bits.  A
+  float is a one-point array: it returns a float and costs about 20 to 30
+  us warm and several times that right after other work (BENCH_28.json,
+  one core of a 2-CPU Xeon VM), against 4 to 7 us for the scalar loop that
+  it replaced; a 1-D array returns the array of the per-point values.
+  The one-point calls left are a one-y derivative table's lnGamma(y+1) and
+  log_h's psi(y+1) at x = 0.
 - numpy's, for ``gamma_table``: ``np.log`` and ``np.power``, whose SIMD
   loops may round differently (on 100,000 log-spaced points in
   [1e-2, 2000] ``np.log`` differs from ``math.log`` in 82 and ``xs**3``
@@ -58,7 +61,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, as_integer, real_points, require_finite, require_positive)
+    CapabilityError, DomainError, as_grid, as_integer, real_points, require_finite,
+    require_positive)
 
 __all__ = [
     "ASYM_TERMS",
@@ -69,6 +73,7 @@ __all__ = [
     "SHIFT_THRESHOLD",
     "check_order",
     "digamma",
+    "gamma_rows",
     "gamma_table",
     "lngamma",
     "polygamma",
@@ -142,13 +147,14 @@ def _poly_coefs(k: int) -> tuple[float, ...]:
 
 @lru_cache(maxsize=None)
 def _stack(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(numerators, multipliers, k, k_fac) of the rows psi^(j), j in orders
-    (ascending; -1 is lnGamma, 0 psi), read-only.
+    """(numerators, multipliers, k, k_fac, signs) of the rows psi^(j), j in
+    orders (ascending; -1 is lnGamma, 0 psi), read-only.
 
     The first two have shape (ASYM_TERMS, rows, 1): term n of a row is B_2n
     over 2n(2n-1) for lnGamma, B_2n over 2n for psi and _poly_coefs(j)'s
     n-th coefficient over 1.0 for psi^(j).  k holds the orders j >= 1 as an
-    int column, k_fac their (j-1)! as a float column.
+    int column, k_fac their (j-1)! and signs their (-1)^(j+1) as float
+    columns.
     """
     ks = [j for j in orders if j > 0]
     nums = np.array([[b if j < 1 else _poly_coefs(j)[n - 1] for j in orders]
@@ -156,7 +162,8 @@ def _stack(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     muls = np.array([[(2 * n) * (2 * n - 1) if j < 0 else 2 * n if j == 0 else 1
                       for j in orders] for n in range(1, ASYM_TERMS + 1)], dtype=float)
     stack = (nums[..., None], muls[..., None], np.array(ks, dtype=int)[:, None],
-             np.array([_FACTORIALS[j - 1] for j in ks], dtype=float)[:, None])
+             np.array([_FACTORIALS[j - 1] for j in ks], dtype=float)[:, None],
+             np.array([(-1.0) ** (j + 1) for j in ks])[:, None])
     for a in stack:
         a.setflags(write=False)
     return stack
@@ -243,21 +250,21 @@ def _series(nums: np.ndarray, muls: np.ndarray, zpow: np.ndarray,
 def _evaluate(u: np.ndarray, orders: tuple[int, ...], log, pow
               ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, powers_ok): psi^(j)(u) for j in orders at the positive points
-    of the 1-D array u, and where every power of a point is finite (True
-    when no row takes powers).
+    of the 1-D array u, and, row by row, where every power of a point is
+    finite (True on the rows that take no powers).
 
-    orders ascend; -1 is lnGamma and 0 psi, and a row j >= 1 holds the
-    magnitude (-1)^(j+1) psi^(j).  The shift terms ln z, 1/z and z^-(j+1)
-    of every row are summed by one accumulation along the steps, and the
-    rows' series by one (_series).  log and pow are the flavour: libm's
-    (libm over math.log, np.float_power) or numpy's (np.log, np.power).
-    A value may be inf or nan (under np.errstate(all="ignore")).  A power
-    overflows where the scalar recurrence's z ** -(j+1) or z ** (j+2) does:
-    the first step's term u^-(j+1) is a point's largest (the later ones are
-    below 1, so a sum of finite terms stays finite), and z^(j+2) its
-    largest series power.
+    orders ascend; -1 is lnGamma and 0 psi.  A row j >= 1 is summed as the
+    magnitude (-1)^(j+1) psi^(j) and signed at the end (exact).  The shift
+    terms ln z, 1/z and z^-(j+1) of every row are summed by one
+    accumulation along the steps, and the rows' series by one (_series).
+    log and pow are the flavour: libm's (libm over math.log,
+    np.float_power) or numpy's (np.log, np.power).  A value may be inf or
+    nan (under np.errstate(all="ignore")).  A power overflows where the
+    scalar recurrence's z ** -(j+1) or z ** (j+2) does: the first step's
+    term u^-(j+1) is a point's largest (the later ones are below 1, so a
+    sum of finite terms stays finite), and z^(j+2) its largest series power.
     """
-    nums, muls, k, k_fac = _stack(orders)
+    nums, muls, k, k_fac, signs = _stack(orders)
     lg, psi = int(orders[0] == -1), int(0 in orders)  # ints: a bool index is a mask
     p = lg + psi  # the first polygamma row
     zs, z, step_sums = _shift(u)
@@ -273,12 +280,13 @@ def _evaluate(u: np.ndarray, orders: tuple[int, ...], log, pow
     shifts = step_sums(terms)
     zsq = z * z
     zpow = np.empty((len(orders), u.size))  # z^p of each row's first term
+    powers_ok = np.ones(zpow.shape, dtype=bool)
     if lg:
         zpow[0] = z
     if psi:
         zpow[lg] = zsq
     if p < len(orders):  # z^(j+2) is read before _series overwrites a wide zpow
-        powers_ok = np.isfinite(pow(z, k + 2, out=zpow[p:])).all(axis=0)
+        powers_ok[p:] = np.isfinite(pow(z, k + 2, out=zpow[p:]))
     series = _series(nums, muls, zpow, zsq)
     rows = np.empty_like(series)
     if p:
@@ -287,11 +295,12 @@ def _evaluate(u: np.ndarray, orders: tuple[int, ...], log, pow
         rows[0] = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + series[0] - shifts[0]
     if psi:
         rows[lg] = log_z - 0.5 / z - series[lg] - shifts[lg]
-    if p == len(orders):
-        return rows, True
-    rows[p:] = (k_fac / pow(z, k) + k * k_fac / (2.0 * pow(z, k + 1)) + series[p:]
-                + k * k_fac * shifts[p:])
-    return rows, powers_ok & np.isfinite(shifts[p:]).all(axis=0)
+    if p < len(orders):
+        rows[p:] = (k_fac / pow(z, k) + k * k_fac / (2.0 * pow(z, k + 1)) + series[p:]
+                    + k * k_fac * shifts[p:])
+        rows[p:] *= signs
+        powers_ok[p:] &= np.isfinite(shifts[p:])
+    return rows, powers_ok
 
 
 def libm(fn, a: np.ndarray, *args) -> np.ndarray:
@@ -322,27 +331,53 @@ def power(a: np.ndarray, e: float) -> np.ndarray:
 _libm_log = partial(libm, math.log)
 
 
-def _kernel(order: int, x, fn: str, *args) -> float | np.ndarray:
-    """psi^(order)(x) in libm's flavour (lnGamma for -1; the magnitude for
-    order >= 1): a float for one point, the array for a 1-D array.
+#: The function of each order, named in its errors: (name, *leading arguments).
+_CALLS = {-1: ("lngamma",), 0: ("digamma",),
+          **{j: ("polygamma", j) for j in range(1, MAX_DERIV_ORDER + 1)}}
 
-    A point that is not finite and > 0 raises DomainError (the first one of
-    a grid), and the first point whose power or value is not finite raises
-    CapabilityError naming the call fn(*args, point).
-    """
+
+def _rows(orders: tuple[int, ...], x) -> tuple[np.ndarray, bool]:
+    """(rows, grid): gamma_rows(orders, x) as a (rows, points) array, and
+    whether x is a 1-D array (else one point)."""
     # a float skips the isinstance call
     grid = x.__class__ is not float and isinstance(x, np.ndarray) and x.ndim == 1
     u = real_points(x, "x", require_positive) if grid else np.array([require_positive(x, "x")])
     with np.errstate(all="ignore"):  # inf and nan are caught below
-        (value,), powers_ok = _evaluate(u, (order,), _libm_log, np.float_power)
-        ok = powers_ok & np.isfinite(value)
+        rows, powers_ok = _evaluate(u, orders, _libm_log, np.float_power)
+        ok = powers_ok & np.isfinite(rows)
     if not ok.all():
-        i = int(ok.argmin())
+        i = int(ok.all(axis=0).argmin())
         point = u[i].item() if grid else x
-        if order > 0 and not powers_ok[i]:
-            raise CapabilityError(f"polygamma({order}, {point!r}) needs a power of x "
-                                  "outside the double-precision range")
-        require_finite(value[i].item(), fn, *args, point)
+        for j, value, power_ok in zip(orders, rows[:, i].tolist(), powers_ok[:, i].tolist()):
+            if not power_ok:
+                raise CapabilityError(f"polygamma({j}, {point!r}) needs a power of x "
+                                      "outside the double-precision range")
+            require_finite(value, *_CALLS[j], point)
+    return rows, grid
+
+
+def gamma_rows(orders, x) -> np.ndarray:
+    """psi^(j)(x) for every j in orders, in one pass of the kernel body:
+    lnGamma for j = -1, digamma for 0 and polygamma(j, .) for j >= 1.
+
+    orders ascend, each in -1..MAX_DERIV_ORDER.  x is one point (one value
+    per order) or a 1-D array (one row per order, one column per point).
+    Row j is bit for bit the value of j's own function, and at the first
+    point where a row is not finite the first such order raises that
+    function's error there.
+    """
+    js = as_grid(orders)
+    if not js or any(as_integer(j) is None or j < -1 for j in js) or js != sorted(set(js)):
+        raise DomainError(f"orders must be integers >= -1 in ascending order, got {orders!r}")
+    if js[-1] > 0:
+        check_order(js[-1])
+    rows, grid = _rows(tuple(int(j) for j in js), x)
+    return rows if grid else rows[:, 0]
+
+
+def _row(order: int, x) -> float | np.ndarray:
+    """gamma_rows' one row: a float for one point, the array for a 1-D array."""
+    (value,), grid = _rows((order,), x)
     return value if grid else value[0].item()
 
 
@@ -352,7 +387,7 @@ def lngamma(x: float | np.ndarray) -> float | np.ndarray:
     Near its zeros x = 1 and x = 2 the error is absolute (below 1e-14), not
     relative.  A 1-D array x gives the array of the per-point values.
     """
-    return _kernel(-1, x, "lngamma")
+    return _row(-1, x)
 
 
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
@@ -361,7 +396,7 @@ def digamma(x: float | np.ndarray) -> float | np.ndarray:
     Near its zero x0 = 1.4616321449683622 the error is absolute (below 1e-14),
     not relative.  A 1-D array x gives the array of the per-point values.
     """
-    return _kernel(0, x, "digamma")
+    return _row(0, x)
 
 
 def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -371,9 +406,7 @@ def polygamma(k: int, x: float | np.ndarray) -> float | np.ndarray:
     as a positive series and the sign attached at the end.  A 1-D array x
     gives the array of the per-point values.
     """
-    k = check_order(k)
-    magnitude = _kernel(k, x, "polygamma", k)
-    return magnitude if k % 2 == 1 else -magnitude
+    return _row(check_order(k), x)
 
 
 def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -398,8 +431,7 @@ def gamma_table(n_psi: int, u) -> tuple[np.ndarray, np.ndarray]:
     orders = tuple(range(-1, n))
     with np.errstate(all="ignore"):  # non-finite values are checked below
         rows, powers_ok = _evaluate(points, orders, np.log, np.power)
-        rows[2:] *= (-1.0) ** (_stack(orders)[2] + 1)  # the signs of psi^(j), j >= 1
-        bad = ~(np.isfinite(rows).all(axis=0) & powers_ok)
+        bad = ~(np.isfinite(rows) & powers_ok).all(axis=0)
     if bad.any():
         raise CapabilityError(
             f"gamma_table({n}, u) at u = {float(points[bad][0])!r} is outside the "

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, PrecisionError, first_bad_point, is_finite,
-    real_points, require_all, require_real, require_type, require_y)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, first_bad_point,
+    is_finite, real_points, require_all, require_real, require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     MAX_DERIV_ORDER, check_order, digamma, gamma_table, lngamma, polygamma)
 
@@ -113,10 +114,22 @@ def _shifted_argument(x: float, y: float) -> float:
     return u
 
 
-def _shifted_arguments(xs, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x, u = x+y+1) as arrays.  The first x that is not real, lies outside
-    the domain or has |x| < X_EPSILON raises DomainError or PrecisionError."""
+def _y_points(y, require=require_y) -> float | np.ndarray:
+    """y as one float, or for a grid the 1-D array of one value per x;
+    require rules each value."""
+    if as_grid(y) is None and not isinstance(y, np.ndarray):
+        return require(y, "y")
+    return real_points(y, "y", require)
+
+
+def _shifted_arguments(xs, y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, u = x+y+1) as arrays, y one float or an array of one per x.  The
+    first x that is not real, lies outside the domain or has |x| < X_EPSILON
+    raises DomainError or PrecisionError."""
     x = real_points(xs, "x")
+    if isinstance(y, np.ndarray) and y.size != x.size:
+        raise ParameterError(f"x, y must be grids of one length, got lengths {x.size}, "
+                             f"{y.size}")
     u = x + y + 1.0
     bad = (np.abs(x) < X_EPSILON) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
     if bad.any():
@@ -125,7 +138,7 @@ def _shifted_arguments(xs, y: float) -> tuple[np.ndarray, np.ndarray]:
             raise PrecisionError(
                 f"|x| = {abs(first):.3e} is inside the cancellation exclusion zone "
                 f"(< {X_EPSILON:g}) for closed-form log-derivatives")
-        _shifted_argument(first, y)  # raises DomainError
+        _shifted_argument(first, y if isinstance(y, float) else float(y[bad][0]))
     return x, u
 
 
@@ -137,8 +150,8 @@ def log_h(params: HParams, x: float) -> float:
         c = params.y + 1.0
         return digamma(c) - params.alpha * math.log(c)
     u = _shifted_argument(x, params.y)
-    ratio = (lngamma(u) - lngamma(params.y + 1.0)) / x
-    return ratio - params.alpha * math.log(u)
+    lg_u, lg_c = lngamma(np.array([u, params.y + 1.0])).tolist()
+    return (lg_u - lg_c) / x - params.alpha * math.log(u)
 
 
 def h_eval(params: HParams, x: float) -> float:
@@ -166,30 +179,33 @@ def bigH_eval(alpha: float, y: float, x: float) -> float:
 
 
 class DerivTable:
-    """(ln h)^(k), k = 1..k_max, at fixed y and abscissae, as a function of alpha.
+    """(ln h)^(k), k = 1..k_max, at abscissae xs and their ys, as a function of alpha.
 
     alpha enters the closed form only through its last term, so the rest is
     held once: table(alpha) = core + alpha_coef * alpha / u_pow, with
     alpha_coef = (-1)^k (k-1)! and u_pow = u^k, row k - 1 for order k.
-    core_scale sums the absolute values of the alpha-free terms.  (A plain
-    class with slots, not a named tuple: its fields are arrays, so tuple
-    equality and hashing would mean nothing for it.)
+    core_scale sums the absolute values of the alpha-free terms.  y is one
+    value, or an array of one per column for a table stacked over several
+    ys.  (A plain class with slots, not a named tuple: its fields are
+    arrays, so tuple equality and hashing would mean nothing for it.)
     """
 
     __slots__ = ("y", "core", "core_scale", "u_pow", "alpha_coef")
 
-    def __init__(self, y: float, core: np.ndarray, core_scale: np.ndarray,
+    def __init__(self, y, core: np.ndarray, core_scale: np.ndarray,
                  u_pow: np.ndarray, alpha_coef: np.ndarray) -> None:
         self.y, self.core, self.core_scale = y, core, core_scale
         self.u_pow, self.alpha_coef = u_pow, alpha_coef
 
-    def __call__(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(values, scales) at alpha, each of shape (k_max, len(xs)).  A
-        scale adds |alpha term| to core_scale: it bounds the rounding noise
-        and feeds certificate noise floors.  An alpha whose term, value or
-        scale leaves the binary64 range raises CapabilityError naming it.
+    def __call__(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """(values, scales) at alpha, each of shape (k_max, len(xs)); alpha
+        is one value, or a 1-D array of one per column.  A scale adds
+        |alpha term| to core_scale: it bounds the rounding noise and feeds
+        certificate noise floors.  An alpha whose term, value or scale
+        leaves the binary64 range raises CapabilityError naming it.
         """
-        alpha = require_real(alpha, "alpha")
+        alpha = (real_points(alpha, "alpha") if isinstance(alpha, np.ndarray)
+                 else require_real(alpha, "alpha"))
         try:
             with np.errstate(over="raise"):
                 term = alpha * self.alpha_coef / self.u_pow
@@ -203,18 +219,37 @@ class DerivTable:
             ) from None
         return values, scales
 
+    def blocks(self, sizes) -> list[DerivTable]:
+        """The table's columns in consecutive blocks of these sizes, each a
+        table over views of this one's arrays, at its first column's y (a
+        one-y table's one block is the table itself)."""
+        if len(sizes) == 1 and isinstance(self.y, float):
+            return [self]
+        stops = list(accumulate(sizes))
+        return [DerivTable(self.y if isinstance(self.y, float) else float(self.y[start]),
+                           *(a[:, start:stop] for a in (self.core, self.core_scale,
+                                                        self.u_pow)), self.alpha_coef)
+                for start, stop in zip([0, *stops], stops)]
+
 
 @first_bad_point
-def logh_deriv_table(k_max: int, y: float, xs) -> DerivTable:
+def logh_deriv_table(k_max: int, y, xs) -> DerivTable:
     """(ln h)^(k) for k = 1..k_max at every x in xs: the one evaluation of
     the closed form.  Its alpha-free parts are computed here; the returned
     DerivTable adds the alpha term.  A part outside the binary64 range
-    raises CapabilityError naming y.  xs is one point or a 1-D grid; a grid
-    raises what its first bad point raises alone.  All orders are built
-    together: each power of x is taken once, and the brackets and the
-    scales' sums are prefix sums along the orders."""
-    k_max, y = check_order(k_max), require_y(y)
-    lg_y = lngamma(y + 1.0)
+    raises CapabilityError naming y.  xs is one point or a 1-D grid, and y
+    one value or a grid of one per x: a table stacked over several ys takes
+    lnGamma(y+1) for all of them from one lngamma call and every column
+    from one gamma_table call, and each column has the bits of its own
+    y's table.  A grid raises what its first bad point raises alone.  All
+    orders are built together: each power of x is taken once, and the
+    brackets and the scales' sums are prefix sums along the orders."""
+    k_max, y = check_order(k_max), _y_points(y)
+    if isinstance(y, float):
+        lg_y = lngamma(y + 1.0)
+    else:  # one lngamma point per distinct y + 1
+        c, at = np.unique(y + 1.0, return_inverse=True)
+        lg_y = lngamma(c)[at]
     x, u = _shifted_arguments(xs, y)
     lg_u, psi = gamma_table(k_max, u)  # psi^(j)(u), j = 0..k_max-1 (order k uses up to k-1)
     ks = range(1, k_max + 1)
@@ -276,9 +311,10 @@ def alpha_necessary_bound(x, y: float):
     of |x| < X_EPSILON, where the closed form has no correct digits, raises
     PrecisionError, and a value outside the binary64 range CapabilityError.
     x is one point (a float is returned) or a 1-D grid (an array, from one
-    table); a grid raises what its first bad point raises alone.
+    table), and y one value or one per x; a grid raises what its first bad
+    point raises alone.
     """
-    xs, y = real_points(x, "x"), require_real(y, "y")
+    xs, y = real_points(x, "x"), _y_points(y, require_real)
     require_all(xs != 0.0, DomainError,
                 "alpha_necessary_bound is undefined at x = 0 (removable singularity)")
     values, _ = logh_deriv_table(1, y, xs)(0.0)
@@ -289,10 +325,9 @@ def alpha_necessary_bound(x, y: float):
 @first_bad_point
 def q_surface_table(y: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """(values, scales) of q_surface at every x in xs, one point or a 1-D
-    grid: x^2 times the first row of logh_deriv_table at alpha =
-    1/(2(y+1)), and that row's scale."""
-    y = require_y(y)
-    x = real_points(xs, "x")
+    grid, y one value or one per x: x^2 times the first row of
+    logh_deriv_table at alpha = 1/(2(y+1)), and that row's scale."""
+    y, x = _y_points(y), real_points(xs, "x")
     values, scales = logh_deriv_table(1, y, x)(0.5 / (y + 1.0))
     x2 = x * x
     return x2 * values[0], x2 * scales[0]
@@ -304,4 +339,4 @@ def q_surface(x: float, y: float) -> float:
     With alpha* = 1/(2(y+1)): q(x, y) = x^2 (ln h_{alpha*})'(x), so negativity
     of q on an interval certifies strict decrease of ln h_{alpha*} there.
     """
-    return float(q_surface_table(y, [x])[0][0])
+    return float(q_surface_table(require_y(y), [x])[0][0])

@@ -36,7 +36,7 @@ from .errors import (
     broadcast_points, first_bad_point, is_finite, is_real, real_points, require_all,
     require_positive, require_real, require_type)
 from .gammakit import (
-    EXP_NEG_EULER_GAMMA, check_order, digamma, libm, lngamma, polygamma, power)
+    EXP_NEG_EULER_GAMMA, check_order, digamma, gamma_rows, libm, lngamma, polygamma, power)
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
 __all__ = [
@@ -491,6 +491,7 @@ _REFINEMENT_KEY = ("psi_sharp_upper_refines_shifted_log", ("x",), True)
 _POWER_KEYS = tuple((name, ("k", "x", "mid"), True)
                     for name in ("polygamma_power_window", "polygamma_shifted_power_window"))
 _LEMMA_ORDERS = range(1, 7)  # the orders of polygamma_bounds in lemma_windows
+_LEMMA_SIGNS = np.array([[(-1.0) ** (k + 1)] for k in _LEMMA_ORDERS])
 
 
 def _row_or_rows(rows: CheckTable, *args) -> CheckResult | CheckTable:
@@ -586,8 +587,8 @@ def lemma_windows(x) -> CheckTable:
     """
     try:
         xs = real_points(x, "x", require_positive)
-        psi = digamma(xs)
-        v = np.array([(-1.0) ** (k + 1) * polygamma(k, xs) for k in _LEMMA_ORDERS])
+        rows = gamma_rows(range(_LEMMA_ORDERS[-1] + 1), xs)  # psi, then psi^(k) for k = 1..6
+        psi, v = rows[0], rows[1:] * _LEMMA_SIGNS  # the magnitudes (-1)^(k+1) psi^(k)
         lower, upper = _psi_sides(xs)
         p_lower, p_upper = _power_sides(_LEMMA_ORDERS, xs)
         ks = np.repeat([float(k) for k in _LEMMA_ORDERS], 2)[:, None]
@@ -668,9 +669,10 @@ def thm2_ineq(t) -> CheckResult | CheckTable:
         require_all(np.isfinite(two_t2), CapabilityError, "t = {!r} is too large: 2t^2 "
                     "is outside the double-precision range", ts)
         w = 1.0 + 2.0 * ts
+        (lg_inner, lg_t), (_, psi) = gamma_rows((-1, 0), np.concatenate([ts / w, ts])
+                                                ).reshape(2, 2, -1)
         rows = one_sided_rows("gamma_diff_quotient_vs_one_minus_psi", (("t", ts),),
-                              w / two_t2 * (lngamma(ts / w) - lngamma(ts)),
-                              1.0 - digamma(ts))
+                              w / two_t2 * (lg_inner - lg_t), 1.0 - psi)
     return _row_or_rows(rows, t)
 
 
@@ -732,8 +734,8 @@ def psi_integral_mean_ineq(i: int, s, t, p: float,
     with np.errstate(all="ignore"):
         anti_t, anti_s = anti(np.concatenate([ts, ss])).reshape(2, -1)
         mean = sign * (anti_t - anti_s) / (ts - ss)
-        lower = sign * deriv(gen_log_mean(p, ss, ts))
-        upper = sign * deriv(gen_log_mean(q, ss, ts))
+        lower, upper = sign * deriv(np.concatenate([gen_log_mean(p, ss, ts),
+                                                    gen_log_mean(q, ss, ts)])).reshape(2, -1)
         rows = two_sided_rows("psi_derivative_mean_value_window",
                               (("i", i), ("s", ss), ("t", ts), ("p", p), ("q", q)),
                               lower, mean, upper, strict=False)
@@ -853,10 +855,11 @@ def suffice_chain(t) -> CheckTable:
         require_all(excess > 0.0, PrecisionError, "t = {!r} is too small: "
                     "(2t+1)ln(2t+1) - 2t cancels to zero", ts)
         rational = w / (ts * excess)
-        psi_t, psi_inner = digamma(np.concatenate([ts, inner])).reshape(2, -1)
+        (psi_t, psi_inner, _), (_, _, trigamma) = gamma_rows(
+            (0, 1), np.concatenate([ts, inner, sqrt_pt])).reshape(2, 3, -1)
         algebraic = w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5)
         return _table(_CHAIN_KEYS, [
             _one_sided(0, [ts, inner], psi_t - psi_inner, 1.0),
-            _one_sided(1, [ts, sqrt_pt], polygamma(1, sqrt_pt), rational, strict=False),
+            _one_sided(1, [ts, sqrt_pt], trigamma, rational, strict=False),
             _one_sided(2, [ts, sqrt_pt], algebraic, rational, strict=False),
         ], point_major=True)

@@ -397,12 +397,15 @@ def test_verify_thm3_evaluates_exactly_the_grid_it_reports(monkeypatch):
     seen = []
     table = certify_module.q_surface_table
     monkeypatch.setattr(certify_module, "q_surface_table",
-                        lambda y, xs: seen.append(np.array(xs)) or table(y, xs))
+                        lambda y, xs: seen.append((y, xs)) or table(y, xs))
     certs = build_suite("thm3")
     assert [c.params.y for c in certs] == list(_THM3_YS)
-    for cert, xs in zip(certs, seen, strict=True):
+    [(ys, stacked)] = seen  # one table for the whole suite
+    grids = [grid_points(c.grid, c.params.y) for c in certs]
+    assert np.array_equal(np.concatenate(grids), stacked)
+    assert np.array_equal(np.repeat(_THM3_YS, [xs.size for xs in grids]), ys)
+    for cert, xs in zip(certs, grids):
         y = cert.params.y
-        assert np.array_equal(grid_points(cert.grid, y), xs)
         # the grid starts at u = x_left + y + 1: one rounding of u away
         x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
         assert abs(xs[0] - x_left) <= math.ulp(x_left + (y + 1.0))

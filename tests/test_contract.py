@@ -114,12 +114,16 @@ TABLE = {
     "grid_cuts": {"y": Y, "k_max": st.integers(1, 4), "grid": GRID},
     "grid_points": {"spec": GRID, "y": Y},
     "in_conjecture_zone": {"alpha": _points(-3.0, 3.0), "y": Y},
+    "finite_diff_crosschecks": {"cells": st.lists(st.tuples(
+        st.integers(1, 4), PARAMS, X, _floats(1e-6, 1e-2)), max_size=3)},
     "lcm_certifier": {"y": Y, "k_max": st.integers(1, 4), "grid": GRID},
-    "necessity_limits": {"y": Y},
+    "lcm_certifiers": {"ys": st.lists(Y, max_size=3), "k_max": st.integers(1, 4),
+                       "grids": st.none() | st.lists(st.none() | GRID, max_size=3)},
+    "necessity_limits": {"y": _points(-0.95, 5.0)},
     "scan_values": {"alphas": _points(0.0, 2.0), "ys": _points(-0.9, 3.0),
                     "k_max": st.integers(1, 3), "points": st.integers(2, 12),
                     "x_max": _floats(0.01, 50.0)},
-    "verify_thm3": {"y": _floats(-0.97, -0.51), "points": st.integers(2, 30),
+    "verify_thm3": {"y": _points(-0.97, -0.51), "points": st.integers(2, 30),
                     "x_max": _floats(1.0, 1e3)},
     # errors
     "CapabilityError": ERROR,
@@ -135,6 +139,9 @@ TABLE = {
     "SHIFT_THRESHOLD": CONSTANT,
     "check_order": {"k": ORDER},
     "digamma": {"x": _points(1e-3, 1e3)},
+    "gamma_rows": {"orders": st.lists(st.integers(-1, 12), min_size=1, max_size=4,
+                                      unique=True).map(sorted),
+                   "x": _points(1e-2, 1e3)},
     "gamma_table": {"n_psi": st.integers(1, 13),
                     "u": st.lists(POSITIVE, max_size=3) | st.lists(POSITIVE).map(np.array)},
     "lngamma": {"x": _points(1e-3, 1e3)},
@@ -145,16 +152,16 @@ TABLE = {
     "ENDPOINT_CLEARANCE": CONSTANT,
     "HParams": {"alpha": ALPHA, "y": Y},
     "X_EPSILON": CONSTANT,
-    "alpha_necessary_bound": {"x": _points(-0.5, 20.0), "y": Y},
+    "alpha_necessary_bound": {"x": _points(-0.5, 20.0), "y": _points(-0.95, 5.0)},
     "bigH_eval": {"alpha": ALPHA, "y": _floats(0.05, 5.0), "x": X},
     "h_eval": {"params": PARAMS, "x": X},
     "lcm_threshold": {"y": Y},
     "log_h": {"params": PARAMS, "x": X},
     "logh_deriv": {"k": ORDER, "params": PARAMS, "x": X},
-    "logh_deriv_table": {"k_max": ORDER, "y": Y, "xs": _points(-0.5, 20.0)},
+    "logh_deriv_table": {"k_max": ORDER, "y": _points(-0.95, 5.0), "xs": _points(-0.5, 20.0)},
     "logh_derivs_with_scale": {"k_max": ORDER, "params": PARAMS, "x": X},
     "q_surface": {"x": X, "y": Y},
-    "q_surface_table": {"y": Y, "xs": _points(-0.5, 20.0)},
+    "q_surface_table": {"y": _points(-0.95, 5.0), "xs": _points(-0.5, 20.0)},
     "reciprocal_threshold": {"y": Y},
     # ineq
     "AuxFn": ENUM,

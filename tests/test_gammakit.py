@@ -221,7 +221,7 @@ def test_domain_errors():
     (q_surface, ("abc", -0.75), "x must be a real number, got 'abc'"),
     (q_surface_table, (None, [0.5]), "y must be a real number, got None"),
     (alpha_necessary_bound, (None, 0.0), "x must be a real number, got None"),
-    (alpha_necessary_bound, (0.5, [1.0]), "y must be a real number, got [1.0]"),
+    (alpha_necessary_bound, (0.5, ["1.0"]), "y must be a real number, got '1.0'"),
     (verify_thm3, ("x",), "y must be a real number, got 'x'"),
     (finite_diff_crosscheck, (1, HParams(1.0, 0.0), "abc"),
      "x must be a real number, got 'abc'"),

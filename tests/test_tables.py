@@ -8,6 +8,11 @@ keeps the bodies they replaced.  Every returned array must have the
 referee's bits (compared as int64 views, so a signed zero or a NaN payload
 counts too), a float its type and bits, a check table its keys too, and
 every error its type and message.
+
+A table stacked over several ys (one y per x) is held to the one-y tables
+of its blocks, and the batched certificate entries to their one-y calls,
+in the same way; a batch that fails raises what its first failing y raises
+alone.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import _referee as referee
 from gammacert import (
-    CapabilityError, CheckTable, DomainError, ParameterError, PrecisionError, hfamily,
-    lemma_windows)
+    CapabilityError, CheckTable, Direction, DomainError, GridSpec, HParams, ParameterError,
+    PrecisionError, X_EPSILON, finite_diff_crosscheck, finite_diff_crosschecks, hfamily,
+    lcm_certifier, lcm_certifiers, lemma_windows, necessity_limits, verify_thm3)
 from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
 from gammacert.errors import log_grid
-from gammacert.gammakit import MAX_DERIV_ORDER, digamma, gamma_table, lngamma, polygamma
+from gammacert.gammakit import (
+    MAX_DERIV_ORDER, digamma, gamma_rows, gamma_table, lngamma, polygamma)
 
 ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 
@@ -180,3 +187,153 @@ def test_lemma_windows_is_the_referee(points, log_x_max):
 @example([1e200, 1e-300])
 def test_lemma_windows_at_any_points_is_the_referee(u):
     _same(lambda: lemma_windows(np.array(u)), lambda: referee.lemma_suite(np.array(u)))
+
+
+def _referee_rows(orders, x):
+    """gamma_rows by the scalar bodies: each point in turn, each order in
+    turn at it, so the first bad point's first failing order raises."""
+    bodies = {-1: referee.lngamma, 0: referee.digamma}
+    rows = [[bodies[j](v) if j < 1 else referee.polygamma(j, v) for j in orders]
+            for v in (x.tolist() if isinstance(x, np.ndarray) else [x])]
+    return np.array(rows, dtype=float).reshape(-1, len(orders)).T[
+        (...,) if isinstance(x, np.ndarray) else (slice(None), 0)]
+
+
+@given(st.lists(st.integers(-1, MAX_DERIV_ORDER), min_size=1, max_size=6, unique=True),
+       _U)
+@example([-1, 0], [1e-310, 2.0])  # digamma's 1/z overflows where lnGamma is finite
+@example([0, 1, 2, 3, 4, 5, 6], [0.01, 16.0, 1e-200])  # the lemma suite's rows
+@example([-1, 12], [1.0, 1e62, 1e307])  # a power fails before lnGamma does
+@example([3], [])
+def test_gamma_rows_is_the_referee(orders, u):
+    orders = sorted(orders)
+    for v in u:
+        _same(lambda: gamma_rows(orders, v), lambda: _referee_rows(orders, v))
+    _same(lambda: gamma_rows(orders, np.array(u)),
+          lambda: _referee_rows(orders, np.array(u)))
+
+
+def test_gamma_rows_refuses_orders_out_of_turn():
+    for orders in ([], [0, -1], [1, 1], [-2, 0], [0.0], "01", None):
+        with pytest.raises(DomainError):
+            gamma_rows(orders, 1.0)
+    with pytest.raises(CapabilityError):
+        gamma_rows([0, MAX_DERIV_ORDER + 1], 1.0)
+
+
+@st.composite
+def _stacks(draw):
+    """1-6 ys in (-1, 10], each with a log-u grid of 1-400 points from just
+    above x = -(y+1) (so negative x included) up to x_max in [1e-2, 1e4]."""
+    ys, grids = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        y = draw(st.floats(-1.0, 10.0, exclude_min=True).filter(lambda y: y + 1.0 > 1e-6))
+        c = y + 1.0
+        xs = log_grid(draw(st.floats(1e-6, 1.0)) * c, draw(st.floats(1e-2, 1e4)) + c,
+                      draw(st.integers(1, 400))) - c
+        xs = xs[(np.abs(xs) >= X_EPSILON) & (xs + c >= hfamily.ENDPOINT_CLEARANCE)]
+        if xs.size:
+            ys.append(y)
+            grids.append(xs)
+    return ys, grids
+
+
+def _blocks(k_max, ys, grids):
+    table = hfamily.logh_deriv_table(k_max, np.repeat(ys, [xs.size for xs in grids]),
+                                     np.concatenate(grids))
+    return tuple(table.blocks([xs.size for xs in grids]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, MAX_DERIV_ORDER), _stacks())
+@example(8, ([-0.9, -0.5, 0.0, 1.0, 5.0],
+             [grid_points(default_grid(y), y) for y in (-0.9, -0.5, 0.0, 1.0, 5.0)]))
+@example(1, ([0.5, 0.5, -0.25], [np.array([-1.25, 2.0]), np.array([3.0]),
+                                 np.array([-0.5, 40.0])]))  # a y twice, not in turn
+def test_a_stacked_table_is_its_ys_own_tables(k_max, stack):
+    ys, grids = stack
+    if ys:
+        _same(lambda: _blocks(k_max, ys, grids),
+              lambda: tuple(hfamily.logh_deriv_table(k_max, y, xs)
+                            for y, xs in zip(ys, grids)))
+
+
+def test_a_stack_raises_its_first_failing_ys_own_error():
+    # only the later y's grid overflows: its own first bad point's error
+    # (gamma_table(8, u) at 1e60, the order-1 table's x^2 at 1e200)
+    grids = [np.array([1.0, 2.0]), np.array([3.0, 1e60, 1e200])]
+    for k_max in (1, 8):
+        _same(lambda: _blocks(k_max, [0.0, 1.0], grids),
+              lambda: hfamily.logh_deriv_table(k_max, 1.0, grids[1]))
+    # a y whose lnGamma(y + 1) overflows, after one whose table is fine
+    _same(lambda: _blocks(3, [0.0, 1e307], [np.array([1.0]), np.array([2.0])]),
+          lambda: hfamily.logh_deriv_table(3, 1e307, [2.0]))
+    # a power of x overflows at the later y only: the error names that y
+    _same(lambda: _blocks(12, [0.5, 2.0], [np.array([3.0]), np.array([1e30])]),
+          lambda: hfamily.logh_deriv_table(12, 2.0, [1e30]))
+
+
+def _certificates(certify):
+    return [repr(certify(alpha, direction)) for alpha in (-0.5, 0.25, 0.5, 0.9, 1.0, 1.7, 3.0)
+            for direction in Direction]
+
+
+@pytest.mark.parametrize("k_max,ys,grids", [
+    (8, (-0.9, -0.5, 0.0, 1.0, 5.0), None),
+    (3, [2.0, -0.3], [GridSpec(1e-3, 30.0, 57), None]),
+    (12, np.array([0.7]), [GridSpec(1e-2, 5.0, 2)]),
+])
+def test_batched_certifiers_are_the_one_y_certifiers(k_max, ys, grids):
+    batch = lcm_certifiers(ys, k_max, grids)
+    for y, grid, certify in zip(ys, grids or [None] * len(ys), batch, strict=True):
+        assert _certificates(certify) == _certificates(lcm_certifier(y, k_max, grid))
+
+
+def test_batched_surfaces_and_limits_are_the_one_y_calls():
+    ys = [-0.9, -0.75, -0.6, -0.51]
+    for points, x_max in ((200, 1e3), (2, 30.0), (77, 1e5)):
+        assert repr(verify_thm3(ys, points, x_max)) == repr(
+            [verify_thm3(y, points, x_max) for y in ys])
+    ys = [-0.5, 0.0, 1.0, 5.0, -0.99, 1e3]
+    assert repr(necessity_limits(ys)) == repr([necessity_limits(y) for y in ys])
+    assert verify_thm3([]) == necessity_limits(np.array([])) == lcm_certifiers([]) == []
+
+
+_FD_CELLS = [(1, HParams(1.0, 0.0), 1.0, 1e-5), (2, HParams(2.0, 1.0), 3.0, 1e-4),
+             (3, HParams(0.5, -0.5), 2.0, 1e-4), (4, HParams(1.5, 0.0), 5.0, 1e-3),
+             (1, HParams(0.0, 0.0), 10.0, 1e-5), (2, HParams(1.0, 4.0), 0.5, 1e-4)]
+
+
+def test_batched_crosschecks_are_the_one_cell_calls():
+    one_by_one = [finite_diff_crosscheck(*cell) for cell in _FD_CELLS]
+    assert [r.hex() for r in finite_diff_crosschecks(_FD_CELLS)] == [
+        r.hex() for r in one_by_one]
+    # x = 1e80 takes a power of x beyond binary64 only in an order-4 table:
+    # the stack fails, each cell alone does not, and each gives its own value
+    cells = [(1, HParams(1.0, 0.0), 1e80, 1.0), _FD_CELLS[3]]
+    assert finite_diff_crosschecks(cells) == [finite_diff_crosscheck(*c) for c in cells]
+
+
+def _error(call):
+    with pytest.raises((CapabilityError, DomainError, ParameterError, PrecisionError)) as info:
+        call()
+    return type(info.value).__name__, str(info.value)
+
+
+def test_a_batch_raises_its_first_failing_ys_own_error():
+    far = GridSpec(1e-4, 1e60, 200)  # gamma_table(8, u) overflows on it
+    assert _error(lambda: lcm_certifiers([0.0, 1.0], 8, [None, far])) == _error(
+        lambda: lcm_certifier(1.0, 8, far))
+    # an earlier y's table error comes before a later y's bad input
+    assert _error(lambda: lcm_certifiers([1e300, "y"])) == _error(
+        lambda: lcm_certifier(1e300))
+    assert _error(lambda: lcm_certifiers([0.0, "y"])) == _error(lambda: lcm_certifier("y"))
+    assert _error(lambda: necessity_limits([0.0, 1e300])) == _error(
+        lambda: necessity_limits(1e300))
+    assert _error(lambda: verify_thm3([-0.75, -0.99, -0.3])) == _error(
+        lambda: verify_thm3(-0.99))
+    assert _error(lambda: verify_thm3([-0.75, -0.6], 200, 1e300)) == _error(
+        lambda: verify_thm3(-0.75, 200, 1e300))
+    cells = [_FD_CELLS[1], (3, HParams(1.0, 1e307), 2.0, 1e-4), (9, HParams(1.0, 0.0), 1.0)]
+    assert _error(lambda: finite_diff_crosschecks(cells)) == _error(
+        lambda: finite_diff_crosscheck(*cells[1]))
