@@ -4,10 +4,10 @@
 For y > -1/2 and min{1, 1/(2(y+1))} < alpha <= 1, reciprocal complete
 monotonicity is conjectured to fail but unproven, so the scanner never
 classifies those cells.  This script sweeps the zone at a finer resolution
-than the CLI scan, reads the RECIPROCAL certificate of every cell (one
-lcm_certifier per y), and tabulates where the grid finds a
-conclusive sign violation (evidence for the conjecture) versus where it
-finds none.
+than the CLI scan, reads the RECIPROCAL certificate of every cell (the
+certifiers of every y from one lcm_certifier call, so one derivative
+table), and tabulates where the grid finds a conclusive sign violation
+(evidence for the conjecture) versus where it finds none.
 
 Writes a CSV (alpha, y, zone_width_position, reciprocal_violation,
 witness_k, witness_x) and prints an aggregate table by y.
@@ -35,12 +35,12 @@ def zone_alphas(y: float, count: int) -> np.ndarray:
 def run(args: argparse.Namespace) -> int:
     rows: list[str] = ["alpha,y,zone_position,reciprocal_violation,witness_k,witness_x"]
     tally: list[tuple[float, int, int]] = []
-    for y in np.linspace(args.y_min, args.y_max, args.y_count):
-        y = float(y)
-        grid = default_grid(y, points=args.grid_points, x_max=args.x_max)
+    ys = np.linspace(args.y_min, args.y_max, args.y_count).tolist()
+    certifiers = lcm_certifier(ys, args.kmax, [
+        default_grid(y, points=args.grid_points, x_max=args.x_max) for y in ys])
+    for y, certify in zip(ys, certifiers):
         alphas = zone_alphas(y, args.alpha_count)
         assert in_conjecture_zone(alphas, y).all(), y
-        certify = lcm_certifier(y, args.kmax, grid)
         violations = 0
         for pos, alpha in enumerate(alphas.tolist(), start=1):
             witness = certify(alpha, Direction.RECIPROCAL).witness

@@ -81,7 +81,6 @@ __all__ = [
     "grid_points",
     "in_conjecture_zone",
     "lcm_certifier",
-    "lcm_certifiers",
     "necessity_limits",
     "scan_values",
     "verify_thm3",
@@ -283,56 +282,44 @@ def _cut_tables(ys, k_max: int, grids
     """Setup shared by every certificate.  For each y and its grid
     (default_grid(y) for None), validated in turn with k_max: the grid, its
     abscissae xs, the derivative table and its _alpha_cuts.  The tables are
-    blocks of one logh_deriv_table stacked over the ys.  A batch that
-    raises is set up again one y at a time, so it raises what its first
-    failing y raises alone."""
-    try:
-        setups = []
-        for y, grid in zip(ys, grids):
-            y, k = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
-            grid = default_grid(y) if grid is None else require_type(grid, GridSpec, "grid")
-            setups.append((y, grid, grid_points(grid, y)))
-        if not setups:
-            return []
-        valid_ys, _, xss = zip(*setups)
-        sizes = [xs.size for xs in xss]
-        table = logh_deriv_table(k, _stacked(valid_ys, sizes), np.concatenate(xss))
-        cuts = _alpha_cuts(table)
-    except PACKAGE_ERRORS:
-        for y, grid in zip(ys, grids) if len(ys) > 1 else ():
-            _cut_tables([y], k_max, [grid])
-        raise
+    blocks of one logh_deriv_table stacked over the ys."""
+    setups = []
+    for y, grid in zip(ys, grids):
+        y, k = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
+        grid = default_grid(y) if grid is None else require_type(grid, GridSpec, "grid")
+        setups.append((y, grid, grid_points(grid, y)))
+    if not setups:
+        return []
+    valid_ys, _, xss = zip(*setups)
+    sizes = [xs.size for xs in xss]
+    table = logh_deriv_table(k, _stacked(valid_ys, sizes), np.concatenate(xss))
+    cuts = _alpha_cuts(table)
     stops = accumulate(sizes)
     return [(grid, xs, block, cuts[..., stop - xs.size:stop])
             for (_, grid, xs), block, stop in zip(setups, table.blocks(sizes), stops)]
 
 
-def lcm_certifiers(ys, k_max: int = DEFAULT_K_MAX, grids=None
-                   ) -> list[Callable[[float, Direction | str], Certificate]]:
-    """lcm_certifier(y, k_max, grid) for each y of the 1-D grid ys and its
-    grid in the sequence grids (None: default_grid(y) for every y), from
-    one derivative table stacked over the ys.  A batch raises what its
-    first failing y raises alone."""
-    ys = as_grid(ys)
-    if ys is None:
-        raise DomainError("ys must be a 1-D grid of ys")
-    grids = [None] * len(ys) if grids is None else as_grid(grids)
-    if grids is None or len(grids) != len(ys):
-        raise ParameterError(f"grids must be None or one GridSpec or None per y, got {grids!r}")
-    return [_certifier(k_max, *setup) for setup in _cut_tables(ys, k_max, grids)]
-
-
-def lcm_certifier(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
-                  ) -> Callable[[float, Direction | str], Certificate]:
+@first_bad_point
+def lcm_certifier(y, k_max: int = DEFAULT_K_MAX, grid=None):
     """certify(alpha, direction): sign of (-1)^k (ln h)^(k), k = 1..k_max, on the grid.
 
     One derivative table at y, and its alpha cuts, serve every certificate.
     direction LCM requires the signed quantity positive, RECIPROCAL
     negative.  The certificate FAILs iff alpha is at or beyond some point's
     cut; the witness is the first such point by increasing k, then grid
-    order (see the module docstring).  It is lcm_certifiers' one-y case.
+    order (see the module docstring).  y is one value (one certify is
+    returned) or a 1-D grid (a list of them, from one table stacked over
+    the ys); grid is None (default_grid(y)), one GridSpec for every y, or a
+    grid of one GridSpec or None per y.
     """
-    return lcm_certifiers([y], k_max, [grid])[0]
+    ys, grids = as_grid(y), as_grid(grid)
+    if ys is None:
+        return _certifier(k_max, *_cut_tables([y], k_max, [grid])[0])
+    if grids is None:
+        grids = [grid] * len(ys)
+    elif len(grids) != len(ys):
+        raise ParameterError(f"grid must be None, a GridSpec or one per y, got {grid!r}")
+    return [_certifier(k_max, *setup) for setup in _cut_tables(ys, k_max, grids)]
 
 
 def _certifier(k_max: int, grid: GridSpec, xs: np.ndarray, table: DerivTable,

@@ -37,7 +37,7 @@ from .certify import (
     certify_lcm,  # noqa: F401  (unused; perfbench/test_perfbench.py reads cli.certify_lcm)
     default_grid,
     finite_diff_crosschecks,
-    lcm_certifiers,
+    lcm_certifier,
     necessity_limits,
     scan_values,
     verify_thm3,
@@ -147,7 +147,7 @@ def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> CheckTable:
 def _suite_thm1(k_max: int, points: int, x_max: float) -> list:
     out: list = []
     # one table for every y; the necessity cells reuse the sufficiency certifiers
-    certifiers = dict(zip(_SUFFICIENCY_YS, lcm_certifiers(
+    certifiers = dict(zip(_SUFFICIENCY_YS, lcm_certifier(
         _SUFFICIENCY_YS, k_max,
         [default_grid(y, points=points, x_max=x_max) for y in _SUFFICIENCY_YS])))
     for y, certify in certifiers.items():

@@ -8,7 +8,9 @@ The helpers after the types validate arguments; no other module decides
 what a number, a y, an integer or a flag is (README, "Inputs").  real_points,
 require_all and first_bad_point serve the builders that take one point or a
 grid: a grid raises the error that its first bad point raises in a call of
-its own.  log_grid builds the package's log-spaced grids.
+its own.  A grid is a plain list, tuple or range, or a 1-D array; a record
+(a tuple subclass such as GridSpec or HParams) is one argument, never a
+grid.  log_grid builds the package's log-spaced grids.
 """
 
 from __future__ import annotations
@@ -108,10 +110,11 @@ _LOWER = {require_positive: 0.0, require_y: -1.0}
 
 
 def as_grid(value) -> list | None:
-    """The points of value if it is a grid (a list, tuple, range or 1-D array), else None."""
+    """The points of value if it is a grid (a plain list, tuple or range, or a
+    1-D array), else None: a record (a tuple subclass) is one argument."""
     if isinstance(value, np.ndarray):
         return value.tolist() if value.ndim == 1 else None
-    return list(value) if isinstance(value, (list, tuple, range)) else None
+    return list(value) if value.__class__ in (list, tuple, range) else None
 
 
 def real_points(value, name: str, require=require_real) -> np.ndarray:
@@ -169,11 +172,12 @@ PACKAGE_ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 def first_bad_point(build):
     """build, raising on a grid the error that its first bad point raises alone.
 
-    build takes positional arguments that are each one point or a 1-D grid,
-    grids of one common length, and evaluates every point at once.  When
-    that raises a package error, build runs again on each point in turn
-    (keyword arguments as given), so the error raised is the one the first
-    bad point raises in its own call.
+    build takes arguments, positional or keyword, that are each one point or
+    a 1-D grid (as_grid), grids of one common length, and evaluates every
+    point at once.  When that raises a package error, build runs again on
+    each point in turn, every grid argument split alike and every other
+    argument (a record among them) passed whole, so the error raised is the
+    one the first bad point raises in its own call.
     """
     @functools.wraps(build)
     def checked(*args, **kwargs):
@@ -181,7 +185,10 @@ def first_bad_point(build):
             return build(*args, **kwargs)
         except PACKAGE_ERRORS:
             grids = [as_grid(v) for v in args]
-            for i in range(min((len(g) for g in grids if g is not None), default=0)):
-                build(*(v if g is None else g[i] for v, g in zip(args, grids)), **kwargs)
+            named = {k: as_grid(v) for k, v in kwargs.items()}
+            for i in range(min((len(g) for g in [*grids, *named.values()] if g is not None),
+                               default=0)):
+                build(*(v if g is None else g[i] for v, g in zip(args, grids)),
+                      **{k: v if named[k] is None else named[k][i] for k, v in kwargs.items()})
             raise
     return checked

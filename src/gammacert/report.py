@@ -41,7 +41,7 @@ import operator
 from collections.abc import Sequence
 from datetime import datetime, timezone
 from itertools import accumulate, chain, groupby
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _string  # a str as JSON text
 from typing import NamedTuple
 
 import numpy as np
@@ -220,65 +220,48 @@ _REPORT = ('{"tool_version": %s, "timestamp": %s, "suite": %s, "results": [%s], 
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
-class _FloatReprs(dict):
-    """float -> its JSON spelling (repr), filled on first use.
-
-    An int in a float slot (a plain ScanCell may hold one) is spelled as
-    the float it equals, like the float it collides with as a dict key.
-    Zeros are never stored: -0.0 == 0.0 and both hash alike, so a stored
-    zero would give the other zero its sign.
-    """
-
-    def __missing__(self, v):
-        if not is_finite(v):
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        text = repr(float(v))
-        if v:
-            self[v] = text
-        return text
+def _float(v) -> str:
+    """The JSON spelling of a float (repr); an int in a float slot (a plain
+    ScanCell may hold one) is spelled as the float it equals.  A non-finite
+    number raises ValueError."""
+    if not is_finite(v):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return repr(float(v))
 
 
-class _StringReprs(dict):
-    """str -> its quoted, ASCII-escaped JSON spelling, filled on first use."""
-
-    def __missing__(self, s):
-        text = self[s] = encode_basestring_ascii(s)
-        return text
-
-
-def _item_text(item: ResultItem, f: _FloatReprs, s: _StringReprs) -> str:
-    """JSON text of one certificate or scan cell; f and s memoise its
-    numbers and strings.  Check rows are written by _check_texts."""
+def _item_text(item: ResultItem) -> str:
+    """JSON text of one certificate or scan cell.  Check rows are written
+    by _check_texts."""
     if isinstance(item, Certificate):
         w, grid = item.witness, item.grid
         return _CERTIFICATE % (
-            s[item.check], s[item.semantics], f[item.params.alpha], f[item.params.y],
-            "null" if item.direction is None else s[item.direction.value],
-            item.k_max, f[grid.x_min_offset], f[grid.x_max], grid.points,
-            s[item.verdict.value],
-            "null" if w is None else _WITNESS % (w.k, f[w.x], f[w.value]),
+            _string(item.check), _string(item.semantics), _float(item.params.alpha),
+            _float(item.params.y),
+            "null" if item.direction is None else _string(item.direction.value),
+            item.k_max, _float(grid.x_min_offset), _float(grid.x_max), grid.points,
+            _string(item.verdict.value),
+            "null" if w is None else _WITNESS % (w.k, _float(w.x), _float(w.value)),
             item.undecided_points, result_status(item))
     return _SCAN_CELL % (  # a ScanCell
-        f[item.alpha], f[item.y], s[item.classification.value],
+        _float(item.alpha), _float(item.y), _string(item.classification.value),
         _LITERAL[item.conjecture_zone], _LITERAL[item.reciprocal_violation],
         result_status(item))
 
 
-def _check_segments(key, holds: bool, within: bool, status: str,
-                    s: _StringReprs) -> list[str]:
+def _check_segments(key, holds: bool, within: bool, status: str) -> list[str]:
     """The text around the numbers of every check row with this key (name,
     input labels, strict), holds and within: before each input value, before
     lhs, rhs and margin, and after margin with the ", " that follows a row."""
     name, labels, strict = key
-    pairs = ["[%s, \0]" % s[label] for label in labels]
+    pairs = ["[%s, \0]" % _string(label) for label in labels]
     if within:
-        pairs.append("[%s, %r]" % (s[CheckTable.MARKER[0]], CheckTable.MARKER[1]))
-    return (_CHECK % (s[name], ", ".join(pairs), "\0", "\0", "\0", _LITERAL[holds],
+        pairs.append("[%s, %r]" % (_string(CheckTable.MARKER[0]), CheckTable.MARKER[1]))
+    return (_CHECK % (_string(name), ", ".join(pairs), "\0", "\0", "\0", _LITERAL[holds],
                       _LITERAL[strict], status)
             + ", ").split("\0")  # escaped text holds no NUL
 
 
-def _check_texts(table: CheckTable, s: _StringReprs) -> list[str]:
+def _check_texts(table: CheckTable) -> list[str]:
     """JSON text of the table's rows, each followed by ", ", one string per
     block of BLOCK_ROWS (2,048) rows.
 
@@ -301,7 +284,7 @@ def _check_texts(table: CheckTable, s: _StringReprs) -> list[str]:
     for c in present.tolist():
         n = counts[c // 4]
         words = _check_segments(table.keys[c // 4], bool(c & 2), bool(c & 1),
-                                CheckTable.STATUSES[status[c]], s)
+                                CheckTable.STATUSES[status[c]])
         segments.append(words[:n] + [""] * (width - n) + words[n:])
     segment_row = np.zeros_like(status)
     segment_row[present] = np.arange(present.size)
@@ -327,7 +310,7 @@ def _check_texts(table: CheckTable, s: _StringReprs) -> list[str]:
     return texts
 
 
-def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
+def _results_text(results) -> str:
     """The results joined by ", ": each check table by _check_texts, other
     items by their templates.  A part that is no result raises
     _NotAResult naming its type."""
@@ -338,19 +321,18 @@ def _results_text(results, f: _FloatReprs, s: _StringReprs) -> str:
     texts = []
     for run in Results.of(results).runs:
         if isinstance(run, CheckTable):
-            texts += _check_texts(run, s)
+            texts += _check_texts(run)
         else:
-            texts += [_item_text(item, f, s) + ", " for item in run]
+            texts += [_item_text(item) + ", " for item in run]
     return "".join(texts)[:-2]
 
 
 def dumps(report: Report) -> str:
     """Serialize a Report to JSON text; a non-finite float raises ValueError."""
     require_type(report, Report, "report")
-    f, s = _FloatReprs(), _StringReprs()
     return _REPORT % (
-        s[report.tool_version], s[report.timestamp], s[report.suite],
-        _results_text(report.results, f, s),
+        _string(report.tool_version), _string(report.timestamp), _string(report.suite),
+        _results_text(report.results),
         json.dumps(report.summary, allow_nan=False))
 
 
@@ -358,7 +340,7 @@ def to_jsonable(obj):
     """A Report or result item as the plain dict that its JSON text parses to."""
     if isinstance(obj, Report):
         return json.loads(dumps(obj))
-    return json.loads(_results_text([obj], _FloatReprs(), _StringReprs()))
+    return json.loads(_results_text([obj]))
 
 
 def _number(value, key: str) -> float:

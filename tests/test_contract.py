@@ -116,9 +116,8 @@ TABLE = {
     "in_conjecture_zone": {"alpha": _points(-3.0, 3.0), "y": Y},
     "finite_diff_crosschecks": {"cells": st.lists(st.tuples(
         st.integers(1, 4), PARAMS, X, _floats(1e-6, 1e-2)), max_size=3)},
-    "lcm_certifier": {"y": Y, "k_max": st.integers(1, 4), "grid": GRID},
-    "lcm_certifiers": {"ys": st.lists(Y, max_size=3), "k_max": st.integers(1, 4),
-                       "grids": st.none() | st.lists(st.none() | GRID, max_size=3)},
+    "lcm_certifier": {"y": _points(-0.95, 5.0), "k_max": st.integers(1, 4),
+                      "grid": st.none() | GRID | st.lists(st.none() | GRID, max_size=3)},
     "necessity_limits": {"y": _points(-0.95, 5.0)},
     "scan_values": {"alphas": _points(0.0, 2.0), "ys": _points(-0.9, 3.0),
                     "k_max": st.integers(1, 3), "points": st.integers(2, 12),

@@ -23,6 +23,8 @@ from gammacert import (
     CheckResult,
     CheckTable,
     DomainError,
+    GridSpec,
+    HParams,
     ParameterError,
     PrecisionError,
     aux_eval,
@@ -372,6 +374,22 @@ def test_window_grids_raise_what_their_first_bad_point_raises():
         psi_log_bounds([1.0, 1e-200, 0.0])
     with pytest.raises(CapabilityError, match=r"^polygamma\(3, 1e-110\)"):
         polygamma_bounds(3, [1.0, 1e-110, -1.0])
+
+
+def test_keyword_grids_are_split_as_positional_ones():
+    # x = 0 at point 1 is the first bad point, before a's "bad" there
+    for call in (lambda: gamma_ratio_ineq([1.0, 0.0], 0.0, 1.0, [1.0, "bad"]),
+                 lambda: gamma_ratio_ineq([1.0, 0.0], 0.0, 1.0, a=[1.0, "bad"]),
+                 lambda: gamma_ratio_ineq(x=[1.0, 0.0], y=0.0, t=1.0, a=[1.0, "bad"])):
+        with pytest.raises(DomainError, match=r"^x and x\+t must be nonzero"):
+            call()
+
+
+def test_a_record_is_one_argument_not_a_grid():
+    with pytest.raises(DomainError, match=r"^a must be a finite positive real, got GridSpec\("):
+        log_mean(GridSpec(1e-3, 5.0, 3), 2.0)
+    with pytest.raises(DomainError, match=r"^x must be a real number, got HParams\("):
+        alpha_necessary_bound(HParams(2.0, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ counts too), a float its type and bits, a check table its keys too, and
 every error its type and message.
 
 A table stacked over several ys (one y per x) is held to the one-y tables
-of its blocks, and the batched certificate entries to their one-y calls,
-in the same way; a batch that fails raises what its first failing y raises
-alone.
+of its blocks, and the certificate entries on a grid of ys to their one-y
+calls, in the same way; a batch that fails raises what its first failing y
+raises alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import _referee as referee
 from gammacert import (
     CapabilityError, CheckTable, Direction, DomainError, GridSpec, HParams, ParameterError,
     PrecisionError, X_EPSILON, finite_diff_crosscheck, finite_diff_crosschecks, hfamily,
-    lcm_certifier, lcm_certifiers, lemma_windows, necessity_limits, verify_thm3)
+    lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
 from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
 from gammacert.errors import log_grid
 from gammacert.gammakit import (
@@ -282,11 +282,16 @@ def _certificates(certify):
     (8, (-0.9, -0.5, 0.0, 1.0, 5.0), None),
     (3, [2.0, -0.3], [GridSpec(1e-3, 30.0, 57), None]),
     (12, np.array([0.7]), [GridSpec(1e-2, 5.0, 2)]),
+    (4, np.array([0.5, -0.8, 3.0]), GridSpec(1e-3, 20.0, 40)),  # one grid for every y
+    (2, [1.0, 1.0], (GridSpec(1e-2, 8.0, 9), GridSpec(1e-3, 60.0, 31))),
 ])
 def test_batched_certifiers_are_the_one_y_certifiers(k_max, ys, grids):
-    batch = lcm_certifiers(ys, k_max, grids)
-    for y, grid, certify in zip(ys, grids or [None] * len(ys), batch, strict=True):
-        assert _certificates(certify) == _certificates(lcm_certifier(y, k_max, grid))
+    # a GridSpec is a tuple too, but one grid for every y
+    per_y = list(grids) if type(grids) in (list, tuple) else [grids] * len(ys)
+    expected = [_certificates(lcm_certifier(y, k_max, grid))
+                for y, grid in zip(ys, per_y, strict=True)]
+    for batch in (lcm_certifier(ys, k_max, grids), lcm_certifier(y=ys, k_max=k_max, grid=grids)):
+        assert [_certificates(certify) for certify in batch] == expected
 
 
 def test_batched_surfaces_and_limits_are_the_one_y_calls():
@@ -296,7 +301,8 @@ def test_batched_surfaces_and_limits_are_the_one_y_calls():
             [verify_thm3(y, points, x_max) for y in ys])
     ys = [-0.5, 0.0, 1.0, 5.0, -0.99, 1e3]
     assert repr(necessity_limits(ys)) == repr([necessity_limits(y) for y in ys])
-    assert verify_thm3([]) == necessity_limits(np.array([])) == lcm_certifiers([]) == []
+    assert verify_thm3([]) == necessity_limits(np.array([])) == lcm_certifier([]) == []
+    assert lcm_certifier((), 8, GridSpec(1e-3, 5.0, 4)) == lcm_certifier(np.array([])) == []
 
 
 _FD_CELLS = [(1, HParams(1.0, 0.0), 1.0, 1e-5), (2, HParams(2.0, 1.0), 3.0, 1e-4),
@@ -322,12 +328,17 @@ def _error(call):
 
 def test_a_batch_raises_its_first_failing_ys_own_error():
     far = GridSpec(1e-4, 1e60, 200)  # gamma_table(8, u) overflows on it
-    assert _error(lambda: lcm_certifiers([0.0, 1.0], 8, [None, far])) == _error(
+    assert _error(lambda: lcm_certifier([0.0, 1.0], 8, [None, far])) == _error(
         lambda: lcm_certifier(1.0, 8, far))
+    assert _error(lambda: lcm_certifier([0.0, 1.0], grid=[None, far])) == _error(
+        lambda: lcm_certifier(1.0, grid=far))
+    # a grid shared by every y is passed whole to each y's own call
+    assert _error(lambda: lcm_certifier([0.0, 1.0], 8, far)) == _error(
+        lambda: lcm_certifier(0.0, 8, far))
     # an earlier y's table error comes before a later y's bad input
-    assert _error(lambda: lcm_certifiers([1e300, "y"])) == _error(
+    assert _error(lambda: lcm_certifier([1e300, "y"])) == _error(
         lambda: lcm_certifier(1e300))
-    assert _error(lambda: lcm_certifiers([0.0, "y"])) == _error(lambda: lcm_certifier("y"))
+    assert _error(lambda: lcm_certifier([0.0, "y"])) == _error(lambda: lcm_certifier("y"))
     assert _error(lambda: necessity_limits([0.0, 1e300])) == _error(
         lambda: necessity_limits(1e300))
     assert _error(lambda: verify_thm3([-0.75, -0.99, -0.3])) == _error(
