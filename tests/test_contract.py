@@ -7,7 +7,8 @@ parameter, and any other name is marked as what it is (a constant, an enum,
 an exception type or a plain container, which validates nothing).  The test
 draws good arguments, calls the function with them, and then again with
 each argument in turn replaced by each hostile value.  A name missing from
-the table, or a parameter missing from its entry, fails the test.
+the table, or a parameter missing from its entry, fails the test.  FORMS
+holds the cases that call a public function in one of its forms only.
 """
 
 from __future__ import annotations
@@ -212,6 +213,16 @@ TABLE = {
     "to_jsonable": {"obj": ITEM | REPORT},
 }
 
+#: Forms of a public function that keep a contract case of their own:
+#: case id -> (public name, entry).  ``lcm_certifiers`` is lcm_certifier on
+#: a grid of ys, with one grid for all of them or one per y.
+FORMS = {
+    "lcm_certifiers": ("lcm_certifier", {
+        "y": st.lists(Y, max_size=3) | st.lists(Y, max_size=3).map(np.array),
+        "k_max": st.integers(1, 4),
+        "grid": st.none() | GRID | st.lists(st.none() | GRID, max_size=3)}),
+}
+
 #: What each marker admits.
 _KINDS = {
     CONSTANT: lambda obj: isinstance(obj, (int, float, str, tuple)),
@@ -258,12 +269,13 @@ def _call(fn, kwargs: dict, what: str) -> None:
     _assert_finite(result, what)
 
 
-@pytest.mark.parametrize("name", gammacert.__all__)
+@pytest.mark.parametrize("name", [*gammacert.__all__, *FORMS])
 @settings(max_examples=10)
 @given(data=st.data())
 def test_public_names_return_finite_values_or_raise_package_errors(name, data):
-    assert name in TABLE, f"{name} is public but missing from the contract table"
-    entry, obj = TABLE[name], getattr(gammacert, name)
+    public, entry = FORMS.get(name, (name, TABLE.get(name)))
+    assert entry is not None, f"{name} is public but missing from the contract table"
+    obj = getattr(gammacert, public)
     if not isinstance(entry, dict):
         assert _KINDS[entry](obj), f"{name} is no {entry}"
         return
