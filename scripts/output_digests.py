@@ -84,6 +84,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=1:1:1", "--y=1e307:1e307:1"),
     # the derivative table overflows first: gamma_table's own error
     ("scan", "--alpha=1:1:1", "--y=1e300:1e300:1"),
+    # the two exits that argparse takes: --version, and a usage error
+    ("--version",),
+    ("verify", "--format", "csv"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

@@ -307,15 +307,18 @@ def lcm_certifier(y, k_max: int = DEFAULT_K_MAX, grid=None):
     direction LCM requires the signed quantity positive, RECIPROCAL
     negative.  The certificate FAILs iff alpha is at or beyond some point's
     cut; the witness is the first such point by increasing k, then grid
-    order (see the module docstring).  y is one value (one certify is
-    returned) or a 1-D grid (a list of them, from one table stacked over
-    the ys); grid is None (default_grid(y)), one GridSpec for every y, or a
-    grid of one GridSpec or None per y.
+    order (see the module docstring).  y is one value or a 1-D grid; grid
+    is None (default_grid(y)), one GridSpec, or a grid of one GridSpec or
+    None per y.  One y on one grid returns one certify; otherwise a list of
+    them, one per y (one y stands for every grid of a grid of grids), from
+    one table stacked over the ys.
     """
     ys, grids = as_grid(y), as_grid(grid)
-    if ys is None:
+    if ys is None and grids is None:
         return _certifier(k_max, *_cut_tables([y], k_max, [grid])[0])
-    if grids is None:
+    if ys is None:
+        ys = [y] * len(grids)
+    elif grids is None:
         grids = [grid] * len(ys)
     elif len(grids) != len(ys):
         raise ParameterError(f"grid must be None, a GridSpec or one per y, got {grid!r}")
@@ -374,6 +377,8 @@ def certify_lcm(params: HParams, direction: Direction | str,
                 k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None) -> Certificate:
     """One certificate of lcm_certifier(params.y, k_max, grid)."""
     require_type(params, HParams, "params")
+    if grid is not None:  # one GridSpec: a grid of them would make several certifiers
+        require_type(grid, GridSpec, "grid")
     return lcm_certifier(params.y, k_max, grid)(params.alpha, direction)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import re
 import sys
@@ -480,5 +481,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def process_main() -> int:
+    """main() on sys.argv for a whole process: the console script and
+    ``python -m gammacert.cli`` call this; tests and other in-process
+    callers call main().
+
+    Once main has returned, gc.freeze() moves every object the imports and
+    the run left into the collector's permanent generation, so the
+    collection at interpreter exit does not traverse state that the OS is
+    about to reclaim anyway.  atexit handlers, stream flushes and module
+    finalisation still run; os._exit would skip them.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +510,67 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "gammacert 0.1.0"
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+# ---------------------------------------------------------------------------
+
+_PROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_PROCESS_ENV, capture_output=True,
+                          text=True, check=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "thm2"],
+    ["verify", "--suite", "ball", "--format", "csv"],
+    ["scan", "--alpha=0:2:0.5", "--y=-0.5:1:0.5", "--grid-points", "40"],
+    ["verify", "--format", "csv"],  # usage error: --suite is missing
+    ["--version"],
+])
+def test_a_cli_process_gives_the_bytes_and_exit_code_of_main(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    proc = _python("-m", "gammacert.cli", *argv)
+    assert (proc.returncode, _TIMESTAMP.sub("", proc.stdout), _TIMESTAMP.sub("", proc.stderr)
+            ) == (code, _TIMESTAMP.sub("", out), _TIMESTAMP.sub("", err))
+
+
+def test_import_and_main_leave_the_collector_alone():
+    state = "(gc.isenabled(), gc.get_freeze_count())"
+    proc = _python("-c", f"import gc; before = {state}\n"
+                         "from gammacert.cli import main\n"
+                         f"assert {state} == before, ({state}, before)\n"
+                         "main(['verify', '--suite', 'thm2', '--format', 'csv'])\n"
+                         f"assert {state} == before, ({state}, before)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def _console_script() -> str:
+    """The gammacert console script's target as pyproject.toml declares it."""
+    pyproject = (Path(cli.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    [target] = re.findall(r'^gammacert = "([\w.]+:\w+)"$', pyproject, re.MULTILINE)
+    return target
+
+
+@pytest.mark.parametrize("start", [
+    "import runpy; runpy.run_module('gammacert.cli', run_name='__main__')",  # python -m
+    "import importlib; module, _, name = {target!r}.partition(':'); "
+    "sys.exit(getattr(importlib.import_module(module), name)())",  # the console script
+], ids=["python -m", "console script"])
+def test_the_process_entry_freezes_the_heap_and_keeps_atexit(start):
+    # an atexit handler registered before the CLI runs still sees the exit
+    proc = _python("-c", "import atexit, gc, sys\n"
+                         "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+                         " file=sys.stderr))\n"
+                         "sys.argv = ['gammacert', 'verify', '--suite', 'thm2', '--format', 'csv']\n"
+                         + start.format(target=_console_script()))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("kind,")
+    frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+    assert frozen is not None and int(frozen[1]) > 10_000, proc.stderr

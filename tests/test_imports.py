@@ -100,7 +100,7 @@ def test_each_module_all_is_declared_once_and_is_the_package_api():
 #: The standard modules the package imports by name.  The guard imports them
 #: first, with numpy, argparse and json (the CLI's own dependencies), so that
 #: its verdict does not hang on what one numpy or Python version loads.
-STDLIB = ("__future__", "collections.abc", "datetime", "enum", "functools",
+STDLIB = ("__future__", "collections.abc", "datetime", "enum", "functools", "gc",
           "itertools", "json.encoder", "math", "os", "pathlib", "re",
           "sys", "typing")
 

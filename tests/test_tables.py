@@ -26,8 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 import _referee as referee
 from gammacert import (
     CapabilityError, CheckTable, Direction, DomainError, GridSpec, HParams, ParameterError,
-    PrecisionError, X_EPSILON, finite_diff_crosscheck, finite_diff_crosschecks, hfamily,
-    lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
+    PrecisionError, X_EPSILON, certify_lcm, finite_diff_crosscheck, finite_diff_crosschecks,
+    hfamily, lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
 from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
 from gammacert.errors import log_grid
 from gammacert.gammakit import (
@@ -284,12 +284,17 @@ def _certificates(certify):
     (12, np.array([0.7]), [GridSpec(1e-2, 5.0, 2)]),
     (4, np.array([0.5, -0.8, 3.0]), GridSpec(1e-3, 20.0, 40)),  # one grid for every y
     (2, [1.0, 1.0], (GridSpec(1e-2, 8.0, 9), GridSpec(1e-3, 60.0, 31))),
+    # one y for every grid of a grid of grids
+    (6, 1.0, [GridSpec(1e-3, 5.0, 4), GridSpec(1e-3, 9.0, 4)]),
+    (6, -0.5, (None, GridSpec(1e-2, 30.0, 57), None)),
+    (6, np.float64(3.0), [GridSpec(1e-3, 20.0, 2)]),
 ])
 def test_batched_certifiers_are_the_one_y_certifiers(k_max, ys, grids):
     # a GridSpec is a tuple too, but one grid for every y
-    per_y = list(grids) if type(grids) in (list, tuple) else [grids] * len(ys)
-    expected = [_certificates(lcm_certifier(y, k_max, grid))
-                for y, grid in zip(ys, per_y, strict=True)]
+    per_grid = type(grids) in (list, tuple)
+    n = len(grids) if per_grid else len(ys)
+    expected = [_certificates(lcm_certifier(y, k_max, grid)) for y, grid in zip(
+        [ys] * n if np.ndim(ys) == 0 else ys, grids if per_grid else [grids] * n, strict=True)]
     for batch in (lcm_certifier(ys, k_max, grids), lcm_certifier(y=ys, k_max=k_max, grid=grids)):
         assert [_certificates(certify) for certify in batch] == expected
 
@@ -348,3 +353,6 @@ def test_a_batch_raises_its_first_failing_ys_own_error():
     cells = [_FD_CELLS[1], (3, HParams(1.0, 1e307), 2.0, 1e-4), (9, HParams(1.0, 0.0), 1.0)]
     assert _error(lambda: finite_diff_crosschecks(cells)) == _error(
         lambda: finite_diff_crosscheck(*cells[1]))
+    # certify_lcm gives one certificate: its grid is one GridSpec, never a grid of them
+    assert _error(lambda: certify_lcm(HParams(0.5, 1.0), Direction.LCM, 6, [None])) == (
+        "ParameterError", "grid must be a GridSpec, got [None]")
