@@ -87,6 +87,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     # the two exits that argparse takes: --version, and a usage error
     ("--version",),
     ("verify", "--format", "csv"),
+    # the help texts, which name the suites
+    ("--help",),
+    ("verify", "--help"),
+    ("scan", "--help"),
 )
 
 #: Script invocations at small settings; each writes its CSV to out.csv.

@@ -9,22 +9,45 @@ together with closed-form derivatives of ln h, and certifies sign conditions,
 inequality windows, and classification scans over (alpha, y) with explicit
 noise-aware verdicts.  The ``gammacert`` console script drives the suites.
 
-Each module's ``__all__`` is its public API; the package re-exports all of
-them and declares no name of its own but ``__version__``.
+Each library module's ``__all__`` is its public API; the package re-exports
+all of them and declares no name of its own but ``__version__``.  The
+re-exports load on first use (PEP 562): ``import gammacert`` imports no
+submodule, ``import gammacert.X`` only X and what X imports, and the first
+package-level name, ``__all__`` or ``dir()`` imports the whole library.
+The console script (``cli``) and its suite builders (``suites``) are not
+part of it.
 """
-
-from . import ballvol, certify, errors, gammakit, hfamily, ineq, means, report
-from .ballvol import *
-from .certify import *
-from .errors import *
-from .gammakit import *
-from .hfamily import *
-from .ineq import *
-from .means import *
-from .report import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *ballvol.__all__, *certify.__all__, *errors.__all__,
-           *gammakit.__all__, *hfamily.__all__, *ineq.__all__, *means.__all__,
-           *report.__all__]
+#: The modules whose ``__all__`` the package re-exports, in that order.
+_LIBRARY = ("ballvol", "certify", "checks", "errors", "gammakit", "hfamily", "ineq",
+            "means", "report")
+
+
+def _load_library() -> None:
+    if "__all__" in globals():
+        return
+    from importlib import import_module
+
+    names = ["__version__"]
+    for name in _LIBRARY:
+        module = import_module(f"{__name__}.{name}")
+        globals().update((public, getattr(module, public)) for public in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = names
+
+
+def __getattr__(name: str):
+    # no private name, nor a submodule outside the library, is a re-export:
+    # the import system loads such a submodule itself once this refuses it
+    if name == "__all__" or not (name.startswith("_") or name in ("cli", "suites")):
+        _load_library()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    _load_library()
+    return sorted(globals())

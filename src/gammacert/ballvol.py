@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
+from .checks import CheckResult, CheckTable
 from .errors import (
     CapabilityError, DomainError, as_grid, as_integer, first_bad_point, is_finite)
 from .gammakit import libm, lngamma
-from .ineq import CheckResult, CheckTable, one_sided_rows, two_sided_rows
+from .ineq import one_sided_rows, two_sided_rows
 
 __all__ = ["ball_ratio_checks", "log_omega", "omega", "recurrence_check"]
 

@@ -551,9 +551,9 @@ def finite_diff_crosschecks(cells) -> list[float]:
     """finite_diff_crosscheck(k, params, x, step) for each cell (k, params,
     x, step) of the sequence cells, from one derivative table stacked over
     the cells: order k at x, and for k >= 2 order k - 1 at x - step and
-    x + step (for k = 1, ln h itself comes from log_h).  A batch that raises
-    is checked again one cell at a time, so it raises what its first
-    failing cell raises alone."""
+    x + step (for k = 1, ln h itself, every such cell's from one log_h
+    call).  A batch that raises is checked again one cell at a time, so it
+    raises what its first failing cell raises alone."""
     cells = as_grid(cells)
     if cells is None:
         raise ParameterError("cells must be a sequence of (k, params, x, step) cells")
@@ -577,11 +577,15 @@ def finite_diff_crosschecks(cells) -> list[float]:
                                  _stacked([p.y for _, p, _, _ in checked], sizes),
                                  np.concatenate(xss))
         values, _ = table(_stacked([p.alpha for _, p, _, _ in checked], sizes))
+        firsts = [(params, x, step) for k, params, x, step in checked if k == 1]
+        # order 0 is ln h itself: every k = 1 cell's ln h at x - step and x + step
+        ends = iter(log_h([p for p, _, _ in firsts for _ in (0, 1)],
+                          [v for _, x, step in firsts for v in (x - step, x + step)]).tolist())
         residuals = []
         for (k, params, x, step), stop in zip(checked, accumulate(sizes)):
-            if k == 1:  # order 0 is ln h itself
+            if k == 1:
                 value = float(values[0, stop - 1])
-                lo, hi = log_h(params, x - step), log_h(params, x + step)
+                lo, hi = next(ends), next(ends)
             else:
                 value, lo, hi = (float(v) for v in (values[k - 1, stop - 2],
                                                     values[k - 2, stop - 3],

@@ -40,10 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, first_bad_point,
-    is_finite, real_points, require_all, require_real, require_type, require_y)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, broadcast_points,
+    first_bad_point, is_finite, real_points, require_all, require_real, require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
-    MAX_DERIV_ORDER, check_order, digamma, gamma_table, lngamma, polygamma)
+    MAX_DERIV_ORDER, check_order, digamma, gamma_table, libm, lngamma, polygamma)
 
 __all__ = [
     "DerivSample",
@@ -142,16 +142,37 @@ def _shifted_arguments(xs, y) -> tuple[np.ndarray, np.ndarray]:
     return x, u
 
 
-def log_h(params: HParams, x: float) -> float:
-    """ln h(x) for the parameter pair; continuous through x = 0."""
-    require_type(params, HParams, "params")
-    x = require_real(x, "x")
-    if x == 0.0:
-        c = params.y + 1.0
-        return digamma(c) - params.alpha * math.log(c)
-    u = _shifted_argument(x, params.y)
-    lg_u, lg_c = lngamma(np.array([u, params.y + 1.0])).tolist()
-    return (lg_u - lg_c) / x - params.alpha * math.log(u)
+@first_bad_point
+def log_h(params, x):
+    """ln h(x) for the parameter pair; continuous through x = 0.
+
+    params is one HParams or a grid of them, and x one point (a float is
+    returned) or a 1-D grid (an array), one pair per x.  A grid takes every
+    lnGamma from one lngamma call (psi(y+1) at x = 0 from one digamma
+    call), each value has the bits of its own one-point call, and a grid
+    raises what its first bad point raises alone.
+    """
+    grid = as_grid(params)
+    pairs = [require_type(p, HParams, "params") for p in ([params] if grid is None else grid)]
+    xs, alpha, y = broadcast_points("params, x", real_points(x, "x"),
+                                    np.array([p.alpha for p in pairs], float),
+                                    np.array([p.y for p in pairs], float))
+    zero = xs == 0.0
+    u = xs + y + 1.0
+    bad = ~zero & ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
+    if bad.any():
+        _shifted_argument(float(xs[bad][0]), float(y[bad][0]))  # raises
+    c, at = y + 1.0, ~zero
+    values = np.empty(xs.size)
+    if at.any():
+        lg_u, lg_c = np.split(lngamma(np.concatenate([u[at], c[at]])), 2)
+        with np.errstate(all="ignore"):  # inf, as Python float arithmetic gives
+            values[at] = (lg_u - lg_c) / xs[at] - alpha[at] * libm(math.log, u[at])
+    if zero.any():
+        psi = digamma(c[zero])
+        with np.errstate(all="ignore"):
+            values[zero] = psi - alpha[zero] * libm(math.log, c[zero])
+    return float(values[0]) if grid is None and np.ndim(x) == 0 else values
 
 
 def h_eval(params: HParams, x: float) -> float:
@@ -160,7 +181,7 @@ def h_eval(params: HParams, x: float) -> float:
     A result that overflows binary64 or falls below its smallest normal
     number raises CapabilityError.
     """
-    log_value = log_h(params, x)
+    log_value = log_h(require_type(params, HParams, "params"), require_real(x, "x"))
     try:
         value = math.exp(log_value)
     except OverflowError:

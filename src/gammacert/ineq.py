@@ -1,11 +1,9 @@
 """Machine-checkable catalog of gamma-family inequalities.
 
 Every operation evaluates one stated inequality at concrete inputs and returns
-a structured CheckResult carrying both sides, the margin, and the verdict; a
-grid of inputs gives a CheckTable, the same rows held as columns (a key per
-name, input labels and strictness, an input-value matrix, the side and
-margin columns, and the holds and within-noise masks), which builds a
-CheckResult only when it is indexed or iterated.  Conventions:
+a CheckResult carrying both sides, the margin, and the verdict; a grid of
+inputs gives a CheckTable, the same rows held as columns (both records live
+in ``gammacert.checks``).  Conventions:
 
 - For a one-sided claim ``lhs < rhs``, margin = rhs - lhs.
 - For a two-sided claim ``lower < mid < upper``, lhs/rhs store lower/upper,
@@ -23,18 +21,16 @@ CheckResult only when it is indexed or iterated.  Conventions:
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from enum import Enum
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
+from .checks import CheckResult, CheckTable, input_pairs, number
 from .errors import (
     PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
-    broadcast_points, first_bad_point, is_finite, is_real, real_points, require_all,
-    require_positive, require_real, require_type)
+    broadcast_points, first_bad_point, is_real, real_points, require_all, require_positive,
+    require_real, require_type)
 from .gammakit import (
     EXP_NEG_EULER_GAMMA, check_order, digamma, gamma_rows, libm, lngamma, polygamma, power)
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
@@ -42,8 +38,6 @@ from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 __all__ = [
     "AuxFn",
     "CHAIN_SUP",
-    "CheckResult",
-    "CheckTable",
     "NOISE_REL",
     "THM2_T_MIN",
     "aux_eval",
@@ -74,242 +68,6 @@ NOISE_REL = 1e-14
 THM2_T_MIN = 1e-4
 
 
-class _CheckFields(NamedTuple):
-    name: str
-    inputs: tuple[tuple[str, float], ...]
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
-    strict: bool
-
-
-class CheckResult(_CheckFields):
-    """One evaluated inequality instance, an immutable named 7-tuple.
-
-    For strict checks, holds means margin > noise band; margins inside the
-    band carry a "margin_within_noise" marker in inputs instead of a verdict.
-    Non-strict checks (strict=False) accept margins down to the band's floor.
-    lhs, rhs, margin and each input value must be real numbers (else
-    ParameterError), finite as binary64s (else PrecisionError), and are held
-    as floats.  Each input is a (label, value) pair with a str label; a name
-    that is not a str, or holds or strict not a bool, raises ParameterError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name, inputs, lhs, rhs, margin, holds, strict=True):
-        lhs, rhs, margin = (_number(name, lhs, "lhs", True), _number(name, rhs, "rhs", True),
-                            _number(name, margin, "margin", True))
-        inputs = tuple([(label, _number(name, value, label))
-                        for label, value in _input_pairs(name, inputs)])
-        return tuple.__new__(cls, (name, inputs, lhs, rhs, margin,
-                                   require_type(holds, bool, "holds"),
-                                   require_type(strict, bool, "strict")))
-
-    @classmethod
-    def _make(cls, iterable) -> CheckResult:  # _replace builds through it
-        return cls(*iterable)
-
-
-def _input_pairs(name, inputs) -> tuple[tuple[str, object], ...]:
-    """inputs as a tuple of (label, value) pairs; ParameterError unless name
-    is a str and inputs an iterable of pairs with str labels."""
-    require_type(name, str, "name")
-    try:
-        inputs = list(inputs)
-    except TypeError:  # inputs is not iterable
-        raise ParameterError(
-            f"check {name!r}: inputs must be (label, value) pairs, got {inputs!r}") from None
-    for i, pair in enumerate(inputs):
-        try:
-            label, _ = inputs[i] = pair if pair.__class__ is tuple else tuple(pair)
-        except (TypeError, ValueError):
-            raise ParameterError(f"check {name!r}: an input must be a (label, value) pair, "
-                                 f"got {pair!r}") from None
-        if not isinstance(label, str):
-            raise ParameterError(f"check {name!r}: input label {label!r} is not a str")
-    return tuple(inputs)
-
-
-def _number(name, value, label: str, side: bool = False) -> float:
-    """value as a float; ParameterError unless it is a real number,
-    PrecisionError unless it is finite as a binary64.  label names an input,
-    or a side."""
-    if is_finite(value):
-        return float(value)
-    what = label if side else f"input {label!r}"
-    if not is_real(value):
-        raise ParameterError(f"check {name!r}: {what} must be an int or float, got {value!r}")
-    raise PrecisionError(f"check {name!r}: non-finite {what} = {value!r}")
-
-
-def _copy(values, dtype, order) -> np.ndarray:
-    """values as a new array (the caller's stays writable), or its rows at
-    the indices of order."""
-    if order is None:
-        return np.array(values, dtype)
-    return np.take(np.asarray(values, dtype), order, axis=0)
-
-
-class CheckTable(Sequence):
-    """Check rows held as columns: an immutable Sequence[CheckResult].
-
-    Row i has the key keys[key[i]], a (name, input labels, strict) triple,
-    its input values in values[i, :len(labels)] (the matrix is as wide as
-    the widest key), lhs[i], rhs[i], margin[i] and holds[i]; within[i] marks
-    a margin inside the noise band, whose row ends with the MARKER input.
-    len, indexing, slicing, iteration, +, == and repr behave as on the list
-    of rows, and == holds against any sequence of equal rows.  A row object
-    is built only when the table is indexed or iterated; table[i] is
-    CheckResult(name, inputs, lhs, rhs, margin, holds, strict) with Python
-    floats.  Given order, the table holds the rows at its indices into the
-    columns, gathered once.  A non-finite number in a column raises the
-    PrecisionError of the first row that holds one, through CheckResult.
-    """
-
-    __slots__ = ("keys", "key", "values", "lhs", "rhs", "margin", "holds", "within")
-
-    MARKER = ("margin_within_noise", 1.0)
-    STATUSES = ("passed", "failed", "undecided")  # by the codes of statuses()
-
-    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within, order=None):
-        self._own(keys, _copy(key, np.intp, order), _copy(values, float, order),
-                  *(_copy(c, float, order) for c in (lhs, rhs, margin)),
-                  _copy(holds, bool, order), _copy(within, bool, order))
-
-    def _own(self, keys, *columns: np.ndarray) -> None:
-        """Hold the new arrays key, values, lhs, rhs, margin, holds and
-        within, read-only, as the table's columns."""
-        self.keys = tuple(keys)
-        for c in columns:
-            c.flags.writeable = False
-        self.key, self.values, self.lhs, self.rhs, self.margin, self.holds, self.within = columns
-        if not all(np.isfinite(c).all() for c in (self.lhs, self.rhs, self.margin, self.values)):
-            width = np.array([len(labels) for _, labels, _ in self.keys], np.intp)[self.key]
-            padding = np.arange(self.values.shape[1]) >= width[:, None]  # no row's input
-            finite = (np.isfinite(self.lhs) & np.isfinite(self.rhs) & np.isfinite(self.margin)
-                      & (np.isfinite(self.values) | padding).all(axis=1))
-            if not finite.all():
-                i = int(np.argmin(finite))  # the first bad row
-                CheckResult(*self._make_rows(i, i + 1)[0])  # raises
-
-    @classmethod
-    def concat(cls, parts, order=None) -> CheckTable:
-        """The rows of parts in turn, or given order the rows at its indices
-        into them; a part is a CheckTable, a CheckResult or a list of
-        CheckResults.  Equal keys merge."""
-        tables, rows = [], []
-        for part in parts:
-            if isinstance(part, CheckTable):
-                if rows:
-                    tables.append(cls._from_rows(rows))
-                    rows = []
-                tables.append(part)
-            else:
-                rows += [part] if isinstance(part, CheckResult) else part
-        if rows or not tables:
-            tables.append(cls._from_rows(rows))
-        if len(tables) == 1:
-            return tables[0] if order is None else tables[0].take(order)
-        index: dict = {}  # key -> its row in the merged keys
-        key = np.concatenate([np.array([index.setdefault(k, len(index)) for k in t.keys],
-                                       np.intp)[t.key] for t in tables])
-        width = max(t.values.shape[1] for t in tables)
-        values = np.zeros((key.size, width))
-        end = 0
-        for t in tables:
-            values[end:end + len(t), :t.values.shape[1]] = t.values
-            end += len(t)
-        return cls(index, key, values, *(np.concatenate([getattr(t, c) for t in tables])
-                                         for c in ("lhs", "rhs", "margin", "holds", "within")),
-                   order=order)
-
-    @classmethod
-    def _from_rows(cls, rows) -> CheckTable:
-        """The table of CheckResult rows; a row ending with MARKER has it as within."""
-        index: dict = {}
-        key, values, within = [], [], []
-        for r in rows:
-            require_type(r, CheckResult, "a check table row")
-            inputs = r.inputs
-            w = bool(inputs) and inputs[-1] == cls.MARKER
-            if w:
-                inputs = inputs[:-1]
-            key.append(index.setdefault((r.name, tuple([n for n, _ in inputs]), r.strict),
-                                        len(index)))
-            values.append([v for _, v in inputs])
-            within.append(w)
-        width = max(map(len, values), default=0)
-        matrix = np.zeros((len(values), width))
-        for i, row in enumerate(values):
-            matrix[i, :len(row)] = row
-        return cls(index, key, matrix, *(
-            [getattr(r, c) for r in rows] for c in ("lhs", "rhs", "margin", "holds")),
-            within)
-
-    def take(self, order) -> CheckTable:
-        """The rows at the indices of order, in its order."""
-        return CheckTable(self.keys, self.key, self.values, self.lhs, self.rhs, self.margin,
-                          self.holds, self.within, np.asarray(order, np.intp))
-
-    def statuses(self) -> np.ndarray:
-        """Each row's status as an index into STATUSES: passed if it holds,
-        else undecided if it carries the MARKER label, else failed."""
-        marked = np.array([self.MARKER[0] in labels for _, labels, _ in self.keys], bool)
-        return np.where(self.holds, 0, np.where(self.within | marked[self.key], 2, 1))
-
-    def _make_rows(self, start: int, stop: int) -> list[CheckResult]:
-        """Rows start to stop as CheckResult objects, the table's one row builder."""
-        rows = slice(start, stop)
-        keys, marker = self.keys, (self.MARKER,)
-        out = []
-        for k, values, lhs, rhs, margin, holds, within in zip(
-                self.key[rows].tolist(), self.values[rows].tolist(), self.lhs[rows].tolist(),
-                self.rhs[rows].tolist(), self.margin[rows].tolist(),
-                self.holds[rows].tolist(), self.within[rows].tolist()):
-            name, labels, strict = keys[k]
-            inputs = tuple(zip(labels, values))
-            out.append(tuple.__new__(CheckResult, (
-                name, inputs + marker if within else inputs, lhs, rhs, margin, holds, strict)))
-        return out
-
-    def __len__(self) -> int:
-        return self.lhs.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError("check table index out of range")
-        i %= len(self)
-        return self._make_rows(i, i + 1)[0]
-
-    def __iter__(self):
-        return iter(self._make_rows(0, len(self)))
-
-    def __add__(self, other):
-        if isinstance(other, (CheckTable, list)):
-            return CheckTable.concat([self, other])
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, list):
-            return CheckTable.concat([other, self])
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
     """Check lhs < rhs (lhs <= rhs if not strict) against the noise band."""
     lhs, rhs = require_real(lhs, "lhs"), require_real(rhs, "rhs")
@@ -317,7 +75,7 @@ def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
     margin = rhs - lhs
     noise = NOISE_REL * max(abs(lhs), abs(rhs))
     holds = margin > noise if strict else margin >= -noise
-    inputs = _input_pairs(name, inputs)
+    inputs = input_pairs(name, inputs)
     if abs(margin) <= noise:
         inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lhs, rhs=rhs,
@@ -338,7 +96,7 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
     noise = NOISE_REL * max(abs(lower), abs(mid), abs(upper))
     lo_ok = m_lo > noise if strict_lower else m_lo >= -noise
     up_ok = m_up > noise if strict else m_up >= -noise
-    inputs = _input_pairs(name, inputs) + (("mid", mid),)
+    inputs = input_pairs(name, inputs) + (("mid", mid),)
     if abs(margin) <= noise:
         inputs += (CheckTable.MARKER,)
     return CheckResult(name=name, inputs=inputs, lhs=lower, rhs=upper,
@@ -389,11 +147,11 @@ def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[n
     row order), a side by require_real.  Columns whose lengths do not
     broadcast raise ParameterError.
     """
-    pairs = _input_pairs(name, inputs)
+    pairs = input_pairs(name, inputs)
     labels = [label for label, _ in pairs]
     columns = broadcast_points(
         f"check {name!r}: {', '.join([*labels, *sides])}",
-        *(real_points(v, label, partial(_number, name)) for label, v in pairs),
+        *(real_points(v, label, partial(number, name)) for label, v in pairs),
         *(real_points(v, side) for side, v in sides.items()))
     return labels, columns[:len(pairs)], columns[len(pairs):]
 
@@ -461,10 +219,8 @@ def _table(keys, stacks, point_major=False) -> CheckTable:
         start += shape[0]
     # ravel in memory order: a view, the rows in their layout's order
     key, lhs, rhs, margin, holds, within = (np.ravel(c, "K") for c in out)
-    table = CheckTable.__new__(CheckTable)
-    table._own(keys, key, np.ravel(values, "K").reshape(key.size, width), lhs, rhs, margin,
-               holds, within)
-    return table
+    return CheckTable.holding(keys, key, np.ravel(values, "K").reshape(key.size, width),
+                              lhs, rhs, margin, holds, within)
 
 
 # ---------------------------------------------------------------------------

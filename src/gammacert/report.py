@@ -54,9 +54,9 @@ from .certify import (
     ScanCell,
     Verdict,
 )
+from .checks import CheckResult, CheckTable
 from .errors import PACKAGE_ERRORS, ParameterError, is_finite, is_real, require_type
 from .hfamily import DerivSample, HParams
-from .ineq import CheckResult, CheckTable
 
 __all__ = [
     "Report",

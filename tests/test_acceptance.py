@@ -36,7 +36,8 @@ from gammacert import (
     thm2_ineq,
     verify_thm3,
 )
-from gammacert.cli import main, ratio_samples
+from gammacert.cli import main
+from gammacert.suites import ratio_samples
 
 
 def test_c01_kernel_accuracy_against_oracle():

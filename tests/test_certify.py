@@ -38,11 +38,11 @@ from gammacert import (
 import _referee as referee
 import gammacert.certify as certify_module
 from gammacert.certify import NOISE_FLOOR_REL
-from gammacert.cli import (
-    _NECESSITY_YS, _SUFFICIENCY_DELTAS, _SUFFICIENCY_YS, _THM3_YS, build_suite)
+from gammacert.cli import build_suite
 from gammacert.hfamily import (
     X_EPSILON, DerivSample, DerivTable, lcm_threshold, logh_deriv_table,
     reciprocal_threshold)
+from gammacert.suites import NECESSITY_YS, SUFFICIENCY_DELTAS, SUFFICIENCY_YS, THM3_YS
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)
 
@@ -253,12 +253,12 @@ def _assert_both_paths_match_reference(y, cells, k_max, grid):
     return outcomes
 
 
-@pytest.mark.parametrize("y", _SUFFICIENCY_YS)
+@pytest.mark.parametrize("y", SUFFICIENCY_YS)
 def test_thm1_cells_match_the_reference_search(y):
-    cells = [(lcm_threshold(y) + d, Direction.LCM) for d in _SUFFICIENCY_DELTAS]
+    cells = [(lcm_threshold(y) + d, Direction.LCM) for d in SUFFICIENCY_DELTAS]
     cells += [(reciprocal_threshold(y) - d, Direction.RECIPROCAL)
-              for d in _SUFFICIENCY_DELTAS]
-    if y in _NECESSITY_YS:
+              for d in SUFFICIENCY_DELTAS]
+    if y in NECESSITY_YS:
         cells.append((lcm_threshold(y) - 0.1, Direction.LCM))
     _assert_both_paths_match_reference(y, cells, 8, default_grid(y))
 
@@ -299,7 +299,7 @@ def test_higher_order_witnesses_match_the_reference_search(k_max):
     assert {w[0] for _, w, _ in outcomes if w is not None} >= {2, 3, 4, 5, 6}
 
 
-@pytest.mark.parametrize("y", _THM3_YS)
+@pytest.mark.parametrize("y", THM3_YS)
 @pytest.mark.parametrize("span", [None, 1e-12])
 def test_verify_thm3_matches_the_reference_search(y, span):
     x_left = -2.0 * (y + 1.0) ** 2 / (1.0 + 2.0 * y)
@@ -399,11 +399,11 @@ def test_verify_thm3_evaluates_exactly_the_grid_it_reports(monkeypatch):
     monkeypatch.setattr(certify_module, "q_surface_table",
                         lambda y, xs: seen.append((y, xs)) or table(y, xs))
     certs = build_suite("thm3")
-    assert [c.params.y for c in certs] == list(_THM3_YS)
+    assert [c.params.y for c in certs] == list(THM3_YS)
     [(ys, stacked)] = seen  # one table for the whole suite
     grids = [grid_points(c.grid, c.params.y) for c in certs]
     assert np.array_equal(np.concatenate(grids), stacked)
-    assert np.array_equal(np.repeat(_THM3_YS, [xs.size for xs in grids]), ys)
+    assert np.array_equal(np.repeat(THM3_YS, [xs.size for xs in grids]), ys)
     for cert, xs in zip(certs, grids):
         y = cert.params.y
         # the grid starts at u = x_left + y + 1: one rounding of u away

@@ -24,10 +24,10 @@ from gammacert.cli import (
     build_suite,
     main,
     parse_range,
-    ratio_samples,
     verify_csv,
 )
 from gammacert.errors import ParameterError
+from gammacert.suites import ratio_samples
 
 
 # ---------------------------------------------------------------------------

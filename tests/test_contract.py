@@ -221,6 +221,10 @@ FORMS = {
         "y": st.lists(Y, max_size=3) | st.lists(Y, max_size=3).map(np.array),
         "k_max": st.integers(1, 4),
         "grid": st.none() | GRID | st.lists(st.none() | GRID, max_size=3)}),
+    "log_h grids": ("log_h", {
+        "params": st.lists(PARAMS, min_size=2, max_size=2),
+        "x": X | st.lists(X, min_size=2, max_size=2) | st.lists(
+            X, min_size=2, max_size=2).map(np.array)}),
 }
 
 #: What each marker admits.

@@ -44,8 +44,9 @@ from gammacert import (
     thm2_ineq,
 )
 from gammacert.certify import necessity_limits, scan_values
-from gammacert.cli import ratio_samples
-from gammacert.hfamily import alpha_necessary_bound, logh_deriv_table, q_surface_table
+from gammacert.hfamily import (
+    alpha_necessary_bound, log_h, logh_deriv_table, q_surface_table)
+from gammacert.suites import ratio_samples
 
 ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 
@@ -463,6 +464,21 @@ def test_h_tables_are_their_one_point_calls(k_max, y, alpha, xs):
     points = [(x,) for x in xs]
     for build in (table, q, bound):
         _check(build, build, points)
+
+
+_PAIR = st.builds(HParams, st.floats(-3.0, 3.0), st.floats(-0.999, 1e3))
+
+
+@given(st.lists(st.tuples(_PAIR, _H_X), max_size=6))
+@example([])
+@example([(HParams(0.7, 0.3), 0.0), (HParams(1.0, 2.0), 3.0), (HParams(0.7, 0.3), -0.0)])
+@example([(HParams(0.5, 0.0), 1.0), (HParams(0.5, 0.0), -2.0), (HParams(1.0, 0.0), "abc")])
+@example([(HParams(0.5, 1.0), math.inf), (HParams(0.5, 0.0), math.nan)])
+def test_log_h_grids_are_their_one_point_calls(points):
+    # a grid of pairs against a grid of xs, then one pair against the xs
+    _check(log_h, log_h, points, arity=2)
+    params = points[0][0] if points else HParams(1.0, 0.0)
+    _check(lambda x: log_h(params, x), lambda x: log_h(params, x), [(x,) for _, x in points])
 
 
 def test_alpha_necessary_bound_checks_x_zero_before_y():

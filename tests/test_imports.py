@@ -1,7 +1,7 @@
 """Design rules: no gammacert module imports a private name from another,
 each module's ``__all__`` is the one declaration of its public names, only
-``errors`` decides what an argument's type may be, and importing the CLI
-loads nothing beyond what it needs anyway."""
+``errors`` decides what an argument's type may be, importing the CLI loads
+nothing beyond what it needs anyway, and a scan loads only the scan path."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gammacert
 
@@ -75,9 +77,10 @@ def test_only_errors_decides_what_an_argument_may_be():
     assert found == []
 
 
-#: Modules whose names the package re-exports: all but the console script.
+#: Modules whose names the package re-exports: all but the console script
+#: and its suite builders.
 LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
-                 if path.stem not in ("__init__", "cli"))
+                 if path.stem not in ("__init__", "cli", "suites"))
 
 
 def test_each_module_all_is_declared_once_and_is_the_package_api():
@@ -105,19 +108,82 @@ STDLIB = ("__future__", "collections.abc", "datetime", "enum", "functools", "gc"
           "sys", "typing")
 
 
-def test_cli_import_adds_only_gammacert_modules():
-    # dataclasses, fractions and decimal cost milliseconds of every CLI
-    # process; on top of its dependencies the package may load only itself
-    code = (f"import sys, numpy, argparse, json, {', '.join(STDLIB)}\n"
-            "before = set(sys.modules)\n"
-            "import gammacert.cli\n"
-            "print(*sorted(set(sys.modules) - before))")
+def _fresh(code: str) -> list[str]:
+    """The words that code prints in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_cli_import_adds_only_gammacert_modules():
+    # dataclasses, fractions and decimal cost milliseconds of every CLI
+    # process; on top of its dependencies the package may load only itself
+    added = _fresh(f"import sys, numpy, argparse, json, {', '.join(STDLIB)}\n"
+                   "before = set(sys.modules)\n"
+                   "import gammacert.cli\n"
+                   "print(*sorted(set(sys.modules) - before))")
     assert "gammacert.cli" in added
     assert [name for name in added if name.partition(".")[0] != "gammacert"] == []
     # the number-text kernel loads on the first report that needs it
     assert "gammacert._numtext" not in added
+
+
+#: What a scan never runs: the check catalogue, the suites that use it and
+#: the check rows' number-text kernel.
+NOT_SCANNED = ("gammacert.ballvol", "gammacert.ineq", "gammacert.means", "gammacert.suites",
+               "gammacert._numtext")
+
+
+def _loaded_after(statements: str) -> list[str]:
+    """The gammacert modules loaded in a fresh interpreter after statements,
+    which run with stdout and stderr sent to a buffer."""
+    return _fresh("import contextlib, io, sys\n"
+                  "with contextlib.redirect_stdout(io.StringIO()), "
+                  "contextlib.redirect_stderr(io.StringIO()):\n"
+                  f"    {statements}\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('gammacert')))")
+
+
+@pytest.mark.parametrize("load", ["import gammacert.cli as cli", "from gammacert import cli"])
+def test_a_scan_loads_only_the_scan_path(load):
+    loaded = _loaded_after(
+        f"{load}; assert cli.main(['scan', '--alpha=0:2:0.5', '--y=0:0:1']) == 0")
+    assert "gammacert.certify" in loaded
+    assert [name for name in NOT_SCANNED if name in loaded] == []
+
+
+def test_verify_loads_the_suites_when_it_builds_one():
+    loaded = _loaded_after("import gammacert.cli as cli; assert cli.main("
+                           "['verify', '--suite', 'ball', '--format', 'csv']) == 0")
+    assert [name for name in NOT_SCANNED if name not in loaded] == []
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import sys, gammacert\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('gammacert')))"
+                  ) == ["gammacert"]
+
+
+def test_package_names_load_with_the_library():
+    union = sorted(public for name in LIBRARY
+                   for public in importlib.import_module(f"gammacert.{name}").__all__)
+    # what a star import binds, __all__, and the public names of dir()
+    starred = _fresh("before = set(globals())\n"
+                     "from gammacert import *\n"
+                     "print(*sorted(set(globals()) - before - {'before'}))")
+    assert starred == sorted(["__version__", *union])
+    assert _fresh("import gammacert; print(*sorted(gammacert.__all__))") == starred
+    assert _fresh("import gammacert; print(*[n for n in dir(gammacert) if n[0] != '_'])"
+                  ) == sorted([*union, *(name for name in LIBRARY if name[0] != "_")])
+    # a library module as an attribute of the bare package, as an eager import gives
+    assert _fresh("import gammacert; print(gammacert.ineq.__name__, "
+                  "gammacert.ineq.CheckResult is gammacert.CheckResult)"
+                  ) == ["gammacert.ineq", "True"]
+
+
+def test_a_missing_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gammacert.no_such_name  # noqa: B018
+    assert not hasattr(gammacert, "_private")
