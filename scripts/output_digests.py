@@ -10,7 +10,8 @@ line per invocation:
     <sha256>  <exit code>  <arguments>
 
 The digest covers stdout and stderr (a scan writes its JSON report to
-stderr) and, for a script, the CSV it writes into a temporary directory.
+stderr) and the out.csv that a script, or a CLI call given ``--out
+out.csv``, writes into the call's temporary directory.
 Two trees produce the same outputs exactly when their printouts are equal:
 
     python3 scripts/output_digests.py old/src > old.txt
@@ -84,6 +85,14 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     ("scan", "--alpha=1:1:1", "--y=1e307:1e307:1"),
     # the derivative table overflows first: gamma_table's own error
     ("scan", "--alpha=1:1:1", "--y=1e300:1e300:1"),
+    # the file branch of the writers: a verify-all report as JSON, the
+    # catalog's lemma grid as CSV and a 41-cell scan row (its JSON report then
+    # goes to stdout), each into out.csv, which the digest reads back
+    ("verify", "--suite", "all", "--grid-points", "250", "--x-max", "2000",
+     "--out", "out.csv"),
+    ("verify", "--suite", "lemmas", "--grid-points", "1000", "--x-max", "1999.5",
+     "--format", "csv", "--out", "out.csv"),
+    ("scan", "--alpha=0:2:0.05", "--y=0.7:0.7:1", "--out", "out.csv"),
     # the two exits that argparse takes: --version, and a usage error
     ("--version",),
     ("verify", "--format", "csv"),

@@ -21,7 +21,6 @@ import math
 import re
 import sys
 from itertools import chain, groupby
-from pathlib import Path
 
 import numpy as np
 
@@ -139,11 +138,16 @@ def scan_csv(cells: list[ScanCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, end: str = "") -> None:
+    """text, then end, to the file out or to stdout; end is written on its
+    own, so a report is not copied to append it."""
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.write(text)
+            file.write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +226,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = build_suite(args.suite, k_max=args.kmax,
                           points=args.grid_points, x_max=args.x_max)
     report = build_report(args.suite, results, __version__)
-    _emit(verify_csv(report) if args.format == "csv" else dumps(report) + "\n",
-          args.out)
+    if args.format == "csv":
+        _emit(verify_csv(report), args.out)
+    else:
+        _emit(dumps(report), args.out, "\n")
     return EXIT_OK if report.summary["failed"] == 0 else EXIT_FAIL
 
 

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, broadcast_points,
-    first_bad_point, is_finite, real_points, require_all, require_real, require_type, require_y)
+    first_bad_point, is_finite, real_points, require_all, require_finite, require_real,
+    require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     MAX_DERIV_ORDER, check_order, digamma, gamma_table, libm, lngamma, polygamma)
 
@@ -142,16 +143,9 @@ def _shifted_arguments(xs, y) -> tuple[np.ndarray, np.ndarray]:
     return x, u
 
 
-@first_bad_point
-def log_h(params, x):
-    """ln h(x) for the parameter pair; continuous through x = 0.
-
-    params is one HParams or a grid of them, and x one point (a float is
-    returned) or a 1-D grid (an array), one pair per x.  A grid takes every
-    lnGamma from one lngamma call (psi(y+1) at x = 0 from one digamma
-    call), each value has the bits of its own one-point call, and a grid
-    raises what its first bad point raises alone.
-    """
+def _log_h(params, x):
+    """log_h's value, inf (or nan) where it leaves the binary64 range, as
+    float arithmetic gives."""
     grid = as_grid(params)
     pairs = [require_type(p, HParams, "params") for p in ([params] if grid is None else grid)]
     xs, alpha, y = broadcast_points("params, x", real_points(x, "x"),
@@ -175,13 +169,33 @@ def log_h(params, x):
     return float(values[0]) if grid is None and np.ndim(x) == 0 else values
 
 
+@first_bad_point
+def log_h(params, x):
+    """ln h(x) for the parameter pair; continuous through x = 0.
+
+    params is one HParams or a grid of them, and x one point (a float is
+    returned) or a 1-D grid (an array), one pair per x.  A grid takes every
+    lnGamma from one lngamma call (psi(y+1) at x = 0 from one digamma
+    call), each value has the bits of its own one-point call, and a grid
+    raises what its first bad point raises alone.  A value that leaves the
+    binary64 range (alpha * ln(x+y+1) overflows, say) raises
+    CapabilityError.
+    """
+    value = _log_h(params, x)
+    if isinstance(value, float):
+        return require_finite(value, "log_h", params, x)
+    if not np.isfinite(value).all():  # first_bad_point raises the first such point's error
+        raise CapabilityError("log_h: a value is outside the double-precision range")
+    return value
+
+
 def h_eval(params: HParams, x: float) -> float:
     """h(x) itself (always positive on the domain).
 
     A result that overflows binary64 or falls below its smallest normal
     number raises CapabilityError.
     """
-    log_value = log_h(require_type(params, HParams, "params"), require_real(x, "x"))
+    log_value = _log_h(require_type(params, HParams, "params"), require_real(x, "x"))
     try:
         value = math.exp(log_value)
     except OverflowError:

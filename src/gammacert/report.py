@@ -215,8 +215,8 @@ _CERTIFICATE = ('{"type": "certificate", "check": %s, "semantics": %s, '
 _WITNESS = '{"k": %d, "x": %s, "value": %s}'
 _SCAN_CELL = ('{"type": "scan_cell", "alpha": %s, "y": %s, "classification": %s, '
               '"conjecture_zone": %s, "reciprocal_violation": %s, "status": "%s"}')
-_REPORT = ('{"tool_version": %s, "timestamp": %s, "suite": %s, "results": [%s], '
-           '"summary": %s}')
+_REPORT_HEAD = '{"tool_version": %s, "timestamp": %s, "suite": %s, "results": ['
+_REPORT_TAIL = '], "summary": %s}'
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
@@ -310,10 +310,11 @@ def _check_texts(table: CheckTable) -> list[str]:
     return texts
 
 
-def _results_text(results) -> str:
-    """The results joined by ", ": each check table by _check_texts, other
-    items by their templates.  A part that is no result raises
-    _NotAResult naming its type."""
+def _result_texts(results) -> list[str]:
+    """The JSON text of the results in parts that join with "" into their
+    ", "-separated list: each check table's by _check_texts, other items'
+    by their templates, every part but the last ending in ", ".  A part
+    that is no result raises _NotAResult naming its type."""
     if not isinstance(results, Results):
         for part in results:
             if not isinstance(part, _PARTS):
@@ -324,23 +325,29 @@ def _results_text(results) -> str:
             texts += _check_texts(run)
         else:
             texts += [_item_text(item) + ", " for item in run]
-    return "".join(texts)[:-2]
+    if texts:
+        texts[-1] = texts[-1][:-2]
+    return texts
 
 
 def dumps(report: Report) -> str:
-    """Serialize a Report to JSON text; a non-finite float raises ValueError."""
+    """Serialize a Report to JSON text; a non-finite float raises ValueError.
+
+    The text is one join of the head, the results' parts and the tail, so
+    the report is copied once."""
     require_type(report, Report, "report")
-    return _REPORT % (
-        _string(report.tool_version), _string(report.timestamp), _string(report.suite),
-        _results_text(report.results),
-        json.dumps(report.summary, allow_nan=False))
+    head = _REPORT_HEAD % (_string(report.tool_version), _string(report.timestamp),
+                           _string(report.suite))
+    texts = _result_texts(report.results)
+    return "".join([head, *texts, _REPORT_TAIL % json.dumps(report.summary,
+                                                             allow_nan=False)])
 
 
 def to_jsonable(obj):
     """A Report or result item as the plain dict that its JSON text parses to."""
     if isinstance(obj, Report):
         return json.loads(dumps(obj))
-    return json.loads(_results_text([obj]))
+    return json.loads("".join(_result_texts([obj])))
 
 
 def _number(value, key: str) -> float:

@@ -8,6 +8,7 @@ builds a suite, so a scan never loads the check catalogue.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from .certify import (
     verify_thm3,
 )
 from .checks import CheckResult, CheckTable
-from .errors import ParameterError, log_grid
+from .errors import ParameterError, as_integer, log_grid
 from .gammakit import libm
 from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
@@ -81,21 +82,39 @@ def _expected_failure_check(cert: Certificate) -> CheckResult:
                        holds=cert.verdict is Verdict.FAIL, strict=True)
 
 
+def _integer(value, name: str) -> int:
+    n = as_integer(value)
+    if n is None or n < 0:
+        raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
+    return n
+
+
 def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> CheckTable:
     """Seeded random admissible (x, y, t) samples of the gamma-ratio window.
 
-    Candidates are drawn in batches, one uniform draw of shape (m, 3) each:
-    row i is candidate i's (y, log10 t, log10(x + y + 1)), in the order of
-    one scalar draw after another, and the first count admissible candidates
-    are checked in one call.
+    count and seed are integers >= 0 (ParameterError otherwise).  The
+    candidates come from np.random.default_rng(seed)'s PCG64 stream,
+    reproduced in gammacert._pcg64, in batches of one uniform draw of shape
+    (m, 3): row i is candidate i's (y, log10 t, log10(x + y + 1)), in the
+    order of one scalar draw after another, and the first count admissible
+    candidates are checked in one call.
     """
-    rng = np.random.default_rng(seed)
+    points = _ratio_points(_integer(count, "count"), _integer(seed, "seed"))
+    return gamma_ratio_ineq(*map(np.array, points))
+
+
+@functools.lru_cache(maxsize=8)  # a pure function of (count, seed): drawn once
+def _ratio_points(count: int, seed: int) -> tuple[tuple[float, ...], ...]:
+    """The (xs, ys, ts) of ratio_samples(count, seed)."""
+    from ._pcg64 import PCG64  # compiled only where thm1 runs
+
+    stream = PCG64(seed)
     xs: list[float] = []
     ys: list[float] = []
     ts: list[float] = []
     while len(xs) < count:
-        draws = rng.uniform((-0.9, -2.0, -2.0), (5.0, 2.0, 3.0), (count - len(xs), 3))
-        for y, t_exp, u_exp in draws.tolist():
+        for y, t_exp, u_exp in stream.uniform((-0.9, -2.0, -2.0), (5.0, 2.0, 3.0),
+                                              count - len(xs)):
             t = 10.0 ** t_exp
             x = 10.0 ** u_exp - (y + 1.0)  # u1 = x + y + 1
             if abs(x) < 1e-2 or abs(x + t) < 1e-2:
@@ -103,8 +122,7 @@ def ratio_samples(count: int, seed: int = RATIO_SAMPLE_SEED) -> CheckTable:
             xs.append(x)
             ys.append(y)
             ts.append(t)
-    return gamma_ratio_ineq(np.array(xs[:count]), np.array(ys[:count]),
-                            np.array(ts[:count]))
+    return tuple(xs[:count]), tuple(ys[:count]), tuple(ts[:count])
 
 
 def thm1(k_max: int, points: int, x_max: float) -> list:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,34 @@ def test_h_eval_raises_capability_error_outside_binary64():
         h_eval(HParams(alpha=1000.0, y=0.0), 1e6)
     with pytest.raises(CapabilityError):
         bigH_eval(1000.0, 1.0, 1e6)
+
+
+def test_log_h_raises_capability_error_outside_binary64():
+    # alpha * ln(x + y + 1) overflows, so ln h would be -inf or +inf
+    for alpha, value in ((1e308, "-inf"), (-1e308, "inf")):
+        params = HParams(alpha=alpha, y=5.0)
+        with pytest.raises(CapabilityError, match=re.escape(
+                f"log_h({params!r}, 100.0) = {value} is outside the double-precision")):
+            log_h(params, 100.0)
+    # h_eval keeps its own message
+    with pytest.raises(CapabilityError, match=re.escape("= exp(-inf) is outside the normal")):
+        h_eval(HParams(alpha=1e308, y=5.0), 100.0)
+
+
+def test_a_log_h_grid_raises_what_its_first_overflowing_point_raises():
+    good, high, low = HParams(1.0, 5.0), HParams(1e308, 5.0), HParams(-1e308, 5.0)
+    with pytest.raises(CapabilityError) as alone:
+        log_h(high, 100.0)
+    # 1e308 * ln 6 is still finite at x = 0; every x beyond overflows
+    assert math.isfinite(log_h(high, 0.0))
+    for params, xs in (([good, high, low], np.full(3, 100.0)),
+                       (high, [0.0, 100.0, 1e3]),
+                       ([good, high, good], [1.0, 100.0, -10.0])):  # before a DomainError
+        with pytest.raises(CapabilityError) as grid:
+            log_h(params, xs)
+        assert str(grid.value) == str(alone.value)
+    with pytest.raises(CapabilityError):  # was an array of -inf
+        log_h(high, np.geomspace(1.0, 1e3, 5))
 
 
 def test_thresholds_reject_y_at_or_below_minus_one():

@@ -1,7 +1,8 @@
 """Design rules: no gammacert module imports a private name from another,
 each module's ``__all__`` is the one declaration of its public names, only
 ``errors`` decides what an argument's type may be, importing the CLI loads
-nothing beyond what it needs anyway, and a scan loads only the scan path."""
+nothing beyond what it needs anyway, a scan loads only the scan path, and
+only thm1 loads its sample stream, without numpy.random."""
 
 from __future__ import annotations
 
@@ -158,6 +159,31 @@ def test_verify_loads_the_suites_when_it_builds_one():
     loaded = _loaded_after("import gammacert.cli as cli; assert cli.main("
                            "['verify', '--suite', 'ball', '--format', 'csv']) == 0")
     assert [name for name in NOT_SCANNED if name not in loaded] == []
+
+
+#: What numpy's seeded sampling loads: thm1 draws from gammacert._pcg64 instead.
+RANDOM = ("numpy.random", "secrets", "hmac")
+
+
+@pytest.mark.parametrize("suite", ["thm1", "all"])
+def test_thm1_draws_its_samples_without_numpy_random(suite):
+    # what the run adds to numpy's own import (numpy 1.x imports numpy.random)
+    added = _fresh("import contextlib, io, sys, numpy\n"
+                   "before = set(sys.modules)\n"
+                   "import gammacert.cli as cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert cli.main(['verify', '--suite', '{suite}']) == 0\n"
+                   "print(*sorted(set(sys.modules) - before))")
+    assert [name for name in RANDOM if name in added] == []
+    assert "gammacert._pcg64" in added
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "thm2", "ball", "aux"])
+def test_only_thm1_loads_the_sampler(suite):
+    loaded = _loaded_after("import gammacert.cli as cli; assert cli.main("
+                           f"['verify', '--suite', '{suite}', '--format', 'csv']) == 0")
+    assert "gammacert.suites" in loaded
+    assert "gammacert._pcg64" not in loaded
 
 
 def test_package_import_loads_no_submodule():
