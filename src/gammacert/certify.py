@@ -27,32 +27,31 @@ The cuts are the definition of the verdict, so the scanner, which compares
 alpha with the largest LCM cut and the smallest RECIPROCAL cut, gives every
 certificate's verdict at every alpha.
 
-Every certificate runs on a GridSpec, log-spaced in u = x + y + 1.  The grid
-defaults (k_max, points, x_max) are the DEFAULT_* constants below, the one
-place the package and the CLI take them from.
+Every certificate runs on a GridSpec, log-spaced in u = x + y + 1, with the
+grid defaults (k_max, points, x_max) of ``gammacert.checks``, which holds
+the records this module builds: Certificate, ScanCell and their fields.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from enum import Enum
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
+from .checks import (
+    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, Certificate, Classification, DerivSample,
+    Direction, GridSpec, HParams, ScanCell, Verdict)
 from .errors import (
     PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_grid,
-    as_integer, first_bad_point, is_finite, log_grid, real_points, require_all,
+    first_bad_point, integer_in, is_finite, log_grid, real_points, require_all,
     require_real, require_type, require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
     X_EPSILON,
-    DerivSample,
     DerivTable,
-    HParams,
     alpha_necessary_bound,
     log_h,
     logh_deriv_table,
@@ -62,16 +61,7 @@ from .hfamily import (
 )
 
 __all__ = [
-    "Certificate",
-    "Classification",
-    "DEFAULT_K_MAX",
-    "DEFAULT_POINTS",
-    "DEFAULT_X_MAX",
-    "Direction",
-    "GridSpec",
     "NOISE_FLOOR_REL",
-    "ScanCell",
-    "Verdict",
     "certify_lcm",
     "classify",
     "default_grid",
@@ -89,71 +79,6 @@ __all__ = [
 #: Violations below this fraction of the local evaluation scale are
 #: inconclusive (counted, never failed).
 NOISE_FLOOR_REL = 1e-9
-
-#: Defaults of every certificate grid: highest derivative order, grid points
-#: and upper end x_max.
-DEFAULT_K_MAX = 8
-DEFAULT_POINTS = 200
-DEFAULT_X_MAX = 1e3
-
-
-class Direction(str, Enum):
-    LCM = "LCM"
-    RECIPROCAL = "RECIPROCAL"
-
-
-class Verdict(str, Enum):
-    PASS = "PASS"
-    FAIL = "FAIL"
-
-
-class Classification(str, Enum):
-    LCM = "LCM"
-    RECIPROCAL = "RECIPROCAL"
-    NEITHER = "NEITHER"
-    UNDECIDED = "UNDECIDED"
-
-
-class _GridFields(NamedTuple):
-    x_min_offset: float
-    x_max: float
-    points: int
-
-
-def _integer_in(value, name: str, low: int, high: int | None = None) -> int:
-    """value as an int; ParameterError unless it is an integer in low..high
-    (>= low, and within binary64's range, for no high)."""
-    n = as_integer(value)
-    if n is None or n < low or not (is_finite(n) if high is None else n <= high):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
-    return n
-
-
-class GridSpec(_GridFields):
-    """Evaluation grid in x for one parameter pair, an immutable named 3-tuple.
-
-    The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
-    above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
-    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.  The
-    fields are held as two floats and an int; a field that breaks the input
-    rule (README, "Inputs") or its range raises ParameterError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x_min_offset, x_max, points=DEFAULT_POINTS):
-        if not (is_finite(x_min_offset) and x_min_offset > 0.0):
-            raise ParameterError(
-                f"x_min_offset must be a finite positive real, got {x_min_offset!r}")
-        if not is_finite(x_max):
-            raise ParameterError(f"x_max must be finite, got {x_max!r}")
-        return tuple.__new__(cls, (float(x_min_offset), float(x_max),
-                                   _integer_in(points, "points", 2)))
-
-    @classmethod
-    def _make(cls, iterable) -> GridSpec:  # _replace builds through it
-        return cls(*iterable)
 
 
 def _two_sided_x_max(x_max):
@@ -192,53 +117,6 @@ def grid_points(spec: GridSpec, y: float) -> np.ndarray:
     if x.size == 0:
         raise ParameterError("grid is empty after exclusion-zone filtering")
     return x
-
-
-class _CertificateFields(NamedTuple):
-    params: HParams
-    direction: Direction | None
-    k_max: int
-    grid: GridSpec
-    verdict: Verdict
-    witness: DerivSample | None
-    undecided_points: int
-    check: str
-    semantics: str
-
-
-class Certificate(_CertificateFields):
-    """Outcome of a sign-pattern check over a grid, an immutable named 9-tuple.
-
-    check is "lcm-sign" for derivative-sign certificates (direction set,
-    witness.k is the derivative order) or "surface-negativity" for the
-    q-surface check (direction None; witness.k = 0 flags a non-negative
-    surface value, witness.k = 1 a non-decreasing adjacent step).
-    PASS semantics are always grid-verified, never analytic.  A field of
-    the wrong type or range, a FAIL without a witness, or a witness without
-    a FAIL raises ParameterError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, params, direction, k_max, grid, verdict, witness,
-                undecided_points=0, check="lcm-sign", semantics="grid-verified"):
-        for name, value, kind in (("params", params, HParams), ("grid", grid, GridSpec),
-                                  ("verdict", verdict, Verdict), ("check", check, str),
-                                  ("semantics", semantics, str),
-                                  ("direction", direction, (Direction, type(None))),
-                                  ("witness", witness, (DerivSample, type(None)))):
-            require_type(value, kind, name)
-        undecided = _integer_in(undecided_points, "undecided_points", 0)
-        if (verdict is Verdict.FAIL) != (witness is not None):
-            raise ParameterError(
-                "certificate invariant violated: FAIL iff witness present")
-        return tuple.__new__(cls, (params, direction,
-                                   _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER), grid,
-                                   verdict, witness, undecided, check, semantics))
-
-    @classmethod
-    def _make(cls, iterable) -> Certificate:  # _replace builds through it
-        return cls(*iterable)
 
 
 def _alpha_cuts(table: DerivTable) -> np.ndarray:
@@ -285,7 +163,7 @@ def _cut_tables(ys, k_max: int, grids
     blocks of one logh_deriv_table stacked over the ys."""
     setups = []
     for y, grid in zip(ys, grids):
-        y, k = require_y(y), _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
+        y, k = require_y(y), integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
         grid = default_grid(y) if grid is None else require_type(grid, GridSpec, "grid")
         setups.append((y, grid, grid_points(grid, y)))
     if not setups:
@@ -466,24 +344,6 @@ def in_conjecture_zone(alpha, y: float):
     return bool(zone[0]) if np.ndim(alpha) == 0 else zone
 
 
-class ScanCell(NamedTuple):
-    """Classification of one (alpha, y) cell from its two certificates.
-
-    The LCM certificate passes iff alpha lies above the row's LCM grid cut,
-    the RECIPROCAL one iff alpha lies below its RECIPROCAL grid cut
-    (grid_cuts).  For cells inside the conjecture zone,
-    reciprocal_violation records whether alpha is at or above that cut, so
-    that the RECIPROCAL certificate FAILs with a conclusive witness
-    (evidence only — the zone never classifies RECIPROCAL).
-    """
-
-    alpha: float
-    y: float
-    classification: Classification
-    conjecture_zone: bool = False
-    reciprocal_violation: bool | None = None
-
-
 #: _CLASSIFICATION[LCM passes][RECIPROCAL passes][in the conjecture zone]
 _CLASSIFICATION = (
     ((Classification.NEITHER, Classification.NEITHER),
@@ -521,8 +381,8 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     # every other argument too, in the order one y's grid and table check them,
     # so no y is needed to refuse one
     _two_sided_x_max(x_max)
-    _integer_in(points, "points", 2)
-    _integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
+    integer_in(points, "points", 2)
+    integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
     require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
     cells: list[ScanCell] = []
     for y in ys.tolist():
@@ -563,7 +423,7 @@ def finite_diff_crosschecks(cells) -> list[float]:
             if not (isinstance(cell, (tuple, list)) and len(cell) == 4):
                 raise ParameterError(f"a cell must be (k, params, x, step), got {cell!r}")
             k, params, x, step = cell
-            k = _integer_in(k, "k", 1, 4)
+            k = integer_in(k, "k", 1, 4)
             require_type(params, HParams, "params")
             step = require_real(step, "step")
             if not (math.isfinite(step) and step > 0.0):

@@ -7,9 +7,14 @@ Two subcommands:
 - ``gammacert scan --alpha A0:A1:STEP --y Y0:Y1:STEP`` classifies a grid of
   (alpha, y) cells and emits a CSV table plus a JSON report.
 
-Exit codes: 0 when no result failed, 1 on any failure, 2 on usage errors and
-on every package error (``gammacert.errors``).  CSV bodies contain no
-timestamps, so identical invocations produce byte-identical CSV output.
+Exit codes: 0 when no result failed, 1 on any failure, 2 on usage errors,
+on every package error (``gammacert.errors``) and on an ``--out`` file that
+cannot be written.  CSV bodies contain no timestamps, so identical
+invocations produce byte-identical CSV output.
+
+The module imports only the records (``gammacert.checks``) and the report
+writers at load time: a suite loads what it runs when it is built, and a
+scan loads the certificate engine when it runs.
 """
 
 from __future__ import annotations
@@ -25,16 +30,8 @@ from itertools import chain, groupby
 import numpy as np
 
 from . import __version__
-from .certify import (
-    DEFAULT_K_MAX,
-    DEFAULT_POINTS,
-    DEFAULT_X_MAX,
-    Certificate,
-    ScanCell,
-    certify_lcm,  # noqa: F401  (unused; perfbench/test_perfbench.py reads cli.certify_lcm)
-    scan_values,
-)
-from .checks import CheckTable
+from .checks import (
+    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, Certificate, CheckTable, ScanCell)
 from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
 from .report import Report, Results, build_report, dumps, result_status
 
@@ -56,6 +53,16 @@ FAULT_SUITE = "selftest-fault"
 #: per name.
 SUITES = ("lemmas", "thm1", "thm2", "thm3", "ball", "aux")
 PUBLIC_SUITES = (*SUITES, "all")
+
+
+def __getattr__(name: str):
+    # cli.certify_lcm stays readable (perfbench reads it) without loading
+    # certify with cli: certify is imported when the name is read
+    if name == "certify_lcm":
+        from .certify import certify_lcm
+
+        return certify_lcm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_POINTS,
@@ -138,16 +145,24 @@ def scan_csv(cells: list[ScanCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Unwritable(Exception):
+    """The --out file cannot be written; the message names it and why."""
+
+
 def _emit(text: str, out: str | None, end: str = "") -> None:
     """text, then end, to the file out or to stdout; end is written on its
-    own, so a report is not copied to append it."""
+    own, so a report is not copied to append it.  An out that cannot be
+    written raises _Unwritable."""
     if out is None:
         sys.stdout.write(text)
         sys.stdout.write(end)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as file:
             file.write(text)
             file.write(end)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .certify import scan_values  # the engine loads with the first scan
+
     alphas = parse_range(args.alpha, "--alpha")
     ys = parse_range(args.y, "--y")
     cells = scan_values(alphas, ys, k_max=args.kmax,
@@ -262,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_scan(args)
     except (ParameterError, DomainError, CapabilityError, PrecisionError) as exc:
         parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _Unwritable as exc:  # no usage line: the arguments were fine
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,12 +5,13 @@ can distinguish "this input is outside the mathematical domain" from "this
 input is legal but the implementation does not cover it".
 
 The helpers after the types validate arguments; no other module decides
-what a number, a y, an integer or a flag is (README, "Inputs").  real_points,
-require_all and first_bad_point serve the builders that take one point or a
-grid: a grid raises the error that its first bad point raises in a call of
-its own.  A grid is a plain list, tuple or range, or a 1-D array; a record
-(a tuple subclass such as GridSpec or HParams) is one argument, never a
-grid.  log_grid builds the package's log-spaced grids.
+what a number, a y, an integer or a flag is (README, "Inputs").  integer_in
+is the range rule of the integer fields of records and certifiers.
+real_points, require_all and first_bad_point serve the builders that take
+one point or a grid: a grid raises the error that its first bad point
+raises in a call of its own.  A grid is a plain list, tuple or range, or a
+1-D array; a record (a tuple subclass such as GridSpec or HParams) is one
+argument, never a grid.  log_grid builds the package's log-spaced grids.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ def as_integer(value) -> int | None:
     """value as a Python int if it is an int or a numpy integer (not a bool), else None."""
     ok = isinstance(value, (int, np.integer)) and value.__class__ is not bool
     return int(value) if ok else None
+
+
+def integer_in(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int; ParameterError unless it is an integer in low..high
+    (>= low, and within binary64's range, for no high)."""
+    n = as_integer(value)
+    if n is None or n < low or not (is_finite(n) if high is None else n <= high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
 
 
 def require_type(value, kind: type | tuple[type, ...], name: str):

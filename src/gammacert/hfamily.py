@@ -35,10 +35,10 @@ from __future__ import annotations
 import math
 import sys
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
+from .checks import DerivSample, HParams  # noqa: F401  (DerivSample: its former path)
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, broadcast_points,
     first_bad_point, is_finite, real_points, require_all, require_finite, require_real,
@@ -47,10 +47,8 @@ from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfben
     MAX_DERIV_ORDER, check_order, digamma, gamma_table, libm, lngamma, polygamma)
 
 __all__ = [
-    "DerivSample",
     "DerivTable",
     "ENDPOINT_CLEARANCE",
-    "HParams",
     "X_EPSILON",
     "alpha_necessary_bound",
     "bigH_eval",
@@ -74,36 +72,6 @@ ENDPOINT_CLEARANCE = 1e-9
 _FACTORIAL_COLUMN = np.array([[math.factorial(k)] for k in range(1, MAX_DERIV_ORDER + 1)],
                              dtype=float)
 _SIGN_COLUMN = np.array([[(-1.0) ** k] for k in range(1, MAX_DERIV_ORDER + 1)])
-
-
-class _HParamsFields(NamedTuple):
-    alpha: float
-    y: float
-
-
-class HParams(_HParamsFields):
-    """Parameter pair (alpha, y) of the family, an immutable named 2-tuple
-    of floats; requires a finite real alpha and a finite real y > -1
-    (DomainError otherwise)."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha, y):
-        if not is_finite(alpha):
-            raise DomainError(f"alpha must be finite, got {alpha!r}")
-        return tuple.__new__(cls, (float(alpha), require_y(y)))
-
-    @classmethod
-    def _make(cls, iterable) -> HParams:  # _replace builds through it
-        return cls(*iterable)
-
-
-class DerivSample(NamedTuple):
-    """One evaluated derivative sign sample: order k at abscissa x."""
-
-    k: int
-    x: float
-    value: float
 
 
 def _shifted_argument(x: float, y: float) -> float:

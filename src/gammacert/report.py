@@ -20,6 +20,8 @@ build_report tallies a table from its status codes.  Serialization rules:
   digits in numpy and leaves zeros, |v| outside [1e-250, 1e280] and digits
   within 1e-6 of a tie to repr itself; strings are escaped to ASCII as
   json.dumps does;
+- json is imported by the first call that writes or parses JSON text, so
+  a process that writes only CSV never loads it;
 - non-finite numbers and ints beyond binary64 are refused with ValueError,
   by dumps and to_jsonable alike (reports must be machine-consumable);
 - from_jsonable(to_jsonable(report)) reconstructs an equal Report; a missing
@@ -36,27 +38,18 @@ keys off failed == 0.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from datetime import datetime, timezone
 from itertools import accumulate, chain, groupby
-from json.encoder import encode_basestring_ascii as _string  # a str as JSON text
 from typing import NamedTuple
 
 import numpy as np
 
-from .certify import (
-    Certificate,
-    Classification,
-    Direction,
-    GridSpec,
-    ScanCell,
-    Verdict,
-)
-from .checks import CheckResult, CheckTable
+from .checks import (
+    Certificate, CheckResult, CheckTable, Classification, DerivSample, Direction, GridSpec,
+    HParams, ScanCell, Verdict)
 from .errors import PACKAGE_ERRORS, ParameterError, is_finite, is_real, require_type
-from .hfamily import DerivSample, HParams
 
 __all__ = [
     "Report",
@@ -220,6 +213,13 @@ _REPORT_TAIL = '], "summary": %s}'
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
+def _string(text: str) -> str:
+    """text as a JSON string, escaped to ASCII as json.dumps does."""
+    import json  # json.encoder loads with it
+
+    return json.encoder.encode_basestring_ascii(text)
+
+
 def _float(v) -> str:
     """The JSON spelling of a float (repr); an int in a float slot (a plain
     ScanCell may hold one) is spelled as the float it equals.  A non-finite
@@ -335,6 +335,8 @@ def dumps(report: Report) -> str:
 
     The text is one join of the head, the results' parts and the tail, so
     the report is copied once."""
+    import json
+
     require_type(report, Report, "report")
     head = _REPORT_HEAD % (_string(report.tool_version), _string(report.timestamp),
                            _string(report.suite))
@@ -345,6 +347,8 @@ def dumps(report: Report) -> str:
 
 def to_jsonable(obj):
     """A Report or result item as the plain dict that its JSON text parses to."""
+    import json
+
     if isinstance(obj, Report):
         return json.loads(dumps(obj))
     return json.loads("".join(_result_texts([obj])))

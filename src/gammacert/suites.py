@@ -3,7 +3,10 @@
 Each builder takes (k_max, points, x_max), ignores what it does not use, and
 returns a CheckTable or the parts of ``report.Results.of``.  The CLI holds
 the ordered tuple of suite names and imports this module the first time it
-builds a suite, so a scan never loads the check catalogue.
+builds a suite, so a scan never loads the check catalogue.  Every suite
+runs the catalogue (``ineq``); a builder imports any other engine it calls
+itself (``certify`` for thm1, thm3 and aux, ``ballvol`` for ball), so a
+process compiles only the engines of the suites it builds.
 """
 
 from __future__ import annotations
@@ -13,21 +16,9 @@ import math
 
 import numpy as np
 
-from .ballvol import ball_ratio_checks, recurrence_check
-from .certify import (
-    Certificate,
-    Direction,
-    Verdict,
-    default_grid,
-    finite_diff_crosschecks,
-    lcm_certifier,
-    necessity_limits,
-    verify_thm3,
-)
-from .checks import CheckResult, CheckTable
+from .checks import Certificate, CheckResult, CheckTable, Direction, HParams, Verdict
 from .errors import ParameterError, as_integer, log_grid
 from .gammakit import libm
-from .hfamily import HParams, lcm_threshold, reciprocal_threshold
 from .ineq import (
     CHAIN_SUP,
     AuxFn,
@@ -126,6 +117,9 @@ def _ratio_points(count: int, seed: int) -> tuple[tuple[float, ...], ...]:
 
 
 def thm1(k_max: int, points: int, x_max: float) -> list:
+    from .certify import default_grid, lcm_certifier, necessity_limits
+    from .hfamily import lcm_threshold, reciprocal_threshold
+
     out: list = []
     # one table for every y; the necessity cells reuse the sufficiency certifiers
     certifiers = dict(zip(SUFFICIENCY_YS, lcm_certifier(
@@ -154,14 +148,20 @@ def thm2(k_max: int, points: int, x_max: float) -> CheckTable:
 
 
 def thm3(k_max: int, points: int, x_max: float) -> list[Certificate]:
+    from .certify import verify_thm3
+
     return verify_thm3(THM3_YS, points, x_max)
 
 
 def ball(k_max: int, points: int, x_max: float) -> CheckTable:
+    from .ballvol import ball_ratio_checks, recurrence_check
+
     return ball_ratio_checks(range(1, 61)) + recurrence_check(range(2, 101))
 
 
 def aux(k_max: int, points: int, x_max: float) -> CheckTable:
+    from .certify import finite_diff_crosschecks
+
     out: list = []  # tables and single rows, joined at the end
     third = 1.0 / 3.0
 

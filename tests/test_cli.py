@@ -54,6 +54,18 @@ def test_unknown_suite_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "ball"],
+    ["verify", "--suite", "ball", "--format", "csv"],
+    ["scan", "--alpha=0:1:0.5", "--y=0:0:1"]])
+def test_an_unwritable_out_exits_two_naming_it(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"gammacert: error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""  # a scan's JSON report is not written either
+
+
 def test_missing_arguments_exit_two():
     assert main(["scan", "--alpha", "0:1:0.5"]) == EXIT_USAGE
     assert main(["scan"]) == EXIT_USAGE

@@ -1,8 +1,10 @@
 """Design rules: no gammacert module imports a private name from another,
 each module's ``__all__`` is the one declaration of its public names, only
 ``errors`` decides what an argument's type may be, importing the CLI loads
-nothing beyond what it needs anyway, a scan loads only the scan path, and
-only thm1 loads its sample stream, without numpy.random."""
+nothing beyond what it needs anyway, a scan loads only the scan path, a
+suite loads the certificate engine and ballvol only if it runs them, the
+records keep their former module paths, and only thm1 loads its sample
+stream, without numpy.random."""
 
 from __future__ import annotations
 
@@ -161,6 +163,66 @@ def test_verify_loads_the_suites_when_it_builds_one():
     assert [name for name in NOT_SCANNED if name not in loaded] == []
 
 
+def _added_by(statements: str) -> list[str]:
+    """The modules that statements add, in a fresh interpreter, to those that
+    numpy and the harness load; stdout and stderr go to a buffer."""
+    return _fresh("import contextlib, io, sys, numpy\n"
+                  "before = set(sys.modules)\n"
+                  "with contextlib.redirect_stdout(io.StringIO()), "
+                  "contextlib.redirect_stderr(io.StringIO()):\n"
+                  f"    {statements}\n"
+                  "print(*sorted(set(sys.modules) - before))")
+
+
+#: What a certificate-free call never runs: the certificate engine, the h
+#: family under it, and json (a CSV report holds no JSON text).
+CERTIFICATE_FREE = ("gammacert.certify", "gammacert.hfamily", "json")
+
+
+@pytest.mark.parametrize("statements", [
+    "import gammacert.cli",
+    *(f"import gammacert.cli as cli; assert cli.main(['verify', '--suite', '{suite}', "
+      "'--format', 'csv']) == 0" for suite in ("lemmas", "thm2", "ball"))])
+def test_certificate_free_calls_load_no_engine_and_no_json(statements):
+    added = _added_by(statements)
+    assert "gammacert.cli" in added
+    assert [name for name in CERTIFICATE_FREE if name in added] == []
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "thm1", "thm2", "thm3", "ball", "aux", "all"])
+def test_a_suite_loads_the_engine_and_ballvol_only_if_it_runs_them(suite):
+    loaded = _loaded_after("import gammacert.cli as cli; assert cli.main("
+                           f"['verify', '--suite', '{suite}', '--format', 'csv']) == 0")
+    assert ("gammacert.certify" in loaded) == (suite in ("thm1", "thm3", "aux", "all"))
+    assert ("gammacert.ballvol" in loaded) == (suite in ("ball", "all"))
+
+
+def test_cli_certify_lcm_loads_certify_when_read():
+    assert _fresh("import sys, gammacert.cli as cli\n"
+                  "print('gammacert.certify' in sys.modules)\n"
+                  "from gammacert.certify import certify_lcm\n"
+                  "print(cli.certify_lcm is certify_lcm)") == ["False", "True"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("gammacert.cli").no_such_name  # noqa: B018
+
+
+#: The records that gammacert.checks holds, by the modules that held them before.
+FORMER_PATHS = {
+    "certify": ("Certificate", "Classification", "DEFAULT_K_MAX", "DEFAULT_POINTS",
+                "DEFAULT_X_MAX", "Direction", "GridSpec", "ScanCell", "Verdict"),
+    "hfamily": ("DerivSample", "HParams"),
+}
+
+
+def test_the_records_keep_their_former_paths():
+    checks = importlib.import_module("gammacert.checks")
+    for module, names in FORMER_PATHS.items():
+        former = importlib.import_module(f"gammacert.{module}")
+        for name in names:
+            assert name in checks.__all__ and name not in former.__all__, name
+            assert getattr(former, name) is getattr(checks, name), name
+
+
 #: What numpy's seeded sampling loads: thm1 draws from gammacert._pcg64 instead.
 RANDOM = ("numpy.random", "secrets", "hmac")
 
@@ -168,12 +230,8 @@ RANDOM = ("numpy.random", "secrets", "hmac")
 @pytest.mark.parametrize("suite", ["thm1", "all"])
 def test_thm1_draws_its_samples_without_numpy_random(suite):
     # what the run adds to numpy's own import (numpy 1.x imports numpy.random)
-    added = _fresh("import contextlib, io, sys, numpy\n"
-                   "before = set(sys.modules)\n"
-                   "import gammacert.cli as cli\n"
-                   "with contextlib.redirect_stdout(io.StringIO()):\n"
-                   f"    assert cli.main(['verify', '--suite', '{suite}']) == 0\n"
-                   "print(*sorted(set(sys.modules) - before))")
+    added = _added_by("import gammacert.cli as cli; "
+                      f"assert cli.main(['verify', '--suite', '{suite}']) == 0")
     assert [name for name in RANDOM if name in added] == []
     assert "gammacert._pcg64" in added
 
