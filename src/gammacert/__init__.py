@@ -21,8 +21,8 @@ part of it.
 __version__ = "0.1.0"
 
 #: The modules whose ``__all__`` the package re-exports, in that order.
-_LIBRARY = ("ballvol", "certify", "checks", "errors", "gammakit", "hfamily", "ineq",
-            "means", "report")
+_LIBRARY = ("auxchain", "ballvol", "certify", "checks", "errors", "gammakit", "hfamily",
+            "ineq", "means", "psiwindows", "records", "report")
 
 
 def _load_library() -> None:

@@ -28,8 +28,11 @@ alpha with the largest LCM cut and the smallest RECIPROCAL cut, gives every
 certificate's verdict at every alpha.
 
 Every certificate runs on a GridSpec, log-spaced in u = x + y + 1, with the
-grid defaults (k_max, points, x_max) of ``gammacert.checks``, which holds
-the records this module builds: Certificate, ScanCell and their fields.
+grid defaults (k_max, points, x_max) of ``gammacert.checks``.
+``gammacert.records`` holds the records this module builds: Certificate,
+ScanCell and their fields.  The finite-difference cross-check lives in
+``gammacert.auxchain``, with the aux suite that runs it; its former paths
+here (``certify.finite_diff_crosscheck(s)``) load that module when read.
 """
 
 from __future__ import annotations
@@ -40,33 +43,30 @@ from itertools import accumulate
 
 import numpy as np
 
-from .checks import (
-    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, Certificate, Classification, DerivSample,
-    Direction, GridSpec, HParams, ScanCell, Verdict)
+from .checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX
 from .errors import (
-    PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_grid,
-    first_bad_point, integer_in, is_finite, log_grid, real_points, require_all,
-    require_real, require_type, require_y)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, first_bad_point,
+    integer_in, is_finite, log_grid, real_points, require_all, require_type, require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
     X_EPSILON,
     DerivTable,
     alpha_necessary_bound,
-    log_h,
     logh_deriv_table,
     logh_derivs_with_scale,  # noqa: F401  (unused; perfbench/test_perfbench.py reads it)
     q_surface_table,
     reciprocal_threshold,
+    stacked,
 )
+from .records import (
+    Certificate, Classification, DerivSample, Direction, GridSpec, HParams, ScanCell, Verdict)
 
 __all__ = [
     "NOISE_FLOOR_REL",
     "certify_lcm",
     "classify",
     "default_grid",
-    "finite_diff_crosscheck",
-    "finite_diff_crosschecks",
     "grid_cuts",
     "grid_points",
     "in_conjecture_zone",
@@ -79,6 +79,14 @@ __all__ = [
 #: Violations below this fraction of the local evaluation scale are
 #: inconclusive (counted, never failed).
 NOISE_FLOOR_REL = 1e-9
+
+
+def __getattr__(name: str):
+    if name in ("finite_diff_crosscheck", "finite_diff_crosschecks"):  # their former path
+        from . import auxchain
+
+        return getattr(auxchain, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _two_sided_x_max(x_max):
@@ -149,12 +157,6 @@ def _alpha_cuts(table: DerivTable) -> np.ndarray:
     return cuts
 
 
-def _stacked(values, sizes) -> float | np.ndarray:
-    """values[i] at each of sizes[i] points, as a table takes a y or an
-    alpha: the one value itself, or one per point."""
-    return values[0] if len(values) == 1 else np.repeat(values, sizes)
-
-
 def _cut_tables(ys, k_max: int, grids
                 ) -> list[tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]]:
     """Setup shared by every certificate.  For each y and its grid
@@ -170,7 +172,7 @@ def _cut_tables(ys, k_max: int, grids
         return []
     valid_ys, _, xss = zip(*setups)
     sizes = [xs.size for xs in xss]
-    table = logh_deriv_table(k, _stacked(valid_ys, sizes), np.concatenate(xss))
+    table = logh_deriv_table(k, stacked(valid_ys, sizes), np.concatenate(xss))
     cuts = _alpha_cuts(table)
     stops = accumulate(sizes)
     return [(grid, xs, block, cuts[..., stop - xs.size:stop])
@@ -305,7 +307,7 @@ def verify_thm3(y, points: int = DEFAULT_POINTS, x_max: float = DEFAULT_X_MAX):
     certs = []
     if setups:
         sizes = [xs.size for _, _, xs in setups]
-        q_values, q_scales = q_surface_table(_stacked([y for y, _, _ in setups], sizes),
+        q_values, q_scales = q_surface_table(stacked([y for y, _, _ in setups], sizes),
                                              np.concatenate([xs for _, _, xs in setups]))
         for (y_i, grid, xs), stop in zip(setups, accumulate(sizes)):
             cut = slice(stop - xs.size, stop)
@@ -398,62 +400,3 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
                   for alpha, lcm, rec, zone in zip(alphas.tolist(), lcm_pass.tolist(),
                                                    rec_pass.tolist(), zones)]
     return cells
-
-
-def finite_diff_crosscheck(k: int, params: HParams, x: float,
-                           step: float = 1e-5) -> float:
-    """Relative residual between the closed-form derivative and a central
-    finite difference of the next-lower order (ln h itself for k = 1)."""
-    return finite_diff_crosschecks([(k, params, x, step)])[0]
-
-
-def finite_diff_crosschecks(cells) -> list[float]:
-    """finite_diff_crosscheck(k, params, x, step) for each cell (k, params,
-    x, step) of the sequence cells, from one derivative table stacked over
-    the cells: order k at x, and for k >= 2 order k - 1 at x - step and
-    x + step (for k = 1, ln h itself, every such cell's from one log_h
-    call).  A batch that raises is checked again one cell at a time, so it
-    raises what its first failing cell raises alone."""
-    cells = as_grid(cells)
-    if cells is None:
-        raise ParameterError("cells must be a sequence of (k, params, x, step) cells")
-    try:
-        checked = []
-        for cell in cells:
-            if not (isinstance(cell, (tuple, list)) and len(cell) == 4):
-                raise ParameterError(f"a cell must be (k, params, x, step), got {cell!r}")
-            k, params, x, step = cell
-            k = integer_in(k, "k", 1, 4)
-            require_type(params, HParams, "params")
-            step = require_real(step, "step")
-            if not (math.isfinite(step) and step > 0.0):
-                raise ParameterError(f"step must be a positive real, got {step!r}")
-            checked.append((k, params, require_real(x, "x"), step))
-        if not checked:
-            return []
-        xss = [[x] if k == 1 else [x - step, x, x + step] for k, _, x, step in checked]
-        sizes = [len(xs) for xs in xss]
-        table = logh_deriv_table(max(k for k, *_ in checked),
-                                 _stacked([p.y for _, p, _, _ in checked], sizes),
-                                 np.concatenate(xss))
-        values, _ = table(_stacked([p.alpha for _, p, _, _ in checked], sizes))
-        firsts = [(params, x, step) for k, params, x, step in checked if k == 1]
-        # order 0 is ln h itself: every k = 1 cell's ln h at x - step and x + step
-        ends = iter(log_h([p for p, _, _ in firsts for _ in (0, 1)],
-                          [v for _, x, step in firsts for v in (x - step, x + step)]).tolist())
-        residuals = []
-        for (k, params, x, step), stop in zip(checked, accumulate(sizes)):
-            if k == 1:
-                value = float(values[0, stop - 1])
-                lo, hi = next(ends), next(ends)
-            else:
-                value, lo, hi = (float(v) for v in (values[k - 1, stop - 2],
-                                                    values[k - 2, stop - 3],
-                                                    values[k - 2, stop - 1]))
-            fd = (hi - lo) / (2.0 * step)
-            residuals.append(abs(value - fd) / max(1.0, abs(value)))
-        return residuals
-    except PACKAGE_ERRORS:
-        if len(cells) == 1:
-            raise
-        return [r for cell in cells for r in finite_diff_crosschecks([cell])]

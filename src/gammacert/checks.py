@@ -1,4 +1,4 @@
-"""The result records: check rows and tables, certificates and scan cells.
+"""The check records: check rows and tables, and the certificate grid defaults.
 
 A CheckResult is one evaluated inequality instance: its name, its inputs as
 (label, value) pairs, both sides, the margin and the verdict.  A CheckTable
@@ -7,53 +7,51 @@ strictness, an input-value matrix, the side and margin columns, and the
 holds and within-noise masks), and builds a CheckResult only when it is
 indexed or iterated.  ``gammacert.ineq`` builds both.
 
-A Certificate is the verdict of a grid certifier on a parameter pair
-(HParams) and a GridSpec, with a DerivSample witness for a FAIL; a ScanCell
-is one classified (alpha, y) cell.  ``gammacert.certify`` builds them, on
-grids whose defaults are the DEFAULT_* constants below, the one place the
-package and the CLI take them from.
+The DEFAULT_* constants below are the defaults of every certificate grid,
+the one place the package and the CLI take them from.  The certificate and
+scan records live in ``gammacert.records``; their former paths here
+(``checks.Certificate``, ...) load that module when they are read.
 
-Reports and the CLI read every record without loading the check catalogue
-or the certificate engine.  input_pairs and number are the check records'
-input rule, which the builders of ``gammacert.ineq`` apply to their own
-inputs too.
+Reports and the CLI read every check record without loading the check
+catalogue.  input_pairs and number are the check records' input rule, which
+the builders of ``gammacert.ineq`` apply to their own inputs too.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError, ParameterError, PrecisionError, integer_in, is_finite, is_real, require_type,
-    require_y)
-from .gammakit import MAX_DERIV_ORDER
+from .errors import ParameterError, PrecisionError, is_finite, is_real, require_type
 
 __all__ = [
-    "Certificate",
     "CheckResult",
     "CheckTable",
-    "Classification",
     "DEFAULT_K_MAX",
     "DEFAULT_POINTS",
     "DEFAULT_X_MAX",
-    "DerivSample",
-    "Direction",
-    "GridSpec",
-    "HParams",
-    "ScanCell",
-    "Verdict",
 ]
+
+#: The records that gammacert.records holds, readable here as before.
+_RECORDS = ("Certificate", "Classification", "DerivSample", "Direction", "GridSpec",
+            "HParams", "ScanCell", "Verdict")
 
 #: Defaults of every certificate grid: highest derivative order, grid points
 #: and upper end x_max.
 DEFAULT_K_MAX = 8
 DEFAULT_POINTS = 200
 DEFAULT_X_MAX = 1e3
+
+
+def __getattr__(name: str):
+    if name in _RECORDS:  # a record's former path
+        from . import records
+
+        return getattr(records, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CheckFields(NamedTuple):
@@ -298,147 +296,3 @@ class CheckTable(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-class Direction(str, Enum):
-    LCM = "LCM"
-    RECIPROCAL = "RECIPROCAL"
-
-
-class Verdict(str, Enum):
-    PASS = "PASS"
-    FAIL = "FAIL"
-
-
-class Classification(str, Enum):
-    LCM = "LCM"
-    RECIPROCAL = "RECIPROCAL"
-    NEITHER = "NEITHER"
-    UNDECIDED = "UNDECIDED"
-
-
-class _HParamsFields(NamedTuple):
-    alpha: float
-    y: float
-
-
-class HParams(_HParamsFields):
-    """Parameter pair (alpha, y) of the family, an immutable named 2-tuple
-    of floats; requires a finite real alpha and a finite real y > -1
-    (DomainError otherwise)."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha, y):
-        if not is_finite(alpha):
-            raise DomainError(f"alpha must be finite, got {alpha!r}")
-        return tuple.__new__(cls, (float(alpha), require_y(y)))
-
-    @classmethod
-    def _make(cls, iterable) -> HParams:  # _replace builds through it
-        return cls(*iterable)
-
-
-class DerivSample(NamedTuple):
-    """One evaluated derivative sign sample: order k at abscissa x."""
-
-    k: int
-    x: float
-    value: float
-
-
-class _GridFields(NamedTuple):
-    x_min_offset: float
-    x_max: float
-    points: int
-
-
-class GridSpec(_GridFields):
-    """Evaluation grid in x for one parameter pair, an immutable named 3-tuple.
-
-    The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
-    above the left endpoint -(y+1)) up to x_max + y + 1.  grid_points drops
-    the abscissae inside hfamily's |x| < X_EPSILON exclusion zone.  The
-    fields are held as two floats and an int; a field that breaks the input
-    rule (README, "Inputs") or its range raises ParameterError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x_min_offset, x_max, points=DEFAULT_POINTS):
-        if not (is_finite(x_min_offset) and x_min_offset > 0.0):
-            raise ParameterError(
-                f"x_min_offset must be a finite positive real, got {x_min_offset!r}")
-        if not is_finite(x_max):
-            raise ParameterError(f"x_max must be finite, got {x_max!r}")
-        return tuple.__new__(cls, (float(x_min_offset), float(x_max),
-                                   integer_in(points, "points", 2)))
-
-    @classmethod
-    def _make(cls, iterable) -> GridSpec:  # _replace builds through it
-        return cls(*iterable)
-
-
-class _CertificateFields(NamedTuple):
-    params: HParams
-    direction: Direction | None
-    k_max: int
-    grid: GridSpec
-    verdict: Verdict
-    witness: DerivSample | None
-    undecided_points: int
-    check: str
-    semantics: str
-
-
-class Certificate(_CertificateFields):
-    """Outcome of a sign-pattern check over a grid, an immutable named 9-tuple.
-
-    check is "lcm-sign" for derivative-sign certificates (direction set,
-    witness.k is the derivative order) or "surface-negativity" for the
-    q-surface check (direction None; witness.k = 0 flags a non-negative
-    surface value, witness.k = 1 a non-decreasing adjacent step).
-    PASS semantics are always grid-verified, never analytic.  A field of
-    the wrong type or range, a FAIL without a witness, or a witness without
-    a FAIL raises ParameterError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, params, direction, k_max, grid, verdict, witness,
-                undecided_points=0, check="lcm-sign", semantics="grid-verified"):
-        for name, value, kind in (("params", params, HParams), ("grid", grid, GridSpec),
-                                  ("verdict", verdict, Verdict), ("check", check, str),
-                                  ("semantics", semantics, str),
-                                  ("direction", direction, (Direction, type(None))),
-                                  ("witness", witness, (DerivSample, type(None)))):
-            require_type(value, kind, name)
-        undecided = integer_in(undecided_points, "undecided_points", 0)
-        if (verdict is Verdict.FAIL) != (witness is not None):
-            raise ParameterError(
-                "certificate invariant violated: FAIL iff witness present")
-        return tuple.__new__(cls, (params, direction,
-                                   integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER), grid,
-                                   verdict, witness, undecided, check, semantics))
-
-    @classmethod
-    def _make(cls, iterable) -> Certificate:  # _replace builds through it
-        return cls(*iterable)
-
-
-class ScanCell(NamedTuple):
-    """Classification of one (alpha, y) cell from its two certificates.
-
-    The LCM certificate passes iff alpha lies above the row's LCM grid cut,
-    the RECIPROCAL one iff alpha lies below its RECIPROCAL grid cut
-    (grid_cuts).  For cells inside the conjecture zone,
-    reciprocal_violation records whether alpha is at or above that cut, so
-    that the RECIPROCAL certificate FAILs with a conclusive witness
-    (evidence only — the zone never classifies RECIPROCAL).
-    """
-
-    alpha: float
-    y: float
-    classification: Classification
-    conjecture_zone: bool = False
-    reciprocal_violation: bool | None = None

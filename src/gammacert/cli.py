@@ -12,9 +12,10 @@ on every package error (``gammacert.errors``) and on an ``--out`` file that
 cannot be written.  CSV bodies contain no timestamps, so identical
 invocations produce byte-identical CSV output.
 
-The module imports only the records (``gammacert.checks``) and the report
-writers at load time: a suite loads what it runs when it is built, and a
-scan loads the certificate engine when it runs.
+The module imports only the check records (``gammacert.checks``) and the
+report assembly at load time: a suite loads what it runs when it is built,
+a scan loads the certificate engine when it runs, and the first JSON report
+loads the JSON writer.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ import math
 import re
 import sys
 from itertools import chain, groupby
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .checks import (
-    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, Certificate, CheckTable, ScanCell)
+from .checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, CheckTable
 from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
 from .report import Report, Results, build_report, dumps, result_status
+
+if TYPE_CHECKING:
+    from .records import Certificate, ScanCell
 
 __all__ = ["EXIT_FAIL", "EXIT_OK", "EXIT_USAGE", "main"]
 
@@ -131,6 +135,8 @@ def verify_csv(report: Report) -> str:
         if isinstance(run, CheckTable):
             parts += _check_lines(run)
             continue
+        from .records import Certificate  # loaded already: the run holds records
+
         for kind, items in groupby(run, type):
             if not issubclass(kind, Certificate):
                 raise TypeError(f"no CSV row form for {kind.__name__}")

@@ -38,13 +38,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .checks import DerivSample, HParams  # noqa: F401  (DerivSample: its former path)
 from .errors import (
     CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, broadcast_points,
     first_bad_point, is_finite, real_points, require_all, require_finite, require_real,
     require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     MAX_DERIV_ORDER, check_order, digamma, gamma_table, libm, lngamma, polygamma)
+from .records import DerivSample, HParams  # noqa: F401  (DerivSample: its former path)
 
 __all__ = [
     "DerivTable",
@@ -179,6 +179,12 @@ def bigH_eval(alpha: float, y: float, x: float) -> float:
     if not (is_finite(y) and y > 0.0):
         raise DomainError(f"bigH_eval requires y > 0, got {y!r}")
     return h_eval(HParams(alpha=alpha, y=y - 1.0), x)
+
+
+def stacked(values, sizes) -> float | np.ndarray:
+    """values[i] at each of sizes[i] points, as a table takes a y or an
+    alpha: the one value itself, or one per point."""
+    return values[0] if len(values) == 1 else np.repeat(values, sizes)
 
 
 class DerivTable:

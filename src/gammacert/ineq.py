@@ -1,9 +1,14 @@
-"""Machine-checkable catalog of gamma-family inequalities.
+"""Machine-checkable catalog of gamma-family inequalities: the row rules,
+the gamma-ratio window and the gamma-difference bound with its proof chain.
 
 Every operation evaluates one stated inequality at concrete inputs and returns
 a CheckResult carrying both sides, the margin, and the verdict; a grid of
 inputs gives a CheckTable, the same rows held as columns (both records live
-in ``gammacert.checks``).  Conventions:
+in ``gammacert.checks``).  The digamma / polygamma windows of the lemma suite
+live in ``gammacert.psiwindows`` and the auxiliary functions of the chained
+sufficiency argument in ``gammacert.auxchain``; their former paths here
+(``ineq.lemma_windows``, ``ineq.AuxFn``, ...) load those modules when they
+are read.  Conventions:
 
 - For a one-sided claim ``lhs < rhs``, margin = rhs - lhs.
 - For a two-sided claim ``lower < mid < upper``, lhs/rhs store lower/upper,
@@ -21,42 +26,38 @@ in ``gammacert.checks``).  Conventions:
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from .checks import CheckResult, CheckTable, input_pairs, number
 from .errors import (
-    PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_integer,
-    broadcast_points, first_bad_point, is_real, real_points, require_all, require_positive,
-    require_real, require_type)
-from .gammakit import (
-    EXP_NEG_EULER_GAMMA, check_order, digamma, gamma_rows, libm, lngamma, polygamma, power)
+    CapabilityError, DomainError, ParameterError, PrecisionError, as_integer, broadcast_points,
+    first_bad_point, real_points, require_all, require_positive, require_real, require_type)
+from .gammakit import digamma, gamma_rows, libm, lngamma, polygamma
 from .means import DIAGONAL_REL_TOL, gen_log_mean, log_mean
 
 __all__ = [
-    "AuxFn",
-    "CHAIN_SUP",
     "NOISE_REL",
     "THM2_T_MIN",
-    "aux_eval",
     "batir_ineq",
     "gamma_ratio_ineq",
-    "lemma_windows",
     "log_upper_bound_ineq",
     "one_sided",
     "one_sided_rows",
-    "polygamma_bounds",
     "psi_integral_mean_ineq",
-    "psi_log_bounds",
-    "psi_upper_refinement",
-    "qcub_root",
-    "suffice_chain",
     "thm2_ineq",
     "two_sided",
     "two_sided_rows",
 ]
+
+#: The names that moved out of this module, by the module that holds them.
+_MOVED = {
+    **dict.fromkeys(("lemma_windows", "polygamma_bounds", "psi_log_bounds",
+                     "psi_upper_refinement"), "psiwindows"),
+    **dict.fromkeys(("AuxFn", "CHAIN_SUP", "aux_eval", "qcub_root", "suffice_chain"),
+                    "auxchain"),
+}
 
 #: Relative width of the floating-noise band around zero margin.
 NOISE_REL = 1e-14
@@ -66,6 +67,14 @@ NOISE_REL = 1e-14
 #: about eps*ln(1/t): against mpmath the margin's relative error is 3e-3 at
 #: t = 1e-4 and 0.7 at 1e-5, and below 1e-6 the verdict itself goes wrong.
 THM2_T_MIN = 1e-4
+
+
+def __getattr__(name: str):
+    if name in _MOVED:  # a moved name's former path
+        from importlib import import_module
+
+        return getattr(import_module(f"{__package__}.{_MOVED[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:
@@ -109,8 +118,10 @@ def two_sided(name, inputs, lower, mid, upper, strict=True,
 # floats do, so row i is the scalar check at row i, field for field.  The
 # scalar forms stay: a one-element numpy call costs more than a whole scalar
 # check.  They are the one-window case of the stacked forms below, which
-# apply the same rule to a (window, point) stack of sides at once; _table
-# lays any number of stacks out as one table.
+# apply the same rule to a (window, point) stack of sides at once;
+# stack_table lays any number of stacks out as one table.  The stacked forms
+# and row_or_rows are package-internal: psiwindows and auxchain build their
+# tables with them.
 
 def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """one_sided over columns: row i checks lhs[i] < rhs[i].
@@ -120,7 +131,8 @@ def one_sided_rows(name, inputs, lhs, rhs, strict=True) -> CheckTable:
     """
     labels, columns, (lhs, rhs) = _columns(name, inputs, lhs=lhs, rhs=rhs)
     require_type(strict, bool, "strict")
-    return _table([(name, tuple(labels), strict)], [_one_sided(0, columns, lhs, rhs, strict)])
+    return stack_table([(name, tuple(labels), strict)],
+                       [one_sided_stack(0, columns, lhs, rhs, strict)])
 
 
 def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
@@ -134,8 +146,8 @@ def two_sided_rows(name, inputs, lower, mid, upper, strict=True,
     require_type(strict, bool, "strict")
     strict_lower = strict if strict_lower is None else require_type(strict_lower, bool,
                                                                     "strict_lower")
-    return _table([(name, (*labels, "mid"), strict and strict_lower)],
-                  [_two_sided(0, columns, lower, mid, upper, strict, strict_lower)])
+    return stack_table([(name, (*labels, "mid"), strict and strict_lower)],
+                       [two_sided_stack(0, columns, lower, mid, upper, strict, strict_lower)])
 
 
 def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
@@ -156,7 +168,7 @@ def _columns(name, inputs, **sides) -> tuple[list[str], list[np.ndarray], list[n
     return labels, columns[:len(pairs)], columns[len(pairs):]
 
 
-def _one_sided(key, columns, lhs, rhs, strict=True) -> tuple:
+def one_sided_stack(key, columns, lhs, rhs, strict=True) -> tuple:
     """The stack of windows lhs < rhs (lhs <= rhs if not strict) by
     one_sided's rule: (key, columns, lhs, rhs, margin, holds, within).
 
@@ -171,9 +183,9 @@ def _one_sided(key, columns, lhs, rhs, strict=True) -> tuple:
                 abs(margin) <= noise)
 
 
-def _two_sided(key, columns, lower, mid, upper, strict=True, strict_lower=True) -> tuple:
+def two_sided_stack(key, columns, lower, mid, upper, strict=True, strict_lower=True) -> tuple:
     """The stack of windows lower < mid < upper by two_sided's rule, as in
-    _one_sided; mid joins the input columns last."""
+    one_sided_stack; mid joins the input columns last."""
     with np.errstate(all="ignore"):
         m_lo = mid - lower
         m_up = upper - mid
@@ -183,13 +195,18 @@ def _two_sided(key, columns, lower, mid, upper, strict=True, strict_lower=True) 
         return key, [*columns, mid], lower, upper, margin, holds, abs(margin) <= noise
 
 
+def row_or_rows(rows: CheckTable, *args) -> CheckResult | CheckTable:
+    """The one row of a one-point call, else the table."""
+    return rows[0] if all(np.ndim(v) == 0 for v in args) else rows
+
+
 def _clears(margin, noise, strict: bool) -> np.ndarray:
     return margin > noise if strict else margin >= -noise
 
 
-def _table(keys, stacks, point_major=False) -> CheckTable:
-    """One table of the stacks of _one_sided and _two_sided, a row per
-    window and point.
+def stack_table(keys, stacks, point_major=False) -> CheckTable:
+    """One table of the stacks of one_sided_stack and two_sided_stack, a
+    row per window and point.
 
     keys holds the (name, input labels, strict) key of each window index.
     The rows come window by window, stack after stack, or with point_major
@@ -224,147 +241,19 @@ def _table(keys, stacks, point_major=False) -> CheckTable:
 
 
 # ---------------------------------------------------------------------------
-# digamma / polygamma windows
-# ---------------------------------------------------------------------------
-#
-# Every check builder below takes one point or a 1-D grid for each of its
-# point arguments and evaluates the whole grid at once.  The kernel takes
-# the whole grid; + - * / and sqrt run in numpy, which rounds as Python
-# floats and math.sqrt do.  Each power is libm's pow through
-# gammakit.power (np.float_power, one C call per element); each log and
-# log1p is libm's through gammakit.libm, one Python call per element, since
-# np.log and np.log1p round differently in the last ulp.  So every row is
-# bit for bit the row of its own one-point call.  A grid with a
-# bad point raises the error that point raises alone (first_bad_point).
-# psi_log_bounds and polygamma_bounds give their rows window by window, one
-# row per point in grid order; lemma_windows lays the same windows out
-# point by point, and the other builders give each point's rows in turn.
-
-_PSI_KEYS = tuple((name, ("x", "mid"), True) for name in (
-    "psi_between_log_offsets", "psi_between_shifted_logs", "psi_between_shifted_logs_sharp",
-    "psi_second_order_window"))
-_REFINEMENT_KEY = ("psi_sharp_upper_refines_shifted_log", ("x",), True)
-_POWER_KEYS = tuple((name, ("k", "x", "mid"), True)
-                    for name in ("polygamma_power_window", "polygamma_shifted_power_window"))
-_LEMMA_ORDERS = range(1, 7)  # the orders of polygamma_bounds in lemma_windows
-_LEMMA_SIGNS = np.array([[(-1.0) ** (k + 1)] for k in _LEMMA_ORDERS])
-
-
-def _row_or_rows(rows: CheckTable, *args) -> CheckResult | CheckTable:
-    """The one row of a one-point call, else the table."""
-    return rows[0] if all(np.ndim(v) == 0 for v in args) else rows
-
-
-def _shifted_uppers(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(1/x, ln(x+1) - 1/x, ln(x+e^{-gamma}) - 1/x) at xs."""
-    with np.errstate(all="ignore"):  # inf and nan, as Python float arithmetic gives
-        inv = 1.0 / xs
-        return inv, libm(math.log, xs + 1.0) - inv, libm(math.log, xs + EXP_NEG_EULER_GAMMA) - inv
-
-
-def _psi_sides(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper): the sides of psi_log_bounds' four windows at xs, one
-    row per window."""
-    inv, one, sharp = _shifted_uppers(xs)
-    lx = libm(math.log, xs)
-    log_half = libm(math.log, xs + 0.5)
-    with np.errstate(all="ignore"):
-        upper = lx - 0.5 * inv
-        return (np.array([lx - inv, log_half - inv, log_half - inv,
-                          upper - 1.0 / (12.0 * xs * xs)]), np.array([upper, one, sharp, upper]))
-
-
-def _power_sides(ks, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper): the sides of polygamma_bounds' two windows for each
-    order in ks at xs, one row per window, each k's two in turn.  The orders
-    share their powers of x."""
-    x_pow = {e: power(xs, float(e)) for e in sorted({*ks, *(k + 1 for k in ks)})}
-    one, half = xs + 1.0, xs + 0.5
-    lower, upper = [], []
-    with np.errstate(all="ignore"):
-        for k in ks:
-            km1f, kf = float(math.factorial(k - 1)), float(math.factorial(k))
-            head, tail = km1f / x_pow[k], kf / x_pow[k + 1]
-            lower += [head + 0.5 * tail, km1f / power(one, float(k)) + tail]
-            upper += [head + tail, km1f / power(half, float(k)) + tail]
-    return np.array(lower), np.array(upper)
-
-
-@first_bad_point
-def psi_log_bounds(x) -> CheckTable:
-    """Four two-sided logarithmic windows around psi(x), x > 0.
-
-    1. ln x - 1/x            < psi(x) < ln x - 1/(2x)
-    2. ln(x+1/2) - 1/x       < psi(x) < ln(x+1) - 1/x
-    3. ln(x+1/2) - 1/x       < psi(x) < ln(x+e^{-gamma}) - 1/x   (sharp shifts)
-    4. ln x - 1/(2x) - 1/(12x^2) < psi(x) < ln x - 1/(2x)
-    """
-    xs = real_points(x, "x", require_positive)
-    psi = digamma(xs)
-    lower, upper = _psi_sides(xs)
-    return _table(_PSI_KEYS, [_two_sided(np.arange(4)[:, None], [xs], lower, psi, upper)])
-
-
-@first_bad_point
-def psi_upper_refinement(x) -> CheckResult | CheckTable:
-    """The sharp-shift upper bound is tighter: ln(x+e^{-gamma}) < ln(x+1).
-
-    One point gives its CheckResult, a grid the table of rows.
-    """
-    xs = real_points(x, "x", require_positive)
-    _, one, sharp = _shifted_uppers(xs)
-    return _row_or_rows(_table([_REFINEMENT_KEY], [_one_sided(0, [xs], sharp, one)]), x)
-
-
-@first_bad_point
-def polygamma_bounds(k: int, x) -> CheckTable:
-    """Two power windows around v = (-1)^{k+1} psi^(k)(x) > 0 for k >= 1, x > 0.
-
-    1. (k-1)!/x^k + k!/(2x^{k+1})     < v < (k-1)!/x^k + k!/x^{k+1}
-    2. (k-1)!/(x+1)^k + k!/x^{k+1}    < v < (k-1)!/(x+1/2)^k + k!/x^{k+1}
-    """
-    xs = real_points(x, "x", require_positive)
-    k = check_order(k)
-    v = (-1.0) ** (k + 1) * polygamma(k, xs)
-    lower, upper = _power_sides([k], xs)
-    return _table(_POWER_KEYS, [_two_sided(np.arange(2)[:, None], [float(k), xs], lower, v,
-                                           upper)])
-
-
-def lemma_windows(x) -> CheckTable:
-    """The lemma suite at x > 0: psi_log_bounds, psi_upper_refinement and
-    polygamma_bounds for k = 1..6, 17 rows per point.
-
-    Each point's rows come in turn, in that order and each builder's windows
-    in its order, and every row is the row of the builder's own call.  A
-    grid with a bad point raises the error of the first of those builders
-    that fails, at its first bad point: the builders run again, in order,
-    when the one pass raises.
-    """
-    try:
-        xs = real_points(x, "x", require_positive)
-        rows = gamma_rows(range(_LEMMA_ORDERS[-1] + 1), xs)  # psi, then psi^(k) for k = 1..6
-        psi, v = rows[0], rows[1:] * _LEMMA_SIGNS  # the magnitudes (-1)^(k+1) psi^(k)
-        lower, upper = _psi_sides(xs)
-        p_lower, p_upper = _power_sides(_LEMMA_ORDERS, xs)
-        ks = np.repeat([float(k) for k in _LEMMA_ORDERS], 2)[:, None]
-        return _table((*_PSI_KEYS, _REFINEMENT_KEY, *_POWER_KEYS), [
-            _two_sided(np.arange(4)[:, None], [xs], lower, psi, upper),
-            _one_sided(4, [xs], upper[2], upper[1]),
-            _two_sided(np.tile([5, 6], len(_LEMMA_ORDERS))[:, None], [ks, xs], p_lower,
-                       np.repeat(v, 2, axis=0), p_upper),
-        ], point_major=True)
-    except PACKAGE_ERRORS:
-        psi_log_bounds(x)
-        psi_upper_refinement(x)
-        for k in _LEMMA_ORDERS:
-            polygamma_bounds(k, x)
-        raise
-
-
-# ---------------------------------------------------------------------------
 # gamma-ratio window derived from the monotonicity thresholds
 # ---------------------------------------------------------------------------
+#
+# Every check builder of the catalogue (here, in psiwindows and in auxchain)
+# takes one point or a 1-D grid for each of its point arguments and
+# evaluates the whole grid at once.  The kernel takes the whole grid;
+# + - * / and sqrt run in numpy, which rounds as Python floats and
+# math.sqrt do.  Each power is libm's pow through gammakit.power
+# (np.float_power, one C call per element); each log and log1p is libm's
+# through gammakit.libm, one Python call per element, since np.log and
+# np.log1p round differently in the last ulp.  So every row is bit for bit
+# the row of its own one-point call.  A grid with a bad point raises the
+# error that point raises alone (first_bad_point).
 
 @first_bad_point
 def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | CheckTable:
@@ -402,7 +291,7 @@ def gamma_ratio_ineq(x, y, t, a=None, b=None) -> CheckResult | CheckTable:
             (("x", xs), ("y", ys), ("t", ts), ("a", a_exp), ("b", b_exp),
              ("log_ratio", log_ratio), ("log_scale", 1.0)),
             a_exp * log_ratio, mid, b_exp * log_ratio)
-    return _row_or_rows(rows, x, y, t, a, b)
+    return row_or_rows(rows, x, y, t, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +318,7 @@ def thm2_ineq(t) -> CheckResult | CheckTable:
                                                 ).reshape(2, 2, -1)
         rows = one_sided_rows("gamma_diff_quotient_vs_one_minus_psi", (("t", ts),),
                               w / two_t2 * (lg_inner - lg_t), 1.0 - psi)
-    return _row_or_rows(rows, t)
+    return row_or_rows(rows, t)
 
 
 @first_bad_point
@@ -455,7 +344,7 @@ def batir_ineq(a, b) -> CheckResult | CheckTable:
             (("a", aa), ("b", bb), ("log_mean", lm), ("lngamma_diff", dg),
              ("rhs_exponent_quotient_form", dg / (aa - bb)), ("log_scale", 1.0)),
             digamma(lm), (aa - bb) * dg)
-    return _row_or_rows(rows, a, b)
+    return row_or_rows(rows, a, b)
 
 
 @first_bad_point
@@ -495,7 +384,7 @@ def psi_integral_mean_ineq(i: int, s, t, p: float,
         rows = two_sided_rows("psi_derivative_mean_value_window",
                               (("i", i), ("s", ss), ("t", ts), ("p", p), ("q", q)),
                               lower, mean, upper, strict=False)
-    return _row_or_rows(rows, s, t)
+    return row_or_rows(rows, s, t)
 
 
 @first_bad_point
@@ -512,110 +401,4 @@ def log_upper_bound_ineq(t) -> CheckResult | CheckTable:
         rhs = ts * ((ts + 12.0) * ts + 12.0) / (6.0 * (ts + 1.0) * (ts + 2.0))
         rows = one_sided_rows("log1p_rational_bound", (("t", ts),),
                               libm(math.log1p, ts), rhs)
-    return _row_or_rows(rows, t)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary functions from the chained sufficiency argument
-# ---------------------------------------------------------------------------
-
-class AuxFn(Enum):
-    """Tags for the auxiliary functions of the chained proof argument."""
-
-    QLOG = "qlog"    # 4t - 3 ln(2t+1) - 1           on t > -1/2
-    QCUB = "qcub"    # 3t^3 + 11t^2 + 3t - 3
-    HPOLY = "hpoly"  # 9t^6 + 54t^5 + 55t^4 - 60t^3 - 93t^2 - 18t + 9
-
-
-# The Horner bodies take a float or an array alike.
-
-def _qcub(t):
-    return ((3.0 * t + 11.0) * t + 3.0) * t - 3.0
-
-
-def _hpoly(t):
-    return ((((((9.0 * t + 54.0) * t + 55.0) * t - 60.0) * t - 93.0) * t
-             - 18.0) * t + 9.0)
-
-
-@first_bad_point
-def aux_eval(fn: AuxFn, t) -> float | np.ndarray:
-    """One of the auxiliary functions at t, one point (a float) or a 1-D grid
-    (the array of the per-point values).  A value outside the binary64 range
-    raises CapabilityError naming the function and t."""
-    ts = real_points(t, "t")
-    require_all(np.isfinite(ts), DomainError, "t must be finite, got {!r}", ts)
-    with np.errstate(all="ignore"):
-        if fn is AuxFn.QLOG:
-            require_all(ts > -0.5, DomainError, "QLOG requires t > -1/2, got {!r}", ts)
-            values = 4.0 * ts - 3.0 * libm(math.log1p, 2.0 * ts) - 1.0
-        elif fn is AuxFn.QCUB:
-            values = _qcub(ts)
-        elif fn is AuxFn.HPOLY:
-            values = _hpoly(ts)
-        else:
-            raise ParameterError(f"unknown auxiliary function tag {fn!r}")
-    require_all(np.isfinite(values), CapabilityError,
-                f"{fn.name}({{!r}}) = {{!r}} is outside the double-precision range",
-                ts, values)
-    return values[0].item() if np.ndim(t) == 0 else values
-
-
-def qcub_root(tol: float = 1e-10) -> float:
-    """Unique zero of QCUB in (1/3, 1), located by bisection to width tol."""
-    if not (is_real(tol) and 0.0 < tol <= 1e-2):
-        raise ParameterError(f"tol must be a float in (0, 1e-2], got {tol!r}")
-    lo, hi = 1.0 / 3.0, 1.0
-    if not (_qcub(lo) < 0.0 < _qcub(hi)):
-        raise PrecisionError("QCUB bracket [1/3, 1] lost its sign change")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles: no tol below their gap is met
-            break
-        if _qcub(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-#: Right end of the interval (0, 8/7) on which the sufficiency chain holds.
-CHAIN_SUP = 8.0 / 7.0
-
-
-_CHAIN_KEYS = (("psi_diff_vs_one", ("t", "inner_point"), True),
-               ("trigamma_vs_rational", ("t", "sqrt_point"), False),
-               ("algebraic_rational_window", ("t", "sqrt_point"), False))
-
-
-@first_bad_point
-def suffice_chain(t) -> CheckTable:
-    """The three chained sufficiency inequalities, valid on 0 < t < 8/7.
-
-    1. psi(t) - psi(2t^2 / ((1+2t) ln(1+2t))) < 1                    (strict)
-    2. psi'(sqrt(2t^3 / ((2t+1) ln(2t+1)))) <= R(t)                  (non-strict)
-    3. (2t+1)ln(2t+1)/(2t^3) + 1/(sqrt(2t^3/((2t+1)ln(2t+1))) + 1/2)
-                                           <= R(t)                   (non-strict)
-
-    where R(t) = (2t+1)ln(2t+1) / (t [(2t+1)ln(2t+1) - 2t]).  t is one point
-    or a 1-D grid; the rows come point by point, three per point.
-    """
-    ts = real_points(t, "t", require_positive)
-    require_all(ts < CHAIN_SUP, DomainError, "t must lie in (0, 8/7), got {!r}", ts)
-    with np.errstate(all="ignore"):
-        w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
-        inner = 2.0 * ts * ts / w
-        t_cubed = power(ts, 3.0)
-        sqrt_pt = np.sqrt(2.0 * t_cubed / w)
-        excess = w - 2.0 * ts  # about 2t^2: it cancels to zero for tiny t
-        require_all(excess > 0.0, PrecisionError, "t = {!r} is too small: "
-                    "(2t+1)ln(2t+1) - 2t cancels to zero", ts)
-        rational = w / (ts * excess)
-        (psi_t, psi_inner, _), (_, _, trigamma) = gamma_rows(
-            (0, 1), np.concatenate([ts, inner, sqrt_pt])).reshape(2, 3, -1)
-        algebraic = w / (2.0 * t_cubed) + 1.0 / (sqrt_pt + 0.5)
-        return _table(_CHAIN_KEYS, [
-            _one_sided(0, [ts, inner], psi_t - psi_inner, 1.0),
-            _one_sided(1, [ts, sqrt_pt], trigamma, rational, strict=False),
-            _one_sided(2, [ts, sqrt_pt], algebraic, rational, strict=False),
-        ], point_major=True)
+    return row_or_rows(rows, t)

@@ -4,37 +4,26 @@ Each builder takes (k_max, points, x_max), ignores what it does not use, and
 returns a CheckTable or the parts of ``report.Results.of``.  The CLI holds
 the ordered tuple of suite names and imports this module the first time it
 builds a suite, so a scan never loads the check catalogue.  Every suite
-runs the catalogue (``ineq``); a builder imports any other engine it calls
-itself (``certify`` for thm1, thm3 and aux, ``ballvol`` for ball), so a
-process compiles only the engines of the suites it builds.
+runs the catalogue (``ineq``); a builder imports any other module it calls
+itself (``psiwindows`` for lemmas, ``certify`` and the records for thm1
+and thm3, ``ballvol`` for ball, ``auxchain`` for aux), so a process
+compiles only the modules of the suites it builds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .checks import Certificate, CheckResult, CheckTable, Direction, HParams, Verdict
+from .checks import CheckResult, CheckTable
 from .errors import ParameterError, as_integer, log_grid
-from .gammakit import libm
-from .ineq import (
-    CHAIN_SUP,
-    AuxFn,
-    aux_eval,
-    batir_ineq,
-    gamma_ratio_ineq,
-    lemma_windows,
-    log_upper_bound_ineq,
-    one_sided,
-    one_sided_rows,
-    psi_integral_mean_ineq,
-    qcub_root,
-    suffice_chain,
-    thm2_ineq,
-    two_sided,
-)
+from .ineq import gamma_ratio_ineq, one_sided, thm2_ineq
+
+if TYPE_CHECKING:
+    from .records import Certificate
 
 __all__ = ["aux", "ball", "lemmas", "ratio_samples", "selftest_fault", "thm1", "thm2",
            "thm3"]
@@ -51,6 +40,8 @@ THM3_YS = (-0.9, -0.75, -0.6, -0.51)
 def lemmas(k_max: int, points: int, x_max: float) -> CheckTable:
     """The 17 lemma windows of lemma_windows at each point of the log grid
     [1e-2, x_max], each x's rows in turn, built in one pass."""
+    from .psiwindows import lemma_windows
+
     if not (math.isfinite(x_max) and x_max > 1e-2):
         raise ParameterError(
             f"x_max must be a finite real > 1e-2 for the lemma grid [1e-2, x_max], "
@@ -60,6 +51,8 @@ def lemmas(k_max: int, points: int, x_max: float) -> CheckTable:
 
 def _expected_failure_check(cert: Certificate) -> CheckResult:
     """Wrap an expected-FAIL certificate: holds iff the verdict is FAIL."""
+    from .records import Verdict
+
     inputs = [("alpha", cert.params.alpha), ("y", cert.params.y)]
     size = 0.0
     if cert.witness is not None:
@@ -119,6 +112,7 @@ def _ratio_points(count: int, seed: int) -> tuple[tuple[float, ...], ...]:
 def thm1(k_max: int, points: int, x_max: float) -> list:
     from .certify import default_grid, lcm_certifier, necessity_limits
     from .hfamily import lcm_threshold, reciprocal_threshold
+    from .records import Direction
 
     out: list = []
     # one table for every y; the necessity cells reuse the sufficiency certifiers
@@ -160,92 +154,9 @@ def ball(k_max: int, points: int, x_max: float) -> CheckTable:
 
 
 def aux(k_max: int, points: int, x_max: float) -> CheckTable:
-    from .certify import finite_diff_crosschecks
+    from .auxchain import worked_checks
 
-    out: list = []  # tables and single rows, joined at the end
-    third = 1.0 / 3.0
-
-    # exact spot values of the auxiliary polynomials (abs tol for the cubic,
-    # rel tol for the sextic whose values are O(1)..O(10))
-    spots = (
-        ("aux_cubic_spot_value", AuxFn.QCUB, (0.0, 1.0, third),
-         (-3.0, 14.0, -2.0 / 3.0), (1e-12,) * 3),
-        ("aux_polynomial_spot_value", AuxFn.HPOLY, (third, CHAIN_SUP),
-         (-700.0 / 81.0, -404759.0 / 117649.0),
-         (1e-12 * (700.0 / 81.0), 1e-12 * (404759.0 / 117649.0))))
-    for name, fn, ts, expected, tol in spots:
-        values = aux_eval(fn, np.array(ts))
-        out.append(one_sided_rows(name, (("t", ts), ("expected", expected),
-                                         ("value", values), ("tolerance", tol)),
-                                  abs(values - expected), tol, strict=False))
-
-    # the logarithmic helper is barely positive at t = 8/7 ...
-    out.append(two_sided("aux_qlog_band", (("t", CHAIN_SUP),),
-                         0.002, aux_eval(AuxFn.QLOG, CHAIN_SUP), 0.003))
-    # ... positive from there on, and increasing beyond t = 1/4
-    ts = np.geomspace(CHAIN_SUP, 1e3, 100)
-    out.append(one_sided_rows("aux_qlog_positive_from_chain_sup", (("t", ts),),
-                              0.0, aux_eval(AuxFn.QLOG, ts)))
-    ts = np.geomspace(0.26, 1e3, 100)
-    values = aux_eval(AuxFn.QLOG, ts)
-    out.append(one_sided_rows("aux_qlog_increasing_beyond_quarter",
-                              (("t_lo", ts[:-1]), ("t_hi", ts[1:])), values[:-1],
-                              values[1:]))
-
-    # cubic root bracket and residual
-    root = qcub_root(1e-10)
-    out.append(two_sided("aux_cubic_root_bracket",
-                         (("root", root),), third, root, 1.0))
-    out.append(one_sided("aux_cubic_root_residual",
-                         (("root", root),),
-                         abs(aux_eval(AuxFn.QCUB, root)), 1e-8, strict=False))
-
-    # the sextic stays negative across the open chain interval
-    ts = np.linspace(third, CHAIN_SUP, 102)[1:-1]
-    out.append(one_sided_rows("aux_polynomial_negative_interior", (("t", ts),),
-                              aux_eval(AuxFn.HPOLY, ts), 0.0))
-
-    # chained sufficiency inequalities across (0, 8/7)
-    out.append(suffice_chain(np.geomspace(1e-3, CHAIN_SUP * (1.0 - 1e-9), 100)))
-
-    # digamma-at-log-mean bound, printed product form, on its worked pairs
-    # (the product form does not hold for arbitrary pairs; see the quotient
-    # reading exposed in the result inputs)
-    out.append(batir_ineq(np.array([2.0, 1.0, 1.0]), np.array([1.0, 2.0, third])))
-
-    # mean-value windows for integral means of psi and psi' on worked pairs
-    # (p = -i-1, q = -i) ...
-    s = np.array([0.5, 1.0, 2.0, 0.25])
-    t = np.array([2.5, 3.0, 7.0, 0.75])
-    out.append(psi_integral_mean_ineq(0, s, t, p=-1.0, q=0.0))
-    # ... and along the chain's own pairs s = 2t^2/((2t+1)ln(2t+1)) < t,
-    # whose p = -2 lower point is exactly the chain's sqrt evaluation point
-    ts = np.geomspace(1e-2, 1e2, 100)
-    w = (2.0 * ts + 1.0) * libm(math.log1p, 2.0 * ts)
-    out.append(psi_integral_mean_ineq(1, np.concatenate([s, 2.0 * ts * ts / w]),
-                                      np.concatenate([t, ts]), p=-2.0, q=-1.0))
-
-    # rational upper bound for ln(1+t)
-    out.append(log_upper_bound_ineq(np.geomspace(1e-2, 1e3, 200)))
-
-    # closed-form derivatives against central finite differences
-    fd_cases = (
-        (1, 1.0, 0.0, 1.0, 1e-5),
-        (2, 2.0, 1.0, 3.0, 1e-4),
-        (3, 0.5, -0.5, 2.0, 1e-4),
-        (4, 1.5, 0.0, 5.0, 1e-3),
-        (1, 0.0, 0.0, 10.0, 1e-5),
-        (2, 1.0, 4.0, 0.5, 1e-4),
-    )
-    residuals = finite_diff_crosschecks([(k, HParams(alpha, y), x, step)
-                                         for k, alpha, y, x, step in fd_cases])
-    for (k, alpha, y, x, step), residual in zip(fd_cases, residuals):
-        out.append(one_sided(
-            "logh_derivative_matches_finite_difference",
-            (("k", k), ("alpha", alpha), ("y", y), ("x", x),
-             ("step", step), ("residual", residual)),
-            residual, 1e-6, strict=False))
-    return CheckTable.concat(out)
+    return worked_checks()
 
 
 def selftest_fault(k_max: int, points: int, x_max: float) -> list[CheckResult]:

@@ -2,9 +2,11 @@
 each module's ``__all__`` is the one declaration of its public names, only
 ``errors`` decides what an argument's type may be, importing the CLI loads
 nothing beyond what it needs anyway, a scan loads only the scan path, a
-suite loads the certificate engine and ballvol only if it runs them, the
-records keep their former module paths, and only thm1 loads its sample
-stream, without numpy.random."""
+suite loads the certificate engine, ballvol, the lemma windows and the
+auxiliary chain only if it runs them, a call compiles no part it does not
+run and at most its ceiling of source lines, every moved name keeps its
+former module path, and only thm1 loads its sample stream, without
+numpy.random."""
 
 from __future__ import annotations
 
@@ -133,6 +135,13 @@ def test_cli_import_adds_only_gammacert_modules():
     assert "gammacert._numtext" not in added
 
 
+def test_cli_import_loads_only_the_report_path():
+    assert _fresh("import sys, gammacert.cli\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('gammacert')))") == [
+        "gammacert", "gammacert.checks", "gammacert.cli", "gammacert.errors",
+        "gammacert.report"]
+
+
 #: What a scan never runs: the check catalogue, the suites that use it and
 #: the check rows' number-text kernel.
 NOT_SCANNED = ("gammacert.ballvol", "gammacert.ineq", "gammacert.means", "gammacert.suites",
@@ -193,8 +202,73 @@ def test_certificate_free_calls_load_no_engine_and_no_json(statements):
 def test_a_suite_loads_the_engine_and_ballvol_only_if_it_runs_them(suite):
     loaded = _loaded_after("import gammacert.cli as cli; assert cli.main("
                            f"['verify', '--suite', '{suite}', '--format', 'csv']) == 0")
-    assert ("gammacert.certify" in loaded) == (suite in ("thm1", "thm3", "aux", "all"))
+    assert ("gammacert.certify" in loaded) == (suite in ("thm1", "thm3", "all"))
     assert ("gammacert.ballvol" in loaded) == (suite in ("ball", "all"))
+    assert ("gammacert.psiwindows" in loaded) == (suite in ("lemmas", "all"))
+    assert ("gammacert.auxchain" in loaded) == (suite in ("aux", "all"))
+    assert ("gammacert.records" in loaded) == (suite in ("thm1", "thm3", "aux", "all"))
+    # a CSV report holds no JSON text
+    assert "gammacert._jsontext" not in loaded
+
+
+#: The call of each catalogue suite as CSV.
+CSV_CALL = ("import gammacert.cli as cli; "
+            "assert cli.main(['verify', '--suite', '{}', '--format', 'csv']) == 0")
+SCAN_CALL = ("import gammacert.cli as cli; "
+             "assert cli.main(['scan', '--alpha=0:2:0.5', '--y=0:0:1']) == 0")
+
+#: A name that each part of the package defines, in whichever module holds
+#: it: the certificate and scan records, the JSON text, the certificate
+#: engine, the h family, the check catalogue, the lemma windows and the
+#: auxiliary chain (with the finite-difference cross-check).
+RECORDS, JSON_TEXT, ENGINE, H_FAMILY, CATALOGUE, WINDOWS, AUX_CHAIN = (
+    "ScanCell", "_check_texts", "certify_lcm", "logh_deriv_table", "thm2_ineq",
+    "lemma_windows", "finite_diff_crosschecks")
+NOT_CATALOGUED = (RECORDS, JSON_TEXT, ENGINE, H_FAMILY, AUX_CHAIN)
+
+
+@pytest.mark.parametrize("call,absent", [
+    ("import gammacert.cli",
+     (RECORDS, JSON_TEXT, ENGINE, H_FAMILY, CATALOGUE, WINDOWS, AUX_CHAIN)),
+    (CSV_CALL.format("lemmas"), NOT_CATALOGUED),
+    (CSV_CALL.format("thm2"), (*NOT_CATALOGUED, WINDOWS)),
+    (CSV_CALL.format("ball"), (*NOT_CATALOGUED, WINDOWS)),
+    (CSV_CALL.format("aux"), (JSON_TEXT, ENGINE, WINDOWS)),
+    (SCAN_CALL, (CATALOGUE, WINDOWS, AUX_CHAIN)),
+], ids=["import", "lemmas", "thm2", "ball", "aux", "scan"])
+def test_a_call_compiles_no_part_that_it_does_not_run(call, absent):
+    defined = _fresh("import contextlib, io, sys\n"
+                     "with contextlib.redirect_stdout(io.StringIO()), "
+                     "contextlib.redirect_stderr(io.StringIO()):\n"
+                     f"    {call}\n"
+                     f"names = {absent!r}\n"
+                     "print(*sorted({n for m, module in list(sys.modules.items())\n"
+                     "               if m.startswith('gammacert') for n in names\n"
+                     "               if n in vars(module)}))")
+    assert defined == []
+
+
+#: Most gammacert source lines that each call may compile: 85% of what it
+#: compiled while the records, the JSON text, the lemma windows and the
+#: auxiliary chain loaded with the modules that now load them on first use
+#: (1,881 lines for the import, 3,133 for lemmas and thm2, 3,269 for ball
+#: and 3,937 for aux).
+LINE_CEILINGS = {"import gammacert.cli": 1_599, CSV_CALL.format("lemmas"): 2_663,
+                 CSV_CALL.format("thm2"): 2_663, CSV_CALL.format("ball"): 2_778,
+                 CSV_CALL.format("aux"): 3_346}
+
+
+@pytest.mark.parametrize("call", list(LINE_CEILINGS),
+                         ids=["import", "lemmas", "thm2", "ball", "aux"])
+def test_a_call_compiles_at_most_its_ceiling_of_source_lines(call):
+    [lines] = _fresh("import contextlib, io, sys\n"
+                     "with contextlib.redirect_stdout(io.StringIO()), "
+                     "contextlib.redirect_stderr(io.StringIO()):\n"
+                     f"    {call}\n"
+                     "files = [m.__file__ for n, m in list(sys.modules.items())\n"
+                     "         if n.startswith('gammacert')]\n"
+                     "print(sum(len(open(f, encoding='utf-8').readlines()) for f in files))")
+    assert int(lines) <= LINE_CEILINGS[call]
 
 
 def test_cli_certify_lcm_loads_certify_when_read():
@@ -206,21 +280,44 @@ def test_cli_certify_lcm_loads_certify_when_read():
         importlib.import_module("gammacert.cli").no_such_name  # noqa: B018
 
 
-#: The records that gammacert.checks holds, by the modules that held them before.
-FORMER_PATHS = {
-    "certify": ("Certificate", "Classification", "DEFAULT_K_MAX", "DEFAULT_POINTS",
-                "DEFAULT_X_MAX", "Direction", "GridSpec", "ScanCell", "Verdict"),
-    "hfamily": ("DerivSample", "HParams"),
-}
+#: Every moved name: (the module that held it, the name, the module that holds it).
+FORMER_PATHS = (
+    *(("certify", name, "records") for name in (
+        "Certificate", "Classification", "Direction", "GridSpec", "ScanCell", "Verdict")),
+    *(("certify", name, "checks") for name in ("DEFAULT_K_MAX", "DEFAULT_POINTS",
+                                               "DEFAULT_X_MAX")),
+    *(("certify", name, "auxchain") for name in ("finite_diff_crosscheck",
+                                                 "finite_diff_crosschecks")),
+    *(("hfamily", name, "records") for name in ("DerivSample", "HParams")),
+    *(("checks", name, "records") for name in (
+        "Certificate", "Classification", "DerivSample", "Direction", "GridSpec", "HParams",
+        "ScanCell", "Verdict")),
+    *(("ineq", name, "psiwindows") for name in (
+        "lemma_windows", "polygamma_bounds", "psi_log_bounds", "psi_upper_refinement")),
+    *(("ineq", name, "auxchain") for name in (
+        "AuxFn", "CHAIN_SUP", "aux_eval", "qcub_root", "suffice_chain")),
+)
 
 
 def test_the_records_keep_their_former_paths():
-    checks = importlib.import_module("gammacert.checks")
-    for module, names in FORMER_PATHS.items():
+    for module, name, owner in FORMER_PATHS:
         former = importlib.import_module(f"gammacert.{module}")
-        for name in names:
-            assert name in checks.__all__ and name not in former.__all__, name
-            assert getattr(former, name) is getattr(checks, name), name
+        holder = importlib.import_module(f"gammacert.{owner}")
+        assert name in holder.__all__ and name not in former.__all__, name
+        assert getattr(former, name) is getattr(holder, name), name
+        assert getattr(gammacert, name) is getattr(holder, name), name
+
+
+@pytest.mark.parametrize("module,name,owner", [
+    ("checks", "Certificate", "records"), ("ineq", "lemma_windows", "psiwindows"),
+    ("ineq", "AuxFn", "auxchain"), ("certify", "finite_diff_crosscheck", "auxchain")])
+def test_a_former_path_loads_the_module_that_holds_the_name_when_read(module, name, owner):
+    assert _fresh(f"import sys, gammacert.{module} as former\n"
+                  f"print('gammacert.{owner}' in sys.modules)\n"
+                  f"from gammacert.{module} import {name}\n"
+                  f"print('gammacert.{owner}' in sys.modules)") == ["False", "True"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module(f"gammacert.{module}").no_such_name  # noqa: B018
 
 
 #: What numpy's seeded sampling loads: thm1 draws from gammacert._pcg64 instead.

@@ -31,3 +31,11 @@ def test_script_writes_its_csv(name, argv, rows, tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == rows + 1  # header
     assert f"wrote {rows} " in capsys.readouterr().out
+
+
+def test_call_modules_tables_what_each_call_loads(capsys):
+    assert _load("call_modules").main([]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 + 7  # header, rule, one row per call
+    # the CLI import loads only the report path
+    assert rows[2].endswith("| gammacert checks cli errors report |")
