@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from gammacert import Direction, default_grid, lcm_certifier
-from gammacert.certify import (
-    DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, in_conjecture_zone)
+from gammacert.certify import in_conjecture_zone
+from gammacert.checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX
 from gammacert.hfamily import reciprocal_threshold
 
 

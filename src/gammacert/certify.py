@@ -31,8 +31,7 @@ Every certificate runs on a GridSpec, log-spaced in u = x + y + 1, with the
 grid defaults (k_max, points, x_max) of ``gammacert.checks``.
 ``gammacert.records`` holds the records this module builds: Certificate,
 ScanCell and their fields.  The finite-difference cross-check lives in
-``gammacert.auxchain``, with the aux suite that runs it; its former paths
-here (``certify.finite_diff_crosscheck(s)``) load that module when read.
+``gammacert.auxchain``, with the aux suite that runs it.
 """
 
 from __future__ import annotations
@@ -79,14 +78,6 @@ __all__ = [
 #: Violations below this fraction of the local evaluation scale are
 #: inconclusive (counted, never failed).
 NOISE_FLOOR_REL = 1e-9
-
-
-def __getattr__(name: str):
-    if name in ("finite_diff_crosscheck", "finite_diff_crosschecks"):  # their former path
-        from . import auxchain
-
-        return getattr(auxchain, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _two_sided_x_max(x_max):

@@ -9,8 +9,7 @@ indexed or iterated.  ``gammacert.ineq`` builds both.
 
 The DEFAULT_* constants below are the defaults of every certificate grid,
 the one place the package and the CLI take them from.  The certificate and
-scan records live in ``gammacert.records``; their former paths here
-(``checks.Certificate``, ...) load that module when they are read.
+scan records live in ``gammacert.records``.
 
 Reports and the CLI read every check record without loading the check
 catalogue.  input_pairs and number are the check records' input rule, which
@@ -35,23 +34,11 @@ __all__ = [
     "DEFAULT_X_MAX",
 ]
 
-#: The records that gammacert.records holds, readable here as before.
-_RECORDS = ("Certificate", "Classification", "DerivSample", "Direction", "GridSpec",
-            "HParams", "ScanCell", "Verdict")
-
 #: Defaults of every certificate grid: highest derivative order, grid points
 #: and upper end x_max.
 DEFAULT_K_MAX = 8
 DEFAULT_POINTS = 200
 DEFAULT_X_MAX = 1e3
-
-
-def __getattr__(name: str):
-    if name in _RECORDS:  # a record's former path
-        from . import records
-
-        return getattr(records, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CheckFields(NamedTuple):

@@ -44,7 +44,7 @@ from .errors import (
     require_type, require_y)
 from .gammakit import (  # noqa: F401  (polygamma unused; perfbench/test_perfbench.py reads it)
     MAX_DERIV_ORDER, check_order, digamma, gamma_table, libm, lngamma, polygamma)
-from .records import DerivSample, HParams  # noqa: F401  (DerivSample: its former path)
+from .records import HParams
 
 __all__ = [
     "DerivTable",

@@ -6,9 +6,7 @@ a CheckResult carrying both sides, the margin, and the verdict; a grid of
 inputs gives a CheckTable, the same rows held as columns (both records live
 in ``gammacert.checks``).  The digamma / polygamma windows of the lemma suite
 live in ``gammacert.psiwindows`` and the auxiliary functions of the chained
-sufficiency argument in ``gammacert.auxchain``; their former paths here
-(``ineq.lemma_windows``, ``ineq.AuxFn``, ...) load those modules when they
-are read.  Conventions:
+sufficiency argument in ``gammacert.auxchain``.  Conventions:
 
 - For a one-sided claim ``lhs < rhs``, margin = rhs - lhs.
 - For a two-sided claim ``lower < mid < upper``, lhs/rhs store lower/upper,
@@ -51,14 +49,6 @@ __all__ = [
     "two_sided_rows",
 ]
 
-#: The names that moved out of this module, by the module that holds them.
-_MOVED = {
-    **dict.fromkeys(("lemma_windows", "polygamma_bounds", "psi_log_bounds",
-                     "psi_upper_refinement"), "psiwindows"),
-    **dict.fromkeys(("AuxFn", "CHAIN_SUP", "aux_eval", "qcub_root", "suffice_chain"),
-                    "auxchain"),
-}
-
 #: Relative width of the floating-noise band around zero margin.
 NOISE_REL = 1e-14
 
@@ -67,14 +57,6 @@ NOISE_REL = 1e-14
 #: about eps*ln(1/t): against mpmath the margin's relative error is 3e-3 at
 #: t = 1e-4 and 0.7 at 1e-5, and below 1e-6 the verdict itself goes wrong.
 THM2_T_MIN = 1e-4
-
-
-def __getattr__(name: str):
-    if name in _MOVED:  # a moved name's former path
-        from importlib import import_module
-
-        return getattr(import_module(f"{__package__}.{_MOVED[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def one_sided(name, inputs, lhs, rhs, strict=True) -> CheckResult:

@@ -54,7 +54,9 @@ from gammacert.gammakit import (
     _poly_coefs, check_order)
 from gammacert.hfamily import (
     DerivTable, _shifted_arguments, lcm_threshold, reciprocal_threshold)
-from gammacert.ineq import CHAIN_SUP, AuxFn, CheckResult, one_sided, two_sided
+from gammacert.auxchain import CHAIN_SUP, AuxFn
+from gammacert.checks import CheckResult
+from gammacert.ineq import one_sided, two_sided
 from gammacert.means import BRANCH_TOL, DIAGONAL_REL_TOL
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ import gammacert.certify as certify_module
 from gammacert.certify import NOISE_FLOOR_REL
 from gammacert.cli import build_suite
 from gammacert.hfamily import (
-    X_EPSILON, DerivSample, DerivTable, lcm_threshold, logh_deriv_table,
-    reciprocal_threshold)
+    X_EPSILON, DerivTable, lcm_threshold, logh_deriv_table, reciprocal_threshold)
+from gammacert.records import DerivSample
 from gammacert.suites import NECESSITY_YS, SUFFICIENCY_DELTAS, SUFFICIENCY_YS, THM3_YS
 
 FAST_GRID = GridSpec(x_min_offset=1e-4, x_max=100.0, points=60)

@@ -27,7 +27,8 @@ from gammacert import (
 )
 from gammacert import hfamily
 from gammacert.hfamily import (
-    ENDPOINT_CLEARANCE, X_EPSILON, DerivSample, lcm_threshold, reciprocal_threshold)
+    ENDPOINT_CLEARANCE, X_EPSILON, lcm_threshold, reciprocal_threshold)
+from gammacert.records import DerivSample
 
 PARAM_SETS = [
     (1.0, 0.0),

@@ -37,7 +37,7 @@ from gammacert import (
     to_jsonable,
 )
 from gammacert.certify import in_conjecture_zone
-from gammacert.hfamily import DerivSample
+from gammacert.records import DerivSample
 
 PARAMS = HParams(alpha=0.5, y=1.0)
 GRID = GridSpec(x_min_offset=1e-4, x_max=10.0, points=5)

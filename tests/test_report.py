@@ -34,10 +34,10 @@ from gammacert import (
     two_sided_rows,
 )
 from gammacert import _numtext
-from gammacert.certify import Classification, scan_values
+from gammacert.certify import scan_values
 from gammacert.cli import build_suite
 from gammacert.errors import ParameterError, PrecisionError
-from gammacert.hfamily import DerivSample
+from gammacert.records import Classification, DerivSample
 
 
 def _reference(obj):

@@ -28,7 +28,8 @@ from gammacert import (
     CapabilityError, CheckTable, Direction, DomainError, GridSpec, HParams, ParameterError,
     PrecisionError, X_EPSILON, certify_lcm, finite_diff_crosscheck, finite_diff_crosschecks,
     hfamily, lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
-from gammacert.certify import DEFAULT_POINTS, default_grid, grid_points
+from gammacert.certify import default_grid, grid_points
+from gammacert.checks import DEFAULT_POINTS
 from gammacert.errors import log_grid
 from gammacert.gammakit import (
     MAX_DERIV_ORDER, digamma, gamma_rows, gamma_table, lngamma, polygamma)
