@@ -36,12 +36,17 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--suite", s, "--format", f) for s in SUITES for f in ("json", "csv")),
     *(("verify", "--suite", "all", "--grid-points", "173", "--x-max", "1500",
        "--format", f) for f in ("json", "csv")),
-    # the largest verify-all op of the benchmark
+    # the smallest and the largest verify-all op of the benchmark
+    ("verify", "--suite", "all", "--grid-points", "150", "--x-max", "500",
+     "--format", "json"),
     ("verify", "--suite", "all", "--grid-points", "250", "--x-max", "2000",
      "--format", "json"),
-    # the lemma grid at the size and range of the benchmark's catalog ops
+    # the lemma grid at the size and range of the benchmark's catalog ops, and
+    # its largest op: 20,400 rows, ten blocks of the CSV writer
     *(("verify", "--suite", "lemmas", "--grid-points", "1000", "--x-max", "1999.5",
        "--format", f) for f in ("json", "csv")),
+    ("verify", "--suite", "lemmas", "--grid-points", "1200", "--x-max", "1999.5",
+     "--format", "csv"),
     # a lemma grid past polygamma(1, .)'s range: the error of its first bad point
     ("verify", "--suite", "lemmas", "--x-max", "1e120", "--format", "csv"),
     # a higher order fails first in x, a lower order first in family order

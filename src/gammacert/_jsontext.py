@@ -9,7 +9,7 @@ this module loads, with json, on the first of those calls.  Rules:
   joins the head, the results' parts and the tail once.  Certificates and
   scan cells each fill one template.  Check tables, most of a verify
   report, are written from their columns BLOCK_ROWS (2,048) rows at a
-  time: one word matrix per block, whose text comes from a table with one
+  time: one record array per block, whose text comes from a table with one
   row per (key, holds, within) and whose numbers come from the column
   formatter of gammacert._numtext;
 - parse_text is that text parsed back (json.loads), so the schema is
@@ -113,12 +113,13 @@ def _check_texts(table: CheckTable) -> list[str]:
     """JSON text of the table's rows, each followed by ", ", one string per
     block of BLOCK_ROWS (2,048) rows.
 
-    A block is one word matrix, rows in table order, as wide as the table's
-    widest key: text segments from a table with one row per (key, holds,
-    within), numbers from the shortest round-trip formatter, and ABSENT in
-    the input slots that a row's key does not fill.
+    A block is one record array, a record per row in table order, with a
+    field per text segment and per number slot, as many slots as the
+    table's widest key has inputs: segments from a table with one row per
+    (key, holds, within), numbers from the shortest round-trip formatter,
+    and ABSENT in the input slots that a row's key does not fill.
     """
-    from ._numtext import ABSENT, BLOCK_ROWS, json_number_words, text_words
+    from ._numtext import ABSENT, BLOCK_ROWS, SLOT, json_number_words, text_items
 
     if not len(table):
         return []
@@ -136,25 +137,30 @@ def _check_texts(table: CheckTable) -> list[str]:
         segments.append(words[:n] + [""] * (width - n) + words[n:])
     segment_row = np.zeros_like(status)
     segment_row[present] = np.arange(present.size)
-    segments = [text_words(column) for column in zip(*segments)]
+    # a row's fields: each segment, and after each but the last a number slot
+    # (the inputs, then lhs, rhs and margin)
+    segments = [text_items(column) for column in zip(*segments)]
+    layout = np.dtype([(f"{kind}{j}", column.dtype if kind == "s" else SLOT)
+                       for j, column in enumerate(segments) for kind in "sn"][:-1])
     used = np.arange(width) < counts[table.key][:, None]
     texts = []
     for start in range(0, len(table), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         size = len(used[rows])
-        seg = [words[segment_row[combo[rows]]] for words in segments]
-        numbers = json_number_words(np.concatenate([
-            table.lhs[rows], table.rhs[rows], table.margin[rows],
-            table.values[rows, :width][used[rows]]]))
-        args = np.full((size, width, 6), np.iinfo(np.uint64).max, np.uint64)  # ABSENT
-        args[used[rows]] = numbers[3 * size:]
-        cols = []
-        for j in range(width):
-            cols += [seg[j], args[:, j]]
-        cols += [seg[width], numbers[:size], seg[width + 1], numbers[size:2 * size],
-                 seg[width + 2], numbers[2 * size:3 * size], seg[width + 3]]
-        texts.append(np.concatenate(cols, axis=1).tobytes().translate(None, ABSENT)
-                     .decode("ascii"))
+        filled = np.concatenate([used[rows].T, np.ones((3, size), bool)])  # by slot
+        numbers = json_number_words(np.concatenate(
+            [table.values[rows, :width], table.lhs[rows, None], table.rhs[rows, None],
+             table.margin[rows, None]], axis=1).T[filled])
+        block = np.empty(size, layout)
+        row = segment_row[combo[rows]]
+        for j, column in enumerate(segments):
+            block[f"s{j}"] = column[row]
+        bounds = np.cumsum([0, *filled.sum(axis=1)]).tolist()
+        for j, (rows_filled, first, stop) in enumerate(zip(filled, bounds, bounds[1:])):
+            slot = block[f"n{j}"]
+            slot[~rows_filled] = np.void(ABSENT * SLOT.itemsize)
+            slot[rows_filled] = numbers[first:stop]
+        texts.append(block.tobytes().translate(None, ABSENT).decode("ascii"))
     return texts
 
 

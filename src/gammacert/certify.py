@@ -44,8 +44,9 @@ import numpy as np
 
 from .checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX
 from .errors import (
-    CapabilityError, DomainError, ParameterError, PrecisionError, as_grid, first_bad_point,
-    integer_in, is_finite, log_grid, real_points, require_all, require_type, require_y)
+    PACKAGE_ERRORS, CapabilityError, DomainError, ParameterError, PrecisionError, as_grid,
+    first_bad_point, integer_in, is_finite, log_grid, real_points, require_all, require_type,
+    require_y)
 from .gammakit import MAX_DERIV_ORDER
 from .hfamily import (
     ENDPOINT_CLEARANCE,
@@ -57,6 +58,7 @@ from .hfamily import (
     q_surface_table,
     reciprocal_threshold,
     stacked,
+    threshold_surface,
 )
 from .records import (
     Certificate, Classification, DerivSample, Direction, GridSpec, HParams, ScanCell, Verdict)
@@ -148,26 +150,32 @@ def _alpha_cuts(table: DerivTable) -> np.ndarray:
     return cuts
 
 
-def _cut_tables(ys, k_max: int, grids
-                ) -> list[tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]]:
+def _cut_tables(ys, k_max: int, grids, limit_ys=()
+                ) -> tuple[list[tuple[GridSpec, np.ndarray, DerivTable, np.ndarray]], list]:
     """Setup shared by every certificate.  For each y and its grid
     (default_grid(y) for None), validated in turn with k_max: the grid, its
     abscissae xs, the derivative table and its _alpha_cuts.  The tables are
-    blocks of one logh_deriv_table stacked over the ys."""
+    blocks of one logh_deriv_table stacked over the ys.  The stack also
+    holds the probes of necessity_limits(limit_ys), after every grid's
+    columns, and their pairs come second; no certificate reads their cuts."""
     setups = []
     for y, grid in zip(ys, grids):
         y, k = require_y(y), integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER)
         grid = default_grid(y) if grid is None else require_type(grid, GridSpec, "grid")
         setups.append((y, grid, grid_points(grid, y)))
     if not setups:
-        return []
+        return [], []
     valid_ys, _, xss = zip(*setups)
     sizes = [xs.size for xs in xss]
-    table = logh_deriv_table(k, stacked(valid_ys, sizes), np.concatenate(xss))
+    probes = [_limit_xs(np.array(limit_ys, float))] if limit_ys else []
+    table = logh_deriv_table(k, stacked([*valid_ys, *limit_ys], [*sizes, *[2] * len(limit_ys)]),
+                             np.concatenate([*xss, *probes]))
     cuts = _alpha_cuts(table)
     stops = accumulate(sizes)
+    blocks = table.blocks(sizes + [xs.size for xs in probes])
+    limits = _limit_pairs(threshold_surface(blocks[-1])) if probes else []
     return [(grid, xs, block, cuts[..., stop - xs.size:stop])
-            for (_, grid, xs), block, stop in zip(setups, table.blocks(sizes), stops)]
+            for (_, grid, xs), block, stop in zip(setups, blocks, stops)], limits
 
 
 @first_bad_point
@@ -186,14 +194,27 @@ def lcm_certifier(y, k_max: int = DEFAULT_K_MAX, grid=None):
     """
     ys, grids = as_grid(y), as_grid(grid)
     if ys is None and grids is None:
-        return _certifier(k_max, *_cut_tables([y], k_max, [grid])[0])
+        return _certifier(k_max, *_cut_tables([y], k_max, [grid])[0][0])
     if ys is None:
         ys = [y] * len(grids)
     elif grids is None:
         grids = [grid] * len(ys)
     elif len(grids) != len(ys):
         raise ParameterError(f"grid must be None, a GridSpec or one per y, got {grid!r}")
-    return [_certifier(k_max, *setup) for setup in _cut_tables(ys, k_max, grids)]
+    return [_certifier(k_max, *setup) for setup in _cut_tables(ys, k_max, grids)[0]]
+
+
+def certifiers_with_limits(ys, k_max: int, grids, limit_ys):
+    """(lcm_certifier(ys, k_max, grids), necessity_limits(limit_ys)) from one
+    table: the probes are columns of the certifiers' stacked table.  For the
+    thm1 suite (package-internal); ys and grids are lists, and a bad one
+    raises what lcm_certifier raises."""
+    try:
+        setups, limits = _cut_tables(ys, k_max, grids, limit_ys)
+    except PACKAGE_ERRORS:
+        lcm_certifier(ys, k_max, grids)  # raises what the first bad y raises alone
+        raise
+    return [_certifier(k_max, *setup) for setup in setups], limits
 
 
 def _certifier(k_max: int, grid: GridSpec, xs: np.ndarray, table: DerivTable,
@@ -238,7 +259,7 @@ def grid_cuts(y: float, k_max: int = DEFAULT_K_MAX, grid: GridSpec | None = None
     lcm_certifier(y, k_max, grid) FAILs iff alpha <= alpha_lcm, and
     certify(alpha, RECIPROCAL) FAILs iff alpha >= alpha_rec.
     """
-    [(_, xs, _, cuts)] = _cut_tables([y], k_max, [grid])
+    [(_, xs, _, cuts)], _ = _cut_tables([y], k_max, [grid])
     lcm, rec = int(cuts[0].argmax()), int(cuts[1].argmin())
     return tuple((float(cut.flat[i]), i // xs.size + 1, float(xs[i % xs.size]))
                  for cut, i in ((cuts[0], lcm), (cuts[1], rec)))
@@ -263,10 +284,19 @@ def necessity_limits(y):
     one table.
     """
     ys = real_points(y, "y", require_y)
-    c = ys + 1.0
-    xs = np.stack([-c + 1e-6 * c, np.full_like(c, 1e6)], axis=1).ravel()
-    pairs = list(map(tuple, alpha_necessary_bound(xs, np.repeat(ys, 2)).reshape(-1, 2).tolist()))
+    pairs = _limit_pairs(alpha_necessary_bound(_limit_xs(ys), np.repeat(ys, 2)))
     return pairs[0] if np.ndim(y) == 0 else pairs
+
+
+def _limit_xs(ys: np.ndarray) -> np.ndarray:
+    """The abscissae of necessity_limits' probes: x = -(y+1) + 1e-6*(y+1),
+    then x = 1e6, for each y in turn."""
+    c = ys + 1.0
+    return np.stack([-c + 1e-6 * c, np.full_like(c, 1e6)], axis=1).ravel()
+
+
+def _limit_pairs(bounds: np.ndarray) -> list[tuple[float, float]]:
+    return list(map(tuple, bounds.reshape(-1, 2).tolist()))
 
 
 @first_bad_point
@@ -379,7 +409,7 @@ def scan_values(alphas, ys, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
     require_all(np.isfinite(alphas), DomainError, "alpha must be finite, got {!r}", alphas)
     cells: list[ScanCell] = []
     for y in ys.tolist():
-        [(_, _, _, cuts)] = _cut_tables(
+        [(_, _, _, cuts)], _ = _cut_tables(
             [y], k_max, [default_grid(y, points=points, x_max=x_max)])
         lcm_pass = alphas > cuts[0].max()
         rec_pass = alphas < cuts[1].min()

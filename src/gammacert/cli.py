@@ -98,23 +98,24 @@ def _check_lines(table: CheckTable) -> list[str]:
     """The table's lines, one string per block of BLOCK_ROWS (2,048) rows:
     "check,name,status," from a table with one row per key and status,
     lhs, rhs and margin each followed by ",", then ",,\n"."""
-    from ._numtext import ABSENT, BLOCK_ROWS, TEXT, number_words, text_words, words
+    from ._numtext import ABSENT, BLOCK_ROWS, SLOT, TEXT, number_words, text_items
 
     if not len(table):
         return []
-    heads = text_words(["check,%s,%s," % (name, status) for name, _, _ in table.keys
+    heads = text_items(["check,%s,%s," % (name, status) for name, _, _ in table.keys
                         for status in CheckTable.STATUSES])
     head_row = len(CheckTable.STATUSES) * table.key + table.statuses()
-    tail = words([b",,\n"], 8)  # empty alpha, y, verdict
+    layout = np.dtype([("head", heads.dtype), ("numbers", SLOT, (3,)), ("tail", "V3")])
     lines = []
     for start in range(0, len(table), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        size = table.lhs[rows].size
-        numbers = number_words(np.concatenate([
-            table.lhs[rows], table.rhs[rows], table.margin[rows]])).reshape(3, size, 6)
-        mat = np.concatenate([heads[head_row[rows]], *numbers,
-                              np.broadcast_to(tail, (size, 1))], axis=1)
-        lines.append(mat.tobytes().translate(None, ABSENT).decode(*TEXT))
+        block = np.empty(table.lhs[rows].size, layout)
+        block["head"] = heads[head_row[rows]]
+        block["numbers"] = number_words(np.stack([table.lhs[rows], table.rhs[rows],
+                                                  table.margin[rows]], axis=1).ravel()
+                                        ).reshape(-1, 3)
+        block["tail"] = np.void(b",,\n")  # empty alpha, y, verdict
+        lines.append(block.tobytes().translate(None, ABSENT).decode(*TEXT))
     return lines
 
 
@@ -128,7 +129,8 @@ def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable).
 
     Each check table is written straight from its columns, BLOCK_ROWS
-    (2,048) rows at a time as one matrix of lines; each certificate by "%".
+    (2,048) rows at a time as one record array of lines; each certificate
+    by "%".
     """
     parts = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict\n"]
     for run in Results.of(report.results).runs:

@@ -326,9 +326,15 @@ def alpha_necessary_bound(x, y: float):
     xs, y = real_points(x, "x"), _y_points(y, require_real)
     require_all(xs != 0.0, DomainError,
                 "alpha_necessary_bound is undefined at x = 0 (removable singularity)")
-    values, _ = logh_deriv_table(1, y, xs)(0.0)
-    bounds = (xs + y + 1.0) * values[0]
+    bounds = threshold_surface(logh_deriv_table(1, y, xs))
     return float(bounds[0]) if np.ndim(x) == 0 else bounds
+
+
+def threshold_surface(table: DerivTable) -> np.ndarray:
+    """B(x, y) at each column of a derivative table of any order: u times
+    its order-1 value at alpha = 0 (the one body of alpha_necessary_bound)."""
+    values, _ = table(0.0)
+    return table.u_pow[0] * values[0]
 
 
 @first_bad_point

@@ -110,15 +110,17 @@ def _ratio_points(count: int, seed: int) -> tuple[tuple[float, ...], ...]:
 
 
 def thm1(k_max: int, points: int, x_max: float) -> list:
-    from .certify import default_grid, lcm_certifier, necessity_limits
+    from .certify import certifiers_with_limits, default_grid
     from .hfamily import lcm_threshold, reciprocal_threshold
     from .records import Direction
 
     out: list = []
-    # one table for every y; the necessity cells reuse the sufficiency certifiers
-    certifiers = dict(zip(SUFFICIENCY_YS, lcm_certifier(
+    # one table for every y and the limit probes; the necessity cells reuse
+    # the sufficiency certifiers
+    certify_each, limits = certifiers_with_limits(
         SUFFICIENCY_YS, k_max,
-        [default_grid(y, points=points, x_max=x_max) for y in SUFFICIENCY_YS])))
+        [default_grid(y, points=points, x_max=x_max) for y in SUFFICIENCY_YS], LIMIT_YS)
+    certifiers = dict(zip(SUFFICIENCY_YS, certify_each))
     for y, certify in certifiers.items():
         for delta in SUFFICIENCY_DELTAS:
             out.append(certify(lcm_threshold(y) + delta, Direction.LCM))
@@ -126,7 +128,7 @@ def thm1(k_max: int, points: int, x_max: float) -> list:
     for y in NECESSITY_YS:
         cert = certifiers[y](lcm_threshold(y) - 0.1, Direction.LCM)
         out.append(_expected_failure_check(cert))
-    for y, (inner, tail) in zip(LIMIT_YS, necessity_limits(LIMIT_YS)):
+    for y, (inner, tail) in zip(LIMIT_YS, limits):
         for name, estimate, target, tol in (
                 ("alpha_threshold_left_endpoint_limit", inner, 1.0 / (y + 1.0), 1e-2),
                 ("alpha_threshold_tail_limit", tail, 1.0, 1e-3)):

@@ -12,7 +12,8 @@ every error its type and message.
 A table stacked over several ys (one y per x) is held to the one-y tables
 of its blocks, and the certificate entries on a grid of ys to their one-y
 calls, in the same way; a batch that fails raises what its first failing y
-raises alone.
+raises alone.  thm1 builds one table, whose last columns are its limit
+probes, and its limit rows are necessity_limits' own.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from hypothesis import example, given, settings, strategies as st
 import _referee as referee
 from gammacert import (
     CapabilityError, CheckTable, Direction, DomainError, GridSpec, HParams, ParameterError,
-    PrecisionError, X_EPSILON, certify_lcm, finite_diff_crosscheck, finite_diff_crosschecks,
-    hfamily, lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
+    PrecisionError, X_EPSILON, certify, certify_lcm, finite_diff_crosscheck,
+    finite_diff_crosschecks, hfamily, lcm_certifier, lemma_windows, necessity_limits, verify_thm3)
 from gammacert.certify import default_grid, grid_points
 from gammacert.checks import DEFAULT_POINTS
+from gammacert.cli import build_suite
 from gammacert.errors import log_grid
 from gammacert.gammakit import (
     MAX_DERIV_ORDER, digamma, gamma_rows, gamma_table, lngamma, polygamma)
+from gammacert.ineq import one_sided
+from gammacert.suites import LIMIT_YS
 
 ERRORS = (CapabilityError, DomainError, ParameterError, PrecisionError)
 
@@ -309,6 +313,37 @@ def test_batched_surfaces_and_limits_are_the_one_y_calls():
     assert repr(necessity_limits(ys)) == repr([necessity_limits(y) for y in ys])
     assert verify_thm3([]) == necessity_limits(np.array([])) == lcm_certifier([]) == []
     assert lcm_certifier((), 8, GridSpec(1e-3, 5.0, 4)) == lcm_certifier(np.array([])) == []
+
+
+def _row_bits(row):
+    return (row.name, [(label, float(v).hex()) for label, v in row.inputs], row.lhs.hex(),
+            row.rhs.hex(), row.margin.hex(), row.holds, row.strict)
+
+
+@pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (12, 200, 1e3),
+                                                 (1, 2, 1e3), (3, 57, 80.0)])
+def test_thm1_takes_its_limit_probes_from_the_certifiers_table(monkeypatch, k_max, points,
+                                                                x_max):
+    calls = []
+    table = hfamily.logh_deriv_table
+
+    def counted(*args):
+        calls.append(args[0])
+        return table(*args)
+
+    for module in (hfamily, certify):  # the surfaces' calls and the certifiers'
+        monkeypatch.setattr(module, "logh_deriv_table", counted)
+    rows = [row for row in build_suite("thm1", k_max, points, x_max)
+            if getattr(row, "name", "").startswith("alpha_threshold_")]
+    assert calls == [k_max]  # one table: the certifiers' stack holds the probes
+    monkeypatch.undo()
+    expected = [one_sided(name, (("y", y), ("estimate", estimate), ("target", target),
+                                 ("tolerance", tol)), abs(estimate - target), tol, strict=False)
+                for y, (inner, tail) in zip(LIMIT_YS, necessity_limits(LIMIT_YS), strict=True)
+                for name, estimate, target, tol in (
+                    ("alpha_threshold_left_endpoint_limit", inner, 1.0 / (y + 1.0), 1e-2),
+                    ("alpha_threshold_tail_limit", tail, 1.0, 1e-3))]
+    assert [_row_bits(row) for row in rows] == [_row_bits(row) for row in expected]
 
 
 _FD_CELLS = [(1, HParams(1.0, 0.0), 1.0, 1e-5), (2, HParams(2.0, 1.0), 3.0, 1e-4),
