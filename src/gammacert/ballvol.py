@@ -16,12 +16,16 @@ from .checks import CheckResult, CheckTable
 from .errors import (
     CapabilityError, DomainError, as_grid, as_integer, first_bad_point, is_finite)
 from .gammakit import libm, lngamma
-from .ineq import one_sided_rows, two_sided_rows
+from .ineq import one_sided_stack, stack_table, two_sided_rows, two_sided_stack
 
 __all__ = ["ball_ratio_checks", "log_omega", "omega", "recurrence_check"]
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _LOG_2 = math.log(2.0)
+_WINDOW = ("n", "log_scale", "mid")
+_KEYS = (("ball_ratio_skip2_window", _WINDOW, True), ("ball_ratio_adjacent_window", _WINDOW, True),
+         ("ball_sandwich_consecutive", _WINDOW, False),  # its lower side is non-strict
+         ("ball_adjacent_refines_sandwich", ("n", "slack_lower", "slack_upper", "log_scale"), True))
 
 
 # Each function takes one dimension or a 1-D grid of them and evaluates the
@@ -91,32 +95,21 @@ def ball_ratio_checks(n) -> CheckTable:
         log_skip = libm(math.log, (n + 2.0) / (n + 4.0))
         log_adj = libm(math.log, (n + 2.0) / (n + 3.0))
         sandwich_mid = (n / (n + 1.0)) * lo_n1
-        inputs = (("n", n), ("log_scale", 1.0))
-        windows = [
-            two_sided_rows("ball_ratio_skip2_window", inputs, 0.5 * log_skip,
-                           lo_n2 / n2 - lo_n / n, 0.25 * log_skip),
-            two_sided_rows("ball_ratio_adjacent_window", inputs, 0.5 * log_adj,
-                           lo_n1 / n1 - lo_n / n, 0.25 * log_adj),
-            two_sided_rows("ball_sandwich_consecutive", inputs,
-                           _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
-                           0.5 + sandwich_mid, strict_lower=False),
-        ]
         # refinement slacks: refined lower bound above (c)'s lower bound,
         # refined upper bound below (c)'s upper bound
-        above = n > 2.0
-        n, log_adj = n[above], log_adj[above]
         slack_lo = (n / 4.0) * (-log_adj) - (_LOG_2 - _HALF_LOG_PI)
         slack_up = 0.5 - (n / 2.0) * (-log_adj)
-        refines = one_sided_rows(
-            "ball_adjacent_refines_sandwich",
-            (("n", n), ("slack_lower", slack_lo), ("slack_upper", slack_up),
-             ("log_scale", 1.0)),
-            0.0, np.where(slack_up < slack_lo, slack_up, slack_lo))
-    # each dimension's three window rows, then its refinement row if it has one
-    size = above.size
-    order = np.stack([*np.arange(3 * size).reshape(3, size),
-                      np.where(above, 3 * size + np.cumsum(above) - 1, -1)], axis=1).ravel()
-    return CheckTable.concat([*windows, refines], order[order >= 0])
+        log_ratios = np.array([log_skip, log_adj])
+        table = stack_table(_KEYS, [
+            two_sided_stack(np.arange(2)[:, None], [n, 1.0], 0.5 * log_ratios,
+                            np.array([lo_n2 / n2, lo_n1 / n1]) - lo_n / n, 0.25 * log_ratios),
+            two_sided_stack(2, [n, 1.0], _LOG_2 - _HALF_LOG_PI + sandwich_mid, lo_n,
+                            0.5 + sandwich_mid, strict_lower=False),
+            one_sided_stack(3, [n, slack_lo, slack_up, 1.0], 0.0,
+                            np.where(slack_up < slack_lo, slack_up, slack_lo)),
+        ], point_major=True)
+    # each dimension's three window rows, then its refinement row if n > 2
+    return table.take(np.flatnonzero((np.arange(4) < 3) | (n > 2.0)[:, None]))
 
 
 @first_bad_point

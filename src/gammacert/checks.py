@@ -41,6 +41,41 @@ DEFAULT_POINTS = 200
 DEFAULT_X_MAX = 1e3
 
 
+class ValidatedRecord:
+    """Base, before its fields' NamedTuple, of a record whose _make, and so
+    _replace, builds through its constructor's checks (package-internal)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ItemSequence(Sequence):
+    """Base of CheckTable and report.Results (package-internal): == against
+    any sequence and repr as on the list of the items, no hash, and _index,
+    an index as 0 <= i < len or IndexError(OUT_OF_RANGE)."""
+
+    __slots__ = ()
+
+    def _index(self, index) -> int:
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(self.OUT_OF_RANGE)
+        return i % len(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class _CheckFields(NamedTuple):
     name: str
     inputs: tuple[tuple[str, float], ...]
@@ -51,7 +86,7 @@ class _CheckFields(NamedTuple):
     strict: bool
 
 
-class CheckResult(_CheckFields):
+class CheckResult(ValidatedRecord, _CheckFields):
     """One evaluated inequality instance, an immutable named 7-tuple.
 
     For strict checks, holds means margin > noise band; margins inside the
@@ -73,10 +108,6 @@ class CheckResult(_CheckFields):
         return tuple.__new__(cls, (name, inputs, lhs, rhs, margin,
                                    require_type(holds, bool, "holds"),
                                    require_type(strict, bool, "strict")))
-
-    @classmethod
-    def _make(cls, iterable) -> CheckResult:  # _replace builds through it
-        return cls(*iterable)
 
 
 def input_pairs(name, inputs) -> tuple[tuple[str, object], ...]:
@@ -111,15 +142,7 @@ def number(name, value, label: str, side: bool = False) -> float:
     raise PrecisionError(f"check {name!r}: non-finite {what} = {value!r}")
 
 
-def _copy(values, dtype, order) -> np.ndarray:
-    """values as a new array (the caller's stays writable), or its rows at
-    the indices of order."""
-    if order is None:
-        return np.array(values, dtype)
-    return np.take(np.asarray(values, dtype), order, axis=0)
-
-
-class CheckTable(Sequence):
+class CheckTable(ItemSequence):
     """Check rows held as columns: an immutable Sequence[CheckResult].
 
     Row i has the key keys[key[i]], a (name, input labels, strict) triple,
@@ -130,20 +153,22 @@ class CheckTable(Sequence):
     of rows, and == holds against any sequence of equal rows.  A row object
     is built only when the table is indexed or iterated; table[i] is
     CheckResult(name, inputs, lhs, rhs, margin, holds, strict) with Python
-    floats.  Given order, the table holds the rows at its indices into the
-    columns, gathered once.  A non-finite number in a column raises the
-    PrecisionError of the first row that holds one, through CheckResult.
+    floats; take(order) is the one reorder.  A non-finite number in a
+    column raises the PrecisionError of the first row that holds one,
+    through CheckResult.
     """
 
     __slots__ = ("keys", "key", "values", "lhs", "rhs", "margin", "holds", "within")
 
     MARKER = ("margin_within_noise", 1.0)
     STATUSES = ("passed", "failed", "undecided")  # by the codes of statuses()
+    OUT_OF_RANGE = "check table index out of range"
 
-    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within, order=None):
-        self._own(keys, _copy(key, np.intp, order), _copy(values, float, order),
-                  *(_copy(c, float, order) for c in (lhs, rhs, margin)),
-                  _copy(holds, bool, order), _copy(within, bool, order))
+    def __init__(self, keys, key, values, lhs, rhs, margin, holds, within):
+        # copies: the caller's arrays stay writable
+        self._own(keys, np.array(key, np.intp), np.array(values, float),
+                  *(np.array(c, float) for c in (lhs, rhs, margin)),
+                  np.array(holds, bool), np.array(within, bool))
 
     @classmethod
     def holding(cls, keys, *columns: np.ndarray) -> CheckTable:
@@ -170,10 +195,9 @@ class CheckTable(Sequence):
                 CheckResult(*self._make_rows(i, i + 1)[0])  # raises
 
     @classmethod
-    def concat(cls, parts, order=None) -> CheckTable:
-        """The rows of parts in turn, or given order the rows at its indices
-        into them; a part is a CheckTable, a CheckResult or a list of
-        CheckResults.  Equal keys merge."""
+    def concat(cls, parts) -> CheckTable:
+        """The rows of parts in turn; a part is a CheckTable, a CheckResult or
+        a list of CheckResults.  Equal keys merge."""
         tables, rows = [], []
         for part in parts:
             if isinstance(part, CheckTable):
@@ -186,7 +210,7 @@ class CheckTable(Sequence):
         if rows or not tables:
             tables.append(cls._from_rows(rows))
         if len(tables) == 1:
-            return tables[0] if order is None else tables[0].take(order)
+            return tables[0]
         index: dict = {}  # key -> its row in the merged keys
         key = np.concatenate([np.array([index.setdefault(k, len(index)) for k in t.keys],
                                        np.intp)[t.key] for t in tables])
@@ -196,9 +220,9 @@ class CheckTable(Sequence):
         for t in tables:
             values[end:end + len(t), :t.values.shape[1]] = t.values
             end += len(t)
-        return cls(index, key, values, *(np.concatenate([getattr(t, c) for t in tables])
-                                         for c in ("lhs", "rhs", "margin", "holds", "within")),
-                   order=order)
+        return cls.holding(index, key, values, *(
+            np.concatenate([getattr(t, c) for t in tables])
+            for c in ("lhs", "rhs", "margin", "holds", "within")))
 
     @classmethod
     def _from_rows(cls, rows) -> CheckTable:
@@ -225,8 +249,9 @@ class CheckTable(Sequence):
 
     def take(self, order) -> CheckTable:
         """The rows at the indices of order, in its order."""
-        return CheckTable(self.keys, self.key, self.values, self.lhs, self.rhs, self.margin,
-                          self.holds, self.within, np.asarray(order, np.intp))
+        order = np.asarray(order, np.intp)
+        return CheckTable.holding(self.keys, *(np.take(c, order, axis=0) for c in (
+            self.key, self.values, self.lhs, self.rhs, self.margin, self.holds, self.within)))
 
     def statuses(self) -> np.ndarray:
         """Each row's status as an index into STATUSES: passed if it holds,
@@ -255,10 +280,7 @@ class CheckTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.take(np.arange(len(self))[index])
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError("check table index out of range")
-        i %= len(self)
+        i = self._index(index)
         return self._make_rows(i, i + 1)[0]
 
     def __iter__(self):
@@ -273,13 +295,3 @@ class CheckTable(Sequence):
         if isinstance(other, list):
             return CheckTable.concat([other, self])
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))

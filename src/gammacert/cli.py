@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, CheckTable
-from .errors import CapabilityError, DomainError, ParameterError, PrecisionError
+from .errors import PACKAGE_ERRORS, ParameterError
 from .report import Report, Results, build_report, dumps, result_status
 
 if TYPE_CHECKING:
@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_scan(args)
-    except (ParameterError, DomainError, CapabilityError, PrecisionError) as exc:
+    except PACKAGE_ERRORS as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

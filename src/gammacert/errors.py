@@ -169,10 +169,10 @@ def require_all(ok: np.ndarray, error: type, message: str, *columns: np.ndarray)
 
 def log_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """np.geomspace(lo, hi, points); CapabilityError naming points where
-    numpy refuses an array that long before allocating it."""
+    numpy refuses an array that long, or cannot allocate it."""
     try:
         return np.geomspace(lo, hi, points)
-    except ValueError:  # "array is too big" / "Maximum allowed size exceeded"
+    except (ValueError, MemoryError):  # "array is too big" / "Unable to allocate"
         raise CapabilityError(
             f"points = {points!r} is more grid points than one array can hold") from None
 

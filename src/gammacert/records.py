@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .checks import DEFAULT_POINTS
+from .checks import DEFAULT_POINTS, ValidatedRecord
 from .errors import DomainError, ParameterError, integer_in, is_finite, require_type, require_y
 from .gammakit import MAX_DERIV_ORDER
 
@@ -53,7 +53,7 @@ class _HParamsFields(NamedTuple):
     y: float
 
 
-class HParams(_HParamsFields):
+class HParams(ValidatedRecord, _HParamsFields):
     """Parameter pair (alpha, y) of the family, an immutable named 2-tuple
     of floats; requires a finite real alpha and a finite real y > -1
     (DomainError otherwise)."""
@@ -64,10 +64,6 @@ class HParams(_HParamsFields):
         if not is_finite(alpha):
             raise DomainError(f"alpha must be finite, got {alpha!r}")
         return tuple.__new__(cls, (float(alpha), require_y(y)))
-
-    @classmethod
-    def _make(cls, iterable) -> HParams:  # _replace builds through it
-        return cls(*iterable)
 
 
 class DerivSample(NamedTuple):
@@ -84,7 +80,7 @@ class _GridFields(NamedTuple):
     points: int
 
 
-class GridSpec(_GridFields):
+class GridSpec(ValidatedRecord, _GridFields):
     """Evaluation grid in x for one parameter pair, an immutable named 3-tuple.
 
     The grid is log-spaced in u = x + y + 1, from x_min_offset (distance
@@ -105,10 +101,6 @@ class GridSpec(_GridFields):
         return tuple.__new__(cls, (float(x_min_offset), float(x_max),
                                    integer_in(points, "points", 2)))
 
-    @classmethod
-    def _make(cls, iterable) -> GridSpec:  # _replace builds through it
-        return cls(*iterable)
-
 
 class _CertificateFields(NamedTuple):
     params: HParams
@@ -122,7 +114,7 @@ class _CertificateFields(NamedTuple):
     semantics: str
 
 
-class Certificate(_CertificateFields):
+class Certificate(ValidatedRecord, _CertificateFields):
     """Outcome of a sign-pattern check over a grid, an immutable named 9-tuple.
 
     check is "lcm-sign" for derivative-sign certificates (direction set,
@@ -151,10 +143,6 @@ class Certificate(_CertificateFields):
         return tuple.__new__(cls, (params, direction,
                                    integer_in(k_max, "k_max", 1, MAX_DERIV_ORDER), grid,
                                    verdict, witness, undecided, check, semantics))
-
-    @classmethod
-    def _make(cls, iterable) -> Certificate:  # _replace builds through it
-        return cls(*iterable)
 
 
 class ScanCell(NamedTuple):

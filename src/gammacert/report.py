@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections.abc import Sequence
 from datetime import datetime, timezone
 from itertools import accumulate, chain, groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .checks import CheckResult, CheckTable
+from .checks import CheckResult, CheckTable, ItemSequence
 from .errors import ParameterError, require_type
 
 if TYPE_CHECKING:
@@ -69,17 +68,18 @@ def result_kinds() -> tuple[type, ...]:
     return (CheckTable, CheckResult, records.Certificate, records.ScanCell)
 
 
-class Results(Sequence):
+class Results(ItemSequence):
     """Result items held as runs: a CheckTable for each run of check rows, a
     tuple for each run of other items.
 
-    len, indexing, iteration and == behave as on the tuple of the items,
-    and == holds against any sequence of equal items; a slice is that
-    tuple's slice, and repr is that of the list of the items.  Only indexing
-    or iterating builds check row objects.
+    len, indexing, iteration and == (ItemSequence's) behave as on the tuple
+    of the items, a slice is that tuple's slice, and repr is that of the
+    list of the items.  Only indexing or iterating builds check row objects.
     """
 
     __slots__ = ("runs", "_ends")
+
+    OUT_OF_RANGE = "results index out of range"
 
     def __init__(self, runs=()):
         self.runs = tuple(runs)
@@ -116,26 +116,13 @@ class Results(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError("results index out of range")
-        i %= len(self)
+        i = self._index(index)
         for run, end in zip(self.runs, self._ends):  # a report holds a few runs
             if i < end:
                 return run[i - end + len(run)]
 
     def __iter__(self):
         return chain.from_iterable(self.runs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class Report(NamedTuple):

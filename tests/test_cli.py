@@ -26,7 +26,7 @@ from gammacert.cli import (
     parse_range,
     verify_csv,
 )
-from gammacert.errors import ParameterError
+from gammacert.errors import CapabilityError, ParameterError, log_grid
 from gammacert.suites import ratio_samples
 
 
@@ -104,6 +104,26 @@ def test_package_errors_and_short_grids_exit_two(argv, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "gammacert: error:" in err and "Traceback" not in err
+
+
+# 2**54 float64 values (128 PiB) pass numpy's size check, but no x86-64 or
+# arm64 address space holds them: the allocation fails at once, touching no memory
+_UNALLOCATABLE = 2 ** 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lemmas", "--format", "csv"],
+    ["verify", "--suite", "thm1"],
+    ["scan", "--alpha=0:1:0.5", "--y=0:0:1"],
+])
+def test_a_grid_numpy_cannot_allocate_exits_two(argv, capsys):
+    message = f"points = {_UNALLOCATABLE} is more grid points than one array can hold"
+    with pytest.raises(CapabilityError, match=f"^{message}$"):
+        log_grid(1e-2, 1e3, _UNALLOCATABLE)
+    assert main([*argv, "--grid-points", str(_UNALLOCATABLE)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("gammacert: error:") == 1 and err.endswith(f"error: {message}\n")
+    assert "Traceback" not in err
 
 
 def test_lemma_grid_below_its_left_end_names_x_max(capsys):

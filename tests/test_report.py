@@ -537,6 +537,36 @@ def test_results_hold_only_result_items(results, message):
             build()
 
 
+def _sequence_cases():
+    table = two_sided_rows("w", (("x", [1.0, 2.0, 3.0]),), 0.0, [0.5, 1.5, -1.0], 2.0)
+    certificate = Certificate(HParams(1.0, 0.0), Direction.LCM, 8, GridSpec(1e-3, 10.0, 5),
+                              Verdict.PASS, None)
+    return [(table, "check table index out of range"),
+            (Results.of([table, certificate]), "results index out of range")]
+
+
+@pytest.mark.parametrize("container, wording", _sequence_cases(),
+                         ids=["CheckTable", "Results"])
+def test_result_containers_behave_as_the_sequence_of_their_items(container, wording):
+    items = tuple(iter(container))
+    n = len(items)
+    assert len(container) == n == 3 + isinstance(container, Results)
+    for i in range(-n, n):
+        assert container[i] == items[i]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError, match="^" + wording + "$"):
+            container[bad]
+    assert list(container[1:]) == list(items[1:])
+    for other in (list(items), items):
+        assert container == other and other == container
+    changed = [*items[:-1], items[0]]
+    assert container != changed and changed != container
+    assert container != tuple(changed) and tuple(changed) != container
+    with pytest.raises(TypeError):
+        hash(container)
+    assert repr(container) == repr(list(items))
+
+
 def test_check_input_labels_and_pairs_are_refused_when_built():
     for inputs, message in (((("k", 1.0), (2, 1.0)), "input label 2 is not a str"),
                             ((("k",),), "an input must be a (label, value) pair")):
