@@ -74,13 +74,10 @@ _FACTORIAL_COLUMN = np.array([[math.factorial(k)] for k in range(1, MAX_DERIV_OR
 _SIGN_COLUMN = np.array([[(-1.0) ** k] for k in range(1, MAX_DERIV_ORDER + 1)])
 
 
-def _shifted_argument(x: float, y: float) -> float:
-    u = x + y + 1.0
-    if not (math.isfinite(u) and u >= ENDPOINT_CLEARANCE):
-        raise DomainError(
-            f"x+y+1 must be >= {ENDPOINT_CLEARANCE:g} (domain x > -(y+1)), "
-            f"got x={x!r}, y={y!r}")
-    return u
+#: The domain rule, x+y+1 >= ENDPOINT_CLEARANCE and finite, as require_all
+#: states it for the first point (x, y) that breaks it.
+_DOMAIN_MESSAGE = (f"x+y+1 must be >= {ENDPOINT_CLEARANCE:g} (domain x > -(y+1)), "
+                   "got x={!r}, y={!r}")
 
 
 def _y_points(y, require=require_y) -> float | np.ndarray:
@@ -92,22 +89,21 @@ def _y_points(y, require=require_y) -> float | np.ndarray:
 
 
 def _shifted_arguments(xs, y) -> tuple[np.ndarray, np.ndarray]:
-    """(x, u = x+y+1) as arrays, y one float or an array of one per x.  The
-    first x that is not real, lies outside the domain or has |x| < X_EPSILON
-    raises DomainError or PrecisionError."""
+    """(x, u = x+y+1) as arrays, y one float or an array of one per x.  An x
+    that is not real raises DomainError, then the first x with |x| <
+    X_EPSILON PrecisionError (nan is in no zone), then the first outside
+    the domain DomainError.  The callers are first_bad_point builders, so a
+    grid raises its first bad point's own error."""
     x = real_points(xs, "x")
     if isinstance(y, np.ndarray) and y.size != x.size:
         raise ParameterError(f"x, y must be grids of one length, got lengths {x.size}, "
                              f"{y.size}")
     u = x + y + 1.0
-    bad = (np.abs(x) < X_EPSILON) | ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
-    if bad.any():
-        first = float(x[bad][0])
-        if abs(first) < X_EPSILON:
-            raise PrecisionError(
-                f"|x| = {abs(first):.3e} is inside the cancellation exclusion zone "
-                f"(< {X_EPSILON:g}) for closed-form log-derivatives")
-        _shifted_argument(first, y if isinstance(y, float) else float(y[bad][0]))
+    require_all(~(np.abs(x) < X_EPSILON), PrecisionError,
+                "|x| = {:.3e} is inside the cancellation exclusion zone "
+                f"(< {X_EPSILON:g}) for closed-form log-derivatives", np.abs(x))
+    require_all(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE), DomainError, _DOMAIN_MESSAGE,
+                x, np.broadcast_to(y, x.shape))
     return x, u
 
 
@@ -121,9 +117,8 @@ def _log_h(params, x):
                                     np.array([p.y for p in pairs], float))
     zero = xs == 0.0
     u = xs + y + 1.0
-    bad = ~zero & ~(np.isfinite(u) & (u >= ENDPOINT_CLEARANCE))
-    if bad.any():
-        _shifted_argument(float(xs[bad][0]), float(y[bad][0]))  # raises
+    require_all(zero | (np.isfinite(u) & (u >= ENDPOINT_CLEARANCE)), DomainError,
+                _DOMAIN_MESSAGE, xs, y)
     c, at = y + 1.0, ~zero
     values = np.empty(xs.size)
     if at.any():
@@ -320,21 +315,15 @@ def alpha_necessary_bound(x, y: float):
     of |x| < X_EPSILON, where the closed form has no correct digits, raises
     PrecisionError, and a value outside the binary64 range CapabilityError.
     x is one point (a float is returned) or a 1-D grid (an array, from one
-    table), and y one value or one per x; a grid raises what its first bad
-    point raises alone.
+    order-1 table at alpha = 0: u times its row), and y one value or one
+    per x; a grid raises what its first bad point raises alone.
     """
     xs, y = real_points(x, "x"), _y_points(y, require_real)
     require_all(xs != 0.0, DomainError,
                 "alpha_necessary_bound is undefined at x = 0 (removable singularity)")
-    bounds = threshold_surface(logh_deriv_table(1, y, xs))
+    values, _ = logh_deriv_table(1, y, xs)(0.0)
+    bounds = (xs + y + 1.0) * values[0]
     return float(bounds[0]) if np.ndim(x) == 0 else bounds
-
-
-def threshold_surface(table: DerivTable) -> np.ndarray:
-    """B(x, y) at each column of a derivative table of any order: u times
-    its order-1 value at alpha = 0 (the one body of alpha_necessary_bound)."""
-    values, _ = table(0.0)
-    return table.u_pow[0] * values[0]
 
 
 @first_bad_point

@@ -158,6 +158,31 @@ def test_domain_error_past_left_endpoint():
         q_surface(-2.0, 0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_x_breaks_the_domain_rule_and_is_named(x):
+    y = 0.5
+    message = re.escape(f"x+y+1 must be >= {ENDPOINT_CLEARANCE:g} (domain x > -(y+1)), "
+                        f"got x={x!r}, y={y!r}")
+    # one point, then the bad point after good ones in a list and in an array
+    for xs in (x, [1.0, 2.0, x], np.array([1.0, 2.0, x])):
+        for call in (lambda: logh_deriv_table(3, y, xs), lambda: alpha_necessary_bound(xs, y),
+                     lambda: q_surface_table(y, xs), lambda: log_h(HParams(1.0, y), xs)):
+            with pytest.raises(DomainError, match=message):
+                call()
+    with pytest.raises(DomainError, match=message):
+        q_surface(x, y)
+
+
+def test_a_stacked_table_raises_its_first_bad_points_own_error():
+    zone, outside = (-0.9995, -4e-4), (0.0, -2.0)  # (y, x): |x| < X_EPSILON; u < 0
+    for (first, second), error, message in (
+            ((zone, outside), PrecisionError, "exclusion zone"),
+            ((outside, zone), DomainError, "got x=-2.0, y=0.0")):
+        (y0, x0), (y1, x1) = first, second
+        with pytest.raises(error, match=message):
+            logh_deriv_table(2, np.array([y0, y1]), [x0, x1])
+
+
 # ---------------------------------------------------------------------------
 # closed-form log-derivatives
 # ---------------------------------------------------------------------------

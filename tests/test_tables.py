@@ -322,8 +322,7 @@ def _row_bits(row):
 
 @pytest.mark.parametrize("k_max,points,x_max", [(8, 200, 1e3), (12, 200, 1e3),
                                                  (1, 2, 1e3), (3, 57, 80.0)])
-def test_thm1_takes_its_limit_probes_from_the_certifiers_table(monkeypatch, k_max, points,
-                                                                x_max):
+def test_thm1_takes_its_limit_probes_from_necessity_limits(monkeypatch, k_max, points, x_max):
     calls = []
     table = hfamily.logh_deriv_table
 
@@ -335,7 +334,8 @@ def test_thm1_takes_its_limit_probes_from_the_certifiers_table(monkeypatch, k_ma
         monkeypatch.setattr(module, "logh_deriv_table", counted)
     rows = [row for row in build_suite("thm1", k_max, points, x_max)
             if getattr(row, "name", "").startswith("alpha_threshold_")]
-    assert calls == [k_max]  # one table: the certifiers' stack holds the probes
+    # one stack of the certifiers over the five ys, then the probes' order-1 table
+    assert calls == [k_max, 1]
     monkeypatch.undo()
     expected = [one_sided(name, (("y", y), ("estimate", estimate), ("target", target),
                                  ("tolerance", tol)), abs(estimate - target), tol, strict=False)
