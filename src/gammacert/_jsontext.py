@@ -8,10 +8,10 @@ this module loads, with json, on the first of those calls.  Rules:
   over the results, with no intermediate dict tree and no row object, and
   joins the head, the results' parts and the tail once.  Certificates and
   scan cells each fill one template.  Check tables, most of a verify
-  report, are written from their columns BLOCK_ROWS (2,048) rows at a
-  time: one record array per block, whose text comes from a table with one
-  row per (key, holds, within) and whose numbers come from the column
-  formatter of gammacert._numtext;
+  report, are written from their columns by the row writer of
+  gammacert._numtext: this module gives it a row kind per (key, holds,
+  within), whose text is the check template split at its number slots,
+  and which of the number slots each kind fills;
 - parse_text is that text parsed back (json.loads), so the schema is
   written down once, in the templates (check rows split the check template
   at its number slots);
@@ -111,57 +111,29 @@ def _check_segments(key, holds: bool, within: bool, status: str) -> list[str]:
 
 def _check_texts(table: CheckTable) -> list[str]:
     """JSON text of the table's rows, each followed by ", ", one string per
-    block of BLOCK_ROWS (2,048) rows.
+    block of _numtext's row writer: a row kind per present (key, holds,
+    within), its text the check template split at its number slots, and an
+    input slot per input of the widest key, of which a row fills its own."""
+    from ._numtext import json_number_words, row_blocks
 
-    A block is one record array, a record per row in table order, with a
-    field per text segment and per number slot, as many slots as the
-    table's widest key has inputs: segments from a table with one row per
-    (key, holds, within), numbers from the shortest round-trip formatter,
-    and ABSENT in the input slots that a row's key does not fill.
-    """
-    from ._numtext import ABSENT, BLOCK_ROWS, SLOT, json_number_words, text_items
-
-    if not len(table):
-        return []
-    counts = np.array([len(labels) for _, labels, _ in table.keys], np.intp)
-    width = int(counts.max())
+    counts = [len(labels) for _, labels, _ in table.keys]
+    width = max(counts, default=0)
     combo = 4 * table.key + 2 * table.holds + table.within
     status = np.zeros(4 * len(table.keys), np.intp)
     status[combo] = table.statuses()  # one status per combination
     present = np.flatnonzero(np.bincount(combo))
-    segments = []
+    kind = np.zeros_like(status)
+    kind[present] = np.arange(present.size)
+    segments, filled = [], []
     for c in present.tolist():
         n = counts[c // 4]
         words = _check_segments(table.keys[c // 4], bool(c & 2), bool(c & 1),
                                 CheckTable.STATUSES[status[c]])
         segments.append(words[:n] + [""] * (width - n) + words[n:])
-    segment_row = np.zeros_like(status)
-    segment_row[present] = np.arange(present.size)
-    # a row's fields: each segment, and after each but the last a number slot
-    # (the inputs, then lhs, rhs and margin)
-    segments = [text_items(column) for column in zip(*segments)]
-    layout = np.dtype([(f"{kind}{j}", column.dtype if kind == "s" else SLOT)
-                       for j, column in enumerate(segments) for kind in "sn"][:-1])
-    used = np.arange(width) < counts[table.key][:, None]
-    texts = []
-    for start in range(0, len(table), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        size = len(used[rows])
-        filled = np.concatenate([used[rows].T, np.ones((3, size), bool)])  # by slot
-        numbers = json_number_words(np.concatenate(
-            [table.values[rows, :width], table.lhs[rows, None], table.rhs[rows, None],
-             table.margin[rows, None]], axis=1).T[filled])
-        block = np.empty(size, layout)
-        row = segment_row[combo[rows]]
-        for j, column in enumerate(segments):
-            block[f"s{j}"] = column[row]
-        bounds = np.cumsum([0, *filled.sum(axis=1)]).tolist()
-        for j, (rows_filled, first, stop) in enumerate(zip(filled, bounds, bounds[1:])):
-            slot = block[f"n{j}"]
-            slot[~rows_filled] = np.void(ABSENT * SLOT.itemsize)
-            slot[rows_filled] = numbers[first:stop]
-        texts.append(block.tobytes().translate(None, ABSENT).decode("ascii"))
-    return texts
+        filled.append([True] * n + [False] * (width - n) + [True] * 3)
+    return row_blocks(kind[combo], segments, filled,
+                      [*table.values[:, :width].T, table.lhs, table.rhs, table.margin],
+                      json_number_words)
 
 
 def _result_texts(results) -> list[str]:

@@ -22,7 +22,7 @@ zeros are then dropped.  The candidates are worked out for 17, 16 and then
 
 Each number fills a 32-byte slot of four words, ABSENT where the text has
 nothing: the sign, the "0.000" lead, the first digit and its point; the
-other 16 digits, eight per word; a spare byte, the exponent and the suffix.
+other 16 digits, eight per word; a spare byte and the exponent.
 The trailing-zero and exponent rules of either spelling are table lookups.
 A point after a later digit takes that digit's byte, and the digits from
 there on move one byte on, the last into the spare byte: the slot shifted
@@ -30,6 +30,10 @@ by a byte, kept, taken and set under masks looked up by (point, digits
 shown).  Zero, values outside [_EXACT_MIN, _EXACT_MAX] and decisions within
 _TIE of a rounding tie or of the rounding interval's edge are written by
 "%.17g" or repr itself.
+
+row_blocks, the one writer of check rows, is the one place that knows this
+layout: each block of rows is one record array of text fields and number
+slots, and one bytes.translate drops its ABSENT bytes.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ import numpy as np
 
 __all__: list[str] = []  # package-internal
 
-#: rows per block of a column writer: each block's rows are laid out as one
-#: record array, so this bounds the memory a writer holds at once (4,096-row
-#: blocks were no faster and raised the peak memory of a verify-all process)
+#: rows per block of row_blocks: each block's rows are laid out as one record
+#: array, so this bounds the memory a writer holds at once (4,096-row blocks
+#: were no faster and raised the peak memory of a verify-all process)
 BLOCK_ROWS = 2048
 
 ABSENT = b"\xff"  # no UTF-8 text holds this byte, so deleting it leaves the text
@@ -193,14 +197,13 @@ class _SlotTables(NamedTuple):
 
     Word 0 holds the sign, the "0.000" lead of exponents -4 to -1, the first
     digit and the point after it.  Words 1 and 2 hold the other 16 digits,
-    eight each.  Word 3 holds a spare byte, the exponent and the suffix
-    after the number.  A point after digit p >= 2 is written in the byte of
-    the digit after it, and the digits from there on move one byte on, the
-    last into the spare byte.
+    eight each.  Word 3 holds a spare byte and the exponent.  A point after
+    digit p >= 2 is written in the byte of the digit after it, and the
+    digits from there on move one byte on, the last into the spare byte.
     """
 
     lead: np.ndarray  # by e - _E_MIN: word 0 with only the lead
-    exponent: np.ndarray  # by e - _E_MIN: word 3 with only the exponent and suffix
+    exponent: np.ndarray  # by e - _E_MIN: word 3 with only the exponent
     point: np.ndarray  # by e - _E_MIN: 1 + the digit the point follows, 0 for none
     least: np.ndarray  # by e - _E_MIN: fewest digits shown
     first: np.ndarray  # by first digit: word 0 with only it and a point
@@ -216,7 +219,7 @@ class _SlotTables(NamedTuple):
 
 
 @functools.cache
-def _slot_tables(fixed_below: int, point_zero: bool, suffix: bytes) -> _SlotTables:
+def _slot_tables(fixed_below: int, point_zero: bool) -> _SlotTables:
     """The tables of a spelling that writes exponents -4 <= e < fixed_below
     without an exponent, and, if point_zero, "x.0" on an integral value."""
     e = np.arange(_E_MIN, _E_MAX + 1)
@@ -225,16 +228,15 @@ def _slot_tables(fixed_below: int, point_zero: bool, suffix: bytes) -> _SlotTabl
     lead = np.full(e.size, ~np.uint64(0))  # ABSENT
     lead[-4 - _E_MIN:-_E_MIN] = words([ABSENT + b"0.000"[:k].ljust(7, ABSENT)
                                        for k in range(5, 1, -1)], 8)[:, 0]
-    exponent = words([b"\0" + (b"" if f else b"e%+03d" % k).ljust(5, ABSENT)
-                      + suffix.ljust(2, ABSENT) for k, f in zip(e.tolist(), fixed.tolist())],
-                     8)[:, 0]
+    exponent = words([b"\0" + (b"" if f else b"e%+03d" % k)
+                      for k, f in zip(e.tolist(), fixed.tolist())], 8)[:, 0]
     d = np.arange(10, dtype=np.uint64)  # the digits of a four-digit group, first to last
     low = (d[:, None, None, None] | d[:, None, None] << np.uint64(8) | d[:, None] << np.uint64(16)
            | d << np.uint64(24) | np.uint64(0x30303030)).ravel()  # "0" is 0x30
     z = (d == 0).astype(int)
     zeros = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
     # bytes 0-5: sign and lead; 6: the first digit; 7: its point; 8-23: digits
-    # 2 to 17; 24: the spare byte; 25-29: the exponent; 30: the suffix
+    # 2 to 17; 24: the spare byte; 25-29: the exponent
     p, m, b = np.ogrid[:18, :18, :32]  # point, digits shown, byte
     moves = (p >= 2) & (p < m)  # the point after digit p >= 2 is at byte 7 + p
     taken = moves & (b > 7 + p) & (b <= 24)  # bytes that take the byte before
@@ -291,14 +293,49 @@ def _slot_words(values: np.ndarray, digits, t: _SlotTables, spell) -> np.ndarray
 
 
 def number_words(values: np.ndarray) -> np.ndarray:
-    """ "%.17g," % v for each v of a 1-D float array, one SLOT item each
+    """ "%.17g" % v for each v of a 1-D float array, one SLOT item each
     with ABSENT in every empty byte."""
-    return _slot_words(values, exact_digits, _slot_tables(17, False, b","),
-                       lambda v: ("%.17g," % v).encode("ascii"))
+    return _slot_words(values, exact_digits, _slot_tables(17, False),
+                       lambda v: ("%.17g" % v).encode("ascii"))
 
 
 def json_number_words(values: np.ndarray) -> np.ndarray:
     """repr(v) for each v of a 1-D float array, one SLOT item each with
     ABSENT in every empty byte."""
-    return _slot_words(values, shortest_digits, _slot_tables(16, True, b""),
+    return _slot_words(values, shortest_digits, _slot_tables(16, True),
                        lambda v: repr(v).encode("ascii"))
+
+
+def row_blocks(kind, segments, filled, columns, spell) -> list[str]:
+    """The text of rows, one string per block of BLOCK_ROWS rows.
+
+    Row i is of kind kind[i].  Its text is segments[kind[i]][0], then for
+    each number column j in turn the value columns[j][i] as spell (one of
+    number_words and json_number_words) writes it where filled[kind[i]][j]
+    is true, and segments[kind[i]][j + 1].  columns are 1-D float arrays.
+    """
+    kind = np.asarray(kind, np.intp)
+    filled = np.array(filled, bool).T  # by column, then kind
+    texts = [text_items(column) for column in zip(*segments)]
+    layout = np.dtype([(f"{part}{j}", column.dtype if part == "s" else SLOT)
+                       for j, column in enumerate(texts) for part in "sn"][:-1])
+    blocks = []
+    for start in range(0, kind.size, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        k = kind[rows]
+        # the rows that fill each column: all of them where every kind does
+        fill = [slice(None) if f.all() else f.take(k) for f in filled]
+        values = [column[rows][f] for column, f in zip(columns, fill)]
+        numbers = spell(np.concatenate(values))
+        block = np.empty(k.size, layout)
+        for j, column in enumerate(texts):
+            block[f"s{j}"] = column.take(k)
+        end = 0
+        for j, (f, v) in enumerate(zip(fill, values)):
+            slot = block[f"n{j}"]
+            if v.size < k.size:
+                slot[~f] = np.void(ABSENT * SLOT.itemsize)
+            slot[f] = numbers[end:end + v.size]
+            end += v.size
+        blocks.append(block.tobytes().translate(None, ABSENT).decode(*TEXT))
+    return blocks

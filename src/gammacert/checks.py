@@ -168,23 +168,25 @@ class CheckTable(ItemSequence):
         # copies: the caller's arrays stay writable
         self._own(keys, np.array(key, np.intp), np.array(values, float),
                   *(np.array(c, float) for c in (lhs, rhs, margin)),
-                  np.array(holds, bool), np.array(within, bool))
+                  np.array(holds, bool), np.array(within, bool))._finite()
 
     @classmethod
     def holding(cls, keys, *columns: np.ndarray) -> CheckTable:
         """The table whose columns are the new arrays key, values, lhs, rhs,
         margin, holds and within, held read-only as they are (no copy)."""
-        table = cls.__new__(cls)
-        table._own(keys, *columns)
-        return table
+        return cls.__new__(cls)._own(keys, *columns)._finite()
 
-    def _own(self, keys, *columns: np.ndarray) -> None:
+    def _own(self, keys, *columns: np.ndarray) -> CheckTable:
         """Hold the new arrays key, values, lhs, rhs, margin, holds and
         within, read-only, as the table's columns."""
         self.keys = tuple(keys)
         for c in columns:
             c.flags.writeable = False
         self.key, self.values, self.lhs, self.rhs, self.margin, self.holds, self.within = columns
+        return self
+
+    def _finite(self) -> CheckTable:
+        """The table, unless a number is not finite: then its first row's PrecisionError."""
         if not all(np.isfinite(c).all() for c in (self.lhs, self.rhs, self.margin, self.values)):
             width = np.array([len(labels) for _, labels, _ in self.keys], np.intp)[self.key]
             padding = np.arange(self.values.shape[1]) >= width[:, None]  # no row's input
@@ -193,6 +195,7 @@ class CheckTable(ItemSequence):
             if not finite.all():
                 i = int(np.argmin(finite))  # the first bad row
                 CheckResult(*self._make_rows(i, i + 1)[0])  # raises
+        return self
 
     @classmethod
     def concat(cls, parts) -> CheckTable:
@@ -220,7 +223,7 @@ class CheckTable(ItemSequence):
         for t in tables:
             values[end:end + len(t), :t.values.shape[1]] = t.values
             end += len(t)
-        return cls.holding(index, key, values, *(
+        return cls.__new__(cls)._own(index, key, values, *(
             np.concatenate([getattr(t, c) for t in tables])
             for c in ("lhs", "rhs", "margin", "holds", "within")))
 
@@ -250,7 +253,7 @@ class CheckTable(ItemSequence):
     def take(self, order) -> CheckTable:
         """The rows at the indices of order, in its order."""
         order = np.asarray(order, np.intp)
-        return CheckTable.holding(self.keys, *(np.take(c, order, axis=0) for c in (
+        return CheckTable.__new__(CheckTable)._own(self.keys, *(c.take(order, axis=0) for c in (
             self.key, self.values, self.lhs, self.rhs, self.margin, self.holds, self.within)))
 
     def statuses(self) -> np.ndarray:

@@ -15,7 +15,8 @@ invocations produce byte-identical CSV output.
 The module imports only the check records (``gammacert.checks``) and the
 report assembly at load time: a suite loads what it runs when it is built,
 a scan loads the certificate engine when it runs, and the first JSON report
-loads the JSON writer.
+loads the JSON writer.  ``gammacert._numtext`` writes check rows in either
+format; this module gives it only the CSV row grammar.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import re
 import sys
 from itertools import chain, groupby
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .checks import DEFAULT_K_MAX, DEFAULT_POINTS, DEFAULT_X_MAX, CheckTable
@@ -90,33 +89,21 @@ def build_suite(suite: str, k_max: int = DEFAULT_K_MAX, points: int = DEFAULT_PO
 # ---------------------------------------------------------------------------
 
 # CSV numbers are "%.17g", the same digits as format(float(v), ".17g").
-# verify_csv writes check numbers a column at a time with the exact numpy
-# formatter of gammacert._numtext, imported on first use; certificate and
-# scan rows keep "%": too few numbers to pay off.
+# Check rows go through the row writer of gammacert._numtext, imported on
+# first use; certificate and scan rows keep "%": too few numbers to pay off.
 
 def _check_lines(table: CheckTable) -> list[str]:
-    """The table's lines, one string per block of BLOCK_ROWS (2,048) rows:
-    "check,name,status," from a table with one row per key and status,
-    lhs, rhs and margin each followed by ",", then ",,\n"."""
-    from ._numtext import ABSENT, BLOCK_ROWS, SLOT, TEXT, number_words, text_items
+    """The table's lines, one string per block of _numtext's row writer: a
+    row kind per key and status, its text "check,name,status,", a ","
+    after lhs and rhs, and ",,,\n" (empty alpha, y, verdict) after margin."""
+    from ._numtext import number_words, row_blocks
 
-    if not len(table):
-        return []
-    heads = text_items(["check,%s,%s," % (name, status) for name, _, _ in table.keys
-                        for status in CheckTable.STATUSES])
-    head_row = len(CheckTable.STATUSES) * table.key + table.statuses()
-    layout = np.dtype([("head", heads.dtype), ("numbers", SLOT, (3,)), ("tail", "V3")])
-    lines = []
-    for start in range(0, len(table), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = np.empty(table.lhs[rows].size, layout)
-        block["head"] = heads[head_row[rows]]
-        block["numbers"] = number_words(np.stack([table.lhs[rows], table.rhs[rows],
-                                                  table.margin[rows]], axis=1).ravel()
-                                        ).reshape(-1, 3)
-        block["tail"] = np.void(b",,\n")  # empty alpha, y, verdict
-        lines.append(block.tobytes().translate(None, ABSENT).decode(*TEXT))
-    return lines
+    statuses = CheckTable.STATUSES
+    return row_blocks(len(statuses) * table.key + table.statuses(),
+                      [["check,%s,%s," % (name, status), ",", ",", ",,,\n"]
+                       for name, _, _ in table.keys for status in statuses],
+                      [(True, True, True)] * (len(statuses) * len(table.keys)),
+                      [table.lhs, table.rhs, table.margin], number_words)
 
 
 def _certificate_lines(rows: list[Certificate]) -> str:
@@ -128,9 +115,8 @@ def _certificate_lines(rows: list[Certificate]) -> str:
 def verify_csv(report: Report) -> str:
     """Flat CSV rows for a verify report (no timestamps: byte-stable).
 
-    Each check table is written straight from its columns, BLOCK_ROWS
-    (2,048) rows at a time as one record array of lines; each certificate
-    by "%".
+    Each check table is written straight from its columns by _numtext's
+    row writer; each certificate by "%".
     """
     parts = ["kind,name,status,lhs,rhs,margin,alpha,y,verdict\n"]
     for run in Results.of(report.results).runs:

@@ -468,8 +468,8 @@ def test_the_lemma_csv_and_json_paths_build_no_row_object(tmp_path, monkeypatch)
 def _formatted(values) -> list[str]:
     """The verify-CSV column formatter's text of each value."""
     words = _numtext.number_words(np.asarray(values, dtype=float))
-    text = words.tobytes().translate(None, _numtext.ABSENT).decode("ascii")
-    return text.split(",")[:-1]  # each number is written with its separator
+    return [row.tobytes().translate(None, _numtext.ABSENT).decode("ascii")
+            for row in words]
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=40))

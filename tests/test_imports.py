@@ -4,7 +4,8 @@ each module's ``__all__`` is the one declaration of its public names, only
 nothing beyond what it needs anyway, a scan loads only the scan path, a
 suite loads the certificate engine, ballvol, the lemma windows and the
 auxiliary chain only if it runs them, a call compiles no part it does not
-run and at most its ceiling of source lines, each public name is
+run and at most its ceiling of source lines and loads no numpy module
+beyond import numpy's, each public name is
 imported from the module that declares it and has no other module path,
 no module imports a name it never reads (but for what perfbench reads),
 and only thm1 loads its sample stream, without numpy.random."""
@@ -374,6 +375,20 @@ def test_each_import_names_the_module_that_declares_the_name():
     files = [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py")),
              *sorted(SCRIPTS.glob("*.py"))]
     assert [hit for path in files for hit in _misplaced_imports(path, owners)] == []
+
+
+#: The calls that the benchmark times or that the catalogue offers: verify-all
+#: as JSON, each catalogue suite as CSV, and a scan.
+ALL_CALL = "import gammacert.cli as cli; assert cli.main(['verify', '--suite', 'all']) == 0"
+
+
+@pytest.mark.parametrize("call", [ALL_CALL, *(CSV_CALL.format(suite) for suite in (
+    "lemmas", "thm2", "ball", "aux")), SCAN_CALL],
+    ids=["all", "lemmas", "thm2", "ball", "aux", "scan"])
+def test_a_call_loads_no_numpy_module_beyond_import_numpy(call):
+    # np.unique on an int array loads numpy.ma, about 14 ms of every process
+    # under -X importtime; a writer or a suite must not pull such a module in
+    assert [name for name in _added_by(call) if name.partition(".")[0] == "numpy"] == []
 
 
 #: What numpy's seeded sampling loads: thm1 draws from gammacert._pcg64 instead.

@@ -37,7 +37,8 @@ from gammacert import (
 from gammacert.cli import build_suite
 from gammacert.gammakit import EXP_NEG_EULER_GAMMA
 from gammacert.ineq import (
-    NOISE_REL, THM2_T_MIN, one_sided, one_sided_rows, two_sided, two_sided_rows)
+    NOISE_REL, THM2_T_MIN, one_sided, one_sided_rows, one_sided_stack, stack_table, two_sided,
+    two_sided_rows)
 
 
 def flag(result: CheckResult, name: str) -> bool:
@@ -426,6 +427,32 @@ def test_check_table_raises_for_a_late_non_finite_input_value():
     with pytest.raises(PrecisionError, match="^check 'v': non-finite input 't' = inf$"):
         CheckTable([("w", ("x", "y"), True), ("v", ("t",), False)], [0, 1] * 4, values,
                    np.zeros(8), np.ones(8), np.ones(8), np.ones(8, bool), np.zeros(8, bool))
+
+
+def test_take_and_concat_run_no_second_finiteness_pass(monkeypatch):
+    # their rows come from tables whose columns were checked when built
+    table = one_sided_rows("w", (("x", np.arange(6.0)),), np.zeros(6), np.ones(6))
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: scans.append(a) or isfinite(*a, **k))
+    parts = [table.take([5, 0, 3]), table[1:4], CheckTable.concat([table, table[:2]]),
+             table + table]
+    assert scans == [] and [len(part) for part in parts] == [3, 3, 8, 12]
+    monkeypatch.undo()
+    assert repr(parts[2]) == repr(list(table) + list(table)[:2])
+
+
+@pytest.mark.parametrize("point_major,message", [
+    (False, "^check 'w': non-finite rhs = inf$"),  # window w's points come first
+    (True, "^check 'v': non-finite lhs = nan$")])  # point 0's windows come first
+def test_a_stacked_table_scans_its_columns_once_and_raises_its_first_bad_row(
+        point_major, message):
+    keys = [("w", ("x",), True), ("v", (), True)]
+    stacks = [one_sided_stack(0, [np.array([[1.0, 2.0, 3.0]])], np.zeros((1, 3)),
+                              np.array([[1.0, np.inf, 1.0]])),
+              one_sided_stack(1, [], np.array([[np.nan, 0.0, 0.0]]), np.ones((1, 3)))]
+    with pytest.raises(PrecisionError, match=message):
+        stack_table(keys, stacks, point_major=point_major)
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,43 @@ def test_json_number_formatter_edges():
     assert not _numtext.shortest_digits(np.array([1.0, 2.0, 4.0, 2.0 ** -45]))[2].any()
 
 
+#: Four row kinds of the shared row writer: each fills its own number
+#: slots, and every kind fills the last (a slot filled by every kind is
+#: written whole); kind 1's text is not ASCII and holds a lone surrogate.
+_ROW_KINDS = (
+    (["a,", ";", "|", "/", "\n"], (True, True, True, True)),
+    (["\xffψ\udcff:", "", "=", "", "!\n"], (False, True, False, True)),
+    (["", "[", "]", "", "\n"], (True, False, True, True)),
+    (["none", "", "", "", ".\n"], (False, False, False, True)),
+)
+
+
+@pytest.mark.parametrize("spell,spelled", [(_numtext.number_words, lambda v: "%.17g" % v),
+                                           (_numtext.json_number_words, repr)],
+                         ids=["csv", "json"])
+def test_the_row_writer_joins_each_rows_text_and_filled_numbers(spell, spelled):
+    rows = 2 * _numtext.BLOCK_ROWS + 5
+    rng = np.random.default_rng(40)
+    kind = rng.integers(0, len(_ROW_KINDS), rows)
+    columns = 10.0 ** rng.uniform(-300, 300, (4, rows)) * rng.choice((-1.0, 1.0), (4, rows))
+    # across the first block boundary: zeros, and a value exactly half way
+    # between two 17-digit decimals (100000000000000.125)
+    at = _numtext.BLOCK_ROWS - 2
+    kind[at:at + 4] = [0, 1, 2, 3]
+    columns[:, at:at + 4] = [[-0.0, 0.0, 800000000000001 / 8, 1.0]] * 4
+    expected = []
+    for i, k in enumerate(kind.tolist()):
+        segments, filled = _ROW_KINDS[k]
+        expected.append(segments[0] + "".join(
+            (spelled(float(columns[j, i])) if filled[j] else "") + segments[j + 1]
+            for j in range(4)))
+    blocks = _numtext.row_blocks(kind, *zip(*_ROW_KINDS), list(columns), spell)
+    assert blocks == ["".join(expected[start:start + _numtext.BLOCK_ROWS])
+                      for start in range(0, rows, _numtext.BLOCK_ROWS)]
+    assert spelled(800000000000001 / 8) == "100000000000000.12"  # a tie, to even
+    assert _numtext.row_blocks(kind[:0], *zip(*_ROW_KINDS), list(columns[:, :0]), spell) == []
+
+
 def test_check_rows_carry_every_edge_float():
     checks = [CheckResult(name="edge", inputs=(("v", v), ("w", -v)), lhs=v, rhs=v,
                           margin=0.0, holds=True) for v in EDGE_FLOATS]

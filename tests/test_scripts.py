@@ -37,5 +37,9 @@ def test_call_modules_tables_what_each_call_loads(capsys):
     assert _load("call_modules").main([]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 2 + 7  # header, rule, one row per call
+    assert rows[0].endswith("| modules | numpy beyond `import numpy` |")
     # the CLI import loads only the report path
-    assert rows[2].endswith("| gammacert checks cli errors report |")
+    assert rows[2].endswith("| gammacert checks cli errors report | none |")
+    # no call loads a numpy module that import numpy does not (np.unique on
+    # an int array would load numpy.ma)
+    assert [row.rpartition(" | ")[2] for row in rows[2:]] == ["none |"] * 7
